@@ -16,11 +16,11 @@ from .compat import (
     search_candidate_s,
 )
 from .cyclotomic import (
-    CYCLOTOMIC_CACHE_LIMIT,
     IntPolynomial,
     cyclotomic,
     digit_polynomial,
     mask_zero_residues,
+    order_vanishes,
     symbol_vanishes_at,
     vanishes_at_primitive_root,
 )
@@ -70,7 +70,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BudgetExceededError",
-    "CYCLOTOMIC_CACHE_LIMIT",
     "CanonicalForm",
     "CompatibilityCertificate",
     "ConsistencyError",
@@ -101,6 +100,7 @@ __all__ = [
     "lambda_enumerate",
     "mask_zero_residues",
     "mu_hat",
+    "order_vanishes",
     "pair_power",
     "prime_power_sets",
     "q_eval",

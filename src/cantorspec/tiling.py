@@ -15,47 +15,15 @@ import itertools
 from fractions import Fraction
 from dataclasses import dataclass
 
+from .arith import divisors, factorize, radical
 from .compat import CompatibilityCertificate, is_compatible
-from .cyclotomic import symbol_vanishes_at
+from .cyclotomic import order_vanishes
 from .systems import (
     ConsistencyError,
     PreconditionError,
     ScaleDigitSystem,
     SpectrumCandidate,
 )
-
-
-def _factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division; fine at desk scale."""
-    factors: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    return factors
-
-
-def _radical(n: int) -> int:
-    out = 1
-    for p in _factorize(n):
-        out *= p
-    return out
-
-
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
 
 
 def is_complementing(digits, modulus: int) -> tuple[int, ...] | None:
@@ -111,9 +79,9 @@ def find_modulus_l(system: ScaleDigitSystem) -> int | None:
     Such an L exists whenever D is complementing mod N, so None signals
     that the digit set does not tile the residues of N at all.
     """
-    target = _radical(system.size)
-    for div in _divisors(system.modulus):
-        if _radical(div) != target:
+    target = radical(system.size)
+    for div in divisors(system.modulus):
+        if radical(div) != target:
             continue
         if is_complementing(system.digits, div) is not None:
             return div
@@ -132,19 +100,17 @@ def prime_power_sets(digits, modulus: int) -> tuple[tuple[int, ...], tuple[int, 
     digs = tuple(digits)
     if not digs:
         raise PreconditionError("digit set must be nonempty")
-    size_factors = _factorize(len(digs))
+    size_factors = factorize(len(digs))
     if len(size_factors) > 2:
         raise PreconditionError(
             f"|D| = {len(digs)} has {len(size_factors)} distinct prime factors; "
             "the construction covers at most two"
         )
-    modulus_factors = _factorize(modulus)
+    modulus_factors = factorize(modulus)
     groups: list[tuple[int, ...]] = []
     for p, alpha in sorted(size_factors.items()):
         cap = modulus_factors.get(p, 0)
-        powers = tuple(
-            p**k for k in range(1, cap + 1) if symbol_vanishes_at(digs, Fraction(1, p**k))
-        )
+        powers = tuple(p**k for k in range(1, cap + 1) if order_vanishes(digs, p**k))
         if len(powers) != alpha:
             raise ConsistencyError(
                 f"expected {alpha} dividing powers of {p} below {p}**{cap}, found {powers}"
@@ -172,7 +138,7 @@ def _fractional_combinations(powers: tuple[int, ...]) -> list[Fraction]:
     """All sums of a_j / p^{k_j} with digit coefficients 0 <= a_j < p."""
     if not powers:
         return [Fraction(0)]
-    prime = _radical(powers[0])
+    prime = radical(powers[0])
     values = []
     for coeffs in itertools.product(range(prime), repeat=len(powers)):
         values.append(sum((Fraction(a, pk) for a, pk in zip(coeffs, powers)), Fraction(0)))

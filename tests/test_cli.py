@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -179,10 +180,16 @@ def test_byte_identical_output(capsys):
 
 
 def test_module_entrypoint_subprocess():
+    # The child runs from the checkout's src/, as tests/conftest.py does for
+    # this process, so the test needs no installed package.
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     proc = subprocess.run(
         [sys.executable, "-m", "cantorspec", "measure", "lambda", "--n", "4", "--s", "0,2", "--depth", "2"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["elements"] == [0, 2, 8, 10]
@@ -190,6 +197,7 @@ def test_module_entrypoint_subprocess():
         [sys.executable, "-m", "cantorspec", "compat", "check", "--n", "2", "--digits", "0,0", "--s", "0"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 1
 

@@ -1,4 +1,6 @@
 import cmath
+import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ from cantorspec import (
     cyclotomic,
     digit_polynomial,
     mask_zero_residues,
+    order_vanishes,
     symbol_vanishes_at,
     vanishes_at_primitive_root,
 )
@@ -170,3 +173,114 @@ def test_symbol_vanishes_at_fractions():
     assert not symbol_vanishes_at((0, 1), Fraction(1, 3))
     assert not symbol_vanishes_at((0, 1), 7)
     assert symbol_vanishes_at((0, 1, 2), Fraction(2, 3))
+
+
+# --------------------------------------------------------------------------
+# Differential check against the former algorithm, kept here as the
+# reference: Phi_n by dividing z^n - 1 by Phi_d over the proper divisors d,
+# and vanishing by long division of the exponent-reduced digit polynomial.
+
+SMALL_DIGIT_SETS = [
+    digits for size in range(1, 11) for digits in itertools.combinations(range(10), size)
+]
+MAX_ORDER = 48
+
+
+@functools.lru_cache(maxsize=None)
+def reference_cyclotomic(n):
+    poly = IntPolynomial((-1,) + (0,) * (n - 1) + (1,))
+    for d in range(1, n):
+        if n % d == 0:
+            poly, rem = divmod(poly, reference_cyclotomic(d))
+            assert rem.is_zero()
+    return poly
+
+
+def reference_vanishes(digits, b):
+    poly = IntPolynomial.from_exponents([d % b for d in digits])
+    return poly.divisible_by(reference_cyclotomic(b))
+
+
+@functools.lru_cache(maxsize=None)
+def reference_table():
+    return {
+        (digits, b): reference_vanishes(digits, b)
+        for digits in SMALL_DIGIT_SETS
+        for b in range(1, MAX_ORDER + 1)
+    }
+
+
+def test_cyclotomic_matches_divisor_recursion_up_to_400():
+    for n in range(1, 401):
+        assert cyclotomic(n) == reference_cyclotomic(n), n
+
+
+def test_order_vanishes_matches_reference_exhaustively():
+    table = reference_table()
+    for (digits, b), expected in table.items():
+        assert order_vanishes(digits, b) == expected, (digits, b)
+
+
+def test_mask_matches_reference_exhaustively():
+    table = reference_table()
+    for n in range(2, MAX_ORDER + 1):
+        for digits in SMALL_DIGIT_SETS:
+            expected = frozenset(
+                r for r in range(1, n) if table[digits, n // math.gcd(r, n)]
+            )
+            assert mask_zero_residues(ScaleDigitSystem(n, digits)) == expected, (n, digits)
+
+
+def test_vanishes_at_primitive_root_matches_reference_with_signed_coefficients():
+    for coeffs in itertools.product((-1, 0, 1), repeat=5):
+        poly = IntPolynomial(coeffs)
+        if poly.is_zero():
+            continue
+        for m in range(1, MAX_ORDER + 1):
+            expected = poly.divisible_by(reference_cyclotomic(m))
+            assert vanishes_at_primitive_root(poly, m) == expected, (coeffs, m)
+
+
+def test_order_vanishes_reduces_any_integer_exponents():
+    assert order_vanishes((), 5)
+    assert order_vanishes((-3, 2), 10)  # z^-3 + z^2 = z^-3 (1 + z^5)
+    assert not order_vanishes((-3, 2), 5)
+    with pytest.raises(PreconditionError):
+        order_vanishes((0, 1), 0)
+
+
+# Former cliff: moduli far above the old cache limit, with small and wide
+# digit sets.  Each divisor order b is checked against the float symbol at
+# its representative |N|/b, and every residue must follow its order.
+CLIFF_CASES = [
+    (10240, (0, 1)),
+    (10240, (0, 5, 2560, 2565)),
+    (12000, (0, 1, 2)),
+    (12000, (0, 3, 4000, 4003, 8000, 8003)),
+    (30030, (0, 1, 2)),
+    (30030, (0, 10010, 20020)),
+    (30030, (0, 5, 13, 100, 2000, 15015)),
+    (100000, (0, 1, 2, 3)),
+    (100000, (0, 25000, 50000, 75000)),
+    (100000, (0, 7, 12500, 12507)),
+]
+
+
+@pytest.mark.parametrize("scale,digits", CLIFF_CASES)
+def test_mask_at_former_cliff_matches_float_symbol(scale, digits):
+    zeros = mask_zero_residues(ScaleDigitSystem(scale, digits))
+    vanishing_orders = set()
+    for b in range(2, scale + 1):
+        if scale % b:
+            continue
+        r = scale // b
+        # exact phase reduction keeps the float argument in [0, 1)
+        mag = abs(sum(cmath.exp(-2j * math.pi * (d * r % scale) / scale) for d in digits))
+        if r in zeros:
+            assert mag / len(digits) < 1e-10, b
+            vanishing_orders.add(b)
+        else:
+            assert mag / len(digits) > 1e-6, b
+    assert zeros == {
+        r for r in range(1, scale) if scale // math.gcd(r, scale) in vanishing_orders
+    }

@@ -155,3 +155,12 @@ def test_construction_feeds_the_decider(scale, digits, expected_s):
     reduced_system = ScaleDigitSystem(scale, report.canonical.reduced_digits)
     reduced = reduce_s(scale, scaled_candidate)
     assert decide_spectrum(reduced_system, reduced).spectral
+
+
+def test_construction_above_former_cache_limit():
+    system = ScaleDigitSystem(10240, (0, 1))
+    construction = construct_spectrum_set(system)
+    candidate = SpectrumCandidate(construction.result_s)
+    assert construction.certificate == is_compatible(system, candidate)
+    assert construction.certificate is not None
+    assert decide_spectrum(system, candidate).spectral
