@@ -77,10 +77,6 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="cantorspec", description=__doc__)
     groups = parser.add_subparsers(dest="group", required=True, parser_class=_Parser)
 
-    def sub(group, name, **kwargs):
-        p = group.add_parser(name, **kwargs)
-        return p
-
     def add_system(p):
         p.add_argument("--n", type=int, required=True, help="integer scale N, |N| >= 2")
         p.add_argument("--digits", type=_int_list, required=True, help="digit set, e.g. 0,1,2")
@@ -92,52 +88,52 @@ def build_parser() -> _Parser:
         p.add_argument("--depth", type=int, default=DEFAULT_DEPTH, help="spectrum slice depth")
         p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON, help="product tail budget")
 
-    compat_group = sub(groups, "compat").add_subparsers(dest="action", required=True, parser_class=_Parser)
-    p = sub(compat_group, "check", help="decide compatibility of (D/N, S)")
+    compat_group = groups.add_parser("compat").add_subparsers(dest="action", required=True, parser_class=_Parser)
+    p = compat_group.add_parser("check", help="decide compatibility of (D/N, S)")
     add_system(p)
     add_candidate(p)
-    p = sub(compat_group, "search", help="all compatible candidates in the window")
+    p = compat_group.add_parser("search", help="all compatible candidates in the window")
     add_system(p)
-    p = sub(compat_group, "reduce", help="congruent window representative of S")
+    p = compat_group.add_parser("reduce", help="congruent window representative of S")
     p.add_argument("--n", type=int, required=True)
     add_candidate(p)
-    p = sub(compat_group, "power", help="k-fold digit/candidate pair")
+    p = compat_group.add_parser("power", help="k-fold digit/candidate pair")
     add_system(p)
     add_candidate(p)
     p.add_argument("--k", type=int, required=True, help="power, k >= 1")
 
-    spectrum_group = sub(groups, "spectrum").add_subparsers(dest="action", required=True, parser_class=_Parser)
-    p = sub(spectrum_group, "decide", help="cycle-criterion verdict for (N, D, S)")
+    spectrum_group = groups.add_parser("spectrum").add_subparsers(dest="action", required=True, parser_class=_Parser)
+    p = spectrum_group.add_parser("decide", help="cycle-criterion verdict for (N, D, S)")
     add_system(p)
     add_candidate(p)
-    p = sub(spectrum_group, "verify", help="check a witness cycle")
+    p = spectrum_group.add_parser("verify", help="check a witness cycle")
     add_system(p)
     add_candidate(p)
     p.add_argument("--witness", type=_witness_arg, required=True, help='JSON list, e.g. "[[2,6]]"')
-    p = sub(spectrum_group, "report", help="measure-level spectrality report")
+    p = spectrum_group.add_parser("report", help="measure-level spectrality report")
     add_system(p)
 
-    measure_group = sub(groups, "measure").add_subparsers(dest="action", required=True, parser_class=_Parser)
-    p = sub(measure_group, "fourier", help="transform value at one point")
+    measure_group = groups.add_parser("measure").add_subparsers(dest="action", required=True, parser_class=_Parser)
+    p = measure_group.add_parser("fourier", help="transform value at one point")
     add_system(p)
     p.add_argument("--xi", type=float, required=True)
     p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
-    p = sub(measure_group, "qgrid", help="completeness sum on a grid over [0, 1)")
+    p = measure_group.add_parser("qgrid", help="completeness sum on a grid over [0, 1)")
     add_system(p)
     add_candidate(p)
     add_policy(p)
     p.add_argument("--grid", type=int, default=DEFAULT_GRID, help="number of grid points")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p = sub(measure_group, "lambda", help="depth-slice of the candidate spectrum")
+    p = measure_group.add_parser("lambda", help="depth-slice of the candidate spectrum")
     p.add_argument("--n", type=int, required=True)
     add_candidate(p)
     p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
 
-    tiling_group = sub(groups, "tiling").add_subparsers(dest="action", required=True, parser_class=_Parser)
-    p = sub(tiling_group, "check", help="complementing-set test mod a modulus")
+    tiling_group = groups.add_parser("tiling").add_subparsers(dest="action", required=True, parser_class=_Parser)
+    p = tiling_group.add_parser("check", help="complementing-set test mod a modulus")
     p.add_argument("--digits", type=_int_list, required=True)
     p.add_argument("--modulus", type=int, required=True)
-    p = sub(tiling_group, "construct", help="spectrum candidate from tiling structure")
+    p = tiling_group.add_parser("construct", help="spectrum candidate from tiling structure")
     add_system(p)
 
     return parser

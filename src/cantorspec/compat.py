@@ -5,6 +5,18 @@ A pair (D/N, S) with |S| = |D| is compatible when the matrix
 m_{D/N} vanishes at every difference of distinct elements of S.  The
 difference test is what gets decided here, exactly, through the cyclotomic
 residue mask -- floating point never touches the verdict.
+
+The window search looks for such S with 0 in S among the integers of
+[2-|N|, |N|-2].  Since every other element of S differs from 0 by a zero
+of the mask, only the integers whose residue mod |N| is a zero can take
+part: they are the vertices of the zero graph through 0, joined when their
+difference residue is a zero too.  Each candidate set is 0 plus a clique
+of |D|-1 of them, found by a depth-first search on int bitsets over the
+window.  Integer x sits at bit x - (2-|N|), so the neighbours above x are
+the window bits of the mask's periodic bit pattern shifted up to x; the
+search takes the lowest candidate bit first, intersects the rest with its
+neighbours and drops a branch once fewer bits remain than elements are
+needed.
 """
 
 from __future__ import annotations
@@ -62,14 +74,28 @@ def is_compatible(
     return CompatibilityCertificate(system, candidate, tuple(entries))
 
 
+def _zero_pattern(zeros: frozenset[int], m: int) -> int:
+    """Int with bit t set exactly when t mod m is in `zeros`, for 0 <= t < 2m."""
+    digits = bytearray(b"0") * m
+    for r in zeros:
+        digits[m - 1 - r] = ord("1")
+    period = int(digits, 2)
+    return period << m | period
+
+
 def search_candidate_s(system: ScaleDigitSystem) -> list[SpectrumCandidate]:
     """All compatible candidate sets inside the reduction window.
 
     Enumerates every S with 0 in S, |S| = |D| and S a subset of
-    [2-|N|, |N|-2] such that (D/N, S) is compatible.  This is clique
-    enumeration through the vertex 0 in the graph on window integers whose
-    edges are pairs with difference residue in the zero mask; results come
-    back in lexicographic order of their sorted elements.
+    [2-|N|, |N|-2] such that (D/N, S) is compatible, in lexicographic order
+    of their sorted elements.  Only window integers e with e mod |N| in the
+    zero mask can join 0, so S minus 0 is a clique of |D|-1 of them in the
+    graph whose edges are pairs with difference residue in the mask.  The
+    cliques are enumerated by a bitset search that always branches on the
+    smallest remaining integer, which yields them in lexicographic order.
+    Putting 0 back keeps that order: where two cliques first differ, both
+    differing elements lie on the same side of 0, or the smaller one lies
+    below 0 and meets the 0 inserted into the other set.
     """
     m = system.modulus
     if m < 3:
@@ -77,28 +103,24 @@ def search_candidate_s(system: ScaleDigitSystem) -> list[SpectrumCandidate]:
             "the window [2-|N|, |N|-2] is degenerate for |N| = 2; "
             "the measure-level report handles that case separately"
         )
-    zeros = mask_zero_residues(system)
-    window = list(range(2 - m, m - 1))
+    pattern = _zero_pattern(mask_zero_residues(system), m)
+    low = 2 - m  # bit x of a window bitset stands for the integer low + x
+    vertices = (pattern >> 2) & ((1 << (2 * m - 3)) - 1)  # e = low + x has e = x + 2 (mod m)
     want = system.size
     found: list[SpectrumCandidate] = []
 
-    def extend(partial: list[int], start: int) -> None:
-        if len(partial) == want:
-            if 0 in partial:
-                found.append(SpectrumCandidate(tuple(partial)))
+    def extend(cand: int, chosen: tuple[int, ...]) -> None:
+        need = want - 1 - len(chosen)
+        if need == 0:
+            found.append(SpectrumCandidate((0, *chosen)))
             return
-        for k in range(start, len(window)):
-            if len(window) - k < want - len(partial):
-                break
-            e = window[k]
-            if e > 0 and 0 not in partial:
-                break  # elements ascend, so 0 can no longer be added
-            if all((e - p) % m in zeros for p in partial):
-                partial.append(e)
-                extend(partial, k + 1)
-                partial.pop()
+        while cand.bit_count() >= need:
+            bit = cand & -cand
+            cand ^= bit
+            x = bit.bit_length() - 1
+            extend(cand & (pattern << x), (*chosen, low + x))
 
-    extend([], 0)
+    extend(vertices, ())
     return found
 
 

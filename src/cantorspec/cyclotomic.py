@@ -340,10 +340,19 @@ def mask_zero_residues(system: ScaleDigitSystem) -> frozenset[int]:
     For integer k, m_{D/N}(k) depends only on k mod |N| (for negative N the
     value conjugates, leaving zeros unchanged).  The returned set contains
     exactly the r in {1, ..., |N|-1} with m_{D/N}(k) = 0 for every integer
-    k congruent to r.  Whether r is a zero depends only on its order
-    b = |N| / gcd(r, |N|), so each divisor b > 1 of |N| is tested once and,
-    when Phi_b divides the digit polynomial, contributes the residues
-    (|N|/b) * u with u a unit mod b, found by sieving out the primes of b.
+    k congruent to r.  The mask is built once per system and cached on it
+    as `system.zero_mask`.
+    """
+    return system.zero_mask
+
+
+def _zero_residues(system: ScaleDigitSystem) -> frozenset[int]:
+    """Build the zero mask of `mask_zero_residues`.
+
+    Whether r is a zero depends only on its order b = |N| / gcd(r, |N|),
+    so each divisor b > 1 of |N| is tested once and, when Phi_b divides the
+    digit polynomial, contributes the residues (|N|/b) * u with u a unit
+    mod b, found by sieving out the primes of b.
     """
     m = system.modulus
     zeros: list[int] = []

@@ -4,10 +4,14 @@ Everything here is immutable.  Systems and candidate sets normalize their
 element lists to sorted tuples at construction time and validate the
 invariants every downstream operation relies on (|N| >= 2, nonempty and
 pairwise-distinct entries, and so on), so later code never re-checks them.
+Data derived from a system, such as its zero mask, is computed on first use
+and cached on the instance; it is not a field, so equality, hashing and
+repr see only the scale and the digits.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,6 +63,14 @@ class ScaleDigitSystem:
     @property
     def size(self) -> int:
         return len(self.digits)
+
+    @functools.cached_property
+    def zero_mask(self) -> frozenset[int]:
+        """Residues r mod |N| at which m_{D/N} vanishes (see
+        `cyclotomic.mask_zero_residues`), built once per system."""
+        from .cyclotomic import _zero_residues  # cyclotomic imports this module
+
+        return _zero_residues(self)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from cantorspec import (
     ScaleDigitSystem,
     SpectrumCandidate,
     is_compatible,
+    mask_zero_residues,
     pair_power,
     reduce_s,
     search_candidate_s,
@@ -108,7 +109,19 @@ def brute_force_window_candidates(system):
 
 @pytest.mark.parametrize(
     "scale,digits",
-    [(4, (0, 1)), (3, (0, 2)), (6, (0, 1, 2)), (5, (0, 1, 2, 3, 4)), (-4, (0, 1))],
+    [
+        (4, (0, 1)),
+        (3, (0, 2)),
+        (6, (0, 1, 2)),
+        (5, (0, 1, 2, 3, 4)),
+        (-4, (0, 1)),
+        (8, (0, 1, 4, 5)),
+        (9, (0, 1, 2)),
+        (-6, (0, 1, 2)),
+        (12, (0, 1, 2)),
+        (7, (3,)),  # |D| = 1: only {0}
+        (3, (0, 1, 2, 3)),  # |D| > 2|N| - 3: the window is too small
+    ],
 )
 def test_search_matches_brute_force(scale, digits):
     system = ScaleDigitSystem(scale, digits)
@@ -127,6 +140,69 @@ def test_search_examples():
     # window set (-4, 0, 4), which the numeric oracle certifies as well
     assert found == [(-4, -2, 0), (-4, 0, 4), (-2, 0, 2), (0, 2, 4)]
     assert (0, 2, 4) in found and (0, -2, 2) not in found  # -2 < 0 sorts first
+    assert search_candidate_s(ScaleDigitSystem(7, (3,))) == [SpectrumCandidate((0,))]
+    assert search_candidate_s(ScaleDigitSystem(3, (0, 1, 2, 3))) == []
+
+
+# Differential check against the former search, kept here as the
+# reference: extend partial sets over all 2|N|-3 window integers in
+# ascending order, re-testing each new element against every chosen one.
+
+
+def reference_search(system):
+    m = system.modulus
+    zeros = mask_zero_residues(system)
+    window = list(range(2 - m, m - 1))
+    want = system.size
+    found = []
+
+    def extend(partial, start):
+        if len(partial) == want:
+            if 0 in partial:
+                found.append(SpectrumCandidate(tuple(partial)))
+            return
+        for k in range(start, len(window)):
+            if len(window) - k < want - len(partial):
+                break
+            e = window[k]
+            if e > 0 and 0 not in partial:
+                break  # elements ascend, so 0 can no longer be added
+            if all((e - p) % m in zeros for p in partial):
+                partial.append(e)
+                extend(partial, k + 1)
+                partial.pop()
+
+    extend([], 0)
+    return found
+
+
+def test_search_matches_reference_exhaustively():
+    small_digit_sets = [
+        digits for size in range(1, 9) for digits in itertools.combinations(range(8), size)
+    ]
+    for modulus in range(3, 17):
+        for scale in (modulus, -modulus):
+            for digits in small_digit_sets:
+                system = ScaleDigitSystem(scale, digits)
+                assert search_candidate_s(system) == reference_search(system), (scale, digits)
+
+
+@pytest.mark.parametrize(
+    "scale,digits",
+    [
+        (360, (0, 3, 5, 7, 14, 22)),  # Łaba–Wang: a complete residue set mod 6
+        (-384, (-5, 1, 8)),  # Łaba–Wang: a complete residue set mod 3
+        (396, (0, 5, 10, 15)),  # Łaba–Wang: a complete residue set mod 4
+        (330, (0, 17, 250, 411)),  # random digits
+    ],
+)
+def test_search_matches_reference_census_sized(scale, digits):
+    system = ScaleDigitSystem(scale, digits)
+    found = search_candidate_s(system)
+    assert found == reference_search(system)
+    if abs(scale) % len(digits) == 0 and len({d % len(digits) for d in digits}) == len(digits):
+        step = abs(scale) // len(digits)
+        assert SpectrumCandidate(tuple(step * j for j in range(len(digits)))) in found
 
 
 def test_search_rejects_degenerate_window():

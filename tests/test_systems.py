@@ -1,3 +1,6 @@
+import dataclasses
+import importlib
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -8,7 +11,11 @@ from cantorspec import (
     ScaleDigitSystem,
     SpectrumCandidate,
     TruncationPolicy,
+    report_measure_spectrality,
 )
+
+# the package re-exports the function `cyclotomic`, which shadows the module
+cyclotomic_module = importlib.import_module("cantorspec.cyclotomic")
 
 
 def test_system_normalizes_and_validates():
@@ -58,3 +65,33 @@ def test_rational_interval():
         RationalInterval(Fraction(1), Fraction(0))
     with pytest.raises(PreconditionError):
         interval.scaled(0)
+
+
+def test_report_builds_zero_mask_once(monkeypatch):
+    builds = []
+    build = cyclotomic_module._zero_residues
+
+    def counting(system):
+        builds.append(system)
+        return build(system)
+
+    monkeypatch.setattr(cyclotomic_module, "_zero_residues", counting)
+    report = report_measure_spectrality(ScaleDigitSystem(12, (0, 1, 2)))
+    assert report.candidate is not None
+    assert len(builds) == 1
+
+
+def test_cached_zero_mask_leaves_value_semantics_alone():
+    system = ScaleDigitSystem(12, (0, 1, 2))
+    fresh = ScaleDigitSystem(12, (0, 1, 2))
+    mask = system.zero_mask
+    assert mask == frozenset({4, 8})
+    assert system.zero_mask is mask
+    assert system == fresh and hash(system) == hash(fresh)
+    assert repr(system) == repr(fresh) == "ScaleDigitSystem(scale=12, digits=(0, 1, 2))"
+    restored = pickle.loads(pickle.dumps(system))
+    assert restored == system and restored.zero_mask == mask
+    replaced = dataclasses.replace(system, digits=(0, 1))
+    assert replaced == ScaleDigitSystem(12, (0, 1))
+    assert replaced.zero_mask == frozenset({6})
+    assert dataclasses.replace(system) == system
