@@ -22,6 +22,7 @@ needed.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .cyclotomic import mask_zero_residues
@@ -97,31 +98,35 @@ def search_candidate_s(system: ScaleDigitSystem) -> list[SpectrumCandidate]:
     differing elements lie on the same side of 0, or the smaller one lies
     below 0 and meets the 0 inserted into the other set.
     """
-    m = system.modulus
-    if m < 3:
+    if system.modulus < 3:
         raise PreconditionError(
             "the window [2-|N|, |N|-2] is degenerate for |N| = 2; "
             "the measure-level report handles that case separately"
         )
+    return list(_window_candidates(system))
+
+
+def _window_candidates(system: ScaleDigitSystem) -> Iterator[SpectrumCandidate]:
+    """The candidates of `search_candidate_s` in the same order, one at a
+    time, for |N| >= 3."""
+    m = system.modulus
     pattern = _zero_pattern(mask_zero_residues(system), m)
     low = 2 - m  # bit x of a window bitset stands for the integer low + x
     vertices = (pattern >> 2) & ((1 << (2 * m - 3)) - 1)  # e = low + x has e = x + 2 (mod m)
     want = system.size
-    found: list[SpectrumCandidate] = []
 
-    def extend(cand: int, chosen: tuple[int, ...]) -> None:
+    def extend(cand: int, chosen: tuple[int, ...]) -> Iterator[SpectrumCandidate]:
         need = want - 1 - len(chosen)
         if need == 0:
-            found.append(SpectrumCandidate((0, *chosen)))
+            yield SpectrumCandidate((0, *chosen))
             return
         while cand.bit_count() >= need:
             bit = cand & -cand
             cand ^= bit
             x = bit.bit_length() - 1
-            extend(cand & (pattern << x), (*chosen, low + x))
+            yield from extend(cand & (pattern << x), (*chosen, low + x))
 
-    extend(vertices, ())
-    return found
+    yield from extend(vertices, ())
 
 
 def reduce_s(scale: int, candidate: SpectrumCandidate) -> SpectrumCandidate:

@@ -3,11 +3,18 @@
 For a compatible pair with 0 in D, gcd(D) = 1 and 0 in S, the candidate
 spectrum fails to be a spectrum exactly when the successor map
 eta -> (eta + s)/N (the unique s in S making the division exact) admits a
-cycle of nonzero integers.  Any such cycle lives inside the exact rational
-enclosure of the attractor of the maps x -> (x+s)/N, so the search space
-is the finite set of nonzero integers in that interval: a functional graph
-walked with memoized dead-ends.  Both outcomes carry machine-checkable
-evidence -- the witness cycle, or the exhaustively searched range.
+cycle of nonzero integers.  Every point of such a cycle is a periodic point
+of the maps x -> (x+s)/N, so it lies in their attractor K, inside the exact
+rational hull H of K.  The search therefore visits only the integers of K's
+level-L cylinders (H + lam)/N^L, lam = s_0 + s_1 N + ... + s_{L-1} N^(L-1),
+refined breadth-first while that shrinks their integer count: about
+|H|^(log|S|/log|N|) integers instead of all of H's, and never more than H
+holds.  Both outcomes carry machine-checkable evidence.  A spectral
+verdict reports the integer range of H (dilated by the regression hook
+`range_factor`) as `searched`: no integer in it lies on a nonzero cycle or
+leads into one.  A negative verdict carries the witness cycle that a walk
+from the nonzero integers of that range, in increasing absolute value,
+reaches first.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .compat import CompatibilityCertificate, is_compatible, search_candidate_s
+from .compat import CompatibilityCertificate, _window_candidates, is_compatible
 from .kernel import attractor_bounds
 from .systems import (
     PreconditionError,
@@ -79,9 +86,13 @@ def successor(scale: int, candidate: SpectrumCandidate, eta: int) -> tuple[int, 
 class SpectrumVerdict:
     """Outcome of the cycle search.
 
-    Spectral verdicts carry the inclusive integer range that was searched
-    exhaustively; negative verdicts carry the witness cycle as pairs
-    (eta_j, s_j) with eta_{j+1} = (eta_j + s_j)/N cyclically.
+    `searched` is the inclusive integer range of the attractor's hull
+    `bounds`, dilated by the search's `range_factor`.  A spectral verdict
+    certifies that no integer of that range lies on a cycle of nonzero
+    integers or leads into one, though the search visits only the integers
+    of the attractor's cylinders.  Negative verdicts carry the witness
+    cycle as pairs (eta_j, s_j) with eta_{j+1} = (eta_j + s_j)/N
+    cyclically.
     """
 
     spectral: bool
@@ -115,38 +126,86 @@ def decide_spectrum(
         raise PreconditionError("cycle criterion requires 0 in S")
     if is_compatible(system, candidate) is None:
         raise PreconditionError("cycle criterion applies to compatible pairs only")
+    return _cycle_verdict(system, candidate, range_factor)
 
-    bounds = attractor_bounds(system.scale, candidate.elements)
+
+def _cycle_verdict(
+    system: ScaleDigitSystem, candidate: SpectrumCandidate, range_factor: int
+) -> SpectrumVerdict:
+    """The search of `decide_spectrum` for a pair known to meet its
+    preconditions; they are not checked again here."""
+    scale, m = system.scale, system.modulus
+    elems = candidate.elements
+    bounds = attractor_bounds(scale, elems)
     searched = bounds.scaled(range_factor) if range_factor != 1 else bounds
     lo = math.ceil(searched.lo)
     hi = math.floor(searched.hi)
-    nodes = sorted((eta for eta in range(lo, hi + 1) if eta != 0), key=lambda e: (abs(e), e))
+    steps = {-s % m: s for s in elems}  # eta steps by the s with eta + s = 0 (mod N)
 
-    dead: set[int] = set()
-    for start in nodes:
-        if start in dead:
-            continue
-        path: list[tuple[int, int]] = []
-        position: dict[int, int] = {}
-        cur = start
-        while True:
-            if cur in position:
-                cycle = path[position[cur] :]
-                first = min(range(len(cycle)), key=lambda i: (abs(cycle[i][0]), cycle[i][0]))
-                witness = tuple(cycle[first:] + cycle[:first])
-                return SpectrumVerdict(False, witness, (lo, hi), bounds)
-            if cur == 0 or cur in dead or not lo <= cur <= hi:
-                dead.update(eta for eta, _ in path)
+    # A cycle point is the image of another cycle point, which lies in the
+    # hull H = [low, low + span]/den, under L of the maps, so it lies in a
+    # cylinder (H + lam)/N^L = sign * [u, u + span]/q with u = low + lam*den
+    # and q = den*|N|^L.  Splitting a cylinder w = span/q wide into the |S|
+    # of the next level, w/|N| wide, shrinks the integers they cover while
+    # |S|*(w/|N| + 1) < w + 1, so it stops there (at once when |S| = |N|).
+    # 0 is dropped: the maps fix it.
+    den = math.lcm(bounds.lo.denominator, bounds.hi.denominator)
+    low = bounds.lo.numerator * (den // bounds.lo.denominator)
+    span = bounds.hi.numerator * (den // bounds.hi.denominator) - low
+    size = candidate.size
+    numerators, power, q = [low], 1, den
+    while span * (m - size) > q * m * (size - 1):
+        shifts = [s * den * power for s in elems]
+        numerators = [u + t for u in numerators for t in shifts]
+        power *= scale
+        q *= m
+    sign = 1 if power > 0 else -1
+    survivors = {sign * y for u in numerators for y in range(-(-u // q), (u + span) // q + 1) if y}
+
+    # Walk the successor map restricted to the survivors.  Every cycle of
+    # nonzero integers lies among them, so the first walk to touch a cycle
+    # goes round it and comes back to a node it marked itself.
+    seen: dict[int, int] = {}
+    cycles = []
+    for start in survivors:
+        eta = start
+        while eta in survivors and eta not in seen:
+            seen[eta] = start
+            s = steps.get(eta % m)
+            if s is None:
                 break
-            step = successor(system.scale, candidate, cur)
-            if step is None:
-                dead.update(eta for eta, _ in path)
-                dead.add(cur)
-                break
-            position[cur] = len(path)
-            path.append((cur, step[1]))
-            cur = step[0]
-    return SpectrumVerdict(True, None, (lo, hi), bounds)
+            eta = (eta + s) // scale
+        else:
+            if seen.get(eta) == start:
+                cycles.append(eta)
+    if not cycles:
+        return SpectrumVerdict(True, None, (lo, hi), bounds)
+
+    # The nonzero integers of [lo, hi] whose walk never dies (by leaving the
+    # range, meeting 0 or finding no step) are those that reach a cycle: the
+    # backward closure of the cycles under eta -> N*eta - s, which never
+    # meets 0 because only s = 0 is divisible by N.  Its smallest member in
+    # (|eta|, eta) order is the first start whose walk finds a cycle.
+    alive = set(cycles)
+    frontier = list(cycles)
+    while frontier:
+        eta = frontier.pop()
+        for s in elems:
+            pred = scale * eta - s
+            if lo <= pred <= hi and pred not in alive:
+                alive.add(pred)
+                frontier.append(pred)
+    eta = min(alive, key=lambda e: (abs(e), e))
+    path: list[tuple[int, int]] = []
+    position: dict[int, int] = {}
+    while eta not in position:
+        position[eta] = len(path)
+        s = steps[eta % m]
+        path.append((eta, s))
+        eta = (eta + s) // scale
+    cycle = path[position[eta] :]
+    first = min(range(len(cycle)), key=lambda i: (abs(cycle[i][0]), cycle[i][0]))
+    return SpectrumVerdict(False, tuple(cycle[first:] + cycle[:first]), (lo, hi), bounds)
 
 
 def verify_witness(system: ScaleDigitSystem, candidate: SpectrumCandidate, witness) -> bool:
@@ -209,8 +268,12 @@ def report_measure_spectrality(system: ScaleDigitSystem) -> SpectralityReport:
     For |N| = 2 only the unit-interval digits {0, 1} (after
     canonicalization) and the point mass {0} admit compatible candidates;
     anything larger repeats residues mod 2 and is reported undecided.  For
-    |N| >= 3 the window candidates are tried in deterministic order and
-    the first spectral one is certified.
+    |N| >= 3 the window candidates are generated one at a time in
+    deterministic order and the first spectral one is certified.  They are
+    compatible by construction, contain 0 and come with canonical digits,
+    so they go to the cycle search without `decide_spectrum`'s checks, and
+    only the spectral one is run through `is_compatible`, for its
+    certificate.
     """
     canon = canonicalize_digits(system.digits)
     reduced = ScaleDigitSystem(system.scale, canon.reduced_digits)
@@ -221,9 +284,9 @@ def report_measure_spectrality(system: ScaleDigitSystem) -> SpectralityReport:
             return SpectralityReport(STATUS_UNKNOWN, system.scale, canon)
         candidates = [SpectrumCandidate((0,))]
     else:
-        candidates = search_candidate_s(reduced)
+        candidates = _window_candidates(reduced)
     for cand in candidates:
-        verdict = decide_spectrum(reduced, cand)
+        verdict = _cycle_verdict(reduced, cand, 1)
         if verdict.spectral:
             certificate = is_compatible(reduced, cand)
             return SpectralityReport(

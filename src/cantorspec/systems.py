@@ -12,7 +12,6 @@ repr see only the scale and the digits.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -120,13 +119,6 @@ class RationalInterval:
         object.__setattr__(self, "hi", Fraction(self.hi))
         if self.lo > self.hi:
             raise PreconditionError(f"interval endpoints out of order: {self.lo} > {self.hi}")
-
-    def integers(self) -> range:
-        """All integers inside the interval (inclusive endpoints)."""
-        return range(math.ceil(self.lo), math.floor(self.hi) + 1)
-
-    def contains(self, x) -> bool:
-        return self.lo <= x <= self.hi
 
     def scaled(self, factor: int) -> "RationalInterval":
         """The interval dilated about 0 by a positive integer factor."""

@@ -1,3 +1,5 @@
+import importlib
+import itertools
 import math
 
 import pytest
@@ -8,16 +10,24 @@ from cantorspec import (
     STATUS_UNIT_INTERVAL,
     STATUS_UNKNOWN,
     ScaleDigitSystem,
+    SpectralityReport,
     SpectrumCandidate,
+    SpectrumVerdict,
     TruncationPolicy,
+    attractor_bounds,
     canonicalize_digits,
     decide_spectrum,
+    is_compatible,
     q_eval,
     reduce_s,
     report_measure_spectrality,
+    search_candidate_s,
     successor,
     verify_witness,
 )
+
+compat_module = importlib.import_module("cantorspec.compat")
+decide_module = importlib.import_module("cantorspec.decide")
 
 SPECTRAL_CASES = [
     (4, (0, 1), (0, 2)),
@@ -68,12 +78,11 @@ def test_successor_is_single_valued():
 
 
 def test_successor_single_valued_over_searched_ranges():
-    from cantorspec import attractor_bounds
-
     for scale, _, elements in SPECTRAL_CASES:
         candidate = SpectrumCandidate(elements)
         modulus = abs(scale)
-        for eta in attractor_bounds(scale, elements).integers():
+        bounds = attractor_bounds(scale, elements)
+        for eta in range(math.ceil(bounds.lo), math.floor(bounds.hi) + 1):
             if eta == 0:
                 continue
             hits = [s for s in elements if (eta + s) % scale == 0]
@@ -131,7 +140,7 @@ def test_every_witness_verifies():
         assert not verdict.spectral
         assert verify_witness(system, cand, verdict.witness)
         for eta, _ in verdict.witness:
-            assert verdict.bounds.contains(eta)
+            assert verdict.bounds.lo <= eta <= verdict.bounds.hi
             assert eta != 0
 
 
@@ -277,3 +286,188 @@ def test_report_scaled_digits_keep_certificates():
     assert report.status == STATUS_SPECTRAL
     assert report.canonical.scale_factor == 4
     assert report.canonical.offset == 2
+
+
+# Differential checks against the former search, kept here as the
+# reference: walk every nonzero integer of the (dilated) hull from the
+# smallest in (|eta|, eta) order, stepping with `successor`, until a walk
+# closes a cycle.
+
+
+def reference_decide(system, candidate, range_factor=1):
+    bounds = attractor_bounds(system.scale, candidate.elements)
+    searched = bounds.scaled(range_factor) if range_factor != 1 else bounds
+    lo = math.ceil(searched.lo)
+    hi = math.floor(searched.hi)
+    nodes = sorted((eta for eta in range(lo, hi + 1) if eta != 0), key=lambda e: (abs(e), e))
+    dead = set()
+    for start in nodes:
+        if start in dead:
+            continue
+        path = []
+        position = {}
+        cur = start
+        while True:
+            if cur in position:
+                cycle = path[position[cur] :]
+                first = min(range(len(cycle)), key=lambda i: (abs(cycle[i][0]), cycle[i][0]))
+                witness = tuple(cycle[first:] + cycle[:first])
+                return SpectrumVerdict(False, witness, (lo, hi), bounds)
+            if cur == 0 or cur in dead or not lo <= cur <= hi:
+                dead.update(eta for eta, _ in path)
+                break
+            step = successor(system.scale, candidate, cur)
+            if step is None:
+                dead.update(eta for eta, _ in path)
+                dead.add(cur)
+                break
+            position[cur] = len(path)
+            path.append((cur, step[1]))
+            cur = step[0]
+    return SpectrumVerdict(True, None, (lo, hi), bounds)
+
+
+def lifted_window_pairs(scale, max_digit, sizes, lifts):
+    """Each system (scale, D) with 0 in D, gcd(D) = 1 and D in [0, max_digit],
+    with each window candidate's nonzero elements moved by every choice of
+    multiples of |N| from `lifts` (residues, hence compatibility, kept)."""
+    m = abs(scale)
+    for size in sizes:
+        for rest in itertools.combinations(range(1, max_digit + 1), size - 1):
+            if math.gcd(*rest) != 1:
+                continue
+            system = ScaleDigitSystem(scale, (0, *rest))
+            for window in search_candidate_s(system):
+                nonzero = [s for s in window.elements if s]
+                for shifts in itertools.product(lifts, repeat=len(nonzero)):
+                    elements = {0, *(s + k * m for s, k in zip(nonzero, shifts))}
+                    if len(elements) == window.size:
+                        yield system, SpectrumCandidate(tuple(elements))
+
+
+def test_decide_matches_reference_exhaustively():
+    scales = [n for k in range(3, 10) for n in (k, -k)] + [10, 12, -12]
+    compared = negatives = 0
+    for scale in scales:
+        for system, candidate in lifted_window_pairs(scale, 7, (2, 3, 4), (-2, 0, 3)):
+            for range_factor in (1, 2, 3):
+                expected = reference_decide(system, candidate, range_factor)
+                assert decide_spectrum(system, candidate, range_factor) == expected, (
+                    system,
+                    candidate,
+                    range_factor,
+                )
+                compared += 1
+                negatives += not expected.spectral
+    assert compared > 30_000 and negatives > 9_000
+
+
+@pytest.mark.parametrize("scale", [4, -4])
+def test_large_hull_matches_reference(scale):
+    system = ScaleDigitSystem(scale, (0, 1))
+    for elements in [(0, 2 * 10**5 + 2), (0, 12 * 10**3 + 6), (-(12 * 10**3 + 6), 0)]:
+        candidate = SpectrumCandidate(elements)
+        assert decide_spectrum(system, candidate) == reference_decide(system, candidate)
+
+
+@pytest.mark.parametrize(
+    "scale,searched", [(4, (0, 6_666_667)), (-4, (-5_333_333, 1_333_333))]
+)
+def test_large_hull_spectral(scale, searched):
+    # 6.7 million hull integers; the former walk over all of them took tens of seconds
+    system = ScaleDigitSystem(scale, (0, 1))
+    verdict = decide_spectrum(system, SpectrumCandidate((0, 2 * 10**7 + 2)))
+    assert verdict.spectral and verdict.witness is None
+    assert verdict.searched == searched
+
+
+def test_large_hull_fixed_point_witness():
+    # 4j + 2 -> (4j + 2 + 12j + 6)/4 = 4j + 2, the only integer whose walk
+    # never dies, at the top of a hull of 4j + 3 integers
+    j = 10**6
+    system = ScaleDigitSystem(4, (0, 1))
+    candidate = SpectrumCandidate((0, 12 * j + 6))
+    verdict = decide_spectrum(system, candidate)
+    assert not verdict.spectral
+    assert verdict.witness == ((4 * j + 2, 12 * j + 6),)
+    assert verdict.searched == (0, 4 * j + 2)
+    assert verify_witness(system, candidate, verdict.witness)
+
+
+@pytest.mark.parametrize(
+    "scale,elements",
+    [
+        (4, (-2, -1, 0, 1)),
+        (4, (0, 1, 2, 3)),
+        (4, (0, 5, -6, 7)),
+        (4, (0, -3, 14, -37)),
+        (4, (0, 41, -30, 123)),
+        (-4, (-11, -5, 0, 2)),  # a cycle through the top of the hull, 3
+        (-4, (-10, -5, 0, 9)),
+    ],
+)
+def test_tile_pairs_match_reference(scale, elements):
+    # |S| = |N|: the cylinders of each level tile the hull and touch, so no
+    # refinement shrinks the integers to walk
+    system = ScaleDigitSystem(scale, (0, 1, 2, 3))
+    candidate = SpectrumCandidate(elements)
+    for range_factor in (1, 2):
+        expected = reference_decide(system, candidate, range_factor)
+        assert decide_spectrum(system, candidate, range_factor) == expected
+
+
+def eager_report(system):
+    """The report as formerly built: every window candidate first, then
+    each one validated and decided in turn."""
+    canon = canonicalize_digits(system.digits)
+    reduced = ScaleDigitSystem(system.scale, canon.reduced_digits)
+    if system.modulus == 2:
+        if canon.reduced_digits == (0, 1):
+            return SpectralityReport(STATUS_UNIT_INTERVAL, system.scale, canon)
+        if canon.reduced_digits != (0,):
+            return SpectralityReport(STATUS_UNKNOWN, system.scale, canon)
+        candidates = [SpectrumCandidate((0,))]
+    else:
+        candidates = search_candidate_s(reduced)
+    for cand in candidates:
+        verdict = decide_spectrum(reduced, cand)
+        if verdict.spectral:
+            certificate = is_compatible(reduced, cand)
+            return SpectralityReport(
+                STATUS_SPECTRAL, system.scale, canon, cand, certificate, verdict
+            )
+    return SpectralityReport(STATUS_UNKNOWN, system.scale, canon)
+
+
+def test_report_matches_eager_report():
+    statuses = set()
+    for modulus in range(2, 11):
+        for scale in (modulus, -modulus):
+            for size in range(1, 5):
+                for digits in itertools.combinations(range(-2, 6), size):
+                    system = ScaleDigitSystem(scale, digits)
+                    report = report_measure_spectrality(system)
+                    assert report == eager_report(system), system
+                    statuses.add(report.status)
+    assert statuses == {STATUS_SPECTRAL, STATUS_UNIT_INTERVAL, STATUS_UNKNOWN}
+
+
+def test_report_builds_and_certifies_only_what_it_decides(monkeypatch):
+    built = []
+    certified = []
+
+    def counting_candidate(elements):
+        built.append(elements)
+        return SpectrumCandidate(elements)
+
+    def counting_certificate(system, candidate):
+        certified.append(candidate)
+        return is_compatible(system, candidate)
+
+    monkeypatch.setattr(compat_module, "SpectrumCandidate", counting_candidate)
+    monkeypatch.setattr(decide_module, "is_compatible", counting_certificate)
+    system = ScaleDigitSystem(72, (0, 1, 24, 25, 48, 49))  # 4232 window candidates
+    report = report_measure_spectrality(system)
+    assert report.status == STATUS_SPECTRAL
+    assert len(built) == 1 and certified == [report.candidate]
+    assert report.candidate == search_candidate_s(system)[0]
