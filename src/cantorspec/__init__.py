@@ -9,6 +9,7 @@ the measure's Fourier transform.
 """
 
 from .compat import (
+    SEARCH_BUDGET,
     CompatibilityCertificate,
     is_compatible,
     pair_power,
@@ -78,6 +79,7 @@ __all__ = [
     "LAMBDA_BUDGET",
     "PreconditionError",
     "RationalInterval",
+    "SEARCH_BUDGET",
     "STATUS_SPECTRAL",
     "STATUS_UNIT_INTERVAL",
     "STATUS_UNKNOWN",

@@ -21,6 +21,7 @@ needed.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -33,6 +34,10 @@ from .systems import (
     ScaleDigitSystem,
     SpectrumCandidate,
 )
+
+#: Most candidate sets `search_candidate_s` returns; one more raises
+#: BudgetExceededError instead of filling memory.
+SEARCH_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -96,14 +101,20 @@ def search_candidate_s(system: ScaleDigitSystem) -> list[SpectrumCandidate]:
     smallest remaining integer, which yields them in lexicographic order.
     Putting 0 back keeps that order: where two cliques first differ, both
     differing elements lie on the same side of 0, or the smaller one lies
-    below 0 and meets the 0 inserted into the other set.
+    below 0 and meets the 0 inserted into the other set.  More than
+    SEARCH_BUDGET candidates raise BudgetExceededError.
     """
     if system.modulus < 3:
         raise PreconditionError(
             "the window [2-|N|, |N|-2] is degenerate for |N| = 2; "
             "the measure-level report handles that case separately"
         )
-    return list(_window_candidates(system))
+    found = list(itertools.islice(_window_candidates(system), SEARCH_BUDGET + 1))
+    if len(found) > SEARCH_BUDGET:
+        raise BudgetExceededError(
+            f"the window search found more than {SEARCH_BUDGET} candidate sets, its result budget"
+        )
+    return found
 
 
 def _window_candidates(system: ScaleDigitSystem) -> Iterator[SpectrumCandidate]:

@@ -12,6 +12,8 @@ repr see only the scale and the digits.
 from __future__ import annotations
 
 import functools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -70,6 +72,21 @@ class ScaleDigitSystem:
         from .cyclotomic import _zero_residues  # cyclotomic imports this module
 
         return _zero_residues(self)
+
+    @functools.cached_property
+    def lipschitz(self) -> float:
+        """2*pi*sum|d|/|D|, so |m_D(eta) - 1| <= lipschitz * |eta|; the tail
+        bound of the Fourier product is built from it."""
+        return 2.0 * math.pi * sum(abs(d) for d in self.digits) / len(self.digits)
+
+    @functools.cached_property
+    def difference_weights(self) -> tuple[tuple[int, float], ...]:
+        """Pairs (k, 4*c_k/|D|^2) over the positive differences k of the
+        digits, c_k = #{(d, d') in D^2 : d - d' = k}, so that
+        |m_D(eta)|^2 = 1 - sum_k w_k * sin^2(pi*k*eta)."""
+        counts = Counter(b - a for i, a in enumerate(self.digits) for b in self.digits[i + 1 :])
+        scale = 4.0 / (self.size * self.size)
+        return tuple((k, scale * c) for k, c in sorted(counts.items()))
 
 
 @dataclass(frozen=True)

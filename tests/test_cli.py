@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from cantorspec import compat
 from cantorspec.cli import main
 
 
@@ -160,12 +161,22 @@ def test_precondition_violation_exits_two(capsys):
         ["spectrum", "decide", "--n", "1", "--digits", "0,1", "--s", "0,2"],
         ["compat", "power", "--n", "4", "--digits", "0,1", "--s", "0,2", "--k", "0"],
         ["measure", "lambda", "--n", "4", "--s", "0,1,2", "--depth", "40"],
+        ["measure", "fourier", "--n", "4", "--digits", "0,1", "--xi", "nan"],
+        ["measure", "fourier", "--n", "4", "--digits", "0,1", "--xi", "inf"],
         ["tiling", "construct", "--n", "4", "--digits", "0,1,2"],
     ]:
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
         assert out == ""
         assert err.startswith("precondition violated:")
+
+
+def test_search_over_budget_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(compat, "SEARCH_BUDGET", 3)
+    code, out, err = run(capsys, "compat", "search", "--n", "6", "--digits", "0,1,2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("precondition violated:") and "budget" in err
 
 
 def test_byte_identical_output(capsys):

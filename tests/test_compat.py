@@ -10,10 +10,12 @@ from cantorspec import (
     PreconditionError,
     ScaleDigitSystem,
     SpectrumCandidate,
+    compat,
     is_compatible,
     mask_zero_residues,
     pair_power,
     reduce_s,
+    report_measure_spectrality,
     search_candidate_s,
     symbol_eval,
 )
@@ -203,6 +205,28 @@ def test_search_matches_reference_census_sized(scale, digits):
     if abs(scale) % len(digits) == 0 and len({d % len(digits) for d in digits}) == len(digits):
         step = abs(scale) // len(digits)
         assert SpectrumCandidate(tuple(step * j for j in range(len(digits)))) in found
+
+
+def test_search_budget_stops_one_result_past(monkeypatch):
+    system = ScaleDigitSystem(6, (0, 1, 2))
+    found = search_candidate_s(system)
+    assert len(found) == 4
+    monkeypatch.setattr(compat, "SEARCH_BUDGET", 4)
+    assert search_candidate_s(system) == found
+    monkeypatch.setattr(compat, "SEARCH_BUDGET", 3)
+    with pytest.raises(BudgetExceededError):
+        search_candidate_s(system)
+    # the report streams candidates lazily and has no result budget
+    monkeypatch.setattr(compat, "SEARCH_BUDGET", 0)
+    assert report_measure_spectrality(system).candidate == found[0]
+
+
+def test_search_budget_fails_fast_on_a_huge_window():
+    # S = {0, a, b, c} with a, b, c in the three nonzero classes mod 4 of the
+    # window: 200 * 199 * 199 = 7,920,200 candidates, gigabytes if materialised
+    assert compat.SEARCH_BUDGET < 7_920_200
+    with pytest.raises(BudgetExceededError):
+        search_candidate_s(ScaleDigitSystem(400, (0, 100, 200, 300)))
 
 
 def test_search_rejects_degenerate_window():

@@ -1,11 +1,14 @@
 import cmath
+import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from cantorspec.kernel import _symbol_sq
 from cantorspec import (
     BudgetExceededError,
     PreconditionError,
@@ -17,6 +20,7 @@ from cantorspec import (
     lambda_enumerate,
     mu_hat,
     q_eval,
+    q_eval_with_bound,
     symbol_eval,
     transfer_residual,
 )
@@ -24,6 +28,35 @@ from cantorspec import (
 JP_SYSTEM = ScaleDigitSystem(4, (0, 1))
 JP_CANDIDATE = SpectrumCandidate((0, 2))
 TIGHT = TruncationPolicy(depth=8, product_epsilon=1e-12)
+
+
+def reference_q_eval(system, candidate, xi, policy):
+    """The former completeness sum: one complex `mu_hat` product per slice point."""
+    total = 0.0
+    err = 0.0
+    for lam in lambda_enumerate(system.scale, candidate, policy.depth):
+        prod = mu_hat(system, xi + lam, policy)
+        mag = abs(prod.value)
+        total += mag * mag
+        err += prod.error_bound * (2.0 * mag + prod.error_bound)
+    return total, err
+
+
+def exact_phase_mu_hat(system, xi, factors):
+    """prod_{j=1..factors} m_D(xi/N^j) with every phase reduced exactly into
+    [-1/2, 1/2) in Fractions, so small negative phases keep their digits."""
+    x = Fraction(xi)
+    value = complex(1.0)
+    den = 1
+    half = Fraction(1, 2)
+    for _ in range(factors):
+        den *= system.scale
+        acc = 0j
+        for d in system.digits:
+            phase = (d * x / den + half) % 1 - half
+            acc += cmath.exp(-2j * math.pi * float(phase))
+        value *= acc / system.size
+    return value
 
 
 def unit_interval_transform(xi):
@@ -225,6 +258,174 @@ def test_transfer_residual_tracks_epsilon():
         assert mean_residual(1e-4) >= 10 * mean_residual(1e-6)
 
 
+def test_kernel_rejects_non_finite_arguments():
+    for xi in (math.nan, math.inf, -math.inf):
+        with pytest.raises(PreconditionError):
+            mu_hat(JP_SYSTEM, xi)
+        with pytest.raises(PreconditionError):
+            q_eval(JP_SYSTEM, JP_CANDIDATE, xi)
+        with pytest.raises(PreconditionError):
+            transfer_residual(JP_SYSTEM, JP_CANDIDATE, xi, 2)
+
+
 def test_transfer_residual_requires_matching_sizes():
     with pytest.raises(PreconditionError):
         transfer_residual(JP_SYSTEM, SpectrumCandidate((0, 1, 2)), 0.1, 2)
+
+
+def test_mu_hat_large_arguments_against_exact_phases():
+    # the argument's integer part used to reach the float phase: 2**52 + 0.5
+    # was off by 0.13 under a claimed bound near 1e-12
+    for scale, digits in [(4, (0, 1)), (-4, (0, 1)), (9, (0, 1, 2)), (8, (0, 1, 2, 3))]:
+        system = ScaleDigitSystem(scale, digits)
+        for xi in (1e6 + 0.3, 2.0**40 + 0.25, 2.0**52 + 0.5, -(2.0**45) - 0.75, 2.0**60):
+            result = mu_hat(system, xi, TIGHT)
+            exact = exact_phase_mu_hat(system, xi, result.factors + 40)
+            assert abs(result.value - exact) <= result.error_bound + 1e-14
+    # 97 factors, the last 40 or so at phases just below 0: reduced into
+    # [0, 1) instead of around 0, each of them lost digits to the float
+    system = ScaleDigitSystem(2, (9,))
+    result = mu_hat(system, 2126379956229441.5, TIGHT)
+    exact = exact_phase_mu_hat(system, 2126379956229441.5, result.factors + 40)
+    assert abs(result.value - exact) <= result.error_bound + 1e-14
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    scale=st.sampled_from([n for m in range(2, 10) for n in (m, -m)]),
+    digits=st.sets(st.integers(-6, 9), min_size=1, max_size=3),
+    xi=st.one_of(
+        st.floats(-(2.0**60), 2.0**60, allow_nan=False),
+        st.builds(
+            lambda k, f: k + f, st.integers(-(2**52), 2**52), st.floats(0, 1, exclude_max=True)
+        ),
+    ),
+)
+def test_mu_hat_within_bound_of_exact_phases(scale, digits, xi):
+    system = ScaleDigitSystem(scale, tuple(digits))
+    result = mu_hat(system, xi, TIGHT)
+    exact = exact_phase_mu_hat(system, xi, result.factors + 40)
+    assert abs(result.value - exact) <= result.error_bound + 1e-14
+
+
+@given(
+    digits=st.sets(st.integers(-8, 8), min_size=1, max_size=5),
+    whole=st.integers(-(10**6), 10**6),
+    frac=st.floats(-1, 1, exclude_min=True, exclude_max=True),
+    power=st.sampled_from([1, 2, 3, 7, 16, 6561]),
+)
+def test_symbol_sq_is_squared_symbol(digits, whole, frac, power):
+    system = ScaleDigitSystem(2, tuple(digits))
+    value = _symbol_sq(system.difference_weights, whole, frac, power)
+    eta = Fraction(whole % power) / power + Fraction(frac) / power
+    assert 0.0 <= value <= 1.0
+    assert abs(value - abs(symbol_eval(system.digits, float(eta))) ** 2) < 1e-13
+
+
+def assert_matches_reference(system, candidate, xi, policy):
+    """Q and its bound against the former per-point sum: equal to 1e-12, and
+    the difference inside each bound plus the rounding of a sum of squares."""
+    value, bound = q_eval_with_bound(system, candidate, xi, policy)
+    ref_value, ref_bound = reference_q_eval(system, candidate, xi, policy)
+    terms = len(lambda_enumerate(system.scale, candidate, policy.depth))
+    rounding = 4 * terms * sys.float_info.epsilon
+    diff = abs(value - ref_value)
+    assert diff <= 1e-12, (system, candidate, xi, value, ref_value)
+    assert diff <= min(bound, ref_bound) + rounding, (system, candidate, xi, bound, ref_bound)
+    # the same bound, to a millionth of itself or of epsilon: at an exact
+    # zero one kernel may stop early while the other keeps rounding noise
+    tiny = 1e-6 * policy.product_epsilon
+    assert math.isclose(bound, ref_bound, rel_tol=1e-6, abs_tol=tiny), (
+        system, candidate, xi, bound, ref_bound,
+    )
+
+
+def test_q_eval_matches_reference_exhaustively():
+    # every N in +-[2, 9] and every D in [-1, 3] with 0 in D and |D| <= 3,
+    # two seeded S each with elements in [-3, 6]
+    rng = random.Random(5)
+    policy = TruncationPolicy(depth=3)
+    digit_sets = [d for r in (1, 2, 3) for d in itertools.combinations(range(-1, 4), r) if 0 in d]
+    window = [e for e in range(-3, 7) if e]
+    for scale in [n for m in range(2, 10) for n in (m, -m)]:
+        for digits in digit_sets:
+            system = ScaleDigitSystem(scale, digits)
+            for _ in range(2):
+                candidate = SpectrumCandidate((0, *rng.sample(window, len(digits) - 1)))
+                for xi in (0.0, 0.25, 0.5 + 1 / 7, -1.3, 3.0):
+                    assert_matches_reference(system, candidate, xi, policy)
+
+
+@pytest.mark.parametrize(
+    "scale,digits,elements",
+    [
+        (4, (0, 1), (0, 1, 4)),  # S not distinct mod N: slice points collide, 4 + 0 = 0 + 4
+        (4, (0, 1), (0, 4)),  # not distinct mod N, no collisions
+        (2, (0, 1), (0, 1, 2)),
+        (3, (0, 3), (0, 3)),  # factor exactly 1 at t = 1/3 in the tail, not at t -> 0
+        (3, (0, 2000), (0, 1)),  # wide digits
+        (-5, (0, 2000), (0, 1, 2)),
+        (-5, (-3, 0, 2), (-2, 0, 3)),  # negative digits
+        (7, (-11, -4, 0), (0, 2, 5)),
+    ],
+)
+def test_q_eval_matches_reference_edge_cases(scale, digits, elements):
+    system = ScaleDigitSystem(scale, digits)
+    candidate = SpectrumCandidate(elements)
+    policy = TruncationPolicy(depth=4)
+    for xi in (0.0, 0.1, 0.37, 0.5, 0.99, -2.6, 17.25):
+        assert_matches_reference(system, candidate, xi, policy)
+
+
+def test_q_eval_point_mass_counts_the_slice():
+    # D = {0}: the transform is 1 everywhere and the Lipschitz constant is 0
+    system = ScaleDigitSystem(5, (0,))
+    for elements in [(0, 3), (0, 5, 10), (-1, 0, 4)]:
+        candidate = SpectrumCandidate(elements)
+        policy = TruncationPolicy(depth=3)
+        for xi in (0.0, 0.3, -7.5):
+            terms = len(lambda_enumerate(5, candidate, 3))
+            assert q_eval_with_bound(system, candidate, xi, policy) == (float(terms), 0.0)
+            assert reference_q_eval(system, candidate, xi, policy) == (float(terms), 0.0)
+
+
+def test_q_eval_loose_epsilon_bound_stays_honest():
+    # J(lambda) < depth near lambda = 0: the prefix applies factors past J,
+    # which moves the value by less than J's bound, never more
+    loose = TruncationPolicy(depth=6, product_epsilon=1e-2)
+    tight = TruncationPolicy(depth=6, product_epsilon=1e-15)
+    for scale, digits, elements in [
+        (9, (0, 1, 2), (0, 3, 6)),
+        (4, (0, 1), (0, 2)),
+        (-4, (0, 1), (0, 6)),
+    ]:
+        system = ScaleDigitSystem(scale, digits)
+        candidate = SpectrumCandidate(elements)
+        assert mu_hat(system, 0.5, loose).factors < loose.depth
+        terms = len(elements) ** loose.depth
+        rounding = 4 * terms * sys.float_info.epsilon
+        for xi in (0.0, 0.3, 0.71):
+            value, bound = q_eval_with_bound(system, candidate, xi, loose)
+            ref_value, ref_bound = reference_q_eval(system, candidate, xi, loose)
+            exact, exact_bound = reference_q_eval(system, candidate, xi, tight)
+            assert abs(value - ref_value) <= ref_bound + rounding
+            assert abs(value - exact) <= bound + exact_bound + rounding
+
+
+@pytest.mark.parametrize(
+    "scale,elements,depth",
+    [(4, (0, 4**20), 3), (-4, (0, 4**20), 3), (3, (0, 5 * 3**12), 4)],
+)
+def test_q_eval_exact_for_candidates_far_outside_the_window(scale, elements, depth):
+    # slice points of 1e13 and more: as a float, xi + lambda keeps little
+    # or nothing of xi's fraction, which the tail factors must not see
+    system = ScaleDigitSystem(scale, (0, 1))
+    candidate = SpectrumCandidate(elements)
+    policy = TruncationPolicy(depth=depth, product_epsilon=1e-12)
+    slice_points = lambda_enumerate(scale, candidate, depth)
+    for xi in (0.1, 0.3, 0.77):
+        value, bound = q_eval_with_bound(system, candidate, xi, policy)
+        exact = sum(
+            abs(exact_phase_mu_hat(system, Fraction(xi) + lam, 100)) ** 2 for lam in slice_points
+        )
+        assert abs(value - exact) <= bound + 4 * len(slice_points) * sys.float_info.epsilon
