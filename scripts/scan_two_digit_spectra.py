@@ -18,7 +18,7 @@ from cantorspec import (
     TruncationPolicy,
     decide_spectrum,
     is_compatible,
-    q_eval,
+    q_eval_with_bound,
 )
 
 
@@ -42,7 +42,7 @@ def main() -> int:
             print(f"{k},yes,spectral,,")
         else:
             cycle = " ".join(f"{eta}+{s}" for eta, s in verdict.witness)
-            q0 = q_eval(system, candidate, float(verdict.witness[0][0]), policy)
+            q0 = q_eval_with_bound(system, candidate, float(verdict.witness[0][0]), policy)[0]
             print(f"{k},yes,not-spectral,{cycle},{q0:.3e}")
     return 0
 

@@ -17,13 +17,8 @@ from .compat import (
     search_candidate_s,
 )
 from .cyclotomic import (
-    IntPolynomial,
-    cyclotomic,
-    digit_polynomial,
     mask_zero_residues,
     order_vanishes,
-    symbol_vanishes_at,
-    vanishes_at_primitive_root,
 )
 from .decide import (
     STATUS_SPECTRAL,
@@ -35,7 +30,6 @@ from .decide import (
     canonicalize_digits,
     decide_spectrum,
     report_measure_spectrality,
-    successor,
     verify_witness,
 )
 from .kernel import (
@@ -44,9 +38,7 @@ from .kernel import (
     attractor_bounds,
     lambda_enumerate,
     mu_hat,
-    q_eval,
     q_eval_with_bound,
-    symbol_eval,
     transfer_residual,
 )
 from .systems import (
@@ -75,7 +67,6 @@ __all__ = [
     "CompatibilityCertificate",
     "ConsistencyError",
     "DEFAULT_POLICY",
-    "IntPolynomial",
     "LAMBDA_BUDGET",
     "PreconditionError",
     "RationalInterval",
@@ -93,9 +84,7 @@ __all__ = [
     "attractor_bounds",
     "canonicalize_digits",
     "construct_spectrum_set",
-    "cyclotomic",
     "decide_spectrum",
-    "digit_polynomial",
     "find_modulus_l",
     "is_compatible",
     "is_complementing",
@@ -105,15 +94,10 @@ __all__ = [
     "order_vanishes",
     "pair_power",
     "prime_power_sets",
-    "q_eval",
     "q_eval_with_bound",
     "reduce_s",
     "report_measure_spectrality",
     "search_candidate_s",
-    "successor",
-    "symbol_eval",
-    "symbol_vanishes_at",
     "transfer_residual",
-    "vanishes_at_primitive_root",
     "verify_witness",
 ]

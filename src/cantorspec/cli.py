@@ -14,6 +14,7 @@ import sys
 
 from . import compat, decide, kernel, tiling
 from .systems import (
+    DEFAULT_POLICY,
     BudgetExceededError,
     PreconditionError,
     ScaleDigitSystem,
@@ -25,8 +26,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PRECONDITION = 2
 
-DEFAULT_DEPTH = 8
-DEFAULT_EPSILON = 1e-12
 DEFAULT_GRID = 101
 
 METHOD_COMPAT = "pairwise-difference symbol vanishing (exact cyclotomic divisibility)"
@@ -85,8 +84,8 @@ def build_parser() -> _Parser:
         p.add_argument("--s", type=_int_list, required=required, help="candidate set, e.g. 0,2,4")
 
     def add_policy(p):
-        p.add_argument("--depth", type=int, default=DEFAULT_DEPTH, help="spectrum slice depth")
-        p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON, help="product tail budget")
+        p.add_argument("--depth", type=int, default=DEFAULT_POLICY.depth, help="spectrum slice depth")
+        p.add_argument("--epsilon", type=float, default=DEFAULT_POLICY.product_epsilon, help="product tail budget")
 
     compat_group = groups.add_parser("compat").add_subparsers(dest="action", required=True, parser_class=_Parser)
     p = compat_group.add_parser("check", help="decide compatibility of (D/N, S)")
@@ -117,7 +116,7 @@ def build_parser() -> _Parser:
     p = measure_group.add_parser("fourier", help="transform value at one point")
     add_system(p)
     p.add_argument("--xi", type=float, required=True)
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
+    p.add_argument("--epsilon", type=float, default=DEFAULT_POLICY.product_epsilon)
     p = measure_group.add_parser("qgrid", help="completeness sum on a grid over [0, 1)")
     add_system(p)
     add_candidate(p)
@@ -127,7 +126,7 @@ def build_parser() -> _Parser:
     p = measure_group.add_parser("lambda", help="depth-slice of the candidate spectrum")
     p.add_argument("--n", type=int, required=True)
     add_candidate(p)
-    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
+    p.add_argument("--depth", type=int, default=DEFAULT_POLICY.depth)
 
     tiling_group = groups.add_parser("tiling").add_subparsers(dest="action", required=True, parser_class=_Parser)
     p = tiling_group.add_parser("check", help="complementing-set test mod a modulus")

@@ -27,6 +27,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .cyclotomic import mask_zero_residues
+from .kernel import lambda_enumerate
 from .systems import (
     BudgetExceededError,
     ConsistencyError,
@@ -166,32 +167,19 @@ def pair_power(
     system: ScaleDigitSystem,
     candidate: SpectrumCandidate,
     k: int,
-    budget: int = 1_000_000,
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The k-fold pair (D_k, S_k) with X_k = X + N*X + ... + N^(k-1)*X.
 
-    Both Minkowski sums are returned sorted, and the powered pair is
-    re-certified compatible against the scale N^k before returning.
+    Both Minkowski sums are the depth-k slices of `lambda_enumerate`, under
+    its budget, returned sorted; the powered pair is re-certified
+    compatible against the scale N^k before returning.
     """
     if not isinstance(k, int) or k < 1:
         raise PreconditionError(f"power must be a positive integer, got {k!r}")
     if is_compatible(system, candidate) is None:
         raise PreconditionError("pair powers are defined for compatible pairs only")
-    if system.size**k > budget:
-        raise BudgetExceededError(
-            f"|D|^k = {system.size}^{k} exceeds the result-size budget {budget}"
-        )
-
-    def minkowski(base: tuple[int, ...]) -> tuple[int, ...]:
-        acc = {0}
-        power = 1
-        for _ in range(k):
-            acc = {x + power * b for x in acc for b in base}
-            power *= system.scale
-        return tuple(sorted(acc))
-
-    digits_k = minkowski(system.digits)
-    elements_k = minkowski(candidate.elements)
+    digits_k = lambda_enumerate(system.scale, SpectrumCandidate(system.digits), k)
+    elements_k = lambda_enumerate(system.scale, candidate, k)
     powered = ScaleDigitSystem(system.scale**k, digits_k)
     if is_compatible(powered, SpectrumCandidate(elements_k)) is None:
         raise ConsistencyError("powered pair failed its exact compatibility re-check")

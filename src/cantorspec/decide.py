@@ -29,6 +29,7 @@ from .systems import (
     RationalInterval,
     ScaleDigitSystem,
     SpectrumCandidate,
+    _as_int_tuple,
 )
 
 
@@ -49,37 +50,11 @@ def canonicalize_digits(digits) -> CanonicalForm:
     the digits by a scales any spectrum by 1/a, and translation leaves
     spectra untouched.
     """
-    digs = tuple(digits)
-    if not digs:
-        raise PreconditionError("digit set must be nonempty")
-    if len(set(digs)) != len(digs):
-        raise PreconditionError("digit set must be pairwise distinct")
-    offset = min(digs)
-    translated = tuple(sorted(d - offset for d in digs))
+    digs = _as_int_tuple(digits, "digit set")
+    offset = digs[0]
+    translated = tuple(d - offset for d in digs)
     factor = math.gcd(*translated) or 1
     return CanonicalForm(tuple(d // factor for d in translated), offset, factor)
-
-
-def successor(scale: int, candidate: SpectrumCandidate, eta: int) -> tuple[int, int] | None:
-    """The unique step (eta', s) with eta' = (eta + s)/N exact, if any.
-
-    At most one candidate element can qualify because the elements are
-    required to be distinct modulo N; without that the map would be
-    multivalued, so the condition is checked.
-    """
-    if eta == 0:
-        raise PreconditionError("successor is defined for nonzero integers only")
-    m = abs(scale)
-    elems = candidate.elements
-    if len({s % m for s in elems}) != len(elems):
-        raise PreconditionError(
-            "successor is single-valued only when S is distinct modulo N"
-        )
-    for s in elems:
-        quot, rem = divmod(eta + s, scale)
-        if rem == 0:
-            return quot, s
-    return None
 
 
 @dataclass(frozen=True)

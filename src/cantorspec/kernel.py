@@ -1,9 +1,9 @@
 """Numeric diagnostics for a scale/digit system.
 
-This module houses the analytic objects: the digit symbol, the Fourier
-transform of the self-similar measure as a truncated infinite product with
-a guaranteed tail bound, the finite-depth slices of the candidate spectrum,
-the exact rational enclosure of the attractor, and the completeness sum Q.
+This module houses the analytic objects: the Fourier transform of the
+self-similar measure as a truncated infinite product with a guaranteed tail
+bound, the finite-depth slices of the candidate spectrum, the exact
+rational enclosure of the attractor, and the completeness sum Q.
 Nothing here carries a verdict; the exact decisions live in `compat`,
 `decide` and `tiling`, and these functions corroborate them numerically.
 
@@ -37,23 +37,11 @@ from .systems import (
     TruncationPolicy,
 )
 
-#: Hard ceiling on the number of points a spectrum slice may enumerate.
+#: Hard ceiling on the number of points a spectrum slice (or a pair power's
+#: Minkowski sum) may enumerate, read at call time.
 LAMBDA_BUDGET = 1_000_000
 
 _TWO_PI = 2.0 * math.pi
-
-
-def symbol_eval(digits, xi) -> complex:
-    """The symbol m_D(xi) = (1/|D|) * sum_d e^(-2*pi*i*d*xi).
-
-    Total on its domain; |result| <= 1 always, and the value is 1 at xi = 0
-    (and at every integer xi when the digits are integers).
-    """
-    digs = tuple(digits)
-    acc = 0j
-    for d in digs:
-        acc += cmath.exp(-2j * math.pi * d * xi)
-    return acc / len(digs)
 
 
 @dataclass(frozen=True)
@@ -79,16 +67,23 @@ def _truncation(lipschitz: float, base: int, x: float, target: float) -> tuple[i
 
     J is the least count, floored at what |x| = 1 would need, for which
     t = lipschitz*|x| / (|N|^J * (|N|-1)) stays below target = log(1 + epsilon).
+    Past the float range (lipschitz*|x| / ((|N|-1)*target) or |N|^J too
+    large for a float) no bound can be formed and x is refused.
     """
     size = abs(x)
     reach = lipschitz * max(size, 1.0)
     ratio = reach / ((base - 1) * target)
     j_stop = 1
-    if ratio > base:
-        j_stop = max(1, math.ceil(math.log(ratio) / math.log(base)))
-    while reach / (base**j_stop * (base - 1)) > target:
-        j_stop += 1
-    return j_stop, math.expm1(lipschitz * size / (base**j_stop * (base - 1)))
+    try:
+        if ratio > base:
+            j_stop = max(1, math.ceil(math.log(ratio) / math.log(base)))
+        while reach / (base**j_stop * (base - 1)) > target:
+            j_stop += 1
+        return j_stop, math.expm1(lipschitz * size / (base**j_stop * (base - 1)))
+    except OverflowError:
+        raise PreconditionError(
+            f"|xi| = {size!r} is too large for a bounded Fourier product with |N| = {base}"
+        ) from None
 
 
 def _symbol_sq(weights, whole: int, frac: float, power: int) -> float:
@@ -176,10 +171,10 @@ def attractor_bounds(scale: int, elements) -> RationalInterval:
     return RationalInterval(Fraction(a + scale * b, den), Fraction(b + scale * a, den))
 
 
-def _check_slice_budget(size: int, depth: int, budget: int) -> None:
-    if size**depth > budget:
+def _check_slice_budget(size: int, depth: int) -> None:
+    if size**depth > LAMBDA_BUDGET:
         raise BudgetExceededError(
-            f"|S|^depth = {size}^{depth} exceeds the enumeration budget {budget}"
+            f"|S|^depth = {size}^{depth} exceeds the enumeration budget {LAMBDA_BUDGET}"
         )
 
 
@@ -187,7 +182,6 @@ def lambda_enumerate(
     scale: int,
     candidate: SpectrumCandidate,
     depth: int,
-    budget: int = LAMBDA_BUDGET,
 ) -> tuple[int, ...]:
     """The depth-slice of the candidate spectrum, sorted and deduplicated.
 
@@ -198,7 +192,7 @@ def lambda_enumerate(
     """
     if not isinstance(depth, int) or depth < 1:
         raise PreconditionError(f"depth must be a positive integer, got {depth!r}")
-    _check_slice_budget(candidate.size, depth, budget)
+    _check_slice_budget(candidate.size, depth)
     values = {0}
     power = 1
     for _ in range(depth):
@@ -212,7 +206,6 @@ def q_eval_with_bound(
     candidate: SpectrumCandidate,
     xi,
     policy: TruncationPolicy = DEFAULT_POLICY,
-    budget: int = LAMBDA_BUDGET,
 ) -> tuple[float, float]:
     """Completeness sum over the depth-slice, with its truncation bound.
 
@@ -236,7 +229,7 @@ def q_eval_with_bound(
     tighten the value, so J's bound still holds.
     """
     depth = policy.depth
-    _check_slice_budget(candidate.size, depth, budget)
+    _check_slice_budget(candidate.size, depth)
     base = system.modulus
     weights = system.difference_weights
     lipschitz = system.lipschitz
@@ -292,24 +285,12 @@ def q_eval_with_bound(
     return total, err
 
 
-def q_eval(
-    system: ScaleDigitSystem,
-    candidate: SpectrumCandidate,
-    xi,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-    budget: int = LAMBDA_BUDGET,
-) -> float:
-    """Completeness sum Q_depth(xi); see `q_eval_with_bound`."""
-    return q_eval_with_bound(system, candidate, xi, policy, budget)[0]
-
-
 def transfer_residual(
     system: ScaleDigitSystem,
     candidate: SpectrumCandidate,
     xi,
     depth: int,
     policy: TruncationPolicy = DEFAULT_POLICY,
-    budget: int = LAMBDA_BUDGET,
 ) -> float:
     """Defect of the averaging-operator recursion at finite depth.
 
@@ -324,12 +305,12 @@ def transfer_residual(
         raise PreconditionError(
             f"recursion requires |S| = |D|, got |S| = {candidate.size}, |D| = {system.size}"
         )
-    lhs = q_eval(system, candidate, xi, replace(policy, depth=depth + 1), budget)
+    lhs = q_eval_with_bound(system, candidate, xi, replace(policy, depth=depth + 1))[0]
     inner_policy = replace(policy, depth=depth)
     whole, frac = _split(xi)
     rhs = 0.0
     for s in candidate.elements:
         inner = (float(xi) + s) / system.scale
         weight = _symbol_sq(system.difference_weights, whole + s, frac, system.modulus)
-        rhs += weight * q_eval(system, candidate, inner, inner_policy, budget)
+        rhs += weight * q_eval_with_bound(system, candidate, inner, inner_policy)[0]
     return abs(lhs - rhs)

@@ -47,29 +47,32 @@ def is_complementing(digits, modulus: int) -> tuple[int, ...] | None:
         return None
     covered = [False] * modulus
     chosen: list[int] = []
-
-    def search() -> bool:
-        try:
-            u = covered.index(False)
-        except ValueError:
-            return True
-        for e in sorted({(u - d) % modulus for d in digs}):
+    # One frame per residue being covered: (u, translates not yet tried for
+    # it).  An explicit stack, since a recursion would need one Python frame
+    # per chosen translate, |L|/|D| of them.
+    stack = [(0, iter(sorted({-d % modulus for d in digs})))]
+    while stack:
+        u, options = stack[-1]
+        for e in options:
             shifts = [(d + e) % modulus for d in digs]
-            if any(covered[t] for t in shifts):
-                continue
-            for t in shifts:
-                covered[t] = True
-            chosen.append(e)
-            if search():
-                return True
-            chosen.pop()
-            for t in shifts:
-                covered[t] = False
-        return False
-
-    if not search():
-        return None
-    return tuple(sorted(chosen))
+            if not any(covered[t] for t in shifts):
+                break
+        else:
+            stack.pop()
+            if chosen:
+                e = chosen.pop()
+                for d in digs:
+                    covered[(d + e) % modulus] = False
+            continue
+        for t in shifts:
+            covered[t] = True
+        chosen.append(e)
+        try:
+            u = covered.index(False, u)
+        except ValueError:
+            return tuple(sorted(chosen))
+        stack.append((u, iter(sorted({(u - d) % modulus for d in digs}))))
+    return None
 
 
 def find_modulus_l(system: ScaleDigitSystem) -> int | None:

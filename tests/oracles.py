@@ -1,0 +1,246 @@
+"""Reference oracles for the tests: exact integer-polynomial algebra and
+the float digit symbol.
+
+No verdict path of the library builds a polynomial: every vanishing
+question goes through `cantorspec.cyclotomic.order_vanishes`.  The algebra
+kept here lets the tests state the same questions the textbook way, as
+divisibility by an explicitly built cyclotomic polynomial, and compare.
+Polynomials are dense coefficient tuples, constant term first, with no
+trailing zero on nonzero polynomials; () is the zero polynomial.
+
+Cyclotomic polynomials are built prime by prime from Phi_1 = z - 1 and
+
+    Phi_np(z) = Phi_n(z^p) / Phi_n(z)   for a prime p not dividing n,
+
+with Phi_2n(z) = Phi_n(-z) for odd n > 1; Phi_n for any n is then
+Phi_rad(z^(n/rad)), with no divisor recursion over z^n - 1.
+
+This is a plain helper module: its name does not match test_*.py, so
+pytest imports it from the tests and never collects it.
+"""
+
+from __future__ import annotations
+
+import cmath
+import math
+from fractions import Fraction
+
+from cantorspec.arith import factorize, radical
+from cantorspec.cyclotomic import _order_divides, order_vanishes
+from cantorspec.systems import ConsistencyError, PreconditionError
+
+
+class IntPolynomial:
+    """A polynomial with arbitrary-precision integer coefficients.
+
+    >>> IntPolynomial((1, 0, 1)).degree
+    2
+    >>> IntPolynomial((-1, 1)) * IntPolynomial((1, 1))
+    IntPolynomial((-1, 0, 1))
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        items = list(coeffs)
+        while items and items[-1] == 0:
+            items.pop()
+        self.coeffs = tuple(items)
+
+    @classmethod
+    def from_exponents(cls, exponents) -> "IntPolynomial":
+        """Sum of z^e over the (possibly repeating) nonnegative exponents."""
+        exps = list(exponents)
+        if any(e < 0 for e in exps):
+            raise PreconditionError(f"exponents must be nonnegative, got {min(exps)}")
+        coeffs = [0] * (max(exps) + 1) if exps else []
+        for e in exps:
+            coeffs[e] += 1
+        return cls(coeffs)
+
+    @property
+    def degree(self) -> int:
+        """Degree of the leading term; -1 for the zero polynomial."""
+        return len(self.coeffs) - 1
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __eq__(self, other):
+        return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __repr__(self):
+        return f"IntPolynomial({self.coeffs!r})"
+
+    def __neg__(self):
+        return IntPolynomial(tuple(-c for c in self.coeffs))
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return IntPolynomial(out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return IntPolynomial(tuple(c * other for c in self.coeffs))
+        if self.is_zero() or other.is_zero():
+            return IntPolynomial()
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            for j, d in enumerate(other.coeffs):
+                out[i + j] += c * d
+        return IntPolynomial(out)
+
+    __rmul__ = __mul__
+
+    def shifted(self, k: int) -> "IntPolynomial":
+        """Multiply by z^k (k >= 0)."""
+        if k < 0:
+            raise PreconditionError(f"shift must be nonnegative, got {k}")
+        if self.is_zero():
+            return self
+        return IntPolynomial((0,) * k + self.coeffs)
+
+    def evaluate(self, x):
+        """Horner evaluation; works for int, Fraction and complex points."""
+        acc = 0 * x
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def __divmod__(self, other: "IntPolynomial"):
+        """Long division over the integers.
+
+        Raises if a leading-coefficient division is inexact; every divisor
+        used here is monic, so this never triggers in the oracles.
+        """
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        quot = [0] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
+        rem = list(self.coeffs)
+        lead = other.coeffs[-1]
+        while len(rem) >= len(other.coeffs):
+            while rem and rem[-1] == 0:
+                rem.pop()
+            if len(rem) < len(other.coeffs):
+                break
+            q, r = divmod(rem[-1], lead)
+            if r != 0:
+                raise ValueError(
+                    f"leading coefficient {rem[-1]} not divisible by {lead}"
+                )
+            pos = len(rem) - len(other.coeffs)
+            quot[pos] = q
+            for i, c in enumerate(other.coeffs):
+                rem[pos + i] -= q * c
+        return IntPolynomial(quot), IntPolynomial(rem)
+
+    def divisible_by(self, other: "IntPolynomial") -> bool:
+        _, rem = divmod(self, other)
+        return rem.is_zero()
+
+
+def _dilated(poly: IntPolynomial, k: int) -> IntPolynomial:
+    """poly(z^k) for k >= 1."""
+    coeffs = [0] * (poly.degree * k + 1)
+    coeffs[::k] = poly.coeffs
+    return IntPolynomial(coeffs)
+
+
+def _squarefree_cyclotomic(n: int) -> IntPolynomial:
+    """Phi_n for squarefree n, adding the largest prime of n last.
+
+    The step Phi_n(z^p) / Phi_n(z) costs about p * phi(n)^2 operations, so
+    adding the largest prime last keeps phi(n) at its smallest there.
+    """
+    if n == 1:
+        return IntPolynomial((-1, 1))
+    if n % 2 == 0 and n > 2:
+        half = _squarefree_cyclotomic(n // 2)
+        return IntPolynomial(-c if i % 2 else c for i, c in enumerate(half.coeffs))
+    p = max(factorize(n))
+    inner = _squarefree_cyclotomic(n // p)
+    quot, rem = divmod(_dilated(inner, p), inner)
+    if not rem.is_zero():
+        raise ConsistencyError(f"Phi_{n // p}(z^{p}) not divisible by Phi_{n // p}")  # pragma: no cover
+    return quot
+
+
+def cyclotomic(n: int) -> IntPolynomial:
+    """The n-th cyclotomic polynomial Phi_n, monic with integer coefficients.
+
+    Computed as Phi_rad(z^(n/rad)) from the squarefree builder.
+
+    >>> cyclotomic(1)
+    IntPolynomial((-1, 1))
+    >>> cyclotomic(12)
+    IntPolynomial((1, 0, -1, 0, 1))
+    """
+    if not isinstance(n, int) or n < 1:
+        raise PreconditionError(f"cyclotomic index must be a positive integer, got {n!r}")
+    rad = radical(n)
+    return _dilated(_squarefree_cyclotomic(rad), n // rad)
+
+
+def vanishes_at_primitive_root(p: IntPolynomial, m: int) -> bool:
+    """Whether p vanishes at the primitive m-th roots of unity.
+
+    Equivalent to Phi_m dividing p exactly over the integers.  The zero
+    polynomial is rejected: divisibility would hold trivially but the
+    question is meaningless for it.
+    """
+    if p.is_zero():
+        raise PreconditionError("vanishing test rejects the zero polynomial")
+    if not isinstance(m, int) or m < 1:
+        raise PreconditionError(f"root order must be a positive integer, got {m!r}")
+    return _order_divides(enumerate(p.coeffs), m)
+
+
+def digit_polynomial(digits, modulus: int | None = None) -> IntPolynomial:
+    """Sum of z^d over the digits, shifted to nonnegative exponents.
+
+    With a modulus, exponents are additionally reduced mod it; this keeps
+    values at modulus-th roots of unity unchanged while bounding degree.
+    """
+    digs = tuple(digits)
+    if not digs:
+        raise PreconditionError("digit set must be nonempty")
+    low = min(digs)
+    exps = [d - low for d in digs]
+    if modulus is not None:
+        exps = [e % modulus for e in exps]
+    return IntPolynomial.from_exponents(exps)
+
+
+def symbol_vanishes_at(digits, point) -> bool:
+    """Exact test of whether the digit symbol m_D vanishes at a rational point.
+
+    m_D(a/b) with gcd(a, b) = 1 is a sum of b-th roots of unity; it vanishes
+    iff Phi_b divides the digit polynomial.  At integers the symbol equals
+    1, so the answer there is always False.
+    """
+    b = Fraction(point).denominator
+    if b == 1:
+        return False
+    digs = tuple(digits)
+    if not digs:
+        raise PreconditionError("digit set must be nonempty")
+    return order_vanishes(digs, b)
+
+
+def symbol_eval(digits, xi) -> complex:
+    """The float symbol m_D(xi) = (1/|D|) * sum_d e^(-2*pi*i*d*xi)."""
+    digs = tuple(digits)
+    return sum(cmath.exp(-2j * math.pi * d * xi) for d in digs) / len(digs)

@@ -19,13 +19,13 @@ from cantorspec import (
     is_compatible,
     lambda_enumerate,
     mask_zero_residues,
-    q_eval,
+    q_eval_with_bound,
     report_measure_spectrality,
-    symbol_eval,
     transfer_residual,
     verify_witness,
 )
 from cantorspec.cli import main as cli_main
+from oracles import symbol_eval
 
 # the pairs exercised by criteria 1-3, keyed by a short label
 CRITERIA_PAIRS = [
@@ -103,7 +103,7 @@ def test_criterion_04_negative_verdict_with_certificate():
     assert verdict.witness == ((2, 6),)
     assert verify_witness(system, candidate, verdict.witness)
     policy = TruncationPolicy(depth=8, product_epsilon=1e-12)
-    assert q_eval(system, candidate, 2.0, policy) < 1e-6
+    assert q_eval_with_bound(system, candidate, 2.0, policy)[0] < 1e-6
     _announce(4, "scale-4 {0,1}/{0,6} not spectral, cycle [(2,6)] verified, Q(2) < 1e-6")
 
 
@@ -153,12 +153,12 @@ def test_criterion_07_completeness_bounds():
             previous = 0.0
             for depth in range(1, depth_cap[len(candidate)] + 1):
                 policy = TruncationPolicy(depth=depth, product_epsilon=1e-12)
-                value = q_eval(system, cand, xi, policy)
+                value = q_eval_with_bound(system, cand, xi, policy)[0]
                 assert value <= 1 + 1e-9
                 assert value >= previous - 1e-10
                 previous = value
         policy = TruncationPolicy(depth=zero_depth[len(candidate)], product_epsilon=1e-12)
-        assert abs(q_eval(system, cand, 0.0, policy) - 1) < 1e-8
+        assert abs(q_eval_with_bound(system, cand, 0.0, policy)[0] - 1) < 1e-8
     _announce(7, "Q <= 1 + 1e-9, nondecreasing in depth, Q(0) = 1 within 1e-8")
 
 

@@ -1,0 +1,88 @@
+import ast
+import importlib
+import inspect
+import pathlib
+import pkgutil
+import sys
+
+import cantorspec
+
+PUBLIC_NAMES = [
+    "BudgetExceededError",
+    "CanonicalForm",
+    "CompatibilityCertificate",
+    "ConsistencyError",
+    "DEFAULT_POLICY",
+    "LAMBDA_BUDGET",
+    "PreconditionError",
+    "RationalInterval",
+    "SEARCH_BUDGET",
+    "STATUS_SPECTRAL",
+    "STATUS_UNIT_INTERVAL",
+    "STATUS_UNKNOWN",
+    "ScaleDigitSystem",
+    "SpectralityReport",
+    "SpectrumCandidate",
+    "SpectrumVerdict",
+    "TilingConstruction",
+    "TruncatedProduct",
+    "TruncationPolicy",
+    "attractor_bounds",
+    "canonicalize_digits",
+    "construct_spectrum_set",
+    "decide_spectrum",
+    "find_modulus_l",
+    "is_compatible",
+    "is_complementing",
+    "lambda_enumerate",
+    "mask_zero_residues",
+    "mu_hat",
+    "order_vanishes",
+    "pair_power",
+    "prime_power_sets",
+    "q_eval_with_bound",
+    "reduce_s",
+    "report_measure_spectrality",
+    "search_candidate_s",
+    "transfer_residual",
+    "verify_witness",
+]
+
+PACKAGE_DIR = pathlib.Path(cantorspec.__file__).parent
+MODULES = [
+    importlib.import_module(f"cantorspec.{info.name}")
+    for info in pkgutil.iter_modules([str(PACKAGE_DIR)])
+    if info.name != "__main__"
+]
+
+
+def test_public_names():
+    assert cantorspec.__all__ == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert getattr(cantorspec, name) is not None, name
+
+
+def test_no_public_function_takes_a_budget():
+    functions = [getattr(cantorspec, name) for name in PUBLIC_NAMES]
+    for module in MODULES:
+        functions += [
+            obj
+            for name, obj in vars(module).items()
+            if not name.startswith("_") and inspect.isfunction(obj)
+        ]
+    for fn in functions:
+        if inspect.isfunction(fn):
+            assert "budget" not in inspect.signature(fn).parameters, fn.__qualname__
+
+
+def test_runtime_imports_only_the_standard_library():
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            for root in roots:
+                assert root == "cantorspec" or root in sys.stdlib_module_names, (path.name, root)

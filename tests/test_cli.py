@@ -138,6 +138,16 @@ def test_tiling_check_and_construct(capsys):
     assert payload["q_powers"] == [3]
 
 
+def test_tiling_past_the_recursion_limit(capsys):
+    payload = run_json(capsys, "tiling", "check", "--digits", "0,1,8,9", "--modulus", "4096")
+    assert payload["complementing"] is True
+    assert len(payload["complement"]) == 1024
+    payload = run_json(capsys, "tiling", "construct", "--n", "8192", "--digits", "0,4096")
+    assert payload["modulus_l"] == 8192
+    assert payload["complement"] == list(range(4096))
+    assert payload["s"] == [0, 1]
+
+
 def test_malformed_input_exits_one(capsys):
     for argv in [
         ["compat", "check", "--n", "4", "--digits", "0,0", "--s", "0,2"],
@@ -163,6 +173,7 @@ def test_precondition_violation_exits_two(capsys):
         ["measure", "lambda", "--n", "4", "--s", "0,1,2", "--depth", "40"],
         ["measure", "fourier", "--n", "4", "--digits", "0,1", "--xi", "nan"],
         ["measure", "fourier", "--n", "4", "--digits", "0,1", "--xi", "inf"],
+        ["measure", "fourier", "--n", "4", "--digits", "0,1", "--xi", "1e300"],
         ["tiling", "construct", "--n", "4", "--digits", "0,1,2"],
     ]:
         code, out, err = run(capsys, *argv)

@@ -7,22 +7,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from cantorspec import (
+from cantorspec import PreconditionError, ScaleDigitSystem, mask_zero_residues, order_vanishes
+from cantorspec.arith import divisors
+from oracles import (
     IntPolynomial,
-    PreconditionError,
-    ScaleDigitSystem,
     cyclotomic,
     digit_polynomial,
-    mask_zero_residues,
-    order_vanishes,
+    symbol_eval,
     symbol_vanishes_at,
     vanishes_at_primitive_root,
 )
-
-
-def numeric_symbol(digits, xi):
-    """Independent float evaluation of the symbol (1/|D|) sum e(-d*xi)."""
-    return sum(cmath.exp(-2j * math.pi * d * xi) for d in digits) / len(digits)
 
 
 def eval_at_primitive_root(poly, m):
@@ -137,7 +131,7 @@ def test_mask_zero_residues_examples(scale, digits, expected):
     assert set(mask_zero_residues(system)) == expected
     # numeric oracle over every residue class representative
     for r in range(1, abs(scale)):
-        mag = abs(numeric_symbol(digits, r / scale))
+        mag = abs(symbol_eval(digits, r / scale))
         if r in expected:
             assert mag < 1e-10
         else:
@@ -160,7 +154,7 @@ def test_mask_matches_numeric_oracle(scale, sign, digits):
     system = ScaleDigitSystem(sign * scale, tuple(digits))
     zeros = mask_zero_residues(system)
     for r in range(1, scale):
-        mag = abs(numeric_symbol(system.digits, r / (sign * scale)))
+        mag = abs(symbol_eval(system.digits, r / (sign * scale)))
         if r in zeros:
             assert mag < 1e-10
         else:
@@ -249,6 +243,12 @@ def test_order_vanishes_reduces_any_integer_exponents():
         order_vanishes((0, 1), 0)
 
 
+def exact_phase_symbol(digits, r, n):
+    """|m_D(r/n)| with each phase d*r reduced mod n in integers first, which
+    keeps the float argument in [0, 1)."""
+    return abs(sum(cmath.exp(-2j * math.pi * (d * r % n) / n) for d in digits)) / len(digits)
+
+
 # Former cliff: moduli far above the old cache limit, with small and wide
 # digit sets.  Each divisor order b is checked against the float symbol at
 # its representative |N|/b, and every residue must follow its order.
@@ -274,13 +274,34 @@ def test_mask_at_former_cliff_matches_float_symbol(scale, digits):
         if scale % b:
             continue
         r = scale // b
-        # exact phase reduction keeps the float argument in [0, 1)
-        mag = abs(sum(cmath.exp(-2j * math.pi * (d * r % scale) / scale) for d in digits))
+        mag = exact_phase_symbol(digits, r, scale)
         if r in zeros:
-            assert mag / len(digits) < 1e-10, b
+            assert mag < 1e-10, b
             vanishing_orders.add(b)
         else:
-            assert mag / len(digits) > 1e-6, b
+            assert mag > 1e-6, b
     assert zeros == {
         r for r in range(1, scale) if scale // math.gcd(r, scale) in vanishing_orders
     }
+
+
+# Former phi(rad b) blow-up: a vanishing sum recursed through every all-zero
+# class difference, 7.8 s for the single order b = N below.  Every divisor
+# order is checked against the float symbol at its representative r = N/b.
+@pytest.mark.parametrize(
+    "n,digits",
+    [
+        (9699690, (0, 9699690 // 2)),
+        (510510, tuple(a + b for a in (0, 510510 // 2) for b in (0, 510510 // 3, 2 * 510510 // 3))),
+    ],
+)
+def test_order_vanishes_at_every_divisor_of_a_primorial(n, digits):
+    vanishing = 0
+    for b in divisors(n):
+        mag = exact_phase_symbol(digits, n // b, n)
+        if order_vanishes(digits, b):
+            assert mag < 1e-10, b
+            vanishing += 1
+        else:
+            assert mag > 1e-6, b
+    assert vanishing > 0

@@ -18,11 +18,10 @@ from cantorspec import (
     canonicalize_digits,
     decide_spectrum,
     is_compatible,
-    q_eval,
+    q_eval_with_bound,
     reduce_s,
     report_measure_spectrality,
     search_candidate_s,
-    successor,
     verify_witness,
 )
 
@@ -199,7 +198,7 @@ def test_not_spectral_corroborated_by_q():
     verdict = decide_spectrum(system, candidate)
     eta0 = verdict.witness[0][0]
     policy = TruncationPolicy(depth=8, product_epsilon=1e-12)
-    assert q_eval(system, candidate, float(eta0), policy) < 1e-6
+    assert q_eval_with_bound(system, candidate, float(eta0), policy)[0] < 1e-6
 
 
 def test_spectral_corroborated_by_q():
@@ -208,7 +207,7 @@ def test_spectral_corroborated_by_q():
         system = ScaleDigitSystem(scale, digits)
         cand = SpectrumCandidate(candidate)
         for k in range(20):
-            assert q_eval(system, cand, k / 20, policy) <= 1 + 1e-9
+            assert q_eval_with_bound(system, cand, k / 20, policy)[0] <= 1 + 1e-9
 
 
 def test_randomized_residue_shifts_stay_sound():
@@ -245,7 +244,7 @@ def test_randomized_residue_shifts_stay_sound():
                     negatives += 1
                     assert verify_witness(system, candidate, verdict.witness)
                     eta0 = verdict.witness[0][0]
-                    assert q_eval(system, candidate, float(eta0), policy) < 1e-6
+                    assert q_eval_with_bound(system, candidate, float(eta0), policy)[0] < 1e-6
     assert negatives > 0  # the scan must actually exercise the negative path
 
 
@@ -292,6 +291,26 @@ def test_report_scaled_digits_keep_certificates():
 # reference: walk every nonzero integer of the (dilated) hull from the
 # smallest in (|eta|, eta) order, stepping with `successor`, until a walk
 # closes a cycle.
+
+
+def successor(scale, candidate, eta):
+    """The unique step (eta', s) with eta' = (eta + s)/N exact, if any.
+
+    At most one candidate element can qualify because the elements are
+    required to be distinct modulo N; without that the map would be
+    multivalued, so the condition is checked.
+    """
+    if eta == 0:
+        raise PreconditionError("successor is defined for nonzero integers only")
+    m = abs(scale)
+    elems = candidate.elements
+    if len({s % m for s in elems}) != len(elems):
+        raise PreconditionError("successor is single-valued only when S is distinct modulo N")
+    for s in elems:
+        quot, rem = divmod(eta + s, scale)
+        if rem == 0:
+            return quot, s
+    return None
 
 
 def reference_decide(system, candidate, range_factor=1):

@@ -19,11 +19,10 @@ from cantorspec import (
     attractor_bounds,
     lambda_enumerate,
     mu_hat,
-    q_eval,
     q_eval_with_bound,
-    symbol_eval,
     transfer_residual,
 )
+from oracles import symbol_eval
 
 JP_SYSTEM = ScaleDigitSystem(4, (0, 1))
 JP_CANDIDATE = SpectrumCandidate((0, 2))
@@ -178,7 +177,7 @@ def test_lambda_budget_enforced():
 
 
 def test_q_eval_orthonormal_pair_at_zero():
-    value = q_eval(JP_SYSTEM, JP_CANDIDATE, 0.0, TIGHT)
+    value = q_eval_with_bound(JP_SYSTEM, JP_CANDIDATE, 0.0, TIGHT)[0]
     assert abs(value - 1.0) < 1e-8
     # independent oracle: per-point direct products at fixed factor count
     total = 0.0
@@ -206,7 +205,7 @@ def test_orthonormality_on_spectrum_slices():
 
 
 def test_q_eval_vanishes_at_cycle_entry():
-    value = q_eval(JP_SYSTEM, SpectrumCandidate((0, 6)), 2.0, TIGHT)
+    value = q_eval_with_bound(JP_SYSTEM, SpectrumCandidate((0, 6)), 2.0, TIGHT)[0]
     assert value < 1e-8
 
 
@@ -220,7 +219,7 @@ def test_q_eval_bounded_and_monotone_for_compatible_pairs():
             previous = 0.0
             for depth in range(1, 6):
                 policy = TruncationPolicy(depth=depth, product_epsilon=1e-12)
-                value = q_eval(system, candidate, xi, policy)
+                value = q_eval_with_bound(system, candidate, xi, policy)[0]
                 assert value <= 1 + 1e-9
                 assert value >= previous - 1e-10
                 previous = value
@@ -263,9 +262,24 @@ def test_kernel_rejects_non_finite_arguments():
         with pytest.raises(PreconditionError):
             mu_hat(JP_SYSTEM, xi)
         with pytest.raises(PreconditionError):
-            q_eval(JP_SYSTEM, JP_CANDIDATE, xi)
+            q_eval_with_bound(JP_SYSTEM, JP_CANDIDATE, xi)
         with pytest.raises(PreconditionError):
             transfer_residual(JP_SYSTEM, JP_CANDIDATE, xi, 2)
+
+
+@pytest.mark.parametrize("xi", [1e300, -1e305, 1.7976931348623157e308])
+@pytest.mark.parametrize(
+    "system,candidate",
+    [(JP_SYSTEM, JP_CANDIDATE), (ScaleDigitSystem(10, (0, 2, -2, 11, -11)), SpectrumCandidate((0, 2, 4, 6, 8)))],
+)
+def test_kernel_refuses_xi_past_the_float_range_of_its_bound(system, candidate, xi):
+    # |N|^J, with J from the truncation bound, no longer fits in a float
+    with pytest.raises(PreconditionError):
+        mu_hat(system, xi)
+    with pytest.raises(PreconditionError):
+        q_eval_with_bound(system, candidate, xi, TruncationPolicy(depth=3))
+    with pytest.raises(PreconditionError):
+        transfer_residual(system, candidate, xi, 2)
 
 
 def test_transfer_residual_requires_matching_sizes():

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -19,8 +20,8 @@ from cantorspec import (
     prime_power_sets,
     reduce_s,
     report_measure_spectrality,
-    symbol_vanishes_at,
 )
+from oracles import symbol_vanishes_at
 
 CONSTRUCTION_CASES = [
     (4, (0, 2), (0, 1)),
@@ -57,6 +58,46 @@ def test_is_complementing_cardinality():
 def test_is_complementing_rejects_colliding_digits():
     assert is_complementing((0, 4), 4) is None
     assert is_complementing((0, 2), 2) is None
+
+
+def reference_is_complementing(digits, modulus):
+    """The former recursive backtracking search, kept as the reference: one
+    Python frame per chosen translate, so it stops at the recursion limit."""
+    digs = tuple(digits)
+    if modulus % len(digs) != 0 or len({d % modulus for d in digs}) != len(digs):
+        return None
+    covered = [False] * modulus
+    chosen = []
+
+    def search():
+        try:
+            u = covered.index(False)
+        except ValueError:
+            return True
+        for e in sorted({(u - d) % modulus for d in digs}):
+            shifts = [(d + e) % modulus for d in digs]
+            if any(covered[t] for t in shifts):
+                continue
+            for t in shifts:
+                covered[t] = True
+            chosen.append(e)
+            if search():
+                return True
+            chosen.pop()
+            for t in shifts:
+                covered[t] = False
+        return False
+
+    return tuple(sorted(chosen)) if search() else None
+
+
+def test_is_complementing_matches_recursive_reference():
+    for size in range(1, 5):
+        for rest in itertools.combinations(range(1, 16), size - 1):
+            digits = (0, *rest)
+            for modulus in range(1, 25):
+                expected = reference_is_complementing(digits, modulus)
+                assert is_complementing(digits, modulus) == expected, (digits, modulus)
 
 
 def test_find_modulus_l_examples():
