@@ -250,6 +250,7 @@ def _run_measure(args):
     policy = _policy(args)
     if args.grid < 1:
         raise PreconditionError(f"grid must have at least one point, got {args.grid}")
+    kernel._check_slice_budget(candidate.size, policy.depth, args.grid)  # before the first point
     rows = []
     for i in range(args.grid):
         xi = i / args.grid

@@ -16,8 +16,26 @@ slice is built digit by digit and each prefix's partial product is shared
 by every point that extends it.  Phases never carry an integer part into
 a float: xi is split exactly into integer and fraction, and the integer
 part of each phase is reduced mod |N|^j in integers.  Once |N|^j exceeds a
-point's integer part its remaining factors run in floats, until one rounds
-to exactly 1.0 in the range where no later one can differ from 1.0.
+point's integer part its next factors run in floats, and the rest of the
+infinite product is one closed form (`_tail_series`).
+
+The closed form.  With w_k = 4*c_k/|D|^2, a2 = pi^2 sum_k w_k k^2 and
+a4 = pi^4 sum_k w_k k^4 / 3, the factors past an argument t satisfy
+
+    sum_{i>=1} log|m_D(t/N^i)|^2
+        = -a2 t^2/(N^2-1) + (a4 - a2^2/2) t^4/(N^4-1) + E,
+    |E| <= K t^6/(N^6-1),   K = 2 pi^6 sum_k w_k k^6/45 + a2 a4 + 2 a2^3/3.
+
+It follows from sin^2 x = x^2 - x^4/3 + R with 0 <= R <= 2x^6/45, which
+puts u = 1 - |m_D(eta)|^2 in [a2 eta^2 - a4 eta^4, a2 eta^2], and from
+log(1 - u) = -u - u^2/2 - R' with 0 <= R' <= u^3/(3(1 - u)) <= 2u^3/3;
+the last step needs u <= 1/2, which the switch rule below implies, since
+K >= 2 a2^3/3 there bounds a2 eta^2 by (3 * 2^-54)^(1/3).  The kernel
+switches to the closed form at the first t with K t^6/(N^6-1) <= 2^-53,
+where the remainder is below the rounding of one float factor, and a
+point's error bound becomes p2 * expm1(K t^6/(N^6-1)) on its squared
+modulus p2.  A point whose product falls below the early-stop cutoff is
+left there with bound p2: the rest of the product lies in [0, 1].
 """
 
 from __future__ import annotations
@@ -67,14 +85,14 @@ def _truncation(lipschitz: float, base: int, x: float, target: float) -> tuple[i
 
     J is the least count, floored at what |x| = 1 would need, for which
     t = lipschitz*|x| / (|N|^J * (|N|-1)) stays below target = log(1 + epsilon).
-    Past the float range (lipschitz*|x| / ((|N|-1)*target) or |N|^J too
-    large for a float) no bound can be formed and x is refused.
+    Past the float range (|N|, lipschitz*|x| / ((|N|-1)*target) or |N|^J
+    too large for a float) no bound can be formed and x is refused.
     """
     size = abs(x)
     reach = lipschitz * max(size, 1.0)
-    ratio = reach / ((base - 1) * target)
     j_stop = 1
     try:
+        ratio = reach / ((base - 1) * target)
         if ratio > base:
             j_stop = max(1, math.ceil(math.log(ratio) / math.log(base)))
         while reach / (base**j_stop * (base - 1)) > target:
@@ -82,8 +100,24 @@ def _truncation(lipschitz: float, base: int, x: float, target: float) -> tuple[i
         return j_stop, math.expm1(lipschitz * size / (base**j_stop * (base - 1)))
     except OverflowError:
         raise PreconditionError(
-            f"|xi| = {size!r} is too large for a bounded Fourier product with |N| = {base}"
+            f"|xi| = {size!r} with |N| = {base} is past the float range of the Fourier product's tail bound"
         ) from None
+
+
+def _tail_series(weights, base: int) -> tuple[float, float, float, float]:
+    """(c2, c4, c6, switch) for the factors past an argument t <= switch:
+    their log |product|^2 is c2*t^2 + c4*t^4 within c6*t^6, and
+    c6*switch^6 = 2^-53 (see the module docstring).  Refused, as past the
+    float range, when the digit differences make K infinite."""
+    a2 = math.pi**2 * sum(w * k**2 for k, w in weights)
+    a4 = math.pi**4 * sum(w * k**4 for k, w in weights) / 3.0
+    k6 = 2.0 * math.pi**6 * sum(w * k**6 for k, w in weights) / 45.0 + a2 * a4 + 2.0 * a2**3 / 3.0
+    if not math.isfinite(k6):
+        raise PreconditionError("digit differences too wide for the float tail of the Q kernel")
+    n2 = base * base
+    c6 = k6 * (1 / (n2**3 - 1))
+    switch = (2.0**-53 / c6) ** (1.0 / 6.0) if c6 > 0.0 else math.inf
+    return -a2 * (1 / (n2 - 1)), (a4 - a2 * a2 / 2.0) * (1 / (n2 * n2 - 1)), c6, switch
 
 
 def _symbol_sq(weights, whole: int, frac: float, power: int) -> float:
@@ -112,8 +146,7 @@ def mu_hat(system: ScaleDigitSystem, xi, policy: TruncationPolicy = DEFAULT_POLI
     |true - finite product| <= e^t - 1, which the chosen J pushes below
     epsilon.  J is floored at what an argument of magnitude 1 would need,
     so sub-unit arguments come back tighter than epsilon by their own
-    magnitude; that floor is what makes the recursion defect measured by
-    `transfer_residual` actually track epsilon instead of cancelling.  If
+    magnitude.  If
     the running product drops below epsilon/4 in magnitude the loop stops
     early: the remaining factors have modulus at most 1, so the absolute
     error is below epsilon either way.
@@ -171,11 +204,18 @@ def attractor_bounds(scale: int, elements) -> RationalInterval:
     return RationalInterval(Fraction(a + scale * b, den), Fraction(b + scale * a, den))
 
 
-def _check_slice_budget(size: int, depth: int) -> None:
-    if size**depth > LAMBDA_BUDGET:
-        raise BudgetExceededError(
-            f"|S|^depth = {size}^{depth} exceeds the enumeration budget {LAMBDA_BUDGET}"
-        )
+def _check_slice_budget(size: int, depth: int, grid: int = 1) -> None:
+    """Refuse |S|^depth slice points, times `grid` Q points, past the budget.
+
+    With |S| >= 2 the power passes the budget once depth reaches the
+    budget's bit length, so a huge depth is refused without building it.
+    """
+    work = None if size > 1 and depth >= LAMBDA_BUDGET.bit_length() else size**depth * grid
+    if work is None or work > LAMBDA_BUDGET:
+        what = f"|S|^depth = {size}^{depth}"
+        if grid != 1:
+            what = f"|S|^depth * grid = {size}^{depth} * {grid}" + ("" if work is None else f" = {work}")
+        raise BudgetExceededError(f"{what} exceeds the enumeration budget {LAMBDA_BUDGET}")
 
 
 def lambda_enumerate(
@@ -207,39 +247,49 @@ def q_eval_with_bound(
     xi,
     policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> tuple[float, float]:
-    """Completeness sum over the depth-slice, with its truncation bound.
+    """Completeness sum over the depth-slice, with its error bound.
 
     Q_depth(xi) = sum over the slice of |mu_hat(xi + lambda)|^2.  For a
     compatible pair the exact Q never exceeds 1 and the slices increase to
-    it; the returned bound accounts for the per-factor product truncation.
+    it; the returned bound accounts for the tail of each infinite product.
 
-    Each point keeps `mu_hat`'s factor count J, early stop and bound, but
-    only the squared modulus is formed, one `_symbol_sq` per factor.  Factor
-    j depends on lambda only mod |N|^j, which is the slice prefix of its
-    first j digits, so the slice is built level by level as a map from
-    prefix to the product of its first j factors, shared by every point
-    that extends it; a prefix already below the early-stop cutoff passes
-    its product on unchanged.  Past the slice depth a point's factors are
-    still reduced exactly while |N|^j is at most its integer part; then
-    they run in floats, t -> t/|N|, until one rounds to exactly 1.0 with
-    every k*t below 1/2: each sin^2(pi*k*t) only shrinks from there, so
-    every later factor rounds to 1.0 too.  (Above 1/2 a factor can be
-    exactly 1 at a period of the symbol, t in Z/gcd(D - D), and the next
-    one not.)  Where J is below the depth the extra prefix factors only
-    tighten the value, so J's bound still holds.
+    Only the squared modulus of each point's product is formed, one
+    `_symbol_sq` per factor.  Factor j depends on lambda only mod |N|^j,
+    which is the slice prefix of its first j digits, so the slice is built
+    level by level as a map from prefix to the product of its first j
+    factors, shared by every point that extends it; a prefix already below
+    the early-stop cutoff (epsilon/4)^2 passes its product on unchanged.
+    Past the slice depth a point's factors are still reduced exactly while
+    |N|^j is at most its integer part; then they run in floats, t -> t/|N|,
+    until K t^6/(N^6-1) <= 2^-53, and one exp of the closed form in the
+    module docstring stands for every factor left.  A point's bound is
+    p2 * expm1(K t^6/(N^6-1)) on its squared modulus p2, or p2 itself if
+    it stopped early.  No factor count J is formed: it is the whole infinite
+    product that is summed.  |xi + lambda| is refused where `mu_hat` would
+    refuse it, and so is any phase period or point past the float range.
     """
-    depth = policy.depth
-    _check_slice_budget(candidate.size, depth)
+    _check_slice_budget(candidate.size, policy.depth)
+    whole, frac = _split(xi)
+    try:
+        return _completeness_sum(system, candidate, whole, frac, policy)
+    except OverflowError:
+        raise PreconditionError(
+            f"the Q kernel at xi = {xi!r} with |N|^depth = {system.modulus}^{policy.depth} "
+            "passes the float range"
+        ) from None
+
+
+def _completeness_sum(system, candidate, whole: int, frac: float, policy) -> tuple[float, float]:
+    """`q_eval_with_bound` past its checks; a float overflow anywhere here
+    means the input is past the float range."""
     base = system.modulus
     weights = system.difference_weights
-    lipschitz = system.lipschitz
-    target = math.log1p(policy.product_epsilon)
     cutoff = (policy.product_epsilon / 4.0) ** 2
-    whole, frac = _split(xi)
+    c2, c4, c6, switch = _tail_series(weights, base)
     level = {whole: 1.0}  # xi's integer part plus a slice prefix -> |product|^2
     power = 1
     step = 1
-    for _ in range(depth):
+    for _ in range(policy.depth):
         power *= base
         shifts = [s * step for s in candidate.elements]
         deeper = {}
@@ -250,38 +300,33 @@ def q_eval_with_bound(
                     deeper[child] = p2 if p2 < cutoff else p2 * _symbol_sq(weights, child, frac, power)
         level = deeper
         step *= system.scale
+    # refuse as mu_hat would: the slice's largest |xi + lambda| is at one end
+    far = max(abs(min(level) + frac), abs(max(level) + frac))
+    _truncation(system.lipschitz, base, far, math.log1p(policy.product_epsilon))
     tail_terms = [(math.pi * k, w) for k, w in weights]  # _symbol_sq with whole = 0, power = 1
-    # Below 1/(2 k_max) every sin^2(pi k t) shrinks with t, so a factor that
-    # rounds to 1.0 there is followed only by factors that round to 1.0.
-    monotone = 0.5 / weights[-1][0] if weights else math.inf
     total = 0.0
     err = 0.0
     for node, p2 in level.items():
-        x = node + frac
-        j_stop, tail_bound = _truncation(lipschitz, base, x, target)
-        j = depth
         period = power
-        while period <= abs(node) and j < j_stop and p2 >= cutoff:
+        while period <= abs(node) and p2 >= cutoff:
             # |node| >= |N|^j: the float x/|N|^j would carry integer digits
-            j += 1
             period *= base
             p2 *= _symbol_sq(weights, node, frac, period)
-        t = abs(x) / period
-        for _ in range(j, j_stop if p2 >= cutoff else j):
+        t = abs(node + frac) / period
+        while t > switch and p2 >= cutoff:
             t /= base
             factor = 1.0
             for turn, w in tail_terms:
                 s = math.sin(turn * t)
                 factor -= w * s * s
-            if factor == 1.0 and t < monotone:
-                break
             p2 = p2 * factor if factor > 0.0 else 0.0
-            if p2 < cutoff:
-                break
-        mag = math.sqrt(p2)
-        bound = mag * (2.0 + tail_bound) if p2 < cutoff else tail_bound
+        if p2 < cutoff:
+            err += p2
+        else:
+            t2 = t * t
+            p2 *= math.exp(t2 * (c2 + c4 * t2))
+            err += p2 * math.expm1(c6 * t2 * t2 * t2)
         total += p2
-        err += bound * (2.0 * mag + bound)
     return total, err
 
 
@@ -297,9 +342,10 @@ def transfer_residual(
     Exact transforms satisfy
         Q_{d+1}(xi) = sum_s |m_D((xi+s)/N)|^2 * Q_d((xi+s)/N)
     because each (d+1)-digit point splits uniquely as s + N*(d-digit point)
-    and the symbol is 1-periodic at integer translates.  Both sides here
-    are computed from truncated products, so the returned |lhs - rhs|
-    isolates product-truncation error and shrinks with product_epsilon.
+    and the symbol is 1-periodic at integer translates.  Both sides sum
+    every infinite product to 2^-53, so the returned |lhs - rhs| is
+    rounding plus the early stops at (product_epsilon/4)^2, which fall at
+    different factors on the two sides and shrink with product_epsilon.
     """
     if candidate.size != system.size:
         raise PreconditionError(

@@ -75,6 +75,19 @@ def is_complementing(digits, modulus: int) -> tuple[int, ...] | None:
     return None
 
 
+def _complementing_modulus(system: ScaleDigitSystem) -> tuple[int, tuple[int, ...]] | None:
+    """(L, complement) for `find_modulus_l`'s L and the complement found
+    there, so a construction searches each modulus once."""
+    target = radical(system.size)
+    for div in divisors(system.modulus):
+        if radical(div) != target:
+            continue
+        complement = is_complementing(system.digits, div)
+        if complement is not None:
+            return div, complement
+    return None
+
+
 def find_modulus_l(system: ScaleDigitSystem) -> int | None:
     """Smallest divisor L of |N| with radical(L) = radical(|D|) and D
     complementing mod L.
@@ -82,13 +95,8 @@ def find_modulus_l(system: ScaleDigitSystem) -> int | None:
     Such an L exists whenever D is complementing mod N, so None signals
     that the digit set does not tile the residues of N at all.
     """
-    target = radical(system.size)
-    for div in divisors(system.modulus):
-        if radical(div) != target:
-            continue
-        if is_complementing(system.digits, div) is not None:
-            return div
-    return None
+    found = _complementing_modulus(system)
+    return None if found is None else found[0]
 
 
 def prime_power_sets(digits, modulus: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -157,12 +165,12 @@ def construct_spectrum_set(system: ScaleDigitSystem) -> TilingConstruction:
     (D/N, S) are verified before returning; with the certificate in hand,
     the measure is spectral.
     """
-    modulus_l = find_modulus_l(system)
-    if modulus_l is None:
+    found = _complementing_modulus(system)
+    if found is None:
         raise PreconditionError(
             "digit set is not complementing modulo any admissible divisor of N"
         )
-    complement = is_complementing(system.digits, modulus_l)
+    modulus_l, complement = found
     p_powers, q_powers = prime_power_sets(system.digits, modulus_l)
     fractional = sorted(
         p_part + q_part

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from cantorspec import compat
+from cantorspec import compat, kernel
 from cantorspec.cli import main
 
 
@@ -174,6 +174,8 @@ def test_precondition_violation_exits_two(capsys):
         ["measure", "fourier", "--n", "4", "--digits", "0,1", "--xi", "nan"],
         ["measure", "fourier", "--n", "4", "--digits", "0,1", "--xi", "inf"],
         ["measure", "fourier", "--n", "4", "--digits", "0,1", "--xi", "1e300"],
+        ["measure", "fourier", "--n", str(10**310), "--digits", "0,1", "--xi", "0.5"],
+        ["measure", "qgrid", "--n", str(10**310), "--digits", "0,1", "--s", "0,2", "--grid", "2"],
         ["tiling", "construct", "--n", "4", "--digits", "0,1,2"],
     ]:
         code, out, err = run(capsys, *argv)
@@ -188,6 +190,22 @@ def test_search_over_budget_exits_two(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("precondition violated:") and "budget" in err
+
+
+def test_qgrid_work_estimate_exits_two_before_the_first_point(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid point ran past the work estimate")
+
+    monkeypatch.setattr(kernel, "q_eval_with_bound", refuse)
+    code, out, err = run(capsys, "measure", "qgrid", "--n", "4", "--digits", "0,1,2",
+                         "--s", "0,1,2", "--depth", "12")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("precondition violated:")
+    assert "3^12 * 101 = 53675541" in err and "budget 1000000" in err
+    code, out, err = run(capsys, "measure", "qgrid", "--n", "4", "--digits", "0,1,2",
+                         "--s", "0,1,2", "--depth", str(10**9), "--grid", "2")
+    assert code == 2 and "3^1000000000 * 2 exceeds" in err
 
 
 def test_byte_identical_output(capsys):

@@ -21,6 +21,7 @@ from cantorspec import (
     reduce_s,
     report_measure_spectrality,
 )
+from cantorspec import tiling
 from oracles import symbol_vanishes_at
 
 CONSTRUCTION_CASES = [
@@ -106,6 +107,21 @@ def test_find_modulus_l_examples():
     assert find_modulus_l(ScaleDigitSystem(16, (0, 1, 8, 9))) == 16
     assert find_modulus_l(ScaleDigitSystem(4, (0, 1, 2))) is None  # 3 does not divide 4
     assert find_modulus_l(ScaleDigitSystem(-4, (0, 2))) == 4
+
+
+@pytest.mark.parametrize("scale,digits", [(8192, (0, 4096)), (16, (0, 1, 8, 9)), (-12, (0, 1, 2))])
+def test_construction_searches_each_modulus_once(monkeypatch, scale, digits):
+    calls = []
+
+    def counting(digs, modulus):
+        calls.append(modulus)
+        return is_complementing(digs, modulus)
+
+    monkeypatch.setattr(tiling, "is_complementing", counting)
+    construction = construct_spectrum_set(ScaleDigitSystem(scale, digits))
+    assert len(calls) == len(set(calls)), calls
+    assert calls[-1] == construction.modulus_l
+    assert construction.complement_e0 == is_complementing(digits, construction.modulus_l)
 
 
 def test_prime_power_sets_examples():
