@@ -16,10 +16,7 @@ from .compat import (
     reduce_s,
     search_candidate_s,
 )
-from .cyclotomic import (
-    mask_zero_residues,
-    order_vanishes,
-)
+from .cyclotomic import order_vanishes
 from .decide import (
     STATUS_SPECTRAL,
     STATUS_UNIT_INTERVAL,
@@ -89,7 +86,6 @@ __all__ = [
     "is_compatible",
     "is_complementing",
     "lambda_enumerate",
-    "mask_zero_residues",
     "mu_hat",
     "order_vanishes",
     "pair_power",

@@ -1,7 +1,8 @@
 """Elementary integer arithmetic shared by the exact layers.
 
-Factorisation and the divisor list are by trial division, which is ample
-for the moduli this library meets: |N| and the orders dividing it.
+Factorisation is by trial division, which is ample for the moduli this
+library meets: |N| and the orders dividing it.  Divisors are built from the
+factorisation, so their cost follows their count, not sqrt(n).
 """
 
 from __future__ import annotations
@@ -30,13 +31,8 @@ def radical(n: int) -> int:
 
 
 def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    """All positive divisors of n, ascending, as products of its prime powers."""
+    found = [1]
+    for p, e in factorize(n).items():
+        found = [d * p**i for d in found for i in range(e + 1)]
+    return sorted(found)

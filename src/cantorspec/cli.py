@@ -303,8 +303,14 @@ def main(argv=None) -> int:
     except (PreconditionError, BudgetExceededError) as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    if isinstance(result, str):
-        print(result)
-    else:
-        print(json.dumps(result, sort_keys=True))
+    try:
+        text = result if isinstance(result, str) else json.dumps(result, sort_keys=True)
+    except ValueError:  # str() refuses an int past the interpreter's digit limit
+        print(
+            "precondition violated: an output integer has more than "
+            f"{sys.get_int_max_str_digits()} decimal digits, the interpreter's limit for printing it",
+            file=sys.stderr,
+        )
+        return EXIT_PRECONDITION
+    print(text)
     return EXIT_OK

@@ -3,20 +3,21 @@
 A pair (D/N, S) with |S| = |D| is compatible when the matrix
 [(1/sqrt(q)) * e(d*s/N)] is unitary; equivalently, when the scaled symbol
 m_{D/N} vanishes at every difference of distinct elements of S.  The
-difference test is what gets decided here, exactly, through the cyclotomic
-residue mask -- floating point never touches the verdict.
+symbol vanishes at an integer r exactly when the order |N| / gcd(r, |N|) is
+one of the system's vanishing orders (the divisors b of |N| with Phi_b
+dividing the digit polynomial), so each difference is decided exactly by a
+gcd and a lookup -- floating point never touches the verdict.
 
 The window search looks for such S with 0 in S among the integers of
 [2-|N|, |N|-2].  Since every other element of S differs from 0 by a zero
-of the mask, only the integers whose residue mod |N| is a zero can take
-part: they are the vertices of the zero graph through 0, joined when their
-difference residue is a zero too.  Each candidate set is 0 plus a clique
-of |D|-1 of them, found by a depth-first search on int bitsets over the
-window.  Integer x sits at bit x - (2-|N|), so the neighbours above x are
-the window bits of the mask's periodic bit pattern shifted up to x; the
-search takes the lowest candidate bit first, intersects the rest with its
-neighbours and drops a branch once fewer bits remain than elements are
-needed.
+of the symbol, only the integers at which it vanishes can take part: they
+are the vertices of the zero graph through 0, joined when their difference
+is a zero too.  Each candidate set is 0 plus a clique of |D|-1 of them,
+found by a depth-first search on int bitsets over the window.  Integer x
+sits at bit x - (2-|N|), so the neighbours above x are the window bits of
+the zeros' periodic bit pattern shifted up to x; the search takes the
+lowest candidate bit first, intersects the rest with its neighbours and
+drops a branch once fewer bits remain than elements are needed.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .cyclotomic import mask_zero_residues
-from .kernel import lambda_enumerate
+from .arith import factorize
+from .kernel import LAMBDA_BUDGET, lambda_enumerate
 from .systems import (
     BudgetExceededError,
     ConsistencyError,
@@ -61,31 +62,42 @@ def is_compatible(
 ) -> CompatibilityCertificate | None:
     """Certificate that (D/N, S) is a compatible pair, or None.
 
-    The decision is exact: each difference residue is looked up in the
-    cyclotomically computed zero mask.
+    The decision is exact: the order |N| / gcd(s2 - s1, |N|) of each
+    difference is looked up in the system's vanishing orders.  A repeated
+    residue has order 1, which never vanishes.
     """
     if candidate.size != system.size:
         raise PreconditionError(
             f"compatible pairs require |S| = |D|, got |S| = {candidate.size}, |D| = {system.size}"
         )
     m = system.modulus
-    zeros = mask_zero_residues(system)
+    orders = system.vanishing_orders
     elems = candidate.elements
     entries = []
     for i in range(len(elems)):
         for j in range(i + 1, len(elems)):
-            r = (elems[j] - elems[i]) % m
-            if r == 0 or r not in zeros:
+            b = m // math.gcd(elems[j] - elems[i], m)
+            if b not in orders:
                 return None
-            entries.append((elems[i], elems[j], m // math.gcd(r, m)))
+            entries.append((elems[i], elems[j], b))
     return CompatibilityCertificate(system, candidate, tuple(entries))
 
 
-def _zero_pattern(zeros: frozenset[int], m: int) -> int:
-    """Int with bit t set exactly when t mod m is in `zeros`, for 0 <= t < 2m."""
+def _zero_pattern(orders: frozenset[int], m: int) -> int:
+    """Int with bit t set exactly when the order m / gcd(t, m) is in
+    `orders`, for 0 <= t < 2m.
+
+    The residues of order b are (m/b) * u with u a unit mod b, found by
+    sieving out the primes of b.  Only ones are written, since the other
+    multiples of m/b may be zeros of another order.
+    """
     digits = bytearray(b"0") * m
-    for r in zeros:
-        digits[m - 1 - r] = ord("1")
+    for b in orders:
+        units = bytearray([1]) * b
+        for p in factorize(b):
+            units[::p] = bytes(len(range(0, b, p)))
+        for r in itertools.compress(range(0, m, m // b), units):
+            digits[m - 1 - r] = ord("1")
     period = int(digits, 2)
     return period << m | period
 
@@ -95,9 +107,9 @@ def search_candidate_s(system: ScaleDigitSystem) -> list[SpectrumCandidate]:
 
     Enumerates every S with 0 in S, |S| = |D| and S a subset of
     [2-|N|, |N|-2] such that (D/N, S) is compatible, in lexicographic order
-    of their sorted elements.  Only window integers e with e mod |N| in the
-    zero mask can join 0, so S minus 0 is a clique of |D|-1 of them in the
-    graph whose edges are pairs with difference residue in the mask.  The
+    of their sorted elements.  Only window integers at which the symbol
+    vanishes can join 0, so S minus 0 is a clique of |D|-1 of them in the
+    graph whose edges are pairs whose difference is a zero too.  The
     cliques are enumerated by a bitset search that always branches on the
     smallest remaining integer, which yields them in lexicographic order.
     Putting 0 back keeps that order: where two cliques first differ, both
@@ -122,7 +134,7 @@ def _window_candidates(system: ScaleDigitSystem) -> Iterator[SpectrumCandidate]:
     """The candidates of `search_candidate_s` in the same order, one at a
     time, for |N| >= 3."""
     m = system.modulus
-    pattern = _zero_pattern(mask_zero_residues(system), m)
+    pattern = _zero_pattern(system.vanishing_orders, m)
     low = 2 - m  # bit x of a window bitset stands for the integer low + x
     vertices = (pattern >> 2) & ((1 << (2 * m - 3)) - 1)  # e = low + x has e = x + 2 (mod m)
     want = system.size
@@ -172,12 +184,21 @@ def pair_power(
 
     Both Minkowski sums are the depth-k slices of `lambda_enumerate`, under
     its budget, returned sorted; the powered pair is re-certified
-    compatible against the scale N^k before returning.
+    compatible against the scale N^k before returning.  That re-check
+    tests every pair of S_k, so more than LAMBDA_BUDGET pairs raise
+    BudgetExceededError before either slice is built.
     """
     if not isinstance(k, int) or k < 1:
         raise PreconditionError(f"power must be a positive integer, got {k!r}")
     if is_compatible(system, candidate) is None:
         raise PreconditionError("pair powers are defined for compatible pairs only")
+    size = system.size  # both slices have size^k points: compatible sets differ mod N
+    pairs = None if size > 1 and k >= LAMBDA_BUDGET.bit_length() else math.comb(size**k, 2)
+    if pairs is None or pairs > LAMBDA_BUDGET:
+        count = f"C({size}^{k}, 2)" + ("" if pairs is None else f" = {pairs}")
+        raise BudgetExceededError(
+            f"the re-check of the power-{k} pair tests {count} pairs, over the budget {LAMBDA_BUDGET}"
+        )
     digits_k = lambda_enumerate(system.scale, SpectrumCandidate(system.digits), k)
     elements_k = lambda_enumerate(system.scale, candidate, k)
     powered = ScaleDigitSystem(system.scale**k, digits_k)

@@ -1,4 +1,4 @@
-"""Exact cyclotomic vanishing tests and the zero mask built from them.
+"""The exact cyclotomic vanishing test.
 
 Every verdict-bearing question in this library eventually reduces to "does
 a sum of roots of unity vanish?", and those are precisely the numerically
@@ -10,8 +10,9 @@ divisibility by a cyclotomic polynomial: for b >= 2 and gcd(a, b) = 1,
 
 because the left side evaluates the digit polynomial at a primitive b-th
 root of unity, whose minimal polynomial over the rationals is Phi_b.  The
-answer depends on the order b alone, not on a, so a zero mask mod |N| is
-decided by one test per divisor b of |N|.
+answer depends on the order b alone, not on a, so the zeros of the symbol
+mod |N| are decided by one test per divisor b of |N|: the vanishing orders
+of `ScaleDigitSystem.vanishing_orders`.
 
 The test itself works at the radical.  Write b = k * rad(b).  Then
 Phi_b(z) = Phi_rad(z^k), and zeta_b^k is a primitive rad-th root of unity;
@@ -33,11 +34,10 @@ dicts throughout.
 
 from __future__ import annotations
 
-import itertools
 import math
 
-from .arith import divisors, factorize
-from .systems import PreconditionError, ScaleDigitSystem
+from .arith import factorize
+from .systems import PreconditionError
 
 
 def _squarefree_vanishes(terms: dict[int, int], n: int, primes: list[int]) -> bool:
@@ -107,9 +107,9 @@ def order_vanishes(exponents, b: int) -> bool:
     every primitive b-th root of unity zeta.
 
     Exponents are any integers and are counted with repetition; the empty
-    sum vanishes.  This is the library's one public vanishing test: the
-    zero mask asks it once per divisor order of |N|, and the tiling
-    construction once per prime power.
+    sum vanishes.  This is the library's one public vanishing test: a
+    system's vanishing orders ask it once per divisor of |N|, and the
+    tiling construction once per prime power.
 
     >>> order_vanishes((0, 1, 8, 9), 16)
     True
@@ -119,34 +119,3 @@ def order_vanishes(exponents, b: int) -> bool:
     if not isinstance(b, int) or b < 1:
         raise PreconditionError(f"root order must be a positive integer, got {b!r}")
     return _order_divides(((e, 1) for e in exponents), b)
-
-
-def mask_zero_residues(system: ScaleDigitSystem) -> frozenset[int]:
-    """Residues r mod |N| at which the scaled symbol m_{D/N} vanishes.
-
-    For integer k, m_{D/N}(k) depends only on k mod |N| (for negative N the
-    value conjugates, leaving zeros unchanged).  The returned set contains
-    exactly the r in {1, ..., |N|-1} with m_{D/N}(k) = 0 for every integer
-    k congruent to r.  The mask is built once per system and cached on it
-    as `system.zero_mask`.
-    """
-    return system.zero_mask
-
-
-def _zero_residues(system: ScaleDigitSystem) -> frozenset[int]:
-    """Build the zero mask of `mask_zero_residues`.
-
-    Whether r is a zero depends only on its order b = |N| / gcd(r, |N|),
-    so each divisor b > 1 of |N| is tested once and, when Phi_b divides the
-    digit polynomial, contributes the residues (|N|/b) * u with u a unit
-    mod b, found by sieving out the primes of b.
-    """
-    m = system.modulus
-    zeros: list[int] = []
-    for b in divisors(m)[1:]:
-        if order_vanishes(system.digits, b):
-            units = bytearray([1]) * b
-            for p in factorize(b):
-                units[::p] = bytes(len(range(0, b, p)))
-            zeros.extend(itertools.compress(range(0, m, m // b), units))
-    return frozenset(zeros)

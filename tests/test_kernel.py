@@ -189,6 +189,29 @@ def test_lambda_enumerate_examples():
         assert doubled == tuple(2 * x for x in base)
 
 
+def reference_lambda_enumerate(scale, candidate, depth):
+    """The former slice loop: add the digit s_j * N^j, lowest position first."""
+    values = {0}
+    power = 1
+    for _ in range(depth):
+        values = {v + s * power for v in values for s in candidate.elements}
+        power *= scale
+    return tuple(sorted(values))
+
+
+def test_lambda_enumerate_matches_the_former_loop():
+    rng = random.Random(8)
+    for _ in range(3000):
+        scale = rng.choice((1, -1)) * rng.randint(2, 12)
+        size = rng.randint(1, 4)
+        candidate = SpectrumCandidate(tuple(rng.sample(range(-30, 31), size)))
+        depth = rng.randint(1, 8 if size > 1 else 40)
+        while size**depth > 4096:
+            depth -= 1
+        expected = reference_lambda_enumerate(scale, candidate, depth)
+        assert lambda_enumerate(scale, candidate, depth) == expected, (scale, candidate, depth)
+
+
 def test_lambda_slices_are_nested_with_zero():
     candidate = SpectrumCandidate((0, 2, 3))
     for depth in range(1, 5):

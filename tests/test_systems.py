@@ -68,31 +68,32 @@ def test_rational_interval():
         interval.scaled(0)
 
 
-def test_report_builds_zero_mask_once(monkeypatch):
-    builds = []
-    build = cyclotomic_module._zero_residues
+def test_report_builds_vanishing_orders_once(monkeypatch):
+    tested = []
+    vanishes = cyclotomic_module.order_vanishes
 
-    def counting(system):
-        builds.append(system)
-        return build(system)
+    def counting(exponents, b):
+        tested.append(b)
+        return vanishes(exponents, b)
 
-    monkeypatch.setattr(cyclotomic_module, "_zero_residues", counting)
-    report = report_measure_spectrality(ScaleDigitSystem(12, (0, 1, 2)))
+    monkeypatch.setattr(cyclotomic_module, "order_vanishes", counting)
+    system = ScaleDigitSystem(12, (0, 1, 2))
+    report = report_measure_spectrality(system)
     assert report.candidate is not None
-    assert len(builds) == 1
+    assert sorted(tested) == [2, 3, 4, 6, 12]  # one test per divisor b > 1 of |N|
 
 
-def test_cached_zero_mask_leaves_value_semantics_alone():
+def test_cached_vanishing_orders_leave_value_semantics_alone():
     system = ScaleDigitSystem(12, (0, 1, 2))
     fresh = ScaleDigitSystem(12, (0, 1, 2))
-    mask = system.zero_mask
-    assert mask == frozenset({4, 8})
-    assert system.zero_mask is mask
+    orders = system.vanishing_orders
+    assert orders == frozenset({3})
+    assert system.vanishing_orders is orders
     assert system == fresh and hash(system) == hash(fresh)
     assert repr(system) == repr(fresh) == "ScaleDigitSystem(scale=12, digits=(0, 1, 2))"
     restored = pickle.loads(pickle.dumps(system))
-    assert restored == system and restored.zero_mask == mask
+    assert restored == system and restored.vanishing_orders == orders
     replaced = dataclasses.replace(system, digits=(0, 1))
     assert replaced == ScaleDigitSystem(12, (0, 1))
-    assert replaced.zero_mask == frozenset({6})
+    assert replaced.vanishing_orders == frozenset({2})
     assert dataclasses.replace(system) == system
