@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import compat, decide, kernel, tiling
@@ -138,6 +139,24 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _digit_limit_message() -> str:
+    return (
+        f"an output integer has more than {sys.get_int_max_str_digits()} decimal digits, "
+        "the interpreter's limit for printing it"
+    )
+
+
+def _refuse_past_digit_limit(base: int, exponent: int) -> None:
+    """Refuse, before building it, an output holding an integer of at least
+    |base|^exponent, when that passes the interpreter's str() digit limit.
+
+    The margin of one digit keeps float rounding in the logarithm from
+    refusing an output that would print."""
+    limit = sys.get_int_max_str_digits()
+    if limit and abs(base) > 1 and exponent * math.log10(abs(base)) > limit + 1:
+        raise PreconditionError(_digit_limit_message())
+
+
 def _system(args) -> ScaleDigitSystem:
     return ScaleDigitSystem(args.n, tuple(args.digits))
 
@@ -195,6 +214,7 @@ def _run_compat(args):
     if args.action == "reduce":
         reduced = compat.reduce_s(args.n, _candidate(args))
         return {"reduced": list(reduced.elements), "method": METHOD_COMPAT}
+    _refuse_past_digit_limit(args.n, args.k)  # scale_power = N^k is printed
     digits_k, elements_k = compat.pair_power(_system(args), _candidate(args), args.k)
     return {
         "scale_power": args.n**args.k,
@@ -243,6 +263,8 @@ def _run_measure(args):
             "factors": prod.factors,
         }
     if args.action == "lambda":
+        if any(args.s):  # s*(N^depth - 1)/(N - 1) is in the slice, at least |N|^(depth-2)
+            _refuse_past_digit_limit(args.n, args.depth - 2)
         elements = kernel.lambda_enumerate(args.n, _candidate(args), args.depth)
         return {"scale": args.n, "depth": args.depth, "elements": list(elements)}
     system = _system(args)
@@ -306,11 +328,7 @@ def main(argv=None) -> int:
     try:
         text = result if isinstance(result, str) else json.dumps(result, sort_keys=True)
     except ValueError:  # str() refuses an int past the interpreter's digit limit
-        print(
-            "precondition violated: an output integer has more than "
-            f"{sys.get_int_max_str_digits()} decimal digits, the interpreter's limit for printing it",
-            file=sys.stderr,
-        )
+        print(f"precondition violated: {_digit_limit_message()}", file=sys.stderr)
         return EXIT_PRECONDITION
     print(text)
     return EXIT_OK

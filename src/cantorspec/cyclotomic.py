@@ -30,14 +30,35 @@ are equal.  At a squarefree index the same basis argument is applied one
 prime at a time (see `_squarefree_vanishes`), so no cyclotomic polynomial
 is ever built or divided by.  Sums are sparse {exponent: coefficient}
 dicts throughout.
+
+Most divisors of |N| are not vanishing orders, and `vanishing_orders`
+refutes those first with one evaluation in a finite field.  Take the
+first prime P = 1 + m*|N| and an R of order exactly |N| mod P (R = x^m
+for the first x with R^(|N|/q) != 1 for every prime q of |N|).  Then
+r = R^(|N|/b) has order b.  Since b divides P - 1, z^b - 1, the product
+of the Phi_e(z) over e | b, has b distinct roots mod P, and the roots of
+Phi_b are exactly the elements of order b: Phi_b(r) = 0 (mod P).  If
+Phi_b divides the integer polynomial sum_d z^(d mod b), the monic
+quotient has integer coefficients, so sum_d r^(d mod b) = 0 (mod P).  A nonzero sum therefore proves that b is not a
+vanishing order, in integers only; a zero sum (a vanishing order, or
+rarely a coincidence mod P) goes to the exact test, which alone answers
+yes.  P is proved prime by Miller-Rabin on the first 13 primes as bases,
+exact below psi_13 ~ 3.317e24 (`arith.PRIME_TEST_BOUND`); when no P is
+found below that bound within _FIELD_SEARCH multipliers m, every divisor
+goes to the exact test.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
-from .arith import factorize
+from .arith import PRIME_TEST_BOUND, divisors_from, factorize, is_prime
 from .systems import PreconditionError
+
+#: Multipliers m tried for the field prime P = 1 + m*|N| before the batch
+#: falls back to the exact test on every divisor.
+_FIELD_SEARCH = 1000
 
 
 def _squarefree_vanishes(terms: dict[int, int], n: int, primes: list[int]) -> bool:
@@ -84,14 +105,14 @@ def _squarefree_vanishes(terms: dict[int, int], n: int, primes: list[int]) -> bo
     return True
 
 
-def _order_divides(terms, b: int) -> bool:
-    """Whether Phi_b divides sum c*z^e over the (e, c) terms; e may be any integer.
+def _order_divides(terms, b: int, primes: list[int]) -> bool:
+    """Whether Phi_b divides sum c*z^e over the (e, c) terms; e may be any
+    integer, and `primes` are the primes of b, ascending.
 
     Exponents are reduced mod b and split into the class polynomials mod
     k = b / rad(b), each of which must vanish at a primitive rad-th root of
     unity (see the module docstring).
     """
-    primes = sorted(factorize(b))
     rad = math.prod(primes)
     k = b // rad
     classes: dict[int, dict[int, int]] = {}
@@ -118,4 +139,48 @@ def order_vanishes(exponents, b: int) -> bool:
     """
     if not isinstance(b, int) or b < 1:
         raise PreconditionError(f"root order must be a positive integer, got {b!r}")
-    return _order_divides(((e, 1) for e in exponents), b)
+    return _order_divides(((e, 1) for e in exponents), b, sorted(factorize(b)))
+
+
+def _order_n_root(n: int, primes: list[int]) -> tuple[int, int] | None:
+    """(P, R) with P = 1 + m*n the first prime for m <= _FIELD_SEARCH and R of
+    order exactly n mod P, or None when no such P lies below
+    PRIME_TEST_BOUND; `primes` are the primes of n."""
+    for m in range(1, _FIELD_SEARCH + 1):
+        p = 1 + m * n
+        if p >= PRIME_TEST_BOUND:
+            return None
+        if is_prime(p):
+            break
+    else:
+        return None
+    for x in itertools.count(2):  # ends: any generator of the cyclic group works
+        root = pow(x, m, p)
+        if all(pow(root, n // q, p) != 1 for q in primes):
+            return p, root
+
+
+def vanishing_orders(exponents, n: int) -> frozenset[int]:
+    """The divisors b > 1 of n with Phi_b dividing sum_e z^e, in one batch.
+
+    n is factorised once.  Each divisor is first evaluated at an element
+    of order b in the field of `_order_n_root`; a nonzero sum refutes it
+    (see the module docstring), and the rest are decided by the exact
+    test.  The answer equals `order_vanishes` on every divisor.
+    """
+    factors = factorize(n)
+    primes = sorted(factors)
+    terms = [(e, 1) for e in exponents]
+    field = _order_n_root(n, primes)
+    if field is not None:
+        p, root = field
+        residues = [e % n for e, _ in terms]  # r^n = 1 for every r below
+    found = []
+    for b in divisors_from(factors)[1:]:
+        if field is not None:
+            r = pow(root, n // b, p)
+            if sum(pow(r, e, p) for e in residues) % p:
+                continue
+        if _order_divides(terms, b, [q for q in primes if b % q == 0]):
+            found.append(b)
+    return frozenset(found)

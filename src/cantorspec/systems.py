@@ -17,8 +17,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import divisors
-
 
 class PreconditionError(ValueError):
     """A mathematical hypothesis of the requested operation is violated."""
@@ -73,9 +71,9 @@ class ScaleDigitSystem:
         built once per system.  m_{D/N} vanishes at the integer k exactly
         when |N| / gcd(k, |N|) is one of them; the sign of N conjugates
         the symbol and leaves its zeros alone."""
-        from .cyclotomic import order_vanishes  # cyclotomic imports this module
+        from . import cyclotomic  # cyclotomic imports this module
 
-        return frozenset(b for b in divisors(self.modulus)[1:] if order_vanishes(self.digits, b))
+        return cyclotomic.vanishing_orders(self.digits, self.modulus)
 
     @functools.cached_property
     def lipschitz(self) -> float:

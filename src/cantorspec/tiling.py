@@ -111,17 +111,23 @@ def prime_power_sets(digits, modulus: int) -> tuple[tuple[int, ...], tuple[int, 
     digs = tuple(digits)
     if not digs:
         raise PreconditionError("digit set must be nonempty")
-    size_factors = factorize(len(digs))
+    return _prime_power_sets(len(digs), modulus, lambda b: order_vanishes(digs, b))
+
+
+def _prime_power_sets(size: int, modulus: int, vanishes) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """`prime_power_sets` for a digit set of the given size, with
+    `vanishes(b)` deciding whether Phi_b divides its digit polynomial."""
+    size_factors = factorize(size)
     if len(size_factors) > 2:
         raise PreconditionError(
-            f"|D| = {len(digs)} has {len(size_factors)} distinct prime factors; "
+            f"|D| = {size} has {len(size_factors)} distinct prime factors; "
             "the construction covers at most two"
         )
     modulus_factors = factorize(modulus)
     groups: list[tuple[int, ...]] = []
     for p, alpha in sorted(size_factors.items()):
         cap = modulus_factors.get(p, 0)
-        powers = tuple(p**k for k in range(1, cap + 1) if order_vanishes(digs, p**k))
+        powers = tuple(p**k for k in range(1, cap + 1) if vanishes(p**k))
         if len(powers) != alpha:
             raise ConsistencyError(
                 f"expected {alpha} dividing powers of {p} below {p}**{cap}, found {powers}"
@@ -171,7 +177,10 @@ def construct_spectrum_set(system: ScaleDigitSystem) -> TilingConstruction:
             "digit set is not complementing modulo any admissible divisor of N"
         )
     modulus_l, complement = found
-    p_powers, q_powers = prime_power_sets(system.digits, modulus_l)
+    # every p^k dividing L divides |N|, so the system's orders answer it
+    p_powers, q_powers = _prime_power_sets(
+        system.size, modulus_l, system.vanishing_orders.__contains__
+    )
     fractional = sorted(
         p_part + q_part
         for p_part in _fractional_combinations(p_powers)

@@ -205,7 +205,7 @@ def vanishes_at_primitive_root(p: IntPolynomial, m: int) -> bool:
         raise PreconditionError("vanishing test rejects the zero polynomial")
     if not isinstance(m, int) or m < 1:
         raise PreconditionError(f"root order must be a positive integer, got {m!r}")
-    return _order_divides(enumerate(p.coeffs), m)
+    return _order_divides(enumerate(p.coeffs), m, sorted(factorize(m)))
 
 
 def digit_polynomial(digits, modulus: int | None = None) -> IntPolynomial:

@@ -179,6 +179,8 @@ def test_precondition_violation_exits_two(capsys):
         ["compat", "power", "--n", "4", "--digits", "0,1", "--s", "0,2", "--k", "0"],
         ["measure", "lambda", "--n", "4", "--s", "0,1,2", "--depth", "40"],
         ["measure", "lambda", "--n", "4", "--s", "5", "--depth", "8000"],  # past the str() digit limit
+        ["measure", "lambda", "--n", "4", "--s", "5", "--depth", "40000"],
+        ["compat", "power", "--n", "4", "--digits", "0", "--s", "5", "--k", "40000"],
         ["compat", "power", "--n", "4", "--digits", "0,1", "--s", "0,2", "--k", "12"],
         ["measure", "fourier", "--n", "4", "--digits", "0,1", "--xi", "nan"],
         ["measure", "fourier", "--n", "4", "--digits", "0,1", "--xi", "inf"],
@@ -215,6 +217,36 @@ def test_qgrid_work_estimate_exits_two_before_the_first_point(capsys, monkeypatc
     code, out, err = run(capsys, "measure", "qgrid", "--n", "4", "--digits", "0,1,2",
                          "--s", "0,1,2", "--depth", str(10**9), "--grid", "2")
     assert code == 2 and "3^1000000000 * 2 exceeds" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["measure", "lambda", "--n", "4", "--s", "5", "--depth", "40000"],
+        ["measure", "lambda", "--n", "-10", "--s", "0,1", "--depth", str(10**9)],
+        ["compat", "power", "--n", "4", "--digits", "0", "--s", "5", "--k", "40000"],
+    ],
+)
+def test_digit_limit_exits_two_before_the_slice_is_built(capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a slice was built past the digit estimate")
+
+    monkeypatch.setattr(kernel, "lambda_enumerate", refuse)
+    monkeypatch.setattr(compat, "lambda_enumerate", refuse)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"precondition violated: an output integer has more than {sys.get_int_max_str_digits()} "
+        "decimal digits, the interpreter's limit for printing it\n"
+    )
+
+
+def test_digit_estimate_leaves_printable_slices_alone(capsys):
+    payload = run_json(capsys, "measure", "lambda", "--n", "4", "--s", "0", "--depth", "40000")
+    assert payload["elements"] == [0]
+    payload = run_json(capsys, "compat", "power", "--n", "4", "--digits", "0", "--s", "5", "--k", "2000")
+    assert payload["s_k"] == [5 * (4**2000 - 1) // 3]
 
 
 def test_byte_identical_output(capsys):

@@ -17,6 +17,8 @@ from cantorspec import (
     report_measure_spectrality,
     search_candidate_s,
 )
+from cantorspec import arith
+from cantorspec import cyclotomic as cyclotomic_module
 from oracles import symbol_eval, zero_residues
 
 CERTIFIED_PAIRS = [
@@ -320,6 +322,23 @@ def test_pair_power_certified_at_powered_scale():
             digits_k, elements_k = pair_power(system, SpectrumCandidate(candidate), k)
             powered = ScaleDigitSystem(scale**k, digits_k)
             assert is_compatible(powered, SpectrumCandidate(elements_k)) is not None
+
+
+def test_pair_power_factorizes_each_scale_once(monkeypatch):
+    # former cliff: every divisor 2^j of 4^k was factorised by trial division
+    calls = []
+    factorize = arith.factorize
+
+    def counting(n):
+        calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(arith, "factorize", counting)
+    monkeypatch.setattr(cyclotomic_module, "factorize", counting)
+    k = 300
+    digits_k, elements_k = pair_power(ScaleDigitSystem(4, (0,)), SpectrumCandidate((5,)), k)
+    assert digits_k == (0,) and elements_k == (5 * (4**k - 1) // 3,)
+    assert sorted(calls) == [4, 4**k]
 
 
 def test_pair_power_preconditions():

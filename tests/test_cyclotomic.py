@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cantorspec import PreconditionError, ScaleDigitSystem, order_vanishes
-from cantorspec.arith import divisors
+from cantorspec import cyclotomic as cyclotomic_module
+from cantorspec.arith import PRIME_TEST_BOUND, divisors, factorize, is_prime
 from oracles import (
     IntPolynomial,
     cyclotomic,
@@ -306,3 +307,59 @@ def test_order_vanishes_at_every_divisor_of_a_primorial(n, digits):
         else:
             assert mag > 1e-6, b
     assert vanishing > 0
+
+
+def test_vanishing_orders_batch_matches_order_vanishes_exhaustively():
+    # every D in [-4, 10) with |D| <= 3 at every n <= 64, the exact answer
+    # decided once per order b
+    for size in (1, 2, 3):
+        for digits in itertools.combinations(range(-4, 10), size):
+            exact = frozenset(b for b in range(2, 65) if order_vanishes(digits, b))
+            for n in range(2, 65):
+                expected = frozenset(b for b in exact if n % b == 0)
+                assert cyclotomic_module.vanishing_orders(digits, n) == expected, (digits, n)
+
+
+def test_vanishing_orders_ignore_the_sign_of_the_scale_and_take_negative_digits():
+    for scale, digits in [(-12, (-5, -1, 3)), (-30, (-15, 0)), (-64, (-32, -16, 0, 16)), (-9, (-3, 0, 3))]:
+        system = ScaleDigitSystem(scale, digits)
+        expected = frozenset(b for b in divisors(-scale)[1:] if order_vanishes(digits, b))
+        assert system.vanishing_orders == expected == ScaleDigitSystem(-scale, digits).vanishing_orders
+        assert expected
+
+
+def test_field_root_has_order_exactly_n():
+    for n in [*range(2, 600), 2**40, 3**30, 10**20, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29]:
+        primes = sorted(factorize(n))
+        p, root = cyclotomic_module._order_n_root(n, primes)
+        assert p % n == 1 and is_prime(p) and p < PRIME_TEST_BOUND
+        assert pow(root, n, p) == 1
+        assert all(pow(root, n // q, p) != 1 for q in primes), n
+
+
+# D = {0, h, ..., (q-1)h} has D(z) = (z^(qh) - 1)/(z^h - 1), so Phi_b
+# divides it exactly when b divides qh but not h.
+@pytest.mark.parametrize(
+    "n,h,q",
+    [
+        (10**30, 5 * 10**29, 2),  # 1 + m*10^30 is past the Miller-Rabin bound
+        (4**2000, 2 * 4**1999, 2),
+        (10**24, 5, 4),  # only m <= 3 keeps P below the bound, and none is prime
+    ],
+    ids=["10^30", "4^2000", "10^24"],
+)
+def test_vanishing_orders_fall_back_to_the_exact_test(monkeypatch, n, h, q):
+    assert cyclotomic_module._order_n_root(n, sorted(factorize(n))) is None
+    digits = range(0, q * h, h)
+    expected = frozenset(b for b in divisors(n)[1:] if (q * h) % b == 0 and h % b)
+    assert expected
+    exact = []
+    divides = cyclotomic_module._order_divides
+
+    def counting(terms, b, primes):
+        exact.append(b)
+        return divides(terms, b, primes)
+
+    monkeypatch.setattr(cyclotomic_module, "_order_divides", counting)
+    assert cyclotomic_module.vanishing_orders(digits, n) == expected
+    assert sorted(exact) == divisors(n)[1:]  # every divisor, exactly once

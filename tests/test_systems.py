@@ -68,19 +68,36 @@ def test_rational_interval():
         interval.scaled(0)
 
 
+def count_calls(monkeypatch, module, name):
+    """Replace module.name with a wrapper that records its arguments."""
+    calls = []
+    wrapped = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return wrapped(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 def test_report_builds_vanishing_orders_once(monkeypatch):
-    tested = []
-    vanishes = cyclotomic_module.order_vanishes
-
-    def counting(exponents, b):
-        tested.append(b)
-        return vanishes(exponents, b)
-
-    monkeypatch.setattr(cyclotomic_module, "order_vanishes", counting)
+    batches = count_calls(monkeypatch, cyclotomic_module, "vanishing_orders")
+    exact = count_calls(monkeypatch, cyclotomic_module, "_order_divides")
     system = ScaleDigitSystem(12, (0, 1, 2))
     report = report_measure_spectrality(system)
     assert report.candidate is not None
-    assert sorted(tested) == [2, 3, 4, 6, 12]  # one test per divisor b > 1 of |N|
+    assert [args[1:] for args in batches] == [(12,)]  # one batch per system
+    # 2, 4, 6 and 12 are refuted mod P = 13; only the true order 3 is tested exactly
+    assert [args[1] for args in exact] == [3]
+
+
+def test_a_false_alarm_mod_p_is_settled_by_the_exact_test(monkeypatch):
+    # N = 2 gives P = 3 and r = -1; 1 + r^2 + r^4 = 3 = 0 (mod 3), but z + 1
+    # does not divide 1 + z^2 + z^4, whose value at -1 is 3.
+    exact = count_calls(monkeypatch, cyclotomic_module, "_order_divides")
+    assert ScaleDigitSystem(2, (0, 2, 4)).vanishing_orders == frozenset()
+    assert [args[1] for args in exact] == [2]
 
 
 def test_cached_vanishing_orders_leave_value_semantics_alone():

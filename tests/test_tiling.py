@@ -124,6 +124,23 @@ def test_construction_searches_each_modulus_once(monkeypatch, scale, digits):
     assert construction.complement_e0 == is_complementing(digits, construction.modulus_l)
 
 
+@pytest.mark.parametrize(
+    "scale,digits",
+    [(s, d) for s, d, _ in CONSTRUCTION_CASES] + [(-8640, (0, 1, 2, 6, 7, 8)), (2592, (0, 9, 18, 27))],
+)
+def test_construction_reads_prime_powers_from_the_vanishing_orders(monkeypatch, scale, digits):
+    system = ScaleDigitSystem(scale, digits)
+    modulus_l = find_modulus_l(system)
+    expected = prime_power_sets(digits, modulus_l)
+
+    def refuse(exponents, b):
+        raise AssertionError("the construction re-tested an order")
+
+    monkeypatch.setattr(tiling, "order_vanishes", refuse)
+    construction = construct_spectrum_set(system)
+    assert (construction.p_powers, construction.q_powers) == expected
+
+
 def test_prime_power_sets_examples():
     assert prime_power_sets((0, 2), 4) == ((4,), ())
     assert prime_power_sets((0, 1, 2, 3), 4) == ((2, 4), ())
