@@ -48,19 +48,6 @@ def factorize(n: int) -> dict[int, int]:
     return factors
 
 
-def radical(n: int) -> int:
-    """Product of the distinct primes dividing n; radical(1) = 1."""
-    out = 1
-    for p in factorize(n):
-        out *= p
-    return out
-
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending, as products of its prime powers."""
-    return divisors_from(factorize(n))
-
-
 def divisors_from(factors: dict[int, int]) -> list[int]:
     """All positive divisors of the integer with the given {p: exponent}
     factorization, ascending."""

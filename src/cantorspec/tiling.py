@@ -2,23 +2,29 @@
 
 A digit set D is complementing mod L when some E makes D + E hit every
 residue class mod L exactly once.  When |D| has at most two distinct prime
-factors, the prime powers whose cyclotomic polynomials divide the digit
-polynomial assemble a fractional set E whose dilation S = N*E is an
-integer candidate set compatible with D/N -- turning a tiling fact into a
-spectrum construction.  All verdicts here ride on the same exact
-cyclotomic tests as the rest of the library.
+factors, the prime powers p^k whose cyclotomic polynomials divide the digit
+polynomial assemble a fractional set E = {sum_j a_j / p^k_j : 0 <= a_j < p}
+whose dilation S = N*E is an integer candidate set compatible with D/N --
+turning a tiling fact into a spectrum construction.  S is formed directly
+as the sums of a_j * (N // p^k_j): every such p^k divides L, and L divides
+|N|, so each quotient is exact and S never leaves the integers.  All
+verdicts here ride on the same exact cyclotomic tests as the rest of the
+library.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from dataclasses import dataclass
 
-from .arith import divisors, factorize, radical
+from .arith import factorize
 from .compat import CompatibilityCertificate, is_compatible
 from .cyclotomic import order_vanishes
+from .kernel import LAMBDA_BUDGET
 from .systems import (
+    BudgetExceededError,
     ConsistencyError,
     PreconditionError,
     ScaleDigitSystem,
@@ -33,7 +39,10 @@ def is_complementing(digits, modulus: int) -> tuple[int, ...] | None:
     must contain an e with d + e hitting it, so only those e are tried (in
     ascending order, making the returned complement deterministic).
     Returns None when no complement exists, in particular whenever |D|
-    does not divide the modulus.
+    does not divide the modulus.  Only the covered residues are held, so
+    a search that fails early stays small at any modulus; a search that
+    would place more than LAMBDA_BUDGET translates raises
+    BudgetExceededError.
     """
     if not isinstance(modulus, int) or modulus < 1:
         raise PreconditionError(f"modulus must be a positive integer, got {modulus!r}")
@@ -42,11 +51,11 @@ def is_complementing(digits, modulus: int) -> tuple[int, ...] | None:
         raise PreconditionError("digit set must be nonempty")
     if modulus % len(digs) != 0:
         return None
-    block = {d % modulus for d in digs}
-    if len(block) != len(digs):
+    if len({d % modulus for d in digs}) != len(digs):
         return None
-    covered = [False] * modulus
+    covered: set[int] = set()
     chosen: list[int] = []
+    placed = 0
     # One frame per residue being covered: (u, translates not yet tried for
     # it).  An explicit stack, since a recursion would need one Python frame
     # per chosen translate, |L|/|D| of them.
@@ -55,36 +64,48 @@ def is_complementing(digits, modulus: int) -> tuple[int, ...] | None:
         u, options = stack[-1]
         for e in options:
             shifts = [(d + e) % modulus for d in digs]
-            if not any(covered[t] for t in shifts):
+            if covered.isdisjoint(shifts):
                 break
         else:
             stack.pop()
             if chosen:
                 e = chosen.pop()
-                for d in digs:
-                    covered[(d + e) % modulus] = False
+                covered.difference_update((d + e) % modulus for d in digs)
             continue
-        for t in shifts:
-            covered[t] = True
+        if placed == LAMBDA_BUDGET:
+            raise BudgetExceededError(
+                f"the complement search mod L = {modulus} for |D| = {len(digs)} digits "
+                f"exceeds the budget of {LAMBDA_BUDGET} placed translates"
+            )
+        placed += 1
+        covered.update(shifts)
         chosen.append(e)
-        try:
-            u = covered.index(False, u)
-        except ValueError:
+        if len(covered) == modulus:
             return tuple(sorted(chosen))
+        while u in covered:
+            u += 1
         stack.append((u, iter(sorted({(u - d) % modulus for d in digs}))))
     return None
 
 
-def _complementing_modulus(system: ScaleDigitSystem) -> tuple[int, tuple[int, ...]] | None:
-    """(L, complement) for `find_modulus_l`'s L and the complement found
-    there, so a construction searches each modulus once."""
-    target = radical(system.size)
-    for div in divisors(system.modulus):
-        if radical(div) != target:
-            continue
-        complement = is_complementing(system.digits, div)
+def _complementing_modulus(system: ScaleDigitSystem, size_factors: dict[int, int]):
+    """(L, {p: v_p(L)}, complement) for `find_modulus_l`'s L and the
+    complement found there, so a construction searches each modulus once.
+
+    The divisors L of |N| with radical(L) = radical(|D|) carry exponents
+    1..v_p(|N|) on the primes p of |D| and none elsewhere; there are none
+    when a prime of |D| does not divide |N|.
+    """
+    modulus_factors = factorize(system.modulus)
+    primes = sorted(size_factors)
+    moduli = sorted(
+        (math.prod(p**e for p, e in zip(primes, exps)), exps)
+        for exps in itertools.product(*(range(1, modulus_factors.get(p, 0) + 1) for p in primes))
+    )
+    for modulus_l, exps in moduli:
+        complement = is_complementing(system.digits, modulus_l)
         if complement is not None:
-            return div, complement
+            return modulus_l, dict(zip(primes, exps)), complement
     return None
 
 
@@ -95,7 +116,7 @@ def find_modulus_l(system: ScaleDigitSystem) -> int | None:
     Such an L exists whenever D is complementing mod N, so None signals
     that the digit set does not tile the residues of N at all.
     """
-    found = _complementing_modulus(system)
+    found = _complementing_modulus(system, factorize(system.size))
     return None if found is None else found[0]
 
 
@@ -111,19 +132,20 @@ def prime_power_sets(digits, modulus: int) -> tuple[tuple[int, ...], tuple[int, 
     digs = tuple(digits)
     if not digs:
         raise PreconditionError("digit set must be nonempty")
-    return _prime_power_sets(len(digs), modulus, lambda b: order_vanishes(digs, b))
+    return _prime_power_sets(
+        factorize(len(digs)), factorize(modulus), lambda b: order_vanishes(digs, b)
+    )
 
 
-def _prime_power_sets(size: int, modulus: int, vanishes) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """`prime_power_sets` for a digit set of the given size, with
-    `vanishes(b)` deciding whether Phi_b divides its digit polynomial."""
-    size_factors = factorize(size)
+def _prime_power_sets(size_factors, modulus_factors, vanishes):
+    """`prime_power_sets` from the factorisations of |D| and the modulus,
+    with `vanishes(b)` deciding whether Phi_b divides the digit polynomial."""
     if len(size_factors) > 2:
+        size = math.prod(p**a for p, a in size_factors.items())
         raise PreconditionError(
             f"|D| = {size} has {len(size_factors)} distinct prime factors; "
             "the construction covers at most two"
         )
-    modulus_factors = factorize(modulus)
     groups: list[tuple[int, ...]] = []
     for p, alpha in sorted(size_factors.items()):
         cap = modulus_factors.get(p, 0)
@@ -151,51 +173,35 @@ class TilingConstruction:
     certificate: CompatibilityCertificate
 
 
-def _fractional_combinations(powers: tuple[int, ...]) -> list[Fraction]:
-    """All sums of a_j / p^{k_j} with digit coefficients 0 <= a_j < p."""
-    if not powers:
-        return [Fraction(0)]
-    prime = radical(powers[0])
-    values = []
-    for coeffs in itertools.product(range(prime), repeat=len(powers)):
-        values.append(sum((Fraction(a, pk) for a, pk in zip(coeffs, powers)), Fraction(0)))
-    return values
-
-
 def construct_spectrum_set(system: ScaleDigitSystem) -> TilingConstruction:
     """Build a compatible candidate set from the tiling structure of D.
 
-    Finds the modulus L, reads off the dividing prime powers, forms the
-    fractional set E of all digit combinations of their reciprocals, and
-    dilates to S = N*E.  Integrality of S and exact compatibility of
-    (D/N, S) are verified before returning; with the certificate in hand,
-    the measure is spectral.
+    Finds the modulus L, reads off the dividing prime powers and forms
+    S = N*E as the integer sums of a_j * (N // p^k_j), one digit
+    coefficient 0 <= a_j < p per power; E = S/N is derived from it.
+    Exact compatibility of (D/N, S) is verified before returning; with the
+    certificate in hand, the measure is spectral.
     """
-    found = _complementing_modulus(system)
+    size_factors = factorize(system.size)
+    found = _complementing_modulus(system, size_factors)
     if found is None:
         raise PreconditionError(
             "digit set is not complementing modulo any admissible divisor of N"
         )
-    modulus_l, complement = found
+    modulus_l, modulus_factors, complement = found
     # every p^k dividing L divides |N|, so the system's orders answer it
     p_powers, q_powers = _prime_power_sets(
-        system.size, modulus_l, system.vanishing_orders.__contains__
+        size_factors, modulus_factors, system.vanishing_orders.__contains__
     )
-    fractional = sorted(
-        p_part + q_part
-        for p_part in _fractional_combinations(p_powers)
-        for q_part in _fractional_combinations(q_powers)
-    )
-    if len(set(fractional)) != system.size:
+    elements = [0]
+    for prime, powers in zip(sorted(size_factors), (p_powers, q_powers)):
+        for power in powers:
+            step = system.scale // power
+            elements = [s + a * step for s in elements for a in range(prime)]
+    if len(set(elements)) != system.size:
         raise ConsistencyError(
-            f"fractional set has {len(set(fractional))} points, expected |D| = {system.size}"
+            f"fractional set has {len(set(elements))} points, expected |D| = {system.size}"
         )
-    elements = []
-    for frac in fractional:
-        scaled = frac * system.scale
-        if scaled.denominator != 1:
-            raise ConsistencyError(f"constructed spectrum left the integers at {frac}")
-        elements.append(int(scaled))
     candidate = SpectrumCandidate(tuple(elements))
     certificate = is_compatible(system, candidate)
     if certificate is None:
@@ -205,7 +211,7 @@ def construct_spectrum_set(system: ScaleDigitSystem) -> TilingConstruction:
         complement_e0=complement,
         p_powers=p_powers,
         q_powers=q_powers,
-        fractional_e=tuple(fractional),
+        fractional_e=tuple(sorted(Fraction(s, system.scale) for s in elements)),
         result_s=candidate.elements,
         certificate=certificate,
     )

@@ -1,5 +1,6 @@
 """Reference oracles for the tests: exact integer-polynomial algebra, the
-float digit symbol and the zero residues of a system.
+float digit symbol, the zero residues of a system, and the radical and
+divisor list of an integer.
 
 No verdict path of the library builds a polynomial: every vanishing
 question goes through `cantorspec.cyclotomic.order_vanishes`.  The algebra
@@ -25,9 +26,19 @@ import cmath
 import math
 from fractions import Fraction
 
-from cantorspec.arith import factorize, radical
+from cantorspec.arith import divisors_from, factorize
 from cantorspec.cyclotomic import _order_divides, order_vanishes
 from cantorspec.systems import ConsistencyError, PreconditionError
+
+
+def radical(n: int) -> int:
+    """Product of the distinct primes dividing n; radical(1) = 1."""
+    return math.prod(factorize(n))
+
+
+def divisors(n: int) -> list[int]:
+    """All positive divisors of n, ascending, as products of its prime powers."""
+    return divisors_from(factorize(n))
 
 
 class IntPolynomial:

@@ -188,6 +188,7 @@ def test_precondition_violation_exits_two(capsys):
         ["measure", "fourier", "--n", str(10**310), "--digits", "0,1", "--xi", "0.5"],
         ["measure", "qgrid", "--n", str(10**310), "--digits", "0,1", "--s", "0,2", "--grid", "2"],
         ["tiling", "construct", "--n", "4", "--digits", "0,1,2"],
+        ["tiling", "check", "--digits", "0,96", "--modulus", "200"],  # the placement budget
     ]:
         code, out, err = run(capsys, *argv)
         assert code == 2, argv

@@ -9,11 +9,12 @@ from hypothesis import given, strategies as st
 
 from cantorspec import PreconditionError, ScaleDigitSystem, order_vanishes
 from cantorspec import cyclotomic as cyclotomic_module
-from cantorspec.arith import PRIME_TEST_BOUND, divisors, factorize, is_prime
+from cantorspec.arith import PRIME_TEST_BOUND, factorize, is_prime
 from oracles import (
     IntPolynomial,
     cyclotomic,
     digit_polynomial,
+    divisors,
     symbol_eval,
     symbol_vanishes_at,
     vanishes_at_primitive_root,

@@ -1,12 +1,14 @@
 import cmath
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from cantorspec import (
+    BudgetExceededError,
     ConsistencyError,
     PreconditionError,
     STATUS_SPECTRAL,
@@ -22,7 +24,9 @@ from cantorspec import (
     report_measure_spectrality,
 )
 from cantorspec import tiling
-from oracles import symbol_vanishes_at
+from cantorspec.arith import factorize
+from cantorspec.cyclotomic import order_vanishes
+from oracles import divisors, radical, symbol_vanishes_at
 
 CONSTRUCTION_CASES = [
     (4, (0, 2), (0, 1)),
@@ -238,3 +242,121 @@ def test_construction_above_former_cache_limit():
     assert construction.certificate == is_compatible(system, candidate)
     assert construction.certificate is not None
     assert decide_spectrum(system, candidate).spectral
+
+
+def test_complement_search_budget(monkeypatch):
+    # {0, 96} is no tile mod 200 (v_2(96) = 5 >= v_2(200) = 3), yet the
+    # backtracking explores exponentially many partial covers
+    monkeypatch.setattr(tiling, "LAMBDA_BUDGET", 1000)
+    with pytest.raises(BudgetExceededError, match=r"mod L = 200 for \|D\| = 2 .* 1000 placed"):
+        is_complementing((0, 96), 200)
+    # a search may place exactly the budget, not one translate more
+    assert is_complementing((0, 1), 2000) == tuple(range(0, 2000, 2))
+    with pytest.raises(BudgetExceededError):
+        is_complementing((0, 1), 2002)
+
+
+def test_failed_complement_searches_hold_only_what_they_cover():
+    # {0, 1, 3} fails early at every L = 3^k; a search that allocated a
+    # flag per residue peaked at about 12.5 MB here
+    system = ScaleDigitSystem(3**13, (0, 1, 3))
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError, match="not complementing"):
+            construct_spectrum_set(system)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 1024, peak
+
+
+def reference_construct_spectrum_set(system):
+    """The former construction, kept as the reference: L through a radical
+    filter over every divisor of |N|, E as sums of Fractions a/p^k, and
+    S = N*E checked to have stayed in the integers."""
+    found = None
+    for div in divisors(system.modulus):
+        if radical(div) == radical(system.size):
+            complement = reference_is_complementing(system.digits, div)
+            if complement is not None:
+                found = div, complement
+                break
+    if found is None:
+        raise PreconditionError(
+            "digit set is not complementing modulo any admissible divisor of N"
+        )
+    modulus_l, complement = found
+    size_factors = factorize(system.size)
+    if len(size_factors) > 2:
+        raise PreconditionError(
+            f"|D| = {system.size} has {len(size_factors)} distinct prime factors; "
+            "the construction covers at most two"
+        )
+    groups = []
+    for p, alpha in sorted(size_factors.items()):
+        cap = factorize(modulus_l).get(p, 0)
+        powers = tuple(p**k for k in range(1, cap + 1) if order_vanishes(system.digits, p**k))
+        if len(powers) != alpha:
+            raise ConsistencyError(
+                f"expected {alpha} dividing powers of {p} below {p}**{cap}, found {powers}"
+            )
+        groups.append(powers)
+    groups += [()] * (2 - len(groups))
+
+    def combinations(powers):
+        if not powers:
+            return [Fraction(0)]
+        return [
+            sum((Fraction(a, pk) for a, pk in zip(coeffs, powers)), Fraction(0))
+            for coeffs in itertools.product(range(radical(powers[0])), repeat=len(powers))
+        ]
+
+    fractional = sorted(p + q for p in combinations(groups[0]) for q in combinations(groups[1]))
+    assert len(set(fractional)) == system.size
+    elements = []
+    for frac in fractional:
+        scaled = frac * system.scale
+        assert scaled.denominator == 1, frac
+        elements.append(int(scaled))
+    candidate = SpectrumCandidate(tuple(elements))
+    return tiling.TilingConstruction(
+        modulus_l=modulus_l,
+        complement_e0=complement,
+        p_powers=groups[0],
+        q_powers=groups[1],
+        fractional_e=tuple(fractional),
+        result_s=candidate.elements,
+        certificate=is_compatible(system, candidate),
+    )
+
+
+def outcome(construct, system):
+    try:
+        return construct(system)
+    except (PreconditionError, ConsistencyError) as exc:
+        return type(exc), str(exc)
+
+
+def test_integer_construction_matches_fraction_reference():
+    # both signs of N, |N| with one and with two primes, digit sets with
+    # and without 0 and with negative digits, |D| in {1, 2, 3, 4, 6}
+    digit_sets = [
+        digits
+        for size in (1, 2, 3, 4, 6)
+        for digits in itertools.combinations(range(-2, 8), size)
+    ]
+    built = 0
+    for modulus in (4, 6, 8, 9, 12, 16, 18, 24, 72):
+        for scale in (modulus, -modulus):
+            for digits in digit_sets:
+                system = ScaleDigitSystem(scale, digits)
+                expected = outcome(reference_construct_spectrum_set, system)
+                assert outcome(construct_spectrum_set, system) == expected, system
+                built += not isinstance(expected, tuple)
+    assert built > 500
+    # three primes in |D|, once complementing and once not
+    for scale, digits in [(30, tuple(range(30))), (-90, tuple(range(0, 60, 2)))]:
+        system = ScaleDigitSystem(scale, digits)
+        assert outcome(construct_spectrum_set, system) == outcome(
+            reference_construct_spectrum_set, system
+        )
