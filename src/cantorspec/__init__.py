@@ -53,7 +53,6 @@ from .tiling import (
     construct_spectrum_set,
     find_modulus_l,
     is_complementing,
-    prime_power_sets,
 )
 
 __version__ = "0.1.0"
@@ -89,7 +88,6 @@ __all__ = [
     "mu_hat",
     "order_vanishes",
     "pair_power",
-    "prime_power_sets",
     "q_eval_with_bound",
     "reduce_s",
     "report_measure_spectrality",

@@ -128,9 +128,9 @@ def order_vanishes(exponents, b: int) -> bool:
     every primitive b-th root of unity zeta.
 
     Exponents are any integers and are counted with repetition; the empty
-    sum vanishes.  This is the library's one public vanishing test: a
-    system's vanishing orders ask it once per divisor of |N|, and the
-    tiling construction once per prime power.
+    sum vanishes.  This is the library's one public vanishing test, on
+    the same exact path as a system's vanishing orders; `is_complementing`
+    asks it for the (T1) and (T2) orders of a modulus.
 
     >>> order_vanishes((0, 1, 8, 9), 16)
     True

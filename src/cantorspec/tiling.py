@@ -1,20 +1,29 @@
 """Integer-tiling side: complementing sets and the prime-power construction.
 
 A digit set D is complementing mod L when some E makes D + E hit every
-residue class mod L exactly once.  When |D| has at most two distinct prime
-factors, the prime powers p^k whose cyclotomic polynomials divide the digit
-polynomial assemble a fractional set E = {sum_j a_j / p^k_j : 0 <= a_j < p}
-whose dilation S = N*E is an integer candidate set compatible with D/N --
-turning a tiling fact into a spectrum construction.  S is formed directly
-as the sums of a_j * (N // p^k_j): every such p^k divides L, and L divides
-|N|, so each quotient is exact and S never leaves the integers.  All
-verdicts here ride on the same exact cyclotomic tests as the rest of the
-library.
+residue class mod L exactly once.  The conditions of Coven and Meyerowitz,
+read inside Z_L, decide it by cyclotomic divisibility.  For each prime p
+of |D| = prod p^alpha_p let S_p be the powers p^k | L with Phi_{p^k}
+dividing the digit polynomial D(z).  (T1): each S_p has alpha_p elements.
+(T2): Phi_{s*t} divides D(z) for all s in S_p, t in S_q, p != q.
+
+Every tile satisfies (T1): D(z)E(z) = 1 + z + ... + z^(L-1) mod z^L - 1,
+so each prime power s | L has Phi_s dividing D(z) or E(z), Phi_s(1) = p,
+and the p over all of D's vanishing prime powers multiply to a divisor of
+|D|.  (T1) and (T2) make D a tile, and for |D| with at most two primes a
+tile satisfies (T2), so the conditions decide; for more primes a search
+still does.  Otherwise the search runs only on a tile, for its complement.
+
+For |D| with at most two primes the powers assemble E = {sum_j a_j / p^k_j
+: 0 <= a_j < p}, whose dilation S = N*E is an integer candidate set
+compatible with D/N.  S is formed directly as the sums of a_j * (N // p^k_j),
+exact since every such p^k divides L and L divides |N|.
 """
 
 from __future__ import annotations
 
-import itertools
+import bisect
+import functools
 import math
 from fractions import Fraction
 from dataclasses import dataclass
@@ -32,42 +41,78 @@ from .systems import (
 )
 
 
-def is_complementing(digits, modulus: int) -> tuple[int, ...] | None:
-    """A complement E in [0, modulus) with D + E a complete residue system.
+def _tiling_powers(size: int, modulus: int, vanishes):
+    """{p: S_p} at the modulus for the ascending primes of |D| = size, with
+    `vanishes(b)` deciding whether Phi_b divides D(z); None when (T1)
+    fails, or when |D| has two primes and (T2) fails."""
+    found = {}
+    for p, alpha in sorted(factorize(size).items()):
+        powers, power = [], p
+        while modulus % power == 0:
+            if vanishes(power):
+                powers.append(power)
+            power *= p
+        if len(powers) != alpha:
+            return None
+        found[p] = tuple(powers)
+    if len(found) == 2:
+        left, right = found.values()
+        if not all(vanishes(s * t) for s in left for t in right):
+            return None
+    return found
 
-    Backtracking over the smallest uncovered residue: any valid complement
-    must contain an e with d + e hitting it, so only those e are tried (in
-    ascending order, making the returned complement deterministic).
-    Returns None when no complement exists, in particular whenever |D|
-    does not divide the modulus.  Only the covered residues are held, so
-    a search that fails early stays small at any modulus; a search that
-    would place more than LAMBDA_BUDGET translates raises
-    BudgetExceededError.
+
+def is_complementing(digits, modulus: int) -> tuple[int, ...] | None:
+    """A complement E in [0, modulus) with D + E a complete residue system,
+    or None when there is none.
+
+    (T1) and (T2) decide it without a search when |D| has at most two
+    primes, and (T1) refutes many non-tiles for any |D| (see the module
+    docstring).  The search raises BudgetExceededError once it would place
+    more than LAMBDA_BUDGET translates.
+
+    >>> is_complementing((0, 1, 8, 9), 16)
+    (0, 2, 4, 6)
+    >>> is_complementing((0, 96), 200) is None
+    True
     """
     if not isinstance(modulus, int) or modulus < 1:
         raise PreconditionError(f"modulus must be a positive integer, got {modulus!r}")
     digs = tuple(digits)
     if not digs:
         raise PreconditionError("digit set must be nonempty")
-    if modulus % len(digs) != 0:
-        return None
     if len({d % modulus for d in digs}) != len(digs):
         return None
+    powers = _tiling_powers(len(digs), modulus, functools.partial(order_vanishes, digs))
+    return None if powers is None else _search_complement(digs, modulus)
+
+
+def _search_complement(digs: tuple[int, ...], modulus: int) -> tuple[int, ...] | None:
+    """The first complement of digits distinct mod the modulus, by
+    backtracking over the smallest uncovered residue u: a complement must
+    hold an e = u - d (mod L), so only those are tried, ascending, which
+    makes the result deterministic.  Only covered residues are held.
+    """
+    # u + c mod L runs through u's candidates in ascending order over these
+    # sorted c, rotated to start at the first c >= L - u
+    offsets = sorted(-d % modulus for d in digs)
     covered: set[int] = set()
     chosen: list[int] = []
     placed = 0
-    # One frame per residue being covered: (u, translates not yet tried for
-    # it).  An explicit stack, since a recursion would need one Python frame
-    # per chosen translate, |L|/|D| of them.
-    stack = [(0, iter(sorted({-d % modulus for d in digs})))]
-    while stack:
-        u, options = stack[-1]
-        for e in options:
+    # One frame per residue being covered (u and the index of its next
+    # candidate), not one Python frame per chosen translate: L/|D| of them
+    frames_u, frames_next = [0], [0]
+    while frames_u:
+        u = frames_u[-1]
+        turn = bisect.bisect_left(offsets, modulus - u)
+        for index in range(frames_next[-1], len(offsets)):
+            e = (u + offsets[(turn + index) % len(offsets)]) % modulus
             shifts = [(d + e) % modulus for d in digs]
             if covered.isdisjoint(shifts):
                 break
         else:
-            stack.pop()
+            frames_u.pop()
+            frames_next.pop()
             if chosen:
                 e = chosen.pop()
                 covered.difference_update((d + e) % modulus for d in digs)
@@ -82,82 +127,36 @@ def is_complementing(digits, modulus: int) -> tuple[int, ...] | None:
         chosen.append(e)
         if len(covered) == modulus:
             return tuple(sorted(chosen))
+        frames_next[-1] = index + 1
         while u in covered:
             u += 1
-        stack.append((u, iter(sorted({(u - d) % modulus for d in digs}))))
+        frames_u.append(u)
+        frames_next.append(0)
     return None
 
 
-def _complementing_modulus(system: ScaleDigitSystem, size_factors: dict[int, int]):
-    """(L, {p: v_p(L)}, complement) for `find_modulus_l`'s L and the
-    complement found there, so a construction searches each modulus once.
-
-    The divisors L of |N| with radical(L) = radical(|D|) carry exponents
-    1..v_p(|N|) on the primes p of |D| and none elsewhere; there are none
-    when a prime of |D| does not divide |N|.
-    """
-    modulus_factors = factorize(system.modulus)
-    primes = sorted(size_factors)
-    moduli = sorted(
-        (math.prod(p**e for p, e in zip(primes, exps)), exps)
-        for exps in itertools.product(*(range(1, modulus_factors.get(p, 0) + 1) for p in primes))
-    )
-    for modulus_l, exps in moduli:
-        complement = is_complementing(system.digits, modulus_l)
-        if complement is not None:
-            return modulus_l, dict(zip(primes, exps)), complement
-    return None
+def _tiling_modulus(system: ScaleDigitSystem):
+    """(L, {p: S_p}) for `find_modulus_l`'s L.  At most alpha_p powers of p
+    vanish in all, so (T1) keeps those found at |N| at every tiling L, the
+    smallest being the product of each prime's largest power; and every
+    s*t divides |N|, so the system's vanishing orders answer (T2)."""
+    primes = len(factorize(system.size))
+    if primes > 2:
+        raise PreconditionError(
+            f"|D| = {system.size} has {primes} distinct prime factors; "
+            "the construction covers at most two"
+        )
+    powers = _tiling_powers(system.size, system.modulus, system.vanishing_orders.__contains__)
+    return None if powers is None else (math.prod(group[-1] for group in powers.values()), powers)
 
 
 def find_modulus_l(system: ScaleDigitSystem) -> int | None:
     """Smallest divisor L of |N| with radical(L) = radical(|D|) and D
-    complementing mod L.
-
-    Such an L exists whenever D is complementing mod N, so None signals
-    that the digit set does not tile the residues of N at all.
+    complementing mod L, or None when D does not tile the residues of N at
+    all; |D| must have at most two distinct primes, as in the construction.
     """
-    found = _complementing_modulus(system, factorize(system.size))
+    found = _tiling_modulus(system)
     return None if found is None else found[0]
-
-
-def prime_power_sets(digits, modulus: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Prime powers p^k (resp. q^k) up to the modulus caps whose cyclotomic
-    polynomials divide the digit polynomial.
-
-    Requires |D| = p^alpha * q^beta with at most two distinct primes; the
-    returned sets must then have sizes alpha and beta for a complementing
-    digit set, and a mismatch raises loudly rather than constructing a
-    wrong spectrum.
-    """
-    digs = tuple(digits)
-    if not digs:
-        raise PreconditionError("digit set must be nonempty")
-    return _prime_power_sets(
-        factorize(len(digs)), factorize(modulus), lambda b: order_vanishes(digs, b)
-    )
-
-
-def _prime_power_sets(size_factors, modulus_factors, vanishes):
-    """`prime_power_sets` from the factorisations of |D| and the modulus,
-    with `vanishes(b)` deciding whether Phi_b divides the digit polynomial."""
-    if len(size_factors) > 2:
-        size = math.prod(p**a for p, a in size_factors.items())
-        raise PreconditionError(
-            f"|D| = {size} has {len(size_factors)} distinct prime factors; "
-            "the construction covers at most two"
-        )
-    groups: list[tuple[int, ...]] = []
-    for p, alpha in sorted(size_factors.items()):
-        cap = modulus_factors.get(p, 0)
-        powers = tuple(p**k for k in range(1, cap + 1) if vanishes(p**k))
-        if len(powers) != alpha:
-            raise ConsistencyError(
-                f"expected {alpha} dividing powers of {p} below {p}**{cap}, found {powers}"
-            )
-        groups.append(powers)
-    while len(groups) < 2:
-        groups.append(())
-    return groups[0], groups[1]
 
 
 @dataclass(frozen=True)
@@ -176,28 +175,28 @@ class TilingConstruction:
 def construct_spectrum_set(system: ScaleDigitSystem) -> TilingConstruction:
     """Build a compatible candidate set from the tiling structure of D.
 
-    Finds the modulus L, reads off the dividing prime powers and forms
-    S = N*E as the integer sums of a_j * (N // p^k_j), one digit
-    coefficient 0 <= a_j < p per power; E = S/N is derived from it.
-    Exact compatibility of (D/N, S) is verified before returning; with the
+    Refuses a non-tile by (T1) and (T2) on the system's vanishing orders,
+    searches the smallest tiling modulus L once for its complement, and
+    forms S = N*E as the integer sums of a_j * (N // p^k_j), one digit
+    coefficient 0 <= a_j < p per power; E = S/N is derived from it.  Exact
+    compatibility of (D/N, S) is verified before returning; with the
     certificate in hand, the measure is spectral.
     """
-    size_factors = factorize(system.size)
-    found = _complementing_modulus(system, size_factors)
+    found = _tiling_modulus(system)
     if found is None:
         raise PreconditionError(
             "digit set is not complementing modulo any admissible divisor of N"
         )
-    modulus_l, modulus_factors, complement = found
-    # every p^k dividing L divides |N|, so the system's orders answer it
-    p_powers, q_powers = _prime_power_sets(
-        size_factors, modulus_factors, system.vanishing_orders.__contains__
-    )
+    modulus_l, powers = found
+    complement = _search_complement(system.digits, modulus_l)
+    if complement is None:
+        raise ConsistencyError(f"(T1) and (T2) hold, yet no complement exists mod L = {modulus_l}")
     elements = [0]
-    for prime, powers in zip(sorted(size_factors), (p_powers, q_powers)):
-        for power in powers:
+    for prime, group in powers.items():
+        for power in group:
             step = system.scale // power
             elements = [s + a * step for s in elements for a in range(prime)]
+    p_powers, q_powers, *_ = (*powers.values(), (), ())
     if len(set(elements)) != system.size:
         raise ConsistencyError(
             f"fractional set has {len(set(elements))} points, expected |D| = {system.size}"

@@ -1,6 +1,6 @@
 """Reference oracles for the tests: exact integer-polynomial algebra, the
-float digit symbol, the zero residues of a system, and the radical and
-divisor list of an integer.
+float digit symbol, the zero residues of a system, the radical and
+divisor list of an integer, and the former prime-power sets of a tiling.
 
 No verdict path of the library builds a polynomial: every vanishing
 question goes through `cantorspec.cyclotomic.order_vanishes`.  The algebra
@@ -264,3 +264,30 @@ def zero_residues(system) -> frozenset[int]:
     m = system.modulus
     orders = system.vanishing_orders
     return frozenset(r for r in range(1, m) if m // math.gcd(r, m) in orders)
+
+
+def prime_power_sets(digits, modulus: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The former public prime-power sets of the tiling construction: per
+    prime p of |D| = p^alpha * q^beta, the powers p^k dividing the modulus
+    with Phi_{p^k} dividing the digit polynomial, checked to number alpha
+    (resp. beta).  Three primes in |D| raise PreconditionError, a wrong
+    count ConsistencyError."""
+    digs = tuple(digits)
+    size_factors = factorize(len(digs))
+    if len(size_factors) > 2:
+        raise PreconditionError(
+            f"|D| = {len(digs)} has {len(size_factors)} distinct prime factors; "
+            "the construction covers at most two"
+        )
+    modulus_factors = factorize(modulus)
+    groups = []
+    for p, alpha in sorted(size_factors.items()):
+        cap = modulus_factors.get(p, 0)
+        powers = tuple(p**k for k in range(1, cap + 1) if order_vanishes(digs, p**k))
+        if len(powers) != alpha:
+            raise ConsistencyError(
+                f"expected {alpha} dividing powers of {p} below {p}**{cap}, found {powers}"
+            )
+        groups.append(powers)
+    groups += [()] * (2 - len(groups))
+    return groups[0], groups[1]

@@ -38,7 +38,6 @@ PUBLIC_NAMES = [
     "mu_hat",
     "order_vanishes",
     "pair_power",
-    "prime_power_sets",
     "q_eval_with_bound",
     "reduce_s",
     "report_measure_spectrality",

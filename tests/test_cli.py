@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from cantorspec import compat, kernel
+from cantorspec import compat, kernel, tiling
 from cantorspec.cli import main
 
 
@@ -188,12 +188,26 @@ def test_precondition_violation_exits_two(capsys):
         ["measure", "fourier", "--n", str(10**310), "--digits", "0,1", "--xi", "0.5"],
         ["measure", "qgrid", "--n", str(10**310), "--digits", "0,1", "--s", "0,2", "--grid", "2"],
         ["tiling", "construct", "--n", "4", "--digits", "0,1,2"],
-        ["tiling", "check", "--digits", "0,96", "--modulus", "200"],  # the placement budget
     ]:
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
         assert out == ""
         assert err.startswith("precondition violated:")
+
+
+def test_tiling_check_refutes_a_non_tile_without_searching(capsys):
+    # {0, 96} is no tile mod 200: (T1) fails, since v_2(96) = 5 >= v_2(200) = 3
+    code, out, err = run(capsys, "tiling", "check", "--digits", "0,96", "--modulus", "200")
+    assert (code, out, err) == (0, '{"complement": null, "complementing": false, "modulus": 200}\n', "")
+
+
+def test_complement_search_over_budget_exits_two(capsys, monkeypatch):
+    # {0, 13} tiles Z_48, but its search places more than 1000 translates
+    monkeypatch.setattr(tiling, "LAMBDA_BUDGET", 1000)
+    code, out, err = run(capsys, "tiling", "check", "--digits", "0,13", "--modulus", "48")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("precondition violated:") and "budget of 1000 placed translates" in err
 
 
 def test_search_over_budget_exits_two(capsys, monkeypatch):

@@ -19,14 +19,11 @@ from cantorspec import (
     find_modulus_l,
     is_compatible,
     is_complementing,
-    prime_power_sets,
     reduce_s,
     report_measure_spectrality,
 )
 from cantorspec import tiling
-from cantorspec.arith import factorize
-from cantorspec.cyclotomic import order_vanishes
-from oracles import divisors, radical, symbol_vanishes_at
+from oracles import divisors, prime_power_sets, radical, symbol_vanishes_at
 
 CONSTRUCTION_CASES = [
     (4, (0, 2), (0, 1)),
@@ -97,8 +94,9 @@ def reference_is_complementing(digits, modulus):
 
 
 def test_is_complementing_matches_recursive_reference():
-    for size in range(1, 5):
-        for rest in itertools.combinations(range(1, 16), size - 1):
+    # |D| = 6 has two primes, so (T2) decides some of these pairs
+    for size, top in [(1, 16), (2, 16), (3, 16), (4, 16), (6, 13)]:
+        for rest in itertools.combinations(range(1, top), size - 1):
             digits = (0, *rest)
             for modulus in range(1, 25):
                 expected = reference_is_complementing(digits, modulus)
@@ -116,15 +114,15 @@ def test_find_modulus_l_examples():
 @pytest.mark.parametrize("scale,digits", [(8192, (0, 4096)), (16, (0, 1, 8, 9)), (-12, (0, 1, 2))])
 def test_construction_searches_each_modulus_once(monkeypatch, scale, digits):
     calls = []
+    search = tiling._search_complement
 
     def counting(digs, modulus):
         calls.append(modulus)
-        return is_complementing(digs, modulus)
+        return search(digs, modulus)
 
-    monkeypatch.setattr(tiling, "is_complementing", counting)
+    monkeypatch.setattr(tiling, "_search_complement", counting)
     construction = construct_spectrum_set(ScaleDigitSystem(scale, digits))
-    assert len(calls) == len(set(calls)), calls
-    assert calls[-1] == construction.modulus_l
+    assert calls == [construction.modulus_l]
     assert construction.complement_e0 == is_complementing(digits, construction.modulus_l)
 
 
@@ -134,8 +132,8 @@ def test_construction_searches_each_modulus_once(monkeypatch, scale, digits):
 )
 def test_construction_reads_prime_powers_from_the_vanishing_orders(monkeypatch, scale, digits):
     system = ScaleDigitSystem(scale, digits)
-    modulus_l = find_modulus_l(system)
-    expected = prime_power_sets(digits, modulus_l)
+    reference = reference_construct_spectrum_set(system)
+    expected = (reference.p_powers, reference.q_powers)
 
     def refuse(exponents, b):
         raise AssertionError("the construction re-tested an order")
@@ -145,21 +143,57 @@ def test_construction_reads_prime_powers_from_the_vanishing_orders(monkeypatch, 
     assert (construction.p_powers, construction.q_powers) == expected
 
 
-def test_prime_power_sets_examples():
-    assert prime_power_sets((0, 2), 4) == ((4,), ())
-    assert prime_power_sets((0, 1, 2, 3), 4) == ((2, 4), ())
-    assert prime_power_sets((0, 1, 2, 3, 4, 5), 6) == ((2,), (3,))
+def test_construction_prime_powers_examples():
+    for scale, digits, expected in [
+        (4, (0, 2), ((4,), ())),
+        (4, (0, 1, 2, 3), ((2, 4), ())),
+        (6, (0, 1, 2, 3, 4, 5), ((2,), (3,))),
+    ]:
+        construction = construct_spectrum_set(ScaleDigitSystem(scale, digits))
+        assert (construction.p_powers, construction.q_powers) == expected
 
 
-def test_prime_power_sets_rejects_three_primes():
-    with pytest.raises(PreconditionError, match="two"):
-        prime_power_sets(tuple(range(30)), 30)
+def test_construction_refuses_three_primes_before_any_work(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a three-prime |D| reached the tiling test")
+
+    monkeypatch.setattr(tiling, "_search_complement", refuse)
+    monkeypatch.setattr(ScaleDigitSystem, "vanishing_orders", property(refuse))
+    system = ScaleDigitSystem(30, tuple(range(30)))
+    message = "|D| = 30 has 3 distinct prime factors; the construction covers at most two"
+    for build in (construct_spectrum_set, find_modulus_l):
+        with pytest.raises(PreconditionError) as caught:
+            build(system)
+        assert str(caught.value) == message
 
 
-def test_prime_power_sets_consistency_guard():
-    # |D| = 4 needs two dividing powers of 2, but only Phi_2 divides here
-    with pytest.raises(ConsistencyError):
-        prime_power_sets((0, 1, 2, 5), 4)
+@pytest.mark.parametrize(
+    "digits,modulus",
+    [
+        ((0, 96), 200),  # (T1): Phi_2, Phi_4 and Phi_8 each leave 1 + z^96 at 2
+        ((0, 1, 2, 5), 4),  # (T1): |D| = 4 needs two powers of 2, only Phi_2 divides
+        ((0, 1, 2, 3, 5, 7), 12),  # (T2): Phi_4 and Phi_3 divide, Phi_12 does not
+    ],
+)
+def test_is_complementing_refutes_without_a_search(monkeypatch, digits, modulus):
+    def refuse(digs, modulus):
+        raise AssertionError("a refuted set was searched")
+
+    monkeypatch.setattr(tiling, "_search_complement", refuse)
+    assert is_complementing(digits, modulus) is None
+
+
+def test_is_complementing_searches_three_primes(monkeypatch):
+    calls = []
+    search = tiling._search_complement
+
+    def counting(digs, modulus):
+        calls.append(modulus)
+        return search(digs, modulus)
+
+    monkeypatch.setattr(tiling, "_search_complement", counting)
+    assert is_complementing(tuple(range(30)), 30) == (0,)
+    assert calls == [30]
 
 
 @pytest.mark.parametrize("scale,digits,expected_s", CONSTRUCTION_CASES)
@@ -245,11 +279,11 @@ def test_construction_above_former_cache_limit():
 
 
 def test_complement_search_budget(monkeypatch):
-    # {0, 96} is no tile mod 200 (v_2(96) = 5 >= v_2(200) = 3), yet the
-    # backtracking explores exponentially many partial covers
+    # {0, 13} tiles Z_48, yet the backtracking places many partial covers
+    # before it finds the complement
     monkeypatch.setattr(tiling, "LAMBDA_BUDGET", 1000)
-    with pytest.raises(BudgetExceededError, match=r"mod L = 200 for \|D\| = 2 .* 1000 placed"):
-        is_complementing((0, 96), 200)
+    with pytest.raises(BudgetExceededError, match=r"mod L = 48 for \|D\| = 2 .* 1000 placed"):
+        is_complementing((0, 13), 48)
     # a search may place exactly the budget, not one translate more
     assert is_complementing((0, 1), 2000) == tuple(range(0, 2000, 2))
     with pytest.raises(BudgetExceededError):
@@ -270,6 +304,18 @@ def test_failed_complement_searches_hold_only_what_they_cover():
     assert peak < 100 * 1024, peak
 
 
+def test_complement_search_frames_stay_small():
+    # one (u, index) frame per chosen translate; a frame holding an
+    # iterator over a fresh sorted list peaked at about 5.8 MB here
+    tracemalloc.start()
+    try:
+        assert is_complementing((0, 1), 20000) == tuple(range(0, 20000, 2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 1024 * 1024, peak
+
+
 def reference_construct_spectrum_set(system):
     """The former construction, kept as the reference: L through a radical
     filter over every divisor of |N|, E as sums of Fractions a/p^k, and
@@ -286,22 +332,7 @@ def reference_construct_spectrum_set(system):
             "digit set is not complementing modulo any admissible divisor of N"
         )
     modulus_l, complement = found
-    size_factors = factorize(system.size)
-    if len(size_factors) > 2:
-        raise PreconditionError(
-            f"|D| = {system.size} has {len(size_factors)} distinct prime factors; "
-            "the construction covers at most two"
-        )
-    groups = []
-    for p, alpha in sorted(size_factors.items()):
-        cap = factorize(modulus_l).get(p, 0)
-        powers = tuple(p**k for k in range(1, cap + 1) if order_vanishes(system.digits, p**k))
-        if len(powers) != alpha:
-            raise ConsistencyError(
-                f"expected {alpha} dividing powers of {p} below {p}**{cap}, found {powers}"
-            )
-        groups.append(powers)
-    groups += [()] * (2 - len(groups))
+    groups = prime_power_sets(system.digits, modulus_l)
 
     def combinations(powers):
         if not powers:
@@ -354,9 +385,15 @@ def test_integer_construction_matches_fraction_reference():
                 assert outcome(construct_spectrum_set, system) == expected, system
                 built += not isinstance(expected, tuple)
     assert built > 500
-    # three primes in |D|, once complementing and once not
+    # three primes in |D|, once complementing and once not: the reference
+    # searched first and so refused the second as no tile, while the
+    # construction refuses both before any work
     for scale, digits in [(30, tuple(range(30))), (-90, tuple(range(0, 60, 2)))]:
-        system = ScaleDigitSystem(scale, digits)
-        assert outcome(construct_spectrum_set, system) == outcome(
-            reference_construct_spectrum_set, system
+        assert outcome(construct_spectrum_set, ScaleDigitSystem(scale, digits)) == (
+            PreconditionError,
+            "|D| = 30 has 3 distinct prime factors; the construction covers at most two",
         )
+    assert outcome(reference_construct_spectrum_set, ScaleDigitSystem(-90, tuple(range(0, 60, 2)))) == (
+        PreconditionError,
+        "digit set is not complementing modulo any admissible divisor of N",
+    )
