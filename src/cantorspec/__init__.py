@@ -12,6 +12,7 @@ from .compat import (
     SEARCH_BUDGET,
     CompatibilityCertificate,
     is_compatible,
+    lambda_enumerate,
     pair_power,
     reduce_s,
     search_candidate_s,
@@ -24,22 +25,21 @@ from .decide import (
     CanonicalForm,
     SpectralityReport,
     SpectrumVerdict,
+    attractor_bounds,
     canonicalize_digits,
     decide_spectrum,
     report_measure_spectrality,
     verify_witness,
 )
 from .kernel import (
-    LAMBDA_BUDGET,
     TruncatedProduct,
-    attractor_bounds,
-    lambda_enumerate,
     mu_hat,
     q_eval_with_bound,
     transfer_residual,
 )
 from .systems import (
     DEFAULT_POLICY,
+    LAMBDA_BUDGET,
     BudgetExceededError,
     ConsistencyError,
     PreconditionError,

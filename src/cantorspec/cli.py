@@ -21,6 +21,7 @@ from .systems import (
     ScaleDigitSystem,
     SpectrumCandidate,
     TruncationPolicy,
+    _check_slice_budget,
 )
 
 EXIT_OK = 0
@@ -265,14 +266,14 @@ def _run_measure(args):
     if args.action == "lambda":
         if any(args.s):  # s*(N^depth - 1)/(N - 1) is in the slice, at least |N|^(depth-2)
             _refuse_past_digit_limit(args.n, args.depth - 2)
-        elements = kernel.lambda_enumerate(args.n, _candidate(args), args.depth)
+        elements = compat.lambda_enumerate(args.n, _candidate(args), args.depth)
         return {"scale": args.n, "depth": args.depth, "elements": list(elements)}
     system = _system(args)
     candidate = _candidate(args)
     policy = _policy(args)
     if args.grid < 1:
         raise PreconditionError(f"grid must have at least one point, got {args.grid}")
-    kernel._check_slice_budget(candidate.size, policy.depth, args.grid)  # before the first point
+    _check_slice_budget(candidate.size, policy.depth, args.grid)  # before the first point
     rows = []
     for i in range(args.grid):
         xi = i / args.grid

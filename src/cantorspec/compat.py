@@ -28,13 +28,14 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .arith import factorize
-from .kernel import LAMBDA_BUDGET, lambda_enumerate
 from .systems import (
+    LAMBDA_BUDGET,
     BudgetExceededError,
     ConsistencyError,
     PreconditionError,
     ScaleDigitSystem,
     SpectrumCandidate,
+    _check_slice_budget,
 )
 
 #: Most candidate sets `search_candidate_s` returns; one more raises
@@ -132,7 +133,8 @@ def search_candidate_s(system: ScaleDigitSystem) -> list[SpectrumCandidate]:
 
 def _window_candidates(system: ScaleDigitSystem) -> Iterator[SpectrumCandidate]:
     """The candidates of `search_candidate_s` in the same order, one at a
-    time, for |N| >= 3."""
+    time, for |N| >= 2; at |N| = 2 the window is {0}, so only |D| = 1
+    yields one, (0,)."""
     m = system.modulus
     pattern = _zero_pattern(system.vanishing_orders, m)
     low = 2 - m  # bit x of a window bitset stands for the integer low + x
@@ -175,6 +177,29 @@ def reduce_s(scale: int, candidate: SpectrumCandidate) -> SpectrumCandidate:
     return SpectrumCandidate(tuple(r if r <= m - 2 else r - m for r in residues))
 
 
+def lambda_enumerate(
+    scale: int,
+    candidate: SpectrumCandidate,
+    depth: int,
+) -> tuple[int, ...]:
+    """The depth-slice of the candidate spectrum, sorted and deduplicated.
+
+    Returns { sum_{j=0}^{depth-1} s_j * N^j : s_j in S }.  Slices use
+    exactly `depth` digit positions including trailing zeros, so with
+    0 in S they are nested as depth grows and exhaust the full spectrum
+    in the limit.
+    """
+    if not isinstance(scale, int) or abs(scale) < 2:
+        raise PreconditionError(f"scale must be an integer with |N| >= 2, got {scale!r}")
+    if not isinstance(depth, int) or depth < 1:
+        raise PreconditionError(f"depth must be a positive integer, got {depth!r}")
+    _check_slice_budget(candidate.size, depth)
+    values = {0}
+    for _ in range(depth):  # Horner: the digit added last is s_0
+        values = {s + scale * v for v in values for s in candidate.elements}
+    return tuple(sorted(values))
+
+
 def pair_power(
     system: ScaleDigitSystem,
     candidate: SpectrumCandidate,
@@ -193,11 +218,12 @@ def pair_power(
     if is_compatible(system, candidate) is None:
         raise PreconditionError("pair powers are defined for compatible pairs only")
     size = system.size  # both slices have size^k points: compatible sets differ mod N
-    pairs = None if size > 1 and k >= LAMBDA_BUDGET.bit_length() else math.comb(size**k, 2)
-    if pairs is None or pairs > LAMBDA_BUDGET:
-        count = f"C({size}^{k}, 2)" + ("" if pairs is None else f" = {pairs}")
+    _check_slice_budget(size, k)
+    pairs = math.comb(size**k, 2)
+    if pairs > LAMBDA_BUDGET:
         raise BudgetExceededError(
-            f"the re-check of the power-{k} pair tests {count} pairs, over the budget {LAMBDA_BUDGET}"
+            f"the re-check of the power-{k} pair tests C({size}^{k}, 2) = {pairs} pairs, "
+            f"over the budget {LAMBDA_BUDGET}"
         )
     digits_k = lambda_enumerate(system.scale, SpectrumCandidate(system.digits), k)
     elements_k = lambda_enumerate(system.scale, candidate, k)

@@ -12,7 +12,12 @@ because the left side evaluates the digit polynomial at a primitive b-th
 root of unity, whose minimal polynomial over the rationals is Phi_b.  The
 answer depends on the order b alone, not on a, so the zeros of the symbol
 mod |N| are decided by one test per divisor b of |N|: the vanishing orders
-of `ScaleDigitSystem.vanishing_orders`.
+of `ScaleDigitSystem.vanishing_orders`.  Few divisors are in the digits'
+reach: z^(-min D) * D(z) has degree s = max D - min D, so Phi_b dividing it
+forces phi(b) <= s, and each p^k exactly dividing b has p^(k-1)*(p-1) <= s.
+Only the primes p <= s + 1 of |N|, each capped at that k, are factorised;
+their product M, the part of |N| in reach, is the modulus the batch
+works in, and a single digit reaches M = 1.
 
 The test itself works at the radical.  Write b = k * rad(b).  Then
 Phi_b(z) = Phi_rad(z^k), and zeta_b^k is a primitive rad-th root of unity;
@@ -31,20 +36,21 @@ prime at a time (see `_squarefree_vanishes`), so no cyclotomic polynomial
 is ever built or divided by.  Sums are sparse {exponent: coefficient}
 dicts throughout.
 
-Most divisors of |N| are not vanishing orders, and `vanishing_orders`
+Most divisors of M are not vanishing orders, and `vanishing_orders`
 refutes those first with one evaluation in a finite field.  Take the
-first prime P = 1 + m*|N| and an R of order exactly |N| mod P (R = x^m
-for the first x with R^(|N|/q) != 1 for every prime q of |N|).  Then
-r = R^(|N|/b) has order b.  Since b divides P - 1, z^b - 1, the product
+first prime P = 1 + m*M and an R of order exactly M mod P (R = x^m for
+the first x with R^(M/q) != 1 for every prime q of M).  Then
+r = R^(M/b) has order b.  Since b divides P - 1, z^b - 1, the product
 of the Phi_e(z) over e | b, has b distinct roots mod P, and the roots of
 Phi_b are exactly the elements of order b: Phi_b(r) = 0 (mod P).  If
 Phi_b divides the integer polynomial sum_d z^(d mod b), the monic
-quotient has integer coefficients, so sum_d r^(d mod b) = 0 (mod P).  A nonzero sum therefore proves that b is not a
-vanishing order, in integers only; a zero sum (a vanishing order, or
-rarely a coincidence mod P) goes to the exact test, which alone answers
-yes.  P is proved prime by Miller-Rabin on the first 13 primes as bases,
-exact below psi_13 ~ 3.317e24 (`arith.PRIME_TEST_BOUND`); when no P is
-found below that bound within _FIELD_SEARCH multipliers m, every divisor
+quotient has integer coefficients, so sum_d r^(d mod b) = 0 (mod P).  A
+nonzero sum therefore proves that b is not a vanishing order, in
+integers only; a zero sum (a vanishing order, or rarely a coincidence
+mod P) goes to the exact test, which alone answers yes.  P is proved
+prime by Miller-Rabin on the first 13 primes as bases, exact below
+psi_13 ~ 3.317e24 (`arith.PRIME_TEST_BOUND`); when no P is found below
+that bound within _FIELD_SEARCH multipliers m, every divisor of M
 goes to the exact test.
 """
 
@@ -56,7 +62,7 @@ import math
 from .arith import PRIME_TEST_BOUND, divisors_from, factorize, is_prime
 from .systems import PreconditionError
 
-#: Multipliers m tried for the field prime P = 1 + m*|N| before the batch
+#: Multipliers m tried for the field prime P = 1 + m*M before the batch
 #: falls back to the exact test on every divisor.
 _FIELD_SEARCH = 1000
 
@@ -163,22 +169,35 @@ def _order_n_root(n: int, primes: list[int]) -> tuple[int, int] | None:
 def vanishing_orders(exponents, n: int) -> frozenset[int]:
     """The divisors b > 1 of n with Phi_b dividing sum_e z^e, in one batch.
 
-    n is factorised once.  Each divisor is first evaluated at an element
-    of order b in the field of `_order_n_root`; a nonzero sum refutes it
-    (see the module docstring), and the rest are decided by the exact
-    test.  The answer equals `order_vanishes` on every divisor.
+    Only the part of n that the exponents can reach is factorised (see
+    the module docstring), by one trial division.  Each of its divisors
+    is first evaluated at an element of order b in the field of
+    `_order_n_root`; a nonzero sum refutes it, and the rest are decided by
+    the exact test.  The answer equals `order_vanishes` on every divisor
+    of n.
     """
-    factors = factorize(n)
+    exps = tuple(exponents)
+    span = max(exps) - min(exps) if exps else n  # the empty sum vanishes everywhere
+    factors, rest, p = {}, n, 2
+    while p <= span + 1 and p * p <= rest:
+        while rest % p == 0:
+            rest //= p
+            if p ** factors.get(p, 0) * (p - 1) <= span:  # phi of one more power of p
+                factors[p] = factors.get(p, 0) + 1
+        p += 1
+    if 1 < rest <= span + 1:  # a prime: every smaller one is divided out
+        factors[rest] = 1
+    reach = math.prod(q**k for q, k in factors.items())
     primes = sorted(factors)
-    terms = [(e, 1) for e in exponents]
-    field = _order_n_root(n, primes)
+    terms = [(e, 1) for e in exps]
+    field = _order_n_root(reach, primes)
     if field is not None:
         p, root = field
-        residues = [e % n for e, _ in terms]  # r^n = 1 for every r below
+        residues = [e % reach for e, _ in terms]  # r^reach = 1 for every r below
     found = []
     for b in divisors_from(factors)[1:]:
         if field is not None:
-            r = pow(root, n // b, p)
+            r = pow(root, reach // b, p)
             if sum(pow(r, e, p) for e in residues) % p:
                 continue
         if _order_divides(terms, b, [q for q in primes if b % q == 0]):

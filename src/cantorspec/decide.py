@@ -14,16 +14,16 @@ verdict reports the integer range of H (dilated by the regression hook
 `range_factor`) as `searched`: no integer in it lies on a nonzero cycle or
 leads into one.  A negative verdict carries the witness cycle that a walk
 from the nonzero integers of that range, in increasing absolute value,
-reaches first.
+reaches first.  The hull is `attractor_bounds`, in exact rationals.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .compat import CompatibilityCertificate, _window_candidates, is_compatible
-from .kernel import attractor_bounds
 from .systems import (
     PreconditionError,
     RationalInterval,
@@ -55,6 +55,26 @@ def canonicalize_digits(digits) -> CanonicalForm:
     translated = tuple(d - offset for d in digs)
     factor = math.gcd(*translated) or 1
     return CanonicalForm(tuple(d // factor for d in translated), offset, factor)
+
+
+def attractor_bounds(scale: int, elements) -> RationalInterval:
+    """Exact rational enclosure of the attractor of x -> (x+s)/N over s.
+
+    [a/(N-1), b/(N-1)] for N > 0 and [(a+N*b)/(N^2-1), (b+N*a)/(N^2-1)] for
+    N < 0, where a and b are the smallest and largest elements.  The
+    interval is forward-invariant under every map, which is what the cycle
+    search relies on.
+    """
+    elems = tuple(elements)
+    if not elems:
+        raise PreconditionError("element set must be nonempty")
+    if not isinstance(scale, int) or abs(scale) < 2:
+        raise PreconditionError(f"scale must be an integer with |N| >= 2, got {scale!r}")
+    a, b = min(elems), max(elems)
+    if scale > 0:
+        return RationalInterval(Fraction(a, scale - 1), Fraction(b, scale - 1))
+    den = scale * scale - 1
+    return RationalInterval(Fraction(a + scale * b, den), Fraction(b + scale * a, den))
 
 
 @dataclass(frozen=True)
@@ -240,27 +260,19 @@ class SpectralityReport:
 def report_measure_spectrality(system: ScaleDigitSystem) -> SpectralityReport:
     """Canonicalize the digits, then search the window for a spectrum.
 
-    For |N| = 2 only the unit-interval digits {0, 1} (after
-    canonicalization) and the point mass {0} admit compatible candidates;
-    anything larger repeats residues mod 2 and is reported undecided.  For
-    |N| >= 3 the window candidates are generated one at a time in
-    deterministic order and the first spectral one is certified.  They are
-    compatible by construction, contain 0 and come with canonical digits,
-    so they go to the cycle search without `decide_spectrum`'s checks, and
-    only the spectral one is run through `is_compatible`, for its
-    certificate.
+    |N| = 2 with reduced digits {0, 1} is the unit interval.  Otherwise
+    the window candidates are generated one at a time in deterministic
+    order and the first spectral one is certified; at |N| = 2 the window
+    is {0}, so only the point mass {0} has one.  They are compatible by
+    construction, contain 0 and come with canonical digits, so they go to
+    the cycle search without `decide_spectrum`'s checks, and only the
+    spectral one is run through `is_compatible`, for its certificate.
     """
     canon = canonicalize_digits(system.digits)
+    if system.modulus == 2 and canon.reduced_digits == (0, 1):
+        return SpectralityReport(STATUS_UNIT_INTERVAL, system.scale, canon)
     reduced = ScaleDigitSystem(system.scale, canon.reduced_digits)
-    if system.modulus == 2:
-        if canon.reduced_digits == (0, 1):
-            return SpectralityReport(STATUS_UNIT_INTERVAL, system.scale, canon)
-        if canon.reduced_digits != (0,):
-            return SpectralityReport(STATUS_UNKNOWN, system.scale, canon)
-        candidates = [SpectrumCandidate((0,))]
-    else:
-        candidates = _window_candidates(reduced)
-    for cand in candidates:
+    for cand in _window_candidates(reduced):
         verdict = _cycle_verdict(reduced, cand, 1)
         if verdict.spectral:
             certificate = is_compatible(reduced, cand)

@@ -1,11 +1,11 @@
 """Numeric diagnostics for a scale/digit system.
 
-This module houses the analytic objects: the Fourier transform of the
-self-similar measure as a truncated infinite product with a guaranteed tail
-bound, the finite-depth slices of the candidate spectrum, the exact
-rational enclosure of the attractor, and the completeness sum Q.
-Nothing here carries a verdict; the exact decisions live in `compat`,
-`decide` and `tiling`, and these functions corroborate them numerically.
+This module houses the analytic objects, all in floats: the Fourier
+transform of the self-similar measure as a truncated infinite product with
+a guaranteed tail bound, and the completeness sum Q over a slice of the
+candidate spectrum.  Nothing here carries a verdict; the exact decisions,
+the slices and the attractor's hull live in `compat`, `decide` and
+`tiling`, and these functions corroborate them numerically.
 
 Q needs only |mu_hat|^2, so its factors are real:
 |m_D(eta)|^2 = 1 - (4/|D|^2) * sum_k c_k sin^2(pi*k*eta), with c_k the
@@ -43,21 +43,15 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .systems import (
     DEFAULT_POLICY,
-    BudgetExceededError,
     PreconditionError,
-    RationalInterval,
     ScaleDigitSystem,
     SpectrumCandidate,
     TruncationPolicy,
+    _check_slice_budget,
 )
-
-#: Hard ceiling on the number of points a spectrum slice (or a pair power's
-#: Minkowski sum) may enumerate, read at call time.
-LAMBDA_BUDGET = 1_000_000
 
 _TWO_PI = 2.0 * math.pi
 
@@ -182,61 +176,6 @@ def mu_hat(system: ScaleDigitSystem, xi, policy: TruncationPolicy = DEFAULT_POLI
         if abs(value) < cutoff:
             return TruncatedProduct(value, abs(value) * (2.0 + tail_bound), j)
     return TruncatedProduct(value, tail_bound, j_stop)
-
-
-def attractor_bounds(scale: int, elements) -> RationalInterval:
-    """Exact rational enclosure of the attractor of x -> (x+s)/N over s.
-
-    [a/(N-1), b/(N-1)] for N > 0 and [(a+N*b)/(N^2-1), (b+N*a)/(N^2-1)] for
-    N < 0, where a and b are the smallest and largest elements.  The
-    interval is forward-invariant under every map, which is what the cycle
-    search relies on.
-    """
-    elems = tuple(elements)
-    if not elems:
-        raise PreconditionError("element set must be nonempty")
-    if not isinstance(scale, int) or abs(scale) < 2:
-        raise PreconditionError(f"scale must be an integer with |N| >= 2, got {scale!r}")
-    a, b = min(elems), max(elems)
-    if scale > 0:
-        return RationalInterval(Fraction(a, scale - 1), Fraction(b, scale - 1))
-    den = scale * scale - 1
-    return RationalInterval(Fraction(a + scale * b, den), Fraction(b + scale * a, den))
-
-
-def _check_slice_budget(size: int, depth: int, grid: int = 1) -> None:
-    """Refuse |S|^depth slice points, times `grid` Q points, past the budget.
-
-    With |S| >= 2 the power passes the budget once depth reaches the
-    budget's bit length, so a huge depth is refused without building it.
-    """
-    work = None if size > 1 and depth >= LAMBDA_BUDGET.bit_length() else size**depth * grid
-    if work is None or work > LAMBDA_BUDGET:
-        what = f"|S|^depth = {size}^{depth}"
-        if grid != 1:
-            what = f"|S|^depth * grid = {size}^{depth} * {grid}" + ("" if work is None else f" = {work}")
-        raise BudgetExceededError(f"{what} exceeds the enumeration budget {LAMBDA_BUDGET}")
-
-
-def lambda_enumerate(
-    scale: int,
-    candidate: SpectrumCandidate,
-    depth: int,
-) -> tuple[int, ...]:
-    """The depth-slice of the candidate spectrum, sorted and deduplicated.
-
-    Returns { sum_{j=0}^{depth-1} s_j * N^j : s_j in S }.  Slices use
-    exactly `depth` digit positions including trailing zeros, so with
-    0 in S they are nested as depth grows and exhaust the full spectrum
-    in the limit.
-    """
-    if not isinstance(depth, int) or depth < 1:
-        raise PreconditionError(f"depth must be a positive integer, got {depth!r}")
-    _check_slice_budget(candidate.size, depth)
-    values = {0}
-    for _ in range(depth):  # Horner: the digit added last is s_0
-        values = {s + scale * v for v in values for s in candidate.elements}
-    return tuple(sorted(values))
 
 
 def q_eval_with_bound(

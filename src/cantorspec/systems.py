@@ -1,4 +1,5 @@
-"""Value types shared across the library, plus its error hierarchy.
+"""Value types shared across the library, plus its error hierarchy and
+the enumeration budget that the exact layers share.
 
 Everything here is immutable.  Systems and candidate sets normalize their
 element lists to sorted tuples at construction time and validate the
@@ -24,6 +25,25 @@ class PreconditionError(ValueError):
 
 class BudgetExceededError(RuntimeError):
     """An enumeration would exceed its configured size budget."""
+
+
+#: Hard ceiling on the number of points a spectrum slice (or a pair power's
+#: Minkowski sum) may enumerate, read at call time.
+LAMBDA_BUDGET = 1_000_000
+
+
+def _check_slice_budget(size: int, depth: int, grid: int = 1) -> None:
+    """Refuse |S|^depth slice points, times `grid` Q points, past the budget.
+
+    With |S| >= 2 the power passes the budget once depth reaches the
+    budget's bit length, so a huge depth is refused without building it.
+    """
+    work = None if size > 1 and depth >= LAMBDA_BUDGET.bit_length() else size**depth * grid
+    if work is None or work > LAMBDA_BUDGET:
+        what = f"|S|^depth = {size}^{depth}"
+        if grid != 1:
+            what = f"|S|^depth * grid = {size}^{depth} * {grid}" + ("" if work is None else f" = {work}")
+        raise BudgetExceededError(f"{what} exceeds the enumeration budget {LAMBDA_BUDGET}")
 
 
 class ConsistencyError(RuntimeError):

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from .arith import factorize
 from .compat import CompatibilityCertificate, is_compatible
 from .cyclotomic import order_vanishes
-from .kernel import LAMBDA_BUDGET
 from .systems import (
+    LAMBDA_BUDGET,
     BudgetExceededError,
     ConsistencyError,
     PreconditionError,

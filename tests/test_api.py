@@ -84,3 +84,19 @@ def test_runtime_imports_only_the_standard_library():
                 continue
             for root in roots:
                 assert root == "cantorspec" or root in sys.stdlib_module_names, (path.name, root)
+
+
+def package_imports(path):
+    """The package modules that a source file imports relatively."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.update([node.module] if node.module else [alias.name for alias in node.names])
+    return found
+
+
+def test_only_the_entry_points_import_the_float_kernel():
+    # the verdict path stays exact: the kernel corroborates, it never feeds a decision
+    importers = {path.stem for path in PACKAGE_DIR.glob("*.py") if "kernel" in package_imports(path)}
+    assert importers == {"cli", "__init__"}
+    assert package_imports(PACKAGE_DIR / "kernel.py") == {"systems"}

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from cantorspec import compat, kernel, tiling
-from cantorspec.cli import main
+from cantorspec.cli import METHOD_COMPAT, main
 
 
 def run(capsys, *argv):
@@ -178,6 +178,8 @@ def test_precondition_violation_exits_two(capsys):
         ["spectrum", "decide", "--n", "1", "--digits", "0,1", "--s", "0,2"],
         ["compat", "power", "--n", "4", "--digits", "0,1", "--s", "0,2", "--k", "0"],
         ["measure", "lambda", "--n", "4", "--s", "0,1,2", "--depth", "40"],
+        ["measure", "lambda", "--n", "1", "--s", "0,1", "--depth", "3"],
+        ["measure", "lambda", "--n", "0", "--s", "0,1", "--depth", "3"],
         ["measure", "lambda", "--n", "4", "--s", "5", "--depth", "8000"],  # past the str() digit limit
         ["measure", "lambda", "--n", "4", "--s", "5", "--depth", "40000"],
         ["compat", "power", "--n", "4", "--digits", "0", "--s", "5", "--k", "40000"],
@@ -193,6 +195,27 @@ def test_precondition_violation_exits_two(capsys):
         assert code == 2, argv
         assert out == ""
         assert err.startswith("precondition violated:")
+
+
+@pytest.mark.parametrize(
+    "argv,code,expected",
+    [
+        (["compat", "check", "--n", "10000000000000061", "--digits", "0,1", "--s", "0,1"], 0,
+         '{"certificate": null, "compatible": false, "method": "' + METHOD_COMPAT + '"}\n'),
+        (["compat", "check", "--n", "32589158477190044730", "--digits", "0,1", "--s", "0,1"], 0,
+         '{"certificate": null, "compatible": false, "method": "' + METHOD_COMPAT + '"}\n'),
+        (["tiling", "construct", "--n", "32589158477190044730", "--digits", "0,2"], 2, ""),
+    ],
+    ids=["prime-10^16+61", "16-primorial-check", "16-primorial-construct"],
+)
+def test_digits_reach_only_small_orders_of_a_huge_scale(capsys, argv, code, expected):
+    # {0, 1} reaches only the order 2 and {0, 2} only the divisors of 6, so |N|
+    # (a prime near 10^16, or the product of the first 16 primes with 65,536
+    # divisors) is trial-divided no further than 3
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (code, expected)
+    assert err == ("" if code == 0 else
+                   "precondition violated: digit set is not complementing modulo any admissible divisor of N\n")
 
 
 def test_tiling_check_refutes_a_non_tile_without_searching(capsys):
@@ -246,7 +269,6 @@ def test_digit_limit_exits_two_before_the_slice_is_built(capsys, monkeypatch, ar
     def refuse(*args, **kwargs):
         raise AssertionError("a slice was built past the digit estimate")
 
-    monkeypatch.setattr(kernel, "lambda_enumerate", refuse)
     monkeypatch.setattr(compat, "lambda_enumerate", refuse)
     code, out, err = run(capsys, *argv)
     assert code == 2

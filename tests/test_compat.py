@@ -338,7 +338,9 @@ def test_pair_power_factorizes_each_scale_once(monkeypatch):
     k = 300
     digits_k, elements_k = pair_power(ScaleDigitSystem(4, (0,)), SpectrumCandidate((5,)), k)
     assert digits_k == (0,) and elements_k == (5 * (4**k - 1) // 3,)
-    assert sorted(calls) == [4, 4**k]
+    # one digit reaches no order, so no scale needs a factorisation; at most
+    # each scale once, and never a divisor
+    assert len(calls) == len(set(calls)) and set(calls) <= {4, 4**k}
 
 
 def test_pair_power_preconditions():

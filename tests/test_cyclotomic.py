@@ -321,6 +321,26 @@ def test_vanishing_orders_batch_matches_order_vanishes_exhaustively():
                 assert cyclotomic_module.vanishing_orders(digits, n) == expected, (digits, n)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_vanishing_orders_keep_phi_p_and_drop_phi_p_squared_at_the_digit_reach(monkeypatch, p):
+    # D = {0, ..., p-1} has degree p - 1 = phi(p) < phi(p^2): Phi_p divides
+    # D(z) and sits exactly at the reach, so only the divisors of p are tried
+    reached = []
+    divisors_from = cyclotomic_module.divisors_from
+
+    def recording(factors):
+        reached.append(dict(factors))
+        return divisors_from(factors)
+
+    monkeypatch.setattr(cyclotomic_module, "divisors_from", recording)
+    digits = range(p)
+    for n in (p**3, p**2 * 11, p * 11 * 13):
+        expected = frozenset(b for b in divisors(n)[1:] if order_vanishes(digits, b))
+        assert expected == {p}
+        assert cyclotomic_module.vanishing_orders(digits, n) == expected, n
+    assert reached == [{p: 1}] * 3
+
+
 def test_vanishing_orders_ignore_the_sign_of_the_scale_and_take_negative_digits():
     for scale, digits in [(-12, (-5, -1, 3)), (-30, (-15, 0)), (-64, (-32, -16, 0, 16)), (-9, (-3, 0, 3))]:
         system = ScaleDigitSystem(scale, digits)
@@ -345,7 +365,7 @@ def test_field_root_has_order_exactly_n():
     [
         (10**30, 5 * 10**29, 2),  # 1 + m*10^30 is past the Miller-Rabin bound
         (4**2000, 2 * 4**1999, 2),
-        (10**24, 5, 4),  # only m <= 3 keeps P below the bound, and none is prime
+        (10**24, 5 * 10**23, 2),  # only m <= 3 keeps P below the bound, and none is prime
     ],
     ids=["10^30", "4^2000", "10^24"],
 )
