@@ -119,10 +119,7 @@ def search_candidate_s(system: ScaleDigitSystem) -> list[SpectrumCandidate]:
     SEARCH_BUDGET candidates raise BudgetExceededError.
     """
     if system.modulus < 3:
-        raise PreconditionError(
-            "the window [2-|N|, |N|-2] is degenerate for |N| = 2; "
-            "the measure-level report handles that case separately"
-        )
+        raise PreconditionError("the window [2-|N|, |N|-2] is degenerate for |N| = 2")
     found = list(itertools.islice(_window_candidates(system), SEARCH_BUDGET + 1))
     if len(found) > SEARCH_BUDGET:
         raise BudgetExceededError(

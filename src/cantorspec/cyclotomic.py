@@ -14,10 +14,9 @@ answer depends on the order b alone, not on a, so the zeros of the symbol
 mod |N| are decided by one test per divisor b of |N|: the vanishing orders
 of `ScaleDigitSystem.vanishing_orders`.  Few divisors are in the digits'
 reach: z^(-min D) * D(z) has degree s = max D - min D, so Phi_b dividing it
-forces phi(b) <= s, and each p^k exactly dividing b has p^(k-1)*(p-1) <= s.
-Only the primes p <= s + 1 of |N|, each capped at that k, are factorised;
-their product M, the part of |N| in reach, is the modulus the batch
-works in, and a single digit reaches M = 1.
+forces phi(b) <= s.  Only the primes p <= s + 1 of |N| are trial-divided
+out, and only the divisors b of |N| with phi(b) <= s are tested; a single
+digit reaches none.
 
 The test itself works at the radical.  Write b = k * rad(b).  Then
 Phi_b(z) = Phi_rad(z^k), and zeta_b^k is a primitive rad-th root of unity;
@@ -35,36 +34,13 @@ are equal.  At a squarefree index the same basis argument is applied one
 prime at a time (see `_squarefree_vanishes`), so no cyclotomic polynomial
 is ever built or divided by.  Sums are sparse {exponent: coefficient}
 dicts throughout.
-
-Most divisors of M are not vanishing orders, and `vanishing_orders`
-refutes those first with one evaluation in a finite field.  Take the
-first prime P = 1 + m*M and an R of order exactly M mod P (R = x^m for
-the first x with R^(M/q) != 1 for every prime q of M).  Then
-r = R^(M/b) has order b.  Since b divides P - 1, z^b - 1, the product
-of the Phi_e(z) over e | b, has b distinct roots mod P, and the roots of
-Phi_b are exactly the elements of order b: Phi_b(r) = 0 (mod P).  If
-Phi_b divides the integer polynomial sum_d z^(d mod b), the monic
-quotient has integer coefficients, so sum_d r^(d mod b) = 0 (mod P).  A
-nonzero sum therefore proves that b is not a vanishing order, in
-integers only; a zero sum (a vanishing order, or rarely a coincidence
-mod P) goes to the exact test, which alone answers yes.  P is proved
-prime by Miller-Rabin on the first 13 primes as bases, exact below
-psi_13 ~ 3.317e24 (`arith.PRIME_TEST_BOUND`); when no P is found below
-that bound within _FIELD_SEARCH multipliers m, every divisor of M
-goes to the exact test.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
-from .arith import PRIME_TEST_BOUND, divisors_from, factorize, is_prime
 from .systems import PreconditionError
-
-#: Multipliers m tried for the field prime P = 1 + m*M before the batch
-#: falls back to the exact test on every divisor.
-_FIELD_SEARCH = 1000
 
 
 def _squarefree_vanishes(terms: dict[int, int], n: int, primes: list[int]) -> bool:
@@ -78,25 +54,24 @@ def _squarefree_vanishes(terms: dict[int, int], n: int, primes: list[int]) -> bo
     is Phi_p, whose only linear relation among 1, omega, ..., omega^(p-1)
     is their plain sum, so the sum vanishes exactly when every R_u(eta) is
     the same number: each R_u - R_ref vanishes at eta, tested recursively.
-    Taking the class with fewest terms as R_ref keeps sparse sums sparse,
-    and dropping the zero coefficients of each difference ends the
-    recursion as soon as a difference cancels, so a vanishing sum is not
-    followed through about phi(n) all-zero differences.
+    Only the occupied classes are built.  An empty class makes R_ref = 0;
+    otherwise the class with fewest terms is R_ref, which keeps sparse
+    sums sparse.  Dropping the zero coefficients of each difference ends
+    the recursion as soon as a difference cancels, so a vanishing sum is
+    not followed through about phi(n) all-zero differences.
     """
-    if not terms:
-        return True
-    if not primes:
-        return sum(terms.values()) == 0
+    if len(terms) <= 1:  # c*zeta^t vanishes only when c = 0
+        return not any(terms.values())
     p = primes[-1]
     m = n // p
     inv_m, inv_p = pow(m, -1, p), pow(p, -1, m)
-    classes: list[dict[int, int]] = [{} for _ in range(p)]
+    classes: dict[int, dict[int, int]] = {}
     for t, c in terms.items():
-        cls = classes[t * inv_m % p]
+        cls = classes.setdefault(t * inv_m % p, {})
         v = t * inv_p % m
         cls[v] = cls.get(v, 0) + c
-    ref = min(classes, key=len)
-    for cls in classes:
+    ref = min(classes.values(), key=len) if len(classes) == p else {}
+    for cls in classes.values():
         if cls is ref:
             continue
         diff = dict(cls)
@@ -134,8 +109,8 @@ def order_vanishes(exponents, b: int) -> bool:
     every primitive b-th root of unity zeta.
 
     Exponents are any integers and are counted with repetition; the empty
-    sum vanishes.  This is the library's one public vanishing test, on
-    the same exact path as a system's vanishing orders; `is_complementing`
+    sum vanishes.  This is the library's one public vanishing test, the
+    batch of `vanishing_orders` asked about b alone; `is_complementing`
     asks it for the (T1) and (T2) orders of a modulus.
 
     >>> order_vanishes((0, 1, 8, 9), 16)
@@ -145,61 +120,48 @@ def order_vanishes(exponents, b: int) -> bool:
     """
     if not isinstance(b, int) or b < 1:
         raise PreconditionError(f"root order must be a positive integer, got {b!r}")
-    return _order_divides(((e, 1) for e in exponents), b, sorted(factorize(b)))
+    exps = tuple(exponents)
+    return not exps or b > 1 and b in vanishing_orders(exps, b)
 
 
-def _order_n_root(n: int, primes: list[int]) -> tuple[int, int] | None:
-    """(P, R) with P = 1 + m*n the first prime for m <= _FIELD_SEARCH and R of
-    order exactly n mod P, or None when no such P lies below
-    PRIME_TEST_BOUND; `primes` are the primes of n."""
-    for m in range(1, _FIELD_SEARCH + 1):
-        p = 1 + m * n
-        if p >= PRIME_TEST_BOUND:
-            return None
-        if is_prime(p):
-            break
-    else:
-        return None
-    for x in itertools.count(2):  # ends: any generator of the cyclic group works
-        root = pow(x, m, p)
-        if all(pow(root, n // q, p) != 1 for q in primes):
-            return p, root
+def _orders_in_reach(n: int, span: int) -> list[tuple[int, list[int]]]:
+    """(b, primes of b) for the divisors b > 1 of n with phi(b) <= span,
+    ascending; n is trial-divided by the primes p <= span + 1 only, since
+    every p of such a b has p - 1 <= phi(b)."""
+    factors, rest, p = [], n, 2
+    while p <= span + 1 and p * p <= rest:
+        k = 0
+        while rest % p == 0:
+            rest //= p
+            k += 1
+        if k:
+            factors.append((p, k))
+        p += 1
+    if 1 < rest <= span + 1:  # a prime: every smaller one is divided out
+        factors.append((rest, 1))
+    orders = [(1, 1, [])]  # (b, phi(b), primes of b)
+    for p, k in factors:
+        grown = []
+        for b, phi, primes in orders:
+            phi *= p - 1
+            for _ in range(k):
+                if phi > span:
+                    break
+                b *= p
+                grown.append((b, phi, [*primes, p]))
+                phi *= p
+        orders += grown
+    return sorted((b, primes) for b, _, primes in orders[1:])
 
 
 def vanishing_orders(exponents, n: int) -> frozenset[int]:
     """The divisors b > 1 of n with Phi_b dividing sum_e z^e, in one batch.
 
-    Only the part of n that the exponents can reach is factorised (see
-    the module docstring), by one trial division.  Each of its divisors
-    is first evaluated at an element of order b in the field of
-    `_order_n_root`; a nonzero sum refutes it, and the rest are decided by
-    the exact test.  The answer equals `order_vanishes` on every divisor
-    of n.
+    Only the divisors in the exponents' reach, phi(b) <= max - min (see
+    the module docstring), are decided, each by the exact test; the part
+    of n past the reach is never factorised.
     """
     exps = tuple(exponents)
     span = max(exps) - min(exps) if exps else n  # the empty sum vanishes everywhere
-    factors, rest, p = {}, n, 2
-    while p <= span + 1 and p * p <= rest:
-        while rest % p == 0:
-            rest //= p
-            if p ** factors.get(p, 0) * (p - 1) <= span:  # phi of one more power of p
-                factors[p] = factors.get(p, 0) + 1
-        p += 1
-    if 1 < rest <= span + 1:  # a prime: every smaller one is divided out
-        factors[rest] = 1
-    reach = math.prod(q**k for q, k in factors.items())
-    primes = sorted(factors)
     terms = [(e, 1) for e in exps]
-    field = _order_n_root(reach, primes)
-    if field is not None:
-        p, root = field
-        residues = [e % reach for e, _ in terms]  # r^reach = 1 for every r below
-    found = []
-    for b in divisors_from(factors)[1:]:
-        if field is not None:
-            r = pow(root, reach // b, p)
-            if sum(pow(r, e, p) for e in residues) % p:
-                continue
-        if _order_divides(terms, b, [q for q in primes if b % q == 0]):
-            found.append(b)
-    return frozenset(found)
+    return frozenset(b for b, primes in _orders_in_reach(n, span) if _order_divides(terms, b, primes))

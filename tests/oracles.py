@@ -26,7 +26,7 @@ import cmath
 import math
 from fractions import Fraction
 
-from cantorspec.arith import divisors_from, factorize
+from cantorspec.arith import factorize
 from cantorspec.cyclotomic import _order_divides, order_vanishes
 from cantorspec.systems import ConsistencyError, PreconditionError
 
@@ -34,6 +34,15 @@ from cantorspec.systems import ConsistencyError, PreconditionError
 def radical(n: int) -> int:
     """Product of the distinct primes dividing n; radical(1) = 1."""
     return math.prod(factorize(n))
+
+
+def divisors_from(factors: dict[int, int]) -> list[int]:
+    """All positive divisors of the integer with the given {p: exponent}
+    factorization, ascending."""
+    found = [1]
+    for p, e in factors.items():
+        found = [d * p**i for d in found for i in range(e + 1)]
+    return sorted(found)
 
 
 def divisors(n: int) -> list[int]:

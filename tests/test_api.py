@@ -100,3 +100,31 @@ def test_only_the_entry_points_import_the_float_kernel():
     importers = {path.stem for path in PACKAGE_DIR.glob("*.py") if "kernel" in package_imports(path)}
     assert importers == {"cli", "__init__"}
     assert package_imports(PACKAGE_DIR / "kernel.py") == {"systems"}
+
+
+def test_every_private_name_is_used():
+    # a top-level function, class or constant outside __all__ must be named
+    # in code on some other line of the package; comments and docstrings
+    # do not count, so a helper whose last caller is gone is flagged
+    defined, named = [], set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((node.name, path.name, node.lineno))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(t.id, path.name, node.lineno) for t in targets if isinstance(t, ast.Name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add((node.id, path.name, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                named.add((node.attr, path.name, node.lineno))
+    dead = [
+        (name, file)
+        for name, file, line in defined
+        if not (name.startswith("__") and name.endswith("__"))
+        and name not in cantorspec.__all__
+        and not any(n == name and (f, l) != (file, line) for n, f, l in named)
+    ]
+    assert dead == []

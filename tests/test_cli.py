@@ -205,13 +205,18 @@ def test_precondition_violation_exits_two(capsys):
         (["compat", "check", "--n", "32589158477190044730", "--digits", "0,1", "--s", "0,1"], 0,
          '{"certificate": null, "compatible": false, "method": "' + METHOD_COMPAT + '"}\n'),
         (["tiling", "construct", "--n", "32589158477190044730", "--digits", "0,2"], 2, ""),
+        (["compat", "check", "--n", "32589158477190044730",
+          "--digits", ",".join(str(d) for d in range(0, 60, 2)),
+          "--s", ",".join(str(s) for s in range(30))], 0,
+         '{"certificate": null, "compatible": false, "method": "' + METHOD_COMPAT + '"}\n'),
     ],
-    ids=["prime-10^16+61", "16-primorial-check", "16-primorial-construct"],
+    ids=["prime-10^16+61", "16-primorial-check", "16-primorial-construct", "16-primorial-wide-digits"],
 )
 def test_digits_reach_only_small_orders_of_a_huge_scale(capsys, argv, code, expected):
     # {0, 1} reaches only the order 2 and {0, 2} only the divisors of 6, so |N|
     # (a prime near 10^16, or the product of the first 16 primes with 65,536
-    # divisors) is trial-divided no further than 3
+    # divisors) is trial-divided no further than 3; 30 even digits (s = 58)
+    # reach all 16 primes but only the 55 divisors with phi(b) <= 58
     got, out, err = run(capsys, *argv)
     assert (got, out) == (code, expected)
     assert err == ("" if code == 0 else

@@ -18,7 +18,6 @@ from cantorspec import (
     search_candidate_s,
 )
 from cantorspec import arith
-from cantorspec import cyclotomic as cyclotomic_module
 from oracles import symbol_eval, zero_residues
 
 CERTIFIED_PAIRS = [
@@ -334,7 +333,6 @@ def test_pair_power_factorizes_each_scale_once(monkeypatch):
         return factorize(n)
 
     monkeypatch.setattr(arith, "factorize", counting)
-    monkeypatch.setattr(cyclotomic_module, "factorize", counting)
     k = 300
     digits_k, elements_k = pair_power(ScaleDigitSystem(4, (0,)), SpectrumCandidate((5,)), k)
     assert digits_k == (0,) and elements_k == (5 * (4**k - 1) // 3,)

@@ -2,6 +2,7 @@ import cmath
 import functools
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from cantorspec import PreconditionError, ScaleDigitSystem, order_vanishes
 from cantorspec import cyclotomic as cyclotomic_module
-from cantorspec.arith import PRIME_TEST_BOUND, factorize, is_prime
+from cantorspec.arith import factorize
 from oracles import (
     IntPolynomial,
     cyclotomic,
@@ -311,34 +312,46 @@ def test_order_vanishes_at_every_divisor_of_a_primorial(n, digits):
 
 
 def test_vanishing_orders_batch_matches_order_vanishes_exhaustively():
-    # every D in [-4, 10) with |D| <= 3 at every n <= 64, the exact answer
-    # decided once per order b
+    # every D in [-4, 10) with |D| <= 3 at every n <= 64, against long
+    # division by the explicitly built Phi_b, decided once per order b
     for size in (1, 2, 3):
         for digits in itertools.combinations(range(-4, 10), size):
-            exact = frozenset(b for b in range(2, 65) if order_vanishes(digits, b))
+            exact = frozenset(b for b in range(2, 65) if reference_vanishes(digits, b))
             for n in range(2, 65):
                 expected = frozenset(b for b in exact if n % b == 0)
                 assert cyclotomic_module.vanishing_orders(digits, n) == expected, (digits, n)
 
 
+def record_exact_tests(monkeypatch):
+    """Replace `_order_divides` with a wrapper that records each order b."""
+    tested = []
+    divides = cyclotomic_module._order_divides
+
+    def recording(terms, b, primes):
+        tested.append(b)
+        return divides(terms, b, primes)
+
+    monkeypatch.setattr(cyclotomic_module, "_order_divides", recording)
+    return tested
+
+
+def totient(b, primes):
+    """phi(b) for b whose primes are among the given ones."""
+    ours = [p for p in primes if b % p == 0]
+    return b // math.prod(ours) * math.prod(p - 1 for p in ours)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_vanishing_orders_keep_phi_p_and_drop_phi_p_squared_at_the_digit_reach(monkeypatch, p):
     # D = {0, ..., p-1} has degree p - 1 = phi(p) < phi(p^2): Phi_p divides
-    # D(z) and sits exactly at the reach, so only the divisors of p are tried
-    reached = []
-    divisors_from = cyclotomic_module.divisors_from
-
-    def recording(factors):
-        reached.append(dict(factors))
-        return divisors_from(factors)
-
-    monkeypatch.setattr(cyclotomic_module, "divisors_from", recording)
+    # D(z) and sits exactly at the reach, so only the order p is tested
     digits = range(p)
     for n in (p**3, p**2 * 11, p * 11 * 13):
         expected = frozenset(b for b in divisors(n)[1:] if order_vanishes(digits, b))
         assert expected == {p}
+        tested = record_exact_tests(monkeypatch)
         assert cyclotomic_module.vanishing_orders(digits, n) == expected, n
-    assert reached == [{p: 1}] * 3
+        assert tested == [p], n
 
 
 def test_vanishing_orders_ignore_the_sign_of_the_scale_and_take_negative_digits():
@@ -349,38 +362,37 @@ def test_vanishing_orders_ignore_the_sign_of_the_scale_and_take_negative_digits(
         assert expected
 
 
-def test_field_root_has_order_exactly_n():
-    for n in [*range(2, 600), 2**40, 3**30, 10**20, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29]:
-        primes = sorted(factorize(n))
-        p, root = cyclotomic_module._order_n_root(n, primes)
-        assert p % n == 1 and is_prime(p) and p < PRIME_TEST_BOUND
-        assert pow(root, n, p) == 1
-        assert all(pow(root, n // q, p) != 1 for q in primes), n
-
-
 # D = {0, h, ..., (q-1)h} has D(z) = (z^(qh) - 1)/(z^h - 1), so Phi_b
-# divides it exactly when b divides qh but not h.
+# divides it exactly when b divides qh but not h.  The span (q-1)h is wide
+# enough that every divisor of n is in reach.
 @pytest.mark.parametrize(
     "n,h,q",
     [
-        (10**30, 5 * 10**29, 2),  # 1 + m*10^30 is past the Miller-Rabin bound
+        (10**30, 5 * 10**29, 2),
         (4**2000, 2 * 4**1999, 2),
-        (10**24, 5 * 10**23, 2),  # only m <= 3 keeps P below the bound, and none is prime
+        (10**24, 5 * 10**23, 2),
     ],
     ids=["10^30", "4^2000", "10^24"],
 )
 def test_vanishing_orders_fall_back_to_the_exact_test(monkeypatch, n, h, q):
-    assert cyclotomic_module._order_n_root(n, sorted(factorize(n))) is None
     digits = range(0, q * h, h)
     expected = frozenset(b for b in divisors(n)[1:] if (q * h) % b == 0 and h % b)
     assert expected
-    exact = []
-    divides = cyclotomic_module._order_divides
-
-    def counting(terms, b, primes):
-        exact.append(b)
-        return divides(terms, b, primes)
-
-    monkeypatch.setattr(cyclotomic_module, "_order_divides", counting)
+    exact = record_exact_tests(monkeypatch)
     assert cyclotomic_module.vanishing_orders(digits, n) == expected
-    assert sorted(exact) == divisors(n)[1:]  # every divisor, exactly once
+    # every divisor with phi(b) <= s, exactly once
+    primes = factorize(n)
+    assert sorted(exact) == [b for b in divisors(n)[1:] if totient(b, primes) <= (q - 1) * h]
+
+
+@pytest.mark.parametrize("b", [10**12 + 39, (10**6 + 3) * (10**6 + 33), 10**16 + 61])
+def test_order_vanishes_at_a_large_order_allocates_nothing_per_residue(b):
+    # former cliff: a list of p empty classes for the largest prime p of b,
+    # killed for lack of memory at b = 10^12 + 39; {0, 1} reaches only b = 2
+    tracemalloc.start()
+    try:
+        assert not order_vanishes((0, 1), b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak

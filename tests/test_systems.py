@@ -88,13 +88,13 @@ def test_report_builds_vanishing_orders_once(monkeypatch):
     report = report_measure_spectrality(system)
     assert report.candidate is not None
     assert [args[1:] for args in batches] == [(12,)]  # one batch per system
-    # 2, 4, 6 and 12 are refuted mod P = 13; only the true order 3 is tested exactly
-    assert [args[1] for args in exact] == [3]
+    # s = 2 reaches the orders b with phi(b) <= 2; 12 is out of reach
+    assert [args[1] for args in exact] == [2, 3, 4, 6]
 
 
-def test_a_false_alarm_mod_p_is_settled_by_the_exact_test(monkeypatch):
-    # N = 2 gives P = 3 and r = -1; 1 + r^2 + r^4 = 3 = 0 (mod 3), but z + 1
-    # does not divide 1 + z^2 + z^4, whose value at -1 is 3.
+def test_an_order_in_reach_is_refuted_by_the_exact_test(monkeypatch):
+    # phi(2) = 1 <= s = 4 puts the order 2 in reach, and the exact test
+    # refutes it: z + 1 does not divide 1 + z^2 + z^4, whose value at -1 is 3
     exact = count_calls(monkeypatch, cyclotomic_module, "_order_divides")
     assert ScaleDigitSystem(2, (0, 2, 4)).vanishing_orders == frozenset()
     assert [args[1] for args in exact] == [2]
