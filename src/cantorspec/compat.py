@@ -6,7 +6,8 @@ m_{D/N} vanishes at every difference of distinct elements of S.  The
 symbol vanishes at an integer r exactly when the order |N| / gcd(r, |N|) is
 one of the system's vanishing orders (the divisors b of |N| with Phi_b
 dividing the digit polynomial), so each difference is decided exactly by a
-gcd and a lookup -- floating point never touches the verdict.
+gcd and the exact test of its order, run once per order and system --
+floating point never touches the verdict.
 
 The window search looks for such S with 0 in S among the integers of
 [2-|N|, |N|-2].  Since every other element of S differs from 0 by a zero
@@ -42,6 +43,9 @@ from .systems import (
 #: BudgetExceededError instead of filling memory.
 SEARCH_BUDGET = 100_000
 
+# Most bytes the window search's zero pattern may take: |N| up to about 1.07e8
+_PATTERN_BUDGET = 1 << 27
+
 
 @dataclass(frozen=True)
 class CompatibilityCertificate:
@@ -64,22 +68,25 @@ def is_compatible(
     """Certificate that (D/N, S) is a compatible pair, or None.
 
     The decision is exact: the order |N| / gcd(s2 - s1, |N|) of each
-    difference is looked up in the system's vanishing orders.  A repeated
-    residue has order 1, which never vanishes.
+    difference must be one of the system's vanishing orders.  Only these
+    orders are decided, each once, however many differences share it.  A
+    repeated residue has order 1, which never vanishes.
     """
     if candidate.size != system.size:
         raise PreconditionError(
             f"compatible pairs require |S| = |D|, got |S| = {candidate.size}, |D| = {system.size}"
         )
     m = system.modulus
-    orders = system.vanishing_orders
+    vanishing: set[int] = set()
     elems = candidate.elements
     entries = []
     for i in range(len(elems)):
         for j in range(i + 1, len(elems)):
             b = m // math.gcd(elems[j] - elems[i], m)
-            if b not in orders:
-                return None
+            if b not in vanishing:
+                if not system.is_vanishing_order(b):
+                    return None
+                vanishing.add(b)
             entries.append((elems[i], elems[j], b))
     return CompatibilityCertificate(system, candidate, tuple(entries))
 
@@ -116,7 +123,8 @@ def search_candidate_s(system: ScaleDigitSystem) -> list[SpectrumCandidate]:
     Putting 0 back keeps that order: where two cliques first differ, both
     differing elements lie on the same side of 0, or the smaller one lies
     below 0 and meets the 0 inserted into the other set.  More than
-    SEARCH_BUDGET candidates raise BudgetExceededError.
+    SEARCH_BUDGET candidates raise BudgetExceededError, and so does an
+    |N| past about 1.07e8, before its zero pattern is built.
     """
     if system.modulus < 3:
         raise PreconditionError("the window [2-|N|, |N|-2] is degenerate for |N| = 2")
@@ -133,6 +141,12 @@ def _window_candidates(system: ScaleDigitSystem) -> Iterator[SpectrumCandidate]:
     time, for |N| >= 2; at |N| = 2 the window is {0}, so only |D| = 1
     yields one, (0,)."""
     m = system.modulus
+    size = m + m // 4
+    if size > _PATTERN_BUDGET:
+        raise BudgetExceededError(
+            f"the window search at |N| = {m} builds a zero pattern of about {size} bytes "
+            f"(|N| bytes and a 2|N|-bit integer), over its budget of {_PATTERN_BUDGET} bytes"
+        )
     pattern = _zero_pattern(system.vanishing_orders, m)
     low = 2 - m  # bit x of a window bitset stands for the integer low + x
     vertices = (pattern >> 2) & ((1 << (2 * m - 3)) - 1)  # e = low + x has e = x + 2 (mod m)

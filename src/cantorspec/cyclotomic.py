@@ -11,12 +11,17 @@ divisibility by a cyclotomic polynomial: for b >= 2 and gcd(a, b) = 1,
 because the left side evaluates the digit polynomial at a primitive b-th
 root of unity, whose minimal polynomial over the rationals is Phi_b.  The
 answer depends on the order b alone, not on a, so the zeros of the symbol
-mod |N| are decided by one test per divisor b of |N|: the vanishing orders
-of `ScaleDigitSystem.vanishing_orders`.  Few divisors are in the digits'
-reach: z^(-min D) * D(z) has degree s = max D - min D, so Phi_b dividing it
-forces phi(b) <= s.  Only the primes p <= s + 1 of |N| are trial-divided
-out, and only the divisors b of |N| with phi(b) <= s are tested; a single
-digit reaches none.
+mod |N| are decided by at most one test per divisor b of |N|; the divisors
+that pass are its vanishing orders.  Few divisors are in the digits'
+reach: z^(-min D) * D(z) has degree s = max D - min D, so Phi_b dividing
+it forces phi(b) <= s.  Only the primes p <= s + 1 of |N| are
+trial-divided out, and only divisors b of |N| with phi(b) <= s are ever
+tested; a single digit reaches none.  The orders are decided on demand:
+each `ScaleDigitSystem` holds an `OrderTest`, which tests an order the
+first time a caller asks about it and remembers the answer.  A
+compatibility check asks the orders of its differences, the
+tiling construction its prime powers and their products; only the window
+search asks for every order in reach at once.
 
 The test itself works at the radical.  Write b = k * rad(b).  Then
 Phi_b(z) = Phi_rad(z^k), and zeta_b^k is a primitive rad-th root of unity;
@@ -39,8 +44,6 @@ dicts throughout.
 from __future__ import annotations
 
 import math
-
-from .systems import PreconditionError
 
 
 def _squarefree_vanishes(terms: dict[int, int], n: int, primes: list[int]) -> bool:
@@ -109,9 +112,9 @@ def order_vanishes(exponents, b: int) -> bool:
     every primitive b-th root of unity zeta.
 
     Exponents are any integers and are counted with repetition; the empty
-    sum vanishes.  This is the library's one public vanishing test, the
-    batch of `vanishing_orders` asked about b alone; `is_complementing`
-    asks it for the (T1) and (T2) orders of a modulus.
+    sum vanishes.  This is the library's one public vanishing test; it
+    decides b alone, by at most one exact test.  `is_complementing` asks
+    it for the (T1) and (T2) orders of a modulus.
 
     >>> order_vanishes((0, 1, 8, 9), 16)
     True
@@ -119,15 +122,17 @@ def order_vanishes(exponents, b: int) -> bool:
     False
     """
     if not isinstance(b, int) or b < 1:
+        from .systems import PreconditionError  # systems imports this module
+
         raise PreconditionError(f"root order must be a positive integer, got {b!r}")
     exps = tuple(exponents)
-    return not exps or b > 1 and b in vanishing_orders(exps, b)
+    return not exps or OrderTest(exps, b)(b)
 
 
-def _orders_in_reach(n: int, span: int) -> list[tuple[int, list[int]]]:
-    """(b, primes of b) for the divisors b > 1 of n with phi(b) <= span,
-    ascending; n is trial-divided by the primes p <= span + 1 only, since
-    every p of such a b has p - 1 <= phi(b)."""
+def _reach_factors(n: int, span: int) -> list[tuple[int, int]]:
+    """(p, v_p(n)) for the primes p <= span + 1 of n, ascending: the primes
+    an order b with phi(b) <= span can have, since p - 1 <= phi(b).  Only
+    those primes are trial-divided out; the rest of n is never factorised."""
     factors, rest, p = [], n, 2
     while p <= span + 1 and p * p <= rest:
         k = 0
@@ -139,29 +144,77 @@ def _orders_in_reach(n: int, span: int) -> list[tuple[int, list[int]]]:
         p += 1
     if 1 < rest <= span + 1:  # a prime: every smaller one is divided out
         factors.append((rest, 1))
-    orders = [(1, 1, [])]  # (b, phi(b), primes of b)
-    for p, k in factors:
-        grown = []
-        for b, phi, primes in orders:
-            phi *= p - 1
-            for _ in range(k):
-                if phi > span:
-                    break
-                b *= p
-                grown.append((b, phi, [*primes, p]))
-                phi *= p
-        orders += grown
-    return sorted((b, primes) for b, _, primes in orders[1:])
+    return factors
 
 
-def vanishing_orders(exponents, n: int) -> frozenset[int]:
-    """The divisors b > 1 of n with Phi_b dividing sum_e z^e, in one batch.
+class OrderTest:
+    """The vanishing orders of sum_e z^e among the divisors of n, each
+    decided on first ask and remembered; `ScaleDigitSystem` holds one.
 
-    Only the divisors in the exponents' reach, phi(b) <= max - min (see
-    the module docstring), are decided, each by the exact test; the part
-    of n past the reach is never factorised.
+    n is factorised once, into its primes in the exponents' reach.  An
+    order b is refused with no exact test when it does not divide n, has
+    a prime past the reach or has phi(b) > max - min.
     """
-    exps = tuple(exponents)
-    span = max(exps) - min(exps) if exps else n  # the empty sum vanishes everywhere
-    terms = [(e, 1) for e in exps]
-    return frozenset(b for b, primes in _orders_in_reach(n, span) if _order_divides(terms, b, primes))
+
+    __slots__ = ("n", "span", "terms", "factors", "known", "orders")
+
+    def __init__(self, exponents, n: int):
+        exps = tuple(exponents)
+        self.n = n
+        self.span = max(exps) - min(exps) if exps else n  # the empty sum vanishes everywhere
+        self.terms = [(e, 1) for e in exps]
+        self.factors = _reach_factors(n, self.span)
+        self.known: dict[int, bool] = {}  # the answers to single questions
+        self.orders: frozenset[int] | None = None  # every answer, once `all_orders` ran
+
+    def __call__(self, b: int) -> bool:
+        """Whether b > 1 divides n and Phi_b divides the sum."""
+        verdict = self.known.get(b)
+        if verdict is None:
+            if self.orders is not None:
+                return b in self.orders
+            primes = self._primes(b)
+            verdict = primes is not None and _order_divides(self.terms, b, primes)
+            self.known[b] = verdict
+        return verdict
+
+    def _primes(self, b: int) -> list[int] | None:
+        """The primes of b, ascending, when b > 1 divides n and is in reach."""
+        if b < 2 or self.n % b:
+            return None
+        primes, rest, phi = [], b, 1
+        for p, _ in self.factors:
+            if rest % p == 0:
+                rest //= p
+                phi *= p - 1
+                while rest % p == 0:
+                    rest //= p
+                    phi *= p
+                if phi > self.span:
+                    return None
+                primes.append(p)
+        return primes if rest == 1 else None
+
+    def all_orders(self) -> frozenset[int]:
+        """Every vanishing order, built once over the divisors in reach;
+        an order already asked is not tested again."""
+        if self.orders is None:
+            span, reach = self.span, [(1, 1, [])]  # (b, phi(b), primes of b)
+            for p, k in self.factors:
+                grown = []
+                for b, phi, primes in reach:
+                    phi *= p - 1
+                    for _ in range(k):
+                        if phi > span:
+                            break
+                        b *= p
+                        grown.append((b, phi, [*primes, p]))
+                        phi *= p
+                reach += grown
+            known, terms = self.known, self.terms
+            self.orders = frozenset(
+                b
+                for b, _, primes in reach[1:]
+                if (known[b] if b in known else _order_divides(terms, b, primes))
+            )
+        return self.orders

@@ -7,7 +7,8 @@ invariants every downstream operation relies on (|N| >= 2, nonempty and
 pairwise-distinct entries, and so on), so later code never re-checks them.
 Data derived from a system, such as its vanishing orders, is computed on
 first use and cached on the instance; it is not a field, so equality,
-hashing and repr see only the scale and the digits.
+hashing and repr see only the scale and the digits.  The vanishing orders
+are decided one at a time, as callers ask about them (see `cyclotomic`).
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .cyclotomic import OrderTest
 
 
 class PreconditionError(ValueError):
@@ -86,14 +89,23 @@ class ScaleDigitSystem:
         return len(self.digits)
 
     @functools.cached_property
-    def vanishing_orders(self) -> frozenset[int]:
-        """Divisors b > 1 of |N| with Phi_b dividing the digit polynomial,
-        built once per system.  m_{D/N} vanishes at the integer k exactly
-        when |N| / gcd(k, |N|) is one of them; the sign of N conjugates
-        the symbol and leaves its zeros alone."""
-        from . import cyclotomic  # cyclotomic imports this module
+    def _order_test(self) -> OrderTest:
+        return OrderTest(self.digits, self.modulus)
 
-        return cyclotomic.vanishing_orders(self.digits, self.modulus)
+    def is_vanishing_order(self, b: int) -> bool:
+        """Whether b > 1 divides |N| with Phi_b dividing the digit
+        polynomial.  m_{D/N} vanishes at the integer k exactly when
+        |N| / gcd(k, |N|) is such an order; the sign of N conjugates the
+        symbol and leaves its zeros alone.  Each order is decided the first
+        time it is asked, and at most once per system."""
+        return self._order_test(b)
+
+    @property
+    def vanishing_orders(self) -> frozenset[int]:
+        """Every b with `is_vanishing_order(b)`, built once per system, for
+        the window search, which needs them all; an order asked before or
+        after is not tested again."""
+        return self._order_test.all_orders()
 
     @functools.cached_property
     def lipschitz(self) -> float:

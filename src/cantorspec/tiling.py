@@ -139,14 +139,16 @@ def _tiling_modulus(system: ScaleDigitSystem):
     """(L, {p: S_p}) for `find_modulus_l`'s L.  At most alpha_p powers of p
     vanish in all, so (T1) keeps those found at |N| at every tiling L, the
     smallest being the product of each prime's largest power; and every
-    s*t divides |N|, so the system's vanishing orders answer (T2)."""
+    s*t divides |N|, so the system's vanishing orders answer (T2).  Only
+    the powers p^k dividing |N| and the products s*t are asked, each
+    decided once per system."""
     primes = len(factorize(system.size))
     if primes > 2:
         raise PreconditionError(
             f"|D| = {system.size} has {primes} distinct prime factors; "
             "the construction covers at most two"
         )
-    powers = _tiling_powers(system.size, system.modulus, system.vanishing_orders.__contains__)
+    powers = _tiling_powers(system.size, system.modulus, system.is_vanishing_order)
     return None if powers is None else (math.prod(group[-1] for group in powers.values()), powers)
 
 
@@ -175,10 +177,11 @@ class TilingConstruction:
 def construct_spectrum_set(system: ScaleDigitSystem) -> TilingConstruction:
     """Build a compatible candidate set from the tiling structure of D.
 
-    Refuses a non-tile by (T1) and (T2) on the system's vanishing orders,
-    searches the smallest tiling modulus L once for its complement, and
-    forms S = N*E as the integer sums of a_j * (N // p^k_j), one digit
-    coefficient 0 <= a_j < p per power; E = S/N is derived from it.  Exact
+    Refuses a non-tile by (T1) and (T2), asking the system only the orders
+    they name, searches the smallest tiling modulus L once for its
+    complement, and forms S = N*E as the integer sums of a_j * (N // p^k_j),
+    one digit coefficient 0 <= a_j < p per power; E = S/N is derived from
+    it, one `Fraction` per element in the order of S/N.  Exact
     compatibility of (D/N, S) is verified before returning; with the
     certificate in hand, the measure is spectral.
     """
@@ -205,12 +208,14 @@ def construct_spectrum_set(system: ScaleDigitSystem) -> TilingConstruction:
     certificate = is_compatible(system, candidate)
     if certificate is None:
         raise ConsistencyError("constructed spectrum failed the exact compatibility check")
+    # s/N ascends with s for N > 0 and descends for N < 0
+    ordered = candidate.elements[::-1] if system.scale < 0 else candidate.elements
     return TilingConstruction(
         modulus_l=modulus_l,
         complement_e0=complement,
         p_powers=p_powers,
         q_powers=q_powers,
-        fractional_e=tuple(sorted(Fraction(s, system.scale) for s in elements)),
+        fractional_e=tuple(Fraction(s, system.scale) for s in ordered),
         result_s=candidate.elements,
         certificate=certificate,
     )

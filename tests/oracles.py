@@ -1,6 +1,7 @@
 """Reference oracles for the tests: exact integer-polynomial algebra, the
-float digit symbol, the zero residues of a system, the radical and
-divisor list of an integer, and the former prime-power sets of a tiling.
+float digit symbol, the former batch of a system's vanishing orders, the
+zero residues of a system, the radical and divisor list of an integer,
+and the former prime-power sets of a tiling.
 
 No verdict path of the library builds a polynomial: every vanishing
 question goes through `cantorspec.cyclotomic.order_vanishes`.  The algebra
@@ -264,6 +265,47 @@ def symbol_eval(digits, xi) -> complex:
     """The float symbol m_D(xi) = (1/|D|) * sum_d e^(-2*pi*i*d*xi)."""
     digs = tuple(digits)
     return sum(cmath.exp(-2j * math.pi * d * xi) for d in digs) / len(digs)
+
+
+def orders_in_reach(n: int, span: int) -> list[tuple[int, list[int]]]:
+    """(b, primes of b) for the divisors b > 1 of n with phi(b) <= span,
+    ascending; n is trial-divided by the primes p <= span + 1 only, since
+    every p of such a b has p - 1 <= phi(b)."""
+    factors, rest, p = [], n, 2
+    while p <= span + 1 and p * p <= rest:
+        k = 0
+        while rest % p == 0:
+            rest //= p
+            k += 1
+        if k:
+            factors.append((p, k))
+        p += 1
+    if 1 < rest <= span + 1:  # a prime: every smaller one is divided out
+        factors.append((rest, 1))
+    orders = [(1, 1, [])]  # (b, phi(b), primes of b)
+    for p, k in factors:
+        grown = []
+        for b, phi, primes in orders:
+            phi *= p - 1
+            for _ in range(k):
+                if phi > span:
+                    break
+                b *= p
+                grown.append((b, phi, [*primes, p]))
+                phi *= p
+        orders += grown
+    return sorted((b, primes) for b, _, primes in orders[1:])
+
+
+def vanishing_orders(exponents, n: int) -> frozenset[int]:
+    """The former batch behind `ScaleDigitSystem.vanishing_orders`, kept as
+    the reference for the orders decided on demand: the divisors b > 1 of
+    n with Phi_b dividing sum_e z^e, every divisor in the exponents' reach
+    phi(b) <= max - min decided by the exact test, in one pass."""
+    exps = tuple(exponents)
+    span = max(exps) - min(exps) if exps else n  # the empty sum vanishes everywhere
+    terms = [(e, 1) for e in exps]
+    return frozenset(b for b, primes in orders_in_reach(n, span) if _order_divides(terms, b, primes))
 
 
 def zero_residues(system) -> frozenset[int]:

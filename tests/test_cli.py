@@ -246,6 +246,20 @@ def test_search_over_budget_exits_two(capsys, monkeypatch):
     assert err.startswith("precondition violated:") and "budget" in err
 
 
+@pytest.mark.parametrize("group,action", [("compat", "search"), ("spectrum", "report")])
+def test_window_search_past_its_pattern_budget_exits_two_before_building(capsys, monkeypatch, group, action):
+    def refuse(*args):
+        raise AssertionError("the zero pattern was built past its budget")
+
+    monkeypatch.setattr(compat, "_zero_pattern", refuse)
+    code, out, err = run(capsys, group, action, "--n", str(10**9), "--digits", "0,1")
+    assert (code, out) == (2, "")
+    assert err == (
+        "precondition violated: the window search at |N| = 1000000000 builds a zero pattern of "
+        "about 1250000000 bytes (|N| bytes and a 2|N|-bit integer), over its budget of 134217728 bytes\n"
+    )
+
+
 def test_qgrid_work_estimate_exits_two_before_the_first_point(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a grid point ran past the work estimate")

@@ -17,7 +17,7 @@ from cantorspec import (
     report_measure_spectrality,
     search_candidate_s,
 )
-from cantorspec import arith
+from cantorspec import arith, cyclotomic
 from oracles import symbol_eval, zero_residues
 
 CERTIFIED_PAIRS = [
@@ -253,6 +253,61 @@ def test_search_budget_fails_fast_on_a_huge_window():
     assert compat.SEARCH_BUDGET < 7_920_200
     with pytest.raises(BudgetExceededError):
         search_candidate_s(ScaleDigitSystem(400, (0, 100, 200, 300)))
+
+
+def test_window_search_refuses_an_oversized_zero_pattern_before_building_it(monkeypatch):
+    built = []
+
+    def recording(orders, m):
+        built.append(m)
+        return 0  # no zeros, so no candidates: nothing of size |N| is built
+
+    monkeypatch.setattr(compat, "_zero_pattern", recording)
+    for scale in (10**7, -(10**8)):
+        assert search_candidate_s(ScaleDigitSystem(scale, (0, 1))) == []
+    assert built == [10**7, 10**8]
+    for scale in (11 * 10**7, -(10**9)):
+        system = ScaleDigitSystem(scale, (0, 1))
+        for search in (search_candidate_s, report_measure_spectrality):
+            with pytest.raises(BudgetExceededError) as caught:
+                search(system)
+            estimate = abs(scale) + abs(scale) // 4
+            assert f"zero pattern of about {estimate} bytes" in str(caught.value)
+    assert built == [10**7, 10**8]
+
+
+def count_order_questions(monkeypatch):
+    """Record each order asked of a system and each order tested exactly."""
+    asked, tested = [], []
+    ask, divides = ScaleDigitSystem.is_vanishing_order, cyclotomic._order_divides
+
+    def asking(system, b):
+        asked.append(b)
+        return ask(system, b)
+
+    def testing(terms, b, primes):
+        tested.append(b)
+        return divides(terms, b, primes)
+
+    monkeypatch.setattr(ScaleDigitSystem, "is_vanishing_order", asking)
+    monkeypatch.setattr(cyclotomic, "_order_divides", testing)
+    return asked, tested
+
+
+def test_is_compatible_asks_each_distinct_order_once(monkeypatch):
+    # S = 15 * {0, ..., 5} mod 90: its 15 differences have the orders 6, 3
+    # and 2 only (differences 15 and 75, 30 and 60, 45)
+    asked, tested = count_order_questions(monkeypatch)
+    system = ScaleDigitSystem(90, tuple(range(6)))
+    cert = is_compatible(system, SpectrumCandidate(tuple(range(0, 90, 15))))
+    assert cert is not None and len(cert.zero_differences) == 15
+    assert sorted(asked) == [2, 3, 6] and sorted(tested) == [2, 3, 6]
+    assert is_compatible(system, SpectrumCandidate(tuple(range(0, 90, 15)))) == cert
+    assert len(tested) == 3  # the same system answers from its memo
+    # the window search's batch tests only the orders in reach (phi <= 5)
+    # not yet asked
+    assert system.vanishing_orders == frozenset({2, 3, 6})
+    assert sorted(tested) == [2, 3, 5, 6, 10]
 
 
 def test_search_rejects_degenerate_window():

@@ -319,7 +319,7 @@ def test_vanishing_orders_batch_matches_order_vanishes_exhaustively():
             exact = frozenset(b for b in range(2, 65) if reference_vanishes(digits, b))
             for n in range(2, 65):
                 expected = frozenset(b for b in exact if n % b == 0)
-                assert cyclotomic_module.vanishing_orders(digits, n) == expected, (digits, n)
+                assert ScaleDigitSystem(n, digits).vanishing_orders == expected, (digits, n)
 
 
 def record_exact_tests(monkeypatch):
@@ -350,7 +350,7 @@ def test_vanishing_orders_keep_phi_p_and_drop_phi_p_squared_at_the_digit_reach(m
         expected = frozenset(b for b in divisors(n)[1:] if order_vanishes(digits, b))
         assert expected == {p}
         tested = record_exact_tests(monkeypatch)
-        assert cyclotomic_module.vanishing_orders(digits, n) == expected, n
+        assert ScaleDigitSystem(n, digits).vanishing_orders == expected, n
         assert tested == [p], n
 
 
@@ -379,7 +379,7 @@ def test_vanishing_orders_fall_back_to_the_exact_test(monkeypatch, n, h, q):
     expected = frozenset(b for b in divisors(n)[1:] if (q * h) % b == 0 and h % b)
     assert expected
     exact = record_exact_tests(monkeypatch)
-    assert cyclotomic_module.vanishing_orders(digits, n) == expected
+    assert ScaleDigitSystem(n, digits).vanishing_orders == expected
     # every divisor with phi(b) <= s, exactly once
     primes = factorize(n)
     assert sorted(exact) == [b for b in divisors(n)[1:] if totient(b, primes) <= (q - 1) * h]

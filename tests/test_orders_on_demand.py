@@ -1,0 +1,122 @@
+"""Vanishing orders decided on demand against the former batch.
+
+A system decides each order b the first time a caller asks about it; the
+reference is the batch that decided every divisor of |N| in reach at once
+(`oracles.vanishing_orders`).  Every D in [0, 10] with 0 in D is checked
+at every |N| <= 120, at 2^a * 3^b and at the product of the first 16
+primes: the single answers asked before and after the batch, the batch
+itself, compatibility, the tiling modulus and the construction.
+"""
+
+import itertools
+import math
+
+from cantorspec import (
+    PreconditionError,
+    ScaleDigitSystem,
+    SpectrumCandidate,
+    construct_spectrum_set,
+    find_modulus_l,
+    is_compatible,
+)
+from cantorspec.arith import factorize
+from oracles import divisors, radical, vanishing_orders
+
+DIGIT_SETS = [(0, *rest) for size in range(11) for rest in itertools.combinations(range(1, 11), size)]
+PRIMORIAL_16 = math.prod([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53])
+# s <= 10 reaches only the orders b with phi(b) <= 10, all below 2 * 10^2
+ASKED_PAST_THE_REACH = 200
+
+
+def reference_tiling(size, orders):
+    """(L, per-prime powers) from the (T1) and (T2) conditions read off a
+    set of vanishing orders, or None when they fail."""
+    groups = []
+    for p, alpha in sorted(factorize(size).items()):
+        powers = tuple(sorted(b for b in orders if radical(b) == p))
+        if len(powers) != alpha:
+            return None
+        groups.append(powers)
+    if len(groups) == 2 and any(s * t not in orders for s in groups[0] for t in groups[1]):
+        return None
+    return math.prod(group[-1] for group in groups), groups
+
+
+def reference_certificate(scale, elements, orders):
+    """The zero differences of a compatible S, or None."""
+    m = abs(scale)
+    entries = []
+    for i, a in enumerate(elements):
+        for c in elements[i + 1 :]:
+            b = m // math.gcd(c - a, m)
+            if b not in orders:
+                return None
+            entries.append((a, c, b))
+    return tuple(entries)
+
+
+def check_system(scale, digits, asked, orders):
+    """Compare one system with the reference orders; `asked` are the orders
+    put to it one by one."""
+    first = ScaleDigitSystem(scale, digits)  # single answers, then the batch
+    assert [b for b in asked if first.is_vanishing_order(b)] == sorted(orders), (scale, digits)
+    assert first.vanishing_orders == orders, (scale, digits)
+
+    # the callers' own questions, then the batch, then single answers
+    system = ScaleDigitSystem(scale, digits)
+    candidates = [digits, tuple(range(len(digits)))]
+    tiling = reference_tiling(len(digits), orders)
+    assert find_modulus_l(system) == (None if tiling is None else tiling[0]), (scale, digits)
+    if tiling is None:
+        try:
+            construct_spectrum_set(system)
+        except PreconditionError:
+            pass
+        else:
+            raise AssertionError(f"({scale}, {digits}) built a construction without (T1) and (T2)")
+    else:
+        modulus_l, groups = tiling
+        construction = construct_spectrum_set(system)
+        elements = [0]
+        for power in itertools.chain(*groups):
+            elements = [s + a * (scale // power) for s in elements for a in range(radical(power))]
+        assert construction.modulus_l == modulus_l
+        assert (construction.p_powers, construction.q_powers) == (*groups, (), ())[:2]
+        assert construction.result_s == tuple(sorted(elements))
+        assert construction.certificate.zero_differences == reference_certificate(
+            scale, construction.result_s, orders
+        )
+        candidates.append(construction.result_s)
+    for elements in candidates:
+        cert = is_compatible(system, SpectrumCandidate(elements))
+        expected = reference_certificate(scale, tuple(sorted(elements)), orders)
+        assert (cert and cert.zero_differences) == expected, (scale, digits, elements)
+    assert system.vanishing_orders == orders, (scale, digits)
+    assert [b for b in asked if system.is_vanishing_order(b)] == sorted(orders), (scale, digits)
+
+
+def check_scales(scales, asked=divisors):
+    """Every digit set at each scale.  The reference batch runs once per
+    digit set, at the lcm of the scales: b divides a scale and is one of
+    its vanishing orders exactly when b is an order of the lcm dividing it."""
+    lcm = math.lcm(*scales)
+    questions = [asked(abs(scale)) for scale in scales]
+    for digits in DIGIT_SETS:
+        everywhere = vanishing_orders(digits, lcm)
+        for scale, orders_asked in zip(scales, questions):
+            orders = frozenset(b for b in everywhere if scale % b == 0)
+            check_system(scale, digits, orders_asked, orders)
+
+
+def test_orders_on_demand_match_the_batch_up_to_120():
+    check_scales([scale if scale % 7 else -scale for scale in range(2, 121)])
+
+
+def test_orders_on_demand_match_the_batch_at_2a_3b():
+    scales = [2**a * 3**b for a, b in itertools.product(range(8), range(5))]
+    check_scales([scale for scale in scales if scale > 120])
+
+
+def test_orders_on_demand_match_the_batch_at_the_16_primorial():
+    small = [b for b in divisors(PRIMORIAL_16) if b <= ASKED_PAST_THE_REACH]
+    check_scales([PRIMORIAL_16], lambda scale: [*small, scale // 53, scale])

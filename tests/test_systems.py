@@ -12,6 +12,7 @@ from cantorspec import (
     ScaleDigitSystem,
     SpectrumCandidate,
     TruncationPolicy,
+    is_compatible,
     report_measure_spectrality,
 )
 
@@ -82,14 +83,20 @@ def count_calls(monkeypatch, module, name):
 
 
 def test_report_builds_vanishing_orders_once(monkeypatch):
-    batches = count_calls(monkeypatch, cyclotomic_module, "vanishing_orders")
+    factorings = count_calls(monkeypatch, cyclotomic_module, "_reach_factors")
     exact = count_calls(monkeypatch, cyclotomic_module, "_order_divides")
     system = ScaleDigitSystem(12, (0, 1, 2))
     report = report_measure_spectrality(system)
-    assert report.candidate is not None
-    assert [args[1:] for args in batches] == [(12,)]  # one batch per system
-    # s = 2 reaches the orders b with phi(b) <= 2; 12 is out of reach
-    assert [args[1] for args in exact] == [2, 3, 4, 6]
+    assert report.candidate is not None and report.certificate is not None
+    assert factorings == [(12, 2)]  # |N| is factorised once per system
+    # s = 2 reaches the orders b with phi(b) <= 2; 12 is out of reach.  The
+    # window search's batch and the certificate share each order's test
+    assert sorted(args[1] for args in exact) == [2, 3, 4, 6]
+    reduced = report.certificate.system
+    assert is_compatible(reduced, report.candidate) == report.certificate
+    assert reduced.vanishing_orders == frozenset({3})
+    assert [reduced.is_vanishing_order(b) for b in (1, 2, 3, 4, 6, 12, 5)] == [False, False, True] + [False] * 4
+    assert len(exact) == 4 and len(factorings) == 1  # asked again, tested never
 
 
 def test_an_order_in_reach_is_refuted_by_the_exact_test(monkeypatch):

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import itertools
 import math
 import tracemalloc
@@ -19,10 +20,11 @@ from cantorspec import (
     find_modulus_l,
     is_compatible,
     is_complementing,
+    order_vanishes,
     reduce_s,
     report_measure_spectrality,
 )
-from cantorspec import tiling
+from cantorspec import cyclotomic, tiling
 from oracles import divisors, prime_power_sets, radical, symbol_vanishes_at
 
 CONSTRUCTION_CASES = [
@@ -159,6 +161,7 @@ def test_construction_refuses_three_primes_before_any_work(monkeypatch):
 
     monkeypatch.setattr(tiling, "_search_complement", refuse)
     monkeypatch.setattr(ScaleDigitSystem, "vanishing_orders", property(refuse))
+    monkeypatch.setattr(ScaleDigitSystem, "is_vanishing_order", refuse)
     system = ScaleDigitSystem(30, tuple(range(30)))
     message = "|D| = 30 has 3 distinct prime factors; the construction covers at most two"
     for build in (construct_spectrum_set, find_modulus_l):
@@ -247,6 +250,53 @@ def test_construct_negative_scale():
     assert construction.result_s == (-1, 0)
     system = ScaleDigitSystem(-4, (0, 2))
     assert is_compatible(system, SpectrumCandidate(construction.result_s)) is not None
+
+
+@pytest.mark.parametrize(
+    "scale,digits",
+    [(-4, (0, 2)), (-24, (0, 3, 12, 15)), (24, (0, 3, 12, 15)), (-8640, (0, 1, 2, 6, 7, 8)), (-5, (7,))],
+)
+def test_fractional_e_is_the_sorted_quotients(scale, digits):
+    construction = construct_spectrum_set(ScaleDigitSystem(scale, digits))
+    expected = tuple(sorted(Fraction(s, scale) for s in construction.result_s))
+    assert construction.fractional_e == expected
+    assert repr(construction.fractional_e) == repr(expected)
+
+
+def record_exact_tests(monkeypatch):
+    """Replace `_order_divides` with a wrapper that records each order b."""
+    tested = []
+    divides = cyclotomic._order_divides
+
+    def recording(terms, b, primes):
+        tested.append(b)
+        return divides(terms, b, primes)
+
+    monkeypatch.setattr(cyclotomic, "_order_divides", recording)
+    return tested
+
+
+def test_construction_asks_only_the_t1_and_t2_orders(monkeypatch):
+    tested = record_exact_tests(monkeypatch)
+    # |N| = 2^6 * 3^3 * 5 and s = 8 reach 15 orders.  (T1) tests the powers
+    # of 2 and 3 with phi <= 8, (T2) the product 4 * 3, and the certificate
+    # of S = 720 * {0, 3, 4, 7, 8, 11} needs only the orders 4, 3 and 12
+    system = ScaleDigitSystem(8640, (0, 1, 2, 6, 7, 8))
+    construction = construct_spectrum_set(system)
+    assert (construction.p_powers, construction.q_powers) == ((4,), (3,))
+    assert tested == [2, 4, 8, 16, 3, 9, 12]
+    assert decide_spectrum(system, SpectrumCandidate(construction.result_s)).spectral
+    assert tested == [2, 4, 8, 16, 3, 9, 12]  # the decider's re-check is answered from the memo
+
+
+def test_tiling_powers_test_each_power_once(monkeypatch):
+    # order_vanishes decides b alone: one exact test per power 3^k of the
+    # modulus, not one per divisor of each power (about v^2/2 in all)
+    tested = record_exact_tests(monkeypatch)
+    v = 400
+    digits = (0, 1, 2 * 3**v + 5)  # exponents 0, 1, 2 mod 3: only Phi_3 divides
+    assert tiling._tiling_powers(3, 3**v, functools.partial(order_vanishes, digits)) == {3: (3,)}
+    assert tested == [3**k for k in range(1, v + 1)]
 
 
 def test_construct_point_mass():
