@@ -28,7 +28,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .arith import factorize
+from .cyclotomic import OrderTest
 from .systems import (
     LAMBDA_BUDGET,
     BudgetExceededError,
@@ -91,18 +91,20 @@ def is_compatible(
     return CompatibilityCertificate(system, candidate, tuple(entries))
 
 
-def _zero_pattern(orders: frozenset[int], m: int) -> int:
-    """Int with bit t set exactly when the order m / gcd(t, m) is in
-    `orders`, for 0 <= t < 2m.
+def _zero_pattern(orders: OrderTest) -> int:
+    """Int with bit t set exactly when the order m / gcd(t, m) vanishes,
+    for 0 <= t < 2m and m = orders.n.
 
     The residues of order b are (m/b) * u with u a unit mod b, found by
-    sieving out the primes of b.  Only ones are written, since the other
-    multiples of m/b may be zeros of another order.
+    sieving out the primes of b, which the order test already holds.  Only
+    ones are written, since the other multiples of m/b may be zeros of
+    another order.
     """
+    m = orders.n
     digits = bytearray(b"0") * m
-    for b in orders:
+    for b in orders.all_orders():
         units = bytearray([1]) * b
-        for p in factorize(b):
+        for p in orders._primes(b):
             units[::p] = bytes(len(range(0, b, p)))
         for r in itertools.compress(range(0, m, m // b), units):
             digits[m - 1 - r] = ord("1")
@@ -147,7 +149,7 @@ def _window_candidates(system: ScaleDigitSystem) -> Iterator[SpectrumCandidate]:
             f"the window search at |N| = {m} builds a zero pattern of about {size} bytes "
             f"(|N| bytes and a 2|N|-bit integer), over its budget of {_PATTERN_BUDGET} bytes"
         )
-    pattern = _zero_pattern(system.vanishing_orders, m)
+    pattern = _zero_pattern(system._order_test)
     low = 2 - m  # bit x of a window bitset stands for the integer low + x
     vertices = (pattern >> 2) & ((1 << (2 * m - 3)) - 1)  # e = low + x has e = x + 2 (mod m)
     want = system.size

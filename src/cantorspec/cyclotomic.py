@@ -16,12 +16,16 @@ that pass are its vanishing orders.  Few divisors are in the digits'
 reach: z^(-min D) * D(z) has degree s = max D - min D, so Phi_b dividing
 it forces phi(b) <= s.  Only the primes p <= s + 1 of |N| are
 trial-divided out, and only divisors b of |N| with phi(b) <= s are ever
-tested; a single digit reaches none.  The orders are decided on demand:
-each `ScaleDigitSystem` holds an `OrderTest`, which tests an order the
-first time a caller asks about it and remembers the answer.  A
-compatibility check asks the orders of its differences, the
-tiling construction its prime powers and their products; only the window
-search asks for every order in reach at once.
+tested; a single digit reaches none.  `factorize` is the library's one
+trial division: bounded by that reach here, and over every prime for
+|D|, which the tiling conditions factorise in full.  The orders are
+decided on demand: each `ScaleDigitSystem` holds an `OrderTest`, which
+tests an order the first time a caller asks about it and remembers the
+answer.  A compatibility check asks the orders of its differences, the
+tiling construction its prime powers and their products, and
+`is_complementing` shares one such memo among its (T1) and (T2)
+questions; only the window search asks for every order in reach at once,
+and sieves their residues with the primes the memo already holds.
 
 The test itself works at the radical.  Write b = k * rad(b).  Then
 Phi_b(z) = Phi_rad(z^k), and zeta_b^k is a primitive rad-th root of unity;
@@ -113,8 +117,7 @@ def order_vanishes(exponents, b: int) -> bool:
 
     Exponents are any integers and are counted with repetition; the empty
     sum vanishes.  This is the library's one public vanishing test; it
-    decides b alone, by at most one exact test.  `is_complementing` asks
-    it for the (T1) and (T2) orders of a modulus.
+    decides b alone, by at most one exact test.
 
     >>> order_vanishes((0, 1, 8, 9), 16)
     True
@@ -129,27 +132,36 @@ def order_vanishes(exponents, b: int) -> bool:
     return not exps or OrderTest(exps, b)(b)
 
 
-def _reach_factors(n: int, span: int) -> list[tuple[int, int]]:
-    """(p, v_p(n)) for the primes p <= span + 1 of n, ascending: the primes
-    an order b with phi(b) <= span can have, since p - 1 <= phi(b).  Only
-    those primes are trial-divided out; the rest of n is never factorised."""
-    factors, rest, p = [], n, 2
-    while p <= span + 1 and p * p <= rest:
+def factorize(n: int, reach: int | None = None) -> dict[int, int]:
+    """{p: v_p(n)} over the primes p <= reach of n, ascending, by trial
+    division; every prime of n when reach is None.  Only the primes in
+    reach are divided out: the rest of n is never factorised.
+
+    >>> factorize(360)
+    {2: 3, 3: 2, 5: 1}
+    >>> factorize(6 * (10**16 + 61), 4)  # the prime 10^16 + 61 is past the reach
+    {2: 1, 3: 1}
+    """
+    if reach is None:
+        reach = n
+    factors, p = {}, 2
+    while p <= reach and p * p <= n:
         k = 0
-        while rest % p == 0:
-            rest //= p
+        while n % p == 0:
+            n //= p
             k += 1
         if k:
-            factors.append((p, k))
+            factors[p] = k
         p += 1
-    if 1 < rest <= span + 1:  # a prime: every smaller one is divided out
-        factors.append((rest, 1))
+    if 1 < n <= reach:  # a prime: every smaller one is divided out
+        factors[n] = 1
     return factors
 
 
 class OrderTest:
     """The vanishing orders of sum_e z^e among the divisors of n, each
-    decided on first ask and remembered; `ScaleDigitSystem` holds one.
+    decided on first ask and remembered; `ScaleDigitSystem` holds one, and
+    `is_complementing` one per call.
 
     n is factorised once, into its primes in the exponents' reach.  An
     order b is refused with no exact test when it does not divide n, has
@@ -163,16 +175,15 @@ class OrderTest:
         self.n = n
         self.span = max(exps) - min(exps) if exps else n  # the empty sum vanishes everywhere
         self.terms = [(e, 1) for e in exps]
-        self.factors = _reach_factors(n, self.span)
-        self.known: dict[int, bool] = {}  # the answers to single questions
-        self.orders: frozenset[int] | None = None  # every answer, once `all_orders` ran
+        # an order b with phi(b) <= span has only primes p <= span + 1, as p - 1 <= phi(b)
+        self.factors = factorize(n, self.span + 1)
+        self.known: dict[int, bool] = {}  # every answer given so far
+        self.orders: frozenset[int] | None = None  # the vanishing ones, once `all_orders` ran
 
     def __call__(self, b: int) -> bool:
         """Whether b > 1 divides n and Phi_b divides the sum."""
         verdict = self.known.get(b)
         if verdict is None:
-            if self.orders is not None:
-                return b in self.orders
             primes = self._primes(b)
             verdict = primes is not None and _order_divides(self.terms, b, primes)
             self.known[b] = verdict
@@ -183,7 +194,7 @@ class OrderTest:
         if b < 2 or self.n % b:
             return None
         primes, rest, phi = [], b, 1
-        for p, _ in self.factors:
+        for p in self.factors:
             if rest % p == 0:
                 rest //= p
                 phi *= p - 1
@@ -200,7 +211,7 @@ class OrderTest:
         an order already asked is not tested again."""
         if self.orders is None:
             span, reach = self.span, [(1, 1, [])]  # (b, phi(b), primes of b)
-            for p, k in self.factors:
+            for p, k in self.factors.items():
                 grown = []
                 for b, phi, primes in reach:
                     phi *= p - 1
@@ -212,9 +223,8 @@ class OrderTest:
                         phi *= p
                 reach += grown
             known, terms = self.known, self.terms
-            self.orders = frozenset(
-                b
-                for b, _, primes in reach[1:]
-                if (known[b] if b in known else _order_divides(terms, b, primes))
-            )
+            for b, _, primes in reach[1:]:
+                if b not in known:
+                    known[b] = _order_divides(terms, b, primes)
+            self.orders = frozenset(b for b, verdict in known.items() if verdict)
         return self.orders

@@ -13,6 +13,10 @@ and the p over all of D's vanishing prime powers multiply to a divisor of
 |D|.  (T1) and (T2) make D a tile, and for |D| with at most two primes a
 tile satisfies (T2), so the conditions decide; for more primes a search
 still does.  Otherwise the search runs only on a tile, for its complement.
+|D| is factorised once per question.  The orders are asked of one
+`OrderTest`: a system's own in the construction, and one per
+`is_complementing` call over the part of L made of |D|'s primes, so each
+is tested at most once.
 
 For |D| with at most two primes the powers assemble E = {sum_j a_j / p^k_j
 : 0 <= a_j < p}, whose dilation S = N*E is an integer candidate set
@@ -23,14 +27,12 @@ exact since every such p^k divides L and L divides |N|.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from fractions import Fraction
 from dataclasses import dataclass
 
-from .arith import factorize
 from .compat import CompatibilityCertificate, is_compatible
-from .cyclotomic import order_vanishes
+from .cyclotomic import OrderTest, factorize
 from .systems import (
     LAMBDA_BUDGET,
     BudgetExceededError,
@@ -41,12 +43,13 @@ from .systems import (
 )
 
 
-def _tiling_powers(size: int, modulus: int, vanishes):
-    """{p: S_p} at the modulus for the ascending primes of |D| = size, with
-    `vanishes(b)` deciding whether Phi_b divides D(z); None when (T1)
-    fails, or when |D| has two primes and (T2) fails."""
+def _tiling_powers(size_factors: dict[int, int], modulus: int, vanishes):
+    """{p: S_p} at the modulus for the primes of |D|, given ascending as
+    `size_factors` = {p: alpha_p}, with `vanishes(b)` deciding whether
+    Phi_b divides D(z); None when (T1) fails, or when |D| has two primes
+    and (T2) fails."""
     found = {}
-    for p, alpha in sorted(factorize(size).items()):
+    for p, alpha in size_factors.items():
         powers, power = [], p
         while modulus % power == 0:
             if vanishes(power):
@@ -83,7 +86,11 @@ def is_complementing(digits, modulus: int) -> tuple[int, ...] | None:
         raise PreconditionError("digit set must be nonempty")
     if len({d % modulus for d in digs}) != len(digs):
         return None
-    powers = _tiling_powers(len(digs), modulus, functools.partial(order_vanishes, digs))
+    size_factors = factorize(len(digs))
+    # (T1) and (T2) ask only orders made of |D|'s primes, so the memo spans
+    # that part of L and never trial-divides the rest
+    part = math.gcd(modulus, math.prod(size_factors) ** modulus.bit_length())
+    powers = _tiling_powers(size_factors, modulus, OrderTest(digs, part))
     return None if powers is None else _search_complement(digs, modulus)
 
 
@@ -142,13 +149,13 @@ def _tiling_modulus(system: ScaleDigitSystem):
     s*t divides |N|, so the system's vanishing orders answer (T2).  Only
     the powers p^k dividing |N| and the products s*t are asked, each
     decided once per system."""
-    primes = len(factorize(system.size))
-    if primes > 2:
+    size_factors = factorize(system.size)
+    if len(size_factors) > 2:
         raise PreconditionError(
-            f"|D| = {system.size} has {primes} distinct prime factors; "
+            f"|D| = {system.size} has {len(size_factors)} distinct prime factors; "
             "the construction covers at most two"
         )
-    powers = _tiling_powers(system.size, system.modulus, system.is_vanishing_order)
+    powers = _tiling_powers(size_factors, system.modulus, system.is_vanishing_order)
     return None if powers is None else (math.prod(group[-1] for group in powers.values()), powers)
 
 

@@ -1,7 +1,7 @@
 """Reference oracles for the tests: exact integer-polynomial algebra, the
 float digit symbol, the former batch of a system's vanishing orders, the
-zero residues of a system, the radical and divisor list of an integer,
-and the former prime-power sets of a tiling.
+zero residues of a system, the two former factorisers, the radical and
+divisor list of an integer, and the former prime-power sets of a tiling.
 
 No verdict path of the library builds a polynomial: every vanishing
 question goes through `cantorspec.cyclotomic.order_vanishes`.  The algebra
@@ -27,14 +27,46 @@ import cmath
 import math
 from fractions import Fraction
 
-from cantorspec.arith import factorize
 from cantorspec.cyclotomic import _order_divides, order_vanishes
 from cantorspec.systems import ConsistencyError, PreconditionError
 
 
+def trial_factorize(n: int) -> dict[int, int]:
+    """The former full factoriser: {p: exponent} of a positive integer by
+    trial division up to its square root."""
+    factors: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
+def reach_factors(n: int, span: int) -> list[tuple[int, int]]:
+    """The former reach-bounded factoriser: (p, v_p(n)) for the primes
+    p <= span + 1 of n, ascending, the primes an order b with
+    phi(b) <= span can have; the rest of n is never factorised."""
+    factors, rest, p = [], n, 2
+    while p <= span + 1 and p * p <= rest:
+        k = 0
+        while rest % p == 0:
+            rest //= p
+            k += 1
+        if k:
+            factors.append((p, k))
+        p += 1
+    if 1 < rest <= span + 1:  # a prime: every smaller one is divided out
+        factors.append((rest, 1))
+    return factors
+
+
 def radical(n: int) -> int:
     """Product of the distinct primes dividing n; radical(1) = 1."""
-    return math.prod(factorize(n))
+    return math.prod(trial_factorize(n))
 
 
 def divisors_from(factors: dict[int, int]) -> list[int]:
@@ -48,7 +80,7 @@ def divisors_from(factors: dict[int, int]) -> list[int]:
 
 def divisors(n: int) -> list[int]:
     """All positive divisors of n, ascending, as products of its prime powers."""
-    return divisors_from(factorize(n))
+    return divisors_from(trial_factorize(n))
 
 
 class IntPolynomial:
@@ -191,7 +223,7 @@ def _squarefree_cyclotomic(n: int) -> IntPolynomial:
     if n % 2 == 0 and n > 2:
         half = _squarefree_cyclotomic(n // 2)
         return IntPolynomial(-c if i % 2 else c for i, c in enumerate(half.coeffs))
-    p = max(factorize(n))
+    p = max(trial_factorize(n))
     inner = _squarefree_cyclotomic(n // p)
     quot, rem = divmod(_dilated(inner, p), inner)
     if not rem.is_zero():
@@ -226,7 +258,7 @@ def vanishes_at_primitive_root(p: IntPolynomial, m: int) -> bool:
         raise PreconditionError("vanishing test rejects the zero polynomial")
     if not isinstance(m, int) or m < 1:
         raise PreconditionError(f"root order must be a positive integer, got {m!r}")
-    return _order_divides(enumerate(p.coeffs), m, sorted(factorize(m)))
+    return _order_divides(enumerate(p.coeffs), m, sorted(trial_factorize(m)))
 
 
 def digit_polynomial(digits, modulus: int | None = None) -> IntPolynomial:
@@ -271,19 +303,8 @@ def orders_in_reach(n: int, span: int) -> list[tuple[int, list[int]]]:
     """(b, primes of b) for the divisors b > 1 of n with phi(b) <= span,
     ascending; n is trial-divided by the primes p <= span + 1 only, since
     every p of such a b has p - 1 <= phi(b)."""
-    factors, rest, p = [], n, 2
-    while p <= span + 1 and p * p <= rest:
-        k = 0
-        while rest % p == 0:
-            rest //= p
-            k += 1
-        if k:
-            factors.append((p, k))
-        p += 1
-    if 1 < rest <= span + 1:  # a prime: every smaller one is divided out
-        factors.append((rest, 1))
     orders = [(1, 1, [])]  # (b, phi(b), primes of b)
-    for p, k in factors:
+    for p, k in reach_factors(n, span):
         grown = []
         for b, phi, primes in orders:
             phi *= p - 1
@@ -324,13 +345,13 @@ def prime_power_sets(digits, modulus: int) -> tuple[tuple[int, ...], tuple[int, 
     (resp. beta).  Three primes in |D| raise PreconditionError, a wrong
     count ConsistencyError."""
     digs = tuple(digits)
-    size_factors = factorize(len(digs))
+    size_factors = trial_factorize(len(digs))
     if len(size_factors) > 2:
         raise PreconditionError(
             f"|D| = {len(digs)} has {len(size_factors)} distinct prime factors; "
             "the construction covers at most two"
         )
-    modulus_factors = factorize(modulus)
+    modulus_factors = trial_factorize(modulus)
     groups = []
     for p, alpha in sorted(size_factors.items()):
         cap = modulus_factors.get(p, 0)

@@ -17,7 +17,7 @@ from cantorspec import (
     report_measure_spectrality,
     search_candidate_s,
 )
-from cantorspec import arith, cyclotomic
+from cantorspec import cyclotomic
 from oracles import symbol_eval, zero_residues
 
 CERTIFIED_PAIRS = [
@@ -97,7 +97,7 @@ def test_zero_pattern_sets_exactly_the_zero_residues():
         m = system.modulus
         zeros = zero_residues(system)
         expected = sum(1 << t for t in range(2 * m) if t % m in zeros)
-        assert compat._zero_pattern(system.vanishing_orders, m) == expected, system
+        assert compat._zero_pattern(system._order_test) == expected, system
 
 
 def test_sum_of_squares_identity():
@@ -258,8 +258,8 @@ def test_search_budget_fails_fast_on_a_huge_window():
 def test_window_search_refuses_an_oversized_zero_pattern_before_building_it(monkeypatch):
     built = []
 
-    def recording(orders, m):
-        built.append(m)
+    def recording(orders):
+        built.append(orders.n)
         return 0  # no zeros, so no candidates: nothing of size |N| is built
 
     monkeypatch.setattr(compat, "_zero_pattern", recording)
@@ -381,19 +381,26 @@ def test_pair_power_certified_at_powered_scale():
 def test_pair_power_factorizes_each_scale_once(monkeypatch):
     # former cliff: every divisor 2^j of 4^k was factorised by trial division
     calls = []
-    factorize = arith.factorize
+    factorize = cyclotomic.factorize
 
-    def counting(n):
+    def counting(n, reach=None):
         calls.append(n)
-        return factorize(n)
+        return factorize(n, reach)
 
-    monkeypatch.setattr(arith, "factorize", counting)
+    monkeypatch.setattr(cyclotomic, "factorize", counting)
     k = 300
     digits_k, elements_k = pair_power(ScaleDigitSystem(4, (0,)), SpectrumCandidate((5,)), k)
     assert digits_k == (0,) and elements_k == (5 * (4**k - 1) // 3,)
-    # one digit reaches no order, so no scale needs a factorisation; at most
-    # each scale once, and never a divisor
-    assert len(calls) == len(set(calls)) and set(calls) <= {4, 4**k}
+    # a one-element pair has no difference, so no order is asked
+    assert calls == []
+    # two digits reach the order 2 at each scale, and the re-checks ask
+    # orders 2, 4, 8, ... of the powered scales: each scale is factorised
+    # once, the base scale once for both powers, and never a divisor
+    calls.clear()
+    system, candidate = ScaleDigitSystem(4, (0, 1)), SpectrumCandidate((0, 2))
+    for k in (2, 3):
+        pair_power(system, candidate, k)
+    assert calls == [4, 16, 64]
 
 
 def test_pair_power_preconditions():

@@ -10,14 +10,15 @@ from hypothesis import given, strategies as st
 
 from cantorspec import PreconditionError, ScaleDigitSystem, order_vanishes
 from cantorspec import cyclotomic as cyclotomic_module
-from cantorspec.arith import factorize
 from oracles import (
     IntPolynomial,
     cyclotomic,
     digit_polynomial,
     divisors,
+    reach_factors,
     symbol_eval,
     symbol_vanishes_at,
+    trial_factorize,
     vanishes_at_primitive_root,
     zero_residues,
 )
@@ -381,7 +382,7 @@ def test_vanishing_orders_fall_back_to_the_exact_test(monkeypatch, n, h, q):
     exact = record_exact_tests(monkeypatch)
     assert ScaleDigitSystem(n, digits).vanishing_orders == expected
     # every divisor with phi(b) <= s, exactly once
-    primes = factorize(n)
+    primes = trial_factorize(n)
     assert sorted(exact) == [b for b in divisors(n)[1:] if totient(b, primes) <= (q - 1) * h]
 
 
@@ -396,3 +397,58 @@ def test_order_vanishes_at_a_large_order_allocates_nothing_per_residue(b):
     finally:
         tracemalloc.stop()
     assert peak < 2**20, peak
+
+
+def reference_divisors(n):
+    """The former divisor list: trial division up to sqrt(n)."""
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
+def test_divisors_match_trial_division():
+    for n in range(1, 3000):
+        assert divisors(n) == reference_divisors(n), n
+
+
+def test_divisors_of_a_large_prime_power_come_from_its_factorisation():
+    # trial division up to sqrt(4^60) = 2^60 would never finish
+    assert cyclotomic_module.factorize(4**60) == {2: 120}
+    assert divisors(4**60) == [2**i for i in range(121)]
+    n = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23
+    found = divisors(n)
+    assert len(found) == 2**9 and found == sorted(found) and found[-1] == n
+    assert all(n % d == 0 for d in found)
+
+
+def test_factorize_matches_the_former_factorisers_exhaustively():
+    # the merged factoriser against the former full and reach-bounded
+    # loops, at every reach from 0 to one past n
+    factorize = cyclotomic_module.factorize
+    numbers = range(1, 3000)
+    assert [n for n in numbers if list(factorize(n).items()) != list(trial_factorize(n).items())] == []
+    wrong = [
+        (n, reach)
+        for n in numbers
+        for reach in range(n + 2)
+        if list(factorize(n, reach).items()) != reach_factors(n, reach - 1)
+    ]
+    assert wrong == []
+
+
+@pytest.mark.parametrize(
+    "n",
+    [4**60, math.prod([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]), 10**16 + 61],
+    ids=["4^60", "primorial-16", "10^16+61"],
+)
+def test_factorize_stops_at_the_reach_of_a_large_integer(n):
+    # full trial division would run to sqrt(n), about 10^8 steps for the
+    # prime 10^16 + 61; the reach stops the loop first
+    for reach in range(200):
+        assert list(cyclotomic_module.factorize(n, reach).items()) == reach_factors(n, reach - 1), reach

@@ -19,8 +19,7 @@ from cantorspec import (
     find_modulus_l,
     is_compatible,
 )
-from cantorspec.arith import factorize
-from oracles import divisors, radical, vanishing_orders
+from oracles import divisors, radical, trial_factorize, vanishing_orders
 
 DIGIT_SETS = [(0, *rest) for size in range(11) for rest in itertools.combinations(range(1, 11), size)]
 PRIMORIAL_16 = math.prod([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53])
@@ -32,7 +31,7 @@ def reference_tiling(size, orders):
     """(L, per-prime powers) from the (T1) and (T2) conditions read off a
     set of vanishing orders, or None when they fail."""
     groups = []
-    for p, alpha in sorted(factorize(size).items()):
+    for p, alpha in sorted(trial_factorize(size).items()):
         powers = tuple(sorted(b for b in orders if radical(b) == p))
         if len(powers) != alpha:
             return None

@@ -1,0 +1,45 @@
+"""Smoke tests for the survey scripts under scripts/, each run as its own
+process from the checkout's src/ at tiny sizes."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *argv):
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+
+
+def test_survey_spectra_tallies_every_system():
+    proc = run_script("survey_spectra.py", "--max-scale", "4", "--max-digit", "3")
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()
+    # 3 scales times the 8 digit sets {0} + a subset of {1, 2, 3}
+    assert rows[0] == "scale,digits,status,candidate" and len(rows) == 1 + 3 * 8
+    assert "4,0 1,spectral-with-certificate,-2 0" in rows
+    assert proc.stderr.splitlines() == [
+        "# no-compatible-pair-found: 13",
+        "# spectral-with-certificate: 8",
+        "# unit-interval: 3",
+    ]
+
+
+def test_scan_two_digit_spectra_splits_the_compatible_candidates():
+    proc = run_script("scan_two_digit_spectra.py", "--limit", "8", "--q-depth", "4")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    rows = proc.stdout.splitlines()
+    assert rows[0] == "k,compatible,verdict,witness,q_at_eta0" and len(rows) == 1 + 8
+    # {0, k} is compatible with D/4 = {0, 1/4} exactly when k = 2 (mod 4)
+    assert rows[2] == "2,yes,spectral,,"
+    assert rows[6] == "6,yes,not-spectral,2+6,0.000e+00"
+    assert all(row.endswith(",no,,,") for i, row in enumerate(rows[1:], 1) if i % 4 != 2)

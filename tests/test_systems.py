@@ -83,12 +83,12 @@ def count_calls(monkeypatch, module, name):
 
 
 def test_report_builds_vanishing_orders_once(monkeypatch):
-    factorings = count_calls(monkeypatch, cyclotomic_module, "_reach_factors")
+    factorings = count_calls(monkeypatch, cyclotomic_module, "factorize")
     exact = count_calls(monkeypatch, cyclotomic_module, "_order_divides")
     system = ScaleDigitSystem(12, (0, 1, 2))
     report = report_measure_spectrality(system)
     assert report.candidate is not None and report.certificate is not None
-    assert factorings == [(12, 2)]  # |N| is factorised once per system
+    assert factorings == [(12, 3)]  # |N| is factorised once per system, to the reach s + 1
     # s = 2 reaches the orders b with phi(b) <= 2; 12 is out of reach.  The
     # window search's batch and the certificate share each order's test
     assert sorted(args[1] for args in exact) == [2, 3, 4, 6]

@@ -1,5 +1,4 @@
 import cmath
-import functools
 import itertools
 import math
 import tracemalloc
@@ -20,11 +19,11 @@ from cantorspec import (
     find_modulus_l,
     is_compatible,
     is_complementing,
-    order_vanishes,
     reduce_s,
     report_measure_spectrality,
 )
 from cantorspec import cyclotomic, tiling
+from cantorspec.cyclotomic import OrderTest
 from oracles import divisors, prime_power_sets, radical, symbol_vanishes_at
 
 CONSTRUCTION_CASES = [
@@ -137,12 +136,14 @@ def test_construction_reads_prime_powers_from_the_vanishing_orders(monkeypatch, 
     reference = reference_construct_spectrum_set(system)
     expected = (reference.p_powers, reference.q_powers)
 
-    def refuse(exponents, b):
-        raise AssertionError("the construction re-tested an order")
+    def refuse(exponents, n):
+        raise AssertionError("the construction built an order test of its own")
 
-    monkeypatch.setattr(tiling, "order_vanishes", refuse)
+    monkeypatch.setattr(tiling, "OrderTest", refuse)
+    tested = record_exact_tests(monkeypatch)
     construction = construct_spectrum_set(system)
     assert (construction.p_powers, construction.q_powers) == expected
+    assert len(tested) == len(set(tested))  # the system's memo answers each order once
 
 
 def test_construction_prime_powers_examples():
@@ -290,13 +291,41 @@ def test_construction_asks_only_the_t1_and_t2_orders(monkeypatch):
 
 
 def test_tiling_powers_test_each_power_once(monkeypatch):
-    # order_vanishes decides b alone: one exact test per power 3^k of the
-    # modulus, not one per divisor of each power (about v^2/2 in all)
+    # one order test over the 3-part of the modulus, as is_complementing
+    # builds: one exact test per power 3^k of the modulus, not one per
+    # divisor of each power (about v^2/2 in all)
     tested = record_exact_tests(monkeypatch)
     v = 400
     digits = (0, 1, 2 * 3**v + 5)  # exponents 0, 1, 2 mod 3: only Phi_3 divides
-    assert tiling._tiling_powers(3, 3**v, functools.partial(order_vanishes, digits)) == {3: (3,)}
+    assert tiling._tiling_powers({3: 1}, 3**v, OrderTest(digits, 3**v)) == {3: (3,)}
     assert tested == [3**k for k in range(1, v + 1)]
+
+
+def test_is_complementing_factorises_once_and_tests_each_order_once(monkeypatch):
+    # |D| = 6 and L = 1800 = 2^3 * 3^2 * 5^2: the memo spans 72, the part
+    # of L made of |D|'s primes.  (T1) asks 2, 4, 8 and 3, 9, where
+    # phi(9) = 6 > s = 5 refuses 9 untested, and (T2) asks 2 * 3
+    tested = record_exact_tests(monkeypatch)
+    factorings = {module: [] for module in (cyclotomic, tiling)}
+    for module, calls in factorings.items():
+
+        def counting(*args, calls=calls, factorize=module.factorize):
+            calls.append(args)
+            return factorize(*args)
+
+        monkeypatch.setattr(module, "factorize", counting)
+    digits = (0, 1, 2, 3, 4, 5)
+    complement = is_complementing(digits, 1800)
+    assert_exact_cover(digits, complement, 1800)
+    assert factorings == {cyclotomic: [(72, 6)], tiling: [(6,)]}
+    assert tested == [2, 4, 8, 3, 6]
+    # wide digits at a prime modulus: no power of 2 divides it, so (T1)
+    # fails with nothing to factorise, not after 10^8 trial divisions
+    for calls in factorings.values():
+        calls.clear()
+    assert is_complementing((0, 10**9), 10**16 + 61) is None
+    assert factorings == {cyclotomic: [(1, 10**9 + 1)], tiling: [(2,)]}
+    assert tested == [2, 4, 8, 3, 6]
 
 
 def test_construct_point_mass():
