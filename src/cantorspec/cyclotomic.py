@@ -12,20 +12,23 @@ because the left side evaluates the digit polynomial at a primitive b-th
 root of unity, whose minimal polynomial over the rationals is Phi_b.  The
 answer depends on the order b alone, not on a, so the zeros of the symbol
 mod |N| are decided by at most one test per divisor b of |N|; the divisors
-that pass are its vanishing orders.  Few divisors are in the digits'
-reach: z^(-min D) * D(z) has degree s = max D - min D, so Phi_b dividing
-it forces phi(b) <= s.  Only the primes p <= s + 1 of |N| are
-trial-divided out, and only divisors b of |N| with phi(b) <= s are ever
-tested; a single digit reaches none.  `factorize` is the library's one
-trial division: bounded by that reach here, and over every prime for
-|D|, which the tiling conditions factorise in full.  The orders are
-decided on demand: each `ScaleDigitSystem` holds an `OrderTest`, which
-tests an order the first time a caller asks about it and remembers the
-answer.  A compatibility check asks the orders of its differences, the
-tiling construction its prime powers and their products, and
-`is_complementing` shares one such memo among its (T1) and (T2)
-questions; only the window search asks for every order in reach at once,
-and sieves their residues with the primes the memo already holds.
+that pass are its vanishing orders.  By Mann (On linear relations between
+roots of unity, Mathematika 12, 1965), a minimal vanishing sum of k roots
+of unity that contains 1 uses only m-th roots, m squarefree with every
+prime at most k.  Splitting D(zeta) = 0 into such subsums, every vanishing
+order divides P * (d - d') for two digits, P the product of the primes
+<= |D|, so it divides g = gcd(|N|, lcm(1..|D|) * lcm of the differences).
+Only g is factorised, not |N|: its primes are at most max(|D|, s), with
+s = max D - min D.  Of its divisors only those with phi(b) <= s are
+tested, as Phi_b must divide z^(-min D) * D(z) of degree s.  `factorize`,
+the library's one trial division, also serves |D| for the tiling
+conditions.  The orders are decided on demand: each `ScaleDigitSystem`
+holds an `OrderTest`, which tests an order the first time a caller asks
+about it and remembers the answer.  A compatibility check asks the orders
+of its differences, the tiling construction its prime powers and their
+products, and `is_complementing` shares one such memo among its (T1) and
+(T2) questions; only the window search asks for every order at once, and
+sieves their residues with the primes the memo already holds.
 
 The test itself works at the radical.  Write b = k * rad(b).  Then
 Phi_b(z) = Phi_rad(z^k), and zeta_b^k is a primitive rad-th root of unity;
@@ -132,20 +135,14 @@ def order_vanishes(exponents, b: int) -> bool:
     return not exps or OrderTest(exps, b)(b)
 
 
-def factorize(n: int, reach: int | None = None) -> dict[int, int]:
-    """{p: v_p(n)} over the primes p <= reach of n, ascending, by trial
-    division; every prime of n when reach is None.  Only the primes in
-    reach are divided out: the rest of n is never factorised.
+def factorize(n: int) -> dict[int, int]:
+    """{p: v_p(n)} over every prime p of n, ascending, by trial division.
 
     >>> factorize(360)
     {2: 3, 3: 2, 5: 1}
-    >>> factorize(6 * (10**16 + 61), 4)  # the prime 10^16 + 61 is past the reach
-    {2: 1, 3: 1}
     """
-    if reach is None:
-        reach = n
     factors, p = {}, 2
-    while p <= reach and p * p <= n:
+    while p * p <= n:
         k = 0
         while n % p == 0:
             n //= p
@@ -153,7 +150,7 @@ def factorize(n: int, reach: int | None = None) -> dict[int, int]:
         if k:
             factors[p] = k
         p += 1
-    if 1 < n <= reach:  # a prime: every smaller one is divided out
+    if n > 1:  # a prime: every smaller one is divided out
         factors[n] = 1
     return factors
 
@@ -163,9 +160,10 @@ class OrderTest:
     decided on first ask and remembered; `ScaleDigitSystem` holds one, and
     `is_complementing` one per call.
 
-    n is factorised once, into its primes in the exponents' reach.  An
-    order b is refused with no exact test when it does not divide n, has
-    a prime past the reach or has phi(b) > max - min.
+    Of n only g = gcd(n, lcm(1..#exponents) * lcm of the differences) is
+    factorised, once: by Mann's bound every vanishing order divides it.  An
+    order b is refused with no exact test when it does not divide n, has a
+    prime outside g or has phi(b) > max - min.
     """
 
     __slots__ = ("n", "span", "terms", "factors", "known", "orders")
@@ -173,10 +171,10 @@ class OrderTest:
     def __init__(self, exponents, n: int):
         exps = tuple(exponents)
         self.n = n
-        self.span = max(exps) - min(exps) if exps else n  # the empty sum vanishes everywhere
+        self.span = max(exps) - min(exps)
         self.terms = [(e, 1) for e in exps]
-        # an order b with phi(b) <= span has only primes p <= span + 1, as p - 1 <= phi(b)
-        self.factors = factorize(n, self.span + 1)
+        diffs = {math.gcd(n, e - f) for e in exps for f in exps if e > f}  # their lcm divides n
+        self.factors = factorize(math.gcd(n, math.lcm(*range(1, len(exps) + 1)) * math.lcm(*diffs)))
         self.known: dict[int, bool] = {}  # every answer given so far
         self.orders: frozenset[int] | None = None  # the vanishing ones, once `all_orders` ran
 

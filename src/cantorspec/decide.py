@@ -25,6 +25,7 @@ from fractions import Fraction
 
 from .compat import CompatibilityCertificate, _window_candidates, is_compatible
 from .systems import (
+    ConsistencyError,
     PreconditionError,
     RationalInterval,
     ScaleDigitSystem,
@@ -258,25 +259,23 @@ class SpectralityReport:
 
 
 def report_measure_spectrality(system: ScaleDigitSystem) -> SpectralityReport:
-    """Canonicalize the digits, then search the window for a spectrum.
+    """Canonicalize the digits, then certify the first window candidate.
 
-    |N| = 2 with reduced digits {0, 1} is the unit interval.  Otherwise
-    the window candidates are generated one at a time in deterministic
-    order and the first spectral one is certified; at |N| = 2 the window
-    is {0}, so only the point mass {0} has one.  They are compatible by
-    construction, contain 0 and come with canonical digits, so they go to
-    the cycle search without `decide_spectrum`'s checks, and only the
-    spectral one is run through `is_compatible`, for its certificate.
+    |N| = 2 with reduced digits {0, 1} is the unit interval.  Otherwise the
+    first window candidate is spectral by Laba-Wang's window condition: its
+    attractor's hull lies strictly inside (-1, 1) for either sign of N.  It
+    goes to the cycle search without `decide_spectrum`'s checks, then to
+    `is_compatible` for its certificate; a cycle raises ConsistencyError.
+    At |N| = 2 the window is {0}, so only the point mass {0} has one.
     """
     canon = canonicalize_digits(system.digits)
     if system.modulus == 2 and canon.reduced_digits == (0, 1):
         return SpectralityReport(STATUS_UNIT_INTERVAL, system.scale, canon)
     reduced = ScaleDigitSystem(system.scale, canon.reduced_digits)
-    for cand in _window_candidates(reduced):
-        verdict = _cycle_verdict(reduced, cand, 1)
-        if verdict.spectral:
-            certificate = is_compatible(reduced, cand)
-            return SpectralityReport(
-                STATUS_SPECTRAL, system.scale, canon, cand, certificate, verdict
-            )
-    return SpectralityReport(STATUS_UNKNOWN, system.scale, canon)
+    cand = next(_window_candidates(reduced), None)
+    if cand is None:
+        return SpectralityReport(STATUS_UNKNOWN, system.scale, canon)
+    verdict = _cycle_verdict(reduced, cand, 1)
+    if not verdict.spectral:
+        raise ConsistencyError(f"window candidate {cand.elements} has a cycle of nonzero integers")
+    return SpectralityReport(STATUS_SPECTRAL, system.scale, canon, cand, is_compatible(reduced, cand), verdict)

@@ -213,14 +213,23 @@ def test_precondition_violation_exits_two(capsys):
     ids=["prime-10^16+61", "16-primorial-check", "16-primorial-construct", "16-primorial-wide-digits"],
 )
 def test_digits_reach_only_small_orders_of_a_huge_scale(capsys, argv, code, expected):
-    # {0, 1} reaches only the order 2 and {0, 2} only the divisors of 6, so |N|
-    # (a prime near 10^16, or the product of the first 16 primes with 65,536
-    # divisors) is trial-divided no further than 3; 30 even digits (s = 58)
-    # reach all 16 primes but only the 55 divisors with phi(b) <= 58
+    # |N| (a prime near 10^16, or the product of the first 16 primes with
+    # 65,536 divisors) is never factorised, only its gcd g with lcm(1..|D|)
+    # times the lcm of the digit differences: g = 2 for {0, 1} and {0, 2};
+    # for 30 even digits (s = 58) g has the 10 primes up to 29, and only its
+    # 43 divisors with phi(b) <= 58 are tested
     got, out, err = run(capsys, *argv)
     assert (got, out) == (code, expected)
     assert err == ("" if code == 0 else
                    "precondition violated: digit set is not complementing modulo any admissible divisor of N\n")
+
+
+@pytest.mark.parametrize("n,digits", [("100000000000031", "0,10000000"), ("10000000000000061", "0,100000000")])
+def test_wide_digits_at_a_large_prime_scale_factorise_nothing(capsys, n, digits):
+    # former cliff: the prime |N| was trial-divided up to s + 1, 10^7 + 1 and
+    # 10^8 + 1 steps; every vanishing order divides gcd(|N|, 2 * s) = 1
+    code, out, err = run(capsys, "compat", "check", "--n", n, "--digits", digits, "--s", "0,1")
+    assert (code, out, err) == (0, '{"certificate": null, "compatible": false, "method": "' + METHOD_COMPAT + '"}\n', "")
 
 
 def test_tiling_check_refutes_a_non_tile_without_searching(capsys):

@@ -383,9 +383,9 @@ def test_pair_power_factorizes_each_scale_once(monkeypatch):
     calls = []
     factorize = cyclotomic.factorize
 
-    def counting(n, reach=None):
+    def counting(n):
         calls.append(n)
-        return factorize(n, reach)
+        return factorize(n)
 
     monkeypatch.setattr(cyclotomic, "factorize", counting)
     k = 300
@@ -393,14 +393,15 @@ def test_pair_power_factorizes_each_scale_once(monkeypatch):
     assert digits_k == (0,) and elements_k == (5 * (4**k - 1) // 3,)
     # a one-element pair has no difference, so no order is asked
     assert calls == []
-    # two digits reach the order 2 at each scale, and the re-checks ask
-    # orders 2, 4, 8, ... of the powered scales: each scale is factorised
-    # once, the base scale once for both powers, and never a divisor
+    # the re-checks ask orders 2, 4, 8, ... of the powered scales: each
+    # system factorises its g = gcd(|N|, lcm(1..|D|) * lcm of differences)
+    # once, the base system once for both powers, and never an order.  The
+    # base g is gcd(4, 2 * 1) = 2; the powered digits differ by 4 and 16
     calls.clear()
     system, candidate = ScaleDigitSystem(4, (0, 1)), SpectrumCandidate((0, 2))
     for k in (2, 3):
         pair_power(system, candidate, k)
-    assert calls == [4, 16, 64]
+    assert calls == [2, 16, 64]
 
 
 def test_pair_power_preconditions():

@@ -15,11 +15,11 @@ from oracles import (
     cyclotomic,
     digit_polynomial,
     divisors,
-    reach_factors,
     symbol_eval,
     symbol_vanishes_at,
     trial_factorize,
     vanishes_at_primitive_root,
+    vanishing_orders as batch_vanishing_orders,
     zero_residues,
 )
 
@@ -428,27 +428,23 @@ def test_divisors_of_a_large_prime_power_come_from_its_factorisation():
 
 
 def test_factorize_matches_the_former_factorisers_exhaustively():
-    # the merged factoriser against the former full and reach-bounded
-    # loops, at every reach from 0 to one past n
+    # the one factoriser against the former full trial division
     factorize = cyclotomic_module.factorize
     numbers = range(1, 3000)
     assert [n for n in numbers if list(factorize(n).items()) != list(trial_factorize(n).items())] == []
-    wrong = [
-        (n, reach)
-        for n in numbers
-        for reach in range(n + 2)
-        if list(factorize(n, reach).items()) != reach_factors(n, reach - 1)
-    ]
-    assert wrong == []
 
 
-@pytest.mark.parametrize(
-    "n",
-    [4**60, math.prod([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]), 10**16 + 61],
-    ids=["4^60", "primorial-16", "10^16+61"],
-)
-def test_factorize_stops_at_the_reach_of_a_large_integer(n):
-    # full trial division would run to sqrt(n), about 10^8 steps for the
-    # prime 10^16 + 61; the reach stops the loop first
-    for reach in range(200):
-        assert list(cyclotomic_module.factorize(n, reach).items()) == reach_factors(n, reach - 1), reach
+def test_vanishing_orders_satisfy_manns_bound():
+    # Mann's bound, which OrderTest factorises by: every vanishing order of
+    # D divides lcm(1..|D|) * (d - d') for two digits.  720720 is the lcm of
+    # every b with phi(b) <= 12, so the batch sees every vanishing order
+    orders_seen = 0
+    for size in range(13):
+        for rest in itertools.combinations(range(1, 13), size):
+            digits = (0, *rest)
+            lcm_sizes = math.lcm(*range(1, len(digits) + 1))
+            diffs = {b - a for a, b in itertools.combinations(digits, 2)}
+            for b in batch_vanishing_orders(digits, 720720):
+                assert any(lcm_sizes * delta % b == 0 for delta in diffs), (digits, b)
+                orders_seen += 1
+    assert orders_seen > 1900

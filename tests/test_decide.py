@@ -5,6 +5,7 @@ import math
 import pytest
 
 from cantorspec import (
+    ConsistencyError,
     PreconditionError,
     STATUS_SPECTRAL,
     STATUS_UNIT_INTERVAL,
@@ -469,6 +470,35 @@ def test_report_matches_eager_report():
                     assert report == eager_report(system), system
                     statuses.add(report.status)
     assert statuses == {STATUS_SPECTRAL, STATUS_UNIT_INTERVAL, STATUS_UNKNOWN}
+
+
+def test_every_window_candidate_is_spectral():
+    # Laba-Wang's window condition: with 0 in S inside [2-|N|, |N|-2] the
+    # attractor's hull lies strictly inside (-1, 1) for either sign of N,
+    # so the report need decide only the first candidate
+    decided = 0
+    for modulus in range(2, 17):
+        for scale in (modulus, -modulus):
+            for size in range(4):
+                for rest in itertools.combinations(range(1, 13), size):
+                    if math.gcd(*rest) > 1:
+                        continue
+                    system = ScaleDigitSystem(scale, (0, *rest))
+                    for cand in compat_module._window_candidates(system):
+                        bounds = attractor_bounds(scale, cand.elements)
+                        assert -1 < bounds.lo <= bounds.hi < 1, (system, cand)
+                        assert decide_module._cycle_verdict(system, cand, 1).spectral, (system, cand)
+                        decided += 1
+    assert decided > 2000
+
+
+def test_report_refuses_a_window_candidate_with_a_cycle(monkeypatch):
+    def cyclic(system, candidate, range_factor):
+        return SpectrumVerdict(False, ((1, 0),), (0, 0), attractor_bounds(system.scale, candidate.elements))
+
+    monkeypatch.setattr(decide_module, "_cycle_verdict", cyclic)
+    with pytest.raises(ConsistencyError):
+        report_measure_spectrality(ScaleDigitSystem(4, (0, 1)))
 
 
 def test_report_builds_and_certifies_only_what_it_decides(monkeypatch):

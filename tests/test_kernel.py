@@ -212,6 +212,18 @@ def test_lambda_enumerate_matches_the_former_loop():
         assert lambda_enumerate(scale, candidate, depth) == expected, (scale, candidate, depth)
 
 
+def test_single_point_slice_matches_the_former_loop():
+    # |S| = 1 returns s * (N^depth - 1) / (N - 1) directly: the loop grew
+    # one big integer per level, quadratic in depth
+    for modulus in range(2, 6):
+        for scale in (modulus, -modulus):
+            for s in (-7, 0, 1, 3):
+                for depth in range(1, 41):
+                    candidate = SpectrumCandidate((s,))
+                    expected = reference_lambda_enumerate(scale, candidate, depth)
+                    assert lambda_enumerate(scale, candidate, depth) == expected, (scale, s, depth)
+
+
 def test_lambda_slices_are_nested_with_zero():
     candidate = SpectrumCandidate((0, 2, 3))
     for depth in range(1, 5):

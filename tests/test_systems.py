@@ -88,7 +88,8 @@ def test_report_builds_vanishing_orders_once(monkeypatch):
     system = ScaleDigitSystem(12, (0, 1, 2))
     report = report_measure_spectrality(system)
     assert report.candidate is not None and report.certificate is not None
-    assert factorings == [(12, 3)]  # |N| is factorised once per system, to the reach s + 1
+    # once per system, and only g = gcd(|N|, lcm(1, 2, 3) * lcm(1, 2)) = 12
+    assert factorings == [(12,)]
     # s = 2 reaches the orders b with phi(b) <= 2; 12 is out of reach.  The
     # window search's batch and the certificate share each order's test
     assert sorted(args[1] for args in exact) == [2, 3, 4, 6]
@@ -97,6 +98,18 @@ def test_report_builds_vanishing_orders_once(monkeypatch):
     assert reduced.vanishing_orders == frozenset({3})
     assert [reduced.is_vanishing_order(b) for b in (1, 2, 3, 4, 6, 12, 5)] == [False, False, True] + [False] * 4
     assert len(exact) == 4 and len(factorings) == 1  # asked again, tested never
+
+
+def test_wide_digits_at_a_prime_scale_never_factorise_the_scale(monkeypatch):
+    # former cliff: 10^16 + 61 was trial-divided up to 10^8 = s; every
+    # vanishing order divides gcd(|N|, lcm(1, 2) * 10^8) = 1 instead
+    factorings = count_calls(monkeypatch, cyclotomic_module, "factorize")
+    exact = count_calls(monkeypatch, cyclotomic_module, "_order_divides")
+    n = 10**16 + 61
+    system = ScaleDigitSystem(n, (0, 10**8))
+    assert [system.is_vanishing_order(b) for b in (n, 2, 1)] == [False] * 3
+    assert system.vanishing_orders == frozenset()
+    assert factorings == [(1,)] and exact == []
 
 
 def test_an_order_in_reach_is_refuted_by_the_exact_test(monkeypatch):
