@@ -29,8 +29,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .cyclotomic import OrderTest
+from . import systems
 from .systems import (
-    LAMBDA_BUDGET,
     BudgetExceededError,
     ConsistencyError,
     PreconditionError,
@@ -91,16 +91,15 @@ def is_compatible(
     return CompatibilityCertificate(system, candidate, tuple(entries))
 
 
-def _zero_pattern(orders: OrderTest) -> int:
+def _zero_pattern(orders: OrderTest, m: int) -> int:
     """Int with bit t set exactly when the order m / gcd(t, m) vanishes,
-    for 0 <= t < 2m and m = orders.n.
+    for 0 <= t < 2m and the modulus m = |N| of the orders.
 
     The residues of order b are (m/b) * u with u a unit mod b, found by
     sieving out the primes of b, which the order test already holds.  Only
     ones are written, since the other multiples of m/b may be zeros of
     another order.
     """
-    m = orders.n
     digits = bytearray(b"0") * m
     for b in orders.all_orders():
         units = bytearray([1]) * b
@@ -149,7 +148,7 @@ def _window_candidates(system: ScaleDigitSystem) -> Iterator[SpectrumCandidate]:
             f"the window search at |N| = {m} builds a zero pattern of about {size} bytes "
             f"(|N| bytes and a 2|N|-bit integer), over its budget of {_PATTERN_BUDGET} bytes"
         )
-    pattern = _zero_pattern(system._order_test)
+    pattern = _zero_pattern(system._order_test, m)
     low = 2 - m  # bit x of a window bitset stands for the integer low + x
     vertices = (pattern >> 2) & ((1 << (2 * m - 3)) - 1)  # e = low + x has e = x + 2 (mod m)
     want = system.size
@@ -235,10 +234,10 @@ def pair_power(
     size = system.size  # both slices have size^k points: compatible sets differ mod N
     _check_slice_budget(size, k)
     pairs = math.comb(size**k, 2)
-    if pairs > LAMBDA_BUDGET:
+    if pairs > systems.LAMBDA_BUDGET:
         raise BudgetExceededError(
             f"the re-check of the power-{k} pair tests C({size}^{k}, 2) = {pairs} pairs, "
-            f"over the budget {LAMBDA_BUDGET}"
+            f"over the budget {systems.LAMBDA_BUDGET}"
         )
     digits_k = lambda_enumerate(system.scale, SpectrumCandidate(system.digits), k)
     elements_k = lambda_enumerate(system.scale, candidate, k)

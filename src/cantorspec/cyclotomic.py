@@ -17,18 +17,20 @@ roots of unity, Mathematika 12, 1965), a minimal vanishing sum of k roots
 of unity that contains 1 uses only m-th roots, m squarefree with every
 prime at most k.  Splitting D(zeta) = 0 into such subsums, every vanishing
 order divides P * (d - d') for two digits, P the product of the primes
-<= |D|, so it divides g = gcd(|N|, lcm(1..|D|) * lcm of the differences).
-Only g is factorised, not |N|: its primes are at most max(|D|, s), with
-s = max D - min D.  Of its divisors only those with phi(b) <= s are
-tested, as Phi_b must divide z^(-min D) * D(z) of degree s.  `factorize`,
-the library's one trial division, also serves |D| for the tiling
-conditions.  The orders are decided on demand: each `ScaleDigitSystem`
-holds an `OrderTest`, which tests an order the first time a caller asks
-about it and remembers the answer.  A compatibility check asks the orders
-of its differences, the tiling construction its prime powers and their
-products, and `is_complementing` shares one such memo among its (T1) and
-(T2) questions; only the window search asks for every order at once, and
-sieves their residues with the primes the memo already holds.
+<= |D|, so it divides g = gcd(|N|, lcm(1..|D|) * lcm of the differences),
+which is |N| when |N| divides lcm(1..|D|).  Only g is kept and
+factorised, not |N|: its primes are at most max(|D|, s), with
+s = max D - min D.  The one reach, for a single question and the batch of
+all orders alike: b is tested only when it divides g and phi(b) <= s, as
+Phi_b must divide z^(-min D) * D(z) of degree s.  `factorize`, the
+library's one trial division, also serves |D| for the tiling conditions.
+The orders are decided on demand: each `ScaleDigitSystem` holds an
+`OrderTest`, which tests an order the first time a caller asks about it
+and remembers the answer.  A compatibility check asks the orders of its
+differences, the tiling construction its prime powers and their products,
+and `is_complementing` shares one such memo among its (T1) and (T2)
+questions; only the window search asks for every order at once, and sieves
+their residues with the primes the memo already holds.
 
 The test itself works at the radical.  Write b = k * rad(b).  Then
 Phi_b(z) = Phi_rad(z^k), and zeta_b^k is a primitive rad-th root of unity;
@@ -160,21 +162,24 @@ class OrderTest:
     decided on first ask and remembered; `ScaleDigitSystem` holds one, and
     `is_complementing` one per call.
 
-    Of n only g = gcd(n, lcm(1..#exponents) * lcm of the differences) is
-    factorised, once: by Mann's bound every vanishing order divides it.  An
-    order b is refused with no exact test when it does not divide n, has a
-    prime outside g or has phi(b) > max - min.
+    Only g = gcd(n, lcm(1..#exponents) * lcm of the differences) is kept
+    and factorised, once: by Mann's bound every vanishing order divides it.
+    A single question and `all_orders` alike refuse an order b with no
+    exact test when it does not divide g or has phi(b) > max - min.
     """
 
-    __slots__ = ("n", "span", "terms", "factors", "known", "orders")
+    __slots__ = ("g", "span", "terms", "factors", "known", "orders")
 
     def __init__(self, exponents, n: int):
         exps = tuple(exponents)
-        self.n = n
         self.span = max(exps) - min(exps)
         self.terms = [(e, 1) for e in exps]
-        diffs = {math.gcd(n, e - f) for e in exps for f in exps if e > f}  # their lcm divides n
-        self.factors = factorize(math.gcd(n, math.lcm(*range(1, len(exps) + 1)) * math.lcm(*diffs)))
+        sizes = math.lcm(*range(1, len(exps) + 1))
+        self.g = n  # when n divides `sizes`, no difference can add to g
+        if sizes % n:  # one gcd per distinct difference; their lcm divides n
+            diffs = {e - f for e in exps for f in exps if e > f}
+            self.g = math.gcd(n, sizes * math.lcm(*(math.gcd(n, d) for d in diffs)))
+        self.factors = factorize(self.g)
         self.known: dict[int, bool] = {}  # every answer given so far
         self.orders: frozenset[int] | None = None  # the vanishing ones, once `all_orders` ran
 
@@ -188,21 +193,11 @@ class OrderTest:
         return verdict
 
     def _primes(self, b: int) -> list[int] | None:
-        """The primes of b, ascending, when b > 1 divides n and is in reach."""
-        if b < 2 or self.n % b:
+        """The primes of b, ascending, when b > 1 divides g and phi(b) <= max - min."""
+        if b < 2 or self.g % b:
             return None
-        primes, rest, phi = [], b, 1
-        for p in self.factors:
-            if rest % p == 0:
-                rest //= p
-                phi *= p - 1
-                while rest % p == 0:
-                    rest //= p
-                    phi *= p
-                if phi > self.span:
-                    return None
-                primes.append(p)
-        return primes if rest == 1 else None
+        primes = [p for p in self.factors if b % p == 0]  # phi(b) = b * prod(1 - 1/p)
+        return primes if b // math.prod(primes) * math.prod(p - 1 for p in primes) <= self.span else None
 
     def all_orders(self) -> frozenset[int]:
         """Every vanishing order, built once over the divisors in reach;

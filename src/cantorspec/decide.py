@@ -263,9 +263,9 @@ def report_measure_spectrality(system: ScaleDigitSystem) -> SpectralityReport:
 
     |N| = 2 with reduced digits {0, 1} is the unit interval.  Otherwise the
     first window candidate is spectral by Laba-Wang's window condition: its
-    attractor's hull lies strictly inside (-1, 1) for either sign of N.  It
-    goes to the cycle search without `decide_spectrum`'s checks, then to
-    `is_compatible` for its certificate; a cycle raises ConsistencyError.
+    attractor's hull lies strictly inside (-1, 1) for either sign of N, so
+    it holds no nonzero integer, let alone a cycle.  The verdict is read off
+    the hull, checked exactly: ConsistencyError if it leaves (-1, 1).
     At |N| = 2 the window is {0}, so only the point mass {0} has one.
     """
     canon = canonicalize_digits(system.digits)
@@ -275,7 +275,8 @@ def report_measure_spectrality(system: ScaleDigitSystem) -> SpectralityReport:
     cand = next(_window_candidates(reduced), None)
     if cand is None:
         return SpectralityReport(STATUS_UNKNOWN, system.scale, canon)
-    verdict = _cycle_verdict(reduced, cand, 1)
-    if not verdict.spectral:
-        raise ConsistencyError(f"window candidate {cand.elements} has a cycle of nonzero integers")
+    bounds = attractor_bounds(system.scale, cand.elements)
+    if bounds.lo <= -1 or bounds.hi >= 1:
+        raise ConsistencyError(f"window candidate {cand.elements} has a hull {bounds} outside (-1, 1)")
+    verdict = SpectrumVerdict(True, None, (0, 0), bounds)
     return SpectralityReport(STATUS_SPECTRAL, system.scale, canon, cand, is_compatible(reduced, cand), verdict)

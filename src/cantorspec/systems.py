@@ -102,8 +102,8 @@ class ScaleDigitSystem:
 
     @property
     def vanishing_orders(self) -> frozenset[int]:
-        """Every b with `is_vanishing_order(b)`, built once per system, for
-        the window search, which needs them all; an order asked before or
+        """Every b with `is_vanishing_order(b)`, built once per system over
+        the same reach as a single question; an order asked before or
         after is not tested again."""
         return self._order_test.all_orders()
 

@@ -16,7 +16,10 @@ still does.  Otherwise the search runs only on a tile, for its complement.
 |D| is factorised once per question.  The orders are asked of one
 `OrderTest`: a system's own in the construction, and one per
 `is_complementing` call over the part of L made of |D|'s primes, so each
-is tested at most once.
+is tested at most once.  That part, not Mann's g over all of L, bounds
+the trial division: g keeps a large prime q of L that divides a digit
+difference, factorised by trial division up to sqrt(q), though (T1) and
+(T2) never ask an order with q in it.
 
 For |D| with at most two primes the powers assemble E = {sum_j a_j / p^k_j
 : 0 <= a_j < p}, whose dilation S = N*E is an integer candidate set
@@ -33,8 +36,8 @@ from dataclasses import dataclass
 
 from .compat import CompatibilityCertificate, is_compatible
 from .cyclotomic import OrderTest, factorize
+from . import systems
 from .systems import (
-    LAMBDA_BUDGET,
     BudgetExceededError,
     ConsistencyError,
     PreconditionError,
@@ -88,7 +91,7 @@ def is_complementing(digits, modulus: int) -> tuple[int, ...] | None:
         return None
     size_factors = factorize(len(digs))
     # (T1) and (T2) ask only orders made of |D|'s primes, so the memo spans
-    # that part of L and never trial-divides the rest
+    # that part of L, free of L's other large primes (see the module docstring)
     part = math.gcd(modulus, math.prod(size_factors) ** modulus.bit_length())
     powers = _tiling_powers(size_factors, modulus, OrderTest(digs, part))
     return None if powers is None else _search_complement(digs, modulus)
@@ -105,7 +108,7 @@ def _search_complement(digs: tuple[int, ...], modulus: int) -> tuple[int, ...] |
     offsets = sorted(-d % modulus for d in digs)
     covered: set[int] = set()
     chosen: list[int] = []
-    placed = 0
+    placed, budget = 0, systems.LAMBDA_BUDGET
     # One frame per residue being covered (u and the index of its next
     # candidate), not one Python frame per chosen translate: L/|D| of them
     frames_u, frames_next = [0], [0]
@@ -124,10 +127,10 @@ def _search_complement(digs: tuple[int, ...], modulus: int) -> tuple[int, ...] |
                 e = chosen.pop()
                 covered.difference_update((d + e) % modulus for d in digs)
             continue
-        if placed == LAMBDA_BUDGET:
+        if placed == budget:
             raise BudgetExceededError(
                 f"the complement search mod L = {modulus} for |D| = {len(digs)} digits "
-                f"exceeds the budget of {LAMBDA_BUDGET} placed translates"
+                f"exceeds the budget of {budget} placed translates"
             )
         placed += 1
         covered.update(shifts)

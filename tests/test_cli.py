@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from cantorspec import compat, kernel, tiling
+from cantorspec import compat, kernel, systems
 from cantorspec.cli import METHOD_COMPAT, main
 
 
@@ -240,7 +240,7 @@ def test_tiling_check_refutes_a_non_tile_without_searching(capsys):
 
 def test_complement_search_over_budget_exits_two(capsys, monkeypatch):
     # {0, 13} tiles Z_48, but its search places more than 1000 translates
-    monkeypatch.setattr(tiling, "LAMBDA_BUDGET", 1000)
+    monkeypatch.setattr(systems, "LAMBDA_BUDGET", 1000)
     code, out, err = run(capsys, "tiling", "check", "--digits", "0,13", "--modulus", "48")
     assert code == 2
     assert out == ""

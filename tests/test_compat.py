@@ -97,7 +97,7 @@ def test_zero_pattern_sets_exactly_the_zero_residues():
         m = system.modulus
         zeros = zero_residues(system)
         expected = sum(1 << t for t in range(2 * m) if t % m in zeros)
-        assert compat._zero_pattern(system._order_test) == expected, system
+        assert compat._zero_pattern(system._order_test, m) == expected, system
 
 
 def test_sum_of_squares_identity():
@@ -258,8 +258,8 @@ def test_search_budget_fails_fast_on_a_huge_window():
 def test_window_search_refuses_an_oversized_zero_pattern_before_building_it(monkeypatch):
     built = []
 
-    def recording(orders):
-        built.append(orders.n)
+    def recording(orders, m):
+        built.append(m)
         return 0  # no zeros, so no candidates: nothing of size |N| is built
 
     monkeypatch.setattr(compat, "_zero_pattern", recording)

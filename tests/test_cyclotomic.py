@@ -448,3 +448,60 @@ def test_vanishing_orders_satisfy_manns_bound():
                 assert any(lcm_sizes * delta % b == 0 for delta in diffs), (digits, b)
                 orders_seen += 1
     assert orders_seen > 1900
+
+
+def test_single_questions_test_only_the_orders_in_manns_reach(monkeypatch):
+    # every divisor of n asked one at a time of one OrderTest, against the
+    # former batch: the exact test sees exactly the b | g with phi(b) <= s,
+    # g = gcd(n, lcm(1..|D|) * lcm of the differences), which is also all
+    # that `all_orders` tests.  D = {0, 3} at n = 4 asks b = 4, which
+    # divides n but not g = gcd(4, 2 * 3) = 2, so it is refused untested
+    tested = record_exact_tests(monkeypatch)
+    scales = range(2, 121)
+    questions = 0
+    for size in range(1, 4):
+        for rest in itertools.combinations(range(1, 11), size):
+            digits = (0, *rest)
+            span = rest[-1]
+            everywhere = batch_vanishing_orders(digits, math.lcm(*scales))
+            diffs = [b - a for a, b in itertools.combinations(digits, 2)]
+            mann = math.lcm(*range(1, len(digits) + 1)) * math.lcm(*diffs)
+            for n in scales:
+                g = math.gcd(n, mann)
+                asked = divisors(n)[1:]
+                primes = trial_factorize(n)
+                in_reach = [b for b in asked if g % b == 0 and totient(b, primes) <= span]
+                tested.clear()
+                single = cyclotomic_module.OrderTest(digits, n)
+                assert [b for b in asked if single(b)] == sorted(b for b in everywhere if n % b == 0), (digits, n)
+                assert tested == in_reach, (digits, n)
+                tested.clear()
+                assert cyclotomic_module.OrderTest(digits, n).all_orders() == single.all_orders()
+                assert sorted(tested) == in_reach, (digits, n)
+                questions += len(asked)
+    assert questions > 60000
+    tested.clear()
+    assert not cyclotomic_module.OrderTest((0, 3), 4)(4)
+    assert tested == []
+
+
+def test_order_test_looks_at_no_difference_when_lcm_of_sizes_covers_n(monkeypatch):
+    # 4000 divides lcm(1..2000), so g = 4000 with no gcd at all; 2 * 10007
+    # does not, and costs one gcd per distinct difference (1999 of them,
+    # not 1999000 pairs) and one with n
+    calls = []
+
+    class CountingMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        @staticmethod
+        def gcd(*args):
+            calls.append(args)
+            return math.gcd(*args)
+
+    monkeypatch.setattr(cyclotomic_module, "math", CountingMath())
+    assert cyclotomic_module.OrderTest(range(2000), 4000).g == 4000
+    assert calls == []
+    assert cyclotomic_module.OrderTest(range(2000), 2 * 10007).g == 2
+    assert len(calls) == 2000

@@ -493,12 +493,16 @@ def test_every_window_candidate_is_spectral():
 
 
 def test_report_refuses_a_window_candidate_with_a_cycle(monkeypatch):
-    def cyclic(system, candidate, range_factor):
-        return SpectrumVerdict(False, ((1, 0),), (0, 0), attractor_bounds(system.scale, candidate.elements))
-
-    monkeypatch.setattr(decide_module, "_cycle_verdict", cyclic)
-    with pytest.raises(ConsistencyError):
-        report_measure_spectrality(ScaleDigitSystem(4, (0, 1)))
+    # S = {0, 6} is compatible with (4, {0, 1}) but lies outside the window:
+    # its hull [0, 2] leaves (-1, 1) and holds the cycle 2 -> (2 + 6)/4 = 2.
+    # A window search that yielded it must make the report raise, not
+    # certify it from the window condition
+    system = ScaleDigitSystem(4, (0, 1))
+    cand = SpectrumCandidate((0, 6))
+    assert decide_spectrum(system, cand).witness == ((2, 6),)
+    monkeypatch.setattr(decide_module, "_window_candidates", lambda reduced: iter([cand]))
+    with pytest.raises(ConsistencyError, match=r"outside \(-1, 1\)"):
+        report_measure_spectrality(system)
 
 
 def test_report_builds_and_certifies_only_what_it_decides(monkeypatch):

@@ -19,10 +19,12 @@ from cantorspec import (
     find_modulus_l,
     is_compatible,
     is_complementing,
+    lambda_enumerate,
+    pair_power,
     reduce_s,
     report_measure_spectrality,
 )
-from cantorspec import cyclotomic, tiling
+from cantorspec import cyclotomic, systems, tiling
 from cantorspec.cyclotomic import OrderTest
 from oracles import divisors, prime_power_sets, radical, symbol_vanishes_at
 
@@ -292,13 +294,15 @@ def test_construction_asks_only_the_t1_and_t2_orders(monkeypatch):
 
 def test_tiling_powers_test_each_power_once(monkeypatch):
     # one order test over the 3-part of the modulus, as is_complementing
-    # builds: one exact test per power 3^k of the modulus, not one per
-    # divisor of each power (about v^2/2 in all)
+    # builds.  Its g = gcd(3^v, lcm(1, 2, 3) * 1) = 3, since the differences
+    # 1, 2 * 3^v + 5 and 2 * 3^v + 4 are prime to 3: the powers 3^k with
+    # k >= 2 are refused with no exact test, where a reach of 3^v tested
+    # all v of them
     tested = record_exact_tests(monkeypatch)
     v = 400
     digits = (0, 1, 2 * 3**v + 5)  # exponents 0, 1, 2 mod 3: only Phi_3 divides
     assert tiling._tiling_powers({3: 1}, 3**v, OrderTest(digits, 3**v)) == {3: (3,)}
-    assert tested == [3**k for k in range(1, v + 1)]
+    assert tested == [3]
 
 
 def test_is_complementing_factorises_once_and_tests_each_order_once(monkeypatch):
@@ -360,13 +364,31 @@ def test_construction_above_former_cache_limit():
 def test_complement_search_budget(monkeypatch):
     # {0, 13} tiles Z_48, yet the backtracking places many partial covers
     # before it finds the complement
-    monkeypatch.setattr(tiling, "LAMBDA_BUDGET", 1000)
+    monkeypatch.setattr(systems, "LAMBDA_BUDGET", 1000)
     with pytest.raises(BudgetExceededError, match=r"mod L = 48 for \|D\| = 2 .* 1000 placed"):
         is_complementing((0, 13), 48)
     # a search may place exactly the budget, not one translate more
     assert is_complementing((0, 1), 2000) == tuple(range(0, 2000, 2))
     with pytest.raises(BudgetExceededError):
         is_complementing((0, 1), 2002)
+
+
+def test_one_lambda_budget_bounds_slices_pair_powers_and_complement_searches(monkeypatch):
+    # the three are read from `systems` at call time: patching that one
+    # attribute refuses each, and each passes at the default budget
+    system, candidate = ScaleDigitSystem(4, (0, 1)), SpectrumCandidate((0, 2))
+    slice_of_1024 = lambda: lambda_enumerate(4, candidate, 10)
+    power_of_2016_pairs = lambda: pair_power(system, candidate, 6)  # 64 points each
+    search_of_many = lambda: is_complementing((0, 13), 48)
+    for run in (slice_of_1024, power_of_2016_pairs, search_of_many):
+        run()
+    monkeypatch.setattr(systems, "LAMBDA_BUDGET", 1000)
+    with pytest.raises(BudgetExceededError, match="enumeration budget 1000"):
+        slice_of_1024()
+    with pytest.raises(BudgetExceededError, match=r"C\(2\^6, 2\) = 2016 pairs, over the budget 1000"):
+        power_of_2016_pairs()
+    with pytest.raises(BudgetExceededError, match="budget of 1000 placed translates"):
+        search_of_many()
 
 
 def test_failed_complement_searches_hold_only_what_they_cover():
