@@ -1,0 +1,105 @@
+#!/usr/bin/env python3
+"""Time the exact cyclotomic layer on named stress cases.
+
+Each case runs once in this process and prints one `case,seconds,answer`
+CSV row: the wall time of the call alone (no interpreter start or import)
+and a short form of its result.  A CLI case answers with its exit code and
+the first 12 hex digits of the SHA-1 of its stdout, so two checkouts give
+the same answer exactly when their output is byte-identical.  With no
+arguments every case runs, in the order listed below; arguments pick cases
+by name.
+
+The cases are the recorded cliffs (wide digits at a large prime scale, a
+prime shared by the scale and a digit difference, 2,000 digits, the
+complement search of {0, 13}) and the many-prime orders: a batch and
+single questions with hundreds of digits at a primorial, and a pair of
+digits at the product of the first 20 primes.
+
+Example:
+    PYTHONPATH=src python scripts/order_stress.py compat-primorial-20 single-300-at-19
+"""
+
+import contextlib
+import hashlib
+import io
+import math
+import random
+import sys
+import time
+
+from cantorspec import (
+    ScaleDigitSystem,
+    SpectrumCandidate,
+    is_compatible,
+    is_complementing,
+    order_vanishes,
+)
+from cantorspec.cli import main as cli_main
+from cantorspec.cyclotomic import OrderTest
+
+PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71]
+PRIMORIAL_8, PRIMORIAL_12, PRIMORIAL_20 = (math.prod(PRIMES[:k]) for k in (8, 12, 20))
+
+
+def wide_digits(count: int, seed: int) -> list[int]:
+    """0 and count - 1 seeded digits below 4 * 10^12, so that the span
+    reaches every divisor of the 12-prime primorial (phi of it is about
+    1.1 * 10^12)."""
+    return [0, *random.Random(seed).sample(range(1, 4 * 10**12), count - 1)]
+
+
+def cli(*argv: str):
+    """Run `python -m cantorspec` in this process; (exit code, stdout)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli_main(list(argv))
+    return f"{code}:{hashlib.sha1(out.getvalue().encode()).hexdigest()[:12]}"
+
+
+def orders(found) -> str:
+    return f"{len(found)} orders"
+
+
+CASES = {
+    "compat-prime-1e14": lambda: cli(
+        "compat", "check", "--n", "100000000000031", "--digits", "0,10000000", "--s", "0,1"
+    ),
+    "compat-prime-1e16": lambda: cli(
+        "compat", "check", "--n", "10000000000000061", "--digits", "0,100000000", "--s", "0,1"
+    ),
+    "compat-shared-prime-1e14": lambda: cli(
+        "compat", "check", "--n", "200000000000062", "--digits", "0,100000000000031", "--s", "0,1"
+    ),
+    "compat-primorial-20": lambda: cli(
+        "compat", "check", "--n", str(PRIMORIAL_20), "--digits", f"0,{PRIMORIAL_20 // 2}", "--s", "0,1"
+    ),
+    "order-test-2000-at-4000": lambda: orders(OrderTest(range(2000), 4000).all_orders()),
+    "order-test-2000-at-2x10007": lambda: orders(OrderTest(range(2000), 2 * 10007).all_orders()),
+    "compatible-2000": lambda: is_compatible(
+        ScaleDigitSystem(4000, tuple(range(2000))), SpectrumCandidate(tuple(range(0, 4000, 2)))
+    )
+    is not None,
+    "complementing-2000": lambda: is_complementing(range(2000), 8000) is not None,
+    "tiling-13-192": lambda: cli("tiling", "check", "--digits", "0,13", "--modulus", "192"),
+    "tiling-13-384": lambda: cli("tiling", "check", "--digits", "0,13", "--modulus", "384"),
+    "batch-1000-at-37": lambda: orders(OrderTest(wide_digits(1000, 37), PRIMORIAL_12).all_orders()),
+    "single-1000-at-37": lambda: order_vanishes(wide_digits(1000, 37), PRIMORIAL_12),
+    "single-300-at-19": lambda: order_vanishes(wide_digits(300, 19), PRIMORIAL_8),
+}
+
+
+def main(names: list[str]) -> int:
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        print(f"unknown case(s): {', '.join(unknown)}; known: {', '.join(CASES)}", file=sys.stderr)
+        return 2
+    print("case,seconds,answer")
+    for name in names or CASES:
+        start = time.perf_counter()
+        answer = CASES[name]()
+        print(f"{name},{time.perf_counter() - start:.4f},{answer}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -96,14 +96,14 @@ def _zero_pattern(orders: OrderTest, m: int) -> int:
     for 0 <= t < 2m and the modulus m = |N| of the orders.
 
     The residues of order b are (m/b) * u with u a unit mod b, found by
-    sieving out the primes of b, which the order test already holds.  Only
+    sieving out the primes of b, which the batch of all orders keeps.  Only
     ones are written, since the other multiples of m/b may be zeros of
     another order.
     """
     digits = bytearray(b"0") * m
     for b in orders.all_orders():
         units = bytearray([1]) * b
-        for p in orders._primes(b):
+        for p in orders.reach[b]:
             units[::p] = bytes(len(range(0, b, p)))
         for r in itertools.compress(range(0, m, m // b), units):
             digits[m - 1 - r] = ord("1")

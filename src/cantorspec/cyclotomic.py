@@ -30,24 +30,27 @@ and remembers the answer.  A compatibility check asks the orders of its
 differences, the tiling construction its prime powers and their products,
 and `is_complementing` shares one such memo among its (T1) and (T2)
 questions; only the window search asks for every order at once, and sieves
-their residues with the primes the memo already holds.
+their residues with the primes its batch keeps.
 
-The test itself works at the radical.  Write b = k * rad(b).  Then
-Phi_b(z) = Phi_rad(z^k), and zeta_b^k is a primitive rad-th root of unity;
-since [Q(zeta_b) : Q(zeta_rad)] = phi(b)/phi(rad) = k, the powers
-1, zeta_b, ..., zeta_b^(k-1) form a basis of Q(zeta_b) over Q(zeta_rad).
-Splitting the exponents of P into their classes j mod k therefore gives
+The test itself is one integer.  For d >= 1 let F(d) = d * sum_r C_r(d)^2,
+with C_r(d) the sum of the coefficients whose exponent is r (mod d); by
+the orthogonality of characters F(d) is the sum of |P(zeta)|^2 over all
+d-th roots of unity zeta.  Grouping those roots by their exact order,
+Moebius inversion gives the trace over the primitive b-th roots,
 
-    P(zeta_b) = sum_j zeta_b^j * P_j(zeta_rad),
+    T_b = sum_{q | rad b} mu(q) * F(b/q)
+        = phi(b) * sum_i c_i^2 + 2 * sum_{i<j} c_i * c_j * c_b(e_j - e_i),
 
-with class polynomials P_j(z) = sum of z^((e - j)/k mod rad) over the
-exponents e = j (mod k), and P(zeta_b) = 0 exactly when every
-P_j(zeta_rad) = 0, i.e. when Phi_rad divides every P_j.  At a prime power
-this is a coset count: Phi_p divides P_j exactly when its p coefficients
-are equal.  At a squarefree index the same basis argument is applied one
-prime at a time (see `_squarefree_vanishes`), so no cyclotomic polynomial
-is ever built or divided by.  Sums are sparse {exponent: coefficient}
-dicts throughout.
+with c_b the Ramanujan sum.  T_b is a sum of the squares |P(zeta)|^2 over
+the conjugates zeta of one primitive root, so it is 0 exactly when Phi_b
+divides P.  The class sums F(d) are shared: each b/q divides g and has
+phi(b/q) <= phi(b), so it is in reach too; `OrderTest` keeps F per
+divisor, and its batch sums each divisor in reach once and gets every T_b
+from one prime-by-prime Moebius pass.  A single question takes the shorter form: the first needs
+2^omega(b) class sums of |D| terms each, the second |D|(|D|-1)/2 pair
+terms of one gcd each, plus omega(b) steps per distinct gcd, so the class
+form is used exactly when 2^omega(b) <= |D|.  No cyclotomic polynomial is
+ever built or divided by.
 """
 
 from __future__ import annotations
@@ -55,65 +58,33 @@ from __future__ import annotations
 import math
 
 
-def _squarefree_vanishes(terms: dict[int, int], n: int, primes: list[int]) -> bool:
-    """Whether sum c*zeta^t over the {t: c} terms is 0 for zeta a primitive
-    n-th root of unity; n is squarefree with the ascending primes given,
-    and every t lies in [0, n).
-
-    For n = p*m with p the largest prime, t = u*m + v*p (mod n) splits the
-    sum as sum_u omega^u * R_u(eta) with omega = zeta^m of order p and
-    eta = zeta^p of order m.  Over Q(eta) the minimal polynomial of omega
-    is Phi_p, whose only linear relation among 1, omega, ..., omega^(p-1)
-    is their plain sum, so the sum vanishes exactly when every R_u(eta) is
-    the same number: each R_u - R_ref vanishes at eta, tested recursively.
-    Only the occupied classes are built.  An empty class makes R_ref = 0;
-    otherwise the class with fewest terms is R_ref, which keeps sparse
-    sums sparse.  Dropping the zero coefficients of each difference ends
-    the recursion as soon as a difference cancels, so a vanishing sum is
-    not followed through about phi(n) all-zero differences.
-    """
-    if len(terms) <= 1:  # c*zeta^t vanishes only when c = 0
-        return not any(terms.values())
-    p = primes[-1]
-    m = n // p
-    inv_m, inv_p = pow(m, -1, p), pow(p, -1, m)
-    classes: dict[int, dict[int, int]] = {}
-    for t, c in terms.items():
-        cls = classes.setdefault(t * inv_m % p, {})
-        v = t * inv_p % m
-        cls[v] = cls.get(v, 0) + c
-    ref = min(classes.values(), key=len) if len(classes) == p else {}
-    for cls in classes.values():
-        if cls is ref:
-            continue
-        diff = dict(cls)
-        for v, c in ref.items():
-            c = diff.get(v, 0) - c
-            if c:
-                diff[v] = c
-            else:
-                diff.pop(v, None)  # v may be absent: ref can carry a 0 coefficient
-        if not _squarefree_vanishes(diff, m, primes[:-1]):
-            return False
-    return True
+def _class_squares(exponents, d: int) -> int:
+    """F(d) = d * sum_r C_r^2, with C_r the number of exponents = r (mod d):
+    the sum of |P(zeta)|^2 over the d-th roots of unity zeta."""
+    counts: dict[int, int] = {}
+    for e in exponents:
+        counts[e % d] = counts.get(e % d, 0) + 1
+    return d * sum(c * c for c in counts.values())
 
 
-def _order_divides(terms, b: int, primes: list[int]) -> bool:
-    """Whether Phi_b divides sum c*z^e over the (e, c) terms; e may be any
-    integer, and `primes` are the primes of b, ascending.
-
-    Exponents are reduced mod b and split into the class polynomials mod
-    k = b / rad(b), each of which must vanish at a primitive rad-th root of
-    unity (see the module docstring).
-    """
-    rad = math.prod(primes)
-    k = b // rad
-    classes: dict[int, dict[int, int]] = {}
-    for e, c in terms:
-        e %= b
-        cls = classes.setdefault(e % k, {})
-        cls[e // k] = cls.get(e // k, 0) + c
-    return all(_squarefree_vanishes(cls, rad, primes) for cls in classes.values())
+def _pair_trace(exponents: tuple[int, ...], b: int, primes: list[int]) -> int:
+    """T_b from the pairs of exponents, `primes` the primes of b:
+    phi(b) * |D| + 2 * sum_{i<j} c_b(e_j - e_i), with the Ramanujan sum
+    c_b(h) = mu(m) * phi(b) / phi(m), m = b / gcd(h, b), taken once per gcd."""
+    phi = b // math.prod(primes) * math.prod(p - 1 for p in primes)
+    weights: dict[int, int] = {}  # gcd(e_j - e_i, b) -> number of pairs
+    for i, e in enumerate(exponents):
+        for f in exponents[i + 1 :]:
+            h = math.gcd(f - e, b)
+            weights[h] = weights.get(h, 0) + 1
+    trace = phi * len(exponents)
+    for h, w in weights.items():
+        m, ramanujan = b // h, phi
+        for p in primes:
+            if m % p == 0:
+                ramanujan = 0 if m % (p * p) == 0 else -ramanujan // (p - 1)
+        trace += 2 * w * ramanujan
+    return trace
 
 
 def order_vanishes(exponents, b: int) -> bool:
@@ -165,22 +136,27 @@ class OrderTest:
     Only g = gcd(n, lcm(1..#exponents) * lcm of the differences) is kept
     and factorised, once: by Mann's bound every vanishing order divides it.
     A single question and `all_orders` alike refuse an order b with no
-    exact test when it does not divide g or has phi(b) > max - min.
+    exact test when it does not divide g or has phi(b) > max - min.  The
+    class sums F(d) are kept per divisor, so each is summed at most once.
+    A single question costs at most min(2^omega(b) * |D|, |D|^2 * omega(b))
+    steps, |D| the number of exponents, and never more than `all_orders`,
+    which sums every divisor in reach.
     """
 
-    __slots__ = ("g", "span", "terms", "factors", "known", "orders")
+    __slots__ = ("g", "span", "exps", "factors", "sums", "known", "reach", "orders")
 
     def __init__(self, exponents, n: int):
-        exps = tuple(exponents)
+        exps = self.exps = tuple(exponents)
         self.span = max(exps) - min(exps)
-        self.terms = [(e, 1) for e in exps]
         sizes = math.lcm(*range(1, len(exps) + 1))
         self.g = n  # when n divides `sizes`, no difference can add to g
         if sizes % n:  # one gcd per distinct difference; their lcm divides n
             diffs = {e - f for e in exps for f in exps if e > f}
             self.g = math.gcd(n, sizes * math.lcm(*(math.gcd(n, d) for d in diffs)))
         self.factors = factorize(self.g)
+        self.sums = {1: len(exps) ** 2}  # d -> F(d); F(1) = |D|^2 needs no sum
         self.known: dict[int, bool] = {}  # every answer given so far
+        self.reach: dict[int, list[int]] | None = None  # b -> primes of b, once `all_orders` ran
         self.orders: frozenset[int] | None = None  # the vanishing ones, once `all_orders` ran
 
     def __call__(self, b: int) -> bool:
@@ -188,7 +164,12 @@ class OrderTest:
         verdict = self.known.get(b)
         if verdict is None:
             primes = self._primes(b)
-            verdict = primes is not None and _order_divides(self.terms, b, primes)
+            if primes is None:
+                verdict = False
+            elif 2 ** len(primes) <= len(self.exps):  # the shorter form, see the module docstring
+                verdict = self._class_trace(b, primes) == 0
+            else:
+                verdict = _pair_trace(self.exps, b, primes) == 0
             self.known[b] = verdict
         return verdict
 
@@ -199,9 +180,24 @@ class OrderTest:
         primes = [p for p in self.factors if b % p == 0]  # phi(b) = b * prod(1 - 1/p)
         return primes if b // math.prod(primes) * math.prod(p - 1 for p in primes) <= self.span else None
 
+    def _class_sum(self, d: int) -> int:
+        """F(d), summed on first use."""
+        total = self.sums.get(d)
+        if total is None:
+            total = self.sums[d] = _class_squares(self.exps, d)
+        return total
+
+    def _class_trace(self, b: int, primes: list[int]) -> int:
+        """T_b = sum_{q | rad b} mu(q) * F(b/q), from the kept class sums."""
+        terms = [(b, 1)]
+        for p in primes:
+            terms += [(d // p, -sign) for d, sign in terms]
+        return sum(sign * self._class_sum(d) for d, sign in terms)
+
     def all_orders(self) -> frozenset[int]:
-        """Every vanishing order, built once over the divisors in reach;
-        an order already asked is not tested again."""
+        """Every vanishing order, built once over the divisors in reach:
+        each divisor not summed yet is summed, and T_b follows for all of
+        them from one Moebius pass, at most omega(g) steps per divisor."""
         if self.orders is None:
             span, reach = self.span, [(1, 1, [])]  # (b, phi(b), primes of b)
             for p, k in self.factors.items():
@@ -215,9 +211,13 @@ class OrderTest:
                         grown.append((b, phi, [*primes, p]))
                         phi *= p
                 reach += grown
-            known, terms = self.known, self.terms
-            for b, _, primes in reach[1:]:
-                if b not in known:
-                    known[b] = _order_divides(terms, b, primes)
-            self.orders = frozenset(b for b, verdict in known.items() if verdict)
+            trace = {b: self._class_sum(b) for b, _, _ in reach}
+            for p in self.factors:  # b / p precedes b in reach: still untouched by p
+                for b, _, _ in reversed(reach):
+                    if b % p == 0:
+                        trace[b] -= trace[b // p]
+            self.reach = {b: primes for b, _, primes in reach[1:]}
+            for b in self.reach:  # an order asked before is known already, with the same answer
+                self.known.setdefault(b, trace[b] == 0)
+            self.orders = frozenset(b for b in self.reach if self.known[b])
         return self.orders

@@ -1,7 +1,8 @@
-"""Reference oracles for the tests: exact integer-polynomial algebra, the
-float digit symbol, the former batch of a system's vanishing orders, the
-zero residues of a system, the two former factorisers, the radical and
-divisor list of an integer, and the former prime-power sets of a tiling.
+"""Reference oracles for the tests: the former radical-basis vanishing
+test, exact integer-polynomial algebra, the float digit symbol, the former
+batch of a system's vanishing orders, the zero residues of a system, the
+two former factorisers, the radical and divisor list of an integer, and
+the former prime-power sets of a tiling.
 
 No verdict path of the library builds a polynomial: every vanishing
 question goes through `cantorspec.cyclotomic.order_vanishes`.  The algebra
@@ -27,8 +28,70 @@ import cmath
 import math
 from fractions import Fraction
 
-from cantorspec.cyclotomic import _order_divides, order_vanishes
+from cantorspec.cyclotomic import order_vanishes
 from cantorspec.systems import ConsistencyError, PreconditionError
+
+
+def _squarefree_vanishes(terms: dict[int, int], n: int, primes: list[int]) -> bool:
+    """Whether sum c*zeta^t over the {t: c} terms is 0 for zeta a primitive
+    n-th root of unity; n is squarefree with the ascending primes given,
+    and every t lies in [0, n).
+
+    For n = p*m with p the largest prime, t = u*m + v*p (mod n) splits the
+    sum as sum_u omega^u * R_u(eta) with omega = zeta^m of order p and
+    eta = zeta^p of order m.  Over Q(eta) the minimal polynomial of omega
+    is Phi_p, whose only linear relation among 1, omega, ..., omega^(p-1)
+    is their plain sum, so the sum vanishes exactly when every R_u(eta) is
+    the same number: each R_u - R_ref vanishes at eta, tested recursively.
+    Only the occupied classes are built.  An empty class makes R_ref = 0;
+    otherwise the class with fewest terms is R_ref, which keeps sparse
+    sums sparse.  Dropping the zero coefficients of each difference ends
+    the recursion as soon as a difference cancels, so a vanishing sum is
+    not followed through about phi(n) all-zero differences.
+    """
+    if len(terms) <= 1:  # c*zeta^t vanishes only when c = 0
+        return not any(terms.values())
+    p = primes[-1]
+    m = n // p
+    inv_m, inv_p = pow(m, -1, p), pow(p, -1, m)
+    classes: dict[int, dict[int, int]] = {}
+    for t, c in terms.items():
+        cls = classes.setdefault(t * inv_m % p, {})
+        v = t * inv_p % m
+        cls[v] = cls.get(v, 0) + c
+    ref = min(classes.values(), key=len) if len(classes) == p else {}
+    for cls in classes.values():
+        if cls is ref:
+            continue
+        diff = dict(cls)
+        for v, c in ref.items():
+            c = diff.get(v, 0) - c
+            if c:
+                diff[v] = c
+            else:
+                diff.pop(v, None)  # v may be absent: ref can carry a 0 coefficient
+        if not _squarefree_vanishes(diff, m, primes[:-1]):
+            return False
+    return True
+
+
+def radical_order_divides(terms, b: int, primes: list[int]) -> bool:
+    """Whether Phi_b divides sum c*z^e over the (e, c) terms; e may be any
+    integer, and `primes` are the primes of b, ascending.
+
+    Exponents are reduced mod b and split into the class polynomials mod
+    k = b / rad(b), each of which must vanish at a primitive rad-th root of
+    unity: with b = k * rad(b), zeta_b^k is a primitive rad-th root and
+    1, zeta_b, ..., zeta_b^(k-1) are a basis of Q(zeta_b) over Q(zeta_rad).
+    """
+    rad = math.prod(primes)
+    k = b // rad
+    classes: dict[int, dict[int, int]] = {}
+    for e, c in terms:
+        e %= b
+        cls = classes.setdefault(e % k, {})
+        cls[e // k] = cls.get(e // k, 0) + c
+    return all(_squarefree_vanishes(cls, rad, primes) for cls in classes.values())
 
 
 def trial_factorize(n: int) -> dict[int, int]:
@@ -258,7 +321,7 @@ def vanishes_at_primitive_root(p: IntPolynomial, m: int) -> bool:
         raise PreconditionError("vanishing test rejects the zero polynomial")
     if not isinstance(m, int) or m < 1:
         raise PreconditionError(f"root order must be a positive integer, got {m!r}")
-    return _order_divides(enumerate(p.coeffs), m, sorted(trial_factorize(m)))
+    return radical_order_divides(enumerate(p.coeffs), m, sorted(trial_factorize(m)))
 
 
 def digit_polynomial(digits, modulus: int | None = None) -> IntPolynomial:
@@ -326,7 +389,7 @@ def vanishing_orders(exponents, n: int) -> frozenset[int]:
     exps = tuple(exponents)
     span = max(exps) - min(exps) if exps else n  # the empty sum vanishes everywhere
     terms = [(e, 1) for e in exps]
-    return frozenset(b for b, primes in orders_in_reach(n, span) if _order_divides(terms, b, primes))
+    return frozenset(b for b, primes in orders_in_reach(n, span) if radical_order_divides(terms, b, primes))
 
 
 def zero_residues(system) -> frozenset[int]:

@@ -277,37 +277,39 @@ def test_window_search_refuses_an_oversized_zero_pattern_before_building_it(monk
 
 
 def count_order_questions(monkeypatch):
-    """Record each order asked of a system and each order tested exactly."""
-    asked, tested = [], []
-    ask, divides = ScaleDigitSystem.is_vanishing_order, cyclotomic._order_divides
+    """Record each order asked of a system and each divisor whose class sum
+    is taken."""
+    asked, summed = [], []
+    ask, squares = ScaleDigitSystem.is_vanishing_order, cyclotomic._class_squares
 
     def asking(system, b):
         asked.append(b)
         return ask(system, b)
 
-    def testing(terms, b, primes):
-        tested.append(b)
-        return divides(terms, b, primes)
+    def summing(exponents, d):
+        summed.append(d)
+        return squares(exponents, d)
 
     monkeypatch.setattr(ScaleDigitSystem, "is_vanishing_order", asking)
-    monkeypatch.setattr(cyclotomic, "_order_divides", testing)
-    return asked, tested
+    monkeypatch.setattr(cyclotomic, "_class_squares", summing)
+    return asked, summed
 
 
 def test_is_compatible_asks_each_distinct_order_once(monkeypatch):
     # S = 15 * {0, ..., 5} mod 90: its 15 differences have the orders 6, 3
-    # and 2 only (differences 15 and 75, 30 and 60, 45)
-    asked, tested = count_order_questions(monkeypatch)
+    # and 2 only (differences 15 and 75, 30 and 60, 45).  The first, 6,
+    # sums F(6), F(3) and F(2), which then answer 3 and 2 too
+    asked, summed = count_order_questions(monkeypatch)
     system = ScaleDigitSystem(90, tuple(range(6)))
     cert = is_compatible(system, SpectrumCandidate(tuple(range(0, 90, 15))))
     assert cert is not None and len(cert.zero_differences) == 15
-    assert sorted(asked) == [2, 3, 6] and sorted(tested) == [2, 3, 6]
+    assert sorted(asked) == [2, 3, 6] and sorted(summed) == [2, 3, 6]
     assert is_compatible(system, SpectrumCandidate(tuple(range(0, 90, 15)))) == cert
-    assert len(tested) == 3  # the same system answers from its memo
-    # the window search's batch tests only the orders in reach (phi <= 5)
-    # not yet asked
+    assert len(summed) == 3  # the same system answers from its memo
+    # the window search's batch sums only the divisors in reach (phi <= 5)
+    # not summed yet
     assert system.vanishing_orders == frozenset({2, 3, 6})
-    assert sorted(tested) == [2, 3, 5, 6, 10]
+    assert sorted(summed) == [2, 3, 5, 6, 10]
 
 
 def test_search_rejects_degenerate_window():

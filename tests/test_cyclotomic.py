@@ -2,7 +2,9 @@ import cmath
 import functools
 import itertools
 import math
+import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from oracles import (
     cyclotomic,
     digit_polynomial,
     divisors,
+    radical_order_divides,
     symbol_eval,
     symbol_vanishes_at,
     trial_factorize,
@@ -323,17 +326,19 @@ def test_vanishing_orders_batch_matches_order_vanishes_exhaustively():
                 assert ScaleDigitSystem(n, digits).vanishing_orders == expected, (digits, n)
 
 
-def record_exact_tests(monkeypatch):
-    """Replace `_order_divides` with a wrapper that records each order b."""
-    tested = []
-    divides = cyclotomic_module._order_divides
+def record_orders(monkeypatch, name):
+    """Replace the exact step `name` of the cyclotomic module with a wrapper
+    that records its divisor: `_class_squares(exponents, d)` sums the class
+    sum F(d), `_pair_trace(exponents, b, primes)` decides b from its pairs."""
+    recorded = []
+    step = getattr(cyclotomic_module, name)
 
-    def recording(terms, b, primes):
-        tested.append(b)
-        return divides(terms, b, primes)
+    def recording(exponents, b, *primes):
+        recorded.append(b)
+        return step(exponents, b, *primes)
 
-    monkeypatch.setattr(cyclotomic_module, "_order_divides", recording)
-    return tested
+    monkeypatch.setattr(cyclotomic_module, name, recording)
+    return recorded
 
 
 def totient(b, primes):
@@ -345,14 +350,15 @@ def totient(b, primes):
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_vanishing_orders_keep_phi_p_and_drop_phi_p_squared_at_the_digit_reach(monkeypatch, p):
     # D = {0, ..., p-1} has degree p - 1 = phi(p) < phi(p^2): Phi_p divides
-    # D(z) and sits exactly at the reach, so only the order p is tested
+    # D(z) and sits exactly at the reach, so the batch sums only F(p); F(1)
+    # is |D|^2 and needs no sum
     digits = range(p)
     for n in (p**3, p**2 * 11, p * 11 * 13):
         expected = frozenset(b for b in divisors(n)[1:] if order_vanishes(digits, b))
         assert expected == {p}
-        tested = record_exact_tests(monkeypatch)
+        summed = record_orders(monkeypatch, "_class_squares")
         assert ScaleDigitSystem(n, digits).vanishing_orders == expected, n
-        assert tested == [p], n
+        assert summed == [p], n
 
 
 def test_vanishing_orders_ignore_the_sign_of_the_scale_and_take_negative_digits():
@@ -379,11 +385,11 @@ def test_vanishing_orders_fall_back_to_the_exact_test(monkeypatch, n, h, q):
     digits = range(0, q * h, h)
     expected = frozenset(b for b in divisors(n)[1:] if (q * h) % b == 0 and h % b)
     assert expected
-    exact = record_exact_tests(monkeypatch)
+    summed = record_orders(monkeypatch, "_class_squares")
     assert ScaleDigitSystem(n, digits).vanishing_orders == expected
-    # every divisor with phi(b) <= s, exactly once
+    # the class sum of every divisor with phi(b) <= s, exactly once
     primes = trial_factorize(n)
-    assert sorted(exact) == [b for b in divisors(n)[1:] if totient(b, primes) <= (q - 1) * h]
+    assert sorted(summed) == [b for b in divisors(n)[1:] if totient(b, primes) <= (q - 1) * h]
 
 
 @pytest.mark.parametrize("b", [10**12 + 39, (10**6 + 3) * (10**6 + 33), 10**16 + 61])
@@ -452,13 +458,17 @@ def test_vanishing_orders_satisfy_manns_bound():
 
 def test_single_questions_test_only_the_orders_in_manns_reach(monkeypatch):
     # every divisor of n asked one at a time of one OrderTest, against the
-    # former batch: the exact test sees exactly the b | g with phi(b) <= s,
-    # g = gcd(n, lcm(1..|D|) * lcm of the differences), which is also all
-    # that `all_orders` tests.  D = {0, 3} at n = 4 asks b = 4, which
-    # divides n but not g = gcd(4, 2 * 3) = 2, so it is refused untested
-    tested = record_exact_tests(monkeypatch)
+    # former batch.  The reach is the b | g with phi(b) <= s, for
+    # g = gcd(n, lcm(1..|D|) * lcm of the differences).  Each b in reach is
+    # decided by its class sums or by its pair trace, nothing outside the
+    # reach is summed, and no divisor is summed twice.  The batch that
+    # follows sums only the divisors still unsummed, and a fresh batch sums
+    # exactly the reach.  D = {0, 3} at n = 4 asks b = 4, which divides n
+    # but not g = gcd(4, 2 * 3) = 2, so it is refused untested
+    summed = record_orders(monkeypatch, "_class_squares")
+    paired = record_orders(monkeypatch, "_pair_trace")
     scales = range(2, 121)
-    questions = 0
+    questions = pair_traces = 0
     for size in range(1, 4):
         for rest in itertools.combinations(range(1, 11), size):
             digits = (0, *rest)
@@ -471,18 +481,26 @@ def test_single_questions_test_only_the_orders_in_manns_reach(monkeypatch):
                 asked = divisors(n)[1:]
                 primes = trial_factorize(n)
                 in_reach = [b for b in asked if g % b == 0 and totient(b, primes) <= span]
-                tested.clear()
+                summed.clear()
+                paired.clear()
                 single = cyclotomic_module.OrderTest(digits, n)
                 assert [b for b in asked if single(b)] == sorted(b for b in everywhere if n % b == 0), (digits, n)
-                assert tested == in_reach, (digits, n)
-                tested.clear()
-                assert cyclotomic_module.OrderTest(digits, n).all_orders() == single.all_orders()
-                assert sorted(tested) == in_reach, (digits, n)
+                assert len(set(summed)) == len(summed) and len(set(paired)) == len(paired), (digits, n)
+                assert set(summed) <= set(in_reach) and set(paired) <= set(in_reach), (digits, n)
+                assert set(summed) | set(paired) == set(in_reach), (digits, n)
+                pair_traces += len(paired)
+                batch = single.all_orders()
+                assert sorted(summed) == in_reach and len(paired) == len(set(paired)), (digits, n)
+                summed.clear()
+                paired.clear()
+                assert cyclotomic_module.OrderTest(digits, n).all_orders() == batch
+                assert sorted(summed) == in_reach and paired == [], (digits, n)
                 questions += len(asked)
     assert questions > 60000
-    tested.clear()
+    assert pair_traces > 100  # both forms of a single question are exercised
+    summed.clear()
     assert not cyclotomic_module.OrderTest((0, 3), 4)(4)
-    assert tested == []
+    assert summed == paired == []
 
 
 def test_order_test_looks_at_no_difference_when_lcm_of_sizes_covers_n(monkeypatch):
@@ -505,3 +523,58 @@ def test_order_test_looks_at_no_difference_when_lcm_of_sizes_covers_n(monkeypatc
     assert calls == []
     assert cyclotomic_module.OrderTest(range(2000), 2 * 10007).g == 2
     assert len(calls) == 2000
+
+
+def test_traces_match_the_radical_reference_exhaustively():
+    # every D in [0, 11] with 0 in D at six scales with two or three primes:
+    # each b <= n asked singly of one OrderTest, then the batch of a fresh
+    # one, against the former radical-basis test of every divisor b > 1
+    scales = (36, 45, 48, 56, 60, 64)
+    primes = {b: sorted(trial_factorize(b)) for n in scales for b in divisors(n)[1:]}
+    vanishing = 0
+    for size in range(12):
+        for rest in itertools.combinations(range(1, 12), size):
+            digits = (0, *rest)
+            terms = [(d, 1) for d in digits]
+            exact = {b for b in primes if radical_order_divides(terms, b, primes[b])}
+            for n in scales:
+                expected = sorted(b for b in exact if n % b == 0)
+                single = cyclotomic_module.OrderTest(digits, n)
+                assert [b for b in range(1, n + 1) if single(b)] == expected, (digits, n)
+                assert sorted(cyclotomic_module.OrderTest(digits, n).all_orders()) == expected, (digits, n)
+                vanishing += len(expected)
+    assert vanishing > 4800
+
+
+def test_both_trace_forms_match_the_radical_reference_on_signed_repeated_exponents():
+    # seeded sums at orders b <= 720 with negative and repeated exponents:
+    # about half are random, the rest unions of cosets
+    # t + (b/p) * {0, ..., p-1} for primes p <= 7 of b, which vanish at b,
+    # some with a stray term added.  The class-sum form and the pair form
+    # give the same trace, a sum of squares that is 0 exactly when the
+    # radical-basis test finds Phi_b | P; up to b = 60 it matches the float
+    # sum of |P(zeta)|^2 over the primitive b-th roots
+    rng = random.Random(18)
+    vanishing = 0
+    for _ in range(3000):
+        b = rng.randint(2, 720)
+        primes = sorted(trial_factorize(b))
+        small = [p for p in primes if p <= 7]
+        if not small or rng.random() < 0.5:
+            exps = rng.choices(range(-40, 41), k=rng.randint(1, 12))
+        else:
+            exps = []
+            for _ in range(rng.randint(1, 3)):
+                p, t = rng.choice(small), rng.randint(-b, b)
+                exps += [t + j * (b // p) for j in range(p)]
+            exps += rng.choices(range(-b, b), k=rng.random() < 0.3)
+        exps = tuple(rng.sample(exps, len(exps)))
+        reference = radical_order_divides(Counter(exps).items(), b, primes)
+        trace = cyclotomic_module.OrderTest(exps, b)._class_trace(b, primes)
+        assert trace == cyclotomic_module._pair_trace(exps, b, primes) >= 0, (exps, b)
+        assert (trace == 0) == reference == order_vanishes(exps, b), (exps, b)
+        if b <= 60:
+            roots = [cmath.exp(2j * math.pi * a / b) for a in range(1, b + 1) if math.gcd(a, b) == 1]
+            assert abs(sum(abs(sum(z**e for e in exps)) ** 2 for z in roots) - trace) < 1e-6 * (1 + trace)
+        vanishing += reference
+    assert vanishing > 800

@@ -43,3 +43,17 @@ def test_scan_two_digit_spectra_splits_the_compatible_candidates():
     assert rows[2] == "2,yes,spectral,,"
     assert rows[6] == "6,yes,not-spectral,2+6,0.000e+00"
     assert all(row.endswith(",no,,,") for i, row in enumerate(rows[1:], 1) if i % 4 != 2)
+
+
+def test_order_stress_times_the_cases_it_is_given():
+    proc = run_script("order_stress.py", "compat-primorial-20", "order-test-2000-at-4000")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    rows = [row.split(",") for row in proc.stdout.splitlines()]
+    assert rows[0] == ["case", "seconds", "answer"]
+    assert [(row[0], row[2]) for row in rows[1:]] == [
+        ("compat-primorial-20", "0:6391ce57cb8f"),  # exit 0, and the SHA-1 of its JSON
+        ("order-test-2000-at-4000", "19 orders"),  # the b > 1 dividing 2000: D(z) = (z^2000 - 1)/(z - 1)
+    ]
+    assert all(float(row[1]) >= 0 for row in rows[1:])
+    unknown = run_script("order_stress.py", "no-such-case")
+    assert unknown.returncode == 2 and "no-such-case" in unknown.stderr

@@ -84,38 +84,41 @@ def count_calls(monkeypatch, module, name):
 
 def test_report_builds_vanishing_orders_once(monkeypatch):
     factorings = count_calls(monkeypatch, cyclotomic_module, "factorize")
-    exact = count_calls(monkeypatch, cyclotomic_module, "_order_divides")
+    exact = count_calls(monkeypatch, cyclotomic_module, "_class_squares")
     system = ScaleDigitSystem(12, (0, 1, 2))
     report = report_measure_spectrality(system)
     assert report.candidate is not None and report.certificate is not None
     # once per system, and only g = gcd(|N|, lcm(1, 2, 3) * lcm(1, 2)) = 12
     assert factorings == [(12,)]
     # s = 2 reaches the orders b with phi(b) <= 2; 12 is out of reach.  The
-    # window search's batch and the certificate share each order's test
+    # window search's batch sums each in reach once, and the certificate
+    # reads its orders from the memo
     assert sorted(args[1] for args in exact) == [2, 3, 4, 6]
     reduced = report.certificate.system
     assert is_compatible(reduced, report.candidate) == report.certificate
     assert reduced.vanishing_orders == frozenset({3})
     assert [reduced.is_vanishing_order(b) for b in (1, 2, 3, 4, 6, 12, 5)] == [False, False, True] + [False] * 4
-    assert len(exact) == 4 and len(factorings) == 1  # asked again, tested never
+    assert len(exact) == 4 and len(factorings) == 1  # asked again, summed never
 
 
 def test_wide_digits_at_a_prime_scale_never_factorise_the_scale(monkeypatch):
     # former cliff: 10^16 + 61 was trial-divided up to 10^8 = s; every
     # vanishing order divides gcd(|N|, lcm(1, 2) * 10^8) = 1 instead
     factorings = count_calls(monkeypatch, cyclotomic_module, "factorize")
-    exact = count_calls(monkeypatch, cyclotomic_module, "_order_divides")
+    summed = count_calls(monkeypatch, cyclotomic_module, "_class_squares")
+    paired = count_calls(monkeypatch, cyclotomic_module, "_pair_trace")
     n = 10**16 + 61
     system = ScaleDigitSystem(n, (0, 10**8))
     assert [system.is_vanishing_order(b) for b in (n, 2, 1)] == [False] * 3
     assert system.vanishing_orders == frozenset()
-    assert factorings == [(1,)] and exact == []
+    assert factorings == [(1,)] and summed == paired == []
 
 
 def test_an_order_in_reach_is_refuted_by_the_exact_test(monkeypatch):
     # phi(2) = 1 <= s = 4 puts the order 2 in reach, and the exact test
-    # refutes it: z + 1 does not divide 1 + z^2 + z^4, whose value at -1 is 3
-    exact = count_calls(monkeypatch, cyclotomic_module, "_order_divides")
+    # refutes it: z + 1 does not divide 1 + z^2 + z^4, whose value at -1 is 3.
+    # The batch sums F(2) = 2 * 3^2, and T_2 = F(2) - F(1) = 18 - 9 = 9
+    exact = count_calls(monkeypatch, cyclotomic_module, "_class_squares")
     assert ScaleDigitSystem(2, (0, 2, 4)).vanishing_orders == frozenset()
     assert [args[1] for args in exact] == [2]
 

@@ -142,10 +142,16 @@ def test_construction_reads_prime_powers_from_the_vanishing_orders(monkeypatch, 
         raise AssertionError("the construction built an order test of its own")
 
     monkeypatch.setattr(tiling, "OrderTest", refuse)
-    tested = record_exact_tests(monkeypatch)
-    construction = construct_spectrum_set(system)
+    summed = record_class_sums(monkeypatch)
+    fresh = ScaleDigitSystem(scale, digits)  # the reference asked `system` already
+    construction = construct_spectrum_set(fresh)
     assert (construction.p_powers, construction.q_powers) == expected
-    assert len(tested) == len(set(tested))  # the system's memo answers each order once
+    assert len(summed) == len(set(summed))  # the system's memo sums each divisor once
+    # the batch sums the rest of the reach and nothing twice, so every
+    # divisor summed lies in the reach
+    orders = fresh.vanishing_orders
+    assert sorted(summed) == sorted(fresh._order_test.reach)
+    assert orders == system.vanishing_orders
 
 
 def test_construction_prime_powers_examples():
@@ -266,30 +272,33 @@ def test_fractional_e_is_the_sorted_quotients(scale, digits):
     assert repr(construction.fractional_e) == repr(expected)
 
 
-def record_exact_tests(monkeypatch):
-    """Replace `_order_divides` with a wrapper that records each order b."""
-    tested = []
-    divides = cyclotomic._order_divides
+def record_class_sums(monkeypatch):
+    """Replace `_class_squares` with a wrapper that records each divisor d
+    whose class sum F(d) is taken."""
+    summed = []
+    squares = cyclotomic._class_squares
 
-    def recording(terms, b, primes):
-        tested.append(b)
-        return divides(terms, b, primes)
+    def recording(exponents, d):
+        summed.append(d)
+        return squares(exponents, d)
 
-    monkeypatch.setattr(cyclotomic, "_order_divides", recording)
-    return tested
+    monkeypatch.setattr(cyclotomic, "_class_squares", recording)
+    return summed
 
 
 def test_construction_asks_only_the_t1_and_t2_orders(monkeypatch):
-    tested = record_exact_tests(monkeypatch)
-    # |N| = 2^6 * 3^3 * 5 and s = 8 reach 15 orders.  (T1) tests the powers
-    # of 2 and 3 with phi <= 8, (T2) the product 4 * 3, and the certificate
-    # of S = 720 * {0, 3, 4, 7, 8, 11} needs only the orders 4, 3 and 12
+    summed = record_class_sums(monkeypatch)
+    # |N| = 2^6 * 3^3 * 5 and s = 8 reach 15 orders.  (T1) asks the powers
+    # of 2 and 3 with phi <= 8, each summing its own class sum, and (T2) the
+    # product 4 * 3, which takes F(12) - F(6) - F(4) + F(2) and so sums 12
+    # and 6.  The certificate of S = 720 * {0, 3, 4, 7, 8, 11} needs only
+    # the orders 4, 3 and 12
     system = ScaleDigitSystem(8640, (0, 1, 2, 6, 7, 8))
     construction = construct_spectrum_set(system)
     assert (construction.p_powers, construction.q_powers) == ((4,), (3,))
-    assert tested == [2, 4, 8, 16, 3, 9, 12]
+    assert summed == [2, 4, 8, 16, 3, 9, 12, 6]
     assert decide_spectrum(system, SpectrumCandidate(construction.result_s)).spectral
-    assert tested == [2, 4, 8, 16, 3, 9, 12]  # the decider's re-check is answered from the memo
+    assert summed == [2, 4, 8, 16, 3, 9, 12, 6]  # the decider's re-check is answered from the memo
 
 
 def test_tiling_powers_test_each_power_once(monkeypatch):
@@ -298,18 +307,18 @@ def test_tiling_powers_test_each_power_once(monkeypatch):
     # 1, 2 * 3^v + 5 and 2 * 3^v + 4 are prime to 3: the powers 3^k with
     # k >= 2 are refused with no exact test, where a reach of 3^v tested
     # all v of them
-    tested = record_exact_tests(monkeypatch)
+    summed = record_class_sums(monkeypatch)
     v = 400
     digits = (0, 1, 2 * 3**v + 5)  # exponents 0, 1, 2 mod 3: only Phi_3 divides
     assert tiling._tiling_powers({3: 1}, 3**v, OrderTest(digits, 3**v)) == {3: (3,)}
-    assert tested == [3]
+    assert summed == [3]
 
 
 def test_is_complementing_factorises_once_and_tests_each_order_once(monkeypatch):
     # |D| = 6 and L = 1800 = 2^3 * 3^2 * 5^2: the memo spans 72, the part
     # of L made of |D|'s primes.  (T1) asks 2, 4, 8 and 3, 9, where
     # phi(9) = 6 > s = 5 refuses 9 untested, and (T2) asks 2 * 3
-    tested = record_exact_tests(monkeypatch)
+    summed = record_class_sums(monkeypatch)
     factorings = {module: [] for module in (cyclotomic, tiling)}
     for module, calls in factorings.items():
 
@@ -322,14 +331,14 @@ def test_is_complementing_factorises_once_and_tests_each_order_once(monkeypatch)
     complement = is_complementing(digits, 1800)
     assert_exact_cover(digits, complement, 1800)
     assert factorings == {cyclotomic: [(72,)], tiling: [(6,)]}
-    assert tested == [2, 4, 8, 3, 6]
+    assert summed == [2, 4, 8, 3, 6]  # (T2) reads F(3) and F(2) from the memo
     # wide digits at a prime modulus: no power of 2 divides it, so (T1)
     # fails with nothing to factorise, not after 10^8 trial divisions
     for calls in factorings.values():
         calls.clear()
     assert is_complementing((0, 10**9), 10**16 + 61) is None
     assert factorings == {cyclotomic: [(1,)], tiling: [(2,)]}
-    assert tested == [2, 4, 8, 3, 6]
+    assert summed == [2, 4, 8, 3, 6]
 
 
 def test_construct_point_mass():
