@@ -10,10 +10,11 @@ arguments every case runs, in the order listed below; arguments pick cases
 by name.
 
 The cases are the recorded cliffs (wide digits at a large prime scale, a
-prime shared by the scale and a digit difference, 2,000 digits, the
-complement search of {0, 13}) and the many-prime orders: a batch and
-single questions with hundreds of digits at a primorial, and a pair of
-digits at the product of the first 20 primes.
+prime shared by the scale and a digit difference, which the construction
+and the pair power never ask about, 2,000 digits, the complement search
+of {0, 13}) and the many-prime orders: a batch and single questions with
+hundreds of digits at a primorial, and a pair of digits at the product of
+the first 20 primes.
 
 Example:
     PYTHONPATH=src python scripts/order_stress.py compat-primorial-20 single-300-at-19
@@ -69,6 +70,13 @@ CASES = {
     ),
     "compat-shared-prime-1e14": lambda: cli(
         "compat", "check", "--n", "200000000000062", "--digits", "0,100000000000031", "--s", "0,1"
+    ),
+    "construct-shared-prime-1e14": lambda: cli(
+        "tiling", "construct", "--n", "200000000000062", "--digits", "0,100000000000031"
+    ),
+    "power-shared-prime-1e14": lambda: cli(
+        "compat", "power", "--n", "200000000000062", "--digits", "0,100000000000031",
+        "--s", "0,100000000000031", "--k", "1",
     ),
     "compat-primorial-20": lambda: cli(
         "compat", "check", "--n", str(PRIMORIAL_20), "--digits", f"0,{PRIMORIAL_20 // 2}", "--s", "0,1"

@@ -206,8 +206,9 @@ def lambda_enumerate(
     if not isinstance(depth, int) or depth < 1:
         raise PreconditionError(f"depth must be a positive integer, got {depth!r}")
     _check_slice_budget(candidate.size, depth)
-    if candidate.size == 1:  # the one point s * (1 + N + ... + N^(depth-1))
-        return (candidate.elements[0] * (scale**depth - 1) // (scale - 1),)
+    if candidate.size == 1:  # the one point s * (1 + N + ... + N^(depth-1)); no power at s = 0
+        s = candidate.elements[0]
+        return (s and s * (scale**depth - 1) // (scale - 1),)
     values = {0}
     for _ in range(depth):  # Horner: the digit added last is s_0
         values = {s + scale * v for v in values for s in candidate.elements}

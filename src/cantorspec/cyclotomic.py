@@ -18,12 +18,13 @@ of unity that contains 1 uses only m-th roots, m squarefree with every
 prime at most k.  Splitting D(zeta) = 0 into such subsums, every vanishing
 order divides P * (d - d') for two digits, P the product of the primes
 <= |D|, so it divides g = gcd(|N|, lcm(1..|D|) * lcm of the differences),
-which is |N| when |N| divides lcm(1..|D|).  Only g is kept and
-factorised, not |N|: its primes are at most max(|D|, s), with
-s = max D - min D.  The one reach, for a single question and the batch of
-all orders alike: b is tested only when it divides g and phi(b) <= s, as
-Phi_b must divide z^(-min D) * D(z) of degree s.  `factorize`, the
-library's one trial division, also serves |D| for the tiling conditions.
+which is |N| when |N| divides lcm(1..|D|).  Only g is kept, not |N|: its
+primes are at most max(|D|, s), with s = max D - min D.  The one reach,
+for a single question and the batch of all orders alike: b is tested only
+when it divides g and phi(b) <= s, as Phi_b must divide z^(-min D) * D(z)
+of degree s.  The batch factorises g, a single question only its own
+order b once b divides g, with `factorize`, the library's one trial
+division, which also serves |D| for the tiling conditions.
 The orders are decided on demand: each `ScaleDigitSystem` holds an
 `OrderTest`, which tests an order the first time a caller asks about it
 and remembers the answer.  A compatibility check asks the orders of its
@@ -133,17 +134,18 @@ class OrderTest:
     decided on first ask and remembered; `ScaleDigitSystem` holds one, and
     `is_complementing` one per call.
 
-    Only g = gcd(n, lcm(1..#exponents) * lcm of the differences) is kept
-    and factorised, once: by Mann's bound every vanishing order divides it.
-    A single question and `all_orders` alike refuse an order b with no
-    exact test when it does not divide g or has phi(b) > max - min.  The
-    class sums F(d) are kept per divisor, so each is summed at most once.
-    A single question costs at most min(2^omega(b) * |D|, |D|^2 * omega(b))
-    steps, |D| the number of exponents, and never more than `all_orders`,
-    which sums every divisor in reach.
+    Only g = gcd(n, lcm(1..#exponents) * lcm of the differences) is kept:
+    by Mann's bound every vanishing order divides it.  A single question
+    and `all_orders` alike refuse an order b with no exact test when it
+    does not divide g or has phi(b) > max - min.  `all_orders` factorises
+    g, a single question only its own b once b divides g: at most sqrt(b)
+    trial divisions, paid again by each order sharing a large prime of g,
+    then min(2^omega(b) * |D|, |D|^2 * omega(b)) steps, |D| the number of
+    exponents.  The class sums F(d) are kept per divisor, so each is
+    summed at most once.
     """
 
-    __slots__ = ("g", "span", "exps", "factors", "sums", "known", "reach", "orders")
+    __slots__ = ("g", "span", "exps", "sums", "known", "reach", "orders")
 
     def __init__(self, exponents, n: int):
         exps = self.exps = tuple(exponents)
@@ -153,7 +155,6 @@ class OrderTest:
         if sizes % n:  # one gcd per distinct difference; their lcm divides n
             diffs = {e - f for e in exps for f in exps if e > f}
             self.g = math.gcd(n, sizes * math.lcm(*(math.gcd(n, d) for d in diffs)))
-        self.factors = factorize(self.g)
         self.sums = {1: len(exps) ** 2}  # d -> F(d); F(1) = |D|^2 needs no sum
         self.known: dict[int, bool] = {}  # every answer given so far
         self.reach: dict[int, list[int]] | None = None  # b -> primes of b, once `all_orders` ran
@@ -177,7 +178,7 @@ class OrderTest:
         """The primes of b, ascending, when b > 1 divides g and phi(b) <= max - min."""
         if b < 2 or self.g % b:
             return None
-        primes = [p for p in self.factors if b % p == 0]  # phi(b) = b * prod(1 - 1/p)
+        primes = list(factorize(b))  # phi(b) = b * prod(1 - 1/p)
         return primes if b // math.prod(primes) * math.prod(p - 1 for p in primes) <= self.span else None
 
     def _class_sum(self, d: int) -> int:
@@ -199,8 +200,9 @@ class OrderTest:
         each divisor not summed yet is summed, and T_b follows for all of
         them from one Moebius pass, at most omega(g) steps per divisor."""
         if self.orders is None:
+            factors = factorize(self.g)
             span, reach = self.span, [(1, 1, [])]  # (b, phi(b), primes of b)
-            for p, k in self.factors.items():
+            for p, k in factors.items():
                 grown = []
                 for b, phi, primes in reach:
                     phi *= p - 1
@@ -212,7 +214,7 @@ class OrderTest:
                         phi *= p
                 reach += grown
             trace = {b: self._class_sum(b) for b, _, _ in reach}
-            for p in self.factors:  # b / p precedes b in reach: still untouched by p
+            for p in factors:  # b / p precedes b in reach: still untouched by p
                 for b, _, _ in reversed(reach):
                     if b % p == 0:
                         trace[b] -= trace[b // p]

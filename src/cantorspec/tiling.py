@@ -15,11 +15,10 @@ tile satisfies (T2), so the conditions decide; for more primes a search
 still does.  Otherwise the search runs only on a tile, for its complement.
 |D| is factorised once per question.  The orders are asked of one
 `OrderTest`: a system's own in the construction, and one per
-`is_complementing` call over the part of L made of |D|'s primes, so each
-is tested at most once.  That part, not Mann's g over all of L, bounds
-the trial division: g keeps a large prime q of L that divides a digit
-difference, factorised by trial division up to sqrt(q), though (T1) and
-(T2) never ask an order with q in it.
+`is_complementing` call at L, so each is tested at most once.  Each
+question factorises only its own order, after the refusal of an order
+that does not divide Mann's g, so a large prime of L that (T1) and (T2)
+never name is never trial-divided.
 
 For |D| with at most two primes the powers assemble E = {sum_j a_j / p^k_j
 : 0 <= a_j < p}, whose dilation S = N*E is an integer candidate set
@@ -89,11 +88,7 @@ def is_complementing(digits, modulus: int) -> tuple[int, ...] | None:
         raise PreconditionError("digit set must be nonempty")
     if len({d % modulus for d in digs}) != len(digs):
         return None
-    size_factors = factorize(len(digs))
-    # (T1) and (T2) ask only orders made of |D|'s primes, so the memo spans
-    # that part of L, free of L's other large primes (see the module docstring)
-    part = math.gcd(modulus, math.prod(size_factors) ** modulus.bit_length())
-    powers = _tiling_powers(size_factors, modulus, OrderTest(digs, part))
+    powers = _tiling_powers(factorize(len(digs)), modulus, OrderTest(digs, modulus))
     return None if powers is None else _search_complement(digs, modulus)
 
 

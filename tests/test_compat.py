@@ -380,7 +380,7 @@ def test_pair_power_certified_at_powered_scale():
             assert is_compatible(powered, SpectrumCandidate(elements_k)) is not None
 
 
-def test_pair_power_factorizes_each_scale_once(monkeypatch):
+def test_pair_power_factorizes_only_the_orders_it_asks(monkeypatch):
     # former cliff: every divisor 2^j of 4^k was factorised by trial division
     calls = []
     factorize = cyclotomic.factorize
@@ -395,15 +395,14 @@ def test_pair_power_factorizes_each_scale_once(monkeypatch):
     assert digits_k == (0,) and elements_k == (5 * (4**k - 1) // 3,)
     # a one-element pair has no difference, so no order is asked
     assert calls == []
-    # the re-checks ask orders 2, 4, 8, ... of the powered scales: each
-    # system factorises its g = gcd(|N|, lcm(1..|D|) * lcm of differences)
-    # once, the base system once for both powers, and never an order.  The
-    # base g is gcd(4, 2 * 1) = 2; the powered digits differ by 4 and 16
+    # each system factorises each distinct order it asks, once, and never
+    # its scale or g.  The base pair asks 2 for both powers; S_2 =
+    # {0, 2, 8, 10} at 16 asks 8 and 2, and S_3 at 64 asks 32, 8 and 2
     calls.clear()
     system, candidate = ScaleDigitSystem(4, (0, 1)), SpectrumCandidate((0, 2))
     for k in (2, 3):
         pair_power(system, candidate, k)
-    assert calls == [2, 16, 64]
+    assert calls == [2, 8, 2, 32, 8, 2]
 
 
 def test_pair_power_preconditions():

@@ -181,7 +181,7 @@ def test_attractor_bounds_match_interval_iteration(scale, elements):
 
 def test_lambda_enumerate_examples():
     assert lambda_enumerate(4, JP_CANDIDATE, 2) == (0, 2, 8, 10)
-    for depth in (1, 3, 5):
+    for depth in (1, 3, 5, 10**9):  # 7^(10^9) would have 2.8 * 10^9 bits; {0} needs no power
         assert lambda_enumerate(7, SpectrumCandidate((0,)), depth) == (0,)
     for depth in range(1, 6):
         doubled = lambda_enumerate(6, SpectrumCandidate((0, 4, 8)), depth)

@@ -46,13 +46,16 @@ def test_scan_two_digit_spectra_splits_the_compatible_candidates():
 
 
 def test_order_stress_times_the_cases_it_is_given():
-    proc = run_script("order_stress.py", "compat-primorial-20", "order-test-2000-at-4000")
+    proc = run_script(
+        "order_stress.py", "compat-primorial-20", "order-test-2000-at-4000", "construct-shared-prime-1e14"
+    )
     assert (proc.returncode, proc.stderr) == (0, "")
     rows = [row.split(",") for row in proc.stdout.splitlines()]
     assert rows[0] == ["case", "seconds", "answer"]
     assert [(row[0], row[2]) for row in rows[1:]] == [
         ("compat-primorial-20", "0:6391ce57cb8f"),  # exit 0, and the SHA-1 of its JSON
         ("order-test-2000-at-4000", "19 orders"),  # the b > 1 dividing 2000: D(z) = (z^2000 - 1)/(z - 1)
+        ("construct-shared-prime-1e14", "0:7075404577b7"),  # S = {0, q}, asking only the order 2
     ]
     assert all(float(row[1]) >= 0 for row in rows[1:])
     unknown = run_script("order_stress.py", "no-such-case")

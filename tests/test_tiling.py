@@ -302,8 +302,7 @@ def test_construction_asks_only_the_t1_and_t2_orders(monkeypatch):
 
 
 def test_tiling_powers_test_each_power_once(monkeypatch):
-    # one order test over the 3-part of the modulus, as is_complementing
-    # builds.  Its g = gcd(3^v, lcm(1, 2, 3) * 1) = 3, since the differences
+    # one order test at the modulus, as is_complementing builds.  Its g = gcd(3^v, lcm(1, 2, 3) * 1) = 3, since the differences
     # 1, 2 * 3^v + 5 and 2 * 3^v + 4 are prime to 3: the powers 3^k with
     # k >= 2 are refused with no exact test, where a reach of 3^v tested
     # all v of them
@@ -314,10 +313,11 @@ def test_tiling_powers_test_each_power_once(monkeypatch):
     assert summed == [3]
 
 
-def test_is_complementing_factorises_once_and_tests_each_order_once(monkeypatch):
-    # |D| = 6 and L = 1800 = 2^3 * 3^2 * 5^2: the memo spans 72, the part
-    # of L made of |D|'s primes.  (T1) asks 2, 4, 8 and 3, 9, where
-    # phi(9) = 6 > s = 5 refuses 9 untested, and (T2) asks 2 * 3
+def test_is_complementing_factorises_and_tests_each_order_once(monkeypatch):
+    # |D| = 6 and L = 1800 = 2^3 * 3^2 * 5^2, whose g is 1800.  (T1) asks
+    # 2, 4, 8 and 3, 9, where phi(9) = 6 > s = 5 refuses 9 untested, and
+    # (T2) asks 2 * 3.  Each order is factorised once, on its own, and L
+    # and its prime 5 never
     summed = record_class_sums(monkeypatch)
     factorings = {module: [] for module in (cyclotomic, tiling)}
     for module, calls in factorings.items():
@@ -330,15 +330,39 @@ def test_is_complementing_factorises_once_and_tests_each_order_once(monkeypatch)
     digits = (0, 1, 2, 3, 4, 5)
     complement = is_complementing(digits, 1800)
     assert_exact_cover(digits, complement, 1800)
-    assert factorings == {cyclotomic: [(72,)], tiling: [(6,)]}
+    assert factorings == {cyclotomic: [(2,), (4,), (8,), (3,), (9,), (6,)], tiling: [(6,)]}
     assert summed == [2, 4, 8, 3, 6]  # (T2) reads F(3) and F(2) from the memo
-    # wide digits at a prime modulus: no power of 2 divides it, so (T1)
-    # fails with nothing to factorise, not after 10^8 trial divisions
+    # wide digits at a prime modulus: g = gcd(L, 2 * 10^9) = 1 refuses the
+    # order 2, so (T1) fails with nothing to factorise, not after 10^8
+    # trial divisions
     for calls in factorings.values():
         calls.clear()
     assert is_complementing((0, 10**9), 10**16 + 61) is None
-    assert factorings == {cyclotomic: [(1,)], tiling: [(2,)]}
+    assert factorings == {cyclotomic: [], tiling: [(2,)]}
     assert summed == [2, 4, 8, 3, 6]
+
+
+def test_a_shared_large_prime_that_no_question_names_is_never_factorised(monkeypatch):
+    # former cliff: q = 10^12 + 39 is prime and divides both |N| = 2q and
+    # the digit difference, so g = 2q was trial-divided up to sqrt(q) when
+    # the test was built, though the construction and the power ask only 2
+    q = 10**12 + 39
+    calls = []
+    factorize = cyclotomic.factorize
+
+    def counting(n):
+        calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(cyclotomic, "factorize", counting)
+    test = OrderTest((0, q), 2 * q)
+    assert test.g == 2 * q and calls == []  # building the test factorises nothing
+    assert not hasattr(test, "factors")
+    construction = construct_spectrum_set(ScaleDigitSystem(2 * q, (0, q)))
+    assert construction.result_s == (0, q) and calls == [2]
+    calls.clear()  # the base system and the powered one each ask 2
+    assert pair_power(ScaleDigitSystem(2 * q, (0, q)), SpectrumCandidate((0, q)), 1) == ((0, q), (0, q))
+    assert calls == [2, 2]
 
 
 def test_construct_point_mass():
