@@ -11,10 +11,10 @@ by name.
 
 The cases are the recorded cliffs (wide digits at a large prime scale, a
 prime shared by the scale and a digit difference, which the construction
-and the pair power never ask about, 2,000 digits, the complement search
-of {0, 13}) and the many-prime orders: a batch and single questions with
-hundreds of digits at a primorial, and a pair of digits at the product of
-the first 20 primes.
+and the pair power never ask about, a large prime in both orders that one
+check asks, 2,000 digits, the complement search of {0, 13}) and the
+many-prime orders: a batch and single questions with hundreds of digits at
+a primorial, and a pair of digits at the product of the first 20 primes.
 
 Example:
     PYTHONPATH=src python scripts/order_stress.py compat-primorial-20 single-300-at-19
@@ -70,6 +70,10 @@ CASES = {
     ),
     "compat-shared-prime-1e14": lambda: cli(
         "compat", "check", "--n", "200000000000062", "--digits", "0,100000000000031", "--s", "0,1"
+    ),
+    "compat-shared-prime-4q": lambda: cli(
+        "compat", "check", "--n", "4000000000156",
+        "--digits", "0,1000000000039,2000000000078,3000000000117", "--s", "0,1,2,3",
     ),
     "construct-shared-prime-1e14": lambda: cli(
         "tiling", "construct", "--n", "200000000000062", "--digits", "0,100000000000031"

@@ -82,8 +82,8 @@ def build_parser() -> _Parser:
         p.add_argument("--n", type=int, required=True, help="integer scale N, |N| >= 2")
         p.add_argument("--digits", type=_int_list, required=True, help="digit set, e.g. 0,1,2")
 
-    def add_candidate(p, required=True):
-        p.add_argument("--s", type=_int_list, required=required, help="candidate set, e.g. 0,2,4")
+    def add_candidate(p):
+        p.add_argument("--s", type=_int_list, required=True, help="candidate set, e.g. 0,2,4")
 
     def add_policy(p):
         p.add_argument("--depth", type=int, default=DEFAULT_POLICY.depth, help="spectrum slice depth")

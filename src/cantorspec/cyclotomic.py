@@ -22,9 +22,10 @@ which is |N| when |N| divides lcm(1..|D|).  Only g is kept, not |N|: its
 primes are at most max(|D|, s), with s = max D - min D.  The one reach,
 for a single question and the batch of all orders alike: b is tested only
 when it divides g and phi(b) <= s, as Phi_b must divide z^(-min D) * D(z)
-of degree s.  The batch factorises g, a single question only its own
-order b once b divides g, with `factorize`, the library's one trial
-division, which also serves |D| for the tiling conditions.
+of degree s.  The batch factorises g with `factorize`, the library's one
+trial division, which also serves |D| for the tiling conditions; single
+questions factorise only what is left of b once the primes found before
+are divided out, so each prime is trial-divided once per `OrderTest`.
 The orders are decided on demand: each `ScaleDigitSystem` holds an
 `OrderTest`, which tests an order the first time a caller asks about it
 and remembers the answer.  A compatibility check asks the orders of its
@@ -138,14 +139,13 @@ class OrderTest:
     by Mann's bound every vanishing order divides it.  A single question
     and `all_orders` alike refuse an order b with no exact test when it
     does not divide g or has phi(b) > max - min.  `all_orders` factorises
-    g, a single question only its own b once b divides g: at most sqrt(b)
-    trial divisions, paid again by each order sharing a large prime of g,
-    then min(2^omega(b) * |D|, |D|^2 * omega(b)) steps, |D| the number of
-    exponents.  The class sums F(d) are kept per divisor, so each is
-    summed at most once.
+    g, a single question only the part of b that no earlier one factorised:
+    at most sqrt of it in trial divisions, then min(2^omega(b) * |D|,
+    |D|^2 * omega(b)) steps, |D| the number of exponents.  The class sums
+    F(d) are kept per divisor, so each is summed at most once.
     """
 
-    __slots__ = ("g", "span", "exps", "sums", "known", "reach", "orders")
+    __slots__ = ("g", "span", "exps", "sums", "known", "found", "reach", "orders")
 
     def __init__(self, exponents, n: int):
         exps = self.exps = tuple(exponents)
@@ -157,6 +157,7 @@ class OrderTest:
             self.g = math.gcd(n, sizes * math.lcm(*(math.gcd(n, d) for d in diffs)))
         self.sums = {1: len(exps) ** 2}  # d -> F(d); F(1) = |D|^2 needs no sum
         self.known: dict[int, bool] = {}  # every answer given so far
+        self.found: list[int] = []  # the primes single questions have factorised, ascending
         self.reach: dict[int, list[int]] | None = None  # b -> primes of b, once `all_orders` ran
         self.orders: frozenset[int] | None = None  # the vanishing ones, once `all_orders` ran
 
@@ -178,7 +179,12 @@ class OrderTest:
         """The primes of b, ascending, when b > 1 divides g and phi(b) <= max - min."""
         if b < 2 or self.g % b:
             return None
-        primes = list(factorize(b))  # phi(b) = b * prod(1 - 1/p)
+        rest, found = b, math.prod(self.found)
+        while (h := math.gcd(rest, found)) > 1:  # divide out the primes found before
+            rest //= h
+        if rest > 1:  # primes no earlier question has found
+            self.found = sorted([*self.found, *factorize(rest)])
+        primes = [p for p in self.found if b % p == 0]  # phi(b) = b * prod(1 - 1/p)
         return primes if b // math.prod(primes) * math.prod(p - 1 for p in primes) <= self.span else None
 
     def _class_sum(self, d: int) -> int:

@@ -122,14 +122,6 @@ def decide_spectrum(
         raise PreconditionError("cycle criterion requires 0 in S")
     if is_compatible(system, candidate) is None:
         raise PreconditionError("cycle criterion applies to compatible pairs only")
-    return _cycle_verdict(system, candidate, range_factor)
-
-
-def _cycle_verdict(
-    system: ScaleDigitSystem, candidate: SpectrumCandidate, range_factor: int
-) -> SpectrumVerdict:
-    """The search of `decide_spectrum` for a pair known to meet its
-    preconditions; they are not checked again here."""
     scale, m = system.scale, system.modulus
     elems = candidate.elements
     bounds = attractor_bounds(scale, elems)

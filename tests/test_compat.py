@@ -395,14 +395,33 @@ def test_pair_power_factorizes_only_the_orders_it_asks(monkeypatch):
     assert digits_k == (0,) and elements_k == (5 * (4**k - 1) // 3,)
     # a one-element pair has no difference, so no order is asked
     assert calls == []
-    # each system factorises each distinct order it asks, once, and never
-    # its scale or g.  The base pair asks 2 for both powers; S_2 =
-    # {0, 2, 8, 10} at 16 asks 8 and 2, and S_3 at 64 asks 32, 8 and 2
+    # each system trial-divides each prime once, and never its scale or g.
+    # The base pair asks 2 for both powers; S_2 = {0, 2, 8, 10} at 16 asks
+    # 8, then 2, whose prime 8 already gave, and S_3 at 64 asks 32, 8, 2
     calls.clear()
     system, candidate = ScaleDigitSystem(4, (0, 1)), SpectrumCandidate((0, 2))
     for k in (2, 3):
         pair_power(system, candidate, k)
-    assert calls == [2, 8, 2, 32, 8, 2]
+    assert calls == [2, 8, 32]
+
+
+def test_orders_sharing_a_large_prime_trial_divide_it_once(monkeypatch):
+    # q = 10^12 + 39 is prime; S = {0, 1, 2, 3} asks the orders 4q and 2q
+    # of (4q, {0, q, 2q, 3q}).  The second reads q from the primes the
+    # first found, so q is trial-divided once
+    q = 10**12 + 39
+    calls = []
+    factorize = cyclotomic.factorize
+
+    def counting(n):
+        calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(cyclotomic, "factorize", counting)
+    system = ScaleDigitSystem(4 * q, (0, q, 2 * q, 3 * q))
+    assert is_compatible(system, SpectrumCandidate((0, 1, 2, 3))) is not None
+    assert system._order_test.known == {4 * q: True, 2 * q: True}
+    assert [n for n in calls if n % q == 0] == [4 * q]
 
 
 def test_pair_power_preconditions():

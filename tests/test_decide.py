@@ -424,6 +424,8 @@ def test_large_hull_fixed_point_witness():
         (4, (0, 41, -30, 123)),
         (-4, (-11, -5, 0, 2)),  # a cycle through the top of the hull, 3
         (-4, (-10, -5, 0, 9)),
+        (4, (0, 120001, -79998, 20003)),  # hulls of about 6 * 10^4 integers
+        (-4, (0, 120001, -79998, 20003)),  # with a cycle: the backward closure
     ],
 )
 def test_tile_pairs_match_reference(scale, elements):
@@ -487,7 +489,7 @@ def test_every_window_candidate_is_spectral():
                     for cand in compat_module._window_candidates(system):
                         bounds = attractor_bounds(scale, cand.elements)
                         assert -1 < bounds.lo <= bounds.hi < 1, (system, cand)
-                        assert decide_module._cycle_verdict(system, cand, 1).spectral, (system, cand)
+                        assert decide_spectrum(system, cand).spectral, (system, cand)
                         decided += 1
     assert decided > 2000
 

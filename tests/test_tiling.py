@@ -316,8 +316,8 @@ def test_tiling_powers_test_each_power_once(monkeypatch):
 def test_is_complementing_factorises_and_tests_each_order_once(monkeypatch):
     # |D| = 6 and L = 1800 = 2^3 * 3^2 * 5^2, whose g is 1800.  (T1) asks
     # 2, 4, 8 and 3, 9, where phi(9) = 6 > s = 5 refuses 9 untested, and
-    # (T2) asks 2 * 3.  Each order is factorised once, on its own, and L
-    # and its prime 5 never
+    # (T2) asks 2 * 3.  Each prime is trial-divided once, by the first
+    # order that names it, and L and its prime 5 never
     summed = record_class_sums(monkeypatch)
     factorings = {module: [] for module in (cyclotomic, tiling)}
     for module, calls in factorings.items():
@@ -330,7 +330,7 @@ def test_is_complementing_factorises_and_tests_each_order_once(monkeypatch):
     digits = (0, 1, 2, 3, 4, 5)
     complement = is_complementing(digits, 1800)
     assert_exact_cover(digits, complement, 1800)
-    assert factorings == {cyclotomic: [(2,), (4,), (8,), (3,), (9,), (6,)], tiling: [(6,)]}
+    assert factorings == {cyclotomic: [(2,), (3,)], tiling: [(6,)]}
     assert summed == [2, 4, 8, 3, 6]  # (T2) reads F(3) and F(2) from the memo
     # wide digits at a prime modulus: g = gcd(L, 2 * 10^9) = 1 refuses the
     # order 2, so (T1) fails with nothing to factorise, not after 10^8
