@@ -17,25 +17,27 @@ by every point that extends it.  Phases never carry an integer part into
 a float: xi is split exactly into integer and fraction, and the integer
 part of each phase is reduced mod |N|^j in integers.  Once |N|^j exceeds a
 point's integer part its next factors run in floats, and the rest of the
-infinite product is one closed form (`_tail_series`).
+infinite product is one polynomial (`ScaleDigitSystem.tail_series`).
 
-The closed form.  With w_k = 4*c_k/|D|^2, a2 = pi^2 sum_k w_k k^2 and
-a4 = pi^4 sum_k w_k k^4 / 3, the factors past an argument t satisfy
+The tail series.  Past an argument t the factors left multiply to
+|mu_hat(t)|^2 = E cos(2*pi*t*Z), with Z = X - Y for X, Y independent of law
+mu.  Expanding cos to M = TAIL_TERMS terms,
 
-    sum_{i>=1} log|m_D(t/N^i)|^2
-        = -a2 t^2/(N^2-1) + (a4 - a2^2/2) t^4/(N^4-1) + E,
-    |E| <= K t^6/(N^6-1),   K = 2 pi^6 sum_k w_k k^6/45 + a2 a4 + 2 a2^3/3.
+    |mu_hat(t)|^2 = sum_{n<M} (-1)^n (2*pi*t)^(2n) E[Z^(2n)]/(2n)! + R,
+    |R| <= (2*pi*t)^(2M) E[Z^(2M)]/(2M)!,
 
-It follows from sin^2 x = x^2 - x^4/3 + R with 0 <= R <= 2x^6/45, which
-puts u = 1 - |m_D(eta)|^2 in [a2 eta^2 - a4 eta^4, a2 eta^2], and from
-log(1 - u) = -u - u^2/2 - R' with 0 <= R' <= u^3/(3(1 - u)) <= 2u^3/3;
-the last step needs u <= 1/2, which the switch rule below implies, since
-K >= 2 a2^3/3 there bounds a2 eta^2 by (3 * 2^-54)^(1/3).  The kernel
-switches to the closed form at the first t with K t^6/(N^6-1) <= 2^-53,
-where the remainder is below the rounding of one float factor, and a
-point's error bound becomes p2 * expm1(K t^6/(N^6-1)) on its squared
-modulus p2.  A point whose product falls below the early-stop cutoff is
-left there with bound p2: the rest of the product lies in [0, 1].
+the Lagrange remainder of cos, then an expectation.  The even moments of Z
+come once per system from Z = (delta + Z')/N in law, delta = d - d'.  The
+kernel switches to the series at the first t where that remainder is at
+most 2^-70 (`TAIL_SWITCH_REMAINDER`), far below a float's rounding; with
+M = 14 that is t = 0.39 (|N|-1)/spread or more, and t starts below 1.  A
+point's error bound is p2 times the remainder at its t, on its squared
+modulus p2 before the series.  So a point costs its shared prefix
+factors, float factors t -> t/|N| only while t is above the switch, and
+one polynomial of M terms.  The polynomial's own rounding, like the float
+factors', is not in the bound.  A point whose product falls below the
+early-stop cutoff is left there with bound p2: the rest of the product
+lies in [0, 1].
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .systems import (
     PreconditionError,
     ScaleDigitSystem,
     SpectrumCandidate,
+    TAIL_TERMS,
     TruncationPolicy,
     _check_slice_budget,
 )
@@ -96,22 +99,6 @@ def _truncation(lipschitz: float, base: int, x: float, target: float) -> tuple[i
         raise PreconditionError(
             f"|xi| = {size!r} with |N| = {base} is past the float range of the Fourier product's tail bound"
         ) from None
-
-
-def _tail_series(weights, base: int) -> tuple[float, float, float, float]:
-    """(c2, c4, c6, switch) for the factors past an argument t <= switch:
-    their log |product|^2 is c2*t^2 + c4*t^4 within c6*t^6, and
-    c6*switch^6 = 2^-53 (see the module docstring).  Refused, as past the
-    float range, when the digit differences make K infinite."""
-    a2 = math.pi**2 * sum(w * k**2 for k, w in weights)
-    a4 = math.pi**4 * sum(w * k**4 for k, w in weights) / 3.0
-    k6 = 2.0 * math.pi**6 * sum(w * k**6 for k, w in weights) / 45.0 + a2 * a4 + 2.0 * a2**3 / 3.0
-    if not math.isfinite(k6):
-        raise PreconditionError("digit differences too wide for the float tail of the Q kernel")
-    n2 = base * base
-    c6 = k6 * (1 / (n2**3 - 1))
-    switch = (2.0**-53 / c6) ** (1.0 / 6.0) if c6 > 0.0 else math.inf
-    return -a2 * (1 / (n2 - 1)), (a4 - a2 * a2 / 2.0) * (1 / (n2 * n2 - 1)), c6, switch
 
 
 def _symbol_sq(weights, whole: int, frac: float, power: int) -> float:
@@ -197,13 +184,16 @@ def q_eval_with_bound(
     factors, shared by every point that extends it; a prefix already below
     the early-stop cutoff (epsilon/4)^2 passes its product on unchanged.
     Past the slice depth a point's factors are still reduced exactly while
-    |N|^j is at most its integer part; then they run in floats, t -> t/|N|,
-    until K t^6/(N^6-1) <= 2^-53, and one exp of the closed form in the
-    module docstring stands for every factor left.  A point's bound is
-    p2 * expm1(K t^6/(N^6-1)) on its squared modulus p2, or p2 itself if
-    it stopped early.  No factor count J is formed: it is the whole infinite
+    |N|^j is at most its integer part, leaving an argument t below 1; then
+    they run in floats, t -> t/|N|, while t is above the switch of
+    `ScaleDigitSystem.tail_series`, and its polynomial of TAIL_TERMS terms
+    in t^2 stands for every factor left.  Its remainder at t is at most
+    2^-70, the switch rule; a point's bound is p2 times that remainder on
+    its squared modulus p2 before the polynomial, or p2 itself if it
+    stopped early.  No factor count J is formed: it is the whole infinite
     product that is summed.  |xi + lambda| is refused where `mu_hat` would
-    refuse it, and so is any phase period or point past the float range.
+    refuse it, and so is any phase period or point past the float range,
+    or a digit spread from `SPREAD_LIMIT` on.
     """
     _check_slice_budget(candidate.size, policy.depth)
     whole, frac = _split(xi)
@@ -222,19 +212,30 @@ def _completeness_sum(system, candidate, whole: int, frac: float, policy) -> tup
     base = system.modulus
     weights = system.difference_weights
     cutoff = (policy.product_epsilon / 4.0) ** 2
-    c2, c4, c6, switch = _tail_series(weights, base)
+    scale, coeffs, remainder, switch = system.tail_series
+    # TAIL_TERMS coefficients: the Horner sum is unrolled below, which costs
+    # about half what a loop over them costs per point
+    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12, c13 = coeffs
     level = {whole: 1.0}  # xi's integer part plus a slice prefix -> |product|^2
     power = 1
     step = 1
     for _ in range(policy.depth):
         power *= base
+        turn = math.pi / power
         shifts = [s * step for s in candidate.elements]
         deeper = {}
         for node, p2 in level.items():
             for shift in shifts:
                 child = node + shift
                 if child not in deeper:
-                    deeper[child] = p2 if p2 < cutoff else p2 * _symbol_sq(weights, child, frac, power)
+                    if p2 < cutoff:
+                        deeper[child] = p2
+                        continue
+                    acc = 1.0  # _symbol_sq(weights, child, frac, power), inlined
+                    for k, w in weights:
+                        s = math.sin(turn * ((k * child) % power + k * frac))
+                        acc -= w * s * s
+                    deeper[child] = p2 * acc if acc > 0.0 else 0.0
         level = deeper
         step *= system.scale
     # refuse as mu_hat would: the slice's largest |xi + lambda| is at one end
@@ -260,9 +261,11 @@ def _completeness_sum(system, candidate, whole: int, frac: float, policy) -> tup
         if p2 < cutoff:
             err += p2
         else:
-            t2 = t * t
-            p2 *= math.exp(t2 * (c2 + c4 * t2))
-            err += p2 * math.expm1(c6 * t2 * t2 * t2)
+            s = scale * t
+            s *= s
+            err += p2 * remainder * s**TAIL_TERMS
+            p2 *= c0 + s * (c1 + s * (c2 + s * (c3 + s * (c4 + s * (c5 + s * (c6 + s * (
+                c7 + s * (c8 + s * (c9 + s * (c10 + s * (c11 + s * (c12 + s * c13))))))))))))
         total += p2
     return total, err
 
@@ -280,7 +283,7 @@ def transfer_residual(
         Q_{d+1}(xi) = sum_s |m_D((xi+s)/N)|^2 * Q_d((xi+s)/N)
     because each (d+1)-digit point splits uniquely as s + N*(d-digit point)
     and the symbol is 1-periodic at integer translates.  Both sides sum
-    every infinite product to 2^-53, so the returned |lhs - rhs| is
+    every infinite product to within 2^-70, so the returned |lhs - rhs| is
     rounding plus the early stops at (product_epsilon/4)^2, which fall at
     different factors on the two sides and shrink with product_epsilon.
     """

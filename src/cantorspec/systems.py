@@ -34,6 +34,17 @@ class BudgetExceededError(RuntimeError):
 #: Minkowski sum) may enumerate, read at call time.
 LAMBDA_BUDGET = 1_000_000
 
+#: Terms M of the polynomial that closes each point's tail in the Q kernel,
+#: and the remainder at which the kernel switches to it.
+TAIL_TERMS = 14
+TAIL_SWITCH_REMAINDER = 2.0**-70
+#: Digit spreads from here on (about 3.7e50) are refused by the Q kernel as
+#: past its float range.
+#: Its tail series needs no such limit, but a wider digit set gains nothing
+#: from an answer: past a spread of 2^53 the float phases k*t of the
+#: kernel's factors keep no fraction of t.
+SPREAD_LIMIT = 2**168
+
 
 def _check_slice_budget(size: int, depth: int, grid: int = 1) -> None:
     """Refuse |S|^depth slice points, times `grid` Q points, past the budget.
@@ -121,6 +132,56 @@ class ScaleDigitSystem:
         counts = Counter(b - a for i, a in enumerate(self.digits) for b in self.digits[i + 1 :])
         scale = 4.0 / (self.size * self.size)
         return tuple((k, scale * c) for k, c in sorted(counts.items()))
+
+    @functools.cached_property
+    def tail_series(self) -> tuple[float, tuple[float, ...], float, float]:
+        """(scale, coeffs, remainder, switch): |mu_hat(t)|^2 as a polynomial
+        of M = TAIL_TERMS terms in s = (scale*t)^2.
+
+        With Z = X - Y for X, Y independent of law mu, |mu_hat(t)|^2 =
+        E cos(2*pi*t*Z).  Let rho = spread/(|N|-1), the largest |Z|, and
+        scale = 2*pi*rho.  Then |mu_hat(t)|^2 = sum_{n<M} c_n s^n + R with
+        c_n = (-1)^n E[(Z/rho)^(2n)]/(2n)! and |R| <= remainder * s^M,
+        remainder = E[(Z/rho)^(2M)]/(2M)!: the Lagrange remainder of cos,
+        then an expectation.  `coeffs` is c_0, ..., c_{M-1}, and `switch`
+        is the t where remainder * s^M reaches TAIL_SWITCH_REMAINDER.
+
+        The moments come from Z = (delta + Z')/N in law, delta = d - d':
+        E[Z^n](|N|^n - 1) = sum_{i<n} C(n, i) E[delta^(n-i)] E[Z^i], and odd
+        moments vanish.  Divided through by (rho*|N|)^n, every moment and
+        every power of delta/(rho*|N|) lies in [0, 1] and every term is
+        nonnegative, so no digit spread overflows them.  A spread from
+        SPREAD_LIMIT on raises OverflowError, which the Q kernel refuses
+        as past its float range.
+        """
+        spread = self.digits[-1] - self.digits[0]
+        if not spread:  # D = {0}: the transform is 1 everywhere
+            return 0.0, (1.0,) + (0.0,) * (TAIL_TERMS - 1), 0.0, math.inf
+        if spread >= SPREAD_LIMIT:
+            raise OverflowError(f"digit spread {spread} is past SPREAD_LIMIT")
+        base = self.modulus
+        shrink = (1 / base) ** 2  # |N|^-2
+        # E[(delta/(rho*|N|))^(2j)] for j <= M, from (k/(rho*|N|))^2 and w_k/2
+        ratios = [((k * (base - 1)) / (spread * base)) ** 2 for k, _ in self.difference_weights]
+        powers = [w / 2.0 for _, w in self.difference_weights]
+        delta = [1.0]
+        for _ in range(TAIL_TERMS):
+            powers = [p * r for p, r in zip(powers, ratios)]
+            delta.append(sum(powers))
+        moments = [1.0]  # E[(Z/rho)^(2n)]
+        for n in range(1, TAIL_TERMS + 1):
+            acc = sum(_EVEN_BINOMIALS[n][i] * delta[n - i] * shrink**i * moments[i] for i in range(n))
+            moments.append(acc / (1.0 - shrink**n))
+        coeffs = tuple(moments[n] * _COS_TAYLOR[n] for n in range(TAIL_TERMS))
+        remainder = moments[TAIL_TERMS] * abs(_COS_TAYLOR[TAIL_TERMS])
+        scale = 2.0 * math.pi * (spread / (base - 1))
+        switch = math.sqrt((TAIL_SWITCH_REMAINDER / remainder) ** (1.0 / TAIL_TERMS)) / scale
+        return scale, coeffs, remainder, switch
+
+
+#: C(2n, 2i) and (-1)^n/(2n)! for n <= TAIL_TERMS, for `tail_series`.
+_EVEN_BINOMIALS = [[float(math.comb(2 * n, 2 * i)) for i in range(n)] for n in range(TAIL_TERMS + 1)]
+_COS_TAYLOR = [(-1) ** n / math.factorial(2 * n) for n in range(TAIL_TERMS + 1)]
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Reference oracles for the tests: the former radical-basis vanishing
 test, exact integer-polynomial algebra, the float digit symbol, the former
 batch of a system's vanishing orders, the zero residues of a system, the
-two former factorisers, the radical and divisor list of an integer, and
-the former prime-power sets of a tiling.
+two former factorisers, the radical and divisor list of an integer, the
+former prime-power sets of a tiling, and the former completeness sum with
+its sixth-order closed tail.
 
 No verdict path of the library builds a polynomial: every vanishing
 question goes through `cantorspec.cyclotomic.order_vanishes`.  The algebra
@@ -29,6 +30,7 @@ import math
 from fractions import Fraction
 
 from cantorspec.cyclotomic import order_vanishes
+from cantorspec.kernel import _split, _symbol_sq
 from cantorspec.systems import ConsistencyError, PreconditionError
 
 
@@ -426,3 +428,71 @@ def prime_power_sets(digits, modulus: int) -> tuple[tuple[int, ...], tuple[int, 
         groups.append(powers)
     groups += [()] * (2 - len(groups))
     return groups[0], groups[1]
+
+
+def sixth_order_tail(weights, base: int) -> tuple[float, float, float, float]:
+    """(c2, c4, c6, switch) of the former closed tail: past an argument
+    t <= switch the factors' log |product|^2 is c2*t^2 + c4*t^4 within
+    c6*t^6, with c6*switch^6 = 2^-53.  With w_k = 4*c_k/|D|^2,
+    a2 = pi^2 sum_k w_k k^2 and a4 = pi^4 sum_k w_k k^4 / 3,
+
+        c2 = -a2/(N^2-1),  c4 = (a4 - a2^2/2)/(N^4-1),  c6 = K/(N^6-1),
+        K = 2 pi^6 sum_k w_k k^6/45 + a2 a4 + 2 a2^3/3,
+
+    from sin^2 x = x^2 - x^4/3 + R with 0 <= R <= 2x^6/45 and
+    log(1 - u) = -u - u^2/2 - R' with 0 <= R' <= 2u^3/3 for u <= 1/2."""
+    a2 = math.pi**2 * sum(w * k**2 for k, w in weights)
+    a4 = math.pi**4 * sum(w * k**4 for k, w in weights) / 3.0
+    k6 = 2.0 * math.pi**6 * sum(w * k**6 for k, w in weights) / 45.0 + a2 * a4 + 2.0 * a2**3 / 3.0
+    n2 = base * base
+    c6 = k6 * (1 / (n2**3 - 1))
+    switch = (2.0**-53 / c6) ** (1.0 / 6.0) if c6 > 0.0 else math.inf
+    return -a2 * (1 / (n2 - 1)), (a4 - a2 * a2 / 2.0) * (1 / (n2 * n2 - 1)), c6, switch
+
+
+def closed_tail_q_eval(system, candidate, xi, policy) -> tuple[float, float]:
+    """The former `q_eval_with_bound`, kept as the reference for the tail
+    series: the same prefix tree and float factors, then float factors
+    until c6*t^6 <= 2^-53 and one exp of `sixth_order_tail` for the rest,
+    with bound p2 * expm1(c6*t^6) on a point's squared modulus p2."""
+    whole, frac = _split(xi)
+    base = system.modulus
+    weights = system.difference_weights
+    cutoff = (policy.product_epsilon / 4.0) ** 2
+    c2, c4, c6, switch = sixth_order_tail(weights, base)
+    level = {whole: 1.0}
+    power = 1
+    step = 1
+    for _ in range(policy.depth):
+        power *= base
+        deeper = {}
+        for node, p2 in level.items():
+            for s in candidate.elements:
+                child = node + s * step
+                if child not in deeper:
+                    deeper[child] = p2 if p2 < cutoff else p2 * _symbol_sq(weights, child, frac, power)
+        level = deeper
+        step *= system.scale
+    total = 0.0
+    err = 0.0
+    for node, p2 in level.items():
+        period = power
+        while period <= abs(node) and p2 >= cutoff:
+            period *= base
+            p2 *= _symbol_sq(weights, node, frac, period)
+        t = abs(node + frac) / period
+        while t > switch and p2 >= cutoff:
+            t /= base
+            factor = 1.0
+            for k, w in weights:
+                s = math.sin(math.pi * k * t)
+                factor -= w * s * s
+            p2 = p2 * factor if factor > 0.0 else 0.0
+        if p2 < cutoff:
+            err += p2
+        else:
+            t2 = t * t
+            p2 *= math.exp(t2 * (c2 + c4 * t2))
+            err += p2 * math.expm1(c6 * t2 * t2 * t2)
+        total += p2
+    return total, err

@@ -356,3 +356,9 @@ def test_negative_integers_in_list_flags(capsys):
     assert payload["compatible"] is True
     payload = run_json(capsys, "spectrum", "decide", "--n", "-4", "--digits", "0,1", "--s", "0,2")
     assert payload["verdict"] == "spectral"
+
+
+def test_qgrid_refuses_a_digit_spread_past_the_float_range(capsys):
+    code, out, err = run(capsys, "measure", "qgrid", "--n", "3", "--digits", f"0,{10**60}", "--s", "0,1", "--grid", "2")
+    assert (code, out) == (2, "")
+    assert err == "precondition violated: the Q kernel at xi = 0.0 with |N|^depth = 3^8 passes the float range\n"

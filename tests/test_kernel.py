@@ -1,4 +1,5 @@
 import cmath
+import functools
 import itertools
 import math
 import random
@@ -9,7 +10,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cantorspec.kernel import _symbol_sq, _tail_series
+from cantorspec.cli import main
+from cantorspec.kernel import _symbol_sq
+from cantorspec.systems import SPREAD_LIMIT, TAIL_SWITCH_REMAINDER, TAIL_TERMS
 from cantorspec import (
     BudgetExceededError,
     PreconditionError,
@@ -23,7 +26,7 @@ from cantorspec import (
     q_eval_with_bound,
     transfer_residual,
 )
-from oracles import symbol_eval
+from oracles import closed_tail_q_eval, symbol_eval
 
 JP_SYSTEM = ScaleDigitSystem(4, (0, 1))
 JP_CANDIDATE = SpectrumCandidate((0, 2))
@@ -415,38 +418,70 @@ def test_symbol_sq_is_squared_symbol(digits, whole, frac, power):
     assert abs(value - abs(symbol_eval(system.digits, float(eta))) ** 2) < 1e-13
 
 
+def horner(coeffs, s):
+    value = 0.0
+    for c in reversed(coeffs):
+        value = value * s + c
+    return value
+
+
 @pytest.mark.parametrize("scale", [2, -3, 4, 7])
 @pytest.mark.parametrize("digits", [(0, 1), (0, 1, 2), (-2, 0, 3), (0, 1, 10), (0, 4, 5, 9)])
 def test_tail_series_remainder_within_its_bound(scale, digits):
-    # the closed form against the tail's factors summed one by one, at
-    # arguments where its remainder is far above rounding.  The derivation
-    # needs u = 1 - |m_D|^2 <= 1/2 at every tail factor, a2*(t/N)^2 <= 1/2
-    # (the kernel's switch rule keeps a2*(t/N)^2 below 6e-6).
+    # the polynomial against |mu_hat(t)|^2 from exact phases, at the switch
+    # and below it, where the remainder is largest
     system = ScaleDigitSystem(scale, digits)
-    weights = system.difference_weights
-    c2, c4, c6, switch = _tail_series(weights, system.modulus)
-    assert c6 * switch**6 == pytest.approx(2.0**-53)
-    a2 = -c2 * (scale * scale - 1)
-    t_max = system.modulus * math.sqrt(0.5 / a2)
-    for t in [t_max * f for f in (1.0, 0.5, 0.25, 0.1, 0.03)]:
-        logs = []
-        eta = t
-        while eta * weights[-1][0] > 1e-20:
-            eta /= system.modulus
-            logs.append(math.log1p(-math.fsum(w * math.sin(math.pi * k * eta) ** 2 for k, w in weights)))
-        exact = math.fsum(logs)
-        series = c2 * t**2 + c4 * t**4
-        assert abs(exact - series) <= c6 * t**6 + 4 * sys.float_info.epsilon * abs(exact), (t, exact, series)
+    scale_t, coeffs, remainder, switch = system.tail_series
+    assert len(coeffs) == TAIL_TERMS
+    assert remainder * (scale_t * switch) ** (2 * TAIL_TERMS) == pytest.approx(TAIL_SWITCH_REMAINDER)
+    for t in [switch * f for f in (1.0, 0.5, 0.25, 0.1, 1 / 30)]:
+        s = (scale_t * t) ** 2
+        exact = exact_phase_mu_hat_sq(system, Fraction(t))
+        series = horner(coeffs, s)
+        assert abs(exact - series) <= remainder * s**TAIL_TERMS + 4 * sys.float_info.epsilon, (t, exact, series)
+
+
+@pytest.mark.parametrize("scale,digits", [(4, (0, 1)), (-4, (0, 1)), (6, (0, 1, 2)), (9, (0, 1, 2)), (8, (0, 1, 2, 3))])
+def test_tail_series_switch_covers_the_qgrid_pairs(scale, digits):
+    # a point's t = |xi + lambda|/|N|^j lies below 1; a switch at 1/2 or
+    # more leaves it at most one float factor before the series
+    assert ScaleDigitSystem(scale, digits).tail_series[3] >= 0.5
+
+
+def test_tail_series_of_the_point_mass_is_one():
+    assert ScaleDigitSystem(5, (0,)).tail_series == (0.0, (1.0,) + (0.0,) * (TAIL_TERMS - 1), 0.0, math.inf)
+
+
+def test_tail_series_is_built_once_per_system(monkeypatch, capsys):
+    built = []
+    series = ScaleDigitSystem.tail_series.func
+
+    def counted(system):
+        built.append(system)
+        return series(system)
+
+    spy = functools.cached_property(counted)
+    spy.__set_name__(ScaleDigitSystem, "tail_series")
+    monkeypatch.setattr(ScaleDigitSystem, "tail_series", spy)
+    transfer_residual(ScaleDigitSystem(6, (0, 1, 2)), SpectrumCandidate((0, 2, 4)), 0.3, 3)
+    assert len(built) == 1
+    assert main(["measure", "qgrid", "--n", "4", "--digits", "0,1", "--s", "0,2", "--grid", "12"]) == 0
+    capsys.readouterr()
+    assert len(built) == 2
 
 
 def assert_matches_reference(system, candidate, xi, policy):
     """Q and its bound against the former per-point sum: equal to 1e-12, the
     difference inside each bound plus the rounding of a sum of squares, and
-    the bound never looser than the former one."""
+    the bound never looser than the former one.  Against the former
+    sixth-order closed tail: equal to that rounding, the bound no looser."""
     value, bound = q_eval_with_bound(system, candidate, xi, policy)
     ref_value, ref_bound = reference_q_eval(system, candidate, xi, policy)
     terms = len(lambda_enumerate(system.scale, candidate, policy.depth))
     rounding = 4 * terms * sys.float_info.epsilon
+    closed_value, closed_bound = closed_tail_q_eval(system, candidate, xi, policy)
+    assert abs(value - closed_value) <= rounding, (system, candidate, xi, value, closed_value)
+    assert bound <= closed_bound, (system, candidate, xi, bound, closed_bound)
     diff = abs(value - ref_value)
     assert diff <= 1e-12, (system, candidate, xi, value, ref_value)
     assert diff <= bound + ref_bound + rounding, (system, candidate, xi, bound, ref_bound)
@@ -491,6 +526,28 @@ def test_q_eval_matches_reference_edge_cases(scale, digits, elements):
     policy = TruncationPolicy(depth=4)
     for xi in (0.0, 0.1, 0.37, 0.5, 0.99, -2.6, 17.25):
         assert_matches_reference(system, candidate, xi, policy)
+
+
+@pytest.mark.parametrize("width", [10**20, 10**40])
+def test_q_eval_answers_wide_digits_as_the_closed_tail(width):
+    # moments of Z/rho lie in [0, 1]: a spread far past the float range of
+    # its powers still gets a series
+    system = ScaleDigitSystem(3, (0, width))
+    candidate = SpectrumCandidate((0, 1))
+    policy = TruncationPolicy(depth=3)
+    for xi in (0.0, 0.25, 0.5 + 1 / 7, -1.3):
+        value, bound = q_eval_with_bound(system, candidate, xi, policy)
+        closed_value, closed_bound = closed_tail_q_eval(system, candidate, xi, policy)
+        assert value == pytest.approx(closed_value, rel=1e-15, abs=0.0), (xi, value, closed_value)
+        assert bound <= closed_bound
+
+
+def test_q_eval_refuses_digits_past_the_spread_limit():
+    candidate = SpectrumCandidate((0, 1))
+    for width in (10**60, SPREAD_LIMIT):
+        with pytest.raises(PreconditionError, match=r"at xi = 0.25 with \|N\|\^depth = 3\^3 passes the float range"):
+            q_eval_with_bound(ScaleDigitSystem(3, (0, width)), candidate, 0.25, TruncationPolicy(depth=3))
+    q_eval_with_bound(ScaleDigitSystem(3, (0, SPREAD_LIMIT - 1)), candidate, 0.25, TruncationPolicy(depth=3))
 
 
 @pytest.mark.parametrize("epsilon", [1e-12, 1e-2])
