@@ -184,13 +184,15 @@ def q_eval_with_bound(
     factors, shared by every point that extends it; a prefix already below
     the early-stop cutoff (epsilon/4)^2 passes its product on unchanged.
     Past the slice depth a point's factors are still reduced exactly while
-    |N|^j is at most its integer part, leaving an argument t below 1; then
-    they run in floats, t -> t/|N|, while t is above the switch of
-    `ScaleDigitSystem.tail_series`, and its polynomial of TAIL_TERMS terms
-    in t^2 stands for every factor left.  Its remainder at t is at most
-    2^-70, the switch rule; a point's bound is p2 times that remainder on
-    its squared modulus p2 before the polynomial, or p2 itself if it
-    stopped early.  No factor count J is formed: it is the whole infinite
+    |N|^j is at most its integer part, leaving an argument t below 1.  The
+    factors left multiply to |mu_hat(t)|^2 = E cos(2*pi*t*Z), Z = X - Y, and
+    its Taylor series to M = TAIL_TERMS terms, sum_{n<M} (-1)^n
+    (2*pi*t)^(2n) E[Z^(2n)]/(2n)!, is off by at most the next term's size
+    (`ScaleDigitSystem.tail_series`).  The switch is the t where that
+    remainder reaches 2^-70: a point costs float factors t -> t/|N| while
+    t is above it, then one polynomial of M terms.  Its bound is p2 times
+    the remainder at its t, on its squared modulus p2 before the
+    polynomial, or p2 itself if it stopped early.  No factor count J is formed: it is the whole infinite
     product that is summed.  |xi + lambda| is refused where `mu_hat` would
     refuse it, and so is any phase period or point past the float range,
     or a digit spread from `SPREAD_LIMIT` on.

@@ -430,10 +430,12 @@ def prime_power_sets(digits, modulus: int) -> tuple[tuple[int, ...], tuple[int, 
     return groups[0], groups[1]
 
 
-def sixth_order_tail(weights, base: int) -> tuple[float, float, float, float]:
-    """(c2, c4, c6, switch) of the former closed tail: past an argument
-    t <= switch the factors' log |product|^2 is c2*t^2 + c4*t^4 within
-    c6*t^6, with c6*switch^6 = 2^-53.  With w_k = 4*c_k/|D|^2,
+def closed_tail_q_eval(system, candidate, xi, policy) -> tuple[float, float]:
+    """The former `q_eval_with_bound`, kept as the reference for the tail
+    series: the same prefix tree and float factors, then float factors
+    until c6*t^6 <= 2^-53 and one closed form for the rest, whose log is
+    c2*t^2 + c4*t^4 within c6*t^6, with bound p2 * expm1(c6*t^6) on a
+    point's squared modulus p2.  With w_k = 4*c_k/|D|^2,
     a2 = pi^2 sum_k w_k k^2 and a4 = pi^4 sum_k w_k k^4 / 3,
 
         c2 = -a2/(N^2-1),  c4 = (a4 - a2^2/2)/(N^4-1),  c6 = K/(N^6-1),
@@ -441,25 +443,18 @@ def sixth_order_tail(weights, base: int) -> tuple[float, float, float, float]:
 
     from sin^2 x = x^2 - x^4/3 + R with 0 <= R <= 2x^6/45 and
     log(1 - u) = -u - u^2/2 - R' with 0 <= R' <= 2u^3/3 for u <= 1/2."""
-    a2 = math.pi**2 * sum(w * k**2 for k, w in weights)
-    a4 = math.pi**4 * sum(w * k**4 for k, w in weights) / 3.0
-    k6 = 2.0 * math.pi**6 * sum(w * k**6 for k, w in weights) / 45.0 + a2 * a4 + 2.0 * a2**3 / 3.0
-    n2 = base * base
-    c6 = k6 * (1 / (n2**3 - 1))
-    switch = (2.0**-53 / c6) ** (1.0 / 6.0) if c6 > 0.0 else math.inf
-    return -a2 * (1 / (n2 - 1)), (a4 - a2 * a2 / 2.0) * (1 / (n2 * n2 - 1)), c6, switch
-
-
-def closed_tail_q_eval(system, candidate, xi, policy) -> tuple[float, float]:
-    """The former `q_eval_with_bound`, kept as the reference for the tail
-    series: the same prefix tree and float factors, then float factors
-    until c6*t^6 <= 2^-53 and one exp of `sixth_order_tail` for the rest,
-    with bound p2 * expm1(c6*t^6) on a point's squared modulus p2."""
     whole, frac = _split(xi)
     base = system.modulus
     weights = system.difference_weights
     cutoff = (policy.product_epsilon / 4.0) ** 2
-    c2, c4, c6, switch = sixth_order_tail(weights, base)
+    a2 = math.pi**2 * sum(w * k**2 for k, w in weights)
+    a4 = math.pi**4 * sum(w * k**4 for k, w in weights) / 3.0
+    k6 = 2.0 * math.pi**6 * sum(w * k**6 for k, w in weights) / 45.0 + a2 * a4 + 2.0 * a2**3 / 3.0
+    n2 = base * base
+    c2 = -a2 * (1 / (n2 - 1))
+    c4 = (a4 - a2 * a2 / 2.0) * (1 / (n2 * n2 - 1))
+    c6 = k6 * (1 / (n2**3 - 1))
+    switch = (2.0**-53 / c6) ** (1.0 / 6.0) if c6 > 0.0 else math.inf
     level = {whole: 1.0}
     power = 1
     step = 1
