@@ -1,0 +1,78 @@
+#!/usr/bin/env python3
+"""Time the float Q kernel on named stress cases.
+
+Each case runs once in this process and prints one `case,seconds,answer`
+CSV row: the wall time of the call alone (no interpreter start or import)
+and its result, Q to 12 significant digits, so that two checkouts whose
+kernels differ only in rounding give the same answer.  The transfer case
+answers with whether the recursion defect stays below 1e-14.  With no
+arguments every case runs, in the order listed below; arguments pick cases
+by name.
+
+The cases are the five pairs of the benchmark's qgrid workload at their
+depths, wide digits (a digit spread of 2000), two candidates far outside
+the window (4^20, congruent to 0 mod 4, so that the slice takes its
+points, and 4^20 + 2, whose slice closure needs 21 levels of its build
+for the few prefixes it closes), a candidate with two elements congruent
+mod N (its slice points coincide, 4 + 0 = 0 + 4, and take the leaves), and
+one transfer recursion.
+
+Example:
+    PYTHONPATH=src python scripts/kernel_stress.py qgrid-8 collision-4
+"""
+
+import sys
+import time
+
+from cantorspec import (
+    ScaleDigitSystem,
+    SpectrumCandidate,
+    TruncationPolicy,
+    q_eval_with_bound,
+    transfer_residual,
+)
+
+XI = 0.3
+
+
+def q(scale, digits, elements, depth):
+    value, _ = q_eval_with_bound(
+        ScaleDigitSystem(scale, digits), SpectrumCandidate(elements), XI, TruncationPolicy(depth=depth)
+    )
+    return f"{value:.12g}"
+
+
+def transfer(scale, digits, elements, depth):
+    residual = transfer_residual(ScaleDigitSystem(scale, digits), SpectrumCandidate(elements), XI, depth)
+    return "below-1e-14" if residual < 1e-14 else f"residual-{residual:.1e}"
+
+
+CASES = {
+    "qgrid-4": lambda: q(4, (0, 1), (0, 2), 8),
+    "qgrid-minus-4": lambda: q(-4, (0, 1), (0, 2), 8),
+    "qgrid-6": lambda: q(6, (0, 1, 2), (0, 2, 4), 7),
+    "qgrid-9": lambda: q(9, (0, 1, 2), (0, 3, 6), 7),
+    "qgrid-8": lambda: q(8, (0, 1, 2, 3), (0, 2, 4, 6), 6),
+    "wide-2000": lambda: q(3, (0, 2000), (0, 1), 8),
+    "far-4-20": lambda: q(4, (0, 1), (0, 4**20), 3),
+    "far-4-20-plus-2": lambda: q(4, (0, 1), (0, 4**20 + 2), 3),
+    "collision-4": lambda: q(4, (0, 1), (0, 1, 4), 8),
+    "transfer-6": lambda: transfer(6, (0, 1, 2), (0, 2, 4), 5),
+}
+
+
+def main(names: list[str]) -> int:
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        print(f"unknown case(s): {', '.join(unknown)}; known: {', '.join(CASES)}", file=sys.stderr)
+        return 2
+    print("case,seconds,answer")
+    for name in names or CASES:
+        start = time.perf_counter()
+        answer = CASES[name]()
+        print(f"{name},{time.perf_counter() - start:.4f},{answer}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -2,8 +2,9 @@
 test, exact integer-polynomial algebra, the float digit symbol, the former
 batch of a system's vanishing orders, the zero residues of a system, the
 two former factorisers, the radical and divisor list of an integer, the
-former prime-power sets of a tiling, and the former completeness sum with
-its sixth-order closed tail.
+former prime-power sets of a tiling, and two former completeness sums:
+one with its sixth-order closed tail, and one that closes every slice
+point with the tail series.
 
 No verdict path of the library builds a polynomial: every vanishing
 question goes through `cantorspec.cyclotomic.order_vanishes`.  The algebra
@@ -31,7 +32,7 @@ from fractions import Fraction
 
 from cantorspec.cyclotomic import order_vanishes
 from cantorspec.kernel import _split, _symbol_sq
-from cantorspec.systems import ConsistencyError, PreconditionError
+from cantorspec.systems import TAIL_TERMS, ConsistencyError, PreconditionError
 
 
 def _squarefree_vanishes(terms: dict[int, int], n: int, primes: list[int]) -> bool:
@@ -489,5 +490,58 @@ def closed_tail_q_eval(system, candidate, xi, policy) -> tuple[float, float]:
             t2 = t * t
             p2 *= math.exp(t2 * (c2 + c4 * t2))
             err += p2 * math.expm1(c6 * t2 * t2 * t2)
+        total += p2
+    return total, err
+
+
+def leaf_tail_q_eval(system, candidate, xi, policy) -> tuple[float, float]:
+    """The former `q_eval_with_bound`, kept as the reference for the slice
+    closure: the prefix tree runs to the full depth, and every slice point
+    closes its own tail with the series `ScaleDigitSystem.tail_series`, of
+    bound p2 * remainder * s^M on its squared modulus p2 before the series,
+    after float factors while its t is above the switch."""
+    whole, frac = _split(xi)
+    base = system.modulus
+    weights = system.difference_weights
+    cutoff = (policy.product_epsilon / 4.0) ** 2
+    scale, coeffs, remainder, switch = system.tail_series
+    level = {whole: 1.0}
+    power = 1
+    step = 1
+    for _ in range(policy.depth):
+        power *= base
+        deeper = {}
+        for node, p2 in level.items():
+            for s in candidate.elements:
+                child = node + s * step
+                if child not in deeper:
+                    deeper[child] = p2 if p2 < cutoff else p2 * _symbol_sq(weights, child, frac, power)
+        level = deeper
+        step *= system.scale
+    total = 0.0
+    err = 0.0
+    for node, p2 in level.items():
+        period = power
+        while period <= abs(node) and p2 >= cutoff:
+            period *= base
+            p2 *= _symbol_sq(weights, node, frac, period)
+        t = abs(node + frac) / period
+        while t > switch and p2 >= cutoff:
+            t /= base
+            factor = 1.0
+            for k, w in weights:
+                s = math.sin(math.pi * k * t)
+                factor -= w * s * s
+            p2 = p2 * factor if factor > 0.0 else 0.0
+        if p2 < cutoff:
+            err += p2
+        else:
+            s = scale * t
+            s *= s
+            err += p2 * remainder * s**TAIL_TERMS
+            series = 0.0
+            for c in reversed(coeffs):
+                series = series * s + c
+            p2 *= series
         total += p2
     return total, err

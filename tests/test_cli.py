@@ -361,4 +361,7 @@ def test_negative_integers_in_list_flags(capsys):
 def test_qgrid_refuses_a_digit_spread_past_the_float_range(capsys):
     code, out, err = run(capsys, "measure", "qgrid", "--n", "3", "--digits", f"0,{10**60}", "--s", "0,1", "--grid", "2")
     assert (code, out) == (2, "")
-    assert err == "precondition violated: the Q kernel at xi = 0.0 with |N|^depth = 3^8 passes the float range\n"
+    assert err == (
+        f"precondition violated: the Q kernel refuses the digit spread {10**60}: "
+        "from SPREAD_LIMIT = 2^168 on it passes the float range\n"
+    )

@@ -5,11 +5,13 @@ import math
 import random
 import sys
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cantorspec import kernel
 from cantorspec.cli import main
 from cantorspec.kernel import _symbol_sq
 from cantorspec.systems import SPREAD_LIMIT, TAIL_SWITCH_REMAINDER, TAIL_TERMS
@@ -26,11 +28,18 @@ from cantorspec import (
     q_eval_with_bound,
     transfer_residual,
 )
-from oracles import closed_tail_q_eval, symbol_eval
+from oracles import closed_tail_q_eval, leaf_tail_q_eval, symbol_eval
 
 JP_SYSTEM = ScaleDigitSystem(4, (0, 1))
 JP_CANDIDATE = SpectrumCandidate((0, 2))
 TIGHT = TruncationPolicy(depth=8, product_epsilon=1e-12)
+QGRID_PAIRS = [
+    (4, (0, 1), (0, 2), 8),
+    (-4, (0, 1), (0, 2), 8),
+    (6, (0, 1, 2), (0, 2, 4), 7),
+    (9, (0, 1, 2), (0, 3, 6), 7),
+    (8, (0, 1, 2, 3), (0, 2, 4, 6), 6),
+]
 
 
 def reference_q_eval(system, candidate, xi, policy):
@@ -319,24 +328,68 @@ def test_transfer_residual_examples():
     assert degenerate <= 1e-12
 
 
-def test_transfer_residual_tracks_epsilon():
+def transfer_bound(system, candidate, xi, depth, policy):
+    """The bound of Q_{depth+1}(xi) plus the weighted bounds of the
+    Q_depth((xi+s)/N) on the other side of the recursion."""
+    bound = q_eval_with_bound(system, candidate, xi, replace(policy, depth=depth + 1))[1]
+    for s in candidate.elements:
+        weight = _symbol_sq(system.difference_weights, s, xi, system.modulus)
+        bound += weight * q_eval_with_bound(system, candidate, (xi + s) / system.scale, replace(policy, depth=depth))[1]
+    return bound
+
+
+def test_transfer_residual_tracks_epsilon(monkeypatch):
+    # xi in [0, 1) puts every prefix within the slice closure's radius, and
+    # the closure sums a prefix's points whole, so the recursion holds to
+    # rounding at every epsilon.  xi in [1000, 1001) puts every prefix past
+    # it: the points stop early at (epsilon/4)^2, the only epsilon-controlled
+    # error in Q, which no longer shows below epsilon = 1e-4.
     rng = random.Random(3)
-    xis = [rng.random() for _ in range(5)]
+    near = [rng.random() for _ in range(5)]
+    far = [1000 + xi for xi in near]
+    opened = []
+    close = kernel._close_prefixes
+
+    def counted(level, *args):
+        rest, total, err = close(level, *args)
+        opened.append((len(rest), len(level)))
+        return rest, total, err
+
+    monkeypatch.setattr(kernel, "_close_prefixes", counted)
     for system, candidate, depth in [
         (JP_SYSTEM, JP_CANDIDATE, 4),
         (ScaleDigitSystem(6, (0, 1, 2)), SpectrumCandidate((0, 2, 4)), 3),
     ]:
-        def mean_residual(eps):
+        def mean_residual(xis, eps):
+            opened.clear()
             policy = TruncationPolicy(depth=depth, product_epsilon=eps)
-            return sum(
-                transfer_residual(system, candidate, xi, depth, policy) for xi in xis
-            ) / len(xis)
+            mean = sum(transfer_residual(system, candidate, xi, depth, policy) for xi in xis) / len(xis)
+            left = [rest == (0 if xis is near else prefixes) for rest, prefixes in opened]
+            assert left and all(left), (xis, eps, opened)
+            return mean
 
-        # the early stop at (epsilon/4)^2 is the only epsilon-controlled
-        # error left in Q; below epsilon = 1e-4 it no longer shows and the
-        # recursion holds to rounding
-        assert mean_residual(1e-2) >= 10 * mean_residual(1e-4)
-        assert mean_residual(1e-6) <= 1e-14
+        for eps in (1e-2, 1e-4, 1e-6):
+            assert mean_residual(near, eps) <= 1e-14, eps
+        assert mean_residual(far, 1e-2) >= 10 * mean_residual(far, 1e-4)
+        assert mean_residual(far, 1e-6) <= 1e-14
+    # a closed slice still stops a prefix early: at xi = 0.001 the prefix 2
+    # has product sin^2(pi/4000) = 6.2e-7, below (1e-2/4)^2
+    policy = TruncationPolicy(depth=4, product_epsilon=1e-2)
+    residual = transfer_residual(JP_SYSTEM, JP_CANDIDATE, 0.001, 4, policy)
+    assert 1e-7 <= residual <= transfer_bound(JP_SYSTEM, JP_CANDIDATE, 0.001, 4, policy)
+
+
+def test_transfer_residual_builds_one_closure(monkeypatch):
+    built = []
+    build = kernel._slice_closure
+
+    def counted(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(kernel, "_slice_closure", counted)
+    transfer_residual(ScaleDigitSystem(6, (0, 1, 2)), SpectrumCandidate((0, 2, 4)), 0.3, 6)
+    assert len(built) == 1  # the depth + 1 side, shared by the |S| others
 
 
 def test_kernel_rejects_non_finite_arguments():
@@ -362,6 +415,16 @@ def test_kernel_refuses_xi_past_the_float_range_of_its_bound(system, candidate, 
         q_eval_with_bound(system, candidate, xi, TruncationPolicy(depth=3))
     with pytest.raises(PreconditionError):
         transfer_residual(system, candidate, xi, 2)
+
+
+def test_q_eval_refuses_a_candidate_past_the_float_range():
+    # s = 10^400 + 1 is odd, so the slice closure's level search meets it
+    # and gives no closure; the sum then refuses the slice point
+    candidate = SpectrumCandidate((0, 10**400 + 1))
+    with pytest.raises(PreconditionError, match=r"at xi = 0.3 with \|N\|\^depth = 2\^3 passes the float range"):
+        q_eval_with_bound(ScaleDigitSystem(2, (0, 1)), candidate, 0.3, TruncationPolicy(depth=3))
+    with pytest.raises(PreconditionError, match="passes the float range"):
+        transfer_residual(ScaleDigitSystem(2, (0, 1)), candidate, 0.3, 2)
 
 
 def test_transfer_residual_requires_matching_sizes():
@@ -507,25 +570,96 @@ def test_q_eval_matches_reference_exhaustively():
                     assert_matches_reference(system, candidate, xi, policy)
 
 
-@pytest.mark.parametrize(
-    "scale,digits,elements",
-    [
-        (4, (0, 1), (0, 1, 4)),  # S not distinct mod N: slice points collide, 4 + 0 = 0 + 4
-        (4, (0, 1), (0, 4)),  # not distinct mod N, no collisions
-        (2, (0, 1), (0, 1, 2)),
-        (3, (0, 3), (0, 3)),  # factor exactly 1 at t = 1/3 in the tail, not at t -> 0
-        (3, (0, 2000), (0, 1)),  # wide digits
-        (-5, (0, 2000), (0, 1, 2)),
-        (-5, (-3, 0, 2), (-2, 0, 3)),  # negative digits
-        (7, (-11, -4, 0), (0, 2, 5)),
-    ],
-)
+EDGE_CASES = [
+    (4, (0, 1), (0, 1, 4)),  # S not distinct mod N: slice points collide, 4 + 0 = 0 + 4
+    (4, (0, 1), (0, 4)),  # not distinct mod N, no collisions
+    (2, (0, 1), (0, 1, 2)),
+    (3, (0, 3), (0, 3)),  # factor exactly 1 at t = 1/3 in the tail, not at t -> 0
+    (3, (0, 2000), (0, 1)),  # wide digits
+    (-5, (0, 2000), (0, 1, 2)),
+    (-5, (-3, 0, 2), (-2, 0, 3)),  # negative digits
+    (7, (-11, -4, 0), (0, 2, 5)),
+]
+EDGE_XIS = (0.0, 0.1, 0.37, 0.5, 0.99, -2.6, 17.25)
+
+
+@pytest.mark.parametrize("scale,digits,elements", EDGE_CASES)
 def test_q_eval_matches_reference_edge_cases(scale, digits, elements):
     system = ScaleDigitSystem(scale, digits)
     candidate = SpectrumCandidate(elements)
     policy = TruncationPolicy(depth=4)
-    for xi in (0.0, 0.1, 0.37, 0.5, 0.99, -2.6, 17.25):
+    for xi in EDGE_XIS:
         assert_matches_reference(system, candidate, xi, policy)
+
+
+def assert_matches_leaf_tail(system, candidate, xi, policy):
+    """Q and its bound against the former kernel, which closes each slice
+    point's tail by itself: equal to the rounding of a sum of squares, and
+    the bound within the former one plus a millionth of epsilon (a closed
+    prefix's bound is its polynomial's remainder at y, where the former
+    kernel's were each point's at t = (y+s)/N)."""
+    value, bound = q_eval_with_bound(system, candidate, xi, policy)
+    ref_value, ref_bound = leaf_tail_q_eval(system, candidate, xi, policy)
+    terms = len(lambda_enumerate(system.scale, candidate, policy.depth))
+    assert abs(value - ref_value) <= 4 * terms * sys.float_info.epsilon, (system, candidate, xi, value, ref_value)
+    assert bound <= ref_bound + 1e-6 * policy.product_epsilon, (system, candidate, xi, bound, ref_bound)
+
+
+def test_slice_closure_matches_the_leaf_tail_exhaustively():
+    # the set of test_q_eval_matches_reference_exhaustively
+    rng = random.Random(5)
+    policy = TruncationPolicy(depth=3)
+    digit_sets = [d for r in (1, 2, 3) for d in itertools.combinations(range(-1, 4), r) if 0 in d]
+    window = [e for e in range(-3, 7) if e]
+    closed = 0
+    for scale in [n for m in range(2, 10) for n in (m, -m)]:
+        for digits in digit_sets:
+            system = ScaleDigitSystem(scale, digits)
+            for _ in range(2):
+                candidate = SpectrumCandidate((0, *rng.sample(window, len(digits) - 1)))
+                closed += kernel._slice_closure(system, candidate) is not None
+                for xi in (0.0, 0.25, 0.5 + 1 / 7, -1.3, 3.0):
+                    assert_matches_leaf_tail(system, candidate, xi, policy)
+    assert closed == 239  # of 480: the rest are the point mass or have S not distinct mod N
+
+
+@pytest.mark.parametrize("scale,digits,elements", EDGE_CASES)
+def test_slice_closure_matches_the_leaf_tail_edge_cases(scale, digits, elements):
+    system = ScaleDigitSystem(scale, digits)
+    candidate = SpectrumCandidate(elements)
+    for xi in EDGE_XIS:
+        assert_matches_leaf_tail(system, candidate, xi, TruncationPolicy(depth=4))
+
+
+@pytest.mark.parametrize("scale,digits,elements,depth", QGRID_PAIRS)
+def test_slice_closure_matches_the_leaf_tail_on_the_qgrid_pairs(scale, digits, elements, depth):
+    system = ScaleDigitSystem(scale, digits)
+    candidate = SpectrumCandidate(elements)
+    for xi in (0.0, 0.25, 0.5, 0.75):
+        assert_matches_leaf_tail(system, candidate, xi, TruncationPolicy(depth=depth))
+
+
+@pytest.mark.parametrize("scale,digits,elements,depth", QGRID_PAIRS)
+def test_slice_closure_covers_the_qgrid_pairs(monkeypatch, scale, digits, elements, depth):
+    # no timing: count the prefixes left to the leaves.  Every prefix with
+    # a product above the cutoff closes, except 64 of the 1,024 of N = 8,
+    # whose y near 6/7 is past the radius 0.83.
+    opened = []
+    close = kernel._close_prefixes
+
+    def counted(level, *args):
+        rest, total, err = close(level, *args)
+        opened.append((len(rest), len(level)))
+        return rest, total, err
+
+    monkeypatch.setattr(kernel, "_close_prefixes", counted)
+    system = ScaleDigitSystem(scale, digits)
+    candidate = SpectrumCandidate(elements)
+    for xi in (0.25, 0.5, 0.75):
+        q_eval_with_bound(system, candidate, xi, TruncationPolicy(depth=depth))
+    prefixes = len(elements) ** (depth - 1)
+    assert all(total == prefixes for _, total in opened) and len(opened) == 3
+    assert all(rest <= (0.1 * prefixes if scale == 8 else 0) for rest, _ in opened), opened
 
 
 @pytest.mark.parametrize("width", [10**20, 10**40])
@@ -545,7 +679,8 @@ def test_q_eval_answers_wide_digits_as_the_closed_tail(width):
 def test_q_eval_refuses_digits_past_the_spread_limit():
     candidate = SpectrumCandidate((0, 1))
     for width in (10**60, SPREAD_LIMIT):
-        with pytest.raises(PreconditionError, match=r"at xi = 0.25 with \|N\|\^depth = 3\^3 passes the float range"):
+        refusal = f"the Q kernel refuses the digit spread {width}: from SPREAD_LIMIT = 2\\^168 on it passes the float range"
+        with pytest.raises(PreconditionError, match=refusal):
             q_eval_with_bound(ScaleDigitSystem(3, (0, width)), candidate, 0.25, TruncationPolicy(depth=3))
     q_eval_with_bound(ScaleDigitSystem(3, (0, SPREAD_LIMIT - 1)), candidate, 0.25, TruncationPolicy(depth=3))
 
