@@ -10,12 +10,12 @@ arguments every case runs, in the order listed below; arguments pick cases
 by name.
 
 The cases are the five pairs of the benchmark's qgrid workload at their
-depths, wide digits (a digit spread of 2000), two candidates far outside
-the window (4^20, congruent to 0 mod 4, so that the slice takes its
-points, and 4^20 + 2, whose slice closure needs 21 levels of its build
-for the few prefixes it closes), a candidate with two elements congruent
-mod N (its slice points coincide, 4 + 0 = 0 + 4, and take the leaves), and
-one transfer recursion.
+depths, the N = 8 pair at depth 2 (its whole slice is one polynomial),
+wide digits (a digit spread of 2000), three candidates far outside the
+window (4^20, congruent to 0 mod 4, so that the slice takes its points,
+4^20 + 2 and 3^600, whose slice closures have empty domains and build no
+series), a candidate with two elements congruent mod N (its slice points
+coincide, 4 + 0 = 0 + 4, and take the leaves), and one transfer recursion.
 
 Example:
     PYTHONPATH=src python scripts/kernel_stress.py qgrid-8 collision-4
@@ -53,9 +53,11 @@ CASES = {
     "qgrid-6": lambda: q(6, (0, 1, 2), (0, 2, 4), 7),
     "qgrid-9": lambda: q(9, (0, 1, 2), (0, 3, 6), 7),
     "qgrid-8": lambda: q(8, (0, 1, 2, 3), (0, 2, 4, 6), 6),
+    "depth-2-8": lambda: q(8, (0, 1, 2, 3), (0, 2, 4, 6), 2),
     "wide-2000": lambda: q(3, (0, 2000), (0, 1), 8),
     "far-4-20": lambda: q(4, (0, 1), (0, 4**20), 3),
     "far-4-20-plus-2": lambda: q(4, (0, 1), (0, 4**20 + 2), 3),
+    "far-3-600": lambda: q(2, (0, 1), (0, 3**600), 3),
     "collision-4": lambda: q(4, (0, 1), (0, 1, 4), 8),
     "transfer-6": lambda: transfer(6, (0, 1, 2), (0, 2, 4), 5),
 }

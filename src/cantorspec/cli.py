@@ -274,11 +274,8 @@ def _run_measure(args):
     if args.grid < 1:
         raise PreconditionError(f"grid must have at least one point, got {args.grid}")
     _check_slice_budget(candidate.size, policy.depth, args.grid)  # before the first point
-    rows = []
-    for i in range(args.grid):
-        xi = i / args.grid
-        value, bound = kernel.q_eval_with_bound(system, candidate, xi, policy)
-        rows.append((xi, value, bound))
+    xis = [i / args.grid for i in range(args.grid)]
+    rows = [(xi, value, bound) for xi, (value, bound) in zip(xis, kernel._q_grid(system, candidate, xis, policy))]
     if args.format == "csv":
         lines = ["xi,q_value,error_bound"]
         lines.extend(f"{xi!r},{value!r},{bound!r}" for xi, value, bound in rows)

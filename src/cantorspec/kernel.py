@@ -26,23 +26,28 @@ mu.  Its Taylor series to M = TAIL_TERMS terms is off by at most
 expectation (`ScaleDigitSystem.tail_series`); that is 2^-70 at the switch,
 t = 0.39 (|N|-1)/spread or more.
 
-The slice closure.  The prefix map stops at depth - 1.  The |S| points of
-a prefix n = floor(xi) + lambda' with product p2 sum to p2 * Q_1(y), with
-y = (n + frac(xi))/N^(depth-1) and Q_1(y) = sum_{s in S} |mu_hat(y+s)|^2.
-Each term's 2M-th derivative in y is at most (2*pi)^(2M) E[Z^(2M)], so the
-Taylor polynomial of Q_1 at 0 with 2M coefficients is off by at most |S|
-times the tail series' remainder at y, 2^-70 at radius = switch *
-|S|^(-1/(2M)), plus what the series' own remainder puts into the
-coefficients.  Built once per call (`_slice_closure`), it closes a prefix
-with |y| <= radius at the cost of one polynomial of 2M terms, not |S|
-points.  A prefix keeps its points where S has two elements congruent mod
-|N| (points may coincide, and the map merges them), where |y| > radius or
-|n| >= |N|^(depth-1), or below the early-stop cutoff.  Such a point pays
-its last factor, float factors t -> t/|N| while t is above the switch,
-and the tail series, with bound p2 times the series' remainder at its t.
-No polynomial's rounding, like no float factor's, is in the bound.  A
-point or prefix whose product falls below the cutoff (epsilon/4)^2 is left
-there with bound p2: the rest of the product lies in [0, 1].
+The slice closure.  The points of a prefix n = floor(xi) + lambda' of
+depth - k digits with product p2 sum to p2 Q_k(y), y = (n + frac(xi)) /
+N^(depth-k), and Q_k(y) = sum_s M_s(y) Q_(k-1)((y+s)/N), M_s(y) =
+|m_D((y+s)/N)|^2, by the transfer recursion.  In v = scale*y, P_0 is the
+tail series on [-scale*switch, scale*switch], and a lift makes P_k =
+sum_s M_s(v) P_(k-1)((v + scale*s)/N) to 2M terms (M_s by its exact Taylor
+series, the shift exactly) on the v of P_0's domain whose preimages
+(v + scale*s)/N lie in P_(k-1)'s: an interval, which must hold 0.  The
+error goes along pointwise (P_(k-1)'s at the preimages times M_s <= M_s(0)
++ L|v|, plus what truncating drops) to remainder * v^(2M) + offset + slope
+* |v|, offset 0 where M_s(0) = 0 for every s but 0.  `_slice_closure`
+finds the domains first and then builds each M_s once, 2|S| series
+products per call whatever the size of s.  P_2 closes a prefix of depth -
+2 digits with one polynomial of 2M terms (P_1 the root at depth 1, or the
+prefixes of depth - 1 digits where P_2's domain is empty), unless S has
+two elements congruent mod |N| (points may coincide), v is outside the
+domain, |n| >= |N|^(depth-k) or p2 is below the early-stop cutoff.  Such
+a prefix's points pay their last factors, float factors t -> t/|N| while
+t is above the switch, and the tail series, with bound p2 times its
+remainder at their t.  No polynomial's rounding, like no float factor's,
+is in the bound; a point or prefix whose product falls below the cutoff
+(epsilon/4)^2 is left there with bound p2.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 from .systems import (
     DEFAULT_POLICY,
@@ -134,10 +140,9 @@ def mu_hat(system: ScaleDigitSystem, xi, policy: TruncationPolicy = DEFAULT_POLI
     |true - finite product| <= e^t - 1, which the chosen J pushes below
     epsilon.  J is floored at what an argument of magnitude 1 would need,
     so sub-unit arguments come back tighter than epsilon by their own
-    magnitude.  If
-    the running product drops below epsilon/4 in magnitude the loop stops
-    early: the remaining factors have modulus at most 1, so the absolute
-    error is below epsilon either way.
+    magnitude.  If the running product drops below epsilon/4 in magnitude
+    the loop stops early: the remaining factors have modulus at most 1, so
+    the absolute error is below epsilon either way.
 
     The bound also holds for large |xi|: xi is split exactly into an integer
     k and a fraction f, and digit d's phase in factor j is taken as
@@ -185,19 +190,24 @@ def q_eval_with_bound(
     it; the returned bound accounts for the tail of each infinite product.
 
     The slice is summed as the module docstring sets out: a map from each
-    prefix of depth - 1 digits to its squared partial product, one
-    `_symbol_sq` per factor and shared by every point that extends it,
-    then one polynomial per prefix within the closure's radius and the
-    prefix's |S| points otherwise.  The bound sums the closure's remainder
-    at each closed prefix and the tail series' at each point, times the
-    product before it, or that product where it stopped early.  No factor
-    count J is formed: it is the whole infinite product that is summed.
+    prefix of depth - 2 digits to its squared partial product, one
+    `_symbol_sq` per factor, then one polynomial per prefix within the
+    closure's domain and the prefix's |S|^2 points otherwise.  The bound
+    sums the closure's at each closed prefix and the tail series' at each
+    point, times the product before it, or that product where it stopped
+    early: it is the whole infinite product that is summed.
     |xi + lambda| is refused where `mu_hat` would refuse it, and so is any
     phase period or point past the float range, or a digit spread from
     `SPREAD_LIMIT` on.
     """
     _check_slice_budget(candidate.size, policy.depth)
     return _q_eval(system, candidate, xi, policy, _slice_closure(system, candidate))
+
+
+def _q_grid(system, candidate, xis, policy):
+    """`q_eval_with_bound` past the slice budget at each xi, with one closure."""
+    closure = _slice_closure(system, candidate)
+    return [_q_eval(system, candidate, xi, policy, closure) for xi in xis]
 
 
 def _q_eval(system, candidate, xi, policy, closure):
@@ -212,38 +222,15 @@ def _q_eval(system, candidate, xi, policy, closure):
         ) from None
 
 
-#: Terms 2M of Q_1, and 1/n! for its Taylor coefficients.
+#: Terms 2M of P_1 and P_2, and 1/n! for their Taylor coefficients.
 _ORDER = 2 * TAIL_TERMS
 _INV_FACTORIALS = tuple(1.0 / math.factorial(n) for n in range(_ORDER))
 
 
-def _times(a, b):
-    """Two power series of _ORDER terms multiplied and truncated to _ORDER,
-    which is exact through degree _ORDER - 1."""
-    b = b[::-1]
-    return [sum(map(operator.mul, a, b[_ORDER - 1 - n :])) for n in range(_ORDER)]
-
-
 def _slice_closure(system, candidate):
-    """(coeffs, reach, remainder, offset, slope): Q_1 at v = scale*y is sum_i
-    coeffs[i] v^i within remainder * v^(2M) + offset + slope * |v| while
-    |v| <= reach, or None where no prefix closes.  s = 0 adds the tail
-    series itself.  For s != 0, with P_j = |N|^j and J the least level with
-    (|s| + radius)/P_J <= switch/2, |mu_hat(y+s)|^2 = prod_{j<=J}
-    |m_D((y+s)/P_j)|^2 * T((y+s)/P_J): each factor by its exact series
-    (phase 2*pi*((k*s) mod P_j)/P_j, derivatives cycling through cos, -sin,
-    -cos, sin), T the tail series expanded about its centre c = scale*s/P_J,
-    each product truncated at 2M terms.  T's own remainder R reaches the
-    coefficients through the product G*R, G the factors' series: at most
-    G+(|v|) * R+(|v|), the two series with their coefficients' absolute
-    values, a product convex in |v| and so below its chord.  At 0 that is
-    |G_0| * remainder * |c|^(2M), the Lagrange bound of R at c; at reach,
-    G+(reach) * remainder * u^(2M) * cosh(u), u = |c| + reach/P_J, the
-    moment series past M terms, whose moments never grow.  `offset` and
-    `slope` sum the chord over s; where a factor vanishes at y = 0 it
-    starts at 0.  Rates and centres in v stay below about scale*switch, so
-    no digit spread overflows them.
-    """
+    """[P_1, P_2], [P_1] or None; P_k = (coeffs, lo, hi, remainder, offset,
+    slope).  M_s(0) is `_symbol_sq`, 0 at the exact zeros where the points'
+    products are, and M_s^(n)(0) = sum_k w_k/2 rate_k^n cos^(n)(phase_k)."""
     spread = system.digits[-1] - system.digits[0]
     try:
         scale, coeffs, remainder, switch = system.tail_series
@@ -253,65 +240,77 @@ def _slice_closure(system, candidate):
             f"SPREAD_LIMIT = 2^{SPREAD_LIMIT.bit_length() - 1} on it passes the float range"
         ) from None
     base = system.modulus
-    size = candidate.size
-    if not remainder or len({s % base for s in candidate.elements}) < size:
+    if not remainder or len({s % base for s in candidate.elements}) < candidate.size:
         return None  # D = {0}, or slice points that may coincide
-    radius = switch * size ** (-1.0 / _ORDER)
-    levels = []
+    reach = scale * switch
+    domains = [(-reach, reach)]
+    try:
+        centres = [scale * s for s in candidate.elements]
+        while len(domains) < 3:
+            lo, hi = sorted(system.scale * edge for edge in domains[-1])
+            lo, hi = max(-reach, lo - min(centres)), min(reach, hi - max(centres))
+            if not lo < 0.0 < hi:
+                break
+            domains.append((lo, hi))
+    except OverflowError:
+        return None  # s or N past the float range: the sum refuses its points
+    if len(domains) == 1:
+        return None
+    weights = system.difference_weights
+    rates = [k * (base - 1) / (spread * base) for k, _ in weights]
+    decays = [[w / 2.0 * rate**n * f for n, f in enumerate(_INV_FACTORIALS)] for (_, w), rate in zip(weights, rates)]
+    series = []
     for s in candidate.elements:
-        level = 1 if s else 0
-        try:
-            while level and abs(s) + radius > switch / 2 * base**level:
-                level += 1
-        except OverflowError:
-            return None  # s past the float range: the sum refuses its points
-        levels.append(level)
-    reach = scale * radius
-    halves = [(k, w / 2.0) for k, w in system.difference_weights]
-    decays = []  # per level j <= J: (rate*v)^n/n! for each difference k, rate = k/(rho*P_j)
-    for j in range(1, max(levels) + 1):
-        rates = [k * (base - 1) / (spread * base**j) for k, _ in halves]
-        decays.append([[r**n * f for n, f in enumerate(_INV_FACTORIALS)] for r in rates])
-    moments = [c * math.factorial(2 * n) for n, c in enumerate(coeffs)]  # (-1)^n E[(Z/rho)^(2n)]
-    poly = [0.0] * _ORDER
-    if 0 in candidate.elements:  # |mu_hat(y)|^2 is the tail series in v
-        poly[0::2] = coeffs
-    offset = slope = 0.0
-    for s, level in zip(candidate.elements, levels):
-        if not s:
-            continue
-        series = None
-        power = 1
-        for decay in decays[:level]:
-            power *= base
-            factor = [1.0 - sum(w for _, w in halves)] + [0.0] * (_ORDER - 1)
-            for (k, w), terms in zip(halves, decay):  # w cos(phase + rate*v)
-                phase = _TWO_PI * ((k * s) % power) / power
-                c, sn = w * math.cos(phase), w * math.sin(phase)
-                factor = [f + a * t for f, a, t in zip(factor, (c, -sn, -c, sn) * (_ORDER // 4), terms)]
-            series = factor if series is None else _times(series, factor)
-        centre = scale * (s / power)
-        shifted = [centre**j * f for j, f in enumerate(_INV_FACTORIALS)]
-        even, odd = shifted[0::2], shifted[1::2]
-        shrink = 1.0 / power
-        tail = [  # T(centre + v/P_J) = sum_i T^(i)(centre) (v/P_J)^i / i!
-            sum(map(operator.mul, moments[(i + 1) // 2 :], odd if i & 1 else even)) * f * shrink**i
-            for i, f in enumerate(_INV_FACTORIALS)
-        ]
-        poly = [p + q for p, q in zip(poly, _times(series, tail))]
-        u = abs(centre) + reach * shrink
-        low = abs(series[0]) * remainder * abs(centre) ** _ORDER
-        high = sum(abs(g) * reach**a for a, g in enumerate(series)) * remainder * u**_ORDER * math.cosh(u)
-        offset += low
-        slope += (high - low) / reach
-    return poly, reach, size * remainder, offset, slope
+        m = [_symbol_sq(weights, s, 0.0, base)] + [0.0] * (_ORDER - 1)
+        for (k, _), decay in zip(weights, decays):
+            phase = _TWO_PI * ((k * s) % base) / base
+            c, sn = math.cos(phase), math.sin(phase)
+            m[1:] = [f + a * t for f, a, t in zip(m[1:], (-sn, -c, sn, c) * TAIL_TERMS, decay[1:])]
+        series.append(m)
+    # L = max |M_s'|, and M_s's remainder over v^(2M)
+    steps = sum(decay[1] for decay in decays), sum(decay[-1] * rate for decay, rate in zip(decays, rates)) / _ORDER
+    closure = [([x for c in coeffs for x in (c, 0.0)], -reach, reach, remainder, 0.0, 0.0)]
+    for count, domain in enumerate(domains[1:]):
+        closure.append(_lift(closure[-1], domain, system.scale, centres, series, steps, candidate.size**count))
+    return closure[1:]
+
+
+def _lift(level, domain, scale, centres, series, steps, points):
+    """P_k on `domain` from P_(k-1) = `level`.  With G(v) P_(k-1)'s error
+    bound at (v + c_s)/N, convex in v, M_s G <= M_s(0) G(0) + (M_s(0) sigma
+    + L max G)|v|, sigma G's steeper chord from 0 to an end; the product's
+    dropped degrees are below |v|^(2M) sum_(i+j >= 2M) |m_i p_j|
+    reach^(i+j-2M), and M_s's remainder multiplies |P_(k-1)| <= `points` + max G."""
+    coeffs, _, _, remainder, offset, slope = level
+    (lo, hi), (lipschitz, tail) = domain, steps
+    reach = max(-lo, hi)
+    shrink = 1.0 / scale
+    moments = [c * math.factorial(n) for n, c in enumerate(coeffs)]  # P_(k-1)'s derivatives at 0
+    powers = [shrink**j * f for j, f in enumerate(_INV_FACTORIALS)]
+    spans = [reach**n for n in range(_ORDER)]
+    lifted = [0.0] * _ORDER
+    far = near = lever = 0.0
+    for centre, m in zip(centres, series):
+        shift = centre * shrink
+        shifts = [shift**n * f for n, f in enumerate(_INV_FACTORIALS)] if shift else [1.0]
+        shifted = [sum(map(operator.mul, moments[j:], shifts)) * g for j, g in enumerate(powers)]
+        rev = shifted[::-1]  # the product, truncated to 2M terms
+        lifted = [a + sum(map(operator.mul, m, rev[_ORDER - 1 - n :])) for n, a in enumerate(lifted)]
+        dropped = accumulate(map(operator.mul, map(abs, rev), spans[::-1]))  # suffix sums of |p_j| reach^j
+        far += sum(map(operator.mul, map(abs, m[1:]), map(operator.mul, spans[1:], dropped))) / (reach * spans[-1])
+        ends = (shift, (lo + centre) * shrink, (hi + centre) * shrink)  # the preimages of 0, lo and hi
+        g0, glo, ghi = (remainder * x**_ORDER + offset + slope * abs(x) for x in ends)
+        near += m[0] * g0
+        lever += m[0] * max((ghi - g0) / hi, (glo - g0) / -lo) + lipschitz * max(glo, ghi)
+        far += tail * (points + max(glo, ghi))
+    return lifted, lo, hi, far, near, lever
 
 
 def _close_prefixes(level, closure, frac, vstep, period, cutoff):
     """(the prefixes left open, the closed ones' sum, its bound), v = (node +
     frac) * vstep: a prefix closes if p2 >= cutoff, |node| < period and
-    |v| <= reach."""
-    coeffs, reach, remainder, offset, slope = closure
+    lo <= v <= hi."""
+    coeffs, lo, hi, remainder, offset, slope = closure
     # 2M coefficients: the Horner sum is unrolled below; a loop over them
     # made the benchmark's qgrid items about 18 % slower at the median
     (a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13,
@@ -321,7 +320,7 @@ def _close_prefixes(level, closure, frac, vstep, period, cutoff):
     for node, p2 in level.items():
         if p2 >= cutoff and -period < node < period:
             v = (node + frac) * vstep
-            if -reach <= v <= reach:
+            if lo <= v <= hi:
                 total += p2 * (a0 + v * (a1 + v * (a2 + v * (a3 + v * (a4 + v * (a5 + v * (a6 + v * (
                     a7 + v * (a8 + v * (a9 + v * (a10 + v * (a11 + v * (a12 + v * (a13 + v * (
                     a14 + v * (a15 + v * (a16 + v * (a17 + v * (a18 + v * (a19 + v * (a20 + v * (
@@ -345,20 +344,21 @@ def _completeness_sum(system, candidate, whole: int, frac: float, policy, closur
     # about half what a loop over them costs per point
     c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12, c13 = coeffs
     level = {whole: 1.0}  # xi's integer part plus a slice prefix -> |product|^2
-    power = 1
-    step = 1
-    total = 0.0
-    err = 0.0
+    low = high = whole  # and the slice's ends so far
+    closure = (closure or [])[: policy.depth]  # P_k closes the prefixes of depth - k digits
+    power = step = 1
+    total = err = 0.0
     for j in range(1, policy.depth + 1):
         power *= base
         turn = math.pi / power
         shifts = [s * step for s in candidate.elements]
+        low, high = low + min(shifts), high + max(shifts)
         if j == policy.depth:
             # refuse as mu_hat would: the slice's largest |xi + lambda| is at one end
-            far = max(abs(min(level) + min(shifts) + frac), abs(max(level) + max(shifts) + frac))
+            far = max(abs(low + frac), abs(high + frac))
             _truncation(system.lipschitz, base, far, math.log1p(policy.product_epsilon))
-            if closure is not None:
-                level, total, err = _close_prefixes(level, closure, frac, scale / step, power // base, cutoff)
+        if j == policy.depth + 1 - len(closure):
+            level, total, err = _close_prefixes(level, closure[-1], frac, scale / step, power // base, cutoff)
         deeper = {}
         for node, p2 in level.items():
             for shift in shifts:
@@ -414,10 +414,10 @@ def transfer_residual(
         Q_{d+1}(xi) = sum_s |m_D((xi+s)/N)|^2 * Q_d((xi+s)/N)
     because each (d+1)-digit point splits uniquely as s + N*(d-digit point)
     and the symbol is 1-periodic at integer translates.  The |S| + 1 sums
-    share one slice closure, and each sums every infinite product to
-    within 2^-70, so the returned |lhs - rhs| is rounding plus the early
-    stops at (product_epsilon/4)^2, which fall at different factors on the
-    two sides and shrink with product_epsilon.
+    share one slice closure, and each sums every infinite product to within
+    a small multiple of 2^-70, so the returned |lhs - rhs| is rounding plus
+    the early stops at (product_epsilon/4)^2, which fall at different
+    factors on the two sides and shrink with product_epsilon.
     """
     if candidate.size != system.size:
         raise PreconditionError(

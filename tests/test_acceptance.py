@@ -126,18 +126,21 @@ def test_criterion_06_transfer_recursion():
         depth = {2: 4, 3: 3, 5: 2}[len(candidate)]
         xis = [rng.random() for _ in range(20)]
 
-        def mean_residual(eps):
+        def mean_residual(eps, shift=0):
             policy = TruncationPolicy(depth=depth, product_epsilon=eps)
-            values = [transfer_residual(system, cand, xi, depth, policy) for xi in xis]
+            values = [transfer_residual(system, cand, xi + shift, depth, policy) for xi in xis]
             return sum(values) / len(values), max(values)
 
         _, worst = mean_residual(1e-12)
         assert worst < 1e-8
         # epsilon sensitivity, demonstrated where the epsilon-controlled error
         # is above the double-precision floor: Q sums every infinite product
-        # to 2^-53, so that error is the early stop at (epsilon/4)^2 alone
-        coarse, _ = mean_residual(1e-2)
-        fine, _ = mean_residual(1e-4)
+        # to 2^-53, so that error is the early stop at (epsilon/4)^2 alone.
+        # The slice closure sums the last two digits of a prefix within its
+        # domain whole, with no early stop; shifted by 1000 every prefix is
+        # past the domain and its points take the leaves, where it still acts
+        coarse, _ = mean_residual(1e-2, 1000)
+        fine, _ = mean_residual(1e-4, 1000)
         assert coarse >= 10 * fine
         _, floor = mean_residual(1e-6)
         assert floor <= 1e-14

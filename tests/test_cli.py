@@ -273,7 +273,7 @@ def test_qgrid_work_estimate_exits_two_before_the_first_point(capsys, monkeypatc
     def refuse(*args, **kwargs):
         raise AssertionError("a grid point ran past the work estimate")
 
-    monkeypatch.setattr(kernel, "q_eval_with_bound", refuse)
+    monkeypatch.setattr(kernel, "_q_grid", refuse)
     code, out, err = run(capsys, "measure", "qgrid", "--n", "4", "--digits", "0,1,2",
                          "--s", "0,1,2", "--depth", "12")
     assert code == 2
@@ -283,6 +283,20 @@ def test_qgrid_work_estimate_exits_two_before_the_first_point(capsys, monkeypatc
     code, out, err = run(capsys, "measure", "qgrid", "--n", "4", "--digits", "0,1,2",
                          "--s", "0,1,2", "--depth", str(10**9), "--grid", "2")
     assert code == 2 and "3^1000000000 * 2 exceeds" in err
+
+
+def test_qgrid_builds_one_slice_closure_per_command(capsys, monkeypatch):
+    built = []
+    build = kernel._slice_closure
+
+    def counted(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(kernel, "_slice_closure", counted)
+    payload = run_json(capsys, "measure", "qgrid", "--n", "4", "--digits", "0,1", "--s", "0,2", "--grid", "12")
+    assert len(payload["grid"]) == 12
+    assert len(built) == 1  # shared by the 12 points
 
 
 @pytest.mark.parametrize(

@@ -339,7 +339,7 @@ def transfer_bound(system, candidate, xi, depth, policy):
 
 
 def test_transfer_residual_tracks_epsilon(monkeypatch):
-    # xi in [0, 1) puts every prefix within the slice closure's radius, and
+    # xi in [0, 1) puts every prefix within the slice closure's domain, and
     # the closure sums a prefix's points whole, so the recursion holds to
     # rounding at every epsilon.  xi in [1000, 1001) puts every prefix past
     # it: the points stop early at (epsilon/4)^2, the only epsilon-controlled
@@ -620,7 +620,11 @@ def test_slice_closure_matches_the_leaf_tail_exhaustively():
                 closed += kernel._slice_closure(system, candidate) is not None
                 for xi in (0.0, 0.25, 0.5 + 1 / 7, -1.3, 3.0):
                     assert_matches_leaf_tail(system, candidate, xi, policy)
-    assert closed == 239  # of 480: the rest are the point mass or have S not distinct mod N
+    # of 480: the rest are the point mass, have S not distinct mod N, or (80
+    # of them, all of which the former closure took through extra levels of
+    # factors) an element s with |s|/|N| past the tail series' switch, so
+    # that v = 0 has a preimage (v + scale*s)/N outside P_0's domain
+    assert closed == 159
 
 
 @pytest.mark.parametrize("scale,digits,elements", EDGE_CASES)
@@ -639,17 +643,126 @@ def test_slice_closure_matches_the_leaf_tail_on_the_qgrid_pairs(scale, digits, e
         assert_matches_leaf_tail(system, candidate, xi, TruncationPolicy(depth=depth))
 
 
-@pytest.mark.parametrize("scale,digits,elements,depth", QGRID_PAIRS)
-def test_slice_closure_covers_the_qgrid_pairs(monkeypatch, scale, digits, elements, depth):
-    # no timing: count the prefixes left to the leaves.  Every prefix with
-    # a product above the cutoff closes, except 64 of the 1,024 of N = 8,
-    # whose y near 6/7 is past the radius 0.83.
-    opened = []
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("scale,digits,elements", EDGE_CASES + [pair[:3] for pair in QGRID_PAIRS])
+def test_slice_closure_sums_a_whole_slice_at_depth_one_and_two(scale, digits, elements, depth):
+    # the root is the only prefix: within the domain the whole sum is one
+    # evaluation of P_1 or P_2
+    system = ScaleDigitSystem(scale, digits)
+    candidate = SpectrumCandidate(elements)
+    for xi in EDGE_XIS + (-0.3, 0.8):
+        assert_matches_leaf_tail(system, candidate, xi, TruncationPolicy(depth=depth))
+        assert_matches_reference(system, candidate, xi, TruncationPolicy(depth=depth))
+
+
+# N < 0 turns the preimages (v + scale*s)/N around, and elements of both
+# signs or one wide element leave an asymmetric domain: in units of y,
+# [-0.53, 0.92] at both levels for the first, and [-1.42, 0.076] for P_1
+# and [-0.38, 0.076] for P_2 for the second
+ASYMMETRIC_CASES = [(-6, (0, 1, 2), (-5, 0, 2)), (-5, (0, 1), (0, 7))]
+
+
+@pytest.mark.parametrize("scale,digits,elements", ASYMMETRIC_CASES)
+def test_slice_closure_matches_on_an_asymmetric_domain(scale, digits, elements):
+    system = ScaleDigitSystem(scale, digits)
+    candidate = SpectrumCandidate(elements)
+    closure = kernel._slice_closure(system, candidate)
+    assert len(closure) == 2 and all(abs(lo + hi) > (hi - lo) / 4 for _, lo, hi, *_ in closure)
+    for depth in (1, 2, 3, 4):
+        for xi in EDGE_XIS + (-0.3, -0.2, 0.05):
+            assert_matches_leaf_tail(system, candidate, xi, TruncationPolicy(depth=depth))
+            assert_matches_reference(system, candidate, xi, TruncationPolicy(depth=depth))
+
+
+@pytest.mark.parametrize("scale,digits,elements", ASYMMETRIC_CASES + [(8, (0, 1, 2, 3), (0, 2, 4, 6))])
+def test_slice_closure_closes_a_prefix_at_each_domain_edge(monkeypatch, scale, digits, elements):
+    # at depth 1 and 2 the root's v is xi*scale: just inside each end of the
+    # domain it closes, just outside it takes the leaves, and both agree
+    # with the former kernels
+    closes = []
     close = kernel._close_prefixes
 
     def counted(level, *args):
         rest, total, err = close(level, *args)
-        opened.append((len(rest), len(level)))
+        closes.append(not rest)
+        return rest, total, err
+
+    monkeypatch.setattr(kernel, "_close_prefixes", counted)
+    system = ScaleDigitSystem(scale, digits)
+    candidate = SpectrumCandidate(elements)
+    scale_v = system.tail_series[0]
+    for depth, (_, lo, hi, *_) in enumerate(kernel._slice_closure(system, candidate), 1):
+        for edge in (lo / scale_v, hi / scale_v):
+            if abs(edge) >= 1:  # only |xi| < 1 puts the root below its period 1
+                continue
+            for xi, inside in ((edge * (1 - 1e-9), True), (edge * (1 + 1e-9), False)):
+                closes.clear()
+                assert_matches_leaf_tail(system, candidate, xi, TruncationPolicy(depth=depth))
+                assert closes == [inside], (depth, xi)
+                assert_matches_reference(system, candidate, xi, TruncationPolicy(depth=depth))
+
+
+@pytest.mark.parametrize(
+    "scale,digits,elements,exact",
+    [
+        ((4, (0, 1), (0, 2), True)),
+        ((-4, (0, 1), (0, 2), True)),
+        ((8, (0, 4), (0, 1), True)),
+        ((4, (0, 2), (0, 1), True)),
+        ((6, (0, 1, 2), (0, 2, 4), False)),
+        ((-8, (0, 1, 2, 3), (0, 2, 4, 6), False)),
+    ],
+)
+def test_slice_closure_keeps_exact_zeros_at_integer_xi(scale, digits, elements, exact):
+    # at xi = 0 every point but 0 has a zero among its factors.  Where the
+    # floats find it exactly the former closed tail's bound is 0, elsewhere
+    # below 1e-32, and assert_matches_reference holds the bound to it with
+    # no tolerance: the chord starts at M_s(0), not at a constant
+    system = ScaleDigitSystem(scale, digits)
+    candidate = SpectrumCandidate(elements)
+    assert kernel._slice_closure(system, candidate) is not None
+    for depth in (1, 2, 3, 4):
+        policy = TruncationPolicy(depth=depth)
+        bound = closed_tail_q_eval(system, candidate, 0.0, policy)[1]
+        assert (bound == 0.0) if exact else (0.0 < bound < 1e-32)
+        for xi in (0.0, 1.0, -1.0, 2.0, 3.0, -4.0):
+            assert_matches_leaf_tail(system, candidate, xi, policy)
+            assert_matches_reference(system, candidate, xi, policy)
+
+
+@pytest.mark.parametrize("scale,digits,elements", [(2, (0, 1), (0, 3**600)), (3, (0, 2000), (0, 1))])
+def test_slice_closure_builds_no_lift_for_far_or_wide_candidates(monkeypatch, scale, digits, elements):
+    # |s|/|N| past the switch empties P_1's domain, found before any series
+    # is built: the former closure built one series product per level of s,
+    # about 600 of them for 3^600
+    lifts = []
+    lift = kernel._lift
+
+    def counted(*args):
+        lifts.append(args)
+        return lift(*args)
+
+    monkeypatch.setattr(kernel, "_lift", counted)
+    system = ScaleDigitSystem(scale, digits)
+    candidate = SpectrumCandidate(elements)
+    assert kernel._slice_closure(system, candidate) is None
+    for xi in (0.0, 0.3, 0.77):
+        assert_matches_leaf_tail(system, candidate, xi, TruncationPolicy(depth=3))
+    assert lifts == []
+
+
+@pytest.mark.parametrize("scale,digits,elements,depth", QGRID_PAIRS)
+def test_slice_closure_covers_the_qgrid_pairs(monkeypatch, scale, digits, elements, depth):
+    # no timing: count the prefixes of depth - 2 digits left to the leaves.
+    # Every prefix with a product above the cutoff closes: P_2's domain is
+    # P_0's own, [-scale*switch, scale*switch], and a prefix's y lies below
+    # max S/(|N|-1) = 6/7 for N = 8, against a switch of 0.87
+    opened = []
+    close = kernel._close_prefixes
+
+    def counted(level, closure, frac, vstep, period, cutoff):
+        rest, total, err = close(level, closure, frac, vstep, period, cutoff)
+        opened.append(([p2 for p2 in rest.values() if p2 >= cutoff], len(level)))
         return rest, total, err
 
     monkeypatch.setattr(kernel, "_close_prefixes", counted)
@@ -657,9 +770,9 @@ def test_slice_closure_covers_the_qgrid_pairs(monkeypatch, scale, digits, elemen
     candidate = SpectrumCandidate(elements)
     for xi in (0.25, 0.5, 0.75):
         q_eval_with_bound(system, candidate, xi, TruncationPolicy(depth=depth))
-    prefixes = len(elements) ** (depth - 1)
-    assert all(total == prefixes for _, total in opened) and len(opened) == 3
-    assert all(rest <= (0.1 * prefixes if scale == 8 else 0) for rest, _ in opened), opened
+    prefixes = len(elements) ** (depth - 2)
+    assert [total for _, total in opened] == [prefixes] * 3
+    assert all(rest == [] for rest, _ in opened), opened
 
 
 @pytest.mark.parametrize("width", [10**20, 10**40])
