@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Time the float Q kernel on named stress cases.
 
-Each case runs once in this process and prints one `case,seconds,answer`
-CSV row: the wall time of the call alone (no interpreter start or import)
-and its result, Q to 12 significant digits, so that two checkouts whose
-kernels differ only in rounding give the same answer.  The transfer case
-answers with whether the recursion defect stays below 1e-14.  With no
-arguments every case runs, in the order listed below; arguments pick cases
-by name.
+Each case runs REPEATS times in this process and prints one
+`case,seconds,answer` CSV row: the least wall time of the call alone (no
+interpreter start or import; single runs of 0.1-2 ms move by more than a
+third between identical runs) and its result, Q to 12 significant digits,
+so that two checkouts whose kernels differ only in rounding give the same
+answer.  The transfer case answers with whether the recursion defect stays
+below 1e-14.  With no arguments every case runs, in the order listed below;
+arguments pick cases by name.
 
 The cases are the five pairs of the benchmark's qgrid workload at their
 depths, the N = 8 pair at depth 2 (its whole slice is one polynomial),
@@ -15,7 +16,10 @@ wide digits (a digit spread of 2000), three candidates far outside the
 window (4^20, congruent to 0 mod 4, so that the slice takes its points,
 4^20 + 2 and 3^600, whose slice closures have empty domains and build no
 series), a candidate with two elements congruent mod N (its slice points
-coincide, 4 + 0 = 0 + 4, and take the leaves), and one transfer recursion.
+coincide, 4 + 0 = 0 + 4), and one transfer recursion.  `wide-2000`, the
+`far-*` cases and `collision-4` build no closure, so every slice point
+takes its last factors and the tail series (the leaf path); every other
+case closes all its prefixes with the closure.
 
 Example:
     PYTHONPATH=src python scripts/kernel_stress.py qgrid-8 collision-4
@@ -33,6 +37,7 @@ from cantorspec import (
 )
 
 XI = 0.3
+REPEATS = 5
 
 
 def q(scale, digits, elements, depth):
@@ -70,9 +75,12 @@ def main(names: list[str]) -> int:
         return 2
     print("case,seconds,answer")
     for name in names or CASES:
-        start = time.perf_counter()
-        answer = CASES[name]()
-        print(f"{name},{time.perf_counter() - start:.4f},{answer}", flush=True)
+        best = float("inf")
+        for _ in range(REPEATS):
+            start = time.perf_counter()
+            answer = CASES[name]()
+            best = min(best, time.perf_counter() - start)
+        print(f"{name},{best:.6f},{answer}", flush=True)
     return 0
 
 

@@ -68,7 +68,8 @@ def _witness_arg(text: str) -> list[tuple[int, int]]:
         raise argparse.ArgumentTypeError("witness must be a JSON list of [eta, s] pairs")
     entries = []
     for item in raw:
-        if not (isinstance(item, list) and len(item) == 2 and all(isinstance(v, int) for v in item)):
+        integers = isinstance(item, list) and all(isinstance(v, int) and not isinstance(v, bool) for v in item)
+        if not (integers and len(item) == 2):
             raise argparse.ArgumentTypeError(f"witness entries must be [eta, s] integer pairs, got {item!r}")
         entries.append((item[0], item[1]))
     return entries

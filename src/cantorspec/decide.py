@@ -200,20 +200,21 @@ def verify_witness(system: ScaleDigitSystem, candidate: SpectrumCandidate, witne
     """Check a claimed cycle independently of how it was produced.
 
     True iff the witness is a nonempty list of (eta, s) pairs of integers
-    with every eta nonzero, every s in S, and eta_j + s_j = N * eta_{j+1}
-    exactly (indices cyclic).
+    (not bools) with every eta nonzero, every s in S, and eta_j + s_j =
+    N * eta_{j+1} exactly (indices cyclic); False for anything else.
     """
-    entries = [tuple(entry) for entry in witness]
+    try:
+        entries = [tuple(entry) for entry in witness]
+    except TypeError:  # the witness or one of its entries is not a sequence
+        return False
     if not entries:
         return False
     allowed = set(candidate.elements)
     for entry in entries:
-        if len(entry) != 2:
+        if len(entry) != 2 or not all(isinstance(v, int) and not isinstance(v, bool) for v in entry):
             return False
         eta, s = entry
-        if not isinstance(eta, int) or isinstance(eta, bool) or eta == 0:
-            return False
-        if s not in allowed:
+        if eta == 0 or s not in allowed:
             return False
     for j, (eta, s) in enumerate(entries):
         eta_next = entries[(j + 1) % len(entries)][0]

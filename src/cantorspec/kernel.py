@@ -15,9 +15,9 @@ factor j of mu_hat(xi + lambda) depends on lambda only mod |N|^j: the
 slice is built digit by digit and each prefix's partial product is shared
 by every point that extends it.  Phases never carry an integer part into
 a float: xi is split exactly into integer and fraction, and the integer
-part of each phase is reduced mod |N|^j in integers.  Once |N|^j exceeds a
-point's integer part its next factors run in floats, and the rest of the
-infinite product is one polynomial.
+part of each phase is reduced mod |N|^j in integers, in every factor.
+Once |N|^j exceeds a point's integer part and t = |x|/|N|^j is within the
+switch, the rest of the infinite product is one polynomial.
 
 The tail series.  Past an argument t the factors left multiply to
 |mu_hat(t)|^2 = E cos(2*pi*t*Z), with Z = X - Y for X, Y independent of law
@@ -43,11 +43,11 @@ products per call whatever the size of s.  P_2 closes a prefix of depth -
 prefixes of depth - 1 digits where P_2's domain is empty), unless S has
 two elements congruent mod |N| (points may coincide), v is outside the
 domain, |n| >= |N|^(depth-k) or p2 is below the early-stop cutoff.  Such
-a prefix's points pay their last factors, float factors t -> t/|N| while
-t is above the switch, and the tail series, with bound p2 times its
-remainder at their t.  No polynomial's rounding, like no float factor's,
-is in the bound; a point or prefix whose product falls below the cutoff
-(epsilon/4)^2 is left there with bound p2.
+a prefix's points pay their last factors, one more `_symbol_sq` per digit
+while |x| >= |N|^j or t is above the switch, and the tail series, with
+bound p2 times its remainder at their t.  No polynomial's rounding, like
+no factor's, is in the bound; a point or prefix whose product falls below
+the cutoff (epsilon/4)^2 is left there with bound p2.
 """
 
 from __future__ import annotations
@@ -340,9 +340,6 @@ def _completeness_sum(system, candidate, whole: int, frac: float, policy, closur
     weights = system.difference_weights
     cutoff = (policy.product_epsilon / 4.0) ** 2
     scale, coeffs, remainder, switch = system.tail_series
-    # TAIL_TERMS coefficients: the Horner sum is unrolled below, which costs
-    # about half what a loop over them costs per point
-    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12, c13 = coeffs
     level = {whole: 1.0}  # xi's integer part plus a slice prefix -> |product|^2
     low = high = whole  # and the slice's ends so far
     closure = (closure or [])[: policy.depth]  # P_k closes the prefixes of depth - k digits
@@ -374,29 +371,22 @@ def _completeness_sum(system, candidate, whole: int, frac: float, policy, closur
                     deeper[child] = p2 * acc if acc > 0.0 else 0.0
         level = deeper
         step *= system.scale
-    tail_terms = [(math.pi * k, w) for k, w in weights]  # _symbol_sq with whole = 0, power = 1
     for node, p2 in level.items():
         period = power
-        while period <= abs(node) and p2 >= cutoff:
-            # |node| >= |N|^j: the float x/|N|^j would carry integer digits
+        # a factor while x/|N|^j would carry integer digits or t is past the switch
+        while p2 >= cutoff and (period <= abs(node) or abs(node + frac) / period > switch):
             period *= base
             p2 *= _symbol_sq(weights, node, frac, period)
-        t = abs(node + frac) / period
-        while t > switch and p2 >= cutoff:
-            t /= base
-            factor = 1.0
-            for turn, w in tail_terms:
-                s = math.sin(turn * t)
-                factor -= w * s * s
-            p2 = p2 * factor if factor > 0.0 else 0.0
         if p2 < cutoff:
             err += p2
         else:
-            s = scale * t
+            s = scale * (abs(node + frac) / period)
             s *= s
             err += p2 * remainder * s**TAIL_TERMS
-            p2 *= c0 + s * (c1 + s * (c2 + s * (c3 + s * (c4 + s * (c5 + s * (c6 + s * (
-                c7 + s * (c8 + s * (c9 + s * (c10 + s * (c11 + s * (c12 + s * c13))))))))))))
+            series = 0.0
+            for c in reversed(coeffs):
+                series = series * s + c
+            p2 *= series
         total += p2
     return total, err
 

@@ -41,8 +41,8 @@ TAIL_SWITCH_REMAINDER = 2.0**-70
 #: Digit spreads from here on (about 3.7e50) are refused by the Q kernel as
 #: past its float range.
 #: Its tail series needs no such limit, but a wider digit set gains nothing
-#: from an answer: past a spread of 2^53 the float phases k*t of the
-#: kernel's factors keep no fraction of t.
+#: from an answer: past a spread of 2^53 the float phases k*frac of the
+#: kernel's factors keep no fraction of frac.
 SPREAD_LIMIT = 2**168
 
 

@@ -433,10 +433,10 @@ def prime_power_sets(digits, modulus: int) -> tuple[tuple[int, ...], tuple[int, 
 
 def closed_tail_q_eval(system, candidate, xi, policy) -> tuple[float, float]:
     """The former `q_eval_with_bound`, kept as the reference for the tail
-    series: the same prefix tree and float factors, then float factors
-    until c6*t^6 <= 2^-53 and one closed form for the rest, whose log is
-    c2*t^2 + c4*t^4 within c6*t^6, with bound p2 * expm1(c6*t^6) on a
-    point's squared modulus p2.  With w_k = 4*c_k/|D|^2,
+    series: the same prefix tree and factors, each phase reduced mod its
+    period, until c6*t^6 <= 2^-53 and one closed form for the rest, whose
+    log is c2*t^2 + c4*t^4 within c6*t^6, with bound p2 * expm1(c6*t^6) on
+    a point's squared modulus p2.  With w_k = 4*c_k/|D|^2,
     a2 = pi^2 sum_k w_k k^2 and a4 = pi^4 sum_k w_k k^4 / 3,
 
         c2 = -a2/(N^2-1),  c4 = (a4 - a2^2/2)/(N^4-1),  c6 = K/(N^6-1),
@@ -473,17 +473,10 @@ def closed_tail_q_eval(system, candidate, xi, policy) -> tuple[float, float]:
     err = 0.0
     for node, p2 in level.items():
         period = power
-        while period <= abs(node) and p2 >= cutoff:
+        while p2 >= cutoff and (period <= abs(node) or abs(node + frac) / period > switch):
             period *= base
             p2 *= _symbol_sq(weights, node, frac, period)
         t = abs(node + frac) / period
-        while t > switch and p2 >= cutoff:
-            t /= base
-            factor = 1.0
-            for k, w in weights:
-                s = math.sin(math.pi * k * t)
-                factor -= w * s * s
-            p2 = p2 * factor if factor > 0.0 else 0.0
         if p2 < cutoff:
             err += p2
         else:
@@ -499,7 +492,7 @@ def leaf_tail_q_eval(system, candidate, xi, policy) -> tuple[float, float]:
     closure: the prefix tree runs to the full depth, and every slice point
     closes its own tail with the series `ScaleDigitSystem.tail_series`, of
     bound p2 * remainder * s^M on its squared modulus p2 before the series,
-    after float factors while its t is above the switch."""
+    after factors while its t is above the switch."""
     whole, frac = _split(xi)
     base = system.modulus
     weights = system.difference_weights
@@ -522,17 +515,10 @@ def leaf_tail_q_eval(system, candidate, xi, policy) -> tuple[float, float]:
     err = 0.0
     for node, p2 in level.items():
         period = power
-        while period <= abs(node) and p2 >= cutoff:
+        while p2 >= cutoff and (period <= abs(node) or abs(node + frac) / period > switch):
             period *= base
             p2 *= _symbol_sq(weights, node, frac, period)
         t = abs(node + frac) / period
-        while t > switch and p2 >= cutoff:
-            t /= base
-            factor = 1.0
-            for k, w in weights:
-                s = math.sin(math.pi * k * t)
-                factor -= w * s * s
-            p2 = p2 * factor if factor > 0.0 else 0.0
         if p2 < cutoff:
             err += p2
         else:

@@ -46,6 +46,17 @@ def test_witness_round_trip(capsys):
     assert verify["valid"] is True
 
 
+def test_witness_refuses_json_booleans(capsys):
+    # JSON true loads as Python's True, an int subclass: [[1,true]] must not
+    # pass as the valid cycle [[1,1]] of (2, {0,1}), S = {0,1}
+    for witness, shown in [("[[1,true]]", "[1, True]"), ("[[true,1]]", "[True, 1]")]:
+        code, out, err = run(
+            capsys, "spectrum", "verify", "--n", "2", "--digits", "0,1", "--s", "0,1", "--witness", witness
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: argument --witness: witness entries must be [eta, s] integer pairs, got {shown}\n"
+
+
 def test_compat_search_lists_candidates(capsys):
     payload = run_json(capsys, "compat", "search", "--n", "6", "--digits", "0,1,2")
     assert payload["candidates"] == [[-4, -2, 0], [-4, 0, 4], [-2, 0, 2], [0, 2, 4]]

@@ -162,6 +162,11 @@ def test_verify_witness_examples():
     assert not verify_witness(
         ScaleDigitSystem(4, (0, 1)), SpectrumCandidate((0, 6)), [(2, 5)]
     )
+    # anything but pairs of integers is False, never an error: [(1, 1)] is a
+    # cycle here, so a bool or float standing for 1 must not pass as one
+    system, candidate = ScaleDigitSystem(2, (0, 1)), SpectrumCandidate((0, 1))
+    for witness in ([5], [(1, [2])], [(1, True)], [(True, 1)], [(1, 1.0)], [(1.0, 1)], [(1, 1, 1)], 5):
+        assert not verify_witness(system, candidate, witness), witness
 
 
 def test_two_step_cycle_found_and_verified():

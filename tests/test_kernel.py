@@ -507,7 +507,7 @@ def test_tail_series_remainder_within_its_bound(scale, digits):
 @pytest.mark.parametrize("scale,digits", [(4, (0, 1)), (-4, (0, 1)), (6, (0, 1, 2)), (9, (0, 1, 2)), (8, (0, 1, 2, 3))])
 def test_tail_series_switch_covers_the_qgrid_pairs(scale, digits):
     # a point's t = |xi + lambda|/|N|^j lies below 1; a switch at 1/2 or
-    # more leaves it at most one float factor before the series
+    # more leaves it at most one factor past the tree before the series
     assert ScaleDigitSystem(scale, digits).tail_series[3] >= 0.5
 
 
@@ -814,10 +814,11 @@ def test_q_eval_within_bound_of_exact_phases_exhaustively(epsilon):
             system = ScaleDigitSystem(scale, digits)
             candidate = SpectrumCandidate((0, *rng.sample(window, len(digits) - 1)))
             slice_points = lambda_enumerate(scale, candidate, policy.depth)
-            # 4 eps per square summed, and pi*k*eps per point from the float
-            # tail's phases pi*k*t with t < 1, which are not reduced exactly
-            spread = digits[-1] - digits[0]
-            rounding = (4 + math.pi * spread) * len(slice_points) * sys.float_info.epsilon
+            # 4 eps per square summed: every factor past the tree reduces its
+            # phase mod its period in integers.  The spread still reaches the
+            # tree's factors through their unreduced k*frac; on this set that
+            # stays within the allowance, at spread 1e7 it does not yet
+            rounding = 4 * len(slice_points) * sys.float_info.epsilon
             for xi in (0.0, 0.25, 0.5 + 1 / 7, -1.3, 17.0 + 1 / 3):
                 value, bound = q_eval_with_bound(system, candidate, xi, policy)
                 exact = math.fsum(exact_phase_mu_hat_sq(system, Fraction(xi) + lam) for lam in slice_points)
