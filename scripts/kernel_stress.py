@@ -11,15 +11,17 @@ below 1e-14.  With no arguments every case runs, in the order listed below;
 arguments pick cases by name.
 
 The cases are the five pairs of the benchmark's qgrid workload at their
-depths, the N = 8 pair at depth 2 (its whole slice is one polynomial),
-wide digits (a digit spread of 2000), three candidates far outside the
-window (4^20, congruent to 0 mod 4, so that the slice takes its points,
-4^20 + 2 and 3^600, whose slice closures have empty domains and build no
-series), a candidate with two elements congruent mod N (its slice points
-coincide, 4 + 0 = 0 + 4), and one transfer recursion.  `wide-2000`, the
-`far-*` cases and `collision-4` build no closure, so every slice point
-takes its last factors and the tail series (the leaf path); every other
-case closes all its prefixes with the closure.
+depths, the N = 8 pair at depth 2 (its whole slice is one polynomial), an
+asymmetric domain (N = -5, S = {0, 7} at depth 4, where P_1 closes
+prefixes that P_2 leaves open), wide digits (a digit spread of 2000),
+three candidates far outside the window (4^20, congruent to 0 mod 4, so
+that the slice takes its points, 4^20 + 2 and 3^600, whose slice closures
+have empty domains and build no series), a candidate with two elements
+congruent mod N (its slice points coincide, 4 + 0 = 0 + 4), and one
+transfer recursion.  `wide-2000`, the `far-*` cases and `collision-4` get
+no P_1 or P_2, only the tail series P_0, so every slice point takes
+factors past the slice until P_0 closes it (the leaf rows); every other
+case closes its prefixes with P_1 or P_2.
 
 Example:
     PYTHONPATH=src python scripts/kernel_stress.py qgrid-8 collision-4
@@ -59,6 +61,7 @@ CASES = {
     "qgrid-9": lambda: q(9, (0, 1, 2), (0, 3, 6), 7),
     "qgrid-8": lambda: q(8, (0, 1, 2, 3), (0, 2, 4, 6), 6),
     "depth-2-8": lambda: q(8, (0, 1, 2, 3), (0, 2, 4, 6), 2),
+    "asym-5": lambda: q(-5, (0, 1), (0, 7), 4),
     "wide-2000": lambda: q(3, (0, 2000), (0, 1), 8),
     "far-4-20": lambda: q(4, (0, 1), (0, 4**20), 3),
     "far-4-20-plus-2": lambda: q(4, (0, 1), (0, 4**20 + 2), 3),

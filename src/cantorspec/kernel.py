@@ -14,10 +14,11 @@ distinct difference).  The digits are integers, so m_D has period 1 and
 factor j of mu_hat(xi + lambda) depends on lambda only mod |N|^j: the
 slice is built digit by digit and each prefix's partial product is shared
 by every point that extends it.  Phases never carry an integer part into
-a float: xi is split exactly into integer and fraction, and the integer
-part of each phase is reduced mod |N|^j in integers, in every factor.
-Once |N|^j exceeds a point's integer part and t = |x|/|N|^j is within the
-switch, the rest of the infinite product is one polynomial.
+a float: xi is split exactly into integer and fraction, k*frac exactly
+into an integer and a rest in [0, 1] (`_phases`), and the integer part of
+each phase is reduced mod |N|^j in integers, in every factor.  Once |N|^j
+exceeds a point's integer part and t = |x|/|N|^j is within the switch,
+the rest of the infinite product is one polynomial.
 
 The tail series.  Past an argument t the factors left multiply to
 |mu_hat(t)|^2 = E cos(2*pi*t*Z), with Z = X - Y for X, Y independent of law
@@ -38,16 +39,19 @@ error goes along pointwise (P_(k-1)'s at the preimages times M_s <= M_s(0)
 + L|v|, plus what truncating drops) to remainder * v^(2M) + offset + slope
 * |v|, offset 0 where M_s(0) = 0 for every s but 0.  `_slice_closure`
 finds the domains first and then builds each M_s once, 2|S| series
-products per call whatever the size of s.  P_2 closes a prefix of depth -
-2 digits with one polynomial of 2M terms (P_1 the root at depth 1, or the
-prefixes of depth - 1 digits where P_2's domain is empty), unless S has
-two elements congruent mod |N| (points may coincide), v is outside the
-domain, |n| >= |N|^(depth-k) or p2 is below the early-stop cutoff.  Such
-a prefix's points pay their last factors, one more `_symbol_sq` per digit
-while |x| >= |N|^j or t is above the switch, and the tail series, with
-bound p2 times its remainder at their t.  No polynomial's rounding, like
-no factor's, is in the bound; a point or prefix whose product falls below
-the cutoff (epsilon/4)^2 is left there with bound p2.
+products per call whatever the size of s.  It gives P_0 alone for D = {0},
+where S has two elements congruent mod |N| (points may coincide), or where
+P_1's domain is empty or past the float range.
+
+The level loop.  `_completeness_sum` adds one slice digit per level, then
+digit 0 (a point itself) past the slice, one factor per open prefix each.
+Before a level with k digits left, P_k, where it exists, closes each open
+prefix n of j factors with |n| < |N|^j and v = (n + frac(xi)) scale/N^j in
+its domain, as p2 P_k(v) with bound p2 times P_k's at v; a prefix whose p2
+is below the early-stop cutoff (epsilon/4)^2 stops there as |S|^k points
+of p2, with bound p2 each (P_k for k >= 1 needs S distinct mod |N|, so no
+two of them coincide).  No polynomial's rounding, like no factor's, is in
+the bound.
 """
 
 from __future__ import annotations
@@ -114,18 +118,27 @@ def _truncation(lipschitz: float, base: int, x: float, target: float) -> tuple[i
         ) from None
 
 
+def _phases(weights, frac: float):
+    """(k, w, q, r) per digit difference, k*frac = q + r exactly for an
+    integer q and a float r in [0, 1]: frac = num/den in integers, and
+    (q, r*den) = divmod(k*num, den)."""
+    num, den = frac.as_integer_ratio()
+    return [(k, w, q, r / den) for k, w in weights for q, r in [divmod(k * num, den)]]
+
+
 def _symbol_sq(weights, whole: int, frac: float, power: int) -> float:
     """|m_D((whole + frac) / power)|^2 for a positive integer power.
 
     Uses |m_D(eta)|^2 = 1 - sum_k w_k sin^2(pi*k*eta) over the digit
     differences (`ScaleDigitSystem.difference_weights`).  sin^2(pi*x) has
-    period 1, so the integer part k*whole of each phase is reduced mod power
-    exactly before it meets a float.  Clamped at 0 against rounding.
+    period 1, so the integer part k*whole + q of each phase (`_phases`) is
+    reduced mod power in integers before it and the rest r meet a float.
+    Clamped at 0 against rounding.
     """
     turn = math.pi / power
     acc = 1.0
-    for k, w in weights:
-        s = math.sin(turn * ((k * whole) % power + k * frac))
+    for k, w, q, r in _phases(weights, frac):
+        s = math.sin(turn * ((k * whole + q) % power + r))
         acc -= w * s * s
     return acc if acc > 0.0 else 0.0
 
@@ -144,11 +157,12 @@ def mu_hat(system: ScaleDigitSystem, xi, policy: TruncationPolicy = DEFAULT_POLI
     the loop stops early: the remaining factors have modulus at most 1, so
     the absolute error is below epsilon either way.
 
-    The bound also holds for large |xi|: xi is split exactly into an integer
-    k and a fraction f, and digit d's phase in factor j is taken as
-    (r + d*f) / |N|^j with the sign of N^j, where r is d*k reduced mod |N|^j
-    into [-|N|^j/2, |N|^j/2], so no float ever carries an integer part that
-    the symbol's 1-periodicity discards.
+    The bound also holds for large |xi| and wide digits: xi is split exactly
+    into an integer k and a fraction f, d*f = q + r exactly with q an
+    integer and r in [0, 1] (as in `_phases`), and digit d's phase in factor
+    j is taken as (a + r) / |N|^j with the sign of N^j, where a is d*k + q
+    reduced mod |N|^j into [-|N|^j/2, |N|^j/2], so no float ever carries an
+    integer part that the symbol's 1-periodicity discards.
     """
     x = float(xi)
     whole, frac = _split(x)
@@ -158,6 +172,8 @@ def mu_hat(system: ScaleDigitSystem, xi, policy: TruncationPolicy = DEFAULT_POLI
     base = system.modulus
     j_stop, tail_bound = _truncation(lipschitz, base, x, math.log1p(policy.product_epsilon))
     cutoff = policy.product_epsilon / 4.0
+    num, den = frac.as_integer_ratio()
+    splits = [(d, q, r / den) for d in system.digits for q, r in [divmod(d * num, den)]]
     value = complex(1.0)
     power = 1
     turn = -_TWO_PI
@@ -166,11 +182,11 @@ def mu_hat(system: ScaleDigitSystem, xi, policy: TruncationPolicy = DEFAULT_POLI
         if system.scale < 0:
             turn = -turn
         acc = 0j
-        for d in system.digits:
-            r = (d * whole) % power
-            if 2 * r > power:  # centre the integer part: a phase near 1 would lose digits
-                r -= power
-            acc += cmath.exp(complex(0.0, turn * ((r + d * frac) / power)))
+        for d, q, r in splits:
+            a = (d * whole + q) % power
+            if 2 * a > power:  # centre the integer part: a phase near 1 would lose digits
+                a -= power
+            acc += cmath.exp(complex(0.0, turn * ((a + r) / power)))
         value *= acc / system.size
         if abs(value) < cutoff:
             return TruncatedProduct(value, abs(value) * (2.0 + tail_bound), j)
@@ -190,12 +206,11 @@ def q_eval_with_bound(
     it; the returned bound accounts for the tail of each infinite product.
 
     The slice is summed as the module docstring sets out: a map from each
-    prefix of depth - 2 digits to its squared partial product, one
-    `_symbol_sq` per factor, then one polynomial per prefix within the
-    closure's domain and the prefix's |S|^2 points otherwise.  The bound
-    sums the closure's at each closed prefix and the tail series' at each
-    point, times the product before it, or that product where it stopped
-    early: it is the whole infinite product that is summed.
+    open prefix to its squared partial product, one factor per level, and
+    before each level the polynomial for the digits left closes what it
+    can; past the slice that is the tail series.  The bound sums each
+    closed prefix's polynomial bound times its product, or that product
+    where it stopped early: it is the whole infinite product that is summed.
     |xi + lambda| is refused where `mu_hat` would refuse it, and so is any
     phase period or point past the float range, or a digit spread from
     `SPREAD_LIMIT` on.
@@ -222,15 +237,16 @@ def _q_eval(system, candidate, xi, policy, closure):
         ) from None
 
 
-#: Terms 2M of P_1 and P_2, and 1/n! for their Taylor coefficients.
+#: Terms 2M of each P_k, and 1/n! for their Taylor coefficients.
 _ORDER = 2 * TAIL_TERMS
 _INV_FACTORIALS = tuple(1.0 / math.factorial(n) for n in range(_ORDER))
 
 
 def _slice_closure(system, candidate):
-    """[P_1, P_2], [P_1] or None; P_k = (coeffs, lo, hi, remainder, offset,
-    slope).  M_s(0) is `_symbol_sq`, 0 at the exact zeros where the points'
-    products are, and M_s^(n)(0) = sum_k w_k/2 rate_k^n cos^(n)(phase_k)."""
+    """[P_0, P_1, P_2], [P_0, P_1] or [P_0]; P_k = (coeffs, lo, hi,
+    remainder, offset, slope).  M_s(0) is `_symbol_sq`, 0 at the exact zeros
+    where the points' products are, and M_s^(n)(0) = sum_k w_k/2 rate_k^n
+    cos^(n)(phase_k)."""
     spread = system.digits[-1] - system.digits[0]
     try:
         scale, coeffs, remainder, switch = system.tail_series
@@ -239,10 +255,11 @@ def _slice_closure(system, candidate):
             f"the Q kernel refuses the digit spread {spread}: from "
             f"SPREAD_LIMIT = 2^{SPREAD_LIMIT.bit_length() - 1} on it passes the float range"
         ) from None
+    reach = scale * switch if remainder else math.inf  # D = {0}: P_0 = 1 for every v; 0 * inf is nan
+    closure = [([x for c in coeffs for x in (c, 0.0)], -reach, reach, remainder, 0.0, 0.0)]
     base = system.modulus
     if not remainder or len({s % base for s in candidate.elements}) < candidate.size:
-        return None  # D = {0}, or slice points that may coincide
-    reach = scale * switch
+        return closure  # D = {0}, or slice points that may coincide
     domains = [(-reach, reach)]
     try:
         centres = [scale * s for s in candidate.elements]
@@ -253,9 +270,9 @@ def _slice_closure(system, candidate):
                 break
             domains.append((lo, hi))
     except OverflowError:
-        return None  # s or N past the float range: the sum refuses its points
+        return closure  # s or N past the float range: the sum refuses its points
     if len(domains) == 1:
-        return None
+        return closure
     weights = system.difference_weights
     rates = [k * (base - 1) / (spread * base) for k, _ in weights]
     decays = [[w / 2.0 * rate**n * f for n, f in enumerate(_INV_FACTORIALS)] for (_, w), rate in zip(weights, rates)]
@@ -269,10 +286,9 @@ def _slice_closure(system, candidate):
         series.append(m)
     # L = max |M_s'|, and M_s's remainder over v^(2M)
     steps = sum(decay[1] for decay in decays), sum(decay[-1] * rate for decay, rate in zip(decays, rates)) / _ORDER
-    closure = [([x for c in coeffs for x in (c, 0.0)], -reach, reach, remainder, 0.0, 0.0)]
     for count, domain in enumerate(domains[1:]):
         closure.append(_lift(closure[-1], domain, system.scale, centres, series, steps, candidate.size**count))
-    return closure[1:]
+    return closure
 
 
 def _lift(level, domain, scale, centres, series, steps, points):
@@ -306,19 +322,23 @@ def _lift(level, domain, scale, centres, series, steps, points):
     return lifted, lo, hi, far, near, lever
 
 
-def _close_prefixes(level, closure, frac, vstep, period, cutoff):
+def _close_prefixes(level, closure, frac, vstep, period, cutoff, count):
     """(the prefixes left open, the closed ones' sum, its bound), v = (node +
-    frac) * vstep: a prefix closes if p2 >= cutoff, |node| < period and
-    lo <= v <= hi."""
+    frac) * vstep: a prefix whose p2 is below the cutoff stops there, as
+    `count` points at p2 each, and one closes if |node| < period and lo <= v
+    <= hi."""
     coeffs, lo, hi, remainder, offset, slope = closure
     # 2M coefficients: the Horner sum is unrolled below; a loop over them
     # made the benchmark's qgrid items about 18 % slower at the median
     (a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13,
      a14, a15, a16, a17, a18, a19, a20, a21, a22, a23, a24, a25, a26, a27) = coeffs
     rest = {}
-    total = mass = lever = near = 0.0
+    total = mass = lever = near = stopped = 0.0
     for node, p2 in level.items():
-        if p2 >= cutoff and -period < node < period:
+        if p2 < cutoff:
+            stopped += p2
+            continue
+        if -period < node < period:
             v = (node + frac) * vstep
             if lo <= v <= hi:
                 total += p2 * (a0 + v * (a1 + v * (a2 + v * (a3 + v * (a4 + v * (a5 + v * (a6 + v * (
@@ -330,32 +350,38 @@ def _close_prefixes(level, closure, frac, vstep, period, cutoff):
                 near += p2 * (v * v) ** TAIL_TERMS
                 continue
         rest[node] = p2
-    return rest, total, remainder * near + offset * mass + slope * lever
+    stopped *= count
+    return rest, total + stopped, remainder * near + offset * mass + slope * lever + stopped
 
 
 def _completeness_sum(system, candidate, whole: int, frac: float, policy, closure) -> tuple[float, float]:
     """`q_eval_with_bound` past its checks; a float overflow anywhere here
     means the input is past the float range."""
     base = system.modulus
-    weights = system.difference_weights
+    phases = _phases(system.difference_weights, frac)
     cutoff = (policy.product_epsilon / 4.0) ** 2
-    scale, coeffs, remainder, switch = system.tail_series
+    scale = system.tail_series[0]
     level = {whole: 1.0}  # xi's integer part plus a slice prefix -> |product|^2
     low = high = whole  # and the slice's ends so far
-    closure = (closure or [])[: policy.depth]  # P_k closes the prefixes of depth - k digits
+    left = policy.depth  # slice digits not yet added
     power = step = 1
     total = err = 0.0
-    for j in range(1, policy.depth + 1):
+    while level or left:
+        shifts = [s * step for s in candidate.elements] if left else [0]  # past the slice, digit 0
+        if left:
+            low, high = low + min(shifts), high + max(shifts)
+            if left == 1:
+                # refuse as mu_hat would: the slice's largest |xi + lambda| is at one end
+                far = max(abs(low + frac), abs(high + frac))
+                _truncation(system.lipschitz, base, far, math.log1p(policy.product_epsilon))
+        if left < len(closure):  # P_left closes a prefix with left digits to add
+            level, closed, bound = _close_prefixes(
+                level, closure[left], frac, scale / step, power, cutoff, candidate.size**left
+            )
+            total += closed
+            err += bound
         power *= base
         turn = math.pi / power
-        shifts = [s * step for s in candidate.elements]
-        low, high = low + min(shifts), high + max(shifts)
-        if j == policy.depth:
-            # refuse as mu_hat would: the slice's largest |xi + lambda| is at one end
-            far = max(abs(low + frac), abs(high + frac))
-            _truncation(system.lipschitz, base, far, math.log1p(policy.product_epsilon))
-        if j == policy.depth + 1 - len(closure):
-            level, total, err = _close_prefixes(level, closure[-1], frac, scale / step, power // base, cutoff)
         deeper = {}
         for node, p2 in level.items():
             for shift in shifts:
@@ -365,29 +391,13 @@ def _completeness_sum(system, candidate, whole: int, frac: float, policy, closur
                         deeper[child] = p2
                         continue
                     acc = 1.0  # _symbol_sq(weights, child, frac, power), inlined
-                    for k, w in weights:
-                        s = math.sin(turn * ((k * child) % power + k * frac))
+                    for k, w, q, r in phases:
+                        s = math.sin(turn * ((k * child + q) % power + r))
                         acc -= w * s * s
                     deeper[child] = p2 * acc if acc > 0.0 else 0.0
         level = deeper
         step *= system.scale
-    for node, p2 in level.items():
-        period = power
-        # a factor while x/|N|^j would carry integer digits or t is past the switch
-        while p2 >= cutoff and (period <= abs(node) or abs(node + frac) / period > switch):
-            period *= base
-            p2 *= _symbol_sq(weights, node, frac, period)
-        if p2 < cutoff:
-            err += p2
-        else:
-            s = scale * (abs(node + frac) / period)
-            s *= s
-            err += p2 * remainder * s**TAIL_TERMS
-            series = 0.0
-            for c in reversed(coeffs):
-                series = series * s + c
-            p2 *= series
-        total += p2
+        left = max(left - 1, 0)
     return total, err
 
 

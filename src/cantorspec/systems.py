@@ -40,9 +40,9 @@ TAIL_TERMS = 14
 TAIL_SWITCH_REMAINDER = 2.0**-70
 #: Digit spreads from here on (about 3.7e50) are refused by the Q kernel as
 #: past its float range.
-#: Its tail series needs no such limit, but a wider digit set gains nothing
-#: from an answer: past a spread of 2^53 the float phases k*frac of the
-#: kernel's factors keep no fraction of frac.
+#: Neither its tail series nor its factors, whose phases are reduced exactly,
+#: need such a limit; it keeps the refusal that the former float tail made
+#: from about this spread on, so the kernel answers the same digit sets.
 SPREAD_LIMIT = 2**168
 
 
@@ -121,8 +121,14 @@ class ScaleDigitSystem:
     @functools.cached_property
     def lipschitz(self) -> float:
         """2*pi*sum|d|/|D|, so |m_D(eta) - 1| <= lipschitz * |eta|; the tail
-        bound of the Fourier product is built from it."""
-        return 2.0 * math.pi * sum(abs(d) for d in self.digits) / len(self.digits)
+        bound of the Fourier product is built from it.  Digits past the
+        float range are refused."""
+        try:
+            return 2.0 * math.pi * sum(abs(d) for d in self.digits) / len(self.digits)
+        except OverflowError:
+            raise PreconditionError(
+                "the digits' sum of |d| is past the float range of the Fourier product's tail bound"
+            ) from None
 
     @functools.cached_property
     def difference_weights(self) -> tuple[tuple[int, float], ...]:

@@ -390,3 +390,15 @@ def test_qgrid_refuses_a_digit_spread_past_the_float_range(capsys):
         f"precondition violated: the Q kernel refuses the digit spread {10**60}: "
         "from SPREAD_LIMIT = 2^168 on it passes the float range\n"
     )
+
+
+@pytest.mark.parametrize("xi", ["0.3", "0"])
+def test_fourier_refuses_digits_past_the_float_range(capsys, xi):
+    # 2*pi*sum|d|/|D|, the Lipschitz constant of the tail bound, overflowed
+    # a float and escaped as a traceback with exit 1
+    code, out, err = run(capsys, "measure", "fourier", "--n", "3", "--digits", f"0,{10**400}", "--xi", xi)
+    assert (code, out) == (2, "")
+    assert err == (
+        "precondition violated: the digits' sum of |d| is past the float range "
+        "of the Fourier product's tail bound\n"
+    )

@@ -342,17 +342,19 @@ def test_transfer_residual_tracks_epsilon(monkeypatch):
     # xi in [0, 1) puts every prefix within the slice closure's domain, and
     # the closure sums a prefix's points whole, so the recursion holds to
     # rounding at every epsilon.  xi in [1000, 1001) puts every prefix past
-    # it: the points stop early at (epsilon/4)^2, the only epsilon-controlled
-    # error in Q, which no longer shows below epsilon = 1e-4.
+    # it: no polynomial closes a prefix with a slice digit left, and the
+    # points stop early at (epsilon/4)^2, the only epsilon-controlled error
+    # in Q, which no longer shows below epsilon = 1e-4.
     rng = random.Random(3)
     near = [rng.random() for _ in range(5)]
     far = [1000 + xi for xi in near]
     opened = []
     close = kernel._close_prefixes
 
-    def counted(level, *args):
-        rest, total, err = close(level, *args)
-        opened.append((len(rest), len(level)))
+    def counted(level, closure, frac, vstep, period, cutoff, count):
+        rest, total, err = close(level, closure, frac, vstep, period, cutoff, count)
+        closed = [node for node, p2 in level.items() if p2 >= cutoff and node not in rest]
+        opened.append((count, len(rest), len(closed)))
         return rest, total, err
 
     monkeypatch.setattr(kernel, "_close_prefixes", counted)
@@ -364,7 +366,8 @@ def test_transfer_residual_tracks_epsilon(monkeypatch):
             opened.clear()
             policy = TruncationPolicy(depth=depth, product_epsilon=eps)
             mean = sum(transfer_residual(system, candidate, xi, depth, policy) for xi in xis) / len(xis)
-            left = [rest == (0 if xis is near else prefixes) for rest, prefixes in opened]
+            # count = |S|^left > 1: a slice digit is left
+            left = [(rest if xis is near else closed) == 0 for count, rest, closed in opened if count > 1]
             assert left and all(left), (xis, eps, opened)
             return mean
 
@@ -419,7 +422,7 @@ def test_kernel_refuses_xi_past_the_float_range_of_its_bound(system, candidate, 
 
 def test_q_eval_refuses_a_candidate_past_the_float_range():
     # s = 10^400 + 1 is odd, so the slice closure's level search meets it
-    # and gives no closure; the sum then refuses the slice point
+    # and gives P_0 alone; the sum then refuses the slice point
     candidate = SpectrumCandidate((0, 10**400 + 1))
     with pytest.raises(PreconditionError, match=r"at xi = 0.3 with \|N\|\^depth = 2\^3 passes the float range"):
         q_eval_with_bound(ScaleDigitSystem(2, (0, 1)), candidate, 0.3, TruncationPolicy(depth=3))
@@ -447,6 +450,21 @@ def test_mu_hat_large_arguments_against_exact_phases():
     result = mu_hat(system, 2126379956229441.5, TIGHT)
     exact = exact_phase_mu_hat(system, 2126379956229441.5, result.factors + 40)
     assert abs(result.value - exact) <= result.error_bound + 1e-14
+
+
+@pytest.mark.parametrize(
+    "scale,digits",
+    [(3, (0, 10**12)), (3, (0, 10**15)), (-4, (0, 10**15)), (5, (-(10**13), 0, 7)), (-7, (0, 3, 10**14 + 1))],
+)
+def test_mu_hat_wide_digits_against_exact_phases(scale, digits):
+    # d*frac of a wide digit keeps an integer part: unreduced, (3, {0, 1e12})
+    # at xi = 0.3 was off by 3.3e-11 under a bound of 2.2e-13
+    system = ScaleDigitSystem(scale, digits)
+    for xi in (0.3, -1.3, 0.77, 2.5 + 1 / 3, 1e6 + 0.125):
+        result = mu_hat(system, xi, TIGHT)
+        exact = exact_phase_mu_hat(system, xi, result.factors + 40)
+        miss = abs(result.value - exact)
+        assert miss <= result.error_bound + 1e-14, (xi, miss, result.error_bound)
 
 
 @settings(max_examples=60, deadline=None)
@@ -617,7 +635,7 @@ def test_slice_closure_matches_the_leaf_tail_exhaustively():
             system = ScaleDigitSystem(scale, digits)
             for _ in range(2):
                 candidate = SpectrumCandidate((0, *rng.sample(window, len(digits) - 1)))
-                closed += kernel._slice_closure(system, candidate) is not None
+                closed += len(kernel._slice_closure(system, candidate)) > 1  # more than [P_0]
                 for xi in (0.0, 0.25, 0.5 + 1 / 7, -1.3, 3.0):
                     assert_matches_leaf_tail(system, candidate, xi, policy)
     # of 480: the rest are the point mass, have S not distinct mod N, or (80
@@ -667,7 +685,7 @@ def test_slice_closure_matches_on_an_asymmetric_domain(scale, digits, elements):
     system = ScaleDigitSystem(scale, digits)
     candidate = SpectrumCandidate(elements)
     closure = kernel._slice_closure(system, candidate)
-    assert len(closure) == 2 and all(abs(lo + hi) > (hi - lo) / 4 for _, lo, hi, *_ in closure)
+    assert len(closure) == 3 and all(abs(lo + hi) > (hi - lo) / 4 for _, lo, hi, *_ in closure[1:])
     for depth in (1, 2, 3, 4):
         for xi in EDGE_XIS + (-0.3, -0.2, 0.05):
             assert_matches_leaf_tail(system, candidate, xi, TruncationPolicy(depth=depth))
@@ -676,9 +694,9 @@ def test_slice_closure_matches_on_an_asymmetric_domain(scale, digits, elements):
 
 @pytest.mark.parametrize("scale,digits,elements", ASYMMETRIC_CASES + [(8, (0, 1, 2, 3), (0, 2, 4, 6))])
 def test_slice_closure_closes_a_prefix_at_each_domain_edge(monkeypatch, scale, digits, elements):
-    # at depth 1 and 2 the root's v is xi*scale: just inside each end of the
-    # domain it closes, just outside it takes the leaves, and both agree
-    # with the former kernels
+    # at depth 1 and 2 the root's v is xi*scale: just inside each end of
+    # P_depth's domain it closes, just outside it takes more factors, and
+    # both agree with the former kernels
     closes = []
     close = kernel._close_prefixes
 
@@ -691,15 +709,44 @@ def test_slice_closure_closes_a_prefix_at_each_domain_edge(monkeypatch, scale, d
     system = ScaleDigitSystem(scale, digits)
     candidate = SpectrumCandidate(elements)
     scale_v = system.tail_series[0]
-    for depth, (_, lo, hi, *_) in enumerate(kernel._slice_closure(system, candidate), 1):
+    for depth, (_, lo, hi, *_) in enumerate(kernel._slice_closure(system, candidate)[1:], 1):
         for edge in (lo / scale_v, hi / scale_v):
             if abs(edge) >= 1:  # only |xi| < 1 puts the root below its period 1
                 continue
             for xi, inside in ((edge * (1 - 1e-9), True), (edge * (1 + 1e-9), False)):
                 closes.clear()
                 assert_matches_leaf_tail(system, candidate, xi, TruncationPolicy(depth=depth))
-                assert closes == [inside], (depth, xi)
+                # inside, P_depth closes the root and later levels find none
+                # open; outside, the root stays open and its points close later
+                assert closes == [True] * depth if inside else not closes[0] and closes[-1], (depth, xi, closes)
                 assert_matches_reference(system, candidate, xi, TruncationPolicy(depth=depth))
+
+
+def test_slice_closure_closes_with_p1_what_p2_leaves_open(monkeypatch):
+    # P_2's domain, [-0.38, 0.076] in units of y, is narrower than P_1's,
+    # [-1.42, 0.076]: a prefix of depth - 2 digits outside the first closes
+    # one digit later with P_1 where its children's y fall inside the second
+    system = ScaleDigitSystem(-5, (0, 1))
+    candidate = SpectrumCandidate((0, 7))
+    policy = TruncationPolicy(depth=4)
+    seen = {}
+    close = kernel._close_prefixes
+
+    def counted(level, closure, frac, vstep, period, cutoff, count):
+        rest, total, err = close(level, closure, frac, vstep, period, cutoff, count)
+        closed = [node for node, p2 in level.items() if p2 >= cutoff and node not in rest]
+        opened, shut = seen.get(count, (0, 0))
+        seen[count] = (opened + len(rest), shut + len(closed))
+        return rest, total, err
+
+    monkeypatch.setattr(kernel, "_close_prefixes", counted)
+    for i in range(-20, 20):
+        assert_matches_leaf_tail(system, candidate, i / 20, policy)
+        assert_matches_reference(system, candidate, i / 20, policy)
+    # the two checks sum each xi once each: of 320 prefixes P_2 (count 4)
+    # closes 80 and leaves 236 open, and P_1 (count 2) closes 78 of their
+    # 472 children
+    assert (seen[4], seen[2][1]) == ((236, 80), 78), seen
 
 
 @pytest.mark.parametrize(
@@ -720,7 +767,7 @@ def test_slice_closure_keeps_exact_zeros_at_integer_xi(scale, digits, elements, 
     # no tolerance: the chord starts at M_s(0), not at a constant
     system = ScaleDigitSystem(scale, digits)
     candidate = SpectrumCandidate(elements)
-    assert kernel._slice_closure(system, candidate) is not None
+    assert len(kernel._slice_closure(system, candidate)) == 3
     for depth in (1, 2, 3, 4):
         policy = TruncationPolicy(depth=depth)
         bound = closed_tail_q_eval(system, candidate, 0.0, policy)[1]
@@ -745,7 +792,7 @@ def test_slice_closure_builds_no_lift_for_far_or_wide_candidates(monkeypatch, sc
     monkeypatch.setattr(kernel, "_lift", counted)
     system = ScaleDigitSystem(scale, digits)
     candidate = SpectrumCandidate(elements)
-    assert kernel._slice_closure(system, candidate) is None
+    assert len(kernel._slice_closure(system, candidate)) == 1  # P_0 alone
     for xi in (0.0, 0.3, 0.77):
         assert_matches_leaf_tail(system, candidate, xi, TruncationPolicy(depth=3))
     assert lifts == []
@@ -753,16 +800,16 @@ def test_slice_closure_builds_no_lift_for_far_or_wide_candidates(monkeypatch, sc
 
 @pytest.mark.parametrize("scale,digits,elements,depth", QGRID_PAIRS)
 def test_slice_closure_covers_the_qgrid_pairs(monkeypatch, scale, digits, elements, depth):
-    # no timing: count the prefixes of depth - 2 digits left to the leaves.
+    # no timing: count the prefixes of depth - 2 digits left open.
     # Every prefix with a product above the cutoff closes: P_2's domain is
     # P_0's own, [-scale*switch, scale*switch], and a prefix's y lies below
     # max S/(|N|-1) = 6/7 for N = 8, against a switch of 0.87
     opened = []
     close = kernel._close_prefixes
 
-    def counted(level, closure, frac, vstep, period, cutoff):
-        rest, total, err = close(level, closure, frac, vstep, period, cutoff)
-        opened.append(([p2 for p2 in rest.values() if p2 >= cutoff], len(level)))
+    def counted(level, closure, frac, vstep, period, cutoff, count):
+        rest, total, err = close(level, closure, frac, vstep, period, cutoff, count)
+        opened.append((count, [p2 for p2 in rest.values() if p2 >= cutoff], len(level)))
         return rest, total, err
 
     monkeypatch.setattr(kernel, "_close_prefixes", counted)
@@ -770,23 +817,27 @@ def test_slice_closure_covers_the_qgrid_pairs(monkeypatch, scale, digits, elemen
     candidate = SpectrumCandidate(elements)
     for xi in (0.25, 0.5, 0.75):
         q_eval_with_bound(system, candidate, xi, TruncationPolicy(depth=depth))
-    prefixes = len(elements) ** (depth - 2)
-    assert [total for _, total in opened] == [prefixes] * 3
-    assert all(rest == [] for rest, _ in opened), opened
+    size = len(elements)
+    # P_2 sees every prefix and leaves none open, so P_1 sees none
+    assert opened == [(size**2, [], size ** (depth - 2)), (size, [], 0)] * 3, opened
 
 
 @pytest.mark.parametrize("width", [10**20, 10**40])
 def test_q_eval_answers_wide_digits_as_the_closed_tail(width):
     # moments of Z/rho lie in [0, 1]: a spread far past the float range of
-    # its powers still gets a series
+    # its powers still gets a series.  The value is held to exact phases:
+    # the former closed tail reduces k*frac by no integer, so at width 1e20
+    # it is itself off by more than its bound
     system = ScaleDigitSystem(3, (0, width))
     candidate = SpectrumCandidate((0, 1))
     policy = TruncationPolicy(depth=3)
+    slice_points = lambda_enumerate(3, candidate, policy.depth)
+    rounding = 4 * len(slice_points) * sys.float_info.epsilon
     for xi in (0.0, 0.25, 0.5 + 1 / 7, -1.3):
         value, bound = q_eval_with_bound(system, candidate, xi, policy)
-        closed_value, closed_bound = closed_tail_q_eval(system, candidate, xi, policy)
-        assert value == pytest.approx(closed_value, rel=1e-15, abs=0.0), (xi, value, closed_value)
-        assert bound <= closed_bound
+        exact = math.fsum(exact_phase_mu_hat_sq(system, Fraction(xi) + lam) for lam in slice_points)
+        assert abs(value - exact) <= bound + rounding, (xi, value, exact, bound)
+        assert bound <= closed_tail_q_eval(system, candidate, xi, policy)[1]
 
 
 def test_q_eval_refuses_digits_past_the_spread_limit():
@@ -807,17 +858,16 @@ def test_q_eval_within_bound_of_exact_phases_exhaustively(epsilon):
     rng = random.Random(11)
     policy = TruncationPolicy(depth=2, product_epsilon=epsilon)
     digit_sets = [d for r in (1, 2, 3) for d in itertools.combinations(range(-2, 3), r) if 0 in d]
-    digit_sets += [(0, 2000), (-300, 0, 7)]
+    digit_sets += [(0, 2000), (-300, 0, 7), (0, 10**5), (0, 10**7)]
     window = [e for e in range(-3, 7) if e]
     for scale in [n for m in range(2, 6) for n in (m, -m)]:
         for digits in digit_sets:
             system = ScaleDigitSystem(scale, digits)
             candidate = SpectrumCandidate((0, *rng.sample(window, len(digits) - 1)))
             slice_points = lambda_enumerate(scale, candidate, policy.depth)
-            # 4 eps per square summed: every factor past the tree reduces its
-            # phase mod its period in integers.  The spread still reaches the
-            # tree's factors through their unreduced k*frac; on this set that
-            # stays within the allowance, at spread 1e7 it does not yet
+            # 4 eps per square summed: every factor reduces the integer part
+            # of its phase, k*(node + frac) = k*node + q + r with r < 1, mod
+            # its period in integers, so the spread reaches no float
             rounding = 4 * len(slice_points) * sys.float_info.epsilon
             for xi in (0.0, 0.25, 0.5 + 1 / 7, -1.3, 17.0 + 1 / 3):
                 value, bound = q_eval_with_bound(system, candidate, xi, policy)

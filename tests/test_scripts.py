@@ -63,14 +63,15 @@ def test_order_stress_times_the_cases_it_is_given():
 
 
 def test_kernel_stress_times_the_cases_it_is_given():
-    proc = run_script("kernel_stress.py", "qgrid-8", "far-4-20", "far-3-600", "collision-4")
+    proc = run_script("kernel_stress.py", "qgrid-8", "asym-5", "far-4-20", "far-3-600", "collision-4")
     assert (proc.returncode, proc.stderr) == (0, "")
     rows = [row.split(",") for row in proc.stdout.splitlines()]
     assert rows[0] == ["case", "seconds", "answer"]
     assert [(row[0], row[2]) for row in rows[1:]] == [
         ("qgrid-8", "0.999890308096"),  # Q at xi = 0.3 for (8, {0,1,2,3}), S = {0,2,4,6}, depth 6
+        ("asym-5", "1.24161790923"),  # (-5, {0,1}), S = {0,7}, depth 4: P_1 closes what P_2 leaves
         ("far-4-20", "2.80101807642"),  # 4^20 = 0 mod 4 in S: the slice takes its points
-        ("far-3-600", "0.736839729322"),  # (2, {0,1}), S = {0, 3^600}: no closure, the leaves
+        ("far-3-600", "0.736839729322"),  # (2, {0,1}), S = {0, 3^600}: P_0 alone, the leaf rows
         ("collision-4", "19.1261987806"),  # S = {0,1,4}: 4 + 0 = 0 + 4, slice points merged
     ]
     assert all(float(row[1]) >= 0 for row in rows[1:])
