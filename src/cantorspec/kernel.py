@@ -21,11 +21,16 @@ exceeds a point's integer part and t = |x|/|N|^j is within the switch,
 the rest of the infinite product is one polynomial.
 
 The tail series.  Past an argument t the factors left multiply to
-|mu_hat(t)|^2 = E cos(2*pi*t*Z), with Z = X - Y for X, Y independent of law
-mu.  Its Taylor series to M = TAIL_TERMS terms is off by at most
-(2*pi*t)^(2M) E[Z^(2M)]/(2M)!, the Lagrange remainder of cos, then an
-expectation (`ScaleDigitSystem.tail_series`); that is 2^-70 at the switch,
-t = 0.39 (|N|-1)/spread or more.
+|mu_hat(t)|^2 = E cos(2*pi*t*Z), Z = X - Y for X, Y independent of law mu,
+|Z| <= rho = spread/(|N|-1).  In s = (scale*t)^2, scale = 2*pi*rho, that
+is sum_{n<M} (-1)^n m_n s^n/(2n)! + R, m_n = E[(Z/rho)^(2n)], M =
+TAIL_TERMS, and |R| <= m_M s^M/(2M)!, the Lagrange remainder of cos, then
+an expectation (`_tail_series`); the switch, where that reaches 2^-70, is
+t = 0.39 (|N|-1)/spread or more.  The moments come from Z = (delta + Z')/N in law,
+delta = d - d': E[Z^n](|N|^n - 1) = sum_{i<n} C(n, i) E[delta^(n-i)]
+E[Z^i], and odd moments vanish.  Scaled by (rho*|N|)^-n, every moment and
+power of delta lies in [0, 1] and every term is nonnegative, so no digit
+spread overflows them.
 
 The slice closure.  The points of a prefix n = floor(xi) + lambda' of
 depth - k digits with product p2 sum to p2 Q_k(y), y = (n + frac(xi)) /
@@ -37,9 +42,10 @@ series, the shift exactly) on the v of P_0's domain whose preimages
 (v + scale*s)/N lie in P_(k-1)'s: an interval, which must hold 0.  The
 error goes along pointwise (P_(k-1)'s at the preimages times M_s <= M_s(0)
 + L|v|, plus what truncating drops) to remainder * v^(2M) + offset + slope
-* |v|, offset 0 where M_s(0) = 0 for every s but 0.  `_slice_closure`
-finds the domains first and then builds each M_s once, 2|S| series
-products per call whatever the size of s.  It gives P_0 alone for D = {0},
+* |v|, offset 0 where M_s(0) = 0 for every s but 0.  Once per call, with
+no cache, `_slice_closure` takes the pair's weights, Lipschitz sum and
+tail series, finds the domains and then builds each M_s once: 2|S| series
+products whatever the size of s.  It gives P_0 alone for D = {0},
 where S has two elements congruent mod |N| (points may coincide), or where
 P_1's domain is empty or past the float range.
 
@@ -59,21 +65,30 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import accumulate
 
 from .systems import (
     DEFAULT_POLICY,
     PreconditionError,
-    SPREAD_LIMIT,
     ScaleDigitSystem,
     SpectrumCandidate,
-    TAIL_TERMS,
     TruncationPolicy,
     _check_slice_budget,
 )
 
 _TWO_PI = 2.0 * math.pi
+#: Terms M of the tail series, and its remainder at the switch.
+TAIL_TERMS = 14
+TAIL_SWITCH_REMAINDER = 2.0**-70
+#: Digit spreads from here on (about 3.7e50) are refused as past the float
+#: range, where the former float tail refused them; no computation needs it.
+SPREAD_LIMIT = 2**168
+#: Terms 2M of each P_k, and 1/n! for n <= 2M: their Taylor coefficients
+#: and the tail series' cos.
+_ORDER = 2 * TAIL_TERMS
+_INV_FACTORIALS = tuple(1.0 / math.factorial(n) for n in range(_ORDER + 1))
 
 
 @dataclass(frozen=True)
@@ -92,6 +107,18 @@ def _split(xi) -> tuple[int, float]:
         raise PreconditionError(f"xi must be finite, got {xi!r}")
     frac, whole = math.modf(x)
     return int(whole), frac
+
+
+def _lipschitz(system) -> float:
+    """2*pi*sum|d|/|D|, so |m_D(eta) - 1| <= lipschitz * |eta|; the tail
+    bound of the Fourier product is built from it.  Digits past the float
+    range are refused."""
+    try:
+        return _TWO_PI * sum(abs(d) for d in system.digits) / system.size
+    except OverflowError:
+        raise PreconditionError(
+            "the digits' sum of |d| is past the float range of the Fourier product's tail bound"
+        ) from None
 
 
 def _truncation(lipschitz: float, base: int, x: float, target: float) -> tuple[int, float]:
@@ -118,6 +145,15 @@ def _truncation(lipschitz: float, base: int, x: float, target: float) -> tuple[i
         ) from None
 
 
+def _difference_weights(system) -> list[tuple[int, float]]:
+    """Pairs (k, 4*c_k/|D|^2) over the positive differences k of the
+    digits, c_k = #{(d, d') in D^2 : d - d' = k}, so that
+    |m_D(eta)|^2 = 1 - sum_k w_k * sin^2(pi*k*eta)."""
+    counts = Counter(b - a for i, a in enumerate(system.digits) for b in system.digits[i + 1 :])
+    scale = 4.0 / (system.size * system.size)
+    return [(k, scale * c) for k, c in sorted(counts.items())]
+
+
 def _phases(weights, frac: float):
     """(k, w, q, r) per digit difference, k*frac = q + r exactly for an
     integer q and a float r in [0, 1]: frac = num/den in integers, and
@@ -130,7 +166,7 @@ def _symbol_sq(weights, whole: int, frac: float, power: int) -> float:
     """|m_D((whole + frac) / power)|^2 for a positive integer power.
 
     Uses |m_D(eta)|^2 = 1 - sum_k w_k sin^2(pi*k*eta) over the digit
-    differences (`ScaleDigitSystem.difference_weights`).  sin^2(pi*x) has
+    differences (`_difference_weights`).  sin^2(pi*x) has
     period 1, so the integer part k*whole + q of each phase (`_phases`) is
     reduced mod power in integers before it and the rest r meet a float.
     Clamped at 0 against rounding.
@@ -166,7 +202,7 @@ def mu_hat(system: ScaleDigitSystem, xi, policy: TruncationPolicy = DEFAULT_POLI
     """
     x = float(xi)
     whole, frac = _split(x)
-    lipschitz = system.lipschitz
+    lipschitz = _lipschitz(system)
     if x == 0.0 or lipschitz == 0.0:  # lipschitz 0: D = {0}, the point mass
         return TruncatedProduct(complex(1.0), 0.0, 0)
     base = system.modulus
@@ -237,26 +273,50 @@ def _q_eval(system, candidate, xi, policy, closure):
         ) from None
 
 
-#: Terms 2M of each P_k, and 1/n! for their Taylor coefficients.
-_ORDER = 2 * TAIL_TERMS
-_INV_FACTORIALS = tuple(1.0 / math.factorial(n) for n in range(_ORDER))
+def _tail_series(system, weights):
+    """(scale, coeffs, remainder, switch) of the tail series (module
+    docstring), coeffs being its M coefficients in s."""
+    spread = system.digits[-1] - system.digits[0]
+    if not spread:  # D = {0}: the transform is 1 everywhere
+        return 0.0, (1.0,) + (0.0,) * (TAIL_TERMS - 1), 0.0, math.inf
+    base = system.modulus
+    shrink = (1 / base) ** 2  # |N|^-2
+    # E[(delta/(rho*|N|))^(2j)] for j <= M, from (k/(rho*|N|))^2 and w_k/2
+    ratios = [((k * (base - 1)) / (spread * base)) ** 2 for k, _ in weights]
+    powers = [w / 2.0 for _, w in weights]
+    delta = [1.0]
+    for _ in range(TAIL_TERMS):
+        powers = [p * r for p, r in zip(powers, ratios)]
+        delta.append(sum(powers))
+    moments = [1.0]  # E[(Z/rho)^(2n)]
+    for n in range(1, TAIL_TERMS + 1):
+        acc = sum(math.comb(2 * n, 2 * i) * delta[n - i] * shrink**i * moments[i] for i in range(n))
+        moments.append(acc / (1.0 - shrink**n))
+    coeffs = tuple((-1) ** n * moments[n] * _INV_FACTORIALS[2 * n] for n in range(TAIL_TERMS))
+    remainder = moments[TAIL_TERMS] * _INV_FACTORIALS[_ORDER]
+    scale = _TWO_PI * (spread / (base - 1))
+    switch = math.sqrt((TAIL_SWITCH_REMAINDER / remainder) ** (1.0 / TAIL_TERMS)) / scale
+    return scale, coeffs, remainder, switch
 
 
 def _slice_closure(system, candidate):
-    """[P_0, P_1, P_2], [P_0, P_1] or [P_0]; P_k = (coeffs, lo, hi,
-    remainder, offset, slope).  M_s(0) is `_symbol_sq`, 0 at the exact zeros
-    where the points' products are, and M_s^(n)(0) = sum_k w_k/2 rate_k^n
-    cos^(n)(phase_k)."""
+    """(weights, lipschitz, scale, polys): the pair's difference weights,
+    Lipschitz sum and tail scale for `_completeness_sum`, and polys = [P_0,
+    P_1, P_2], [P_0, P_1] or [P_0], P_k = (coeffs, lo, hi, remainder,
+    offset, slope).  M_s(0) is `_symbol_sq`, 0 at the exact zeros where the
+    points' products are, and M_s^(n)(0) = sum_k w_k/2 rate_k^n cos^(n)(phase_k)."""
+    lipschitz = _lipschitz(system)
     spread = system.digits[-1] - system.digits[0]
-    try:
-        scale, coeffs, remainder, switch = system.tail_series
-    except OverflowError:
+    if spread >= SPREAD_LIMIT:
         raise PreconditionError(
             f"the Q kernel refuses the digit spread {spread}: from "
             f"SPREAD_LIMIT = 2^{SPREAD_LIMIT.bit_length() - 1} on it passes the float range"
-        ) from None
+        )
+    weights = _difference_weights(system)
+    scale, coeffs, remainder, switch = _tail_series(system, weights)
     reach = scale * switch if remainder else math.inf  # D = {0}: P_0 = 1 for every v; 0 * inf is nan
-    closure = [([x for c in coeffs for x in (c, 0.0)], -reach, reach, remainder, 0.0, 0.0)]
+    polys = [([x for c in coeffs for x in (c, 0.0)], -reach, reach, remainder, 0.0, 0.0)]
+    closure = weights, lipschitz, scale, polys
     base = system.modulus
     if not remainder or len({s % base for s in candidate.elements}) < candidate.size:
         return closure  # D = {0}, or slice points that may coincide
@@ -273,9 +333,8 @@ def _slice_closure(system, candidate):
         return closure  # s or N past the float range: the sum refuses its points
     if len(domains) == 1:
         return closure
-    weights = system.difference_weights
     rates = [k * (base - 1) / (spread * base) for k, _ in weights]
-    decays = [[w / 2.0 * rate**n * f for n, f in enumerate(_INV_FACTORIALS)] for (_, w), rate in zip(weights, rates)]
+    decays = [[w / 2.0 * rate**n * f for n, f in enumerate(_INV_FACTORIALS[:_ORDER])] for (_, w), rate in zip(weights, rates)]
     series = []
     for s in candidate.elements:
         m = [_symbol_sq(weights, s, 0.0, base)] + [0.0] * (_ORDER - 1)
@@ -287,7 +346,7 @@ def _slice_closure(system, candidate):
     # L = max |M_s'|, and M_s's remainder over v^(2M)
     steps = sum(decay[1] for decay in decays), sum(decay[-1] * rate for decay, rate in zip(decays, rates)) / _ORDER
     for count, domain in enumerate(domains[1:]):
-        closure.append(_lift(closure[-1], domain, system.scale, centres, series, steps, candidate.size**count))
+        polys.append(_lift(polys[-1], domain, system.scale, centres, series, steps, candidate.size**count))
     return closure
 
 
@@ -302,7 +361,7 @@ def _lift(level, domain, scale, centres, series, steps, points):
     reach = max(-lo, hi)
     shrink = 1.0 / scale
     moments = [c * math.factorial(n) for n, c in enumerate(coeffs)]  # P_(k-1)'s derivatives at 0
-    powers = [shrink**j * f for j, f in enumerate(_INV_FACTORIALS)]
+    powers = [shrink**j * f for j, f in enumerate(_INV_FACTORIALS[:_ORDER])]
     spans = [reach**n for n in range(_ORDER)]
     lifted = [0.0] * _ORDER
     far = near = lever = 0.0
@@ -322,12 +381,12 @@ def _lift(level, domain, scale, centres, series, steps, points):
     return lifted, lo, hi, far, near, lever
 
 
-def _close_prefixes(level, closure, frac, vstep, period, cutoff, count):
+def _close_prefixes(level, poly, frac, vstep, period, cutoff, count):
     """(the prefixes left open, the closed ones' sum, its bound), v = (node +
     frac) * vstep: a prefix whose p2 is below the cutoff stops there, as
     `count` points at p2 each, and one closes if |node| < period and lo <= v
     <= hi."""
-    coeffs, lo, hi, remainder, offset, slope = closure
+    coeffs, lo, hi, remainder, offset, slope = poly
     # 2M coefficients: the Horner sum is unrolled below; a loop over them
     # made the benchmark's qgrid items about 18 % slower at the median
     (a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13,
@@ -357,10 +416,10 @@ def _close_prefixes(level, closure, frac, vstep, period, cutoff, count):
 def _completeness_sum(system, candidate, whole: int, frac: float, policy, closure) -> tuple[float, float]:
     """`q_eval_with_bound` past its checks; a float overflow anywhere here
     means the input is past the float range."""
+    weights, lipschitz, scale, polys = closure
     base = system.modulus
-    phases = _phases(system.difference_weights, frac)
+    phases = _phases(weights, frac)
     cutoff = (policy.product_epsilon / 4.0) ** 2
-    scale = system.tail_series[0]
     level = {whole: 1.0}  # xi's integer part plus a slice prefix -> |product|^2
     low = high = whole  # and the slice's ends so far
     left = policy.depth  # slice digits not yet added
@@ -373,10 +432,10 @@ def _completeness_sum(system, candidate, whole: int, frac: float, policy, closur
             if left == 1:
                 # refuse as mu_hat would: the slice's largest |xi + lambda| is at one end
                 far = max(abs(low + frac), abs(high + frac))
-                _truncation(system.lipschitz, base, far, math.log1p(policy.product_epsilon))
-        if left < len(closure):  # P_left closes a prefix with left digits to add
+                _truncation(lipschitz, base, far, math.log1p(policy.product_epsilon))
+        if left < len(polys):  # P_left closes a prefix with left digits to add
             level, closed, bound = _close_prefixes(
-                level, closure[left], frac, scale / step, power, cutoff, candidate.size**left
+                level, polys[left], frac, scale / step, power, cutoff, candidate.size**left
             )
             total += closed
             err += bound
@@ -431,6 +490,6 @@ def transfer_residual(
     rhs = 0.0
     for s in candidate.elements:
         inner = (float(xi) + s) / system.scale
-        weight = _symbol_sq(system.difference_weights, whole + s, frac, system.modulus)
+        weight = _symbol_sq(closure[0], whole + s, frac, system.modulus)
         rhs += weight * _q_eval(system, candidate, inner, inner_policy, closure)[0]
     return abs(lhs - rhs)

@@ -14,8 +14,6 @@ are decided one at a time, as callers ask about them (see `cyclotomic`).
 from __future__ import annotations
 
 import functools
-import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,17 +31,6 @@ class BudgetExceededError(RuntimeError):
 #: Hard ceiling on the number of points a spectrum slice (or a pair power's
 #: Minkowski sum) may enumerate, read at call time.
 LAMBDA_BUDGET = 1_000_000
-
-#: Terms M of the polynomial that closes each point's tail in the Q kernel,
-#: and the remainder at which the kernel switches to it.
-TAIL_TERMS = 14
-TAIL_SWITCH_REMAINDER = 2.0**-70
-#: Digit spreads from here on (about 3.7e50) are refused by the Q kernel as
-#: past its float range.
-#: Neither its tail series nor its factors, whose phases are reduced exactly,
-#: need such a limit; it keeps the refusal that the former float tail made
-#: from about this spread on, so the kernel answers the same digit sets.
-SPREAD_LIMIT = 2**168
 
 
 def _check_slice_budget(size: int, depth: int, grid: int = 1) -> None:
@@ -117,77 +104,6 @@ class ScaleDigitSystem:
         the same reach as a single question; an order asked before or
         after is not tested again."""
         return self._order_test.all_orders()
-
-    @functools.cached_property
-    def lipschitz(self) -> float:
-        """2*pi*sum|d|/|D|, so |m_D(eta) - 1| <= lipschitz * |eta|; the tail
-        bound of the Fourier product is built from it.  Digits past the
-        float range are refused."""
-        try:
-            return 2.0 * math.pi * sum(abs(d) for d in self.digits) / len(self.digits)
-        except OverflowError:
-            raise PreconditionError(
-                "the digits' sum of |d| is past the float range of the Fourier product's tail bound"
-            ) from None
-
-    @functools.cached_property
-    def difference_weights(self) -> tuple[tuple[int, float], ...]:
-        """Pairs (k, 4*c_k/|D|^2) over the positive differences k of the
-        digits, c_k = #{(d, d') in D^2 : d - d' = k}, so that
-        |m_D(eta)|^2 = 1 - sum_k w_k * sin^2(pi*k*eta)."""
-        counts = Counter(b - a for i, a in enumerate(self.digits) for b in self.digits[i + 1 :])
-        scale = 4.0 / (self.size * self.size)
-        return tuple((k, scale * c) for k, c in sorted(counts.items()))
-
-    @functools.cached_property
-    def tail_series(self) -> tuple[float, tuple[float, ...], float, float]:
-        """(scale, coeffs, remainder, switch): |mu_hat(t)|^2 as a polynomial
-        of M = TAIL_TERMS terms in s = (scale*t)^2.
-
-        With Z = X - Y for X, Y independent of law mu, |mu_hat(t)|^2 =
-        E cos(2*pi*t*Z).  Let rho = spread/(|N|-1), the largest |Z|, and
-        scale = 2*pi*rho.  Then |mu_hat(t)|^2 = sum_{n<M} c_n s^n + R with
-        c_n = (-1)^n E[(Z/rho)^(2n)]/(2n)! and |R| <= remainder * s^M,
-        remainder = E[(Z/rho)^(2M)]/(2M)!: the Lagrange remainder of cos,
-        then an expectation.  `coeffs` is c_0, ..., c_{M-1}, and `switch`
-        is the t where remainder * s^M reaches TAIL_SWITCH_REMAINDER.
-
-        The moments come from Z = (delta + Z')/N in law, delta = d - d':
-        E[Z^n](|N|^n - 1) = sum_{i<n} C(n, i) E[delta^(n-i)] E[Z^i], and odd
-        moments vanish.  Divided through by (rho*|N|)^n, every moment and
-        every power of delta/(rho*|N|) lies in [0, 1] and every term is
-        nonnegative, so no digit spread overflows them.  A spread from
-        SPREAD_LIMIT on raises OverflowError, which the Q kernel refuses
-        as past its float range.
-        """
-        spread = self.digits[-1] - self.digits[0]
-        if not spread:  # D = {0}: the transform is 1 everywhere
-            return 0.0, (1.0,) + (0.0,) * (TAIL_TERMS - 1), 0.0, math.inf
-        if spread >= SPREAD_LIMIT:
-            raise OverflowError(f"digit spread {spread} is past SPREAD_LIMIT")
-        base = self.modulus
-        shrink = (1 / base) ** 2  # |N|^-2
-        # E[(delta/(rho*|N|))^(2j)] for j <= M, from (k/(rho*|N|))^2 and w_k/2
-        ratios = [((k * (base - 1)) / (spread * base)) ** 2 for k, _ in self.difference_weights]
-        powers = [w / 2.0 for _, w in self.difference_weights]
-        delta = [1.0]
-        for _ in range(TAIL_TERMS):
-            powers = [p * r for p, r in zip(powers, ratios)]
-            delta.append(sum(powers))
-        moments = [1.0]  # E[(Z/rho)^(2n)]
-        for n in range(1, TAIL_TERMS + 1):
-            acc = sum(_EVEN_BINOMIALS[n][i] * delta[n - i] * shrink**i * moments[i] for i in range(n))
-            moments.append(acc / (1.0 - shrink**n))
-        coeffs = tuple(moments[n] * _COS_TAYLOR[n] for n in range(TAIL_TERMS))
-        remainder = moments[TAIL_TERMS] * abs(_COS_TAYLOR[TAIL_TERMS])
-        scale = 2.0 * math.pi * (spread / (base - 1))
-        switch = math.sqrt((TAIL_SWITCH_REMAINDER / remainder) ** (1.0 / TAIL_TERMS)) / scale
-        return scale, coeffs, remainder, switch
-
-
-#: C(2n, 2i) and (-1)^n/(2n)! for n <= TAIL_TERMS, for `tail_series`.
-_EVEN_BINOMIALS = [[float(math.comb(2 * n, 2 * i)) for i in range(n)] for n in range(TAIL_TERMS + 1)]
-_COS_TAYLOR = [(-1) ** n / math.factorial(2 * n) for n in range(TAIL_TERMS + 1)]
 
 
 @dataclass(frozen=True)

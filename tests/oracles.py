@@ -31,8 +31,8 @@ import math
 from fractions import Fraction
 
 from cantorspec.cyclotomic import order_vanishes
-from cantorspec.kernel import _split, _symbol_sq
-from cantorspec.systems import TAIL_TERMS, ConsistencyError, PreconditionError
+from cantorspec.kernel import TAIL_TERMS, _difference_weights, _split, _symbol_sq, _tail_series
+from cantorspec.systems import ConsistencyError, PreconditionError
 
 
 def _squarefree_vanishes(terms: dict[int, int], n: int, primes: list[int]) -> bool:
@@ -446,7 +446,7 @@ def closed_tail_q_eval(system, candidate, xi, policy) -> tuple[float, float]:
     log(1 - u) = -u - u^2/2 - R' with 0 <= R' <= 2u^3/3 for u <= 1/2."""
     whole, frac = _split(xi)
     base = system.modulus
-    weights = system.difference_weights
+    weights = _difference_weights(system)
     cutoff = (policy.product_epsilon / 4.0) ** 2
     a2 = math.pi**2 * sum(w * k**2 for k, w in weights)
     a4 = math.pi**4 * sum(w * k**4 for k, w in weights) / 3.0
@@ -490,14 +490,14 @@ def closed_tail_q_eval(system, candidate, xi, policy) -> tuple[float, float]:
 def leaf_tail_q_eval(system, candidate, xi, policy) -> tuple[float, float]:
     """The former `q_eval_with_bound`, kept as the reference for the slice
     closure: the prefix tree runs to the full depth, and every slice point
-    closes its own tail with the series `ScaleDigitSystem.tail_series`, of
+    closes its own tail with the series `cantorspec.kernel._tail_series`, of
     bound p2 * remainder * s^M on its squared modulus p2 before the series,
     after factors while its t is above the switch."""
     whole, frac = _split(xi)
     base = system.modulus
-    weights = system.difference_weights
+    weights = _difference_weights(system)
     cutoff = (policy.product_epsilon / 4.0) ** 2
-    scale, coeffs, remainder, switch = system.tail_series
+    scale, coeffs, remainder, switch = _tail_series(system, weights)
     level = {whole: 1.0}
     power = 1
     step = 1

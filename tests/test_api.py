@@ -100,6 +100,12 @@ def test_only_the_entry_points_import_the_float_kernel():
     importers = {path.stem for path in PACKAGE_DIR.glob("*.py") if "kernel" in package_imports(path)}
     assert importers == {"cli", "__init__"}
     assert package_imports(PACKAGE_DIR / "kernel.py") == {"systems"}
+    # and the value types hold no float code: the kernel's constants and
+    # tail series live in the kernel
+    systems = ast.parse((PACKAGE_DIR / "systems.py").read_text())
+    imported = {alias.name for node in ast.walk(systems) if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in ast.walk(systems) if isinstance(node, ast.ImportFrom) and node.level == 0}
+    assert not imported & {"math", "collections"}, imported
 
 
 def test_every_private_name_is_used():

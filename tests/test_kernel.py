@@ -1,5 +1,4 @@
 import cmath
-import functools
 import itertools
 import math
 import random
@@ -13,8 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from cantorspec import kernel
 from cantorspec.cli import main
-from cantorspec.kernel import _symbol_sq
-from cantorspec.systems import SPREAD_LIMIT, TAIL_SWITCH_REMAINDER, TAIL_TERMS
+from cantorspec.kernel import SPREAD_LIMIT, TAIL_SWITCH_REMAINDER, TAIL_TERMS, _difference_weights, _symbol_sq
 from cantorspec import (
     BudgetExceededError,
     PreconditionError,
@@ -333,7 +331,7 @@ def transfer_bound(system, candidate, xi, depth, policy):
     Q_depth((xi+s)/N) on the other side of the recursion."""
     bound = q_eval_with_bound(system, candidate, xi, replace(policy, depth=depth + 1))[1]
     for s in candidate.elements:
-        weight = _symbol_sq(system.difference_weights, s, xi, system.modulus)
+        weight = _symbol_sq(_difference_weights(system), s, xi, system.modulus)
         bound += weight * q_eval_with_bound(system, candidate, (xi + s) / system.scale, replace(policy, depth=depth))[1]
     return bound
 
@@ -430,6 +428,27 @@ def test_q_eval_refuses_a_candidate_past_the_float_range():
         transfer_residual(ScaleDigitSystem(2, (0, 1)), candidate, 0.3, 2)
 
 
+def test_lipschitz_refuses_digits_past_the_float_range():
+    # 2*pi*sum|d|/|D| bounds the Fourier product's tail, and every entry
+    # point refuses digits past its float range.  (10^400, 10^400 + 1) has
+    # spread 1, so of the Q kernel's checks only this sum refuses it
+    assert kernel._lipschitz(ScaleDigitSystem(3, (0, 10**300))) == pytest.approx(math.pi * 1e300)
+    refusal = "the digits' sum of |d| is past the float range of the Fourier product's tail bound"
+    candidate = SpectrumCandidate((0, 1))
+    for digits in [(0, 10**400), (10**400, 10**400 + 1), (-(10**309), 0)]:
+        system = ScaleDigitSystem(3, digits)
+        calls = [
+            lambda: kernel._lipschitz(system),
+            lambda: mu_hat(system, 0.25),
+            lambda: q_eval_with_bound(system, candidate, 0.25, TruncationPolicy(depth=3)),
+            lambda: transfer_residual(system, candidate, 0.25, 2),
+        ]
+        for call in calls:
+            with pytest.raises(PreconditionError) as refused:
+                call()
+            assert str(refused.value) == refusal, (digits, call)
+
+
 def test_transfer_residual_requires_matching_sizes():
     with pytest.raises(PreconditionError):
         transfer_residual(JP_SYSTEM, SpectrumCandidate((0, 1, 2)), 0.1, 2)
@@ -493,10 +512,19 @@ def test_mu_hat_within_bound_of_exact_phases(scale, digits, xi):
 )
 def test_symbol_sq_is_squared_symbol(digits, whole, frac, power):
     system = ScaleDigitSystem(2, tuple(digits))
-    value = _symbol_sq(system.difference_weights, whole, frac, power)
+    value = _symbol_sq(_difference_weights(system), whole, frac, power)
     eta = Fraction(whole % power) / power + Fraction(frac) / power
     assert 0.0 <= value <= 1.0
     assert abs(value - abs(symbol_eval(system.digits, float(eta))) ** 2) < 1e-13
+
+
+def tail_series(system):
+    return kernel._tail_series(system, _difference_weights(system))
+
+
+def slice_polys(system, candidate):
+    """[P_0], [P_0, P_1] or [P_0, P_1, P_2] of the pair's slice closure."""
+    return kernel._slice_closure(system, candidate)[-1]
 
 
 def horner(coeffs, s):
@@ -512,7 +540,7 @@ def test_tail_series_remainder_within_its_bound(scale, digits):
     # the polynomial against |mu_hat(t)|^2 from exact phases, at the switch
     # and below it, where the remainder is largest
     system = ScaleDigitSystem(scale, digits)
-    scale_t, coeffs, remainder, switch = system.tail_series
+    scale_t, coeffs, remainder, switch = tail_series(system)
     assert len(coeffs) == TAIL_TERMS
     assert remainder * (scale_t * switch) ** (2 * TAIL_TERMS) == pytest.approx(TAIL_SWITCH_REMAINDER)
     for t in [switch * f for f in (1.0, 0.5, 0.25, 0.1, 1 / 30)]:
@@ -526,24 +554,24 @@ def test_tail_series_remainder_within_its_bound(scale, digits):
 def test_tail_series_switch_covers_the_qgrid_pairs(scale, digits):
     # a point's t = |xi + lambda|/|N|^j lies below 1; a switch at 1/2 or
     # more leaves it at most one factor past the tree before the series
-    assert ScaleDigitSystem(scale, digits).tail_series[3] >= 0.5
+    assert tail_series(ScaleDigitSystem(scale, digits))[3] >= 0.5
 
 
 def test_tail_series_of_the_point_mass_is_one():
-    assert ScaleDigitSystem(5, (0,)).tail_series == (0.0, (1.0,) + (0.0,) * (TAIL_TERMS - 1), 0.0, math.inf)
+    assert tail_series(ScaleDigitSystem(5, (0,))) == (0.0, (1.0,) + (0.0,) * (TAIL_TERMS - 1), 0.0, math.inf)
 
 
-def test_tail_series_is_built_once_per_system(monkeypatch, capsys):
+def test_tail_series_is_built_once_per_call(monkeypatch, capsys):
+    # with the slice closure: once for the |S| + 1 sums of a transfer
+    # recursion, once for the grid of a qgrid command
     built = []
-    series = ScaleDigitSystem.tail_series.func
+    series = kernel._tail_series
 
-    def counted(system):
+    def counted(system, weights):
         built.append(system)
-        return series(system)
+        return series(system, weights)
 
-    spy = functools.cached_property(counted)
-    spy.__set_name__(ScaleDigitSystem, "tail_series")
-    monkeypatch.setattr(ScaleDigitSystem, "tail_series", spy)
+    monkeypatch.setattr(kernel, "_tail_series", counted)
     transfer_residual(ScaleDigitSystem(6, (0, 1, 2)), SpectrumCandidate((0, 2, 4)), 0.3, 3)
     assert len(built) == 1
     assert main(["measure", "qgrid", "--n", "4", "--digits", "0,1", "--s", "0,2", "--grid", "12"]) == 0
@@ -635,7 +663,7 @@ def test_slice_closure_matches_the_leaf_tail_exhaustively():
             system = ScaleDigitSystem(scale, digits)
             for _ in range(2):
                 candidate = SpectrumCandidate((0, *rng.sample(window, len(digits) - 1)))
-                closed += len(kernel._slice_closure(system, candidate)) > 1  # more than [P_0]
+                closed += len(slice_polys(system, candidate)) > 1  # more than [P_0]
                 for xi in (0.0, 0.25, 0.5 + 1 / 7, -1.3, 3.0):
                     assert_matches_leaf_tail(system, candidate, xi, policy)
     # of 480: the rest are the point mass, have S not distinct mod N, or (80
@@ -684,8 +712,8 @@ ASYMMETRIC_CASES = [(-6, (0, 1, 2), (-5, 0, 2)), (-5, (0, 1), (0, 7))]
 def test_slice_closure_matches_on_an_asymmetric_domain(scale, digits, elements):
     system = ScaleDigitSystem(scale, digits)
     candidate = SpectrumCandidate(elements)
-    closure = kernel._slice_closure(system, candidate)
-    assert len(closure) == 3 and all(abs(lo + hi) > (hi - lo) / 4 for _, lo, hi, *_ in closure[1:])
+    polys = slice_polys(system, candidate)
+    assert len(polys) == 3 and all(abs(lo + hi) > (hi - lo) / 4 for _, lo, hi, *_ in polys[1:])
     for depth in (1, 2, 3, 4):
         for xi in EDGE_XIS + (-0.3, -0.2, 0.05):
             assert_matches_leaf_tail(system, candidate, xi, TruncationPolicy(depth=depth))
@@ -708,8 +736,8 @@ def test_slice_closure_closes_a_prefix_at_each_domain_edge(monkeypatch, scale, d
     monkeypatch.setattr(kernel, "_close_prefixes", counted)
     system = ScaleDigitSystem(scale, digits)
     candidate = SpectrumCandidate(elements)
-    scale_v = system.tail_series[0]
-    for depth, (_, lo, hi, *_) in enumerate(kernel._slice_closure(system, candidate)[1:], 1):
+    _, _, scale_v, polys = kernel._slice_closure(system, candidate)
+    for depth, (_, lo, hi, *_) in enumerate(polys[1:], 1):
         for edge in (lo / scale_v, hi / scale_v):
             if abs(edge) >= 1:  # only |xi| < 1 puts the root below its period 1
                 continue
@@ -767,7 +795,7 @@ def test_slice_closure_keeps_exact_zeros_at_integer_xi(scale, digits, elements, 
     # no tolerance: the chord starts at M_s(0), not at a constant
     system = ScaleDigitSystem(scale, digits)
     candidate = SpectrumCandidate(elements)
-    assert len(kernel._slice_closure(system, candidate)) == 3
+    assert len(slice_polys(system, candidate)) == 3
     for depth in (1, 2, 3, 4):
         policy = TruncationPolicy(depth=depth)
         bound = closed_tail_q_eval(system, candidate, 0.0, policy)[1]
@@ -792,7 +820,7 @@ def test_slice_closure_builds_no_lift_for_far_or_wide_candidates(monkeypatch, sc
     monkeypatch.setattr(kernel, "_lift", counted)
     system = ScaleDigitSystem(scale, digits)
     candidate = SpectrumCandidate(elements)
-    assert len(kernel._slice_closure(system, candidate)) == 1  # P_0 alone
+    assert len(slice_polys(system, candidate)) == 1  # P_0 alone
     for xi in (0.0, 0.3, 0.77):
         assert_matches_leaf_tail(system, candidate, xi, TruncationPolicy(depth=3))
     assert lifts == []

@@ -37,13 +37,6 @@ def test_system_normalizes_and_validates():
         ScaleDigitSystem(4, (0, 1.5))
 
 
-def test_lipschitz_refuses_digits_past_the_float_range():
-    assert ScaleDigitSystem(3, (0, 10**300)).lipschitz == pytest.approx(math.pi * 1e300)
-    for digits in [(0, 10**400), (-(10**309), 0)]:
-        with pytest.raises(PreconditionError, match="past the float range"):
-            ScaleDigitSystem(3, digits).lipschitz
-
-
 def test_candidate_normalizes_and_validates():
     assert SpectrumCandidate((4, -2, 0)).elements == (-2, 0, 4)
     with pytest.raises(PreconditionError):
