@@ -12,7 +12,8 @@ by name.
 The cases are the recorded cliffs (wide digits at a large prime scale, a
 prime shared by the scale and a digit difference, which the construction
 and the pair power never ask about, a large prime in both orders that one
-check asks, 2,000 digits, the complement search of {0, 13}) and the
+check asks, 2,000 digits, the complement search of {0, 13}, the window
+search at |N| = 2 * 10^8, answered at g = 2 and refused at g = |N|) and the
 many-prime orders: a batch and single questions with hundreds of digits at
 a primorial, and a pair of digits at the product of the first 20 primes.
 
@@ -81,6 +82,10 @@ CASES = {
     "power-shared-prime-1e14": lambda: cli(
         "compat", "power", "--n", "200000000000062", "--digits", "0,100000000000031",
         "--s", "0,100000000000031", "--k", "1",
+    ),
+    "report-2e8": lambda: cli("spectrum", "report", "--n", "200000000", "--digits", "0,1"),
+    "search-dense-2e8": lambda: cli(
+        "compat", "search", "--n", "200000000", "--digits", "0,1,100000000,100000001"
     ),
     "compat-primorial-20": lambda: cli(
         "compat", "check", "--n", str(PRIMORIAL_20), "--digits", f"0,{PRIMORIAL_20 // 2}", "--s", "0,1"

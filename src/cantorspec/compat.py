@@ -14,11 +14,12 @@ The window search looks for such S with 0 in S among the integers of
 of the symbol, only the integers at which it vanishes can take part: they
 are the vertices of the zero graph through 0, joined when their difference
 is a zero too.  Each candidate set is 0 plus a clique of |D|-1 of them,
-found by a depth-first search on int bitsets over the window.  Integer x
-sits at bit x - (2-|N|), so the neighbours above x are the window bits of
-the zeros' periodic bit pattern shifted up to x; the search takes the
-lowest candidate bit first, intersects the rest with its neighbours and
-drops a branch once fewer bits remain than elements are needed.
+found by a depth-first search on int bitsets.  By Mann's bound g (see
+`cyclotomic`) every zero is (|N|/g) * t, of the order of t mod g, so the
+zero pattern has period g, not |N|: the window's multiples of |N|/g sit at
+consecutive bits, and the neighbours above bit x are that pattern shifted
+up to x; the search takes the lowest candidate bit first, intersects the
+rest with its neighbours and drops a branch once too few bits remain.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .systems import (
 #: BudgetExceededError instead of filling memory.
 SEARCH_BUDGET = 100_000
 
-# Most bytes the window search's zero pattern may take: |N| up to about 1.07e8
+# Most bytes the window search's zero pattern may take: g up to about 1.07e8
 _PATTERN_BUDGET = 1 << 27
 
 
@@ -93,7 +94,7 @@ def is_compatible(
 
 def _zero_pattern(orders: OrderTest, m: int) -> int:
     """Int with bit t set exactly when the order m / gcd(t, m) vanishes,
-    for 0 <= t < 2m and the modulus m = |N| of the orders.
+    for 0 <= t < 2m and any multiple m of every order, such as g.
 
     The residues of order b are (m/b) * u with u a unit mod b, found by
     sieving out the primes of b, which the batch of all orders keeps.  Only
@@ -124,8 +125,8 @@ def search_candidate_s(system: ScaleDigitSystem) -> list[SpectrumCandidate]:
     Putting 0 back keeps that order: where two cliques first differ, both
     differing elements lie on the same side of 0, or the smaller one lies
     below 0 and meets the 0 inserted into the other set.  More than
-    SEARCH_BUDGET candidates raise BudgetExceededError, and so does an
-    |N| past about 1.07e8, before its zero pattern is built.
+    SEARCH_BUDGET candidates raise BudgetExceededError, and so does a
+    period g of the zeros past about 1.07e8, before its pattern is built.
     """
     if system.modulus < 3:
         raise PreconditionError("the window [2-|N|, |N|-2] is degenerate for |N| = 2")
@@ -141,16 +142,17 @@ def _window_candidates(system: ScaleDigitSystem) -> Iterator[SpectrumCandidate]:
     """The candidates of `search_candidate_s` in the same order, one at a
     time, for |N| >= 2; at |N| = 2 the window is {0}, so only |D| = 1
     yields one, (0,)."""
-    m = system.modulus
-    size = m + m // 4
+    m, g = system.modulus, system._order_test.g
+    size = g + g // 4
     if size > _PATTERN_BUDGET:
         raise BudgetExceededError(
-            f"the window search at |N| = {m} builds a zero pattern of about {size} bytes "
-            f"(|N| bytes and a 2|N|-bit integer), over its budget of {_PATTERN_BUDGET} bytes"
+            f"the window search at |N| = {m} builds a zero pattern of period g = {g}, about {size} "
+            f"bytes (g bytes and a 2g-bit integer), over its budget of {_PATTERN_BUDGET} bytes"
         )
-    pattern = _zero_pattern(system._order_test, m)
-    low = 2 - m  # bit x of a window bitset stands for the integer low + x
-    vertices = (pattern >> 2) & ((1 << (2 * m - 3)) - 1)  # e = low + x has e = x + 2 (mod m)
+    pattern = _zero_pattern(system._order_test, g)
+    unit = m // g  # every zero is a multiple of |N|/g
+    reach = (m - 2) // unit  # bit x of a window bitset stands for the integer (x - reach) * unit
+    vertices = (pattern >> (-reach % g)) & ((1 << (2 * reach + 1)) - 1)
     want = system.size
 
     def extend(cand: int, chosen: tuple[int, ...]) -> Iterator[SpectrumCandidate]:
@@ -162,7 +164,7 @@ def _window_candidates(system: ScaleDigitSystem) -> Iterator[SpectrumCandidate]:
             bit = cand & -cand
             cand ^= bit
             x = bit.bit_length() - 1
-            yield from extend(cand & (pattern << x), (*chosen, low + x))
+            yield from extend(cand & (pattern << x), (*chosen, (x - reach) * unit))
 
     yield from extend(vertices, ())
 

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from cantorspec import compat, kernel, systems
+from cantorspec import compat, cyclotomic, kernel, systems
 from cantorspec.cli import METHOD_COMPAT, main
 
 
@@ -266,17 +266,53 @@ def test_search_over_budget_exits_two(capsys, monkeypatch):
     assert err.startswith("precondition violated:") and "budget" in err
 
 
-@pytest.mark.parametrize("group,action", [("compat", "search"), ("spectrum", "report")])
-def test_window_search_past_its_pattern_budget_exits_two_before_building(capsys, monkeypatch, group, action):
+def test_window_search_answers_at_a_large_n_with_a_small_g(capsys):
+    # D = {0, 1} vanishes at order 2 only, so g = 2 and the zeros are the multiples of |N|/2
+    code, out, err = run(capsys, "spectrum", "report", "--n", "200000000", "--digits", "0,1")
+    assert (code, err) == (0, "")
+    assert out == (
+        '{"candidate": [-100000000, 0], "canonical": {"offset": 0, "reduced_digits": [0, 1], '
+        '"scale_factor": 1}, "certificate": {"candidate": [-100000000, 0], "digits": [0, 1], '
+        '"scale": 200000000, "zero_differences": [[-100000000, 0, 2]]}, "method": "exhaustive '
+        'clique search in the reduction window; integer-cycle search inside the attractor '
+        'enclosure", "status": "spectral-with-certificate", "verdict": {"attractor_bounds": '
+        '["-100000000/199999999", "0"], "searched_integers": [0, 0], "verdict": "spectral", '
+        '"witness": null}}\n'
+    )
+    code, out, err = run(capsys, "compat", "search", "--n", str(10**12), "--digits", "0,1")
+    assert (code, err) == (0, "")
+    assert out == (
+        '{"candidates": [[-500000000000, 0], [0, 500000000000]], '
+        '"method": "exhaustive clique search in the reduction window"}\n'
+    )
+
+
+Q_16 = 10**16 + 61  # a prime
+
+
+@pytest.mark.parametrize(
+    "group,action,n,digits",
+    [
+        pytest.param("compat", "search", 2 * 10**8, "0,1,100000000,100000001", id="compat-search"),
+        pytest.param("spectrum", "report", 2 * 10**8, "0,1,100000000,100000001", id="spectrum-report"),
+        pytest.param("compat", "search", 2 * Q_16, f"0,{Q_16}", id="compat-search-shared-prime"),
+    ],
+)
+def test_window_search_past_its_pattern_budget_exits_two_before_building(
+    capsys, monkeypatch, group, action, n, digits
+):
+    # the difference |N|/2 keeps g = |N|; the refusal comes before any factorisation
     def refuse(*args):
-        raise AssertionError("the zero pattern was built past its budget")
+        raise AssertionError("the window search built its pattern or factorised g past its budget")
 
     monkeypatch.setattr(compat, "_zero_pattern", refuse)
-    code, out, err = run(capsys, group, action, "--n", str(10**9), "--digits", "0,1")
+    monkeypatch.setattr(cyclotomic, "factorize", refuse)
+    code, out, err = run(capsys, group, action, "--n", str(n), "--digits", digits)
     assert (code, out) == (2, "")
     assert err == (
-        "precondition violated: the window search at |N| = 1000000000 builds a zero pattern of "
-        "about 1250000000 bytes (|N| bytes and a 2|N|-bit integer), over its budget of 134217728 bytes\n"
+        f"precondition violated: the window search at |N| = {n} builds a zero pattern of period "
+        f"g = {n}, about {n + n // 4} bytes (g bytes and a 2g-bit integer), over its budget of "
+        "134217728 bytes\n"
     )
 
 

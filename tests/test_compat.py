@@ -222,6 +222,9 @@ def test_search_matches_reference_exhaustively():
         (-384, (-5, 1, 8)),  # Łaba–Wang: a complete residue set mod 3
         (396, (0, 5, 10, 15)),  # Łaba–Wang: a complete residue set mod 4
         (330, (0, 17, 250, 411)),  # random digits
+        (720, (0, 1)),  # g = 2: every zero a multiple of |N|/g = 360
+        (-384, (0, 1, 2)),  # g = 12, |N|/g = 32
+        (512, (0, 1, 2, 3)),  # g = 8, |N|/g = 64: a complete residue set mod 4
     ],
 )
 def test_search_matches_reference_census_sized(scale, digits):
@@ -255,25 +258,35 @@ def test_search_budget_fails_fast_on_a_huge_window():
         search_candidate_s(ScaleDigitSystem(400, (0, 100, 200, 300)))
 
 
-def test_window_search_refuses_an_oversized_zero_pattern_before_building_it(monkeypatch):
+def test_window_search_keys_its_zero_pattern_to_g_and_refuses_past_its_budget(monkeypatch):
     built = []
+    build = compat._zero_pattern
 
-    def recording(orders, m):
-        built.append(m)
-        return 0  # no zeros, so no candidates: nothing of size |N| is built
+    def recording(orders, g):
+        built.append(g)
+        return build(orders, g) if g < 1000 else 0  # no zeros past that: nothing of size g is built
 
     monkeypatch.setattr(compat, "_zero_pattern", recording)
-    for scale in (10**7, -(10**8)):
-        assert search_candidate_s(ScaleDigitSystem(scale, (0, 1))) == []
-    assert built == [10**7, 10**8]
-    for scale in (11 * 10**7, -(10**9)):
-        system = ScaleDigitSystem(scale, (0, 1))
+    # g = 2: the window's zeros are the multiples of |N|/2, found on a 2-residue pattern
+    system = ScaleDigitSystem(-(10**12), (0, 1))
+    half = 10**12 // 2
+    assert search_candidate_s(system) == [SpectrumCandidate((-half, 0)), SpectrumCandidate((0, half))]
+    assert report_measure_spectrality(system).candidate == SpectrumCandidate((-half, 0))
+    assert built == [2, 2]
+    # D = {0, 1, |N|/2, |N|/2 + 1} has the difference |N|/2, so g = |N|
+    dense = [ScaleDigitSystem(scale, (0, 1, abs(scale) // 2, abs(scale) // 2 + 1))
+             for scale in (10**7, -(10**8), 11 * 10**7, -(10**9))]
+    assert [system._order_test.g for system in dense] == [10**7, 10**8, 11 * 10**7, 10**9]
+    for system in dense[:2]:
+        assert search_candidate_s(system) == []
+    assert built == [2, 2, 10**7, 10**8]
+    for system in dense[2:]:
         for search in (search_candidate_s, report_measure_spectrality):
             with pytest.raises(BudgetExceededError) as caught:
                 search(system)
-            estimate = abs(scale) + abs(scale) // 4
-            assert f"zero pattern of about {estimate} bytes" in str(caught.value)
-    assert built == [10**7, 10**8]
+            g = system.modulus
+            assert f"zero pattern of period g = {g}, about {g + g // 4} bytes" in str(caught.value)
+    assert built == [2, 2, 10**7, 10**8]
 
 
 def count_order_questions(monkeypatch):

@@ -864,7 +864,7 @@ def test_q_eval_answers_wide_digits_as_the_closed_tail(width):
     for xi in (0.0, 0.25, 0.5 + 1 / 7, -1.3):
         value, bound = q_eval_with_bound(system, candidate, xi, policy)
         exact = math.fsum(exact_phase_mu_hat_sq(system, Fraction(xi) + lam) for lam in slice_points)
-        assert abs(value - exact) <= bound + rounding, (xi, value, exact, bound)
+        assert abs(value - exact) <= bound + rounding * max(value, exact), (xi, value, exact, bound)
         assert bound <= closed_tail_q_eval(system, candidate, xi, policy)[1]
 
 

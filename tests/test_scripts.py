@@ -34,6 +34,19 @@ def test_survey_spectra_tallies_every_system():
     ]
 
 
+def test_survey_spectra_north_star_tally():
+    # the verdict tally over every (N, D) with 2 <= |N| <= 12, 0 in D and D in [0, 7]
+    proc = run_script("survey_spectra.py", "--max-scale", "12", "--max-digit", "7", "--include-negative")
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()
+    assert rows[0] == "scale,digits,status,candidate" and len(rows) == 1 + 2_816
+    assert proc.stderr.splitlines() == [
+        "# no-compatible-pair-found: 2568",
+        "# spectral-with-certificate: 234",
+        "# unit-interval: 14",
+    ]
+
+
 def test_scan_two_digit_spectra_splits_the_compatible_candidates():
     proc = run_script("scan_two_digit_spectra.py", "--limit", "8", "--q-depth", "4")
     assert (proc.returncode, proc.stderr) == (0, "")
@@ -47,7 +60,8 @@ def test_scan_two_digit_spectra_splits_the_compatible_candidates():
 
 def test_order_stress_times_the_cases_it_is_given():
     proc = run_script(
-        "order_stress.py", "compat-primorial-20", "order-test-2000-at-4000", "construct-shared-prime-1e14"
+        "order_stress.py", "compat-primorial-20", "order-test-2000-at-4000", "construct-shared-prime-1e14",
+        "report-2e8", "search-dense-2e8",
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     rows = [row.split(",") for row in proc.stdout.splitlines()]
@@ -56,6 +70,8 @@ def test_order_stress_times_the_cases_it_is_given():
         ("compat-primorial-20", "0:6391ce57cb8f"),  # exit 0, and the SHA-1 of its JSON
         ("order-test-2000-at-4000", "19 orders"),  # the b > 1 dividing 2000: D(z) = (z^2000 - 1)/(z - 1)
         ("construct-shared-prime-1e14", "0:7075404577b7"),  # S = {0, q}, asking only the order 2
+        ("report-2e8", "0:0e0bd5ab2245"),  # g = 2: S = {-10^8, 0}
+        ("search-dense-2e8", "2:da39a3ee5e6b"),  # g = |N| past the pattern budget: exit 2, no stdout
     ]
     assert all(float(row[1]) >= 0 for row in rows[1:])
     unknown = run_script("order_stress.py", "no-such-case")
