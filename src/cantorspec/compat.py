@@ -27,7 +27,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .cyclotomic import OrderTest
 from . import systems
@@ -37,6 +36,7 @@ from .systems import (
     PreconditionError,
     ScaleDigitSystem,
     SpectrumCandidate,
+    _Record,
     _check_slice_budget,
 )
 
@@ -48,8 +48,7 @@ SEARCH_BUDGET = 100_000
 _PATTERN_BUDGET = 1 << 27
 
 
-@dataclass(frozen=True)
-class CompatibilityCertificate:
+class CompatibilityCertificate(_Record):
     """Proof object for a compatible pair.
 
     `zero_differences` lists one entry (s1, s2, m) per unordered pair of
@@ -58,9 +57,12 @@ class CompatibilityCertificate:
     m = |N| / gcd(s2 - s1, |N|).
     """
 
-    system: ScaleDigitSystem
-    candidate: SpectrumCandidate
-    zero_differences: tuple[tuple[int, int, int], ...]
+    __match_args__ = ("system", "candidate", "zero_differences")
+
+    def __init__(
+        self, system: ScaleDigitSystem, candidate: SpectrumCandidate, zero_differences: tuple[tuple[int, int, int], ...]
+    ):
+        self.__dict__.update(system=system, candidate=candidate, zero_differences=zero_differences)
 
 
 def is_compatible(

@@ -20,7 +20,6 @@ reaches first.  The hull is `attractor_bounds`, in exact rationals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .compat import CompatibilityCertificate, _window_candidates, is_compatible
@@ -30,17 +29,19 @@ from .systems import (
     RationalInterval,
     ScaleDigitSystem,
     SpectrumCandidate,
+    _Record,
     _as_int_tuple,
+    _check_slice_budget,
 )
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(_Record):
     """Affine normal form of a digit set: digits = offset + scale_factor * reduced."""
 
-    reduced_digits: tuple[int, ...]
-    offset: int
-    scale_factor: int
+    __match_args__ = ("reduced_digits", "offset", "scale_factor")
+
+    def __init__(self, reduced_digits: tuple[int, ...], offset: int, scale_factor: int):
+        self.__dict__.update(reduced_digits=reduced_digits, offset=offset, scale_factor=scale_factor)
 
 
 def canonicalize_digits(digits) -> CanonicalForm:
@@ -78,8 +79,7 @@ def attractor_bounds(scale: int, elements) -> RationalInterval:
     return RationalInterval(Fraction(a + scale * b, den), Fraction(b + scale * a, den))
 
 
-@dataclass(frozen=True)
-class SpectrumVerdict:
+class SpectrumVerdict(_Record):
     """Outcome of the cycle search.
 
     `searched` is the inclusive integer range of the attractor's hull
@@ -91,10 +91,13 @@ class SpectrumVerdict:
     cyclically.
     """
 
-    spectral: bool
-    witness: tuple[tuple[int, int], ...] | None
-    searched: tuple[int, int]
-    bounds: RationalInterval
+    __match_args__ = ("spectral", "witness", "searched", "bounds")
+
+    def __init__(
+        self, spectral: bool, witness: tuple[tuple[int, int], ...] | None, searched: tuple[int, int],
+        bounds: RationalInterval,
+    ):
+        self.__dict__.update(spectral=spectral, witness=witness, searched=searched, bounds=bounds)
 
 
 def decide_spectrum(
@@ -136,17 +139,21 @@ def decide_spectrum(
     # and q = den*|N|^L.  Splitting a cylinder w = span/q wide into the |S|
     # of the next level, w/|N| wide, shrinks the integers they cover while
     # |S|*(w/|N| + 1) < w + 1, so it stops there (at once when |S| = |N|).
-    # 0 is dropped: the maps fix it.
+    # Its |S|^L cylinders of at most floor(span/q) + 1 integers bound the
+    # survivors before any is built.  0 is dropped: the maps fix it.
     den = math.lcm(bounds.lo.denominator, bounds.hi.denominator)
     low = bounds.lo.numerator * (den // bounds.lo.denominator)
     span = bounds.hi.numerator * (den // bounds.hi.denominator) - low
     size = candidate.size
-    numerators, power, q = [low], 1, den
+    levels, q = 0, den
     while span * (m - size) > q * m * (size - 1):
+        levels, q = levels + 1, q * m
+    _check_slice_budget(size, levels, span // q + 1)
+    numerators, power = [low], 1
+    for _ in range(levels):
         shifts = [s * den * power for s in elems]
         numerators = [u + t for u in numerators for t in shifts]
         power *= scale
-        q *= m
     sign = 1 if power > 0 else -1
     survivors = {sign * y for u in numerators for y in range(-(-u // q), (u + span) // q + 1) if y}
 
@@ -228,8 +235,7 @@ STATUS_UNIT_INTERVAL = "unit-interval"
 STATUS_UNKNOWN = "no-compatible-pair-found"
 
 
-@dataclass(frozen=True)
-class SpectralityReport:
+class SpectralityReport(_Record):
     """Measure-level verdict.
 
     `spectral-with-certificate` bundles a window candidate, its
@@ -243,12 +249,16 @@ class SpectralityReport:
     not refuted.
     """
 
-    status: str
-    scale: int
-    canonical: CanonicalForm
-    candidate: SpectrumCandidate | None = None
-    certificate: CompatibilityCertificate | None = None
-    verdict: SpectrumVerdict | None = None
+    __match_args__ = ("status", "scale", "canonical", "candidate", "certificate", "verdict")
+
+    def __init__(
+        self, status: str, scale: int, canonical: CanonicalForm, candidate: SpectrumCandidate | None = None,
+        certificate: CompatibilityCertificate | None = None, verdict: SpectrumVerdict | None = None,
+    ):
+        self.__dict__.update(
+            status=status, scale=scale, canonical=canonical, candidate=candidate, certificate=certificate,
+            verdict=verdict,
+        )
 
 
 def report_measure_spectrality(system: ScaleDigitSystem) -> SpectralityReport:

@@ -66,7 +66,6 @@ import cmath
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass, replace
 from itertools import accumulate
 
 from .systems import (
@@ -75,6 +74,7 @@ from .systems import (
     ScaleDigitSystem,
     SpectrumCandidate,
     TruncationPolicy,
+    _Record,
     _check_slice_budget,
 )
 
@@ -91,13 +91,13 @@ _ORDER = 2 * TAIL_TERMS
 _INV_FACTORIALS = tuple(1.0 / math.factorial(n) for n in range(_ORDER + 1))
 
 
-@dataclass(frozen=True)
-class TruncatedProduct:
+class TruncatedProduct(_Record):
     """A finite product approximation together with its guaranteed error."""
 
-    value: complex
-    error_bound: float
-    factors: int
+    __match_args__ = ("value", "error_bound", "factors")
+
+    def __init__(self, value: complex, error_bound: float, factors: int):
+        self.__dict__.update(value=value, error_bound=error_bound, factors=factors)
 
 
 def _split(xi) -> tuple[int, float]:
@@ -484,8 +484,8 @@ def transfer_residual(
         )
     _check_slice_budget(candidate.size, depth + 1)
     closure = _slice_closure(system, candidate)
-    lhs = _q_eval(system, candidate, xi, replace(policy, depth=depth + 1), closure)[0]
-    inner_policy = replace(policy, depth=depth)
+    lhs = _q_eval(system, candidate, xi, TruncationPolicy(depth + 1, policy.product_epsilon), closure)[0]
+    inner_policy = TruncationPolicy(depth, policy.product_epsilon)
     whole, frac = _split(xi)
     rhs = 0.0
     for s in candidate.elements:

@@ -1,20 +1,23 @@
 """Value types shared across the library, plus its error hierarchy and
 the enumeration budget that the exact layers share.
 
-Everything here is immutable.  Systems and candidate sets normalize their
-element lists to sorted tuples at construction time and validate the
-invariants every downstream operation relies on (|N| >= 2, nonempty and
-pairwise-distinct entries, and so on), so later code never re-checks them.
-Data derived from a system, such as its vanishing orders, is computed on
-first use and cached on the instance; it is not a field, so equality,
-hashing and repr see only the scale and the digits.  The vanishing orders
-are decided one at a time, as callers ask about them (see `cyclotomic`).
+Every value type is immutable: a plain class over `_Record`, which gives
+repr, equality and hashing over the fields `__match_args__` names, raises
+AttributeError on assignment and lets `dataclasses.replace` and its kin
+take the records.  Each `__init__` sets its own fields.
+Systems and candidate sets normalize their element lists to sorted tuples
+at construction time and validate the invariants every downstream
+operation relies on (|N| >= 2, nonempty and pairwise-distinct entries, and
+so on), so later code never re-checks them.  Data derived from a system,
+such as its vanishing orders, is computed on first use and cached on the
+instance; it is not a field, so equality, hashing and repr see only the
+scale and the digits.  The vanishing orders are decided one at a time, as
+callers ask about them (see `cyclotomic`).
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import OrderTest
@@ -28,13 +31,14 @@ class BudgetExceededError(RuntimeError):
     """An enumeration would exceed its configured size budget."""
 
 
-#: Hard ceiling on the number of points a spectrum slice (or a pair power's
-#: Minkowski sum) may enumerate, read at call time.
+#: Hard ceiling on the points a spectrum slice (or a pair power's Minkowski
+#: sum, or the cycle search's cylinders) may enumerate, read at call time.
 LAMBDA_BUDGET = 1_000_000
 
 
 def _check_slice_budget(size: int, depth: int, grid: int = 1) -> None:
-    """Refuse |S|^depth slice points, times `grid` Q points, past the budget.
+    """Refuse |S|^depth slice points (or cycle-search cylinders), times `grid`
+    Q points (or integers per cylinder), past the budget.
 
     With |S| >= 2 the power passes the budget once depth reaches the
     budget's bit length, so a huge depth is refused without building it.
@@ -51,6 +55,45 @@ class ConsistencyError(RuntimeError):
     """An internal cross-check failed; the computed object contradicts itself."""
 
 
+class _DataclassFields:
+    """A record class's `__dataclass_fields__`, made on first read together
+    with its `__dataclass_params__` by `make_dataclass`, so that
+    `dataclasses.replace`, `fields`, `asdict` and `is_dataclass` take the
+    records while importing them loads no `dataclasses`."""
+
+    def __get__(self, record, cls):
+        from dataclasses import make_dataclass
+
+        twin = make_dataclass(cls.__qualname__, cls.__match_args__, frozen=True)
+        cls.__dataclass_fields__, cls.__dataclass_params__ = twin.__dataclass_fields__, twin.__dataclass_params__
+        return twin.__dataclass_fields__
+
+
+class _Record:
+    """Immutable value type over the fields named in `__match_args__`."""
+
+    __dataclass_fields__ = _DataclassFields()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def _as_int_tuple(values, what: str) -> tuple[int, ...]:
     items = tuple(values)
     if not items:
@@ -63,19 +106,17 @@ def _as_int_tuple(values, what: str) -> tuple[int, ...]:
     return tuple(sorted(items))
 
 
-@dataclass(frozen=True)
-class ScaleDigitSystem:
+class ScaleDigitSystem(_Record):
     """The pair (N, D): an integer scale with |N| >= 2 and a finite digit set."""
 
-    scale: int
-    digits: tuple[int, ...]
+    __match_args__ = ("scale", "digits")
 
-    def __post_init__(self):
-        if not isinstance(self.scale, int) or isinstance(self.scale, bool):
-            raise PreconditionError(f"scale must be an integer, got {self.scale!r}")
-        if abs(self.scale) < 2:
-            raise PreconditionError(f"scale must satisfy |N| >= 2, got {self.scale}")
-        object.__setattr__(self, "digits", _as_int_tuple(self.digits, "digit set"))
+    def __init__(self, scale: int, digits: tuple[int, ...]):
+        if not isinstance(scale, int) or isinstance(scale, bool):
+            raise PreconditionError(f"scale must be an integer, got {scale!r}")
+        if abs(scale) < 2:
+            raise PreconditionError(f"scale must satisfy |N| >= 2, got {scale}")
+        self.__dict__.update(scale=scale, digits=_as_int_tuple(digits, "digit set"))
 
     @property
     def modulus(self) -> int:
@@ -106,51 +147,44 @@ class ScaleDigitSystem:
         return self._order_test.all_orders()
 
 
-@dataclass(frozen=True)
-class SpectrumCandidate:
+class SpectrumCandidate(_Record):
     """A finite integer set S, candidate for generating a spectrum."""
 
-    elements: tuple[int, ...]
+    __match_args__ = ("elements",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "elements", _as_int_tuple(self.elements, "candidate set"))
+    def __init__(self, elements: tuple[int, ...]):
+        self.__dict__.update(elements=_as_int_tuple(elements, "candidate set"))
 
     @property
     def size(self) -> int:
         return len(self.elements)
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
+class TruncationPolicy(_Record):
     """Approximation knobs for the infinite objects: the number of digit
     positions kept when slicing the candidate spectrum, and the tail budget
     for the infinite Fourier product."""
 
-    depth: int = 8
-    product_epsilon: float = 1e-12
+    __match_args__ = ("depth", "product_epsilon")
 
-    def __post_init__(self):
-        if not isinstance(self.depth, int) or self.depth < 1:
-            raise PreconditionError(f"depth must be a positive integer, got {self.depth!r}")
-        if not 0.0 < self.product_epsilon < 1.0:
-            raise PreconditionError(
-                f"product_epsilon must lie in (0, 1), got {self.product_epsilon!r}"
-            )
+    def __init__(self, depth: int = 8, product_epsilon: float = 1e-12):
+        if not isinstance(depth, int) or depth < 1:
+            raise PreconditionError(f"depth must be a positive integer, got {depth!r}")
+        if not 0.0 < product_epsilon < 1.0:
+            raise PreconditionError(f"product_epsilon must lie in (0, 1), got {product_epsilon!r}")
+        self.__dict__.update(depth=depth, product_epsilon=product_epsilon)
 
 
 DEFAULT_POLICY = TruncationPolicy()
 
 
-@dataclass(frozen=True)
-class RationalInterval:
+class RationalInterval(_Record):
     """A closed interval with exact rational endpoints, lo <= hi."""
 
-    lo: Fraction
-    hi: Fraction
+    __match_args__ = ("lo", "hi")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
+    def __init__(self, lo: Fraction, hi: Fraction):
+        self.__dict__.update(lo=Fraction(lo), hi=Fraction(hi))
         if self.lo > self.hi:
             raise PreconditionError(f"interval endpoints out of order: {self.lo} > {self.hi}")
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 import bisect
 import math
 from fractions import Fraction
-from dataclasses import dataclass
 
 from .compat import CompatibilityCertificate, is_compatible
 from .cyclotomic import OrderTest, factorize
@@ -42,6 +41,7 @@ from .systems import (
     PreconditionError,
     ScaleDigitSystem,
     SpectrumCandidate,
+    _Record,
 )
 
 
@@ -166,17 +166,19 @@ def find_modulus_l(system: ScaleDigitSystem) -> int | None:
     return None if found is None else found[0]
 
 
-@dataclass(frozen=True)
-class TilingConstruction:
+class TilingConstruction(_Record):
     """Full record of the tiling-to-spectrum construction."""
 
-    modulus_l: int
-    complement_e0: tuple[int, ...]
-    p_powers: tuple[int, ...]
-    q_powers: tuple[int, ...]
-    fractional_e: tuple[Fraction, ...]
-    result_s: tuple[int, ...]
-    certificate: CompatibilityCertificate
+    __match_args__ = ("modulus_l", "complement_e0", "p_powers", "q_powers", "fractional_e", "result_s", "certificate")
+
+    def __init__(
+        self, modulus_l: int, complement_e0: tuple[int, ...], p_powers: tuple[int, ...], q_powers: tuple[int, ...],
+        fractional_e: tuple[Fraction, ...], result_s: tuple[int, ...], certificate: CompatibilityCertificate,
+    ):
+        self.__dict__.update(
+            modulus_l=modulus_l, complement_e0=complement_e0, p_powers=p_powers, q_powers=q_powers,
+            fractional_e=fractional_e, result_s=result_s, certificate=certificate,
+        )
 
 
 def construct_spectrum_set(system: ScaleDigitSystem) -> TilingConstruction:

@@ -1,8 +1,10 @@
 import ast
 import importlib
 import inspect
+import os
 import pathlib
 import pkgutil
+import subprocess
 import sys
 
 import cantorspec
@@ -134,3 +136,15 @@ def test_every_private_name_is_used():
         and not any(n == name and (f, l) != (file, line) for n, f, l in named)
     ]
     assert dead == []
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # the value types are plain classes, so no CLI process pays to import `dataclasses` and its `inspect`
+    code = "import sys; before = set(sys.modules); import cantorspec.cli; print(sorted(set(sys.modules) - before))"
+    paths = [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    added = set(ast.literal_eval(proc.stdout))
+    assert "cantorspec.cli" in added
+    assert not added & {"dataclasses", "inspect"}

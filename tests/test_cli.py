@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -264,6 +265,21 @@ def test_search_over_budget_exits_two(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("precondition violated:") and "budget" in err
+
+
+def test_cycle_search_past_the_budget_exits_two_before_building(capsys):
+    # s = 2p asks whether p * Lambda(4, {0, 2}) stays a spectrum; at p = 5^20
+    # the 2^23 level-23 cylinders hold one integer each, so the search would
+    # build some 8.4 million survivors
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "spectrum", "decide", "--n", "4", "--digits", "0,1", "--s", f"0,{2 * 5**20}")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == "precondition violated: |S|^depth = 2^23 exceeds the enumeration budget 1000000\n"
+    assert peak < 1 << 20  # 8.4 million survivors take hundreds of megabytes
 
 
 def test_window_search_answers_at_a_large_n_with_a_small_g(capsys):

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from cantorspec import (
+    BudgetExceededError,
     ConsistencyError,
     PreconditionError,
     STATUS_SPECTRAL,
@@ -28,6 +29,7 @@ from cantorspec import (
 
 compat_module = importlib.import_module("cantorspec.compat")
 decide_module = importlib.import_module("cantorspec.decide")
+systems_module = importlib.import_module("cantorspec.systems")
 
 SPECTRAL_CASES = [
     (4, (0, 1), (0, 2)),
@@ -404,6 +406,19 @@ def test_large_hull_spectral(scale, searched):
     verdict = decide_spectrum(system, SpectrumCandidate((0, 2 * 10**7 + 2)))
     assert verdict.spectral and verdict.witness is None
     assert verdict.searched == searched
+
+
+def test_cycle_search_budget_is_read_at_call_time(monkeypatch):
+    # test_large_hull_spectral's pair: 2^11 cylinders of at most 2 integers
+    system = ScaleDigitSystem(4, (0, 1))
+    candidate = SpectrumCandidate((0, 2 * 10**7 + 2))
+    monkeypatch.setattr(systems_module, "LAMBDA_BUDGET", 4096)
+    assert decide_spectrum(system, candidate).spectral
+    monkeypatch.setattr(systems_module, "LAMBDA_BUDGET", 4095)
+    message = "|S|^depth * grid = 2^11 * 2 = 4096 exceeds the enumeration budget 4095"
+    with pytest.raises(BudgetExceededError) as excinfo:
+        decide_spectrum(system, candidate)
+    assert str(excinfo.value) == message
 
 
 def test_large_hull_fixed_point_witness():

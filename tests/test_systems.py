@@ -1,18 +1,27 @@
+import copy
 import dataclasses
 import importlib
 import math
 import pickle
+import pprint
 from fractions import Fraction
 
 import pytest
 
 from cantorspec import (
+    CanonicalForm,
+    CompatibilityCertificate,
     PreconditionError,
     RationalInterval,
     ScaleDigitSystem,
+    SpectralityReport,
     SpectrumCandidate,
+    SpectrumVerdict,
     TruncationPolicy,
+    construct_spectrum_set,
+    decide_spectrum,
     is_compatible,
+    mu_hat,
     report_measure_spectrality,
 )
 
@@ -139,3 +148,120 @@ def test_cached_vanishing_orders_leave_value_semantics_alone():
     assert replaced == ScaleDigitSystem(12, (0, 1))
     assert replaced.vanishing_orders == frozenset({2})
     assert dataclasses.replace(system) == system
+
+
+def record_instances():
+    """One instance of each public value type, from real calls."""
+    report = report_measure_spectrality(ScaleDigitSystem(4, (0, 2)))
+    verdict = decide_spectrum(ScaleDigitSystem(4, (0, 1)), SpectrumCandidate((0, 6)))
+    construction = construct_spectrum_set(ScaleDigitSystem(12, (0, 1, 2, 3, 4, 5)))
+    product = mu_hat(ScaleDigitSystem(4, (0, 1)), 0)
+    certificate = report.certificate
+    return [
+        certificate.system, certificate.candidate, TruncationPolicy(), verdict.bounds, certificate,
+        report.canonical, verdict, report, product, construction,
+    ]
+
+
+# as the former frozen dataclasses printed them
+RECORD_REPRS = [
+    "ScaleDigitSystem(scale=4, digits=(0, 1))",
+    "SpectrumCandidate(elements=(-2, 0))",
+    "TruncationPolicy(depth=8, product_epsilon=1e-12)",
+    "RationalInterval(lo=Fraction(0, 1), hi=Fraction(2, 1))",
+    "CompatibilityCertificate(system=ScaleDigitSystem(scale=4, digits=(0, 1)), "
+    "candidate=SpectrumCandidate(elements=(-2, 0)), zero_differences=((-2, 0, 2),))",
+    "CanonicalForm(reduced_digits=(0, 1), offset=0, scale_factor=2)",
+    "SpectrumVerdict(spectral=False, witness=((2, 6),), searched=(0, 2), "
+    "bounds=RationalInterval(lo=Fraction(0, 1), hi=Fraction(2, 1)))",
+    "SpectralityReport(status='spectral-with-certificate', scale=4, "
+    "canonical=CanonicalForm(reduced_digits=(0, 1), offset=0, scale_factor=2), "
+    "candidate=SpectrumCandidate(elements=(-2, 0)), "
+    "certificate=CompatibilityCertificate(system=ScaleDigitSystem(scale=4, digits=(0, 1)), "
+    "candidate=SpectrumCandidate(elements=(-2, 0)), zero_differences=((-2, 0, 2),)), "
+    "verdict=SpectrumVerdict(spectral=True, witness=None, searched=(0, 0), "
+    "bounds=RationalInterval(lo=Fraction(-2, 3), hi=Fraction(0, 1))))",
+    "TruncatedProduct(value=(1+0j), error_bound=0.0, factors=0)",
+    "TilingConstruction(modulus_l=6, complement_e0=(0,), p_powers=(2,), q_powers=(3,), "
+    "fractional_e=(Fraction(0, 1), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(5, 6), "
+    "Fraction(7, 6)), result_s=(0, 4, 6, 8, 10, 14), "
+    "certificate=CompatibilityCertificate(system=ScaleDigitSystem(scale=12, digits=(0, 1, 2, 3, 4, 5)), "
+    "candidate=SpectrumCandidate(elements=(0, 4, 6, 8, 10, 14)), "
+    "zero_differences=((0, 4, 3), (0, 6, 2), (0, 8, 3), (0, 10, 6), (0, 14, 6), (4, 6, 6), (4, 8, 3), "
+    "(4, 10, 2), (4, 14, 6), (6, 8, 6), (6, 10, 3), (6, 14, 3), (8, 10, 6), (8, 14, 2), (10, 14, 3))))",
+]
+
+
+def test_records_keep_repr_equality_hashing_and_immutability():
+    records = record_instances()
+    assert [repr(record) for record in records] == RECORD_REPRS
+    assert len({type(record) for record in records}) == 10
+    for record, twin in zip(records, record_instances()):
+        names = type(record).__match_args__
+        values = tuple(getattr(record, name) for name in names)
+        assert twin is not record and twin == record and hash(twin) == hash(record) == hash(values)
+        assert record != values and values != record
+        assert type(record)(**dict(zip(names, values))) == record
+        for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+            assert type(clone) is type(record) and clone == record and repr(clone) == repr(record)
+        for name in (names[0], "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, names[0])
+        assert repr(record) == repr(twin)
+    # equal field values in another record class, or a subclass, are not equal
+    canonical = CanonicalForm((0, 1), 0, 2)
+    assert canonical != CompatibilityCertificate((0, 1), 0, 2) and CompatibilityCertificate((0, 1), 0, 2) != canonical
+    assert ScaleDigitSystem(4, (0, 1)) != type("Sub", (ScaleDigitSystem,), {})(4, (0, 1))
+    match records[6]:
+        case SpectrumVerdict(False, witness, searched, _):
+            assert (witness, searched) == (((2, 6),), (0, 2))
+        case _:
+            raise AssertionError("SpectrumVerdict lost its positional match pattern")
+
+
+def test_dataclasses_functions_take_the_records():
+    for record in record_instances():
+        names = type(record).__match_args__
+        assert dataclasses.is_dataclass(record) and dataclasses.is_dataclass(type(record))
+        assert tuple(field.name for field in dataclasses.fields(record)) == names
+        assert tuple(dataclasses.asdict(record)) == names
+        assert dataclasses.replace(record) == record
+        assert pprint.pformat(record, width=20) == repr(record)
+    assert dataclasses.replace(TruncationPolicy(), depth=3) == TruncationPolicy(3)
+    with pytest.raises(PreconditionError, match="depth must be a positive integer, got 0"):
+        dataclasses.replace(TruncationPolicy(), depth=0)
+
+
+def test_record_copies_keep_cached_orders_and_defaults_hold():
+    system = ScaleDigitSystem(12, (0, 1, 2))
+    orders = system.vanishing_orders
+    for clone in (pickle.loads(pickle.dumps(system)), copy.copy(system), copy.deepcopy(system)):
+        assert clone == system and clone.vanishing_orders == orders
+    assert TruncationPolicy(depth=3) == TruncationPolicy(3, 1e-12)
+    assert TruncationPolicy(product_epsilon=1e-6) == TruncationPolicy(8, 1e-6)
+    report = SpectralityReport("no-compatible-pair-found", 3, CanonicalForm((0, 1), 0, 2))
+    assert (report.candidate, report.certificate, report.verdict) == (None, None, None)
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: ScaleDigitSystem(1.5, (0,)), "scale must be an integer, got 1.5"),
+        (lambda: ScaleDigitSystem(True, (0,)), "scale must be an integer, got True"),
+        (lambda: ScaleDigitSystem(-1, ()), "scale must satisfy |N| >= 2, got -1"),
+        (lambda: ScaleDigitSystem(4, ()), "digit set must be nonempty"),
+        (lambda: ScaleDigitSystem(4, (0, 0, 1)), "digit set must be pairwise distinct, got [0, 0, 1]"),
+        (lambda: ScaleDigitSystem(4, (0, 1.5)), "digit set must consist of integers, got 1.5"),
+        (lambda: SpectrumCandidate((1, 1)), "candidate set must be pairwise distinct, got [1, 1]"),
+        (lambda: TruncationPolicy(depth=0), "depth must be a positive integer, got 0"),
+        (lambda: TruncationPolicy(2.0, 1.5), "depth must be a positive integer, got 2.0"),
+        (lambda: TruncationPolicy(product_epsilon=1.5), "product_epsilon must lie in (0, 1), got 1.5"),
+        (lambda: RationalInterval(2, 1), "interval endpoints out of order: 2 > 1"),
+    ],
+)
+def test_record_validation_messages(build, message):
+    with pytest.raises(PreconditionError) as excinfo:
+        build()
+    assert str(excinfo.value) == message
