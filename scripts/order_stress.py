@@ -12,8 +12,10 @@ by name.
 The cases are the recorded cliffs (wide digits at a large prime scale, a
 prime shared by the scale and a digit difference, which the construction
 and the pair power never ask about, a large prime in both orders that one
-check asks, 2,000 digits, the complement search of {0, 13}, the window
-search at |N| = 2 * 10^8, answered at g = 2 and refused at g = |N|) and the
+check asks, 2,000 digits, the complement of {0, 13} at 192, 384 and 768,
+which a backtracking search took seconds to find or refused, a complement
+of 2^21 elements refused before it is built, the window search at
+|N| = 2 * 10^8, answered at g = 2 and refused at g = |N|) and the
 many-prime orders: a batch and single questions with hundreds of digits at
 a primorial, and a pair of digits at the product of the first 20 primes.
 
@@ -99,6 +101,8 @@ CASES = {
     "complementing-2000": lambda: is_complementing(range(2000), 8000) is not None,
     "tiling-13-192": lambda: cli("tiling", "check", "--digits", "0,13", "--modulus", "192"),
     "tiling-13-384": lambda: cli("tiling", "check", "--digits", "0,13", "--modulus", "384"),
+    "check-13-at-768": lambda: cli("tiling", "check", "--digits", "0,13", "--modulus", "768"),
+    "construct-complement-2^22": lambda: cli("tiling", "construct", "--n", "4194304", "--digits", "0,2097152"),
     "batch-1000-at-37": lambda: orders(OrderTest(wide_digits(1000, 37), PRIMORIAL_12).all_orders()),
     "single-1000-at-37": lambda: order_vanishes(wide_digits(1000, 37), PRIMORIAL_12),
     "single-300-at-19": lambda: order_vanishes(wide_digits(300, 19), PRIMORIAL_8),

@@ -12,18 +12,18 @@ so each prime power s | L has Phi_s dividing D(z) or E(z), Phi_s(1) = p,
 and the p over all of D's vanishing prime powers multiply to a divisor of
 |D|.  (T1) and (T2) make D a tile, and for |D| with at most two primes a
 tile satisfies (T2), so the conditions decide; for more primes a search
-still does.  Otherwise the search runs only on a tile, for its complement.
-|D| is factorised once per question.  The orders are asked of one
-`OrderTest`: a system's own in the construction, and one per
+still does.  |D| is factorised once per question.  The orders are asked
+of one `OrderTest`: a system's own in the construction, and one per
 `is_complementing` call at L, so each is tested at most once.  Each
 question factorises only its own order, after the refusal of an order
 that does not divide Mann's g, so a large prime of L that (T1) and (T2)
 never name is never trial-divided.
 
-For |D| with at most two primes the powers assemble E = {sum_j a_j / p^k_j
-: 0 <= a_j < p}, whose dilation S = N*E is an integer candidate set
-compatible with D/N.  S is formed directly as the sums of a_j * (N // p^k_j),
-exact since every such p^k divides L and L divides |N|.
+Where the conditions decide, both sets are sums of one a * step, 0 <= a < p,
+per prime power.  Their proof's complement E(z) = prod Phi_s(z^t(s)) takes
+step t(s) * s/p for each s = p^j | L in no S_p, t(s) = L / p^v_p(L); and
+S = N * {sum_j a_j / p^k_j}, compatible with D/N, takes step N // p^k_j for
+each p^k_j in S_p, exact since p^k_j divides L and L divides |N|.
 """
 
 from __future__ import annotations
@@ -71,10 +71,9 @@ def is_complementing(digits, modulus: int) -> tuple[int, ...] | None:
     """A complement E in [0, modulus) with D + E a complete residue system,
     or None when there is none.
 
-    (T1) and (T2) decide it without a search when |D| has at most two
-    primes, and (T1) refutes many non-tiles for any |D| (see the module
-    docstring).  The search raises BudgetExceededError once it would place
-    more than LAMBDA_BUDGET translates.
+    (T1) and (T2) decide it for |D| with at most two primes, E being their
+    product (see the module docstring); with more, a search decides what
+    (T1) does not refute.  LAMBDA_BUDGET bounds L/|D| and placed translates.
 
     >>> is_complementing((0, 1, 8, 9), 16)
     (0, 2, 4, 6)
@@ -89,7 +88,36 @@ def is_complementing(digits, modulus: int) -> tuple[int, ...] | None:
     if len({d % modulus for d in digs}) != len(digs):
         return None
     powers = _tiling_powers(factorize(len(digs)), modulus, OrderTest(digs, modulus))
-    return None if powers is None else _search_complement(digs, modulus)
+    if powers is None:
+        return None
+    return _complement(powers, modulus, digs) if len(powers) <= 2 else _search_complement(digs, modulus)
+
+
+def _sums(elements: list[int], step: int, count: int) -> list[int]:
+    """Every x + a * step, 0 <= a < count, for x in elements, in that order."""
+    return [x + a * step for x in elements for a in range(count)]
+
+
+def _complement(powers: dict[int, tuple[int, ...]], modulus: int, digs: tuple[int, ...]) -> tuple[int, ...]:
+    """The product complement of digits whose {p: S_p} at the modulus pass
+    (T1) and (T2), as sorted residues checked by counting to cover Z_L."""
+    size, budget = len(digs), systems.LAMBDA_BUDGET
+    if modulus // size > budget:
+        raise BudgetExceededError(f"the complement mod L = {modulus} of |D| = {size} digits has "
+                                  f"L/|D| = {modulus // size} elements, over the budget {budget}")
+    # the part of L prime to |D|: the powers of its primes all take part, and sum to the multiples of L/rest
+    elements, rest = [0], modulus // math.gcd(modulus, size ** modulus.bit_length())
+    for p, group in powers.items():
+        top = math.gcd(modulus, p ** modulus.bit_length())  # p^v_p(L), so t(s) = L / top
+        for power in {p**j for j in range(1, top.bit_length()) if top % p**j == 0}.difference(group):
+            elements = _sums(elements, modulus // top * power // p, p)
+    complement = sorted({e % modulus for e in _sums(elements, modulus // rest, rest)})
+    hit = bytearray(modulus)
+    for x in (d + e for d in digs for e in complement):
+        hit[x % modulus] = 1
+    if len(complement) * size != modulus or 0 in hit:
+        raise ConsistencyError(f"(T1) and (T2) hold, yet D + E does not cover Z_L once for L = {modulus}")
+    return tuple(complement)
 
 
 def _search_complement(digs: tuple[int, ...], modulus: int) -> tuple[int, ...] | None:
@@ -185,8 +213,8 @@ def construct_spectrum_set(system: ScaleDigitSystem) -> TilingConstruction:
     """Build a compatible candidate set from the tiling structure of D.
 
     Refuses a non-tile by (T1) and (T2), asking the system only the orders
-    they name, searches the smallest tiling modulus L once for its
-    complement, and forms S = N*E as the integer sums of a_j * (N // p^k_j),
+    they name, builds the complement at the smallest tiling modulus L from
+    the same powers, and forms S = N*E as the integer sums of a_j * (N // p^k_j),
     one digit coefficient 0 <= a_j < p per power; E = S/N is derived from
     it, one `Fraction` per element in the order of S/N.  Exact
     compatibility of (D/N, S) is verified before returning; with the
@@ -198,14 +226,11 @@ def construct_spectrum_set(system: ScaleDigitSystem) -> TilingConstruction:
             "digit set is not complementing modulo any admissible divisor of N"
         )
     modulus_l, powers = found
-    complement = _search_complement(system.digits, modulus_l)
-    if complement is None:
-        raise ConsistencyError(f"(T1) and (T2) hold, yet no complement exists mod L = {modulus_l}")
+    complement = _complement(powers, modulus_l, system.digits)
     elements = [0]
     for prime, group in powers.items():
         for power in group:
-            step = system.scale // power
-            elements = [s + a * step for s in elements for a in range(prime)]
+            elements = _sums(elements, system.scale // power, prime)
     p_powers, q_powers, *_ = (*powers.values(), (), ())
     if len(set(elements)) != system.size:
         raise ConsistencyError(

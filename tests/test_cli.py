@@ -251,12 +251,37 @@ def test_tiling_check_refutes_a_non_tile_without_searching(capsys):
 
 
 def test_complement_search_over_budget_exits_two(capsys, monkeypatch):
-    # {0, 13} tiles Z_48, but its search places more than 1000 translates
+    # |D| = 30 has three primes, so the search decides: {0, ..., 29} tiles
+    # Z_30030, and the search places more than 1000 translates
     monkeypatch.setattr(systems, "LAMBDA_BUDGET", 1000)
-    code, out, err = run(capsys, "tiling", "check", "--digits", "0,13", "--modulus", "48")
+    code, out, err = run(capsys, "tiling", "check", "--digits", ",".join(map(str, range(30))), "--modulus", "30030")
     assert code == 2
     assert out == ""
     assert err.startswith("precondition violated:") and "budget of 1000 placed translates" in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["tiling", "construct", "--n", "4194304", "--digits", "0,2097152"],
+         "the complement mod L = 4194304 of |D| = 2 digits has L/|D| = 2097152 elements, over the budget 1000000"),
+        (["tiling", "check", "--digits", "0,1", "--modulus", "2000002"],
+         "the complement mod L = 2000002 of |D| = 2 digits has L/|D| = 1000001 elements, over the budget 1000000"),
+    ],
+    ids=["construct-2^22", "check-2000002"],
+)
+def test_complement_past_the_budget_exits_two_before_building(capsys, argv, message):
+    # refused before any complement element is built: the 2^21 elements of
+    # the first would print as about 18 MB of JSON
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == f"precondition violated: {message}\n"
+    assert peak < 1 << 20
 
 
 def test_search_over_budget_exits_two(capsys, monkeypatch):

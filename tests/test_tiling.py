@@ -25,7 +25,7 @@ from cantorspec import (
     report_measure_spectrality,
 )
 from cantorspec import cyclotomic, systems, tiling
-from cantorspec.cyclotomic import OrderTest
+from cantorspec.cyclotomic import OrderTest, factorize
 from oracles import divisors, prime_power_sets, radical, symbol_vanishes_at
 
 CONSTRUCTION_CASES = [
@@ -39,6 +39,7 @@ CONSTRUCTION_CASES = [
 
 
 def assert_exact_cover(digits, complement, modulus):
+    assert list(complement) == sorted(set(complement)) and 0 <= complement[0] <= complement[-1] < modulus
     counts = Counter((d + e) % modulus for d in digits for e in complement)
     assert set(counts) == set(range(modulus))
     assert all(v == 1 for v in counts.values())
@@ -97,13 +98,43 @@ def reference_is_complementing(digits, modulus):
 
 
 def test_is_complementing_matches_recursive_reference():
-    # |D| = 6 has two primes, so (T2) decides some of these pairs
+    # |D| = 6 has two primes, so (T2) decides some of these pairs.  The
+    # product complement need not be the search's first one, so it is
+    # checked by its cover
     for size, top in [(1, 16), (2, 16), (3, 16), (4, 16), (6, 13)]:
         for rest in itertools.combinations(range(1, top), size - 1):
             digits = (0, *rest)
             for modulus in range(1, 25):
                 expected = reference_is_complementing(digits, modulus)
-                assert is_complementing(digits, modulus) == expected, (digits, modulus)
+                complement = is_complementing(digits, modulus)
+                assert (complement is None) == (expected is None), (digits, modulus)
+                if complement is not None:
+                    assert_exact_cover(digits, complement, modulus)
+                    assert len(complement) == modulus // size
+
+
+def test_product_complement_covers_exactly_when_the_search_finds_one():
+    # every D in [0, 15] with 0 in D and |D| <= 6 (so at most two primes) at
+    # every L <= 48: where (T1) and (T2) hold the product complement covers
+    # Z_L, and the search finds a complement exactly there
+    differ = 0
+    for size in range(1, 7):
+        for rest in itertools.combinations(range(1, 16), size - 1):
+            digits = (0, *rest)
+            for modulus in range(1, 49):
+                if len({d % modulus for d in digits}) != size:
+                    continue  # no complement: is_complementing refuses before either
+                powers = tiling._tiling_powers(factorize(size), modulus, OrderTest(digits, modulus))
+                if modulus % size:
+                    assert powers is None, (digits, modulus)  # the search could run long here
+                    continue
+                found = tiling._search_complement(digits, modulus)
+                explicit = None if powers is None else tiling._complement(powers, modulus, digits)
+                assert (explicit is None) == (found is None), (digits, modulus)
+                if explicit is not None:
+                    assert_exact_cover(digits, explicit, modulus)
+                    differ += explicit != found
+    assert differ == 285  # of 3291 tiles, where the product is not the search's first complement
 
 
 def test_find_modulus_l_examples():
@@ -115,17 +146,13 @@ def test_find_modulus_l_examples():
 
 
 @pytest.mark.parametrize("scale,digits", [(8192, (0, 4096)), (16, (0, 1, 8, 9)), (-12, (0, 1, 2))])
-def test_construction_searches_each_modulus_once(monkeypatch, scale, digits):
-    calls = []
-    search = tiling._search_complement
+def test_construction_never_searches(monkeypatch, scale, digits):
+    def refuse(digs, modulus):
+        raise AssertionError("the construction searched for a complement")
 
-    def counting(digs, modulus):
-        calls.append(modulus)
-        return search(digs, modulus)
-
-    monkeypatch.setattr(tiling, "_search_complement", counting)
+    monkeypatch.setattr(tiling, "_search_complement", refuse)
     construction = construct_spectrum_set(ScaleDigitSystem(scale, digits))
-    assert calls == [construction.modulus_l]
+    assert_exact_cover(digits, construction.complement_e0, construction.modulus_l)
     assert construction.complement_e0 == is_complementing(digits, construction.modulus_l)
 
 
@@ -399,21 +426,44 @@ def test_complement_search_budget(monkeypatch):
     # before it finds the complement
     monkeypatch.setattr(systems, "LAMBDA_BUDGET", 1000)
     with pytest.raises(BudgetExceededError, match=r"mod L = 48 for \|D\| = 2 .* 1000 placed"):
-        is_complementing((0, 13), 48)
+        tiling._search_complement((0, 13), 48)
     # a search may place exactly the budget, not one translate more
-    assert is_complementing((0, 1), 2000) == tuple(range(0, 2000, 2))
+    assert tiling._search_complement((0, 1), 2000) == tuple(range(0, 2000, 2))
     with pytest.raises(BudgetExceededError):
+        tiling._search_complement((0, 1), 2002)
+    # |D| = 30 has three primes, so is_complementing searches: 1000 translates
+    # of {0, ..., 29} cover Z_30000, and Z_30030 takes one more
+    assert is_complementing(tuple(range(30)), 30000) == tuple(range(0, 30000, 30))
+    with pytest.raises(BudgetExceededError, match=r"mod L = 30030 for \|D\| = 30 .* 1000 placed"):
+        is_complementing(tuple(range(30)), 30030)
+
+
+def test_product_complement_budget(monkeypatch):
+    # refused before it is built once L/|D| passes the budget, at the edge
+    # the search had: L/|D| = 1000 answers and 1001 is refused
+    monkeypatch.setattr(systems, "LAMBDA_BUDGET", 1000)
+    assert is_complementing((0, 1), 2000) == tuple(range(0, 2000, 2))
+    message = "the complement mod L = 2002 of |D| = 2 digits has L/|D| = 1001 elements, over the budget 1000"
+    with pytest.raises(BudgetExceededError) as caught:
         is_complementing((0, 1), 2002)
+    assert str(caught.value) == message
+    # the construction's, at two primes: D = 1000 * {0, ..., 9} vanishes at 16 and 625, so L = 10^4
+    construction = construct_spectrum_set(ScaleDigitSystem(-10000, tuple(range(0, 10000, 1000))))
+    assert (construction.modulus_l, construction.p_powers, construction.q_powers) == (10000, (16,), (625,))
+    assert_exact_cover(range(0, 10000, 1000), construction.complement_e0, 10000)
+    with pytest.raises(BudgetExceededError, match=r"mod L = 20000 of \|D\| = 10 digits has L/\|D\| = 2000 elements"):
+        construct_spectrum_set(ScaleDigitSystem(20000, tuple(range(0, 20000, 2000))))
 
 
 def test_one_lambda_budget_bounds_slices_pair_powers_and_complement_searches(monkeypatch):
-    # the three are read from `systems` at call time: patching that one
+    # the four are read from `systems` at call time: patching that one
     # attribute refuses each, and each passes at the default budget
     system, candidate = ScaleDigitSystem(4, (0, 1)), SpectrumCandidate((0, 2))
     slice_of_1024 = lambda: lambda_enumerate(4, candidate, 10)
     power_of_2016_pairs = lambda: pair_power(system, candidate, 6)  # 64 points each
-    search_of_many = lambda: is_complementing((0, 13), 48)
-    for run in (slice_of_1024, power_of_2016_pairs, search_of_many):
+    search_of_many = lambda: tiling._search_complement((0, 13), 48)
+    complement_of_1001 = lambda: is_complementing((0, 1), 2002)
+    for run in (slice_of_1024, power_of_2016_pairs, search_of_many, complement_of_1001):
         run()
     monkeypatch.setattr(systems, "LAMBDA_BUDGET", 1000)
     with pytest.raises(BudgetExceededError, match="enumeration budget 1000"):
@@ -422,6 +472,8 @@ def test_one_lambda_budget_bounds_slices_pair_powers_and_complement_searches(mon
         power_of_2016_pairs()
     with pytest.raises(BudgetExceededError, match="budget of 1000 placed translates"):
         search_of_many()
+    with pytest.raises(BudgetExceededError, match=r"L/\|D\| = 1001 elements, over the budget 1000"):
+        complement_of_1001()
 
 
 def test_failed_complement_searches_hold_only_what_they_cover():
@@ -443,7 +495,7 @@ def test_complement_search_frames_stay_small():
     # iterator over a fresh sorted list peaked at about 5.8 MB here
     tracemalloc.start()
     try:
-        assert is_complementing((0, 1), 20000) == tuple(range(0, 20000, 2))
+        assert tiling._search_complement((0, 1), 20000) == tuple(range(0, 20000, 2))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -502,6 +554,10 @@ def outcome(construct, system):
         return type(exc), str(exc)
 
 
+def without_complement(construction):
+    return [getattr(construction, f) for f in construction.__match_args__ if f != "complement_e0"]
+
+
 def test_integer_construction_matches_fraction_reference():
     # both signs of N, |N| with one and with two primes, digit sets with
     # and without 0 and with negative digits, |D| in {1, 2, 3, 4, 6}
@@ -516,8 +572,16 @@ def test_integer_construction_matches_fraction_reference():
             for digits in digit_sets:
                 system = ScaleDigitSystem(scale, digits)
                 expected = outcome(reference_construct_spectrum_set, system)
-                assert outcome(construct_spectrum_set, system) == expected, system
-                built += not isinstance(expected, tuple)
+                got = outcome(construct_spectrum_set, system)
+                if isinstance(expected, tuple):
+                    assert got == expected, system
+                    continue
+                # the complement need not be the search's first one: checked by its cover
+                assert isinstance(got, tiling.TilingConstruction), (system, got)
+                assert without_complement(got) == without_complement(expected), system
+                assert_exact_cover(digits, got.complement_e0, got.modulus_l)
+                assert len(got.complement_e0) == got.modulus_l // len(digits)
+                built += 1
     assert built > 500
     # three primes in |D|, once complementing and once not: the reference
     # searched first and so refused the second as no tile, while the
