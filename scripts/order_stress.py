@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the exact cyclotomic layer on named stress cases.
+"""Time the exact layers on named stress cases.
 
 Each case runs once in this process and prints one `case,seconds,answer`
 CSV row: the wall time of the call alone (no interpreter start or import)
@@ -15,9 +15,11 @@ and the pair power never ask about, a large prime in both orders that one
 check asks, 2,000 digits, the complement of {0, 13} at 192, 384 and 768,
 which a backtracking search took seconds to find or refused, a complement
 of 2^21 elements refused before it is built, the window search at
-|N| = 2 * 10^8, answered at g = 2 and refused at g = |N|) and the
-many-prime orders: a batch and single questions with hundreds of digits at
-a primorial, and a pair of digits at the product of the first 20 primes.
+|N| = 2 * 10^8, answered at g = 2 and refused at g = |N|, the cycle
+search on a non-spectral pair with |S| = |N|, whose cylinders cover a hull
+of 6.7 * 10^4 integers) and the many-prime orders: a batch and single
+questions with hundreds of digits at a primorial, and a pair of digits at
+the product of the first 20 primes.
 
 Example:
     PYTHONPATH=src python scripts/order_stress.py compat-primorial-20 single-300-at-19
@@ -88,6 +90,9 @@ CASES = {
     "report-2e8": lambda: cli("spectrum", "report", "--n", "200000000", "--digits", "0,1"),
     "search-dense-2e8": lambda: cli(
         "compat", "search", "--n", "200000000", "--digits", "0,1,100000000,100000001"
+    ),
+    "decide-tile-6e4": lambda: cli(
+        "spectrum", "decide", "--n", "4", "--digits", "0,1,2,3", "--s", "0,120001,-79998,20003"
     ),
     "compat-primorial-20": lambda: cli(
         "compat", "check", "--n", str(PRIMORIAL_20), "--digits", f"0,{PRIMORIAL_20 // 2}", "--s", "0,1"

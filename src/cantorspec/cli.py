@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 from . import compat, decide, kernel, tiling
@@ -43,6 +44,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads "-2,0" as an unknown option; like "-2" or "-0.5" it
+        # is a value, so an integer list may start with a negative entry
+        self._negative_number_matcher = re.compile(r"^-\d*\.\d+$|^-\d[\d,-]*$")
+
     def error(self, message):  # malformed input must exit 1, not argparse's 2
         raise _UsageError(message)
 

@@ -3,18 +3,20 @@
 For a compatible pair with 0 in D, gcd(D) = 1 and 0 in S, the candidate
 spectrum fails to be a spectrum exactly when the successor map
 eta -> (eta + s)/N (the unique s in S making the division exact) admits a
-cycle of nonzero integers.  Every point of such a cycle is a periodic point
-of the maps x -> (x+s)/N, so it lies in their attractor K, inside the exact
-rational hull H of K.  The search therefore visits only the integers of K's
-level-L cylinders (H + lam)/N^L, lam = s_0 + s_1 N + ... + s_{L-1} N^(L-1),
+cycle of nonzero integers.  Let K be the attractor of the maps
+x -> (x+s)/N.  The successor map sends the finite set of K's integers onto
+itself (eta in K is (y + s)/N with y = N*eta - s in K), so K's nonzero
+integers are exactly the points of these cycles.  The search therefore
+visits only the integers of K's level-L cylinders (H + lam)/N^L, H the
+exact rational hull of K and lam = s_0 + s_1 N + ... + s_{L-1} N^(L-1),
 refined breadth-first while that shrinks their integer count: about
 |H|^(log|S|/log|N|) integers instead of all of H's, and never more than H
 holds.  Both outcomes carry machine-checkable evidence.  A spectral
 verdict reports the integer range of H (dilated by the regression hook
 `range_factor`) as `searched`: no integer in it lies on a nonzero cycle or
-leads into one.  A negative verdict carries the witness cycle that a walk
-from the nonzero integers of that range, in increasing absolute value,
-reaches first.  The hull is `attractor_bounds`, in exact rationals.
+leads into one.  A negative verdict carries the witness cycle through K's
+smallest nonzero integer in (|eta|, eta) order, starting there.  The hull
+is `attractor_bounds`, in exact rationals.
 """
 
 from __future__ import annotations
@@ -88,7 +90,8 @@ class SpectrumVerdict(_Record):
     integers or leads into one, though the search visits only the integers
     of the attractor's cylinders.  Negative verdicts carry the witness
     cycle as pairs (eta_j, s_j) with eta_{j+1} = (eta_j + s_j)/N
-    cyclically.
+    cyclically: the cycle through the attractor's smallest nonzero integer
+    in (|eta|, eta) order, starting there, a function of N and S alone.
     """
 
     __match_args__ = ("spectral", "witness", "searched", "bounds")
@@ -109,10 +112,9 @@ def decide_spectrum(
 
     Preconditions (each reported separately): 0 in D; gcd(D) = 1 (the
     degenerate point mass D = {0} is admitted); 0 in S; and (D/N, S)
-    compatible.  Start nodes are taken in increasing absolute value with
-    ties negative first, so the reported cycle is deterministic.
-    `range_factor` dilates the searched interval and exists purely as a
-    regression hook: enlarging the range must never flip a spectral verdict.
+    compatible.  `range_factor` only dilates the reported `searched`
+    range, a regression hook: the verdict and the witness do not depend on
+    it.
     """
     digits = system.digits
     if 0 not in digits:
@@ -176,31 +178,18 @@ def decide_spectrum(
     if not cycles:
         return SpectrumVerdict(True, None, (lo, hi), bounds)
 
-    # The nonzero integers of [lo, hi] whose walk never dies (by leaving the
-    # range, meeting 0 or finding no step) are those that reach a cycle: the
-    # backward closure of the cycles under eta -> N*eta - s, which never
-    # meets 0 because only s = 0 is divisible by N.  Its smallest member in
-    # (|eta|, eta) order is the first start whose walk finds a cycle.
-    alive = set(cycles)
-    frontier = list(cycles)
-    while frontier:
-        eta = frontier.pop()
-        for s in elems:
-            pred = scale * eta - s
-            if lo <= pred <= hi and pred not in alive:
-                alive.add(pred)
-                frontier.append(pred)
-    eta = min(alive, key=lambda e: (abs(e), e))
-    path: list[tuple[int, int]] = []
-    position: dict[int, int] = {}
-    while eta not in position:
-        position[eta] = len(path)
-        s = steps[eta % m]
-        path.append((eta, s))
-        eta = (eta + s) // scale
-    cycle = path[position[eta] :]
-    first = min(range(len(cycle)), key=lambda i: (abs(cycle[i][0]), cycle[i][0]))
-    return SpectrumVerdict(False, tuple(cycle[first:] + cycle[:first]), (lo, hi), bounds)
+    # The cycles' points are K's nonzero integers; the witness goes round
+    # from the smallest of them in (|eta|, eta) order.
+    def go_round(start: int) -> list[tuple[int, int]]:
+        path, eta = [], start
+        while not path or eta != start:
+            s = steps[eta % m]
+            path.append((eta, s))
+            eta = (eta + s) // scale
+        return path
+
+    first = min((eta for c in cycles for eta, _ in go_round(c)), key=lambda e: (abs(e), e))
+    return SpectrumVerdict(False, tuple(go_round(first)), (lo, hi), bounds)
 
 
 def verify_witness(system: ScaleDigitSystem, candidate: SpectrumCandidate, witness) -> bool:

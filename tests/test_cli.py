@@ -167,6 +167,40 @@ def test_tiling_past_the_recursion_limit(capsys):
     assert payload["s"] == [0, 1]
 
 
+def test_decide_witness_is_the_cycle_through_the_smallest_attractor_integer(capsys):
+    # 1 is the attractor's smallest nonzero integer; -1 is not in it, though
+    # a walk from -1 reaches the cycle [[2, -10]]
+    code, out, err = run(capsys, "spectrum", "decide", "--n", "-4", "--digits", "0,1,2,3", "--s=-10,-7,0,11")
+    assert (code, err) == (0, "")
+    assert out == (
+        '{"attractor_bounds": ["-18/5", "17/5"], "method": "integer-cycle search inside the attractor '
+        'enclosure", "searched_integers": [-3, 3], "verdict": "not-spectral", "witness": [[1, 11], '
+        '[-3, 11], [-2, -10], [3, -7]]}\n'
+    )
+
+
+def test_integer_lists_may_start_with_a_negative_entry(capsys):
+    # `compat search --n 4 --digits 0,1` prints [-2, 0], which must parse back
+    for flag, value, rest in [
+        ("--s", "-2,0", ["spectrum", "decide", "--n", "4", "--digits", "0,1"]),
+        ("--digits", "-1,0", ["spectrum", "decide", "--n", "4", "--s", "0,2"]),
+        ("--digits", "-1,0", ["tiling", "check", "--modulus", "4"]),
+    ]:
+        spaced = run(capsys, *rest, flag, value)
+        assert spaced == run(capsys, *rest, f"{flag}={value}")
+        assert spaced[0] == 0 and spaced[1] != ""
+    for argv in [
+        ["spectrum", "decide", "--n", "4", "--digits", "0,1", "--s"],
+        ["spectrum", "decide", "--n", "4", "--digits", "0,1", "--s", "--n", "4"],
+        ["spectrum", "decide", "--n", "4", "--digits", "0,1", "--s", "-2,0", "--bogus"],
+        ["spectrum", "decide", "--n", "4", "--digits", "0,1", "--s", "-2,0", "-3"],
+        ["spectrum", "decide", "--n", "4", "--digits", "0,1", "--s", "-x,0"],
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: "), argv
+
+
 def test_malformed_input_exits_one(capsys):
     for argv in [
         ["compat", "check", "--n", "4", "--digits", "0,0", "--s", "0,2"],

@@ -295,10 +295,10 @@ def test_report_scaled_digits_keep_certificates():
     assert report.canonical.offset == 2
 
 
-# Differential checks against the former search, kept here as the
-# reference: walk every nonzero integer of the (dilated) hull from the
-# smallest in (|eta|, eta) order, stepping with `successor`, until a walk
-# closes a cycle.
+# Differential checks against a reference that knows nothing of cylinders:
+# walk from every nonzero integer of the (dilated) hull, stepping with
+# `successor`; the integers whose walk comes back to them are the cycle
+# points, and the witness goes round from the smallest in (|eta|, eta) order.
 
 
 def successor(scale, candidate, eta):
@@ -326,32 +326,47 @@ def reference_decide(system, candidate, range_factor=1):
     searched = bounds.scaled(range_factor) if range_factor != 1 else bounds
     lo = math.ceil(searched.lo)
     hi = math.floor(searched.hi)
-    nodes = sorted((eta for eta in range(lo, hi + 1) if eta != 0), key=lambda e: (abs(e), e))
-    dead = set()
-    for start in nodes:
-        if start in dead:
-            continue
-        path = []
-        position = {}
-        cur = start
-        while True:
-            if cur in position:
-                cycle = path[position[cur] :]
-                first = min(range(len(cycle)), key=lambda i: (abs(cycle[i][0]), cycle[i][0]))
-                witness = tuple(cycle[first:] + cycle[:first])
-                return SpectrumVerdict(False, witness, (lo, hi), bounds)
-            if cur == 0 or cur in dead or not lo <= cur <= hi:
-                dead.update(eta for eta, _ in path)
-                break
-            step = successor(system.scale, candidate, cur)
-            if step is None:
-                dead.update(eta for eta, _ in path)
-                dead.add(cur)
-                break
+    on_cycle, settled = set(), set()
+    for start in range(lo, hi + 1):
+        # a walk ends at 0 (also standing for "no step"), outside the range,
+        # at an integer an earlier walk settled, or back on its own path
+        path, position, cur = [], {}, start
+        while cur and lo <= cur <= hi and cur not in settled and cur not in position:
             position[cur] = len(path)
-            path.append((cur, step[1]))
-            cur = step[0]
-    return SpectrumVerdict(True, None, (lo, hi), bounds)
+            path.append(cur)
+            step = successor(system.scale, candidate, cur)
+            cur = step[0] if step else 0
+        if cur in position:
+            on_cycle.update(path[position[cur] :])
+        settled.update(path)
+    if not on_cycle:
+        return SpectrumVerdict(True, None, (lo, hi), bounds)
+    first = min(on_cycle, key=lambda e: (abs(e), e))
+    witness, eta = [], first
+    while not witness or eta != first:
+        eta_next, s = successor(system.scale, candidate, eta)
+        witness.append((eta, s))
+        eta = eta_next
+    return SpectrumVerdict(False, tuple(witness), (lo, hi), bounds)
+
+
+def attractor_integers(scale, elements):
+    """The integers of the attractor K, from K = union of (K + s)/N alone: the
+    hull's integers with an endless chain of predecessors N*eta - s in it.
+    Integers left with no predecessor are peeled off until none is."""
+    bounds = attractor_bounds(scale, elements)
+    hull = range(math.ceil(bounds.lo), math.floor(bounds.hi) + 1)
+    count = {eta: sum(scale * eta - s in hull for s in elements) for eta in hull}
+    peel = [eta for eta, c in count.items() if not c]
+    while peel:
+        y = peel.pop()
+        for s in elements:  # y is a predecessor of (y + s)/N where that is an integer
+            eta, rest = divmod(y + s, scale)
+            if not rest and eta in count:
+                count[eta] -= 1
+                if not count[eta]:
+                    peel.append(eta)
+    return {eta for eta, c in count.items() if c}
 
 
 def lifted_window_pairs(scale, max_digit, sizes, lifts):
@@ -377,6 +392,7 @@ def test_decide_matches_reference_exhaustively():
     compared = negatives = 0
     for scale in scales:
         for system, candidate in lifted_window_pairs(scale, 7, (2, 3, 4), (-2, 0, 3)):
+            witnesses = set()
             for range_factor in (1, 2, 3):
                 expected = reference_decide(system, candidate, range_factor)
                 assert decide_spectrum(system, candidate, range_factor) == expected, (
@@ -386,6 +402,12 @@ def test_decide_matches_reference_exhaustively():
                 )
                 compared += 1
                 negatives += not expected.spectral
+                witnesses.add(expected.witness)
+            assert len(witnesses) == 1, (system, candidate)  # a function of (N, S) alone
+            (witness,) = witnesses
+            if witness is not None:
+                first = min(attractor_integers(scale, candidate.elements) - {0}, key=lambda e: (abs(e), e))
+                assert witness[0][0] == first, (system, candidate)
     assert compared > 30_000 and negatives > 9_000
 
 
@@ -445,7 +467,7 @@ def test_large_hull_fixed_point_witness():
         (-4, (-11, -5, 0, 2)),  # a cycle through the top of the hull, 3
         (-4, (-10, -5, 0, 9)),
         (4, (0, 120001, -79998, 20003)),  # hulls of about 6 * 10^4 integers
-        (-4, (0, 120001, -79998, 20003)),  # with a cycle: the backward closure
+        (-4, (0, 120001, -79998, 20003)),
     ],
 )
 def test_tile_pairs_match_reference(scale, elements):
@@ -456,6 +478,21 @@ def test_tile_pairs_match_reference(scale, elements):
     for range_factor in (1, 2):
         expected = reference_decide(system, candidate, range_factor)
         assert decide_spectrum(system, candidate, range_factor) == expected
+    if expected.witness is not None:
+        first = min(attractor_integers(scale, elements) - {0}, key=lambda e: (abs(e), e))
+        assert expected.witness[0][0] == first
+
+
+def test_witness_starts_at_the_smallest_nonzero_integer_of_the_attractor():
+    # the hull is [-3.6, 3.4] and -1's predecessors 4 - s all leave it, so -1
+    # is not in K, though a walk from -1 reaches the cycle [(2, -10)]
+    system = ScaleDigitSystem(-4, (0, 1, 2, 3))
+    candidate = SpectrumCandidate((-10, -7, 0, 11))
+    verdict = decide_spectrum(system, candidate)
+    assert verdict.witness == ((1, 11), (-3, 11), (-2, -10), (3, -7))
+    assert verify_witness(system, candidate, verdict.witness)
+    assert attractor_integers(-4, candidate.elements) == {-3, -2, 0, 1, 2, 3}
+    assert decide_spectrum(system, candidate, range_factor=3).witness == verdict.witness
 
 
 def eager_report(system):
