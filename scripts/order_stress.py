@@ -14,12 +14,14 @@ prime shared by the scale and a digit difference, which the construction
 and the pair power never ask about, a large prime in both orders that one
 check asks, 2,000 digits, the complement of {0, 13} at 192, 384 and 768,
 which a backtracking search took seconds to find or refused, a complement
-of 2^21 elements refused before it is built, the window search at
-|N| = 2 * 10^8, answered at g = 2 and refused at g = |N|, the cycle
-search on a non-spectral pair with |S| = |N|, whose cylinders cover a hull
-of 6.7 * 10^4 integers) and the many-prime orders: a batch and single
-questions with hundreds of digits at a primorial, and a pair of digits at
-the product of the first 20 primes.
+of 2^21 elements refused before it is built, the complement of 1,000
+digits at L = 10^7, refused before its counting check walks L sums, the
+window search at |N| = 2 * 10^8, answered at g = 2 and refused at g = |N|,
+the dense window search at |N| = 10^5, refused by its clique walk's work
+budget, the cycle search on a non-spectral pair with |S| = |N|, whose
+cylinders cover a hull of 6.7 * 10^4 integers) and the many-prime
+orders: a batch and single questions with hundreds of digits at a
+primorial, and a pair of digits at the product of the first 20 primes.
 
 Example:
     PYTHONPATH=src python scripts/order_stress.py compat-primorial-20 single-300-at-19
@@ -91,6 +93,7 @@ CASES = {
     "search-dense-2e8": lambda: cli(
         "compat", "search", "--n", "200000000", "--digits", "0,1,100000000,100000001"
     ),
+    "search-dense-1e5": lambda: cli("compat", "search", "--n", "100000", "--digits", "0,1,50000,50001"),
     "decide-tile-6e4": lambda: cli(
         "spectrum", "decide", "--n", "4", "--digits", "0,1,2,3", "--s", "0,120001,-79998,20003"
     ),
@@ -108,6 +111,9 @@ CASES = {
     "tiling-13-384": lambda: cli("tiling", "check", "--digits", "0,13", "--modulus", "384"),
     "check-13-at-768": lambda: cli("tiling", "check", "--digits", "0,13", "--modulus", "768"),
     "construct-complement-2^22": lambda: cli("tiling", "construct", "--n", "4194304", "--digits", "0,2097152"),
+    "complement-1000-at-1e7": lambda: cli(
+        "tiling", "check", "--digits", ",".join(map(str, range(1000))), "--modulus", "10000000"
+    ),
     "batch-1000-at-37": lambda: orders(OrderTest(wide_digits(1000, 37), PRIMORIAL_12).all_orders()),
     "single-1000-at-37": lambda: order_vanishes(wide_digits(1000, 37), PRIMORIAL_12),
     "single-300-at-19": lambda: order_vanishes(wide_digits(300, 19), PRIMORIAL_8),

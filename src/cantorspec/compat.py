@@ -13,13 +13,17 @@ The window search looks for such S with 0 in S among the integers of
 [2-|N|, |N|-2].  Since every other element of S differs from 0 by a zero
 of the symbol, only the integers at which it vanishes can take part: they
 are the vertices of the zero graph through 0, joined when their difference
-is a zero too.  Each candidate set is 0 plus a clique of |D|-1 of them,
-found by a depth-first search on int bitsets.  By Mann's bound g (see
-`cyclotomic`) every zero is (|N|/g) * t, of the order of t mod g, so the
-zero pattern has period g, not |N|: the window's multiples of |N|/g sit at
+is a zero too.  Each candidate set is 0 plus a clique of |D|-1 of them.  By
+Mann's bound g (see `cyclotomic`) every zero is (|N|/g) * t, of the order
+of t mod g, so the zero pattern, built from the vanishing orders and their
+primes, has period g, not |N|: the window's multiples of |N|/g sit at
 consecutive bits, and the neighbours above bit x are that pattern shifted
-up to x; the search takes the lowest candidate bit first, intersects the
-rest with its neighbours and drops a branch once too few bits remain.
+up to x.  One function of the vertices, the pattern and the clique size
+walks them, depth first on int bitsets: it takes the lowest candidate bit
+first, intersects the rest with its neighbours and drops a branch once too
+few bits remain.  It bounds its work, not only its results: each node
+costs about the (2g + x)/8 bytes of the shifted pattern, and past
+8 * _PATTERN_BUDGET bytes in all it raises BudgetExceededError.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ import itertools
 import math
 from collections.abc import Iterator
 
-from .cyclotomic import OrderTest
 from . import systems
 from .systems import (
     BudgetExceededError,
@@ -44,7 +47,8 @@ from .systems import (
 #: BudgetExceededError instead of filling memory.
 SEARCH_BUDGET = 100_000
 
-# Most bytes the window search's zero pattern may take: g up to about 1.07e8
+# Most bytes the window search's zero pattern may take, g up to about 1.07e8;
+# its clique walk may touch eight times as many
 _PATTERN_BUDGET = 1 << 27
 
 
@@ -94,24 +98,42 @@ def is_compatible(
     return CompatibilityCertificate(system, candidate, tuple(entries))
 
 
-def _zero_pattern(orders: OrderTest, m: int) -> int:
-    """Int with bit t set exactly when the order m / gcd(t, m) vanishes,
-    for 0 <= t < 2m and any multiple m of every order, such as g.
+def _zero_pattern(orders: dict[int, list[int]], m: int) -> int:
+    """Int with bit t < 2m set exactly when m / gcd(t, m) is a key of
+    `orders`, {b: primes of b}, m any multiple of every order, such as g.
 
     The residues of order b are (m/b) * u with u a unit mod b, found by
-    sieving out the primes of b, which the batch of all orders keeps.  Only
-    ones are written, since the other multiples of m/b may be zeros of
-    another order.
+    sieving out the primes of b.  Only ones are written, since the other
+    multiples of m/b may be zeros of another order.
     """
     digits = bytearray(b"0") * m
-    for b in orders.all_orders():
+    for b, primes in orders.items():
         units = bytearray([1]) * b
-        for p in orders.reach[b]:
+        for p in primes:
             units[::p] = bytes(len(range(0, b, p)))
         for r in itertools.compress(range(0, m, m // b), units):
             digits[m - 1 - r] = ord("1")
     period = int(digits, 2)
     return period << m | period
+
+
+def _cliques(vertices: int, pattern: int, size: int) -> Iterator[tuple[int, ...]]:
+    """The cliques of `size` bits of `vertices`, x < y joined when bit y - x
+    of `pattern` is set, in lexicographic order; see the module docstring."""
+    budget, width, touched, nodes = 8 * _PATTERN_BUDGET, pattern.bit_length(), 0, 0
+    stack = [((), vertices)]  # (bits chosen, the bits that may follow them), the next on top
+    while stack:
+        chosen, cand = stack.pop()
+        if len(chosen) == size:
+            yield chosen
+        elif cand.bit_count() >= size - len(chosen):
+            bit = cand & -cand
+            x, cand = bit.bit_length() - 1, cand ^ bit
+            touched, nodes = touched + (width + x) // 8, nodes + 1
+            if touched > budget:
+                raise BudgetExceededError(f"the clique search touched {touched} bytes of its pattern in {nodes} "
+                                          f"nodes, over its work budget of {budget} bytes")
+            stack += [(chosen, cand), ((*chosen, x), cand & (pattern << x))]
 
 
 def search_candidate_s(system: ScaleDigitSystem) -> list[SpectrumCandidate]:
@@ -127,8 +149,9 @@ def search_candidate_s(system: ScaleDigitSystem) -> list[SpectrumCandidate]:
     Putting 0 back keeps that order: where two cliques first differ, both
     differing elements lie on the same side of 0, or the smaller one lies
     below 0 and meets the 0 inserted into the other set.  More than
-    SEARCH_BUDGET candidates raise BudgetExceededError, and so does a
-    period g of the zeros past about 1.07e8, before its pattern is built.
+    SEARCH_BUDGET candidates raise BudgetExceededError, and so do a
+    period g of the zeros past about 1.07e8, before its pattern is built,
+    and a walk that touches more than 2^30 bytes of it.
     """
     if system.modulus < 3:
         raise PreconditionError("the window [2-|N|, |N|-2] is degenerate for |N| = 2")
@@ -151,24 +174,15 @@ def _window_candidates(system: ScaleDigitSystem) -> Iterator[SpectrumCandidate]:
             f"the window search at |N| = {m} builds a zero pattern of period g = {g}, about {size} "
             f"bytes (g bytes and a 2g-bit integer), over its budget of {_PATTERN_BUDGET} bytes"
         )
-    pattern = _zero_pattern(system._order_test, g)
+    pattern = _zero_pattern(system._order_test.all_orders(), g)
     unit = m // g  # every zero is a multiple of |N|/g
     reach = (m - 2) // unit  # bit x of a window bitset stands for the integer (x - reach) * unit
     vertices = (pattern >> (-reach % g)) & ((1 << (2 * reach + 1)) - 1)
-    want = system.size
-
-    def extend(cand: int, chosen: tuple[int, ...]) -> Iterator[SpectrumCandidate]:
-        need = want - 1 - len(chosen)
-        if need == 0:
-            yield SpectrumCandidate((0, *chosen))
-            return
-        while cand.bit_count() >= need:
-            bit = cand & -cand
-            cand ^= bit
-            x = bit.bit_length() - 1
-            yield from extend(cand & (pattern << x), (*chosen, (x - reach) * unit))
-
-    yield from extend(vertices, ())
+    try:
+        for clique in _cliques(vertices, pattern, system.size - 1):
+            yield SpectrumCandidate((0, *((x - reach) * unit for x in clique)))
+    except BudgetExceededError as error:
+        raise BudgetExceededError(f"the window search at |N| = {m}, on zeros of period g = {g}: {error}") from None
 
 
 def reduce_s(scale: int, candidate: SpectrumCandidate) -> SpectrumCandidate:

@@ -31,8 +31,8 @@ The orders are decided on demand: each `ScaleDigitSystem` holds an
 and remembers the answer.  A compatibility check asks the orders of its
 differences, the tiling construction its prime powers and their products,
 and `is_complementing` shares one such memo among its (T1) and (T2)
-questions; only the window search asks for every order at once, and sieves
-their residues with the primes its batch keeps.
+questions; only the window search asks for every order at once, and the
+batch returns each vanishing order with its primes, which sieve its residues.
 
 The test itself is one integer.  For d >= 1 let F(d) = d * sum_r C_r(d)^2,
 with C_r(d) the sum of the coefficients whose exponent is r (mod d); by
@@ -145,7 +145,7 @@ class OrderTest:
     F(d) are kept per divisor, so each is summed at most once.
     """
 
-    __slots__ = ("g", "span", "exps", "sums", "known", "found", "reach", "orders")
+    __slots__ = ("g", "span", "exps", "sums", "known", "found", "orders")
 
     def __init__(self, exponents, n: int):
         exps = self.exps = tuple(exponents)
@@ -158,8 +158,7 @@ class OrderTest:
         self.sums = {1: len(exps) ** 2}  # d -> F(d); F(1) = |D|^2 needs no sum
         self.known: dict[int, bool] = {}  # every answer given so far
         self.found: list[int] = []  # the primes single questions have factorised, ascending
-        self.reach: dict[int, list[int]] | None = None  # b -> primes of b, once `all_orders` ran
-        self.orders: frozenset[int] | None = None  # the vanishing ones, once `all_orders` ran
+        self.orders: dict[int, list[int]] | None = None  # vanishing b -> primes of b, once `all_orders` ran
 
     def __call__(self, b: int) -> bool:
         """Whether b > 1 divides n and Phi_b divides the sum."""
@@ -201,10 +200,10 @@ class OrderTest:
             terms += [(d // p, -sign) for d, sign in terms]
         return sum(sign * self._class_sum(d) for d, sign in terms)
 
-    def all_orders(self) -> frozenset[int]:
-        """Every vanishing order, built once over the divisors in reach:
-        each divisor not summed yet is summed, and T_b follows for all of
-        them from one Moebius pass, at most omega(g) steps per divisor."""
+    def all_orders(self) -> dict[int, list[int]]:
+        """{b: primes of b} for every vanishing order b, built once over the
+        divisors in reach: each not summed yet is summed, and T_b follows
+        for all from one Moebius pass, at most omega(g) steps per divisor."""
         if self.orders is None:
             factors = factorize(self.g)
             span, reach = self.span, [(1, 1, [])]  # (b, phi(b), primes of b)
@@ -224,8 +223,7 @@ class OrderTest:
                 for b, _, _ in reversed(reach):
                     if b % p == 0:
                         trace[b] -= trace[b // p]
-            self.reach = {b: primes for b, _, primes in reach[1:]}
-            for b in self.reach:  # an order asked before is known already, with the same answer
+            for b, _, _ in reach[1:]:  # an order asked before is known already, with the same answer
                 self.known.setdefault(b, trace[b] == 0)
-            self.orders = frozenset(b for b in self.reach if self.known[b])
+            self.orders = {b: primes for b, _, primes in reach[1:] if self.known[b]}
         return self.orders

@@ -139,12 +139,12 @@ class ScaleDigitSystem(_Record):
         time it is asked, and at most once per system."""
         return self._order_test(b)
 
-    @property
+    @functools.cached_property
     def vanishing_orders(self) -> frozenset[int]:
         """Every b with `is_vanishing_order(b)`, built once per system over
         the same reach as a single question; an order asked before or
         after is not tested again."""
-        return self._order_test.all_orders()
+        return frozenset(self._order_test.all_orders())
 
 
 class SpectrumCandidate(_Record):

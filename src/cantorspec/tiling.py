@@ -73,7 +73,7 @@ def is_complementing(digits, modulus: int) -> tuple[int, ...] | None:
 
     (T1) and (T2) decide it for |D| with at most two primes, E being their
     product (see the module docstring); with more, a search decides what
-    (T1) does not refute.  LAMBDA_BUDGET bounds L/|D| and placed translates.
+    (T1) does not refute.  LAMBDA_BUDGET bounds L and placed translates.
 
     >>> is_complementing((0, 1, 8, 9), 16)
     (0, 2, 4, 6)
@@ -100,11 +100,12 @@ def _sums(elements: list[int], step: int, count: int) -> list[int]:
 
 def _complement(powers: dict[int, tuple[int, ...]], modulus: int, digs: tuple[int, ...]) -> tuple[int, ...]:
     """The product complement of digits whose {p: S_p} at the modulus pass
-    (T1) and (T2), as sorted residues checked by counting to cover Z_L."""
+    (T1) and (T2), as sorted residues checked by counting to cover Z_L:
+    that walks L sums, so L past the budget is refused before any is built."""
     size, budget = len(digs), systems.LAMBDA_BUDGET
-    if modulus // size > budget:
-        raise BudgetExceededError(f"the complement mod L = {modulus} of |D| = {size} digits has "
-                                  f"L/|D| = {modulus // size} elements, over the budget {budget}")
+    if modulus > budget:
+        raise BudgetExceededError(f"the complement mod L = {modulus} of |D| = {size} digits is checked by "
+                                  f"counting L = {modulus} sums, over the budget {budget}")
     # the part of L prime to |D|: the powers of its primes all take part, and sum to the multiples of L/rest
     elements, rest = [0], modulus // math.gcd(modulus, size ** modulus.bit_length())
     for p, group in powers.items():

@@ -298,11 +298,19 @@ def test_complement_search_over_budget_exits_two(capsys, monkeypatch):
     "argv,message",
     [
         (["tiling", "construct", "--n", "4194304", "--digits", "0,2097152"],
-         "the complement mod L = 4194304 of |D| = 2 digits has L/|D| = 2097152 elements, over the budget 1000000"),
+         "the complement mod L = 4194304 of |D| = 2 digits is checked by counting L = 4194304 sums, "
+         "over the budget 1000000"),
         (["tiling", "check", "--digits", "0,1", "--modulus", "2000002"],
-         "the complement mod L = 2000002 of |D| = 2 digits has L/|D| = 1000001 elements, over the budget 1000000"),
+         "the complement mod L = 2000002 of |D| = 2 digits is checked by counting L = 2000002 sums, "
+         "over the budget 1000000"),
+        (["tiling", "check", "--digits", ",".join(map(str, range(1000))), "--modulus", "1000000000"],
+         "the complement mod L = 1000000000 of |D| = 1000 digits is checked by counting L = 1000000000 sums, "
+         "over the budget 1000000"),
+        (["tiling", "check", "--digits", "0,1", "--modulus", "1000002"],
+         "the complement mod L = 1000002 of |D| = 2 digits is checked by counting L = 1000002 sums, "
+         "over the budget 1000000"),
     ],
-    ids=["construct-2^22", "check-2000002"],
+    ids=["construct-2^22", "check-2000002", "check-1000-digits-at-1e9", "check-1000002"],
 )
 def test_complement_past_the_budget_exits_two_before_building(capsys, argv, message):
     # refused before any complement element is built: the 2^21 elements of

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -18,7 +19,8 @@ from cantorspec import (
     search_candidate_s,
 )
 from cantorspec import cyclotomic
-from oracles import symbol_eval, zero_residues
+from cantorspec.cyclotomic import factorize
+from oracles import divisors, symbol_eval, zero_residues
 
 CERTIFIED_PAIRS = [
     (4, (0, 1), (0, 2)),
@@ -97,7 +99,39 @@ def test_zero_pattern_sets_exactly_the_zero_residues():
         m = system.modulus
         zeros = zero_residues(system)
         expected = sum(1 << t for t in range(2 * m) if t % m in zeros)
-        assert compat._zero_pattern(system._order_test, m) == expected, system
+        assert compat._zero_pattern(system._order_test.all_orders(), m) == expected, system
+    # any map {b: primes of b} at any multiple m of its orders, such as a
+    # subset of a system's orders at a multiple of g, or orders made up
+    # here: bit t is set exactly when m / gcd(t, m) is one of them
+    rng = random.Random(17)
+    for system in rng.sample(systems, 300):
+        g = system._order_test.g
+        orders = {b: primes for b, primes in system._order_test.all_orders().items() if rng.random() < 0.5}
+        made = {b: sorted(factorize(b)) for b in divisors(g * 6)[1:] if rng.random() < 0.3}
+        for chosen, m in ((orders, g * rng.randint(1, 4)), (made, g * 6)):
+            expected = sum(1 << t for t in range(2 * m) if m // math.gcd(t, m) in chosen)
+            assert compat._zero_pattern(chosen, m) == expected, (system, chosen, m)
+
+
+def test_clique_walk_matches_combinations_in_order():
+    # the walk against brute force on seeded patterns: every `size` bits of
+    # the vertices joined pairwise, x < y when bit y - x of the pattern is
+    # set, in the lexicographic order of `itertools.combinations`
+    rng = random.Random(23)
+    for _ in range(200):
+        period = rng.randint(1, 24)
+        zeros = [t for t in range(period) if rng.random() < 0.6]
+        period_bits = sum(1 << t for t in zeros)
+        pattern = period_bits << period | period_bits
+        width = rng.randint(1, 2 * period)
+        vertices = sum(1 << x for x in range(width) if rng.random() < 0.7)
+        bits = [x for x in range(width) if vertices >> x & 1]
+        for size in range(5):
+            expected = [
+                combo for combo in itertools.combinations(bits, size)
+                if all(pattern >> (y - x) & 1 for x, y in itertools.combinations(combo, 2))
+            ]
+            assert list(compat._cliques(vertices, pattern, size)) == expected, (pattern, vertices, size)
 
 
 def test_sum_of_squares_identity():
@@ -287,6 +321,24 @@ def test_window_search_keys_its_zero_pattern_to_g_and_refuses_past_its_budget(mo
             g = system.modulus
             assert f"zero pattern of period g = {g}, about {g + g // 4} bytes" in str(caught.value)
     assert built == [2, 2, 10**7, 10**8]
+
+
+def test_window_search_refuses_past_its_work_budget(monkeypatch):
+    # D = {0, 1, |N|/2, |N|/2 + 1}: g = |N| and the zeros are dense, so the
+    # walk's work, about (2g + x)/8 bytes per node, grows with |N|^2.  At a
+    # pattern budget of 2^12 bytes the walk may touch 2^15: |N| = 100
+    # touches 20,342 bytes over 506 nodes and |N| = 200 about 84,000
+    dense = {n: ScaleDigitSystem(n, (0, 1, n // 2, n // 2 + 1)) for n in (100, 200)}
+    found = search_candidate_s(dense[100])
+    assert len(found) == 192
+    monkeypatch.setattr(compat, "_PATTERN_BUDGET", 1 << 12)
+    assert search_candidate_s(dense[100]) == found
+    with pytest.raises(BudgetExceededError) as caught:
+        search_candidate_s(dense[200])
+    assert str(caught.value) == (
+        "the window search at |N| = 200, on zeros of period g = 200: the clique search touched 32835 bytes "
+        "of its pattern in 432 nodes, over its work budget of 32768 bytes"
+    )
 
 
 def count_order_questions(monkeypatch):

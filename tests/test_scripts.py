@@ -62,6 +62,7 @@ def test_order_stress_times_the_cases_it_is_given():
     proc = run_script(
         "order_stress.py", "compat-primorial-20", "order-test-2000-at-4000", "construct-shared-prime-1e14",
         "report-2e8", "search-dense-2e8", "check-13-at-768", "construct-complement-2^22", "decide-tile-6e4",
+        "search-dense-1e5", "complement-1000-at-1e7",
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     rows = [row.split(",") for row in proc.stdout.splitlines()]
@@ -73,8 +74,10 @@ def test_order_stress_times_the_cases_it_is_given():
         ("report-2e8", "0:0e0bd5ab2245"),  # g = 2: S = {-10^8, 0}
         ("search-dense-2e8", "2:da39a3ee5e6b"),  # g = |N| past the pattern budget: exit 2, no stdout
         ("check-13-at-768", "0:15f37c373737"),  # {0, 13} tiles Z_768: the product complement
-        ("construct-complement-2^22", "2:da39a3ee5e6b"),  # L/|D| = 2^21 past the budget: exit 2, no stdout
+        ("construct-complement-2^22", "2:da39a3ee5e6b"),  # L = 2^22 past the budget: exit 2, no stdout
         ("decide-tile-6e4", "0:5b4f867f6dbc"),  # |S| = |N|, not spectral: the cycle through 1
+        ("search-dense-1e5", "2:da39a3ee5e6b"),  # g = |N|, dense zeros: past the walk's work budget, exit 2
+        ("complement-1000-at-1e7", "2:da39a3ee5e6b"),  # L = 10^7 past the budget: exit 2, no stdout
     ]
     assert all(float(row[1]) >= 0 for row in rows[1:])
     unknown = run_script("order_stress.py", "no-such-case")

@@ -175,9 +175,12 @@ def test_construction_reads_prime_powers_from_the_vanishing_orders(monkeypatch, 
     assert (construction.p_powers, construction.q_powers) == expected
     assert len(summed) == len(set(summed))  # the system's memo sums each divisor once
     # the batch sums the rest of the reach and nothing twice, so every
-    # divisor summed lies in the reach
+    # divisor summed lies in the reach: the b > 1 dividing g with phi(b) <= s
     orders = fresh.vanishing_orders
-    assert sorted(summed) == sorted(fresh._order_test.reach)
+    g, span = fresh._order_test.g, fresh._order_test.span
+    primes = factorize(g)
+    reach = [b for b in divisors(g)[1:] if b // radical(b) * math.prod(p - 1 for p in primes if b % p == 0) <= span]
+    assert sorted(summed) == reach
     assert orders == system.vanishing_orders
 
 
@@ -439,19 +442,20 @@ def test_complement_search_budget(monkeypatch):
 
 
 def test_product_complement_budget(monkeypatch):
-    # refused before it is built once L/|D| passes the budget, at the edge
-    # the search had: L/|D| = 1000 answers and 1001 is refused
+    # refused before it is built once L passes the budget, since the
+    # counting check walks L sums: L = 1000 answers and 1002 is refused
     monkeypatch.setattr(systems, "LAMBDA_BUDGET", 1000)
-    assert is_complementing((0, 1), 2000) == tuple(range(0, 2000, 2))
-    message = "the complement mod L = 2002 of |D| = 2 digits has L/|D| = 1001 elements, over the budget 1000"
+    assert is_complementing((0, 1), 1000) == tuple(range(0, 1000, 2))
+    message = "the complement mod L = 1002 of |D| = 2 digits is checked by counting L = 1002 sums, over the budget 1000"
     with pytest.raises(BudgetExceededError) as caught:
-        is_complementing((0, 1), 2002)
+        is_complementing((0, 1), 1002)
     assert str(caught.value) == message
     # the construction's, at two primes: D = 1000 * {0, ..., 9} vanishes at 16 and 625, so L = 10^4
+    monkeypatch.setattr(systems, "LAMBDA_BUDGET", 10000)
     construction = construct_spectrum_set(ScaleDigitSystem(-10000, tuple(range(0, 10000, 1000))))
     assert (construction.modulus_l, construction.p_powers, construction.q_powers) == (10000, (16,), (625,))
     assert_exact_cover(range(0, 10000, 1000), construction.complement_e0, 10000)
-    with pytest.raises(BudgetExceededError, match=r"mod L = 20000 of \|D\| = 10 digits has L/\|D\| = 2000 elements"):
+    with pytest.raises(BudgetExceededError, match=r"mod L = 20000 of \|D\| = 10 digits is checked by counting L = 20000 sums"):
         construct_spectrum_set(ScaleDigitSystem(20000, tuple(range(0, 20000, 2000))))
 
 
@@ -462,8 +466,8 @@ def test_one_lambda_budget_bounds_slices_pair_powers_and_complement_searches(mon
     slice_of_1024 = lambda: lambda_enumerate(4, candidate, 10)
     power_of_2016_pairs = lambda: pair_power(system, candidate, 6)  # 64 points each
     search_of_many = lambda: tiling._search_complement((0, 13), 48)
-    complement_of_1001 = lambda: is_complementing((0, 1), 2002)
-    for run in (slice_of_1024, power_of_2016_pairs, search_of_many, complement_of_1001):
+    complement_of_1002 = lambda: is_complementing((0, 1), 1002)
+    for run in (slice_of_1024, power_of_2016_pairs, search_of_many, complement_of_1002):
         run()
     monkeypatch.setattr(systems, "LAMBDA_BUDGET", 1000)
     with pytest.raises(BudgetExceededError, match="enumeration budget 1000"):
@@ -472,8 +476,8 @@ def test_one_lambda_budget_bounds_slices_pair_powers_and_complement_searches(mon
         power_of_2016_pairs()
     with pytest.raises(BudgetExceededError, match="budget of 1000 placed translates"):
         search_of_many()
-    with pytest.raises(BudgetExceededError, match=r"L/\|D\| = 1001 elements, over the budget 1000"):
-        complement_of_1001()
+    with pytest.raises(BudgetExceededError, match=r"counting L = 1002 sums, over the budget 1000"):
+        complement_of_1002()
 
 
 def test_failed_complement_searches_hold_only_what_they_cover():
