@@ -7,8 +7,9 @@ interpreter start or import; single runs of 0.1-2 ms move by more than a
 third between identical runs) and its result, Q to 12 significant digits,
 so that two checkouts whose kernels differ only in rounding give the same
 answer.  The transfer case answers with whether the recursion defect stays
-below 1e-14.  With no arguments every case runs, in the order listed below;
-arguments pick cases by name.
+below 1e-14.  Every repeat starts from an empty memo of slice closures, so
+each row times the closure's build too.  With no arguments every case
+runs, in the order listed below; arguments pick cases by name.
 
 The cases are the five pairs of the benchmark's qgrid workload at their
 depths, the N = 8 pair at depth 2 (its whole slice is one polynomial), an
@@ -18,15 +19,18 @@ three candidates far outside the window (4^20, congruent to 0 mod 4, so
 that the slice takes its points, 4^20 + 2 and 3^600, whose slice closures
 have empty domains and build no series), a candidate with two elements
 congruent mod N (its slice points coincide, 4 + 0 = 0 + 4), and one
-transfer recursion.  `wide-2000`, the `far-*` cases and `collision-4` get
-no P_1 or P_2, only the tail series P_0, so every slice point takes
-factors past the slice until P_0 closes it (the leaf rows); every other
-case closes its prefixes with P_1 or P_2.
+transfer recursion, and a sweep of 24 grid points over [0, 1) on one pair
+(6, {0,1,2}, S = {0,2,4} at depth 7), which builds the pair's closure once
+and answers with the sum of the 24 Q values.  `wide-2000`, the `far-*`
+cases and `collision-4` get no P_1 or P_2, only the tail series P_0, so
+every slice point takes factors past the slice until P_0 closes it (the
+leaf rows); every other case closes its prefixes with P_1 or P_2.
 
 Example:
     PYTHONPATH=src python scripts/kernel_stress.py qgrid-8 collision-4
 """
 
+import math
 import sys
 import time
 
@@ -37,6 +41,7 @@ from cantorspec import (
     q_eval_with_bound,
     transfer_residual,
 )
+from cantorspec import kernel
 
 XI = 0.3
 REPEATS = 5
@@ -47,6 +52,13 @@ def q(scale, digits, elements, depth):
         ScaleDigitSystem(scale, digits), SpectrumCandidate(elements), XI, TruncationPolicy(depth=depth)
     )
     return f"{value:.12g}"
+
+
+def sweep(scale, digits, elements, depth, grid):
+    system, candidate = ScaleDigitSystem(scale, digits), SpectrumCandidate(elements)
+    policy = TruncationPolicy(depth=depth)
+    total = math.fsum(q_eval_with_bound(system, candidate, i / grid, policy)[0] for i in range(grid))
+    return f"{total:.12g}"
 
 
 def transfer(scale, digits, elements, depth):
@@ -68,6 +80,7 @@ CASES = {
     "far-3-600": lambda: q(2, (0, 1), (0, 3**600), 3),
     "collision-4": lambda: q(4, (0, 1), (0, 1, 4), 8),
     "transfer-6": lambda: transfer(6, (0, 1, 2), (0, 2, 4), 5),
+    "sweep-6-24": lambda: sweep(6, (0, 1, 2), (0, 2, 4), 7, 24),
 }
 
 
@@ -80,6 +93,7 @@ def main(names: list[str]) -> int:
     for name in names or CASES:
         best = float("inf")
         for _ in range(REPEATS):
+            kernel._slice_closure.cache_clear()
             start = time.perf_counter()
             answer = CASES[name]()
             best = min(best, time.perf_counter() - start)

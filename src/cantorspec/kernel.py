@@ -42,10 +42,11 @@ series, the shift exactly) on the v of P_0's domain whose preimages
 (v + scale*s)/N lie in P_(k-1)'s: an interval, which must hold 0.  The
 error goes along pointwise (P_(k-1)'s at the preimages times M_s <= M_s(0)
 + L|v|, plus what truncating drops) to remainder * v^(2M) + offset + slope
-* |v|, offset 0 where M_s(0) = 0 for every s but 0.  Once per call, with
-no cache, `_slice_closure` takes the pair's weights, Lipschitz sum and
-tail series, finds the domains and then builds each M_s once: 2|S| series
-products whatever the size of s.  It gives P_0 alone for D = {0},
+* |v|, offset 0 where M_s(0) = 0 for every s but 0.  Once per pair (N, D,
+S), memoised by value, `_slice_closure` takes the pair's weights,
+Lipschitz sum and tail series, finds the domains and then builds each M_s
+once: 2|S| series products whatever the size of s.  It holds only tuples,
+so no caller can change it, and gives P_0 alone for D = {0},
 where S has two elements congruent mod |N| (points may coincide), or where
 P_1's domain is empty or past the float range.
 
@@ -63,6 +64,7 @@ the bound.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import operator
 from collections import Counter
@@ -145,13 +147,13 @@ def _truncation(lipschitz: float, base: int, x: float, target: float) -> tuple[i
         ) from None
 
 
-def _difference_weights(system) -> list[tuple[int, float]]:
+def _difference_weights(system) -> tuple[tuple[int, float], ...]:
     """Pairs (k, 4*c_k/|D|^2) over the positive differences k of the
     digits, c_k = #{(d, d') in D^2 : d - d' = k}, so that
     |m_D(eta)|^2 = 1 - sum_k w_k * sin^2(pi*k*eta)."""
     counts = Counter(b - a for i, a in enumerate(system.digits) for b in system.digits[i + 1 :])
     scale = 4.0 / (system.size * system.size)
-    return [(k, scale * c) for k, c in sorted(counts.items())]
+    return tuple((k, scale * c) for k, c in sorted(counts.items()))
 
 
 def _phases(weights, frac: float):
@@ -249,20 +251,16 @@ def q_eval_with_bound(
     where it stopped early: it is the whole infinite product that is summed.
     |xi + lambda| is refused where `mu_hat` would refuse it, and so is any
     phase period or point past the float range, or a digit spread from
-    `SPREAD_LIMIT` on.
+    `SPREAD_LIMIT` on.  A sweep of xi over one pair builds its slice
+    closure once: it is memoised by the pair's value.
     """
     _check_slice_budget(candidate.size, policy.depth)
-    return _q_eval(system, candidate, xi, policy, _slice_closure(system, candidate))
+    return _q_eval(system, candidate, xi, policy)
 
 
-def _q_grid(system, candidate, xis, policy):
-    """`q_eval_with_bound` past the slice budget at each xi, with one closure."""
+def _q_eval(system, candidate, xi, policy):
+    """`q_eval_with_bound` past the slice budget."""
     closure = _slice_closure(system, candidate)
-    return [_q_eval(system, candidate, xi, policy, closure) for xi in xis]
-
-
-def _q_eval(system, candidate, xi, policy, closure):
-    """`q_eval_with_bound` past the slice budget, with the pair's closure."""
     whole, frac = _split(xi)
     try:
         return _completeness_sum(system, candidate, whole, frac, policy, closure)
@@ -299,12 +297,14 @@ def _tail_series(system, weights):
     return scale, coeffs, remainder, switch
 
 
+@functools.lru_cache(maxsize=64)  # by value: equal records share an entry
 def _slice_closure(system, candidate):
-    """(weights, lipschitz, scale, polys): the pair's difference weights,
-    Lipschitz sum and tail scale for `_completeness_sum`, and polys = [P_0,
-    P_1, P_2], [P_0, P_1] or [P_0], P_k = (coeffs, lo, hi, remainder,
-    offset, slope).  M_s(0) is `_symbol_sq`, 0 at the exact zeros where the
-    points' products are, and M_s^(n)(0) = sum_k w_k/2 rate_k^n cos^(n)(phase_k)."""
+    """(weights, lipschitz, scale, polys), all tuples: the pair's difference
+    weights, Lipschitz sum and tail scale for `_completeness_sum`, and polys
+    = (P_0, P_1, P_2), (P_0, P_1) or (P_0,), P_k = (coeffs, lo, hi,
+    remainder, offset, slope).  M_s(0) is `_symbol_sq`, 0 at the exact zeros
+    where the points' products are, and M_s^(n)(0) = sum_k w_k/2 rate_k^n
+    cos^(n)(phase_k)."""
     lipschitz = _lipschitz(system)
     spread = system.digits[-1] - system.digits[0]
     if spread >= SPREAD_LIMIT:
@@ -315,8 +315,8 @@ def _slice_closure(system, candidate):
     weights = _difference_weights(system)
     scale, coeffs, remainder, switch = _tail_series(system, weights)
     reach = scale * switch if remainder else math.inf  # D = {0}: P_0 = 1 for every v; 0 * inf is nan
-    polys = [([x for c in coeffs for x in (c, 0.0)], -reach, reach, remainder, 0.0, 0.0)]
-    closure = weights, lipschitz, scale, polys
+    polys = [(tuple(x for c in coeffs for x in (c, 0.0)), -reach, reach, remainder, 0.0, 0.0)]
+    closure = weights, lipschitz, scale, tuple(polys)
     base = system.modulus
     if not remainder or len({s % base for s in candidate.elements}) < candidate.size:
         return closure  # D = {0}, or slice points that may coincide
@@ -347,7 +347,7 @@ def _slice_closure(system, candidate):
     steps = sum(decay[1] for decay in decays), sum(decay[-1] * rate for decay, rate in zip(decays, rates)) / _ORDER
     for count, domain in enumerate(domains[1:]):
         polys.append(_lift(polys[-1], domain, system.scale, centres, series, steps, candidate.size**count))
-    return closure
+    return weights, lipschitz, scale, tuple(polys)
 
 
 def _lift(level, domain, scale, centres, series, steps, points):
@@ -378,7 +378,7 @@ def _lift(level, domain, scale, centres, series, steps, points):
         near += m[0] * g0
         lever += m[0] * max((ghi - g0) / hi, (glo - g0) / -lo) + lipschitz * max(glo, ghi)
         far += tail * (points + max(glo, ghi))
-    return lifted, lo, hi, far, near, lever
+    return tuple(lifted), lo, hi, far, near, lever
 
 
 def _close_prefixes(level, poly, frac, vstep, period, cutoff, count):
@@ -473,23 +473,23 @@ def transfer_residual(
         Q_{d+1}(xi) = sum_s |m_D((xi+s)/N)|^2 * Q_d((xi+s)/N)
     because each (d+1)-digit point splits uniquely as s + N*(d-digit point)
     and the symbol is 1-periodic at integer translates.  The |S| + 1 sums
-    share one slice closure, and each sums every infinite product to within
-    a small multiple of 2^-70, so the returned |lhs - rhs| is rounding plus
-    the early stops at (product_epsilon/4)^2, which fall at different
-    factors on the two sides and shrink with product_epsilon.
+    share the pair's memoised slice closure, and each sums every infinite
+    product to within a small multiple of 2^-70, so the returned |lhs - rhs|
+    is rounding plus the early stops at (product_epsilon/4)^2, which fall at
+    different factors on the two sides and shrink with product_epsilon.
     """
     if candidate.size != system.size:
         raise PreconditionError(
             f"recursion requires |S| = |D|, got |S| = {candidate.size}, |D| = {system.size}"
         )
     _check_slice_budget(candidate.size, depth + 1)
-    closure = _slice_closure(system, candidate)
-    lhs = _q_eval(system, candidate, xi, TruncationPolicy(depth + 1, policy.product_epsilon), closure)[0]
+    lhs = _q_eval(system, candidate, xi, TruncationPolicy(depth + 1, policy.product_epsilon))[0]
     inner_policy = TruncationPolicy(depth, policy.product_epsilon)
+    weights = _slice_closure(system, candidate)[0]
     whole, frac = _split(xi)
     rhs = 0.0
     for s in candidate.elements:
         inner = (float(xi) + s) / system.scale
-        weight = _symbol_sq(closure[0], whole + s, frac, system.modulus)
-        rhs += weight * _q_eval(system, candidate, inner, inner_policy, closure)[0]
+        weight = _symbol_sq(weights, whole + s, frac, system.modulus)
+        rhs += weight * _q_eval(system, candidate, inner, inner_policy)[0]
     return abs(lhs - rhs)

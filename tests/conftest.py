@@ -1,10 +1,20 @@
 import os
 import sys
 
+import pytest
 from hypothesis import settings
 
 # Allow running the suite straight from a checkout, without installing.
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from cantorspec import kernel  # noqa: E402  (needs the path above)
+
 settings.register_profile("default", deadline=None)
 settings.load_profile("default")
+
+
+@pytest.fixture(autouse=True)
+def fresh_slice_closures():
+    """Start each test with no memoised slice closure, so that a test which
+    counts closure builds sees only its own."""
+    kernel._slice_closure.cache_clear()

@@ -403,7 +403,7 @@ def test_qgrid_work_estimate_exits_two_before_the_first_point(capsys, monkeypatc
     def refuse(*args, **kwargs):
         raise AssertionError("a grid point ran past the work estimate")
 
-    monkeypatch.setattr(kernel, "_q_grid", refuse)
+    monkeypatch.setattr(kernel, "_q_eval", refuse)
     code, out, err = run(capsys, "measure", "qgrid", "--n", "4", "--digits", "0,1,2",
                          "--s", "0,1,2", "--depth", "12")
     assert code == 2
@@ -415,18 +415,11 @@ def test_qgrid_work_estimate_exits_two_before_the_first_point(capsys, monkeypatc
     assert code == 2 and "3^1000000000 * 2 exceeds" in err
 
 
-def test_qgrid_builds_one_slice_closure_per_command(capsys, monkeypatch):
-    built = []
-    build = kernel._slice_closure
-
-    def counted(*args):
-        built.append(args)
-        return build(*args)
-
-    monkeypatch.setattr(kernel, "_slice_closure", counted)
+def test_qgrid_builds_one_slice_closure_per_command(capsys):
     payload = run_json(capsys, "measure", "qgrid", "--n", "4", "--digits", "0,1", "--s", "0,2", "--grid", "12")
     assert len(payload["grid"]) == 12
-    assert len(built) == 1  # shared by the 12 points
+    info = kernel._slice_closure.cache_info()
+    assert (info.misses, info.hits) == (1, 11)  # built once, shared by the 12 points
 
 
 @pytest.mark.parametrize(

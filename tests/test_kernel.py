@@ -380,17 +380,100 @@ def test_transfer_residual_tracks_epsilon(monkeypatch):
     assert 1e-7 <= residual <= transfer_bound(JP_SYSTEM, JP_CANDIDATE, 0.001, 4, policy)
 
 
-def test_transfer_residual_builds_one_closure(monkeypatch):
-    built = []
-    build = kernel._slice_closure
-
-    def counted(*args):
-        built.append(args)
-        return build(*args)
-
-    monkeypatch.setattr(kernel, "_slice_closure", counted)
+def test_transfer_residual_builds_one_closure():
     transfer_residual(ScaleDigitSystem(6, (0, 1, 2)), SpectrumCandidate((0, 2, 4)), 0.3, 6)
-    assert len(built) == 1  # the depth + 1 side, shared by the |S| others
+    assert kernel._slice_closure.cache_info().misses == 1  # the depth + 1 side's, shared by the |S| others
+
+
+# the pairs of scripts/kernel_stress.py past the qgrid ones, at its depths:
+# P_0 to P_2 in one slice, an asymmetric domain, and four that get P_0 alone
+STRESS_PAIRS = [
+    (8, (0, 1, 2, 3), (0, 2, 4, 6), 2),
+    (-5, (0, 1), (0, 7), 4),
+    (3, (0, 2000), (0, 1), 8),
+    (4, (0, 1), (0, 4**20), 3),
+    (4, (0, 1), (0, 4**20 + 2), 3),
+    (2, (0, 1), (0, 3**600), 3),
+    (4, (0, 1), (0, 1, 4), 8),
+]
+
+
+def test_slice_closure_is_built_once_per_pair_value(monkeypatch):
+    # fresh records that are equal in value hit the memo: 12 sums and a
+    # transfer recursion build the tail series once between them
+    built = []
+    series = kernel._tail_series
+
+    def counted(system, weights):
+        built.append(system)
+        return series(system, weights)
+
+    monkeypatch.setattr(kernel, "_tail_series", counted)
+    for i in range(12):
+        system, candidate = ScaleDigitSystem(6, (2, 1, 0)), SpectrumCandidate((4, 0, 2))
+        q_eval_with_bound(system, candidate, i / 12, TruncationPolicy(depth=5))
+    transfer_residual(ScaleDigitSystem(6, (0, 1, 2)), SpectrumCandidate((0, 2, 4)), 0.3, 4)
+    assert built == [ScaleDigitSystem(6, (0, 1, 2))]
+    assert kernel._slice_closure.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("scale,digits,elements,depth", QGRID_PAIRS + STRESS_PAIRS)
+def test_memoised_closure_answers_bit_for_bit_as_a_cold_one(scale, digits, elements, depth):
+    def bits(*values):
+        return tuple(x.hex() for x in values)
+
+    def q(xi, d):
+        system, candidate = ScaleDigitSystem(scale, digits), SpectrumCandidate(elements)
+        return bits(*q_eval_with_bound(system, candidate, xi, TruncationPolicy(depth=d)))
+
+    points = [(xi, d) for xi in (0.0, 0.3, 0.77, -1.25) for d in sorted({1, 2, depth})]
+    cold = []
+    for xi, d in points:
+        kernel._slice_closure.cache_clear()
+        cold.append(q(xi, d))
+    assert [q(xi, d) for xi, d in points] == cold
+    assert kernel._slice_closure.cache_info()[:2] == (len(points), 1)  # hits, misses: every warm call hit
+    if len(elements) == len(digits):
+        system, candidate = ScaleDigitSystem(scale, digits), SpectrumCandidate(elements)
+        kernel._slice_closure.cache_clear()
+        cold = bits(transfer_residual(system, candidate, 0.3, min(depth, 4)))
+        assert bits(transfer_residual(system, candidate, 0.3, min(depth, 4))) == cold
+
+
+def test_pairs_that_differ_never_share_a_closure():
+    # the sign of N, one digit or one element apart: four entries, each
+    # equal to the closure its pair builds alone
+    pairs = [(4, (0, 1), (0, 2)), (-4, (0, 1), (0, 2)), (4, (0, 3), (0, 2)), (4, (0, 1), (0, 6))]
+    closures = [kernel._slice_closure(ScaleDigitSystem(n, d), SpectrumCandidate(s)) for n, d, s in pairs]
+    info = kernel._slice_closure.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 4, 4)
+    for (n, d, s), closure in zip(pairs, closures):
+        kernel._slice_closure.cache_clear()
+        assert kernel._slice_closure(ScaleDigitSystem(n, d), SpectrumCandidate(s)) == closure
+
+
+@pytest.mark.parametrize(
+    "scale,digits,elements,levels",
+    [(4, (0, 1), (0, 2), 3), (3, (0, 1), (0, 2), 2), (4, (0, 1), (0, 1, 4), 1), (5, (0,), (0, 1), 1)],
+)
+def test_memoised_closure_holds_no_list(scale, digits, elements, levels):
+    # only tuples of numbers, so that no caller can change a shared closure
+    closure = kernel._slice_closure(ScaleDigitSystem(scale, digits), SpectrumCandidate(elements))
+    assert len(closure[3]) == levels
+    items = [closure]
+    while items:
+        item = items.pop()
+        assert isinstance(item, (tuple, int, float)), type(item)
+        if isinstance(item, tuple):
+            items.extend(item)
+
+
+def test_spread_refusal_is_raised_on_every_call():
+    system, candidate = ScaleDigitSystem(3, (0, SPREAD_LIMIT)), SpectrumCandidate((0, 1))
+    for _ in range(2):
+        with pytest.raises(PreconditionError, match="refuses the digit spread"):
+            q_eval_with_bound(system, candidate, 0.25, TruncationPolicy(depth=3))
+    assert kernel._slice_closure.cache_info().currsize == 0
 
 
 def test_kernel_rejects_non_finite_arguments():
