@@ -22,6 +22,8 @@ budget, the cycle search on a non-spectral pair with |S| = |N|, whose
 cylinders cover a hull of 6.7 * 10^4 integers) and the many-prime
 orders: a batch and single questions with hundreds of digits at a
 primorial, and a pair of digits at the product of the first 20 primes.
+The last case records the cost of questions past lcm(1..|D|): one memo
+of 300 wide digits asked every b <= 1000 that lcm(1..300) does not cover.
 
 Example:
     PYTHONPATH=src python scripts/order_stress.py compat-primorial-20 single-300-at-19
@@ -47,6 +49,7 @@ from cantorspec.cyclotomic import OrderTest
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71]
 PRIMORIAL_8, PRIMORIAL_12, PRIMORIAL_20 = (math.prod(PRIMES[:k]) for k in (8, 12, 20))
+PAST_LCM_300 = [b for b in range(2, 1001) if math.lcm(*range(1, 301)) % b]
 
 
 def wide_digits(count: int, seed: int) -> list[int]:
@@ -100,8 +103,8 @@ CASES = {
     "compat-primorial-20": lambda: cli(
         "compat", "check", "--n", str(PRIMORIAL_20), "--digits", f"0,{PRIMORIAL_20 // 2}", "--s", "0,1"
     ),
-    "order-test-2000-at-4000": lambda: orders(OrderTest(range(2000), 4000).all_orders()),
-    "order-test-2000-at-2x10007": lambda: orders(OrderTest(range(2000), 2 * 10007).all_orders()),
+    "order-test-2000-at-4000": lambda: orders(OrderTest(range(2000)).all_orders(4000)),
+    "order-test-2000-at-2x10007": lambda: orders(OrderTest(range(2000)).all_orders(2 * 10007)),
     "compatible-2000": lambda: is_compatible(
         ScaleDigitSystem(4000, tuple(range(2000))), SpectrumCandidate(tuple(range(0, 4000, 2)))
     )
@@ -114,9 +117,10 @@ CASES = {
     "complement-1000-at-1e7": lambda: cli(
         "tiling", "check", "--digits", ",".join(map(str, range(1000))), "--modulus", "10000000"
     ),
-    "batch-1000-at-37": lambda: orders(OrderTest(wide_digits(1000, 37), PRIMORIAL_12).all_orders()),
+    "batch-1000-at-37": lambda: orders(OrderTest(wide_digits(1000, 37)).all_orders(PRIMORIAL_12)),
     "single-1000-at-37": lambda: order_vanishes(wide_digits(1000, 37), PRIMORIAL_12),
     "single-300-at-19": lambda: order_vanishes(wide_digits(300, 19), PRIMORIAL_8),
+    "any-order-300-to-1000": lambda: orders(list(filter(OrderTest(wide_digits(300, 19)), PAST_LCM_300))),
 }
 
 

@@ -14,10 +14,10 @@ The window search looks for such S with 0 in S among the integers of
 of the symbol, only the integers at which it vanishes can take part: they
 are the vertices of the zero graph through 0, joined when their difference
 is a zero too.  Each candidate set is 0 plus a clique of |D|-1 of them.  By
-Mann's bound g (see `cyclotomic`) every zero is (|N|/g) * t, of the order
-of t mod g, so the zero pattern, built from the vanishing orders and their
-primes, has period g, not |N|: the window's multiples of |N|/g sit at
-consecutive bits, and the neighbours above bit x are that pattern shifted
+Mann's reach g of |N| (see `cyclotomic`) every zero is (|N|/g) * t, of the
+order of t mod g, so the zero pattern, built from the vanishing orders and
+their primes, has period g, not |N|: the window's multiples of |N|/g sit
+at consecutive bits, and the neighbours above bit x are that pattern shifted
 up to x.  One function of the vertices, the pattern and the clique size
 walks them, depth first on int bitsets: it takes the lowest candidate bit
 first, intersects the rest with its neighbours and drops a branch once too
@@ -167,14 +167,14 @@ def _window_candidates(system: ScaleDigitSystem) -> Iterator[SpectrumCandidate]:
     """The candidates of `search_candidate_s` in the same order, one at a
     time, for |N| >= 2; at |N| = 2 the window is {0}, so only |D| = 1
     yields one, (0,)."""
-    m, g = system.modulus, system._order_test.g
+    m, g = system.modulus, system._order_test.reach(system.modulus)
     size = g + g // 4
     if size > _PATTERN_BUDGET:
         raise BudgetExceededError(
             f"the window search at |N| = {m} builds a zero pattern of period g = {g}, about {size} "
             f"bytes (g bytes and a 2g-bit integer), over its budget of {_PATTERN_BUDGET} bytes"
         )
-    pattern = _zero_pattern(system._order_test.all_orders(), g)
+    pattern = _zero_pattern(system._order_test.all_orders(m), g)
     unit = m // g  # every zero is a multiple of |N|/g
     reach = (m - 2) // unit  # bit x of a window bitset stands for the integer (x - reach) * unit
     vertices = (pattern >> (-reach % g)) & ((1 << (2 * reach + 1)) - 1)

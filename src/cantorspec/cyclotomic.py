@@ -17,15 +17,16 @@ roots of unity, Mathematika 12, 1965), a minimal vanishing sum of k roots
 of unity that contains 1 uses only m-th roots, m squarefree with every
 prime at most k.  Splitting D(zeta) = 0 into such subsums, every vanishing
 order divides P * (d - d') for two digits, P the product of the primes
-<= |D|, so it divides g = gcd(|N|, lcm(1..|D|) * lcm of the differences),
-which is |N| when |N| divides lcm(1..|D|).  Only g is kept, not |N|: its
-primes are at most max(|D|, s), with s = max D - min D.  The one reach,
-for a single question and the batch of all orders alike: b is tested only
-when it divides g and phi(b) <= s, as Phi_b must divide z^(-min D) * D(z)
-of degree s.  The batch factorises g with `factorize`, the library's one
-trial division, which also serves |D| for the tiling conditions; single
-questions factorise only what is left of b once the primes found before
-are divided out, so each prime is trial-divided once per `OrderTest`.
+<= |D|, so one that divides n divides its reach gcd(n, lcm(1..|D|) * lcm
+of the differences), which is n when n divides lcm(1..|D|).  The reach
+depends on D and n alone, so one memo per digit set answers any order;
+its primes are at most max(|D|, s), with s = max D - min D.  The one rule,
+for a single question and the batch of all orders at n alike: b is tested
+only when it is its own reach and phi(b) <= s, as Phi_b must divide
+z^(-min D) * D(z) of degree s.  The batch factorises the reach of n with
+`factorize`, the library's one trial division, which also serves |D| for
+the tiling conditions, and keeps its primes; a single question factorises
+only what is left of b once the primes found are divided out.
 The orders are decided on demand: each `ScaleDigitSystem` holds an
 `OrderTest`, which tests an order the first time a caller asks about it
 and remembers the answer.  A compatibility check asks the orders of its
@@ -45,8 +46,8 @@ Moebius inversion gives the trace over the primitive b-th roots,
 
 with c_b the Ramanujan sum.  T_b is a sum of the squares |P(zeta)|^2 over
 the conjugates zeta of one primitive root, so it is 0 exactly when Phi_b
-divides P.  The class sums F(d) are shared: each b/q divides g and has
-phi(b/q) <= phi(b), so it is in reach too; `OrderTest` keeps F per
+divides P.  The class sums F(d) are shared: each b/q divides b = reach(b)
+and has phi(b/q) <= phi(b), so it is in reach too; `OrderTest` keeps F per
 divisor, and its batch sums each divisor in reach once and gets every T_b
 from one prime-by-prime Moebius pass.  A single question takes the shorter form: the first needs
 2^omega(b) class sums of |D| terms each, the second |D|(|D|-1)/2 pair
@@ -107,7 +108,7 @@ def order_vanishes(exponents, b: int) -> bool:
 
         raise PreconditionError(f"root order must be a positive integer, got {b!r}")
     exps = tuple(exponents)
-    return not exps or OrderTest(exps, b)(b)
+    return not exps or OrderTest(exps)(b)
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -131,37 +132,44 @@ def factorize(n: int) -> dict[int, int]:
 
 
 class OrderTest:
-    """The vanishing orders of sum_e z^e among the divisors of n, each
-    decided on first ask and remembered; `ScaleDigitSystem` holds one, and
-    `is_complementing` one per call.
+    """The vanishing orders of sum_e z^e, each decided on first ask and
+    remembered; `ScaleDigitSystem` holds one, and `is_complementing` one
+    per call.
 
-    Only g = gcd(n, lcm(1..#exponents) * lcm of the differences) is kept:
-    by Mann's bound every vanishing order divides it.  A single question
-    and `all_orders` alike refuse an order b with no exact test when it
-    does not divide g or has phi(b) > max - min.  `all_orders` factorises
-    g, a single question only the part of b that no earlier one factorised:
-    at most sqrt of it in trial divisions, then min(2^omega(b) * |D|,
-    |D|^2 * omega(b)) steps, |D| the number of exponents.  The class sums
-    F(d) are kept per divisor, so each is summed at most once.
+    A single question and `all_orders` alike refuse an order b with no
+    exact test when reach(b) != b or phi(b) > max - min.  `all_orders(n)`
+    factorises reach(n), a single question only the part of b that no
+    earlier factorisation found: at most sqrt of it in trial divisions,
+    then min(2^omega(b) * |D|, |D|^2 * omega(b)) steps, |D| the number of
+    exponents.  The class sums F(d) are kept per divisor, so each is
+    summed at most once.
     """
 
-    __slots__ = ("g", "span", "exps", "sums", "known", "found", "orders")
+    __slots__ = ("g", "asked", "sizes", "span", "exps", "diffs", "sums", "known", "found", "orders")
 
-    def __init__(self, exponents, n: int):
+    def __init__(self, exponents):
         exps = self.exps = tuple(exponents)
         self.span = max(exps) - min(exps)
-        sizes = math.lcm(*range(1, len(exps) + 1))
-        self.g = n  # when n divides `sizes`, no difference can add to g
-        if sizes % n:  # one gcd per distinct difference; their lcm divides n
-            diffs = {e - f for e in exps for f in exps if e > f}
-            self.g = math.gcd(n, sizes * math.lcm(*(math.gcd(n, d) for d in diffs)))
+        self.g = self.asked = self.sizes = math.lcm(*range(1, len(exps) + 1))
+        self.diffs: tuple[int, ...] = ()  # the distinct differences, built when an n first needs them
         self.sums = {1: len(exps) ** 2}  # d -> F(d); F(1) = |D|^2 needs no sum
         self.known: dict[int, bool] = {}  # every answer given so far
-        self.found: list[int] = []  # the primes single questions have factorised, ascending
-        self.orders: dict[int, list[int]] | None = None  # vanishing b -> primes of b, once `all_orders` ran
+        self.found: list[int] = []  # the primes factorised so far, ascending
+        self.orders: dict[int, dict[int, list[int]]] = {}  # n -> {vanishing b | n: primes of b}
+
+    def reach(self, n: int) -> int:
+        """Mann's gcd(n, lcm(1..|D|) * lcm of the differences): gcd(n, g) once
+        n divides `asked`, the lcm of the n asked so far, as g is that of their
+        reaches; else one gcd per distinct difference, with no lcm of them
+        formed, as gcd(n, lcm d) = lcm gcd(n, d) prime by prime."""
+        if self.asked % n:
+            diffs = self.diffs = self.diffs or tuple({e - f for e in self.exps for f in self.exps if e > f})
+            reached = math.gcd(n, self.sizes * math.lcm(*(math.gcd(n, d) for d in diffs)))
+            self.asked, self.g = math.lcm(self.asked, n), math.lcm(self.g, reached)
+        return math.gcd(n, self.g)
 
     def __call__(self, b: int) -> bool:
-        """Whether b > 1 divides n and Phi_b divides the sum."""
+        """Whether b > 1 and Phi_b divides the sum."""
         verdict = self.known.get(b)
         if verdict is None:
             primes = self._primes(b)
@@ -175,13 +183,13 @@ class OrderTest:
         return verdict
 
     def _primes(self, b: int) -> list[int] | None:
-        """The primes of b, ascending, when b > 1 divides g and phi(b) <= max - min."""
-        if b < 2 or self.g % b:
+        """The primes of b, ascending, when b > 1 is its own reach and phi(b) <= max - min."""
+        if b < 2 or self.g % b and self.reach(b) != b:
             return None
         rest, found = b, math.prod(self.found)
         while (h := math.gcd(rest, found)) > 1:  # divide out the primes found before
             rest //= h
-        if rest > 1:  # primes no earlier question has found
+        if rest > 1:  # primes no earlier factorisation has found
             self.found = sorted([*self.found, *factorize(rest)])
         primes = [p for p in self.found if b % p == 0]  # phi(b) = b * prod(1 - 1/p)
         return primes if b // math.prod(primes) * math.prod(p - 1 for p in primes) <= self.span else None
@@ -200,16 +208,18 @@ class OrderTest:
             terms += [(d // p, -sign) for d, sign in terms]
         return sum(sign * self._class_sum(d) for d, sign in terms)
 
-    def all_orders(self) -> dict[int, list[int]]:
-        """{b: primes of b} for every vanishing order b, built once over the
-        divisors in reach: each not summed yet is summed, and T_b follows
-        for all from one Moebius pass, at most omega(g) steps per divisor."""
-        if self.orders is None:
-            factors = factorize(self.g)
-            span, reach = self.span, [(1, 1, [])]  # (b, phi(b), primes of b)
+    def all_orders(self, n: int) -> dict[int, list[int]]:
+        """{b: primes of b} for every vanishing order b | n, built once per n
+        over the divisors in reach(n): each not summed yet is summed, and
+        T_b follows for all from one Moebius pass, at most omega(reach(n))
+        steps per divisor."""
+        if n not in self.orders:
+            factors = factorize(self.reach(n))
+            self.found = sorted({*self.found, *factors})  # no later question factorises these again
+            span, inside = self.span, [(1, 1, [])]  # (b, phi(b), primes of b)
             for p, k in factors.items():
                 grown = []
-                for b, phi, primes in reach:
+                for b, phi, primes in inside:
                     phi *= p - 1
                     for _ in range(k):
                         if phi > span:
@@ -217,13 +227,13 @@ class OrderTest:
                         b *= p
                         grown.append((b, phi, [*primes, p]))
                         phi *= p
-                reach += grown
-            trace = {b: self._class_sum(b) for b, _, _ in reach}
-            for p in factors:  # b / p precedes b in reach: still untouched by p
-                for b, _, _ in reversed(reach):
+                inside += grown
+            trace = {b: self._class_sum(b) for b, _, _ in inside}
+            for p in factors:  # b / p precedes b in inside: still untouched by p
+                for b, _, _ in reversed(inside):
                     if b % p == 0:
                         trace[b] -= trace[b // p]
-            for b, _, _ in reach[1:]:  # an order asked before is known already, with the same answer
+            for b, _, _ in inside[1:]:  # an order asked before is known already, with the same answer
                 self.known.setdefault(b, trace[b] == 0)
-            self.orders = {b: primes for b, _, primes in reach[1:] if self.known[b]}
-        return self.orders
+            self.orders[n] = {b: primes for b, _, primes in inside[1:] if self.known[b]}
+        return self.orders[n]

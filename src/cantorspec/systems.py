@@ -11,8 +11,8 @@ operation relies on (|N| >= 2, nonempty and pairwise-distinct entries, and
 so on), so later code never re-checks them.  Data derived from a system,
 such as its vanishing orders, is computed on first use and cached on the
 instance; it is not a field, so equality, hashing and repr see only the
-scale and the digits.  The vanishing orders are decided one at a time, as
-callers ask about them (see `cyclotomic`).
+scale and the digits.  The vanishing orders are decided one at a time,
+as callers ask, by a memo of the digits alone (see `cyclotomic`).
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ class ScaleDigitSystem(_Record):
 
     @functools.cached_property
     def _order_test(self) -> OrderTest:
-        return OrderTest(self.digits, self.modulus)
+        return OrderTest(self.digits)
 
     def is_vanishing_order(self, b: int) -> bool:
         """Whether b > 1 divides |N| with Phi_b dividing the digit
@@ -137,14 +137,14 @@ class ScaleDigitSystem(_Record):
         |N| / gcd(k, |N|) is such an order; the sign of N conjugates the
         symbol and leaves its zeros alone.  Each order is decided the first
         time it is asked, and at most once per system."""
-        return self._order_test(b)
+        return b > 1 and self.scale % b == 0 and self._order_test(b)
 
     @functools.cached_property
     def vanishing_orders(self) -> frozenset[int]:
         """Every b with `is_vanishing_order(b)`, built once per system over
         the same reach as a single question; an order asked before or
         after is not tested again."""
-        return frozenset(self._order_test.all_orders())
+        return frozenset(self._order_test.all_orders(self.modulus))
 
 
 class SpectrumCandidate(_Record):

@@ -14,10 +14,10 @@ and the p over all of D's vanishing prime powers multiply to a divisor of
 tile satisfies (T2), so the conditions decide; for more primes a search
 still does.  |D| is factorised once per question.  The orders are asked
 of one `OrderTest`: a system's own in the construction, and one per
-`is_complementing` call at L, so each is tested at most once.  Each
-question factorises only its own order, after the refusal of an order
-that does not divide Mann's g, so a large prime of L that (T1) and (T2)
-never name is never trial-divided.
+`is_complementing` call, so each is tested at most once.  Each question
+factorises only its own order, after the refusal of an order that is not
+its own Mann reach, so a large prime of L that (T1) and (T2) never name
+is never trial-divided.
 
 Where the conditions decide, both sets are sums of one a * step, 0 <= a < p,
 per prime power.  Their proof's complement E(z) = prod Phi_s(z^t(s)) takes
@@ -45,16 +45,17 @@ from .systems import (
 )
 
 
-def _tiling_powers(size_factors: dict[int, int], modulus: int, vanishes):
+def _tiling_powers(size_factors: dict[int, int], modulus: int, memo: OrderTest):
     """{p: S_p} at the modulus for the primes of |D|, given ascending as
-    `size_factors` = {p: alpha_p}, with `vanishes(b)` deciding whether
-    Phi_b divides D(z); None when (T1) fails, or when |D| has two primes
-    and (T2) fails."""
+    `size_factors` = {p: alpha_p}, with `memo(b)` deciding whether Phi_b
+    divides D(z); None when (T1) fails, or when |D| has two primes and
+    (T2) fails."""
+    memo.reach(modulus)  # one look at the differences covers every order asked: each divides the modulus
     found = {}
     for p, alpha in size_factors.items():
         powers, power = [], p
         while modulus % power == 0:
-            if vanishes(power):
+            if memo(power):
                 powers.append(power)
             power *= p
         if len(powers) != alpha:
@@ -62,7 +63,7 @@ def _tiling_powers(size_factors: dict[int, int], modulus: int, vanishes):
         found[p] = tuple(powers)
     if len(found) == 2:
         left, right = found.values()
-        if not all(vanishes(s * t) for s in left for t in right):
+        if not all(memo(s * t) for s in left for t in right):
             return None
     return found
 
@@ -87,7 +88,7 @@ def is_complementing(digits, modulus: int) -> tuple[int, ...] | None:
         raise PreconditionError("digit set must be nonempty")
     if len({d % modulus for d in digs}) != len(digs):
         return None
-    powers = _tiling_powers(factorize(len(digs)), modulus, OrderTest(digs, modulus))
+    powers = _tiling_powers(factorize(len(digs)), modulus, OrderTest(digs))
     if powers is None:
         return None
     return _complement(powers, modulus, digs) if len(powers) <= 2 else _search_complement(digs, modulus)
@@ -182,7 +183,7 @@ def _tiling_modulus(system: ScaleDigitSystem):
             f"|D| = {system.size} has {len(size_factors)} distinct prime factors; "
             "the construction covers at most two"
         )
-    powers = _tiling_powers(size_factors, system.modulus, system.is_vanishing_order)
+    powers = _tiling_powers(size_factors, system.modulus, system._order_test)
     return None if powers is None else (math.prod(group[-1] for group in powers.values()), powers)
 
 

@@ -138,6 +138,35 @@ def test_every_private_name_is_used():
     assert dead == []
 
 
+def test_order_tests_are_built_only_where_a_memo_is_kept():
+    # one memo per digit set: in the package, only a system's `_order_test`,
+    # each `is_complementing` call and each `order_vanishes` call build an
+    # `OrderTest`, and no module but `cyclotomic` reads a memo's `.g`, so a
+    # new caller asks the system's memo rather than building its own
+    builders, reads = [], []
+
+    def visit(node, module, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, module, f"{where}.{child.name}")
+                continue
+            called = isinstance(child, ast.Call) and (getattr(child.func, "id", None) or getattr(child.func, "attr", None))
+            if called == "OrderTest":
+                builders.append(where)
+            if isinstance(child, ast.Attribute) and child.attr == "g" and module != "cyclotomic":
+                reads.append((module, child.lineno))
+            visit(child, module, where)
+
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path.stem, path.stem)
+    assert sorted(builders) == [
+        "cyclotomic.order_vanishes",
+        "systems.ScaleDigitSystem._order_test",
+        "tiling.is_complementing",
+    ]
+    assert reads == []
+
+
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # the value types are plain classes, so no CLI process pays to import `dataclasses` and its `inspect`
     code = "import sys; before = set(sys.modules); import cantorspec.cli; print(sorted(set(sys.modules) - before))"

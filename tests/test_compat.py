@@ -99,14 +99,14 @@ def test_zero_pattern_sets_exactly_the_zero_residues():
         m = system.modulus
         zeros = zero_residues(system)
         expected = sum(1 << t for t in range(2 * m) if t % m in zeros)
-        assert compat._zero_pattern(system._order_test.all_orders(), m) == expected, system
+        assert compat._zero_pattern(system._order_test.all_orders(m), m) == expected, system
     # any map {b: primes of b} at any multiple m of its orders, such as a
     # subset of a system's orders at a multiple of g, or orders made up
     # here: bit t is set exactly when m / gcd(t, m) is one of them
     rng = random.Random(17)
     for system in rng.sample(systems, 300):
-        g = system._order_test.g
-        orders = {b: primes for b, primes in system._order_test.all_orders().items() if rng.random() < 0.5}
+        g = system._order_test.reach(system.modulus)
+        orders = {b: primes for b, primes in system._order_test.all_orders(system.modulus).items() if rng.random() < 0.5}
         made = {b: sorted(factorize(b)) for b in divisors(g * 6)[1:] if rng.random() < 0.3}
         for chosen, m in ((orders, g * rng.randint(1, 4)), (made, g * 6)):
             expected = sum(1 << t for t in range(2 * m) if m // math.gcd(t, m) in chosen)
@@ -310,7 +310,7 @@ def test_window_search_keys_its_zero_pattern_to_g_and_refuses_past_its_budget(mo
     # D = {0, 1, |N|/2, |N|/2 + 1} has the difference |N|/2, so g = |N|
     dense = [ScaleDigitSystem(scale, (0, 1, abs(scale) // 2, abs(scale) // 2 + 1))
              for scale in (10**7, -(10**8), 11 * 10**7, -(10**9))]
-    assert [system._order_test.g for system in dense] == [10**7, 10**8, 11 * 10**7, 10**9]
+    assert [system._order_test.reach(system.modulus) for system in dense] == [10**7, 10**8, 11 * 10**7, 10**9]
     for system in dense[:2]:
         assert search_candidate_s(system) == []
     assert built == [2, 2, 10**7, 10**8]

@@ -483,31 +483,35 @@ def test_single_questions_test_only_the_orders_in_manns_reach(monkeypatch):
                 in_reach = [b for b in asked if g % b == 0 and totient(b, primes) <= span]
                 summed.clear()
                 paired.clear()
-                single = cyclotomic_module.OrderTest(digits, n)
+                single = cyclotomic_module.OrderTest(digits)
                 assert [b for b in asked if single(b)] == sorted(b for b in everywhere if n % b == 0), (digits, n)
                 assert len(set(summed)) == len(summed) and len(set(paired)) == len(paired), (digits, n)
                 assert set(summed) <= set(in_reach) and set(paired) <= set(in_reach), (digits, n)
                 assert set(summed) | set(paired) == set(in_reach), (digits, n)
                 pair_traces += len(paired)
-                batch = single.all_orders()
+                batch = single.all_orders(n)
                 assert sorted(summed) == in_reach and len(paired) == len(set(paired)), (digits, n)
                 summed.clear()
                 paired.clear()
-                assert cyclotomic_module.OrderTest(digits, n).all_orders() == batch
+                assert cyclotomic_module.OrderTest(digits).all_orders(n) == batch
                 assert sorted(summed) == in_reach and paired == [], (digits, n)
                 questions += len(asked)
     assert questions > 60000
     assert pair_traces > 100  # both forms of a single question are exercised
     summed.clear()
-    assert not cyclotomic_module.OrderTest((0, 3), 4)(4)
+    assert not cyclotomic_module.OrderTest((0, 3))(4)
     assert summed == paired == []
 
 
-def test_order_test_looks_at_no_difference_when_lcm_of_sizes_covers_n(monkeypatch):
-    # 4000 divides lcm(1..2000), so g = 4000 with no gcd at all; 2 * 10007
-    # does not, and costs one gcd per distinct difference (1999 of them,
-    # not 1999000 pairs) and one with n
-    calls = []
+def test_the_reach_looks_at_the_differences_only_for_an_n_that_g_does_not_cover(monkeypatch):
+    # reach(n) = gcd(n, lcm(1..|D|) * lcm of the differences).  The memo
+    # starts at lcm(1..2000), which 4000 divides: one gcd, with g, and none
+    # per difference.  Neither 2 * 10009 nor 2 * 10007 divides an n asked
+    # before, and each costs one gcd per distinct difference (3997 of them,
+    # not 1999000 pairs), one with n and one with g; the difference 10007
+    # grows g to cover 2 * 10007, so 6 * 10007 costs one gcd, and so does
+    # 3 * 10009, refused at reach 3 after 2 * 10009 was asked
+    gcds, lcms = [], []
 
     class CountingMath:
         def __getattr__(self, name):
@@ -515,22 +519,40 @@ def test_order_test_looks_at_no_difference_when_lcm_of_sizes_covers_n(monkeypatc
 
         @staticmethod
         def gcd(*args):
-            calls.append(args)
+            gcds.append(args)
             return math.gcd(*args)
 
+        @staticmethod
+        def lcm(*args):
+            lcms.append(math.lcm(*args))
+            return lcms[-1]
+
     monkeypatch.setattr(cyclotomic_module, "math", CountingMath())
-    assert cyclotomic_module.OrderTest(range(2000), 4000).g == 4000
-    assert calls == []
-    assert cyclotomic_module.OrderTest(range(2000), 2 * 10007).g == 2
-    assert len(calls) == 2000
+    test = cyclotomic_module.OrderTest((*range(1999), 10007))
+    assert test.reach(4000) == 4000 and len(gcds) == 1
+    assert test.reach(2 * 10009) == 2 and len(gcds) == 1 + 3999
+    assert test.reach(2 * 10007) == 2 * 10007 and len(gcds) == 1 + 2 * 3999
+    assert test.reach(6 * 10007) == 6 * 10007 and len(gcds) == 2 + 2 * 3999
+    assert test.reach(3 * 10009) == 3 and len(gcds) == 3 + 2 * 3999
+    # 1,000 digits spread over [0, 10^6]: the lcm of their differences would
+    # run to about 1.4 million bits, yet no lcm formed passes the bits of n
+    # and of lcm(1..1000) together
+    digits = (0, *random.Random(14).sample(range(1, 10**6 + 1), 999))
+    sizes = math.lcm(*range(1, 1001))
+    for n in (math.prod(p for p in range(1001, 3000) if trial_factorize(p) == {p: 1}), 2**40 * 3**25 * 5**15):
+        lcms.clear()
+        test = cyclotomic_module.OrderTest(digits)
+        assert n % test.reach(n) == 0 and len(lcms) == 4
+        assert max(x.bit_length() for x in lcms) <= n.bit_length() + sizes.bit_length(), n
 
 
 def test_traces_match_the_radical_reference_exhaustively():
     # every D in [0, 11] with 0 in D at six scales with two or three primes:
-    # each b <= n asked singly of one OrderTest, then the batch of a fresh
-    # one, against the former radical-basis test of every divisor b > 1
+    # each b <= n asked singly of one OrderTest, whether or not it divides
+    # n, then the batch at n of a fresh one, against the former
+    # radical-basis test of every b > 1
     scales = (36, 45, 48, 56, 60, 64)
-    primes = {b: sorted(trial_factorize(b)) for n in scales for b in divisors(n)[1:]}
+    primes = {b: sorted(trial_factorize(b)) for b in range(2, max(scales) + 1)}
     vanishing = 0
     for size in range(12):
         for rest in itertools.combinations(range(1, 12), size):
@@ -539,9 +561,9 @@ def test_traces_match_the_radical_reference_exhaustively():
             exact = {b for b in primes if radical_order_divides(terms, b, primes[b])}
             for n in scales:
                 expected = sorted(b for b in exact if n % b == 0)
-                single = cyclotomic_module.OrderTest(digits, n)
-                assert [b for b in range(1, n + 1) if single(b)] == expected, (digits, n)
-                assert sorted(cyclotomic_module.OrderTest(digits, n).all_orders()) == expected, (digits, n)
+                single = cyclotomic_module.OrderTest(digits)
+                assert [b for b in range(1, n + 1) if single(b)] == sorted(b for b in exact if b <= n), (digits, n)
+                assert sorted(cyclotomic_module.OrderTest(digits).all_orders(n)) == expected, (digits, n)
                 vanishing += len(expected)
     assert vanishing > 4800
 
@@ -570,7 +592,7 @@ def test_both_trace_forms_match_the_radical_reference_on_signed_repeated_exponen
             exps += rng.choices(range(-b, b), k=rng.random() < 0.3)
         exps = tuple(rng.sample(exps, len(exps)))
         reference = radical_order_divides(Counter(exps).items(), b, primes)
-        trace = cyclotomic_module.OrderTest(exps, b)._class_trace(b, primes)
+        trace = cyclotomic_module.OrderTest(exps)._class_trace(b, primes)
         assert trace == cyclotomic_module._pair_trace(exps, b, primes) >= 0, (exps, b)
         assert (trace == 0) == reference == order_vanishes(exps, b), (exps, b)
         if b <= 60:

@@ -5,7 +5,9 @@ reference is the batch that decided every divisor of |N| in reach at once
 (`oracles.vanishing_orders`).  Every D in [0, 10] with 0 in D is checked
 at every |N| <= 120, at 2^a * 3^b and at the product of the first 16
 primes: the single answers asked before and after the batch, the batch
-itself, compatibility, the tiling modulus and the construction.
+itself, compatibility, the tiling modulus and the construction.  A
+system's memo, which answers any order, is checked against the
+radical-basis test at the orders up to 120 that need not divide |N|.
 """
 
 import itertools
@@ -19,7 +21,7 @@ from cantorspec import (
     find_modulus_l,
     is_compatible,
 )
-from oracles import divisors, radical, trial_factorize, vanishing_orders
+from oracles import divisors, radical, radical_order_divides, trial_factorize, vanishing_orders
 
 DIGIT_SETS = [(0, *rest) for size in range(11) for rest in itertools.combinations(range(1, 11), size)]
 PRIMORIAL_16 = math.prod([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53])
@@ -119,3 +121,23 @@ def test_orders_on_demand_match_the_batch_at_2a_3b():
 def test_orders_on_demand_match_the_batch_at_the_16_primorial():
     small = [b for b in divisors(PRIMORIAL_16) if b <= ASKED_PAST_THE_REACH]
     check_scales([PRIMORIAL_16], lambda scale: [*small, scale // 53, scale])
+
+
+def test_a_systems_memo_answers_orders_that_do_not_divide_the_scale():
+    # the memo belongs to the digit set, not to |N|: each b <= 120, asked of
+    # it before the batch at |N| and after it, matches the radical-basis
+    # reference whether or not b divides |N|, while `is_vanishing_order`
+    # and the batch still answer only the b dividing |N|
+    asked = range(1, 121)
+    primes = {b: sorted(trial_factorize(b)) for b in asked[1:]}
+    for digits in DIGIT_SETS:
+        terms = [(d, 1) for d in digits]
+        exact = [b for b in asked[1:] if radical_order_divides(terms, b, primes[b])]
+        for scale in (12, -35, 64):
+            divides = [b for b in exact if scale % b == 0]
+            before, after = ScaleDigitSystem(scale, digits), ScaleDigitSystem(scale, digits)
+            assert [b for b in asked if before._order_test(b)] == exact, (scale, digits)
+            assert before.vanishing_orders == after.vanishing_orders == frozenset(divides), (scale, digits)
+            assert [b for b in asked if after._order_test(b)] == exact, (scale, digits)
+            for system in (before, after):
+                assert [b for b in asked if system.is_vanishing_order(b)] == divides, (scale, digits)

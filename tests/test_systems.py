@@ -97,7 +97,7 @@ def test_report_builds_vanishing_orders_once(monkeypatch):
     system = ScaleDigitSystem(12, (0, 1, 2))
     report = report_measure_spectrality(system)
     assert report.candidate is not None and report.certificate is not None
-    # the batch factorises g = gcd(|N|, lcm(1, 2, 3) * lcm(1, 2)) = 12 once
+    # the batch factorises reach(12) = gcd(|N|, lcm(1, 2, 3) * lcm(1, 2)) = 12 once
     assert factorings == [(12,)]
     # s = 2 reaches the orders b with phi(b) <= 2; 12 is out of reach.  The
     # window search's batch sums each in reach once, and the certificate
@@ -107,9 +107,10 @@ def test_report_builds_vanishing_orders_once(monkeypatch):
     assert is_compatible(reduced, report.candidate) == report.certificate
     assert reduced.vanishing_orders == frozenset({3})
     assert [reduced.is_vanishing_order(b) for b in (1, 2, 3, 4, 6, 12, 5)] == [False, False, True] + [False] * 4
-    # asked again, summed never; 12 divides g, so its out-of-reach question
-    # factorises its own order before phi(12) = 4 > 2 refuses it
-    assert len(exact) == 4 and factorings == [(12,), (12,)]
+    # asked again, summed never; the batch found the primes 2 and 3 of 12,
+    # so its out-of-reach question factorises nothing before phi(12) = 4 > 2
+    # refuses it
+    assert len(exact) == 4 and factorings == [(12,)]
 
 
 def test_wide_digits_at_a_prime_scale_never_factorise_the_scale(monkeypatch):

@@ -124,7 +124,7 @@ def test_product_complement_covers_exactly_when_the_search_finds_one():
             for modulus in range(1, 49):
                 if len({d % modulus for d in digits}) != size:
                     continue  # no complement: is_complementing refuses before either
-                powers = tiling._tiling_powers(factorize(size), modulus, OrderTest(digits, modulus))
+                powers = tiling._tiling_powers(factorize(size), modulus, OrderTest(digits))
                 if modulus % size:
                     assert powers is None, (digits, modulus)  # the search could run long here
                     continue
@@ -165,7 +165,7 @@ def test_construction_reads_prime_powers_from_the_vanishing_orders(monkeypatch, 
     reference = reference_construct_spectrum_set(system)
     expected = (reference.p_powers, reference.q_powers)
 
-    def refuse(exponents, n):
+    def refuse(*args):
         raise AssertionError("the construction built an order test of its own")
 
     monkeypatch.setattr(tiling, "OrderTest", refuse)
@@ -177,7 +177,7 @@ def test_construction_reads_prime_powers_from_the_vanishing_orders(monkeypatch, 
     # the batch sums the rest of the reach and nothing twice, so every
     # divisor summed lies in the reach: the b > 1 dividing g with phi(b) <= s
     orders = fresh.vanishing_orders
-    g, span = fresh._order_test.g, fresh._order_test.span
+    g, span = fresh._order_test.reach(fresh.modulus), fresh._order_test.span
     primes = factorize(g)
     reach = [b for b in divisors(g)[1:] if b // radical(b) * math.prod(p - 1 for p in primes if b % p == 0) <= span]
     assert sorted(summed) == reach
@@ -201,6 +201,7 @@ def test_construction_refuses_three_primes_before_any_work(monkeypatch):
     monkeypatch.setattr(tiling, "_search_complement", refuse)
     monkeypatch.setattr(ScaleDigitSystem, "vanishing_orders", property(refuse))
     monkeypatch.setattr(ScaleDigitSystem, "is_vanishing_order", refuse)
+    monkeypatch.setattr(ScaleDigitSystem, "_order_test", property(refuse))
     system = ScaleDigitSystem(30, tuple(range(30)))
     message = "|D| = 30 has 3 distinct prime factors; the construction covers at most two"
     for build in (construct_spectrum_set, find_modulus_l):
@@ -332,19 +333,19 @@ def test_construction_asks_only_the_t1_and_t2_orders(monkeypatch):
 
 
 def test_tiling_powers_test_each_power_once(monkeypatch):
-    # one order test at the modulus, as is_complementing builds.  Its g = gcd(3^v, lcm(1, 2, 3) * 1) = 3, since the differences
-    # 1, 2 * 3^v + 5 and 2 * 3^v + 4 are prime to 3: the powers 3^k with
-    # k >= 2 are refused with no exact test, where a reach of 3^v tested
-    # all v of them
+    # one order test, as is_complementing builds.  reach(3^k) =
+    # gcd(3^k, lcm(1, 2, 3) * 1) = 3, since the differences 1, 2 * 3^v + 5
+    # and 2 * 3^v + 4 are prime to 3: the powers 3^k with k >= 2 are
+    # refused with no exact test, where a reach of 3^v tested all v of them
     summed = record_class_sums(monkeypatch)
     v = 400
     digits = (0, 1, 2 * 3**v + 5)  # exponents 0, 1, 2 mod 3: only Phi_3 divides
-    assert tiling._tiling_powers({3: 1}, 3**v, OrderTest(digits, 3**v)) == {3: (3,)}
+    assert tiling._tiling_powers({3: 1}, 3**v, OrderTest(digits)) == {3: (3,)}
     assert summed == [3]
 
 
 def test_is_complementing_factorises_and_tests_each_order_once(monkeypatch):
-    # |D| = 6 and L = 1800 = 2^3 * 3^2 * 5^2, whose g is 1800.  (T1) asks
+    # |D| = 6 and L = 1800 = 2^3 * 3^2 * 5^2, whose reach is 1800.  (T1) asks
     # 2, 4, 8 and 3, 9, where phi(9) = 6 > s = 5 refuses 9 untested, and
     # (T2) asks 2 * 3.  Each prime is trial-divided once, by the first
     # order that names it, and L and its prime 5 never
@@ -362,9 +363,9 @@ def test_is_complementing_factorises_and_tests_each_order_once(monkeypatch):
     assert_exact_cover(digits, complement, 1800)
     assert factorings == {cyclotomic: [(2,), (3,)], tiling: [(6,)]}
     assert summed == [2, 4, 8, 3, 6]  # (T2) reads F(3) and F(2) from the memo
-    # wide digits at a prime modulus: g = gcd(L, 2 * 10^9) = 1 refuses the
-    # order 2, so (T1) fails with nothing to factorise, not after 10^8
-    # trial divisions
+    # wide digits at a prime modulus: the odd L has no power of 2 to ask,
+    # so (T1) fails with nothing to factorise, not after 10^8 trial
+    # divisions
     for calls in factorings.values():
         calls.clear()
     assert is_complementing((0, 10**9), 10**16 + 61) is None
@@ -385,8 +386,8 @@ def test_a_shared_large_prime_that_no_question_names_is_never_factorised(monkeyp
         return factorize(n)
 
     monkeypatch.setattr(cyclotomic, "factorize", counting)
-    test = OrderTest((0, q), 2 * q)
-    assert test.g == 2 * q and calls == []  # building the test factorises nothing
+    test = OrderTest((0, q))
+    assert test.reach(2 * q) == 2 * q and calls == []  # building the test and its reach factorise nothing
     assert not hasattr(test, "factors")
     construction = construct_spectrum_set(ScaleDigitSystem(2 * q, (0, q)))
     assert construction.result_s == (0, q) and calls == [2]
