@@ -22,9 +22,10 @@ congruent mod N (its slice points coincide, 4 + 0 = 0 + 4), and one
 transfer recursion, and a sweep of 24 grid points over [0, 1) on one pair
 (6, {0,1,2}, S = {0,2,4} at depth 7), which builds the pair's closure once
 and answers with the sum of the 24 Q values.  `wide-2000`, the `far-*`
-cases and `collision-4` get no P_1 or P_2, only the tail series P_0, so
+cases and `collision-4` get no P_1 to P_4, only the tail series P_0, so
 every slice point takes factors past the slice until P_0 closes it (the
-leaf rows); every other case closes its prefixes with P_1 or P_2.
+leaf rows); every other case closes its prefixes with P_1 to P_4 (the
+qgrid pairs all theirs with P_4, four digits before the slice ends).
 
 Example:
     PYTHONPATH=src python scripts/kernel_stress.py qgrid-8 collision-4

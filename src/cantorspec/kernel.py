@@ -39,16 +39,17 @@ N^(depth-k), and Q_k(y) = sum_s M_s(y) Q_(k-1)((y+s)/N), M_s(y) =
 tail series on [-scale*switch, scale*switch], and a lift makes P_k =
 sum_s M_s(v) P_(k-1)((v + scale*s)/N) to 2M terms (M_s by its exact Taylor
 series, the shift exactly) on the v of P_0's domain whose preimages
-(v + scale*s)/N lie in P_(k-1)'s: an interval, which must hold 0.  The
-error goes along pointwise (P_(k-1)'s at the preimages times M_s <= M_s(0)
-+ L|v|, plus what truncating drops) to remainder * v^(2M) + offset + slope
-* |v|, offset 0 where M_s(0) = 0 for every s but 0.  Once per pair (N, D,
-S), memoised by value, `_slice_closure` takes the pair's weights,
-Lipschitz sum and tail series, finds the domains and then builds each M_s
-once: 2|S| series products whatever the size of s.  It holds only tuples,
-so no caller can change it, and gives P_0 alone for D = {0},
-where S has two elements congruent mod |N| (points may coincide), or where
-P_1's domain is empty or past the float range.
+(v + scale*s)/N lie in P_(k-1)'s: an interval, which must hold 0, for k
+up to 4 (`_SLICE_POLYS`).  The error goes along pointwise (P_(k-1)'s at
+the preimages times M_s <= M_s(0) + L|v|, plus what truncating drops) to
+remainder * v^(2M) + offset + slope * |v|, offset 0 where M_s(0) = 0 for
+every s but 0.  Once per pair (N, D, S), memoised by value,
+`_slice_closure` takes the pair's weights, Lipschitz sum and tail series,
+finds the domains and then builds each M_s once: 2|S| series products
+whatever the size of s.  It holds only tuples, so no caller can change
+it, and gives P_0 alone for D = {0}, where S has two elements congruent
+mod |N| (points may coincide), or where P_1's domain is empty or past the
+float range.
 
 The level loop.  `_completeness_sum` adds one slice digit per level, then
 digit 0 (a point itself) past the slice, one factor per open prefix each.
@@ -57,8 +58,9 @@ prefix n of j factors with |n| < |N|^j and v = (n + frac(xi)) scale/N^j in
 its domain, as p2 P_k(v) with bound p2 times P_k's at v; a prefix whose p2
 is below the early-stop cutoff (epsilon/4)^2 stops there as |S|^k points
 of p2, with bound p2 each (P_k for k >= 1 needs S distinct mod |N|, so no
-two of them coincide).  No polynomial's rounding, like no factor's, is in
-the bound.
+two of them coincide).  Past the slice no point moves: one stops as it
+meets its next factor, and P_0 is tried only once |N|^j passes the
+nearest.  No polynomial's rounding, like no factor's, is in the bound.
 """
 
 from __future__ import annotations
@@ -91,6 +93,9 @@ SPREAD_LIMIT = 2**168
 #: and the tail series' cos.
 _ORDER = 2 * TAIL_TERMS
 _INV_FACTORIALS = tuple(1.0 / math.factorial(n) for n in range(_ORDER + 1))
+#: Polynomials P_0..P_4 of the slice closure: each lift costs about 0.1 ms
+#: per element of S once per pair and divides the prefixes per point by |S|.
+_SLICE_POLYS = 5
 
 
 class TruncatedProduct(_Record):
@@ -301,7 +306,7 @@ def _tail_series(system, weights):
 def _slice_closure(system, candidate):
     """(weights, lipschitz, scale, polys), all tuples: the pair's difference
     weights, Lipschitz sum and tail scale for `_completeness_sum`, and polys
-    = (P_0, P_1, P_2), (P_0, P_1) or (P_0,), P_k = (coeffs, lo, hi,
+    = (P_0, ..., P_k) for a k <= 4, P_k = (coeffs, lo, hi,
     remainder, offset, slope).  M_s(0) is `_symbol_sq`, 0 at the exact zeros
     where the points' products are, and M_s^(n)(0) = sum_k w_k/2 rate_k^n
     cos^(n)(phase_k)."""
@@ -323,7 +328,7 @@ def _slice_closure(system, candidate):
     domains = [(-reach, reach)]
     try:
         centres = [scale * s for s in candidate.elements]
-        while len(domains) < 3:
+        while len(domains) < _SLICE_POLYS:
             lo, hi = sorted(system.scale * edge for edge in domains[-1])
             lo, hi = max(-reach, lo - min(centres)), min(reach, hi - max(centres))
             if not lo < 0.0 < hi:
@@ -424,6 +429,7 @@ def _completeness_sum(system, candidate, whole: int, frac: float, policy, closur
     low = high = whole  # and the slice's ends so far
     left = policy.depth  # slice digits not yet added
     power = step = 1
+    nearest = 0  # past the slice, where nodes stay put: the least |node| open
     total = err = 0.0
     while level or left:
         shifts = [s * step for s in candidate.elements] if left else [0]  # past the slice, digit 0
@@ -433,12 +439,13 @@ def _completeness_sum(system, candidate, whole: int, frac: float, policy, closur
                 # refuse as mu_hat would: the slice's largest |xi + lambda| is at one end
                 far = max(abs(low + frac), abs(high + frac))
                 _truncation(lipschitz, base, far, math.log1p(policy.product_epsilon))
-        if left < len(polys):  # P_left closes a prefix with left digits to add
+        if level and left < len(polys) and nearest < power:  # P_left closes a prefix with left digits to add
             level, closed, bound = _close_prefixes(
                 level, polys[left], frac, scale / step, power, cutoff, candidate.size**left
             )
             total += closed
             err += bound
+            nearest = 0 if left else min(map(abs, level), default=0)
         power *= base
         turn = math.pi / power
         deeper = {}
@@ -446,8 +453,11 @@ def _completeness_sum(system, candidate, whole: int, frac: float, policy, closur
             for shift in shifts:
                 child = node + shift
                 if child not in deeper:
-                    if p2 < cutoff:
-                        deeper[child] = p2
+                    if p2 < cutoff:  # stopped: a point of p2 past the slice, else closed later
+                        if left:
+                            deeper[child] = p2
+                        else:
+                            total, err = total + p2, err + p2
                         continue
                     acc = 1.0  # _symbol_sq(weights, child, frac, power), inlined
                     for k, w, q, r in phases:

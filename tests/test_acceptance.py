@@ -136,7 +136,7 @@ def test_criterion_06_transfer_recursion():
         # epsilon sensitivity, demonstrated where the epsilon-controlled error
         # is above the double-precision floor: Q sums every infinite product
         # to 2^-53, so that error is the early stop at (epsilon/4)^2 alone.
-        # The slice closure sums the last two digits of a prefix within its
+        # The slice closure sums the last four digits of a prefix within its
         # domain whole, with no early stop; shifted by 1000 every prefix is
         # past the domain and its points take the leaves, where it still acts
         coarse, _ = mean_residual(1e-2, 1000)

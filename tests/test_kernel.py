@@ -386,7 +386,7 @@ def test_transfer_residual_builds_one_closure():
 
 
 # the pairs of scripts/kernel_stress.py past the qgrid ones, at its depths:
-# P_0 to P_2 in one slice, an asymmetric domain, and four that get P_0 alone
+# a slice whose root P_2 closes, an asymmetric domain, and four that get P_0 alone
 STRESS_PAIRS = [
     (8, (0, 1, 2, 3), (0, 2, 4, 6), 2),
     (-5, (0, 1), (0, 7), 4),
@@ -454,7 +454,7 @@ def test_pairs_that_differ_never_share_a_closure():
 
 @pytest.mark.parametrize(
     "scale,digits,elements,levels",
-    [(4, (0, 1), (0, 2), 3), (3, (0, 1), (0, 2), 2), (4, (0, 1), (0, 1, 4), 1), (5, (0,), (0, 1), 1)],
+    [(4, (0, 1), (0, 2), 5), (3, (0, 1), (0, 2), 2), (4, (0, 1), (0, 1, 4), 1), (5, (0,), (0, 1), 1)],
 )
 def test_memoised_closure_holds_no_list(scale, digits, elements, levels):
     # only tuples of numbers, so that no caller can change a shared closure
@@ -606,7 +606,7 @@ def tail_series(system):
 
 
 def slice_polys(system, candidate):
-    """[P_0], [P_0, P_1] or [P_0, P_1, P_2] of the pair's slice closure."""
+    """(P_0, ..., P_k), k <= 4, of the pair's slice closure."""
     return kernel._slice_closure(system, candidate)[-1]
 
 
@@ -786,8 +786,8 @@ def test_slice_closure_sums_a_whole_slice_at_depth_one_and_two(scale, digits, el
 
 # N < 0 turns the preimages (v + scale*s)/N around, and elements of both
 # signs or one wide element leave an asymmetric domain: in units of y,
-# [-0.53, 0.92] at both levels for the first, and [-1.42, 0.076] for P_1
-# and [-0.38, 0.076] for P_2 for the second
+# [-0.53, 0.92] at all four levels for the first, and [-1.42, 0.076] for
+# P_1 and [-0.38, 0.076] for P_2 for the second, whose next domain holds no 0
 ASYMMETRIC_CASES = [(-6, (0, 1, 2), (-5, 0, 2)), (-5, (0, 1), (0, 7))]
 
 
@@ -796,7 +796,7 @@ def test_slice_closure_matches_on_an_asymmetric_domain(scale, digits, elements):
     system = ScaleDigitSystem(scale, digits)
     candidate = SpectrumCandidate(elements)
     polys = slice_polys(system, candidate)
-    assert len(polys) == 3 and all(abs(lo + hi) > (hi - lo) / 4 for _, lo, hi, *_ in polys[1:])
+    assert len(polys) == {-6: 5, -5: 3}[scale] and all(abs(lo + hi) > (hi - lo) / 4 for _, lo, hi, *_ in polys[1:])
     for depth in (1, 2, 3, 4):
         for xi in EDGE_XIS + (-0.3, -0.2, 0.05):
             assert_matches_leaf_tail(system, candidate, xi, TruncationPolicy(depth=depth))
@@ -827,9 +827,10 @@ def test_slice_closure_closes_a_prefix_at_each_domain_edge(monkeypatch, scale, d
             for xi, inside in ((edge * (1 - 1e-9), True), (edge * (1 + 1e-9), False)):
                 closes.clear()
                 assert_matches_leaf_tail(system, candidate, xi, TruncationPolicy(depth=depth))
-                # inside, P_depth closes the root and later levels find none
-                # open; outside, the root stays open and its points close later
-                assert closes == [True] * depth if inside else not closes[0] and closes[-1], (depth, xi, closes)
+                # inside, P_depth closes the root and no later level has a
+                # prefix to close; outside, the root stays open and its points
+                # close later
+                assert closes == [True] if inside else not closes[0] and closes[-1], (depth, xi, closes)
                 assert_matches_reference(system, candidate, xi, TruncationPolicy(depth=depth))
 
 
@@ -878,7 +879,7 @@ def test_slice_closure_keeps_exact_zeros_at_integer_xi(scale, digits, elements, 
     # no tolerance: the chord starts at M_s(0), not at a constant
     system = ScaleDigitSystem(scale, digits)
     candidate = SpectrumCandidate(elements)
-    assert len(slice_polys(system, candidate)) == 3
+    assert len(slice_polys(system, candidate)) == 5
     for depth in (1, 2, 3, 4):
         policy = TruncationPolicy(depth=depth)
         bound = closed_tail_q_eval(system, candidate, 0.0, policy)[1]
@@ -911,8 +912,8 @@ def test_slice_closure_builds_no_lift_for_far_or_wide_candidates(monkeypatch, sc
 
 @pytest.mark.parametrize("scale,digits,elements,depth", QGRID_PAIRS)
 def test_slice_closure_covers_the_qgrid_pairs(monkeypatch, scale, digits, elements, depth):
-    # no timing: count the prefixes of depth - 2 digits left open.
-    # Every prefix with a product above the cutoff closes: P_2's domain is
+    # no timing: count the prefixes of depth - 4 digits left open.
+    # Every prefix with a product above the cutoff closes: P_4's domain is
     # P_0's own, [-scale*switch, scale*switch], and a prefix's y lies below
     # max S/(|N|-1) = 6/7 for N = 8, against a switch of 0.87
     opened = []
@@ -926,11 +927,41 @@ def test_slice_closure_covers_the_qgrid_pairs(monkeypatch, scale, digits, elemen
     monkeypatch.setattr(kernel, "_close_prefixes", counted)
     system = ScaleDigitSystem(scale, digits)
     candidate = SpectrumCandidate(elements)
-    for xi in (0.25, 0.5, 0.75):
+    xis = (0.0, 0.25, 0.5, 0.75, 0.9)
+    for xi in xis:
         q_eval_with_bound(system, candidate, xi, TruncationPolicy(depth=depth))
     size = len(elements)
-    # P_2 sees every prefix and leaves none open, so P_1 sees none
-    assert opened == [(size**2, [], size ** (depth - 2)), (size, [], 0)] * 3, opened
+    # P_4 sees every prefix and leaves none open, so P_3 to P_1 are never called
+    assert opened == [(size**4, [], size ** (depth - 4))] * len(xis), opened
+
+
+@pytest.mark.parametrize("depth", [3, 4, 5])
+@pytest.mark.parametrize("scale,digits,elements", [pair[:3] for pair in QGRID_PAIRS] + ASYMMETRIC_CASES)
+def test_slice_closure_p3_and_p4_match_exact_phases(scale, digits, elements, depth):
+    # P_3 or P_4 closes the root at depth 3 and 4, and P_4 its children at
+    # depth 5 (P_2 for N = -5, whose domains stop there): Q against exact
+    # phases within its bound and the rounding of a sum of squares
+    system = ScaleDigitSystem(scale, digits)
+    candidate = SpectrumCandidate(elements)
+    policy = TruncationPolicy(depth=depth)
+    slice_points = lambda_enumerate(scale, candidate, depth)
+    rounding = 4 * len(slice_points) * sys.float_info.epsilon
+    for xi in (0.0, 0.25, 0.5 + 1 / 7, -0.3, 0.8):
+        value, bound = q_eval_with_bound(system, candidate, xi, policy)
+        exact = math.fsum(exact_phase_mu_hat_sq(system, Fraction(xi) + lam) for lam in slice_points)
+        assert abs(value - exact) <= bound + rounding, (xi, value - exact, bound)
+
+
+@pytest.mark.parametrize("epsilon", [1e-2, 1e-4])
+def test_far_points_that_stop_past_the_slice_count_in_value_and_bound(epsilon):
+    # S = {0, 3^600} gets P_0 alone: its far points take factors past the
+    # slice, with no close tried until the period passes them, and fall
+    # below the cutoff on the way.  Each counts as one point of p2 in the
+    # value and in the bound, as in the former kernel
+    system = ScaleDigitSystem(2, (0, 1))
+    candidate = SpectrumCandidate((0, 3**600))
+    for xi in (0.3, 0.77):
+        assert_matches_leaf_tail(system, candidate, xi, TruncationPolicy(depth=3, product_epsilon=epsilon))
 
 
 @pytest.mark.parametrize("width", [10**20, 10**40])
