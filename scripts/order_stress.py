@@ -22,8 +22,11 @@ budget, the cycle search on a non-spectral pair with |S| = |N|, whose
 cylinders cover a hull of 6.7 * 10^4 integers) and the many-prime
 orders: a batch and single questions with hundreds of digits at a
 primorial, and a pair of digits at the product of the first 20 primes.
-The last case records the cost of questions past lcm(1..|D|): one memo
-of 300 wide digits asked every b <= 1000 that lcm(1..300) does not cover.
+The last two cases record the cost of questions past lcm(1..|D|), one
+memo of 300 wide digits asked every b <= 1000 that lcm(1..300) does not
+cover, and of a batch after a single question on one memo: {0, q}, with
+q = 10^14 + 31 prime, asked 2q and then every order at 2q, which must not
+factorise 2q again.
 
 Example:
     PYTHONPATH=src python scripts/order_stress.py compat-primorial-20 single-300-at-19
@@ -69,6 +72,13 @@ def cli(*argv: str):
 
 def orders(found) -> str:
     return f"{len(found)} orders"
+
+
+def batch_after_single(q: int) -> str:
+    """One memo of {0, q} asked the order 2q, then every order at 2q."""
+    test = OrderTest((0, q))
+    test(2 * q)
+    return orders(test.all_orders(2 * q))
 
 
 CASES = {
@@ -121,6 +131,7 @@ CASES = {
     "single-1000-at-37": lambda: order_vanishes(wide_digits(1000, 37), PRIMORIAL_12),
     "single-300-at-19": lambda: order_vanishes(wide_digits(300, 19), PRIMORIAL_8),
     "any-order-300-to-1000": lambda: orders(list(filter(OrderTest(wide_digits(300, 19)), PAST_LCM_300))),
+    "batch-after-single-1e14": lambda: batch_after_single(10**14 + 31),
 }
 
 

@@ -23,10 +23,10 @@ depends on D and n alone, so one memo per digit set answers any order;
 its primes are at most max(|D|, s), with s = max D - min D.  The one rule,
 for a single question and the batch of all orders at n alike: b is tested
 only when it is its own reach and phi(b) <= s, as Phi_b must divide
-z^(-min D) * D(z) of degree s.  The batch factorises the reach of n with
-`factorize`, the library's one trial division, which also serves |D| for
-the tiling conditions, and keeps its primes; a single question factorises
-only what is left of b once the primes found are divided out.
+z^(-min D) * D(z) of degree s.  The batch, on the reach of n, and a single
+question, on b, factorise with `factorize`, the library's one trial
+division, which also serves |D| for the tiling conditions, only what the
+primes found before leave of it, and keep the primes they find.
 The orders are decided on demand: each `ScaleDigitSystem` holds an
 `OrderTest`, which tests an order the first time a caller asks about it
 and remembers the answer.  A compatibility check asks the orders of its
@@ -138,11 +138,11 @@ class OrderTest:
 
     A single question and `all_orders` alike refuse an order b with no
     exact test when reach(b) != b or phi(b) > max - min.  `all_orders(n)`
-    factorises reach(n), a single question only the part of b that no
-    earlier factorisation found: at most sqrt of it in trial divisions,
-    then min(2^omega(b) * |D|, |D|^2 * omega(b)) steps, |D| the number of
-    exponents.  The class sums F(d) are kept per divisor, so each is
-    summed at most once.
+    factorises only the part of reach(n), and a single question only the
+    part of b, that no earlier factorisation found: at most sqrt of it in
+    trial divisions.  A single question then takes min(2^omega(b) * |D|,
+    |D|^2 * omega(b)) steps, |D| the number of exponents.  The class sums
+    F(d) are kept per divisor, so each is summed at most once.
     """
 
     __slots__ = ("g", "asked", "sizes", "span", "exps", "diffs", "sums", "known", "found", "orders")
@@ -186,13 +186,17 @@ class OrderTest:
         """The primes of b, ascending, when b > 1 is its own reach and phi(b) <= max - min."""
         if b < 2 or self.g % b and self.reach(b) != b:
             return None
-        rest, found = b, math.prod(self.found)
+        primes = self._primes_of(b)  # phi(b) = b * prod(1 - 1/p)
+        return primes if b // math.prod(primes) * math.prod(p - 1 for p in primes) <= self.span else None
+
+    def _primes_of(self, n: int) -> list[int]:
+        """The primes of n, ascending, factorising only what the primes found before leave of n."""
+        rest, found = n, math.prod(self.found)
         while (h := math.gcd(rest, found)) > 1:  # divide out the primes found before
             rest //= h
         if rest > 1:  # primes no earlier factorisation has found
             self.found = sorted([*self.found, *factorize(rest)])
-        primes = [p for p in self.found if b % p == 0]  # phi(b) = b * prod(1 - 1/p)
-        return primes if b // math.prod(primes) * math.prod(p - 1 for p in primes) <= self.span else None
+        return [p for p in self.found if n % p == 0]
 
     def _class_sum(self, d: int) -> int:
         """F(d), summed on first use."""
@@ -214,16 +218,13 @@ class OrderTest:
         T_b follows for all from one Moebius pass, at most omega(reach(n))
         steps per divisor."""
         if n not in self.orders:
-            factors = factorize(self.reach(n))
-            self.found = sorted({*self.found, *factors})  # no later question factorises these again
+            factors = self._primes_of(reach := self.reach(n))
             span, inside = self.span, [(1, 1, [])]  # (b, phi(b), primes of b)
-            for p, k in factors.items():
+            for p in factors:
                 grown = []
                 for b, phi, primes in inside:
                     phi *= p - 1
-                    for _ in range(k):
-                        if phi > span:
-                            break
+                    while phi <= span and reach % (b * p) == 0:
                         b *= p
                         grown.append((b, phi, [*primes, p]))
                         phi *= p

@@ -6,17 +6,17 @@ eta -> (eta + s)/N (the unique s in S making the division exact) admits a
 cycle of nonzero integers.  Let K be the attractor of the maps
 x -> (x+s)/N.  The successor map sends the finite set of K's integers onto
 itself (eta in K is (y + s)/N with y = N*eta - s in K), so K's nonzero
-integers are exactly the points of these cycles.  The search therefore
-visits only the integers of K's level-L cylinders (H + lam)/N^L, H the
-exact rational hull of K and lam = s_0 + s_1 N + ... + s_{L-1} N^(L-1),
-refined breadth-first while that shrinks their integer count: about
-|H|^(log|S|/log|N|) integers instead of all of H's, and never more than H
-holds.  Both outcomes carry machine-checkable evidence.  A spectral
-verdict reports the integer range of H (dilated by the regression hook
-`range_factor`) as `searched`: no integer in it lies on a nonzero cycle or
-leads into one.  A negative verdict carries the witness cycle through K's
-smallest nonzero integer in (|eta|, eta) order, starting there.  The hull
-is `attractor_bounds`, in exact rationals.
+integers are exactly the points of these cycles.  `_cycle_points` finds K's
+integers, 0 included, in one walk over the integers of K's level-L cylinders
+(H + lam)/N^L, H the exact rational hull of K (`attractor_bounds`) and
+lam = s_0 + s_1 N + ... + s_{L-1} N^(L-1), refined breadth-first while that
+shrinks their integer count: about |H|^(log|S|/log|N|) integers instead of
+all of H's, and never more than H holds.  The verdict is spectral when 0 is
+K's only integer, and both outcomes carry machine-checkable evidence.  A
+spectral verdict reports the integer range of H (dilated by the regression
+hook `range_factor`) as `searched`: no integer in it lies on a nonzero cycle
+or leads into one.  A negative verdict carries the witness cycle through K's
+smallest nonzero integer in (|eta|, eta) order, starting there.
 """
 
 from __future__ import annotations
@@ -128,12 +128,26 @@ def decide_spectrum(
     if is_compatible(system, candidate) is None:
         raise PreconditionError("cycle criterion applies to compatible pairs only")
     scale, m = system.scale, system.modulus
-    elems = candidate.elements
-    bounds = attractor_bounds(scale, elems)
+    bounds = attractor_bounds(scale, candidate.elements)
     searched = bounds.scaled(range_factor) if range_factor != 1 else bounds
-    lo = math.ceil(searched.lo)
-    hi = math.floor(searched.hi)
-    steps = {-s % m: s for s in elems}  # eta steps by the s with eta + s = 0 (mod N)
+    lo, hi = math.ceil(searched.lo), math.floor(searched.hi)
+    points = _cycle_points(system, candidate, bounds)
+    if points == [0]:
+        return SpectrumVerdict(True, None, (lo, hi), bounds)
+
+    # The witness goes round once from K's smallest nonzero integer in (|eta|, eta) order.
+    steps = {-s % m: s for s in candidate.elements}  # eta steps by the s with eta + s = 0 (mod N)
+    first = min((e for e in points if e), key=lambda e: (abs(e), e))
+    witness = [(first, steps[first % m])]
+    while (eta := sum(witness[-1]) // scale) != first:  # eta_(j+1) = (eta_j + s_j)/N
+        witness.append((eta, steps[eta % m]))
+    return SpectrumVerdict(False, tuple(witness), (lo, hi), bounds)
+
+
+def _cycle_points(system: ScaleDigitSystem, candidate: SpectrumCandidate, bounds: RationalInterval) -> list[int]:
+    """K's integers, sorted, 0 among them: the points of the successor map's cycles.
+    `bounds` is K's hull; the pair meets `decide_spectrum`'s preconditions."""
+    scale, m, elems = system.scale, system.modulus, candidate.elements
 
     # A cycle point is the image of another cycle point, which lies in the
     # hull H = [low, low + span]/den, under L of the maps, so it lies in a
@@ -159,37 +173,22 @@ def decide_spectrum(
     sign = 1 if power > 0 else -1
     survivors = {sign * y for u in numerators for y in range(-(-u // q), (u + span) // q + 1) if y}
 
-    # Walk the successor map restricted to the survivors.  Every cycle of
-    # nonzero integers lies among them, so the first walk to touch a cycle
-    # goes round it and comes back to a node it marked itself.
-    seen: dict[int, int] = {}
-    cycles = []
-    for start in survivors:
-        eta = start
-        while eta in survivors and eta not in seen:
-            seen[eta] = start
-            s = steps.get(eta % m)
-            if s is None:
-                break
-            eta = (eta + s) // scale
-        else:
-            if seen.get(eta) == start:
-                cycles.append(eta)
-    if not cycles:
-        return SpectrumVerdict(True, None, (lo, hi), bounds)
-
-    # The cycles' points are K's nonzero integers; the witness goes round
-    # from the smallest of them in (|eta|, eta) order.
-    def go_round(start: int) -> list[tuple[int, int]]:
-        path, eta = [], start
-        while not path or eta != start:
-            s = steps[eta % m]
-            path.append((eta, s))
-            eta = (eta + s) // scale
-        return path
-
-    first = min((eta for c in cycles for eta, _ in go_round(c)), key=lambda e: (abs(e), e))
-    return SpectrumVerdict(False, tuple(go_round(first)), (lo, hi), bounds)
+    # One pass walks the successor map over the survivors and removes each
+    # node it reaches; a node with no step goes to 0, which no walk holds.
+    # Every cycle of nonzero integers lies among the survivors, so the first
+    # walk to touch a cycle goes round it and stops at a node it removed
+    # itself: the walk's tail from there is the cycle.  One scan of the walk
+    # checks that, so the pass stays linear in the survivors.
+    steps = {-s % m: s for s in elems}  # eta steps by the s with eta + s = 0 (mod N)
+    points = [0]
+    while survivors:
+        path = [eta := survivors.pop()]
+        while (eta := (eta + steps.get(eta % m, -eta)) // scale) in survivors:
+            survivors.remove(eta)
+            path.append(eta)
+        if eta in path:
+            points += path[path.index(eta) :]
+    return sorted(points)
 
 
 def verify_witness(system: ScaleDigitSystem, candidate: SpectrumCandidate, witness) -> bool:

@@ -546,6 +546,30 @@ def test_the_reach_looks_at_the_differences_only_for_an_n_that_g_does_not_cover(
         assert max(x.bit_length() for x in lcms) <= n.bit_length() + sizes.bit_length(), n
 
 
+def test_the_batch_factorises_only_what_no_question_has_split(monkeypatch):
+    # single questions and the batch share one path: the primes found before
+    # are divided out, and `factorize` sees only the rest
+    digits, q = (0, 1, 2, 3, 5, 8), 10**14 + 31  # q is prime: 2q takes 10^7 trial divisions
+    expected = {b for b in divisors(360)[1:] if order_vanishes(digits, b)}
+    factorize, calls = cyclotomic_module.factorize, []
+
+    def spying(n):
+        calls.append(n)
+        return {2: 1, q: 1} if n == 2 * q else factorize(n)
+
+    monkeypatch.setattr(cyclotomic_module, "factorize", spying)
+    test = cyclotomic_module.OrderTest(digits)
+    assert [test(b) for b in (4, 3, 12)] == [False] * 3
+    assert set(test.all_orders(360)) == expected == {2}
+    assert calls == [4, 3, 5]  # reach(360) = 360, of which 2 and 3 are known
+    # the batch at 2q after the single question 2q splits nothing again
+    calls.clear()
+    test = cyclotomic_module.OrderTest((0, q))
+    assert test(2 * q)  # 1 + z^q vanishes at the primitive 2q-th roots
+    assert test.all_orders(2 * q) == {2: [2], 2 * q: [2, q]}
+    assert calls == [2 * q]
+
+
 def test_traces_match_the_radical_reference_exhaustively():
     # every D in [0, 11] with 0 in D at six scales with two or three primes:
     # each b <= n asked singly of one OrderTest, whether or not it divides

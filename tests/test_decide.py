@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import math
+import tracemalloc
 
 import pytest
 
@@ -456,20 +457,20 @@ def test_large_hull_fixed_point_witness():
     assert verify_witness(system, candidate, verdict.witness)
 
 
-@pytest.mark.parametrize(
-    "scale,elements",
-    [
-        (4, (-2, -1, 0, 1)),
-        (4, (0, 1, 2, 3)),
-        (4, (0, 5, -6, 7)),
-        (4, (0, -3, 14, -37)),
-        (4, (0, 41, -30, 123)),
-        (-4, (-11, -5, 0, 2)),  # a cycle through the top of the hull, 3
-        (-4, (-10, -5, 0, 9)),
-        (4, (0, 120001, -79998, 20003)),  # hulls of about 6 * 10^4 integers
-        (-4, (0, 120001, -79998, 20003)),
-    ],
-)
+TILE_PAIRS = [  # S against D = {0, 1, 2, 3}
+    (4, (-2, -1, 0, 1)),
+    (4, (0, 1, 2, 3)),
+    (4, (0, 5, -6, 7)),
+    (4, (0, -3, 14, -37)),
+    (4, (0, 41, -30, 123)),
+    (-4, (-11, -5, 0, 2)),  # a cycle through the top of the hull, 3
+    (-4, (-10, -5, 0, 9)),
+    (4, (0, 120001, -79998, 20003)),  # hulls of about 6 * 10^4 integers
+    (-4, (0, 120001, -79998, 20003)),
+]
+
+
+@pytest.mark.parametrize("scale,elements", TILE_PAIRS)
 def test_tile_pairs_match_reference(scale, elements):
     # |S| = |N|: the cylinders of each level tile the hull and touch, so no
     # refinement shrinks the integers to walk
@@ -481,6 +482,40 @@ def test_tile_pairs_match_reference(scale, elements):
     if expected.witness is not None:
         first = min(attractor_integers(scale, elements) - {0}, key=lambda e: (abs(e), e))
         assert expected.witness[0][0] == first
+
+
+def test_cycle_points_are_the_attractor_integers():
+    # all of K's integers, 0 included, not only the smallest nonzero one
+    pairs = [(ScaleDigitSystem(scale, (0, 1, 2, 3)), SpectrumCandidate(elements)) for scale, elements in TILE_PAIRS]
+    for scale in [n for k in range(3, 10) for n in (k, -k)] + [10, 12, -12]:
+        pairs += lifted_window_pairs(scale, 7, (2, 3, 4), (-2, 0, 3))
+    cycling = 0
+    for system, candidate in pairs:
+        bounds = attractor_bounds(system.scale, candidate.elements)
+        points = decide_module._cycle_points(system, candidate, bounds)
+        assert points == sorted(attractor_integers(system.scale, candidate.elements)), (system, candidate)
+        cycling += points != [0]
+    assert len(pairs) > 10_000 and cycling > 3_000
+
+
+@pytest.mark.parametrize("scale", [4, -4])
+def test_the_cycle_search_holds_only_its_survivors(scale):
+    # |S| = |N|: the survivors are the hull's 6.7 * 10^4 nonzero integers, and
+    # the walk keeps no map of them beside their set
+    system = ScaleDigitSystem(scale, (0, 1, 2, 3))
+    candidate = SpectrumCandidate((0, 120001, -79998, 20003))
+    bounds = attractor_bounds(scale, candidate.elements)
+    assert not decide_spectrum(system, candidate).spectral  # the system's memos are built outside the trace
+    peaks = []
+    for build in (lambda: {y for y in range(math.ceil(bounds.lo), math.floor(bounds.hi) + 1) if y},
+                  lambda: decide_spectrum(system, candidate)):
+        tracemalloc.start()
+        try:
+            build()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 def test_witness_starts_at_the_smallest_nonzero_integer_of_the_attractor():
