@@ -18,8 +18,9 @@ prefixes that P_2 leaves open), wide digits (a digit spread of 2000),
 three candidates far outside the window (4^20, congruent to 0 mod 4, so
 that the slice takes its points, 4^20 + 2 and 3^600, whose slice closures
 have empty domains and build no series), a candidate with two elements
-congruent mod N (its slice points coincide, 4 + 0 = 0 + 4), and one
-transfer recursion, and a sweep of 24 grid points over [0, 1) on one pair
+congruent mod N (its slice points coincide, 4 + 0 = 0 + 4), two
+transfer recursions (one with s = 4^20 + 2, whose inner points (xi + s)/N
+have an integer part past 2^53), and a sweep of 24 grid points over [0, 1) on one pair
 (6, {0,1,2}, S = {0,2,4} at depth 7), which builds the pair's closure once
 and answers with the sum of the 24 Q values.  `wide-2000`, the `far-*`
 cases and `collision-4` get no P_1 to P_4, only the tail series P_0, so
@@ -81,6 +82,7 @@ CASES = {
     "far-3-600": lambda: q(2, (0, 1), (0, 3**600), 3),
     "collision-4": lambda: q(4, (0, 1), (0, 1, 4), 8),
     "transfer-6": lambda: transfer(6, (0, 1, 2), (0, 2, 4), 5),
+    "transfer-far-4-20": lambda: transfer(4, (0, 1), (0, 4**20 + 2), 2),
     "sweep-6-24": lambda: sweep(6, (0, 1, 2), (0, 2, 4), 7, 24),
 }
 

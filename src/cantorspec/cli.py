@@ -283,7 +283,7 @@ def _run_measure(args):
         raise PreconditionError(f"grid must have at least one point, got {args.grid}")
     _check_slice_budget(candidate.size, policy.depth, args.grid)  # before the first point
     xis = [i / args.grid for i in range(args.grid)]
-    rows = [(xi, *kernel._q_eval(system, candidate, xi, policy)) for xi in xis]
+    rows = [(xi, *kernel.q_eval_with_bound(system, candidate, xi, policy)) for xi in xis]
     if args.format == "csv":
         lines = ["xi,q_value,error_bound"]
         lines.extend(f"{xi!r},{value!r},{bound!r}" for xi, value, bound in rows)

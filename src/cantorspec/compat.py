@@ -193,6 +193,7 @@ def reduce_s(scale: int, candidate: SpectrumCandidate) -> SpectrumCandidate:
     preserves compatibility, so the reduced set is compatible exactly when
     the input is.
     """
+    systems._int_items((scale,), "scale must be an integer")
     m = abs(scale)
     if m < 3:
         raise PreconditionError("reduction needs |N| >= 3; the window is degenerate for |N| = 2")

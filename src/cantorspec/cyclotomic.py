@@ -103,11 +103,11 @@ def order_vanishes(exponents, b: int) -> bool:
     >>> order_vanishes((0, 1, 8, 9), 8)
     False
     """
-    if not isinstance(b, int) or b < 1:
-        from .systems import PreconditionError  # systems imports this module
+    from .systems import PreconditionError, _int_items  # systems imports this module
 
+    if not isinstance(b, int) or b < 1:
         raise PreconditionError(f"root order must be a positive integer, got {b!r}")
-    exps = tuple(exponents)
+    exps = _int_items(exponents, "exponents must consist of integers")
     return not exps or OrderTest(exps)(b)
 
 

@@ -44,8 +44,8 @@ up to 4 (`_SLICE_POLYS`).  The error goes along pointwise (P_(k-1)'s at
 the preimages times M_s <= M_s(0) + L|v|, plus what truncating drops) to
 remainder * v^(2M) + offset + slope * |v|, offset 0 where M_s(0) = 0 for
 every s but 0.  Once per pair (N, D, S), memoised by value,
-`_slice_closure` takes the pair's weights, Lipschitz sum and tail series,
-finds the domains and then builds each M_s once: 2|S| series products
+`_slice_closure` takes the pair's weights and tail series, finds the
+domains and then builds each M_s once: 2|S| series products
 whatever the size of s.  It holds only tuples, so no caller can change
 it, and gives P_0 alone for D = {0}, where S has two elements congruent
 mod |N| (points may coincide), or where P_1's domain is empty or past the
@@ -70,6 +70,7 @@ import functools
 import math
 import operator
 from collections import Counter
+from fractions import Fraction
 from itertools import accumulate
 
 from .systems import (
@@ -108,7 +109,11 @@ class TruncatedProduct(_Record):
 
 
 def _split(xi) -> tuple[int, float]:
-    """xi as an exact integer part and the float fraction left over."""
+    """xi as an exact integer part and the float fraction left over; a
+    Fraction loses nothing but the rounding of that fraction."""
+    if isinstance(xi, Fraction):
+        whole = math.trunc(xi)
+        return whole, float(xi - whole)
     x = float(xi)
     if not math.isfinite(x):
         raise PreconditionError(f"xi must be finite, got {xi!r}")
@@ -117,9 +122,8 @@ def _split(xi) -> tuple[int, float]:
 
 
 def _lipschitz(system) -> float:
-    """2*pi*sum|d|/|D|, so |m_D(eta) - 1| <= lipschitz * |eta|; the tail
-    bound of the Fourier product is built from it.  Digits past the float
-    range are refused."""
+    """2*pi*sum|d|/|D|, so |m_D(eta) - 1| <= lipschitz * |eta|; `mu_hat`'s
+    tail bound is built from it.  Digits past the float range are refused."""
     try:
         return _TWO_PI * sum(abs(d) for d in system.digits) / system.size
     except OverflowError:
@@ -254,17 +258,12 @@ def q_eval_with_bound(
     can; past the slice that is the tail series.  The bound sums each
     closed prefix's polynomial bound times its product, or that product
     where it stopped early: it is the whole infinite product that is summed.
-    |xi + lambda| is refused where `mu_hat` would refuse it, and so is any
-    phase period or point past the float range, or a digit spread from
-    `SPREAD_LIMIT` on.  A sweep of xi over one pair builds its slice
-    closure once: it is memoised by the pair's value.
+    Only the digits' differences enter, so a translate of D gives the same
+    answer.  Refused are a non-finite xi, a slice past the budget, a digit
+    spread from `SPREAD_LIMIT` on and a point whose own sum passes the float
+    range.  Each pair's slice closure is built once, memoised by value.
     """
     _check_slice_budget(candidate.size, policy.depth)
-    return _q_eval(system, candidate, xi, policy)
-
-
-def _q_eval(system, candidate, xi, policy):
-    """`q_eval_with_bound` past the slice budget."""
     closure = _slice_closure(system, candidate)
     whole, frac = _split(xi)
     try:
@@ -304,13 +303,11 @@ def _tail_series(system, weights):
 
 @functools.lru_cache(maxsize=64)  # by value: equal records share an entry
 def _slice_closure(system, candidate):
-    """(weights, lipschitz, scale, polys), all tuples: the pair's difference
-    weights, Lipschitz sum and tail scale for `_completeness_sum`, and polys
-    = (P_0, ..., P_k) for a k <= 4, P_k = (coeffs, lo, hi,
-    remainder, offset, slope).  M_s(0) is `_symbol_sq`, 0 at the exact zeros
+    """(weights, scale, polys), all tuples: the pair's difference weights
+    and tail scale for `_completeness_sum`, and polys = (P_0, ..., P_k) for
+    a k <= 4, P_k = (coeffs, lo, hi, remainder, offset, slope).  M_s(0) is `_symbol_sq`, 0 at the exact zeros
     where the points' products are, and M_s^(n)(0) = sum_k w_k/2 rate_k^n
     cos^(n)(phase_k)."""
-    lipschitz = _lipschitz(system)
     spread = system.digits[-1] - system.digits[0]
     if spread >= SPREAD_LIMIT:
         raise PreconditionError(
@@ -321,7 +318,7 @@ def _slice_closure(system, candidate):
     scale, coeffs, remainder, switch = _tail_series(system, weights)
     reach = scale * switch if remainder else math.inf  # D = {0}: P_0 = 1 for every v; 0 * inf is nan
     polys = [(tuple(x for c in coeffs for x in (c, 0.0)), -reach, reach, remainder, 0.0, 0.0)]
-    closure = weights, lipschitz, scale, tuple(polys)
+    closure = weights, scale, tuple(polys)
     base = system.modulus
     if not remainder or len({s % base for s in candidate.elements}) < candidate.size:
         return closure  # D = {0}, or slice points that may coincide
@@ -352,7 +349,7 @@ def _slice_closure(system, candidate):
     steps = sum(decay[1] for decay in decays), sum(decay[-1] * rate for decay, rate in zip(decays, rates)) / _ORDER
     for count, domain in enumerate(domains[1:]):
         polys.append(_lift(polys[-1], domain, system.scale, centres, series, steps, candidate.size**count))
-    return weights, lipschitz, scale, tuple(polys)
+    return weights, scale, tuple(polys)
 
 
 def _lift(level, domain, scale, centres, series, steps, points):
@@ -421,24 +418,17 @@ def _close_prefixes(level, poly, frac, vstep, period, cutoff, count):
 def _completeness_sum(system, candidate, whole: int, frac: float, policy, closure) -> tuple[float, float]:
     """`q_eval_with_bound` past its checks; a float overflow anywhere here
     means the input is past the float range."""
-    weights, lipschitz, scale, polys = closure
+    weights, scale, polys = closure
     base = system.modulus
     phases = _phases(weights, frac)
     cutoff = (policy.product_epsilon / 4.0) ** 2
     level = {whole: 1.0}  # xi's integer part plus a slice prefix -> |product|^2
-    low = high = whole  # and the slice's ends so far
     left = policy.depth  # slice digits not yet added
     power = step = 1
     nearest = 0  # past the slice, where nodes stay put: the least |node| open
     total = err = 0.0
     while level or left:
         shifts = [s * step for s in candidate.elements] if left else [0]  # past the slice, digit 0
-        if left:
-            low, high = low + min(shifts), high + max(shifts)
-            if left == 1:
-                # refuse as mu_hat would: the slice's largest |xi + lambda| is at one end
-                far = max(abs(low + frac), abs(high + frac))
-                _truncation(lipschitz, base, far, math.log1p(policy.product_epsilon))
         if level and left < len(polys) and nearest < power:  # P_left closes a prefix with left digits to add
             level, closed, bound = _close_prefixes(
                 level, polys[left], frac, scale / step, power, cutoff, candidate.size**left
@@ -483,23 +473,24 @@ def transfer_residual(
         Q_{d+1}(xi) = sum_s |m_D((xi+s)/N)|^2 * Q_d((xi+s)/N)
     because each (d+1)-digit point splits uniquely as s + N*(d-digit point)
     and the symbol is 1-periodic at integer translates.  The |S| + 1 sums
-    share the pair's memoised slice closure, and each sums every infinite
-    product to within a small multiple of 2^-70, so the returned |lhs - rhs|
-    is rounding plus the early stops at (product_epsilon/4)^2, which fall at
-    different factors on the two sides and shrink with product_epsilon.
+    are `q_eval_with_bound`'s (the lhs, at depth + 1, meets its refusals
+    first) at exact points (xi + s)/N, and share one slice closure.  Each
+    takes every infinite product to within a small multiple of 2^-70, so
+    the returned |lhs - rhs| is rounding plus the early stops at
+    (product_epsilon/4)^2, which fall at different factors on the two sides
+    and shrink with product_epsilon.
     """
     if candidate.size != system.size:
         raise PreconditionError(
             f"recursion requires |S| = |D|, got |S| = {candidate.size}, |D| = {system.size}"
         )
-    _check_slice_budget(candidate.size, depth + 1)
-    lhs = _q_eval(system, candidate, xi, TruncationPolicy(depth + 1, policy.product_epsilon))[0]
+    lhs = q_eval_with_bound(system, candidate, xi, TruncationPolicy(depth + 1, policy.product_epsilon))[0]
     inner_policy = TruncationPolicy(depth, policy.product_epsilon)
     weights = _slice_closure(system, candidate)[0]
     whole, frac = _split(xi)
     rhs = 0.0
     for s in candidate.elements:
-        inner = (float(xi) + s) / system.scale
+        inner = (Fraction(float(xi)) + s) / system.scale
         weight = _symbol_sq(weights, whole + s, frac, system.modulus)
-        rhs += weight * _q_eval(system, candidate, inner, inner_policy)[0]
+        rhs += weight * q_eval_with_bound(system, candidate, inner, inner_policy)[0]
     return abs(lhs - rhs)

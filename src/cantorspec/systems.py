@@ -94,13 +94,20 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-def _as_int_tuple(values, what: str) -> tuple[int, ...]:
+def _int_items(values, rule: str) -> tuple:
+    """values as a tuple, refused with `rule` at the first that is not an
+    int (a bool is not); repeats are the caller's to judge."""
     items = tuple(values)
-    if not items:
-        raise PreconditionError(f"{what} must be nonempty")
     for v in items:
         if not isinstance(v, int) or isinstance(v, bool):
-            raise PreconditionError(f"{what} must consist of integers, got {v!r}")
+            raise PreconditionError(f"{rule}, got {v!r}")
+    return items
+
+
+def _as_int_tuple(values, what: str) -> tuple[int, ...]:
+    items = _int_items(values, f"{what} must consist of integers")
+    if not items:
+        raise PreconditionError(f"{what} must be nonempty")
     if len(set(items)) != len(items):
         raise PreconditionError(f"{what} must be pairwise distinct, got {sorted(items)}")
     return tuple(sorted(items))
@@ -112,8 +119,7 @@ class ScaleDigitSystem(_Record):
     __match_args__ = ("scale", "digits")
 
     def __init__(self, scale: int, digits: tuple[int, ...]):
-        if not isinstance(scale, int) or isinstance(scale, bool):
-            raise PreconditionError(f"scale must be an integer, got {scale!r}")
+        _int_items((scale,), "scale must be an integer")
         if abs(scale) < 2:
             raise PreconditionError(f"scale must satisfy |N| >= 2, got {scale}")
         self.__dict__.update(scale=scale, digits=_as_int_tuple(digits, "digit set"))

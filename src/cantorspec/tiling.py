@@ -83,7 +83,7 @@ def is_complementing(digits, modulus: int) -> tuple[int, ...] | None:
     """
     if not isinstance(modulus, int) or modulus < 1:
         raise PreconditionError(f"modulus must be a positive integer, got {modulus!r}")
-    digs = tuple(digits)
+    digs = systems._int_items(digits, "digit set must consist of integers")
     if not digs:
         raise PreconditionError("digit set must be nonempty")
     if len({d % modulus for d in digs}) != len(digs):

@@ -403,7 +403,7 @@ def test_qgrid_work_estimate_exits_two_before_the_first_point(capsys, monkeypatc
     def refuse(*args, **kwargs):
         raise AssertionError("a grid point ran past the work estimate")
 
-    monkeypatch.setattr(kernel, "_q_eval", refuse)
+    monkeypatch.setattr(kernel, "q_eval_with_bound", refuse)
     code, out, err = run(capsys, "measure", "qgrid", "--n", "4", "--digits", "0,1,2",
                          "--s", "0,1,2", "--depth", "12")
     assert code == 2

@@ -385,6 +385,36 @@ def test_transfer_residual_builds_one_closure():
     assert kernel._slice_closure.cache_info().misses == 1  # the depth + 1 side's, shared by the |S| others
 
 
+@pytest.mark.parametrize("k", [5, 20, 27, 40, 200])
+def test_transfer_residual_keeps_the_integer_part_of_far_inner_points(k):
+    # (xi + s)/N for s = 4^k + 2 formed in floats drops the low digits of its
+    # integer part (a residual of 1.6e-7 at k = 20, 4e-3 from k = 27 on);
+    # formed exactly, the recursion holds to rounding
+    residual = transfer_residual(ScaleDigitSystem(4, (0, 1)), SpectrumCandidate((0, 4**k + 2)), 0.3, 2)
+    assert residual <= sys.float_info.epsilon, residual
+
+
+@pytest.mark.parametrize("shift", [1, 10**20, 10**400], ids=["1", "1e20", "1e400"])
+def test_q_is_translation_invariant_in_the_digits(shift):
+    # |mu_hat|^2 depends on D only through D - D: a translate of D gives Q
+    # bit for bit, value and bound, and the same transfer residual, however
+    # far past the float range the digits lie
+    rng = random.Random(36)
+    for _ in range(8):
+        scale = rng.choice((2, 3, 4, -4, 5, 6, -6))
+        size = rng.randint(1, min(3, abs(scale)))
+        digits = tuple(rng.sample(range(-6, 7), size))
+        candidate = SpectrumCandidate(tuple(rng.sample(range(-8, 9), size)))
+        xi = rng.uniform(-2.0, 2.0)
+        policy = TruncationPolicy(depth=rng.randint(2, 4))
+        system = ScaleDigitSystem(scale, digits)
+        moved = ScaleDigitSystem(scale, tuple(d + shift for d in digits))
+        pair = (scale, digits, candidate.elements, xi)
+        assert q_eval_with_bound(moved, candidate, xi, policy) == q_eval_with_bound(system, candidate, xi, policy), pair
+        residual = transfer_residual(system, candidate, xi, policy.depth)
+        assert transfer_residual(moved, candidate, xi, policy.depth) == residual, pair
+
+
 # the pairs of scripts/kernel_stress.py past the qgrid ones, at its depths:
 # a slice whose root P_2 closes, an asymmetric domain, and four that get P_0 alone
 STRESS_PAIRS = [
@@ -459,7 +489,7 @@ def test_pairs_that_differ_never_share_a_closure():
 def test_memoised_closure_holds_no_list(scale, digits, elements, levels):
     # only tuples of numbers, so that no caller can change a shared closure
     closure = kernel._slice_closure(ScaleDigitSystem(scale, digits), SpectrumCandidate(elements))
-    assert len(closure[3]) == levels
+    assert len(closure) == 3 and len(closure[2]) == levels  # (weights, scale, polys)
     items = [closure]
     while items:
         item = items.pop()
@@ -486,50 +516,92 @@ def test_kernel_rejects_non_finite_arguments():
             transfer_residual(JP_SYSTEM, JP_CANDIDATE, xi, 2)
 
 
+# Q at depth 3 and the transfer residual at depth 2 by the ends of D and
+# xi, or None where Q's own sum passes the float range
+FAR_ANSWERS = {
+    ((0, 1), 1e300): ((1.1924912936989423e-22, 1.4274845720962072e-56), 0.0),
+    ((0, 1), -1e305): ((2.52334927213447e-15, 4.721471203078962e-44), 0.0),
+    ((0, 1), 1.7976931348623157e308): ((0.0, 0.0), 0.0),
+    ((-11, 11), 1e300): ((1.4317805935001402e-25, 1.4317805935001402e-25), 3.4714589729533984e-26),
+    ((-11, 11), -1e305): ((2.2159420169011905e-25, 2.2159420169011905e-25), 1.629004406961059e-25),
+    ((-11, 11), 1.7976931348623157e308): ((4.359019153095655e-25, 4.359019153095655e-25), 1.045455288262572e-36),
+    ((0, 2), 1e300): ((0.0, 0.0), 0.0),  # every slice point is an exact zero
+    ((0, 2), -1e305): ((0.0, 0.0), 0.0),
+    ((0, 2), 1.7976931348623157e308): None,
+}
+
+
 @pytest.mark.parametrize("xi", [1e300, -1e305, 1.7976931348623157e308])
 @pytest.mark.parametrize(
     "system,candidate",
-    [(JP_SYSTEM, JP_CANDIDATE), (ScaleDigitSystem(10, (0, 2, -2, 11, -11)), SpectrumCandidate((0, 2, 4, 6, 8)))],
+    [
+        (JP_SYSTEM, JP_CANDIDATE),
+        (ScaleDigitSystem(10, (0, 2, -2, 11, -11)), SpectrumCandidate((0, 2, 4, 6, 8))),
+        (ScaleDigitSystem(4, (0, 2)), SpectrumCandidate((0, 1))),
+    ],
 )
 def test_kernel_refuses_xi_past_the_float_range_of_its_bound(system, candidate, xi):
-    # |N|^J, with J from the truncation bound, no longer fits in a float
+    # |N|^J, with J from mu_hat's truncation bound, no longer fits in a
+    # float; Q forms no J, and answers until its own sum overflows
     with pytest.raises(PreconditionError):
         mu_hat(system, xi)
-    with pytest.raises(PreconditionError):
-        q_eval_with_bound(system, candidate, xi, TruncationPolicy(depth=3))
-    with pytest.raises(PreconditionError):
-        transfer_residual(system, candidate, xi, 2)
+    expected = FAR_ANSWERS[(system.digits[0], system.digits[-1]), xi]
+    if expected is None:
+        for call in (
+            lambda: q_eval_with_bound(system, candidate, xi, TruncationPolicy(depth=3)),
+            lambda: transfer_residual(system, candidate, xi, 2),
+        ):
+            with pytest.raises(PreconditionError, match=r"with \|N\|\^depth = 4\^\d passes the float range"):
+                call()
+        return
+    q, residual = expected
+    assert q_eval_with_bound(system, candidate, xi, TruncationPolicy(depth=3)) == q
+    assert transfer_residual(system, candidate, xi, 2) == residual
 
 
 def test_q_eval_refuses_a_candidate_past_the_float_range():
     # s = 10^400 + 1 is odd, so the slice closure's level search meets it
-    # and gives P_0 alone; the sum then refuses the slice point
+    # and gives P_0 alone.  Past the float range as a float, it is an exact
+    # integer in the sum: the one point near 0 is xi itself, whose
+    # |mu_hat|^2 for Lebesgue measure on [0, 1] is sinc^2, and Bessel's
+    # bound holds for the compatible pair
     candidate = SpectrumCandidate((0, 10**400 + 1))
-    with pytest.raises(PreconditionError, match=r"at xi = 0.3 with \|N\|\^depth = 2\^3 passes the float range"):
-        q_eval_with_bound(ScaleDigitSystem(2, (0, 1)), candidate, 0.3, TruncationPolicy(depth=3))
-    with pytest.raises(PreconditionError, match="passes the float range"):
-        transfer_residual(ScaleDigitSystem(2, (0, 1)), candidate, 0.3, 2)
+    value, bound = q_eval_with_bound(ScaleDigitSystem(2, (0, 1)), candidate, 0.3, TruncationPolicy(depth=3))
+    assert (value, bound) == (0.7368397293222504, 1.4745683427402592e-50)
+    assert value <= 1.0 + bound
+    assert value == pytest.approx((math.sin(0.3 * math.pi) / (0.3 * math.pi)) ** 2, rel=1e-15)
+    assert transfer_residual(ScaleDigitSystem(2, (0, 1)), candidate, 0.3, 2) == 1.1102230246251565e-16
 
 
 def test_lipschitz_refuses_digits_past_the_float_range():
-    # 2*pi*sum|d|/|D| bounds the Fourier product's tail, and every entry
-    # point refuses digits past its float range.  (10^400, 10^400 + 1) has
-    # spread 1, so of the Q kernel's checks only this sum refuses it
+    # 2*pi*sum|d|/|D| bounds mu_hat's tail, which refuses digits past its
+    # float range.  Q sees the digits only through their differences: the
+    # translate (10^400, 10^400 + 1) of spread 1 answers as (0, 1), and the
+    # two wide spreads get the spread refusal
     assert kernel._lipschitz(ScaleDigitSystem(3, (0, 10**300))) == pytest.approx(math.pi * 1e300)
     refusal = "the digits' sum of |d| is past the float range of the Fourier product's tail bound"
     candidate = SpectrumCandidate((0, 1))
+    policy = TruncationPolicy(depth=3)
+    narrow = ScaleDigitSystem(3, (0, 1))
     for digits in [(0, 10**400), (10**400, 10**400 + 1), (-(10**309), 0)]:
         system = ScaleDigitSystem(3, digits)
-        calls = [
-            lambda: kernel._lipschitz(system),
-            lambda: mu_hat(system, 0.25),
-            lambda: q_eval_with_bound(system, candidate, 0.25, TruncationPolicy(depth=3)),
-            lambda: transfer_residual(system, candidate, 0.25, 2),
-        ]
-        for call in calls:
+        for call in (lambda: kernel._lipschitz(system), lambda: mu_hat(system, 0.25)):
             with pytest.raises(PreconditionError) as refused:
                 call()
             assert str(refused.value) == refusal, (digits, call)
+        calls = (
+            lambda system: q_eval_with_bound(system, candidate, 0.25, policy),
+            lambda system: transfer_residual(system, candidate, 0.25, 2),
+        )
+        for call in calls:
+            if digits[-1] - digits[0] < SPREAD_LIMIT:
+                assert call(system) == call(narrow), (digits, call)
+                continue
+            with pytest.raises(PreconditionError, match="refuses the digit spread") as refused:
+                call(system)
+            assert "from SPREAD_LIMIT = 2^168 on it passes the float range" in str(refused.value)
+    wide = ScaleDigitSystem(3, (10**400, 10**400 + 1))
+    assert q_eval_with_bound(wide, candidate, 0.25, policy) == (1.3093882181614265, 2.180224362507117e-24)
 
 
 def test_transfer_residual_requires_matching_sizes():
@@ -819,7 +891,7 @@ def test_slice_closure_closes_a_prefix_at_each_domain_edge(monkeypatch, scale, d
     monkeypatch.setattr(kernel, "_close_prefixes", counted)
     system = ScaleDigitSystem(scale, digits)
     candidate = SpectrumCandidate(elements)
-    _, _, scale_v, polys = kernel._slice_closure(system, candidate)
+    _, scale_v, polys = kernel._slice_closure(system, candidate)
     for depth, (_, lo, hi, *_) in enumerate(polys[1:], 1):
         for edge in (lo / scale_v, hi / scale_v):
             if abs(edge) >= 1:  # only |xi| < 1 puts the root below its period 1

@@ -85,7 +85,8 @@ def test_order_stress_times_the_cases_it_is_given():
 
 
 def test_kernel_stress_times_the_cases_it_is_given():
-    proc = run_script("kernel_stress.py", "qgrid-8", "asym-5", "far-4-20", "far-3-600", "collision-4", "sweep-6-24")
+    proc = run_script("kernel_stress.py", "qgrid-8", "asym-5", "far-4-20", "far-3-600", "collision-4", "sweep-6-24",
+                      "transfer-far-4-20")
     assert (proc.returncode, proc.stderr) == (0, "")
     rows = [row.split(",") for row in proc.stdout.splitlines()]
     assert rows[0] == ["case", "seconds", "answer"]
@@ -96,6 +97,7 @@ def test_kernel_stress_times_the_cases_it_is_given():
         ("far-3-600", "0.736839729322"),  # (2, {0,1}), S = {0, 3^600}: P_0 alone, the leaf rows
         ("collision-4", "19.1261987806"),  # S = {0,1,4}: 4 + 0 = 0 + 4, slice points merged
         ("sweep-6-24", "23.9977946849"),  # sum of Q at xi = i/24 for (6, {0,1,2}), S = {0,2,4}, depth 7
+        ("transfer-far-4-20", "below-1e-14"),  # inner points (0.3 + 4^20 + 2)/4 formed exactly
     ]
     assert all(float(row[1]) >= 0 for row in rows[1:])
     unknown = run_script("kernel_stress.py", "no-such-case")

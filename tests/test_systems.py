@@ -21,7 +21,10 @@ from cantorspec import (
     construct_spectrum_set,
     decide_spectrum,
     is_compatible,
+    is_complementing,
     mu_hat,
+    order_vanishes,
+    reduce_s,
     report_measure_spectrality,
 )
 
@@ -266,3 +269,24 @@ def test_record_validation_messages(build, message):
     with pytest.raises(PreconditionError) as excinfo:
         build()
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: order_vanishes((0, 1.5), 2), "exponents must consist of integers, got 1.5"),
+        (lambda: order_vanishes((0, True), 2), "exponents must consist of integers, got True"),
+        (lambda: is_complementing((0, 1.5), 4), "digit set must consist of integers, got 1.5"),
+        (lambda: is_complementing((0, True), 2), "digit set must consist of integers, got True"),
+        (lambda: reduce_s(4.0, SpectrumCandidate((0, 2))), "scale must be an integer, got 4.0"),
+    ],
+)
+def test_public_functions_refuse_non_integers(call, message):
+    # the records' integer check; the multisets these functions take stay
+    # multisets: order_vanishes counts repeats, is_complementing has no
+    # complement for them
+    with pytest.raises(PreconditionError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
+    assert order_vanishes((0, 0, 1, 1), 2) and not order_vanishes((0, 0, 1), 2)
+    assert is_complementing((0, 0), 2) is None
