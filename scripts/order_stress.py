@@ -19,7 +19,10 @@ digits at L = 10^7, refused before its counting check walks L sums, the
 window search at |N| = 2 * 10^8, answered at g = 2 and refused at g = |N|,
 the dense window search at |N| = 10^5, refused by its clique walk's work
 budget, the cycle search on a non-spectral pair with |S| = |N|, whose
-cylinders cover a hull of 6.7 * 10^4 integers) and the many-prime
+cylinders cover a hull of 6.7 * 10^4 integers, and on two pairs with
+|S| < |N|, whose cylinders and residue filter leave little of their hulls:
+|N| = 100 with a hull of 10^6 integers and |N| = 8, |S| = 4 with one of
+10^5) and the many-prime
 orders: a batch and single questions with hundreds of digits at a
 primorial, and a pair of digits at the product of the first 20 primes.
 The last two cases record the cost of questions past lcm(1..|D|), one
@@ -109,6 +112,10 @@ CASES = {
     "search-dense-1e5": lambda: cli("compat", "search", "--n", "100000", "--digits", "0,1,50000,50001"),
     "decide-tile-6e4": lambda: cli(
         "spectrum", "decide", "--n", "4", "--digits", "0,1,2,3", "--s", "0,120001,-79998,20003"
+    ),
+    "decide-wide-100": lambda: cli("spectrum", "decide", "--n", "100", "--digits", "0,1", "--s", "0,100000050"),
+    "decide-lifted-8-1e5": lambda: cli(
+        "spectrum", "decide", "--n", "8", "--digits", "0,1,4,5", "--s", "0,1,4,700005"
     ),
     "compat-primorial-20": lambda: cli(
         "compat", "check", "--n", str(PRIMORIAL_20), "--digits", f"0,{PRIMORIAL_20 // 2}", "--s", "0,1"

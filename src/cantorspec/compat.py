@@ -220,10 +220,9 @@ def lambda_enumerate(
     0 in S they are nested as depth grows and exhaust the full spectrum
     in the limit.
     """
-    if not isinstance(scale, int) or abs(scale) < 2:
+    if abs(systems._int_items((scale,), "scale must be an integer with |N| >= 2")[0]) < 2:
         raise PreconditionError(f"scale must be an integer with |N| >= 2, got {scale!r}")
-    if not isinstance(depth, int) or depth < 1:
-        raise PreconditionError(f"depth must be a positive integer, got {depth!r}")
+    systems._int_items((depth,), "depth must be a positive integer", least=1)
     _check_slice_budget(candidate.size, depth)
     if candidate.size == 1:  # the one point s * (1 + N + ... + N^(depth-1)); no power at s = 0
         s = candidate.elements[0]
@@ -247,8 +246,7 @@ def pair_power(
     tests every pair of S_k, so more than LAMBDA_BUDGET pairs raise
     BudgetExceededError before either slice is built.
     """
-    if not isinstance(k, int) or k < 1:
-        raise PreconditionError(f"power must be a positive integer, got {k!r}")
+    systems._int_items((k,), "power must be a positive integer", least=1)
     if is_compatible(system, candidate) is None:
         raise PreconditionError("pair powers are defined for compatible pairs only")
     size = system.size  # both slices have size^k points: compatible sets differ mod N

@@ -103,10 +103,9 @@ def order_vanishes(exponents, b: int) -> bool:
     >>> order_vanishes((0, 1, 8, 9), 8)
     False
     """
-    from .systems import PreconditionError, _int_items  # systems imports this module
+    from .systems import _int_items  # systems imports this module
 
-    if not isinstance(b, int) or b < 1:
-        raise PreconditionError(f"root order must be a positive integer, got {b!r}")
+    _int_items((b,), "root order must be a positive integer", least=1)
     exps = _int_items(exponents, "exponents must consist of integers")
     return not exps or OrderTest(exps)(b)
 

@@ -10,8 +10,10 @@ integers are exactly the points of these cycles.  `_cycle_points` finds K's
 integers, 0 included, in one walk over the integers of K's level-L cylinders
 (H + lam)/N^L, H the exact rational hull of K (`attractor_bounds`) and
 lam = s_0 + s_1 N + ... + s_{L-1} N^(L-1), refined breadth-first while that
-shrinks their integer count: about |H|^(log|S|/log|N|) integers instead of
-all of H's, and never more than H holds.  The verdict is spectral when 0 is
+lowers the cost of the cylinders and their integers together: a constant
+times |H|^(log|S|/log|N|) integers instead of all of H's.  When |S| < |N| it
+keeps only those whose residue mod |N|^k admits k steps, k <= 3, a share
+(|S|/|N|)^k of them.  The verdict is spectral when 0 is
 K's only integer, and both outcomes carry machine-checkable evidence.  A
 spectral verdict reports the integer range of H (dilated by the regression
 hook `range_factor`) as `searched`: no integer in it lies on a nonzero cycle
@@ -34,6 +36,7 @@ from .systems import (
     _Record,
     _as_int_tuple,
     _check_slice_budget,
+    _int_items,
 )
 
 
@@ -72,7 +75,7 @@ def attractor_bounds(scale: int, elements) -> RationalInterval:
     elems = tuple(elements)
     if not elems:
         raise PreconditionError("element set must be nonempty")
-    if not isinstance(scale, int) or abs(scale) < 2:
+    if abs(_int_items((scale,), "scale must be an integer with |N| >= 2")[0]) < 2:
         raise PreconditionError(f"scale must be an integer with |N| >= 2, got {scale!r}")
     a, b = min(elems), max(elems)
     if scale > 0:
@@ -144,6 +147,12 @@ def decide_spectrum(
     return SpectrumVerdict(False, tuple(witness), (lo, hi), bounds)
 
 
+# Measured on the cycles workload: a cylinder costs the search as much as 4
+# integers (2 to 8 gave the same gain over 0), and a residue table pays for
+# itself while it holds at most an eighth as many residues as the integers.
+_CYLINDER_COST, _TABLE_SHARE = 4, 8
+
+
 def _cycle_points(system: ScaleDigitSystem, candidate: SpectrumCandidate, bounds: RationalInterval) -> list[int]:
     """K's integers, sorted, 0 among them: the points of the successor map's cycles.
     `bounds` is K's hull; the pair meets `decide_spectrum`'s preconditions."""
@@ -152,26 +161,40 @@ def _cycle_points(system: ScaleDigitSystem, candidate: SpectrumCandidate, bounds
     # A cycle point is the image of another cycle point, which lies in the
     # hull H = [low, low + span]/den, under L of the maps, so it lies in a
     # cylinder (H + lam)/N^L = sign * [u, u + span]/q with u = low + lam*den
-    # and q = den*|N|^L.  Splitting a cylinder w = span/q wide into the |S|
-    # of the next level, w/|N| wide, shrinks the integers they cover while
-    # |S|*(w/|N| + 1) < w + 1, so it stops there (at once when |S| = |N|).
-    # Its |S|^L cylinders of at most floor(span/q) + 1 integers bound the
-    # survivors before any is built.  0 is dropped: the maps fix it.
+    # and q = den*|N|^L.  With w = span/q and c = _CYLINDER_COST, splitting a
+    # cylinder into the |S| of the next level, w/|N| wide, pays while
+    # |S|*(c + 1 + w/|N|) < c + 1 + w.  That cost falls, then rises with L,
+    # so the split stops at its minimum, at or before the level where c = 0
+    # stops.  The budget sees that level's |S|^L cylinders of floor(w) + 1
+    # integers; fewer than c + 2 times as many are enumerated here.
     den = math.lcm(bounds.lo.denominator, bounds.hi.denominator)
     low = bounds.lo.numerator * (den // bounds.lo.denominator)
     span = bounds.hi.numerator * (den // bounds.hi.denominator) - low
-    size = candidate.size
+    size, c = candidate.size, _CYLINDER_COST
     levels, q = 0, den
-    while span * (m - size) > q * m * (size - 1):
+    while size * ((c + 1) * q * m + span) < ((c + 1) * q + span) * m:
         levels, q = levels + 1, q * m
-    _check_slice_budget(size, levels, span // q + 1)
+    depth, p = levels, q
+    while span * (m - size) > p * m * (size - 1):
+        depth, p = depth + 1, p * m
+    _check_slice_budget(size, depth, span // p + 1)
     numerators, power = [low], 1
     for _ in range(levels):
         shifts = [s * den * power for s in elems]
         numerators = [u + t for u in numerators for t in shifts]
         power *= scale
-    sign = 1 if power > 0 else -1
-    survivors = {sign * y for u in numerators for y in range(-(-u // q), (u + span) // q + 1) if y}
+    if power < 0:  # -[u, u + span] = [-u - span, -u]
+        numerators = [-u - span for u in numerators]
+
+    # A cycle point takes any number of steps, so its residue mod |N|^k is
+    # one of (N*t - s) mod |N|^k, s in S and t such a residue mod |N|^(k-1):
+    # |S|^k of |N|^k, fewer when |S| < |N|; k <= 3.  0 goes: the maps fix it.
+    table, mod = {0}, 1
+    while size < m and mod < m**3 and _TABLE_SHARE * size * len(table) <= len(numerators) * (span // q + 1):
+        table, mod = {(scale * t - s) % (mod * m) for t in table for s in elems}, mod * m
+    ranges = (range(-(-u // q), (u + span) // q + 1) for u in numerators)
+    survivors = {y for r in ranges for y in r if y % mod in table} if mod > 1 else {y for r in ranges for y in r}
+    survivors.discard(0)
 
     # One pass walks the successor map over the survivors and removes each
     # node it reaches; a node with no step goes to 0, which no walk holds.

@@ -94,12 +94,13 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-def _int_items(values, rule: str) -> tuple:
+def _int_items(values, rule: str, least: int | None = None) -> tuple:
     """values as a tuple, refused with `rule` at the first that is not an
-    int (a bool is not); repeats are the caller's to judge."""
+    int (a bool is not) or lies below `least`; repeats are the caller's to
+    judge."""
     items = tuple(values)
     for v in items:
-        if not isinstance(v, int) or isinstance(v, bool):
+        if not isinstance(v, int) or isinstance(v, bool) or least is not None and v < least:
             raise PreconditionError(f"{rule}, got {v!r}")
     return items
 
@@ -174,8 +175,7 @@ class TruncationPolicy(_Record):
     __match_args__ = ("depth", "product_epsilon")
 
     def __init__(self, depth: int = 8, product_epsilon: float = 1e-12):
-        if not isinstance(depth, int) or depth < 1:
-            raise PreconditionError(f"depth must be a positive integer, got {depth!r}")
+        _int_items((depth,), "depth must be a positive integer", least=1)
         if not 0.0 < product_epsilon < 1.0:
             raise PreconditionError(f"product_epsilon must lie in (0, 1), got {product_epsilon!r}")
         self.__dict__.update(depth=depth, product_epsilon=product_epsilon)
@@ -196,6 +196,5 @@ class RationalInterval(_Record):
 
     def scaled(self, factor: int) -> "RationalInterval":
         """The interval dilated about 0 by a positive integer factor."""
-        if factor < 1:
-            raise PreconditionError(f"scale factor must be a positive integer, got {factor!r}")
+        _int_items((factor,), "scale factor must be a positive integer", least=1)
         return RationalInterval(self.lo * factor, self.hi * factor)

@@ -81,8 +81,7 @@ def is_complementing(digits, modulus: int) -> tuple[int, ...] | None:
     >>> is_complementing((0, 96), 200) is None
     True
     """
-    if not isinstance(modulus, int) or modulus < 1:
-        raise PreconditionError(f"modulus must be a positive integer, got {modulus!r}")
+    systems._int_items((modulus,), "modulus must be a positive integer", least=1)
     digs = systems._int_items(digits, "digit set must consist of integers")
     if not digs:
         raise PreconditionError("digit set must be nonempty")

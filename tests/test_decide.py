@@ -484,16 +484,43 @@ def test_tile_pairs_match_reference(scale, elements):
         assert expected.witness[0][0] == first
 
 
-def test_cycle_points_are_the_attractor_integers():
-    # all of K's integers, 0 included, not only the smallest nonzero one
+WIDE_RATIO_PAIRS = [  # |S| far below |N|: the cylinders of each level leave most of the hull
+    (100, (0, 1), (0, 50 + 100 * 10**6)),
+    (-100, (0, 1), (0, 50 + 100 * 10**6)),
+    (30, (0, 1, 2), (0, 10 + 30 * 10**5, 20 - 30 * 10**5)),
+    (-30, (0, 1, 2), (0, 10 + 30 * 10**4, 20 + 30 * 10**5)),
+]
+
+
+def test_cycle_points_are_the_attractor_integers(monkeypatch):
+    # all of K's integers, 0 included, not only the smallest nonzero one;
+    # and the integers enumerated (counted by a spy on the module's `range`,
+    # which its level loop's few also pass through) stay below c + 2 times
+    # the estimate that the budget check sees, c the cost of a cylinder
+    work = {}
+
+    def counted_range(*args):
+        r = range(*args)
+        work["integers"] += len(r)
+        return r
+
+    def budget(size, depth, grid=1):
+        work["estimate"] = size**depth * grid
+        systems_module._check_slice_budget(size, depth, grid)
+
+    monkeypatch.setattr(decide_module, "range", counted_range, raising=False)
+    monkeypatch.setattr(decide_module, "_check_slice_budget", budget)
     pairs = [(ScaleDigitSystem(scale, (0, 1, 2, 3)), SpectrumCandidate(elements)) for scale, elements in TILE_PAIRS]
+    pairs += [(ScaleDigitSystem(scale, digits), SpectrumCandidate(elements)) for scale, digits, elements in WIDE_RATIO_PAIRS]
     for scale in [n for k in range(3, 10) for n in (k, -k)] + [10, 12, -12]:
         pairs += lifted_window_pairs(scale, 7, (2, 3, 4), (-2, 0, 3))
     cycling = 0
     for system, candidate in pairs:
+        work["integers"] = 0
         bounds = attractor_bounds(system.scale, candidate.elements)
         points = decide_module._cycle_points(system, candidate, bounds)
         assert points == sorted(attractor_integers(system.scale, candidate.elements)), (system, candidate)
+        assert work["integers"] < (decide_module._CYLINDER_COST + 2) * work["estimate"], (system, candidate, work)
         cycling += points != [0]
     assert len(pairs) > 10_000 and cycling > 3_000
 
@@ -508,6 +535,43 @@ def test_the_cycle_search_holds_only_its_survivors(scale):
     assert not decide_spectrum(system, candidate).spectral  # the system's memos are built outside the trace
     peaks = []
     for build in (lambda: {y for y in range(math.ceil(bounds.lo), math.floor(bounds.hi) + 1) if y},
+                  lambda: decide_spectrum(system, candidate)):
+        tracemalloc.start()
+        try:
+            build()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("scale", [4, -4])
+def test_the_cycle_search_keeps_only_integers_that_take_three_steps(scale):
+    # |S| < |N|: test_large_hull_spectral's pair.  The search stops at the
+    # 2^10 cylinders (H + lam)/N^10, which hold 6.5 * 10^3 integers, and
+    # keeps the eighth of them whose residue mod 4^3 takes three steps; it
+    # holds those and the cylinders' numerators, nothing the size of the rest
+    system = ScaleDigitSystem(scale, (0, 1))
+    candidate = SpectrumCandidate((0, 2 * 10**7 + 2))
+    bounds = attractor_bounds(scale, candidate.elements)
+    covered = set()
+    for lam in compat_module.lambda_enumerate(scale, candidate, 10):
+        ends = sorted(((bounds.lo + lam) / scale**10, (bounds.hi + lam) / scale**10))
+        covered.update(range(math.ceil(ends[0]), math.floor(ends[1]) + 1))
+
+    def takes_three_steps(eta):
+        for _ in range(3):
+            step = successor(scale, candidate, eta) if eta else (0, 0)
+            if step is None:
+                return False
+            eta = step[0]
+        return True
+
+    kept = sum(1 for eta in covered if eta and takes_three_steps(eta))
+    assert len(covered) > 6_000 and kept < len(covered) / 7
+    assert decide_spectrum(system, candidate).spectral  # the system's memos are built outside the trace
+    peaks = []
+    for build in (lambda: ({y for y in range(10**6, 10**6 + kept)}, [10**13 + i for i in range(2**10)]),
                   lambda: decide_spectrum(system, candidate)):
         tracemalloc.start()
         try:

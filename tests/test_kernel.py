@@ -73,16 +73,18 @@ def exact_phase_mu_hat_sq(system, x):
     """|mu_hat(x)|^2 for a Fraction x as prod_j (1 - sum_k w_k sin^2(pi*phase)),
     each phase k*x/|N|^j reduced exactly into [-1/2, 1/2] in integers and
     the logs of the factors summed with fsum, so the rounding stays near
-    eps however many factors there are.  Runs until pi*k*|x|/|N|^j < 1e-20,
-    past which the factors left move the log by about 1e-40."""
+    eps however many factors there are, save in a factor near 0, where
+    1 - sum cancels as in the kernel.  Runs until 4*k*|x|/|N|^j < 1e-20,
+    past which the factors left move the log by about 1e-40 (4 > pi); the
+    test is made in integers, so no |N|^j need fit in a float."""
     counts = Counter(b - a for a in system.digits for b in system.digits if b > a)
     if not counts:
         return 1.0
     x = Fraction(x)
-    reach = math.pi * max(counts) * abs(x.numerator)  # over period, pi*k*|x|/|N|^j
+    reach = 4 * max(counts) * abs(x.numerator) * 10**20  # the last period, 1e20 * 4*k*|x| * denominator
     logs = []
     period = x.denominator
-    while reach / period >= 1e-20:
+    while period <= reach:
         period *= system.modulus
         u = 0.0
         for k, c in counts.items():
@@ -531,15 +533,15 @@ FAR_ANSWERS = {
 }
 
 
+FAR_PAIRS = {  # by the ends of D
+    (0, 1): (JP_SYSTEM, JP_CANDIDATE),
+    (-11, 11): (ScaleDigitSystem(10, (0, 2, -2, 11, -11)), SpectrumCandidate((0, 2, 4, 6, 8))),
+    (0, 2): (ScaleDigitSystem(4, (0, 2)), SpectrumCandidate((0, 1))),
+}
+
+
 @pytest.mark.parametrize("xi", [1e300, -1e305, 1.7976931348623157e308])
-@pytest.mark.parametrize(
-    "system,candidate",
-    [
-        (JP_SYSTEM, JP_CANDIDATE),
-        (ScaleDigitSystem(10, (0, 2, -2, 11, -11)), SpectrumCandidate((0, 2, 4, 6, 8))),
-        (ScaleDigitSystem(4, (0, 2)), SpectrumCandidate((0, 1))),
-    ],
-)
+@pytest.mark.parametrize("system,candidate", FAR_PAIRS.values())
 def test_kernel_refuses_xi_past_the_float_range_of_its_bound(system, candidate, xi):
     # |N|^J, with J from mu_hat's truncation bound, no longer fits in a
     # float; Q forms no J, and answers until its own sum overflows
@@ -557,6 +559,33 @@ def test_kernel_refuses_xi_past_the_float_range_of_its_bound(system, candidate, 
     q, residual = expected
     assert q_eval_with_bound(system, candidate, xi, TruncationPolicy(depth=3)) == q
     assert transfer_residual(system, candidate, xi, 2) == residual
+
+
+@pytest.mark.parametrize(
+    "ends,xi",
+    [
+        pytest.param(
+            *key,
+            marks=pytest.mark.xfail(
+                strict=True, reason="Q leaves out the rounding of its ~500 factors per point (ROADMAP item 6)"
+            ),
+        )
+        if key == ((0, 1), -1e305)
+        else key
+        for key, answer in FAR_ANSWERS.items()
+        if answer is not None
+    ],
+)
+def test_far_q_answers_lie_within_their_bounds_of_exact_phases(ends, xi):
+    # the exhaustive test's 4 eps per square summed, taken of each square
+    # rather than of its bound 1, since these squares are far below 1.  The
+    # oracle cancels as Q does in a factor near 0, so agreement here does
+    # not cover that rounding (ROADMAP item 6)
+    system, candidate = FAR_PAIRS[ends]
+    (value, bound), _ = FAR_ANSWERS[ends, xi]
+    slice_points = lambda_enumerate(system.scale, candidate, 3)
+    exact = math.fsum(exact_phase_mu_hat_sq(system, Fraction(xi) + lam) for lam in slice_points)
+    assert abs(value - exact) <= bound + 4 * sys.float_info.epsilon * exact, (value - exact, bound)
 
 
 def test_q_eval_refuses_a_candidate_past_the_float_range():

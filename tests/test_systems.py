@@ -18,12 +18,15 @@ from cantorspec import (
     SpectrumCandidate,
     SpectrumVerdict,
     TruncationPolicy,
+    attractor_bounds,
     construct_spectrum_set,
     decide_spectrum,
     is_compatible,
     is_complementing,
+    lambda_enumerate,
     mu_hat,
     order_vanishes,
+    pair_power,
     reduce_s,
     report_measure_spectrality,
 )
@@ -279,6 +282,21 @@ def test_record_validation_messages(build, message):
         (lambda: is_complementing((0, 1.5), 4), "digit set must consist of integers, got 1.5"),
         (lambda: is_complementing((0, True), 2), "digit set must consist of integers, got True"),
         (lambda: reduce_s(4.0, SpectrumCandidate((0, 2))), "scale must be an integer, got 4.0"),
+        # a bool is not an integer where one number is asked either
+        (lambda: is_complementing((0,), True), "modulus must be a positive integer, got True"),
+        (lambda: order_vanishes((0, 1), True), "root order must be a positive integer, got True"),
+        (lambda: TruncationPolicy(depth=True), "depth must be a positive integer, got True"),
+        (lambda: lambda_enumerate(True, SpectrumCandidate((0, 1)), 2),
+         "scale must be an integer with |N| >= 2, got True"),
+        (lambda: lambda_enumerate(4.0, SpectrumCandidate((0, 1)), 2),
+         "scale must be an integer with |N| >= 2, got 4.0"),
+        (lambda: lambda_enumerate(4, SpectrumCandidate((0, 1)), True), "depth must be a positive integer, got True"),
+        (lambda: attractor_bounds(True, (0, 1)), "scale must be an integer with |N| >= 2, got True"),
+        (lambda: attractor_bounds(4.0, (0, 1)), "scale must be an integer with |N| >= 2, got 4.0"),
+        (lambda: pair_power(ScaleDigitSystem(4, (0, 1)), SpectrumCandidate((0, 2)), True),
+         "power must be a positive integer, got True"),
+        (lambda: RationalInterval(0, 1).scaled(True), "scale factor must be a positive integer, got True"),
+        (lambda: RationalInterval(0, 1).scaled(1.5), "scale factor must be a positive integer, got 1.5"),
     ],
 )
 def test_public_functions_refuse_non_integers(call, message):
