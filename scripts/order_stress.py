@@ -29,7 +29,14 @@ The last two cases record the cost of questions past lcm(1..|D|), one
 memo of 300 wide digits asked every b <= 1000 that lcm(1..300) does not
 cover, and of a batch after a single question on one memo: {0, q}, with
 q = 10^14 + 31 prime, asked 2q and then every order at 2q, which must not
-factorise 2q again.
+factorise 2q again.  Two more record the digit set's memo, which systems
+share across scales: a sweep of 10^5 scales with one digit set and then
+one question at a new scale, timed together, since what the memo keeps
+per scale asked would slow every question of the sweep and not only the
+last; and one more 1,000-digit wide set than the memo cache holds, each
+with its differences built, answered with the MB the cache retains.
+Every case starts with no memo, so that its time does not depend on the
+cases run before it.
 
 Example:
     PYTHONPATH=src python scripts/order_stress.py compat-primorial-20 single-300-at-19
@@ -46,6 +53,7 @@ import time
 from cantorspec import (
     ScaleDigitSystem,
     SpectrumCandidate,
+    cyclotomic,
     is_compatible,
     is_complementing,
     order_vanishes,
@@ -56,6 +64,7 @@ from cantorspec.cyclotomic import OrderTest
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71]
 PRIMORIAL_8, PRIMORIAL_12, PRIMORIAL_20 = (math.prod(PRIMES[:k]) for k in (8, 12, 20))
 PAST_LCM_300 = [b for b in range(2, 1001) if math.lcm(*range(1, 301)) % b]
+SWEPT = (0, 1, 3, 7)  # the digit set swept over 10^5 scales
 
 
 def wide_digits(count: int, seed: int) -> list[int]:
@@ -82,6 +91,38 @@ def batch_after_single(q: int) -> str:
     test = OrderTest((0, q))
     test(2 * q)
     return orders(test.all_orders(2 * q))
+
+
+def question_after_sweep() -> bool:
+    """The vanishing orders of SWEPT at every scale 3 <= |N| < 10^5 + 3, then
+    one order at a scale that none of them divides: 10^5 + 3 is prime."""
+    for n in range(3, 10**5 + 3):
+        ScaleDigitSystem(n, SWEPT).vanishing_orders
+    return ScaleDigitSystem(2 * (10**5 + 3), SWEPT).is_vanishing_order(10**5 + 3)
+
+
+def memo_bytes(memo: OrderTest) -> int:
+    """The bytes of a memo and of its fields, with the items of its tuples,
+    lists and dicts."""
+    total = sys.getsizeof(memo)
+    for name in OrderTest.__slots__:
+        value = getattr(memo, name)
+        items = [*value, *value.values()] if isinstance(value, dict) else value
+        total += sys.getsizeof(value)
+        if isinstance(items, (list, tuple)):
+            total += sum(map(sys.getsizeof, items))
+    return total
+
+
+def wide_memos_retained() -> str:
+    """The memos the cache keeps, and their MB, after one more wide 1,000-digit
+    set than it holds, each asked the prime order 1009, past lcm(1..1000),
+    so that it builds its differences."""
+    keys = [tuple(sorted(wide_digits(1000, seed))) for seed in range(cyclotomic._order_memo.cache_info().maxsize + 1)]
+    for key in keys:
+        order_vanishes(key, 1009)
+    kept = [cyclotomic._order_memo(key) for key in keys[1:]]  # the first is the one evicted
+    return f"{len(kept)} memos {sum(map(memo_bytes, kept)) / 1e6:.0f} MB"
 
 
 CASES = {
@@ -139,6 +180,8 @@ CASES = {
     "single-300-at-19": lambda: order_vanishes(wide_digits(300, 19), PRIMORIAL_8),
     "any-order-300-to-1000": lambda: orders(list(filter(OrderTest(wide_digits(300, 19)), PAST_LCM_300))),
     "batch-after-single-1e14": lambda: batch_after_single(10**14 + 31),
+    "question-after-1e5-scales": question_after_sweep,
+    "wide-memos-past-the-cache": wide_memos_retained,
 }
 
 
@@ -149,6 +192,7 @@ def main(names: list[str]) -> int:
         return 2
     print("case,seconds,answer")
     for name in names or CASES:
+        cyclotomic._order_memo.cache_clear()
         start = time.perf_counter()
         answer = CASES[name]()
         print(f"{name},{time.perf_counter() - start:.4f},{answer}", flush=True)

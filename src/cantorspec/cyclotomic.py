@@ -27,13 +27,16 @@ z^(-min D) * D(z) of degree s.  The batch, on the reach of n, and a single
 question, on b, factorise with `factorize`, the library's one trial
 division, which also serves |D| for the tiling conditions, only what the
 primes found before leave of it, and keep the primes they find.
-The orders are decided on demand: each `ScaleDigitSystem` holds an
-`OrderTest`, which tests an order the first time a caller asks about it
-and remembers the answer.  A compatibility check asks the orders of its
-differences, the tiling construction its prime powers and their products,
-and `is_complementing` shares one such memo among its (T1) and (T2)
-questions; only the window search asks for every order at once, and the
-batch returns each vanishing order with its primes, which sieve its residues.
+The orders are decided on demand, once per digit set per process: one
+bounded cache, `_order_memo`, keeps an `OrderTest` per sorted digit
+multiset, which systems with equal digits at any scale, `is_complementing`
+and `order_vanishes` share; it tests an order the first time any of them
+asks and remembers the answer, but keeps nothing per scale.  A
+compatibility check asks the orders of its differences, the tiling
+conditions the prime powers and their products; only the window search asks
+for every order at once, and the batch, rebuilt from the kept answers on
+each call, returns each vanishing order with its primes, which sieve its
+residues.
 
 The test itself is one integer.  For d >= 1 let F(d) = d * sum_r C_r(d)^2,
 with C_r(d) the sum of the coefficients whose exponent is r (mod d); by
@@ -58,7 +61,9 @@ ever built or divided by.
 
 from __future__ import annotations
 
+import functools
 import math
+from types import MappingProxyType
 
 
 def _class_squares(exponents, d: int) -> int:
@@ -107,7 +112,7 @@ def order_vanishes(exponents, b: int) -> bool:
 
     _int_items((b,), "root order must be a positive integer", least=1)
     exps = _int_items(exponents, "exponents must consist of integers")
-    return not exps or OrderTest(exps)(b)
+    return not exps or _order_memo(tuple(sorted(exps)))(b)
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -130,10 +135,19 @@ def factorize(n: int) -> dict[int, int]:
     return factors
 
 
+# A construct round of the benchmark meets at most 12 distinct digit sets,
+# and a memo of 1000 wide digits keeps about 20 MB once its differences are
+# built: 16 memos hold a round's sets, where 64 could keep about 1.3 GB.
+@functools.lru_cache(maxsize=16)
+def _order_memo(exponents: tuple[int, ...]) -> OrderTest:
+    """The process's one `OrderTest` of a sorted exponent multiset."""
+    return OrderTest(exponents)
+
+
 class OrderTest:
     """The vanishing orders of sum_e z^e, each decided on first ask and
-    remembered; `ScaleDigitSystem` holds one, and `is_complementing` one
-    per call.
+    remembered once per digit set per process: every caller draws it from
+    `_order_memo`.
 
     A single question and `all_orders` alike refuse an order b with no
     exact test when reach(b) != b or phi(b) > max - min.  `all_orders(n)`
@@ -144,7 +158,7 @@ class OrderTest:
     F(d) are kept per divisor, so each is summed at most once.
     """
 
-    __slots__ = ("g", "asked", "sizes", "span", "exps", "diffs", "sums", "known", "found", "orders")
+    __slots__ = ("g", "asked", "sizes", "span", "exps", "diffs", "sums", "known", "found")
 
     def __init__(self, exponents):
         exps = self.exps = tuple(exponents)
@@ -154,17 +168,21 @@ class OrderTest:
         self.sums = {1: len(exps) ** 2}  # d -> F(d); F(1) = |D|^2 needs no sum
         self.known: dict[int, bool] = {}  # every answer given so far
         self.found: list[int] = []  # the primes factorised so far, ascending
-        self.orders: dict[int, dict[int, list[int]]] = {}  # n -> {vanishing b | n: primes of b}
 
     def reach(self, n: int) -> int:
         """Mann's gcd(n, lcm(1..|D|) * lcm of the differences): gcd(n, g) once
         n divides `asked`, the lcm of the n asked so far, as g is that of their
         reaches; else one gcd per distinct difference, with no lcm of them
-        formed, as gcd(n, lcm d) = lcm gcd(n, d) prime by prime."""
+        formed, as gcd(n, lcm d) = lcm gcd(n, d) prime by prime.  Past 64 bits
+        per difference, testing n against `asked` costs more than the pass
+        over the differences it saves, so a sweep of scales restarts it at n."""
         if self.asked % n:
             diffs = self.diffs = self.diffs or tuple({e - f for e in self.exps for f in self.exps if e > f})
             reached = math.gcd(n, self.sizes * math.lcm(*(math.gcd(n, d) for d in diffs)))
-            self.asked, self.g = math.lcm(self.asked, n), math.lcm(self.g, reached)
+            asked = math.lcm(self.asked, n)
+            if asked.bit_length() > 64 * len(diffs):
+                asked, self.g = math.lcm(self.sizes, n), self.sizes
+            self.asked, self.g = asked, math.lcm(self.g, reached)
         return math.gcd(n, self.g)
 
     def __call__(self, b: int) -> bool:
@@ -211,29 +229,28 @@ class OrderTest:
             terms += [(d // p, -sign) for d, sign in terms]
         return sum(sign * self._class_sum(d) for d, sign in terms)
 
-    def all_orders(self, n: int) -> dict[int, list[int]]:
-        """{b: primes of b} for every vanishing order b | n, built once per n
-        over the divisors in reach(n): each not summed yet is summed, and
-        T_b follows for all from one Moebius pass, at most omega(reach(n))
-        steps per divisor."""
-        if n not in self.orders:
-            factors = self._primes_of(reach := self.reach(n))
-            span, inside = self.span, [(1, 1, [])]  # (b, phi(b), primes of b)
-            for p in factors:
-                grown = []
-                for b, phi, primes in inside:
-                    phi *= p - 1
-                    while phi <= span and reach % (b * p) == 0:
-                        b *= p
-                        grown.append((b, phi, [*primes, p]))
-                        phi *= p
-                inside += grown
-            trace = {b: self._class_sum(b) for b, _, _ in inside}
-            for p in factors:  # b / p precedes b in inside: still untouched by p
-                for b, _, _ in reversed(inside):
-                    if b % p == 0:
-                        trace[b] -= trace[b // p]
-            for b, _, _ in inside[1:]:  # an order asked before is known already, with the same answer
-                self.known.setdefault(b, trace[b] == 0)
-            self.orders[n] = {b: primes for b, _, primes in inside[1:] if self.known[b]}
-        return self.orders[n]
+    def all_orders(self, n: int) -> MappingProxyType[int, tuple[int, ...]]:
+        """{b: primes of b} for every vanishing order b | n, read-only, over
+        the divisors in reach(n): each not summed yet is summed, and T_b
+        follows for all from one Moebius pass, at most omega(reach(n))
+        steps per divisor.  The batch itself is not kept, so that a sweep
+        of scales does not grow the memo."""
+        factors = self._primes_of(reach := self.reach(n))
+        span, inside = self.span, [(1, 1, ())]  # (b, phi(b), primes of b)
+        for p in factors:
+            grown = []
+            for b, phi, primes in inside:
+                phi *= p - 1
+                while phi <= span and reach % (b * p) == 0:
+                    b *= p
+                    grown.append((b, phi, (*primes, p)))
+                    phi *= p
+            inside += grown
+        trace = {b: self._class_sum(b) for b, _, _ in inside}
+        for p in factors:  # b / p precedes b in inside: still untouched by p
+            for b, _, _ in reversed(inside):
+                if b % p == 0:
+                    trace[b] -= trace[b // p]
+        for b, _, _ in inside[1:]:  # an order asked before is known already, with the same answer
+            self.known.setdefault(b, trace[b] == 0)
+        return MappingProxyType({b: primes for b, _, primes in inside[1:] if self.known[b]})

@@ -12,7 +12,8 @@ so on), so later code never re-checks them.  Data derived from a system,
 such as its vanishing orders, is computed on first use and cached on the
 instance; it is not a field, so equality, hashing and repr see only the
 scale and the digits.  The vanishing orders are decided one at a time,
-as callers ask, by a memo of the digits alone (see `cyclotomic`).
+as callers ask, once per digit set per process, by a memo of the digits
+alone that systems with equal digits share (see `cyclotomic`).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .cyclotomic import OrderTest
+from .cyclotomic import OrderTest, _order_memo
 
 
 class PreconditionError(ValueError):
@@ -136,21 +137,21 @@ class ScaleDigitSystem(_Record):
 
     @functools.cached_property
     def _order_test(self) -> OrderTest:
-        return OrderTest(self.digits)
+        return _order_memo(self.digits)
 
     def is_vanishing_order(self, b: int) -> bool:
         """Whether b > 1 divides |N| with Phi_b dividing the digit
         polynomial.  m_{D/N} vanishes at the integer k exactly when
         |N| / gcd(k, |N|) is such an order; the sign of N conjugates the
         symbol and leaves its zeros alone.  Each order is decided the first
-        time it is asked, and at most once per system."""
+        time it is asked, and at most once per digit set per process."""
         return b > 1 and self.scale % b == 0 and self._order_test(b)
 
     @functools.cached_property
     def vanishing_orders(self) -> frozenset[int]:
-        """Every b with `is_vanishing_order(b)`, built once per system over
-        the same reach as a single question; an order asked before or
-        after is not tested again."""
+        """Every b with `is_vanishing_order(b)`, over the same reach as a
+        single question; each order is tested once per digit set per
+        process, by whichever system with these digits asks it first."""
         return frozenset(self._order_test.all_orders(self.modulus))
 
 

@@ -13,8 +13,9 @@ and the p over all of D's vanishing prime powers multiply to a divisor of
 |D|.  (T1) and (T2) make D a tile, and for |D| with at most two primes a
 tile satisfies (T2), so the conditions decide; for more primes a search
 still does.  |D| is factorised once per question.  The orders are asked
-of one `OrderTest`: a system's own in the construction, and one per
-`is_complementing` call, so each is tested at most once.  Each question
+of the one `OrderTest` of the digit set, shared by the construction of
+every system with those digits and by `is_complementing`, so each is
+tested once per digit set per process.  Each question
 factorises only its own order, after the refusal of an order that is not
 its own Mann reach, so a large prime of L that (T1) and (T2) never name
 is never trial-divided.
@@ -33,7 +34,7 @@ import math
 from fractions import Fraction
 
 from .compat import CompatibilityCertificate, is_compatible
-from .cyclotomic import OrderTest, factorize
+from .cyclotomic import OrderTest, _order_memo, factorize
 from . import systems
 from .systems import (
     BudgetExceededError,
@@ -87,7 +88,7 @@ def is_complementing(digits, modulus: int) -> tuple[int, ...] | None:
         raise PreconditionError("digit set must be nonempty")
     if len({d % modulus for d in digs}) != len(digs):
         return None
-    powers = _tiling_powers(factorize(len(digs)), modulus, OrderTest(digs))
+    powers = _tiling_powers(factorize(len(digs)), modulus, _order_memo(tuple(sorted(digs))))
     if powers is None:
         return None
     return _complement(powers, modulus, digs) if len(powers) <= 2 else _search_complement(digs, modulus)
@@ -175,7 +176,7 @@ def _tiling_modulus(system: ScaleDigitSystem):
     smallest being the product of each prime's largest power; and every
     s*t divides |N|, so the system's vanishing orders answer (T2).  Only
     the powers p^k dividing |N| and the products s*t are asked, each
-    decided once per system."""
+    decided once per digit set per process."""
     size_factors = factorize(system.size)
     if len(size_factors) > 2:
         raise PreconditionError(

@@ -139,10 +139,10 @@ def test_every_private_name_is_used():
 
 
 def test_order_tests_are_built_only_where_a_memo_is_kept():
-    # one memo per digit set: in the package, only a system's `_order_test`,
-    # each `is_complementing` call and each `order_vanishes` call build an
-    # `OrderTest`, and no module but `cyclotomic` reads a memo's `.g`, so a
-    # new caller asks the system's memo rather than building its own
+    # one memo per digit set per process: in the package, only the cache
+    # `_order_memo` builds an `OrderTest`, and no module but `cyclotomic`
+    # reads a memo's `.g`, so a new caller draws the shared memo rather than
+    # building its own
     builders, reads = [], []
 
     def visit(node, module, where):
@@ -159,11 +159,7 @@ def test_order_tests_are_built_only_where_a_memo_is_kept():
 
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         visit(ast.parse(path.read_text(), str(path)), path.stem, path.stem)
-    assert sorted(builders) == [
-        "cyclotomic.order_vanishes",
-        "systems.ScaleDigitSystem._order_test",
-        "tiling.is_complementing",
-    ]
+    assert builders == ["cyclotomic._order_memo"]
     assert reads == []
 
 

@@ -375,6 +375,14 @@ def test_is_compatible_asks_each_distinct_order_once(monkeypatch):
     # not summed yet
     assert system.vanishing_orders == frozenset({2, 3, 6})
     assert sorted(summed) == [2, 3, 5, 6, 10]
+    # the same digits at |N| = 30 share the memo: S = 5 * {0, ..., 5} asks
+    # the orders 6, 3 and 2 again, and the batch at 30 the same reach, so a
+    # second system sums nothing the first summed
+    other = ScaleDigitSystem(30, tuple(range(6)))
+    assert other._order_test is system._order_test
+    assert is_compatible(other, SpectrumCandidate(tuple(range(0, 30, 5)))) is not None
+    assert other.vanishing_orders == frozenset({2, 3, 6})
+    assert sorted(summed) == [2, 3, 5, 6, 10]
 
 
 def test_search_rejects_degenerate_window():
@@ -460,13 +468,16 @@ def test_pair_power_factorizes_only_the_orders_it_asks(monkeypatch):
     assert digits_k == (0,) and elements_k == (5 * (4**k - 1) // 3,)
     # a one-element pair has no difference, so no order is asked
     assert calls == []
-    # each system trial-divides each prime once, and never its scale or g.
+    # each memo trial-divides each prime once, and never its scale or g.
     # The base pair asks 2 for both powers; S_2 = {0, 2, 8, 10} at 16 asks
     # 8, then 2, whose prime 8 already gave, and S_3 at 64 asks 32, 8, 2
     calls.clear()
     system, candidate = ScaleDigitSystem(4, (0, 1)), SpectrumCandidate((0, 2))
     for k in (2, 3):
         pair_power(system, candidate, k)
+    assert calls == [2, 8, 32]
+    # new systems with the same digits draw the same memos, which have found every prime
+    pair_power(ScaleDigitSystem(4, (0, 1)), candidate, 3)
     assert calls == [2, 8, 32]
 
 

@@ -8,6 +8,8 @@ primes: the single answers asked before and after the batch, the batch
 itself, compatibility, the tiling modulus and the construction.  A
 system's memo, which answers any order, is checked against the
 radical-basis test at the orders up to 120 that need not divide |N|.
+Systems with equal digits share one memo per process, so each system here
+gets a cold memo of its own: two orders of questions meet two memos.
 """
 
 import itertools
@@ -21,6 +23,7 @@ from cantorspec import (
     find_modulus_l,
     is_compatible,
 )
+from cantorspec.cyclotomic import OrderTest
 from oracles import divisors, radical, radical_order_divides, trial_factorize, vanishing_orders
 
 DIGIT_SETS = [(0, *rest) for size in range(11) for rest in itertools.combinations(range(1, 11), size)]
@@ -56,15 +59,22 @@ def reference_certificate(scale, elements, orders):
     return tuple(entries)
 
 
+def cold(scale, digits):
+    """A system holding a memo of its own, which no other system has asked."""
+    system = ScaleDigitSystem(scale, digits)
+    system.__dict__["_order_test"] = OrderTest(system.digits)
+    return system
+
+
 def check_system(scale, digits, asked, orders):
     """Compare one system with the reference orders; `asked` are the orders
     put to it one by one."""
-    first = ScaleDigitSystem(scale, digits)  # single answers, then the batch
+    first = cold(scale, digits)  # single answers, then the batch
     assert [b for b in asked if first.is_vanishing_order(b)] == sorted(orders), (scale, digits)
     assert first.vanishing_orders == orders, (scale, digits)
 
     # the callers' own questions, then the batch, then single answers
-    system = ScaleDigitSystem(scale, digits)
+    system = cold(scale, digits)
     candidates = [digits, tuple(range(len(digits)))]
     tiling = reference_tiling(len(digits), orders)
     assert find_modulus_l(system) == (None if tiling is None else tiling[0]), (scale, digits)
@@ -135,9 +145,27 @@ def test_a_systems_memo_answers_orders_that_do_not_divide_the_scale():
         exact = [b for b in asked[1:] if radical_order_divides(terms, b, primes[b])]
         for scale in (12, -35, 64):
             divides = [b for b in exact if scale % b == 0]
-            before, after = ScaleDigitSystem(scale, digits), ScaleDigitSystem(scale, digits)
+            before, after = cold(scale, digits), cold(scale, digits)
             assert [b for b in asked if before._order_test(b)] == exact, (scale, digits)
             assert before.vanishing_orders == after.vanishing_orders == frozenset(divides), (scale, digits)
             assert [b for b in asked if after._order_test(b)] == exact, (scale, digits)
             for system in (before, after):
                 assert [b for b in asked if system.is_vanishing_order(b)] == divides, (scale, digits)
+
+
+def test_a_memo_warmed_at_other_scales_answers_every_order_as_the_radical_test():
+    # the shared memo of each digit set, after the batches and single
+    # questions of systems at three scales, answers each b <= 120 as the
+    # radical-basis reference does
+    asked = range(2, 121)
+    primes = {b: sorted(trial_factorize(b)) for b in asked}
+    for digits in DIGIT_SETS:
+        for scale in (12, -35, 64):
+            warm = ScaleDigitSystem(scale, digits)
+            warm.vanishing_orders
+            warm.is_vanishing_order(abs(scale))
+        terms = [(d, 1) for d in digits]
+        exact = [b for b in asked if radical_order_divides(terms, b, primes[b])]
+        memo = ScaleDigitSystem(120, digits)._order_test
+        assert memo is warm._order_test
+        assert [b for b in asked if memo(b)] == exact, digits

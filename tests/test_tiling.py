@@ -161,19 +161,20 @@ def test_construction_never_searches(monkeypatch, scale, digits):
     [(s, d) for s, d, _ in CONSTRUCTION_CASES] + [(-8640, (0, 1, 2, 6, 7, 8)), (2592, (0, 9, 18, 27))],
 )
 def test_construction_reads_prime_powers_from_the_vanishing_orders(monkeypatch, scale, digits):
+    summed = record_class_sums(monkeypatch)
     system = ScaleDigitSystem(scale, digits)
-    reference = reference_construct_spectrum_set(system)
+    reference = reference_construct_spectrum_set(system)  # its `order_vanishes` builds the digits' memo
     expected = (reference.p_powers, reference.q_powers)
 
     def refuse(*args):
-        raise AssertionError("the construction built an order test of its own")
+        raise AssertionError("an order test was built twice for one digit set")
 
-    monkeypatch.setattr(tiling, "OrderTest", refuse)
-    summed = record_class_sums(monkeypatch)
-    fresh = ScaleDigitSystem(scale, digits)  # the reference asked `system` already
+    monkeypatch.setattr(cyclotomic, "OrderTest", refuse)
+    fresh = ScaleDigitSystem(scale, digits)
     construction = construct_spectrum_set(fresh)
+    assert fresh._order_test is system._order_test
     assert (construction.p_powers, construction.q_powers) == expected
-    assert len(summed) == len(set(summed))  # the system's memo sums each divisor once
+    assert len(summed) == len(set(summed))  # the reference and the construction sum each divisor once
     # the batch sums the rest of the reach and nothing twice, so every
     # divisor summed lies in the reach: the b > 1 dividing g with phi(b) <= s
     orders = fresh.vanishing_orders
@@ -182,6 +183,7 @@ def test_construction_reads_prime_powers_from_the_vanishing_orders(monkeypatch, 
     reach = [b for b in divisors(g)[1:] if b // radical(b) * math.prod(p - 1 for p in primes if b % p == 0) <= span]
     assert sorted(summed) == reach
     assert orders == system.vanishing_orders
+    assert sorted(summed) == reach  # the second system's batch sums nothing the first summed
 
 
 def test_construction_prime_powers_examples():
@@ -330,6 +332,11 @@ def test_construction_asks_only_the_t1_and_t2_orders(monkeypatch):
     assert summed == [2, 4, 8, 16, 3, 9, 12, 6]
     assert decide_spectrum(system, SpectrumCandidate(construction.result_s)).spectral
     assert summed == [2, 4, 8, 16, 3, 9, 12, 6]  # the decider's re-check is answered from the memo
+    # the same digits at -N share the memo: their construction and decision sum nothing again
+    mirrored = ScaleDigitSystem(-8640, (0, 1, 2, 6, 7, 8))
+    assert mirrored._order_test is system._order_test
+    assert decide_spectrum(mirrored, SpectrumCandidate(construct_spectrum_set(mirrored).result_s)).spectral
+    assert summed == [2, 4, 8, 16, 3, 9, 12, 6]
 
 
 def test_tiling_powers_test_each_power_once(monkeypatch):
@@ -391,9 +398,10 @@ def test_a_shared_large_prime_that_no_question_names_is_never_factorised(monkeyp
     assert not hasattr(test, "factors")
     construction = construct_spectrum_set(ScaleDigitSystem(2 * q, (0, q)))
     assert construction.result_s == (0, q) and calls == [2]
-    calls.clear()  # the base system and the powered one each ask 2
+    # the base system and the powered one ask 2 of the memo the construction
+    # drew for these digits, which has found 2 already
     assert pair_power(ScaleDigitSystem(2 * q, (0, q)), SpectrumCandidate((0, q)), 1) == ((0, q), (0, q))
-    assert calls == [2, 2]
+    assert calls == [2]
 
 
 def test_construct_point_mass():
