@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator
 
 from . import systems
 from .systems import (
@@ -98,7 +98,7 @@ def is_compatible(
     return CompatibilityCertificate(system, candidate, tuple(entries))
 
 
-def _zero_pattern(orders: Mapping[int, tuple[int, ...]], m: int) -> int:
+def _zero_pattern(orders: dict[int, list[int]], m: int) -> int:
     """Int with bit t < 2m set exactly when m / gcd(t, m) is a key of
     `orders`, {b: primes of b}, m any multiple of every order, such as g.
 

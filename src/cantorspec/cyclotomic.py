@@ -29,14 +29,14 @@ division, which also serves |D| for the tiling conditions, only what the
 primes found before leave of it, and keep the primes they find.
 The orders are decided on demand, once per digit set per process: one
 bounded cache, `_order_memo`, keeps an `OrderTest` per sorted digit
-multiset, which systems with equal digits at any scale, `is_complementing`
-and `order_vanishes` share; it tests an order the first time any of them
-asks and remembers the answer, but keeps nothing per scale.  A
-compatibility check asks the orders of its differences, the tiling
-conditions the prime powers and their products; only the window search asks
-for every order at once, and the batch, rebuilt from the kept answers on
-each call, returns each vanishing order with its primes, which sieve its
-residues.
+multiset, which systems with equal digits at any scale and
+`is_complementing` share (an `order_vanishes` call builds its own and
+keeps nothing); it tests an order the first time any of them asks and
+remembers the answer, but keeps nothing per scale.  A compatibility check
+asks the orders of its differences, the tiling conditions the prime powers
+and their products; only the window search asks for every order at once,
+and the batch, rebuilt from the kept answers on each call, returns each
+vanishing order with its primes, which sieve its residues.
 
 The test itself is one integer.  For d >= 1 let F(d) = d * sum_r C_r(d)^2,
 with C_r(d) the sum of the coefficients whose exponent is r (mod d); by
@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import functools
 import math
-from types import MappingProxyType
 
 
 def _class_squares(exponents, d: int) -> int:
@@ -112,7 +111,7 @@ def order_vanishes(exponents, b: int) -> bool:
 
     _int_items((b,), "root order must be a positive integer", least=1)
     exps = _int_items(exponents, "exponents must consist of integers")
-    return not exps or _order_memo(tuple(sorted(exps)))(b)
+    return not exps or OrderTest(exps)(b)
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -146,8 +145,8 @@ def _order_memo(exponents: tuple[int, ...]) -> OrderTest:
 
 class OrderTest:
     """The vanishing orders of sum_e z^e, each decided on first ask and
-    remembered once per digit set per process: every caller draws it from
-    `_order_memo`.
+    remembered once per digit set per process: systems and
+    `is_complementing` draw it from `_order_memo`.
 
     A single question and `all_orders` alike refuse an order b with no
     exact test when reach(b) != b or phi(b) > max - min.  `all_orders(n)`
@@ -229,21 +228,21 @@ class OrderTest:
             terms += [(d // p, -sign) for d, sign in terms]
         return sum(sign * self._class_sum(d) for d, sign in terms)
 
-    def all_orders(self, n: int) -> MappingProxyType[int, tuple[int, ...]]:
-        """{b: primes of b} for every vanishing order b | n, read-only, over
-        the divisors in reach(n): each not summed yet is summed, and T_b
+    def all_orders(self, n: int) -> dict[int, list[int]]:
+        """{b: primes of b} for every vanishing order b | n, over the
+        divisors in reach(n): each not summed yet is summed, and T_b
         follows for all from one Moebius pass, at most omega(reach(n))
         steps per divisor.  The batch itself is not kept, so that a sweep
         of scales does not grow the memo."""
         factors = self._primes_of(reach := self.reach(n))
-        span, inside = self.span, [(1, 1, ())]  # (b, phi(b), primes of b)
+        span, inside = self.span, [(1, 1, [])]  # (b, phi(b), primes of b)
         for p in factors:
             grown = []
             for b, phi, primes in inside:
                 phi *= p - 1
                 while phi <= span and reach % (b * p) == 0:
                     b *= p
-                    grown.append((b, phi, (*primes, p)))
+                    grown.append((b, phi, [*primes, p]))
                     phi *= p
             inside += grown
         trace = {b: self._class_sum(b) for b, _, _ in inside}
@@ -253,4 +252,4 @@ class OrderTest:
                     trace[b] -= trace[b // p]
         for b, _, _ in inside[1:]:  # an order asked before is known already, with the same answer
             self.known.setdefault(b, trace[b] == 0)
-        return MappingProxyType({b: primes for b, _, primes in inside[1:] if self.known[b]})
+        return {b: primes for b, _, primes in inside[1:] if self.known[b]}

@@ -140,9 +140,9 @@ def test_every_private_name_is_used():
 
 def test_order_tests_are_built_only_where_a_memo_is_kept():
     # one memo per digit set per process: in the package, only the cache
-    # `_order_memo` builds an `OrderTest`, and no module but `cyclotomic`
-    # reads a memo's `.g`, so a new caller draws the shared memo rather than
-    # building its own
+    # `_order_memo` and each `order_vanishes` call, which keeps nothing,
+    # build an `OrderTest`, and no module but `cyclotomic` reads a memo's
+    # `.g`, so a new caller draws the shared memo rather than building its own
     builders, reads = [], []
 
     def visit(node, module, where):
@@ -159,7 +159,7 @@ def test_order_tests_are_built_only_where_a_memo_is_kept():
 
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         visit(ast.parse(path.read_text(), str(path)), path.stem, path.stem)
-    assert builders == ["cyclotomic._order_memo"]
+    assert sorted(builders) == ["cyclotomic._order_memo", "cyclotomic.order_vanishes"]
     assert reads == []
 
 

@@ -161,20 +161,17 @@ def test_construction_never_searches(monkeypatch, scale, digits):
     [(s, d) for s, d, _ in CONSTRUCTION_CASES] + [(-8640, (0, 1, 2, 6, 7, 8)), (2592, (0, 9, 18, 27))],
 )
 def test_construction_reads_prime_powers_from_the_vanishing_orders(monkeypatch, scale, digits):
-    summed = record_class_sums(monkeypatch)
+    # the reference asks a cold memo of its own, so that the construction
+    # cannot read back answers the reference left in the shared one
     system = ScaleDigitSystem(scale, digits)
-    reference = reference_construct_spectrum_set(system)  # its `order_vanishes` builds the digits' memo
-    expected = (reference.p_powers, reference.q_powers)
-
-    def refuse(*args):
-        raise AssertionError("an order test was built twice for one digit set")
-
-    monkeypatch.setattr(cyclotomic, "OrderTest", refuse)
+    system.__dict__["_order_test"] = OrderTest(system.digits)
+    reference = reference_construct_spectrum_set(system)
+    expected = (reference.p_powers, reference.q_powers), system.vanishing_orders
+    summed = record_class_sums(monkeypatch)
     fresh = ScaleDigitSystem(scale, digits)
     construction = construct_spectrum_set(fresh)
-    assert fresh._order_test is system._order_test
-    assert (construction.p_powers, construction.q_powers) == expected
-    assert len(summed) == len(set(summed))  # the reference and the construction sum each divisor once
+    assert (construction.p_powers, construction.q_powers) == expected[0]
+    assert len(summed) == len(set(summed))  # the digits' memo sums each divisor once
     # the batch sums the rest of the reach and nothing twice, so every
     # divisor summed lies in the reach: the b > 1 dividing g with phi(b) <= s
     orders = fresh.vanishing_orders
@@ -182,8 +179,20 @@ def test_construction_reads_prime_powers_from_the_vanishing_orders(monkeypatch, 
     primes = factorize(g)
     reach = [b for b in divisors(g)[1:] if b // radical(b) * math.prod(p - 1 for p in primes if b % p == 0) <= span]
     assert sorted(summed) == reach
-    assert orders == system.vanishing_orders
-    assert sorted(summed) == reach  # the second system's batch sums nothing the first summed
+    assert orders == expected[1]
+
+    # a second system with these digits draws the same memo, builds no
+    # order test, and its construction and batch sum nothing again
+    def refuse(*args):
+        raise AssertionError("an order test was built twice for one digit set")
+
+    monkeypatch.setattr(cyclotomic, "OrderTest", refuse)
+    mirrored = ScaleDigitSystem(-scale, digits)
+    construction = construct_spectrum_set(mirrored)
+    assert mirrored._order_test is fresh._order_test
+    assert (construction.p_powers, construction.q_powers) == expected[0]
+    assert mirrored.vanishing_orders == orders
+    assert sorted(summed) == reach
 
 
 def test_construction_prime_powers_examples():
