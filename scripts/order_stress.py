@@ -29,12 +29,15 @@ The last two cases record the cost of questions past lcm(1..|D|), one
 memo of 300 wide digits asked every b <= 1000 that lcm(1..300) does not
 cover, and of a batch after a single question on one memo: {0, q}, with
 q = 10^14 + 31 prime, asked 2q and then every order at 2q, which must not
-factorise 2q again.  Two more record the digit set's memo, which systems
+factorise 2q again.  Three more record the digit set's memo, which systems
 share across scales: a sweep of 10^5 scales with one digit set and then
 one question at a new scale, timed together, since what the memo keeps
 per scale asked would slow every question of the sweep and not only the
-last; and one more 1,000-digit wide set than the memo cache holds, each
-with its differences built, answered with the MB the cache retains.
+last; the (T1) sweep of the smallest tiling modulus of {0, 1} at the
+2,000 scales 2^k, answered with the number of answers its memo keeps,
+which asks only the powers of 2 inside the reach 2 of each; and one more
+1,000-digit wide set than the memo cache holds, each with its
+differences built, answered with the MB the cache retains.
 Every case starts with no memo, so that its time does not depend on the
 cases run before it.
 
@@ -54,6 +57,7 @@ from cantorspec import (
     ScaleDigitSystem,
     SpectrumCandidate,
     cyclotomic,
+    find_modulus_l,
     is_compatible,
     is_complementing,
     order_vanishes,
@@ -95,10 +99,19 @@ def batch_after_single(q: int) -> str:
 
 def question_after_sweep() -> bool:
     """The vanishing orders of SWEPT at every scale 3 <= |N| < 10^5 + 3, then
-    one order at a scale that none of them divides: 10^5 + 3 is prime."""
+    one order past Mann's lcm for SWEPT, the most the sweep can leave g:
+    10^5 + 3 is prime, so it costs one pass over the 6 differences."""
     for n in range(3, 10**5 + 3):
         ScaleDigitSystem(n, SWEPT).vanishing_orders
     return ScaleDigitSystem(2 * (10**5 + 3), SWEPT).is_vanishing_order(10**5 + 3)
+
+
+def t1_sweep() -> str:
+    """The smallest tiling modulus of (0, 1) at every scale 2^k, 1 <= k <= 2000,
+    answered with the number of answers the memo of (0, 1) keeps."""
+    for k in range(1, 2001):
+        find_modulus_l(ScaleDigitSystem(2**k, (0, 1)))
+    return f"memo keeps {len(cyclotomic._order_memo((0, 1)).known)}"
 
 
 def memo_bytes(memo: OrderTest) -> int:
@@ -181,6 +194,7 @@ CASES = {
     "any-order-300-to-1000": lambda: orders(list(filter(OrderTest(wide_digits(300, 19)), PAST_LCM_300))),
     "batch-after-single-1e14": lambda: batch_after_single(10**14 + 31),
     "question-after-1e5-scales": question_after_sweep,
+    "t1-sweep-2^2000": t1_sweep,
     "wide-memos-past-the-cache": wide_memos_retained,
 }
 

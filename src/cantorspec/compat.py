@@ -174,7 +174,7 @@ def _window_candidates(system: ScaleDigitSystem) -> Iterator[SpectrumCandidate]:
             f"the window search at |N| = {m} builds a zero pattern of period g = {g}, about {size} "
             f"bytes (g bytes and a 2g-bit integer), over its budget of {_PATTERN_BUDGET} bytes"
         )
-    pattern = _zero_pattern(system._order_test.all_orders(m), g)
+    pattern = _zero_pattern(system._order_test.all_orders(g), g)
     unit = m // g  # every zero is a multiple of |N|/g
     reach = (m - 2) // unit  # bit x of a window bitset stands for the integer (x - reach) * unit
     vertices = (pattern >> (-reach % g)) & ((1 << (2 * reach + 1)) - 1)

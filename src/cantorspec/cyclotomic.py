@@ -19,8 +19,9 @@ prime at most k.  Splitting D(zeta) = 0 into such subsums, every vanishing
 order divides P * (d - d') for two digits, P the product of the primes
 <= |D|, so one that divides n divides its reach gcd(n, lcm(1..|D|) * lcm
 of the differences), which is n when n divides lcm(1..|D|).  The reach
-depends on D and n alone, so one memo per digit set answers any order;
-its primes are at most max(|D|, s), with s = max D - min D.  The one rule,
+depends on D and n alone, so one memo per digit set answers any order
+and keeps of the n asked only g, the lcm of their reaches; its primes
+are at most max(|D|, s), with s = max D - min D.  The one rule,
 for a single question and the batch of all orders at n alike: b is tested
 only when it is its own reach and phi(b) <= s, as Phi_b must divide
 z^(-min D) * D(z) of degree s.  The batch, on the reach of n, and a single
@@ -34,7 +35,8 @@ multiset, which systems with equal digits at any scale and
 keeps nothing); it tests an order the first time any of them asks and
 remembers the answer, but keeps nothing per scale.  A compatibility check
 asks the orders of its differences, the tiling conditions the prime powers
-and their products; only the window search asks for every order at once,
+inside the reach and their products; only the window search asks for
+every order at once, at the reach of its scale,
 and the batch, rebuilt from the kept answers on each call, returns each
 vanishing order with its primes, which sieve its residues.
 
@@ -146,7 +148,8 @@ def _order_memo(exponents: tuple[int, ...]) -> OrderTest:
 class OrderTest:
     """The vanishing orders of sum_e z^e, each decided on first ask and
     remembered once per digit set per process: systems and
-    `is_complementing` draw it from `_order_memo`.
+    `is_complementing` draw it from `_order_memo`.  It keeps only facts of
+    the digits: g grows by true reaches alone, never by the scales asked.
 
     A single question and `all_orders` alike refuse an order b with no
     exact test when reach(b) != b or phi(b) > max - min.  `all_orders(n)`
@@ -157,31 +160,26 @@ class OrderTest:
     F(d) are kept per divisor, so each is summed at most once.
     """
 
-    __slots__ = ("g", "asked", "sizes", "span", "exps", "diffs", "sums", "known", "found")
+    __slots__ = ("g", "sizes", "span", "exps", "diffs", "sums", "known", "found")
 
     def __init__(self, exponents):
         exps = self.exps = tuple(exponents)
         self.span = max(exps) - min(exps)
-        self.g = self.asked = self.sizes = math.lcm(*range(1, len(exps) + 1))
+        self.g = self.sizes = math.lcm(*range(1, len(exps) + 1))
         self.diffs: tuple[int, ...] = ()  # the distinct differences, built when an n first needs them
         self.sums = {1: len(exps) ** 2}  # d -> F(d); F(1) = |D|^2 needs no sum
         self.known: dict[int, bool] = {}  # every answer given so far
         self.found: list[int] = []  # the primes factorised so far, ascending
 
     def reach(self, n: int) -> int:
-        """Mann's gcd(n, lcm(1..|D|) * lcm of the differences): gcd(n, g) once
-        n divides `asked`, the lcm of the n asked so far, as g is that of their
-        reaches; else one gcd per distinct difference, with no lcm of them
-        formed, as gcd(n, lcm d) = lcm gcd(n, d) prime by prime.  Past 64 bits
-        per difference, testing n against `asked` costs more than the pass
-        over the differences it saves, so a sweep of scales restarts it at n."""
-        if self.asked % n:
+        """Mann's gcd(n, lcm(1..|D|) * lcm of the differences): gcd(n, g) when
+        n divides g, the lcm of lcm(1..|D|) and the reaches found so far; else
+        one gcd per distinct difference, with no lcm of them formed, as
+        gcd(n, lcm d) = lcm gcd(n, d) prime by prime, and g takes the reach
+        in.  So g divides Mann's lcm for all of D, whatever the n asked."""
+        if self.g % n:
             diffs = self.diffs = self.diffs or tuple({e - f for e in self.exps for f in self.exps if e > f})
-            reached = math.gcd(n, self.sizes * math.lcm(*(math.gcd(n, d) for d in diffs)))
-            asked = math.lcm(self.asked, n)
-            if asked.bit_length() > 64 * len(diffs):
-                asked, self.g = math.lcm(self.sizes, n), self.sizes
-            self.asked, self.g = asked, math.lcm(self.g, reached)
+            self.g = math.lcm(self.g, math.gcd(n, self.sizes * math.lcm(*(math.gcd(n, d) for d in diffs))))
         return math.gcd(n, self.g)
 
     def __call__(self, b: int) -> bool:
@@ -200,7 +198,7 @@ class OrderTest:
 
     def _primes(self, b: int) -> list[int] | None:
         """The primes of b, ascending, when b > 1 is its own reach and phi(b) <= max - min."""
-        if b < 2 or self.g % b and self.reach(b) != b:
+        if b < 2 or self.reach(b) != b:
             return None
         primes = self._primes_of(b)  # phi(b) = b * prod(1 - 1/p)
         return primes if b // math.prod(primes) * math.prod(p - 1 for p in primes) <= self.span else None

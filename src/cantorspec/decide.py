@@ -72,7 +72,7 @@ def attractor_bounds(scale: int, elements) -> RationalInterval:
     interval is forward-invariant under every map, which is what the cycle
     search relies on.
     """
-    elems = tuple(elements)
+    elems = _int_items(elements, "element set must consist of integers")
     if not elems:
         raise PreconditionError("element set must be nonempty")
     if abs(_int_items((scale,), "scale must be an integer with |N| >= 2")[0]) < 2:
@@ -132,7 +132,7 @@ def decide_spectrum(
         raise PreconditionError("cycle criterion applies to compatible pairs only")
     scale, m = system.scale, system.modulus
     bounds = attractor_bounds(scale, candidate.elements)
-    searched = bounds.scaled(range_factor) if range_factor != 1 else bounds
+    searched = bounds if range_factor == 1 and type(range_factor) is int else bounds.scaled(range_factor)
     lo, hi = math.ceil(searched.lo), math.floor(searched.hi)
     points = _cycle_points(system, candidate, bounds)
     if points == [0]:

@@ -15,10 +15,10 @@ tile satisfies (T2), so the conditions decide; for more primes a search
 still does.  |D| is factorised once per question.  The orders are asked
 of the one `OrderTest` of the digit set, shared by the construction of
 every system with those digits and by `is_complementing`, so each is
-tested once per digit set per process.  Each question
-factorises only its own order, after the refusal of an order that is not
-its own Mann reach, so a large prime of L that (T1) and (T2) never name
-is never trial-divided.
+tested once per digit set per process.  By Mann no power past the reach
+of L vanishes (see `cyclotomic`), so (T1) asks only the powers inside it
+and (T2) their products; a large prime of L that they never name is
+never trial-divided.
 
 Where the conditions decide, both sets are sums of one a * step, 0 <= a < p,
 per prime power.  Their proof's complement E(z) = prod Phi_s(z^t(s)) takes
@@ -50,12 +50,11 @@ def _tiling_powers(size_factors: dict[int, int], modulus: int, memo: OrderTest):
     """{p: S_p} at the modulus for the primes of |D|, given ascending as
     `size_factors` = {p: alpha_p}, with `memo(b)` deciding whether Phi_b
     divides D(z); None when (T1) fails, or when |D| has two primes and
-    (T2) fails."""
-    memo.reach(modulus)  # one look at the differences covers every order asked: each divides the modulus
-    found = {}
+    (T2) fails.  Only the powers inside the reach of the modulus can vanish."""
+    reach, found = memo.reach(modulus), {}  # by Mann, no power past the reach vanishes
     for p, alpha in size_factors.items():
         powers, power = [], p
-        while modulus % power == 0:
+        while reach % power == 0:
             if memo(power):
                 powers.append(power)
             power *= p
@@ -175,7 +174,7 @@ def _tiling_modulus(system: ScaleDigitSystem):
     vanish in all, so (T1) keeps those found at |N| at every tiling L, the
     smallest being the product of each prime's largest power; and every
     s*t divides |N|, so the system's vanishing orders answer (T2).  Only
-    the powers p^k dividing |N| and the products s*t are asked, each
+    the powers inside the reach of |N| and the products s*t are asked, each
     decided once per digit set per process."""
     size_factors = factorize(system.size)
     if len(size_factors) > 2:

@@ -512,12 +512,13 @@ def test_single_questions_test_only_the_orders_in_manns_reach(monkeypatch):
 
 def test_the_reach_looks_at_the_differences_only_for_an_n_that_g_does_not_cover(monkeypatch):
     # reach(n) = gcd(n, lcm(1..|D|) * lcm of the differences).  The memo
-    # starts at lcm(1..2000), which 4000 divides: one gcd, with g, and none
-    # per difference.  Neither 2 * 10009 nor 2 * 10007 divides an n asked
-    # before, and each costs one gcd per distinct difference (3997 of them,
-    # not 1999000 pairs), one with n and one with g; the difference 10007
-    # grows g to cover 2 * 10007, so 6 * 10007 costs one gcd, and so does
-    # 3 * 10009, refused at reach 3 after 2 * 10009 was asked
+    # starts at g = lcm(1..2000), which 4000 divides: one gcd, with g, and
+    # none per difference.  g covers neither 2 * 10009 nor 2 * 10007, and
+    # each costs one gcd per distinct difference (3997 of them, not
+    # 1999000 pairs), one with n and one with g; the difference 10007
+    # grows g to cover 2 * 10007, so 6 * 10007 costs one gcd.  g grows
+    # only by true reaches, so it covers no multiple of 10009: 3 * 10009,
+    # refused at reach 3, costs one more pass over the differences
     gcds, lcms = [], []
 
     class CountingMath:
@@ -540,16 +541,18 @@ def test_the_reach_looks_at_the_differences_only_for_an_n_that_g_does_not_cover(
     assert test.reach(2 * 10009) == 2 and len(gcds) == 1 + 3999
     assert test.reach(2 * 10007) == 2 * 10007 and len(gcds) == 1 + 2 * 3999
     assert test.reach(6 * 10007) == 6 * 10007 and len(gcds) == 2 + 2 * 3999
-    assert test.reach(3 * 10009) == 3 and len(gcds) == 3 + 2 * 3999
+    assert test.reach(3 * 10009) == 3 and len(gcds) == 2 + 3 * 3999
+    assert test.g == math.lcm(*range(1, 2001), 2 * 10007)
     # 1,000 digits spread over [0, 10^6]: the lcm of their differences would
     # run to about 1.4 million bits, yet no lcm formed passes the bits of n
-    # and of lcm(1..1000) together
+    # and of lcm(1..1000) together: lcm(1..1000), the lcm of the gcds with n,
+    # and g's lcm with the reach
     digits = (0, *random.Random(14).sample(range(1, 10**6 + 1), 999))
     sizes = math.lcm(*range(1, 1001))
     for n in (math.prod(p for p in range(1001, 3000) if trial_factorize(p) == {p: 1}), 2**40 * 3**25 * 5**15):
         lcms.clear()
         test = cyclotomic_module.OrderTest(digits)
-        assert n % test.reach(n) == 0 and len(lcms) == 4
+        assert n % test.reach(n) == 0 and len(lcms) == 3
         assert max(x.bit_length() for x in lcms) <= n.bit_length() + sizes.bit_length(), n
 
 
@@ -607,15 +610,15 @@ def test_the_least_recently_used_memo_is_rebuilt_past_the_cache_size():
 def test_a_memo_keeps_nothing_per_scale():
     # (0, 1, 2) reaches only the orders b with phi(b) <= 2: reports at 3000
     # scales, each a window batch and a compatibility check, leave the memo
-    # no entry for any other b, and `asked` restarts rather than grow to the
-    # lcm of the scales, about 4300 bits
+    # no entry for any other b, and g grows to Mann's lcm(1..3) * lcm(1, 2)
+    # = 12 rather than to the lcm of the scales, about 4300 bits
     for n in range(3, 3000):
         assert report_measure_spectrality(ScaleDigitSystem(n if n % 2 else -n, (0, 1, 2))).status
     memo = cyclotomic_module._order_memo((0, 1, 2))
     kept = [getattr(memo, name) for name in memo.__slots__]
     assert {key for table in kept if isinstance(table, dict) for key in table} <= {1, 2, 3, 4, 6}
     assert memo.found == [2, 3]
-    assert memo.asked.bit_length() <= 64 * len(memo.diffs) == 128
+    assert memo.g == 12
 
 
 def test_traces_match_the_radical_reference_exhaustively():

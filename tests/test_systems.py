@@ -293,6 +293,13 @@ def test_record_validation_messages(build, message):
         (lambda: lambda_enumerate(4, SpectrumCandidate((0, 1)), True), "depth must be a positive integer, got True"),
         (lambda: attractor_bounds(True, (0, 1)), "scale must be an integer with |N| >= 2, got True"),
         (lambda: attractor_bounds(4.0, (0, 1)), "scale must be an integer with |N| >= 2, got 4.0"),
+        (lambda: attractor_bounds(4, (0, 1.5)), "element set must consist of integers, got 1.5"),
+        (lambda: attractor_bounds(4, (0, True)), "element set must consist of integers, got True"),
+        # equal to 1, yet not the integer 1; named apart from `scaled`'s row of the same message
+        pytest.param(lambda: decide_spectrum(ScaleDigitSystem(4, (0, 1)), SpectrumCandidate((0, 2)), True),
+                     "scale factor must be a positive integer, got True", id="decide-range-factor-True"),
+        pytest.param(lambda: decide_spectrum(ScaleDigitSystem(4, (0, 1)), SpectrumCandidate((0, 2)), 1.0),
+                     "scale factor must be a positive integer, got 1.0", id="decide-range-factor-1.0"),
         (lambda: pair_power(ScaleDigitSystem(4, (0, 1)), SpectrumCandidate((0, 2)), True),
          "power must be a positive integer, got True"),
         (lambda: RationalInterval(0, 1).scaled(True), "scale factor must be a positive integer, got True"),

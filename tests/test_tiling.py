@@ -360,6 +360,45 @@ def test_tiling_powers_test_each_power_once(monkeypatch):
     assert summed == [3]
 
 
+def test_a_huge_modulus_leaves_the_memo_one_answer():
+    # reach(2^60) of (0, 1) is gcd(2^60, lcm(1, 2) * 1) = 2: (T1) asks the
+    # order 2 alone, not the 60 powers of 2 dividing L, and the product
+    # complement is refused before it is built
+    with pytest.raises(BudgetExceededError):
+        is_complementing((0, 1), 2**60)
+    assert cyclotomic._order_memo((0, 1)).known == {2: True}
+
+
+@pytest.mark.parametrize(
+    "scale,digits,modulus",
+    [
+        (2**12, (0, 1), 2**12),
+        (2**10 * 3, (0, 1, 8, 9), 2**10 * 3),
+        (2**9 * 3**6 * 5, (0, 1, 2, 6, 7, 8), 2**9 * 3**5),
+        (-(6**8), (0, 2, 3, 5), 6**6),
+    ],
+)
+def test_the_tiling_conditions_ask_only_orders_inside_the_reach(monkeypatch, scale, digits, modulus):
+    # by Mann no power past the reach of L vanishes, so (T1) and (T2) ask
+    # none, in the construction at L = |N| (with its certificate) and in a
+    # complement question at L = `modulus` alike
+    asked, call = [], OrderTest.__call__
+
+    def spying(self, b):
+        asked.append(b)
+        return call(self, b)
+
+    monkeypatch.setattr(OrderTest, "__call__", spying)
+    system = ScaleDigitSystem(scale, digits)
+    for at, question in ((system.modulus, lambda: construct_spectrum_set(system)),
+                         (modulus, lambda: is_complementing(digits, modulus))):
+        asked.clear()
+        assert question() is not None
+        reach = system._order_test.reach(at)
+        assert at % (2 * (reach & -reach)) == 0  # L has a power of 2 past its reach
+        assert asked and [b for b in asked if reach % b] == []
+
+
 def test_is_complementing_factorises_and_tests_each_order_once(monkeypatch):
     # |D| = 6 and L = 1800 = 2^3 * 3^2 * 5^2, whose reach is 1800.  (T1) asks
     # 2, 4, 8 and 3, 9, where phi(9) = 6 > s = 5 refuses 9 untested, and
