@@ -37,7 +37,11 @@ last; the (T1) sweep of the smallest tiling modulus of {0, 1} at the
 2,000 scales 2^k, answered with the number of answers its memo keeps,
 which asks only the powers of 2 inside the reach 2 of each; and one more
 1,000-digit wide set than the memo cache holds, each with its
-differences built, answered with the MB the cache retains.
+differences built, answered with the MB the cache retains.  The last
+reports the same 1,000 wide digits at |N| = 2 * (10^12 + 39) and then at
+-N, answered with the status and the milliseconds of the second report
+alone: the reach of |N| is short of |N|, and the second report must not
+walk the differences again.
 Every case starts with no memo, so that its time does not depend on the
 cases run before it.
 
@@ -61,6 +65,7 @@ from cantorspec import (
     is_compatible,
     is_complementing,
     order_vanishes,
+    report_measure_spectrality,
 )
 from cantorspec.cli import main as cli_main
 from cantorspec.cyclotomic import OrderTest
@@ -138,6 +143,16 @@ def wide_memos_retained() -> str:
     return f"{len(kept)} memos {sum(map(memo_bytes, kept)) / 1e6:.0f} MB"
 
 
+def report_twice() -> str:
+    """The report of 1,000 wide digits at N = 2 * (10^12 + 39), then at -N,
+    answered with the second report's status and milliseconds."""
+    digits = wide_digits(1000, 37)
+    report_measure_spectrality(ScaleDigitSystem(2 * (10**12 + 39), digits))
+    start = time.perf_counter()
+    second = report_measure_spectrality(ScaleDigitSystem(-2 * (10**12 + 39), digits))
+    return f"{second.status} second in {1e3 * (time.perf_counter() - start):.1f} ms"
+
+
 CASES = {
     "compat-prime-1e14": lambda: cli(
         "compat", "check", "--n", "100000000000031", "--digits", "0,10000000", "--s", "0,1"
@@ -196,6 +211,7 @@ CASES = {
     "question-after-1e5-scales": question_after_sweep,
     "t1-sweep-2^2000": t1_sweep,
     "wide-memos-past-the-cache": wide_memos_retained,
+    "report-twice-1000-wide": report_twice,
 }
 
 

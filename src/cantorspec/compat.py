@@ -180,7 +180,8 @@ def _window_candidates(system: ScaleDigitSystem) -> Iterator[SpectrumCandidate]:
     vertices = (pattern >> (-reach % g)) & ((1 << (2 * reach + 1)) - 1)
     try:
         for clique in _cliques(vertices, pattern, system.size - 1):
-            yield SpectrumCandidate((0, *((x - reach) * unit for x in clique)))
+            # sorted and distinct: 0 is never a vertex, its bit being bit 0 or g of the pattern, never set
+            yield SpectrumCandidate._of(tuple(sorted((0, *((x - reach) * unit for x in clique)))))
     except BudgetExceededError as error:
         raise BudgetExceededError(f"the window search at |N| = {m}, on zeros of period g = {g}: {error}") from None
 

@@ -33,12 +33,13 @@ bounded cache, `_order_memo`, keeps an `OrderTest` per sorted digit
 multiset, which systems with equal digits at any scale and
 `is_complementing` share (an `order_vanishes` call builds its own and
 keeps nothing); it tests an order the first time any of them asks and
-remembers the answer, but keeps nothing per scale.  A compatibility check
-asks the orders of its differences, the tiling conditions the prime powers
-inside the reach and their products; only the window search asks for
-every order at once, at the reach of its scale,
-and the batch, rebuilt from the kept answers on each call, returns each
-vanishing order with its primes, which sieve its residues.
+remembers the answer, but keeps of the scales only the last n whose
+reach it had to compute.  A compatibility check asks the orders of its
+differences, the tiling conditions the prime powers inside the reach and
+their products; only the window search asks for every order at once, at
+the reach of its scale, and the batch, rebuilt from the kept answers on
+each call, returns each vanishing order with its primes, which sieve its
+residues.
 
 The test itself is one integer.  For d >= 1 let F(d) = d * sum_r C_r(d)^2,
 with C_r(d) the sum of the coefficients whose exponent is r (mod d); by
@@ -150,6 +151,9 @@ class OrderTest:
     remembered once per digit set per process: systems and
     `is_complementing` draw it from `_order_memo`.  It keeps only facts of
     the digits: g grows by true reaches alone, never by the scales asked.
+    One slot, `last`, keeps the last n that g did not cover with its reach,
+    so that asking it again, as a second report at -N does, makes no
+    second pass over the differences.
 
     A single question and `all_orders` alike refuse an order b with no
     exact test when reach(b) != b or phi(b) > max - min.  `all_orders(n)`
@@ -160,13 +164,14 @@ class OrderTest:
     F(d) are kept per divisor, so each is summed at most once.
     """
 
-    __slots__ = ("g", "sizes", "span", "exps", "diffs", "sums", "known", "found")
+    __slots__ = ("g", "sizes", "span", "exps", "diffs", "last", "sums", "known", "found")
 
     def __init__(self, exponents):
         exps = self.exps = tuple(exponents)
         self.span = max(exps) - min(exps)
         self.g = self.sizes = math.lcm(*range(1, len(exps) + 1))
         self.diffs: tuple[int, ...] = ()  # the distinct differences, built when an n first needs them
+        self.last = (1, 1)  # (n, reach(n)) for the last n that g did not cover
         self.sums = {1: len(exps) ** 2}  # d -> F(d); F(1) = |D|^2 needs no sum
         self.known: dict[int, bool] = {}  # every answer given so far
         self.found: list[int] = []  # the primes factorised so far, ascending
@@ -176,10 +181,13 @@ class OrderTest:
         n divides g, the lcm of lcm(1..|D|) and the reaches found so far; else
         one gcd per distinct difference, with no lcm of them formed, as
         gcd(n, lcm d) = lcm gcd(n, d) prime by prime, and g takes the reach
-        in.  So g divides Mann's lcm for all of D, whatever the n asked."""
-        if self.g % n:
+        in.  So g divides Mann's lcm for all of D, whatever the n asked.  The
+        last such n is kept with its reach, which gcd(n, g) then gives, so
+        asking it again makes no second pass."""
+        if self.g % n and n != self.last[0]:
             diffs = self.diffs = self.diffs or tuple({e - f for e in self.exps for f in self.exps if e > f})
-            self.g = math.lcm(self.g, math.gcd(n, self.sizes * math.lcm(*(math.gcd(n, d) for d in diffs))))
+            self.last = (n, math.gcd(n, self.sizes * math.lcm(*(math.gcd(n, d) for d in diffs))))
+            self.g = math.lcm(self.g, self.last[1])
         return math.gcd(n, self.g)
 
     def __call__(self, b: int) -> bool:

@@ -57,9 +57,13 @@ def canonicalize_digits(digits) -> CanonicalForm:
     the digits by a scales any spectrum by 1/a, and translation leaves
     spectra untouched.
     """
-    digs = _as_int_tuple(digits, "digit set")
-    offset = digs[0]
-    translated = tuple(d - offset for d in digs)
+    return _canonical(_as_int_tuple(digits, "digit set"))
+
+
+def _canonical(digits: tuple[int, ...]) -> CanonicalForm:
+    """`canonicalize_digits` of a system's digits, sorted and distinct already."""
+    offset = digits[0]
+    translated = tuple(d - offset for d in digits)
     factor = math.gcd(*translated) or 1
     return CanonicalForm(tuple(d // factor for d in translated), offset, factor)
 
@@ -77,11 +81,18 @@ def attractor_bounds(scale: int, elements) -> RationalInterval:
         raise PreconditionError("element set must be nonempty")
     if abs(_int_items((scale,), "scale must be an integer with |N| >= 2")[0]) < 2:
         raise PreconditionError(f"scale must be an integer with |N| >= 2, got {scale!r}")
-    a, b = min(elems), max(elems)
+    return _hull(scale, min(elems), max(elems))
+
+
+def _hull(scale: int, a: int, b: int) -> RationalInterval:
+    """`attractor_bounds` of elements with least a and greatest b, for a
+    scale with |N| >= 2: lo <= hi holds, so the interval is built unchecked."""
     if scale > 0:
-        return RationalInterval(Fraction(a, scale - 1), Fraction(b, scale - 1))
-    den = scale * scale - 1
-    return RationalInterval(Fraction(a + scale * b, den), Fraction(b + scale * a, den))
+        lo, hi = Fraction(a, scale - 1), Fraction(b, scale - 1)
+    else:
+        den = scale * scale - 1
+        lo, hi = Fraction(a + scale * b, den), Fraction(b + scale * a, den)
+    return RationalInterval._of(lo, hi)
 
 
 class SpectrumVerdict(_Record):
@@ -131,7 +142,7 @@ def decide_spectrum(
     if is_compatible(system, candidate) is None:
         raise PreconditionError("cycle criterion applies to compatible pairs only")
     scale, m = system.scale, system.modulus
-    bounds = attractor_bounds(scale, candidate.elements)
+    bounds = _hull(scale, candidate.elements[0], candidate.elements[-1])
     searched = bounds if range_factor == 1 and type(range_factor) is int else bounds.scaled(range_factor)
     lo, hi = math.ceil(searched.lo), math.floor(searched.hi)
     points = _cycle_points(system, candidate, bounds)
@@ -279,18 +290,20 @@ def report_measure_spectrality(system: ScaleDigitSystem) -> SpectralityReport:
     first window candidate is spectral by Laba-Wang's window condition: its
     attractor's hull lies strictly inside (-1, 1) for either sign of N, so
     it holds no nonzero integer, let alone a cycle.  The verdict is read off
-    the hull, checked exactly: ConsistencyError if it leaves (-1, 1).
-    At |N| = 2 the window is {0}, so only the point mass {0} has one.
+    the hull, checked exactly on the integer numerators of its endpoints:
+    ConsistencyError if it leaves (-1, 1).  At |N| = 2 the window is {0},
+    so only the point mass {0} has one.  The reduced system is the given
+    one when its digits are canonical already.
     """
-    canon = canonicalize_digits(system.digits)
+    scale, canon = system.scale, _canonical(system.digits)
     if system.modulus == 2 and canon.reduced_digits == (0, 1):
-        return SpectralityReport(STATUS_UNIT_INTERVAL, system.scale, canon)
-    reduced = ScaleDigitSystem(system.scale, canon.reduced_digits)
+        return SpectralityReport(STATUS_UNIT_INTERVAL, scale, canon)
+    reduced = system if canon.reduced_digits == system.digits else ScaleDigitSystem._of(scale, canon.reduced_digits)
     cand = next(_window_candidates(reduced), None)
     if cand is None:
-        return SpectralityReport(STATUS_UNKNOWN, system.scale, canon)
-    bounds = attractor_bounds(system.scale, cand.elements)
-    if bounds.lo <= -1 or bounds.hi >= 1:
+        return SpectralityReport(STATUS_UNKNOWN, scale, canon)
+    bounds = _hull(scale, cand.elements[0], cand.elements[-1])
+    if bounds.lo.numerator <= -bounds.lo.denominator or bounds.hi.numerator >= bounds.hi.denominator:
         raise ConsistencyError(f"window candidate {cand.elements} has a hull {bounds} outside (-1, 1)")
     verdict = SpectrumVerdict(True, None, (0, 0), bounds)
-    return SpectralityReport(STATUS_SPECTRAL, system.scale, canon, cand, is_compatible(reduced, cand), verdict)
+    return SpectralityReport(STATUS_SPECTRAL, scale, canon, cand, is_compatible(reduced, cand), verdict)

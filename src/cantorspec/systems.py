@@ -8,17 +8,20 @@ take the records.  Each `__init__` sets its own fields.
 Systems and candidate sets normalize their element lists to sorted tuples
 at construction time and validate the invariants every downstream
 operation relies on (|N| >= 2, nonempty and pairwise-distinct entries, and
-so on), so later code never re-checks them.  Data derived from a system,
-such as its vanishing orders, is computed on first use and cached on the
-instance; it is not a field, so equality, hashing and repr see only the
-scale and the digits.  The vanishing orders are decided one at a time,
+so on), so later code never re-checks them.  Nor does it re-check what it
+derives from them: `_Record._of` builds a record from its field values
+without `__init__`, and so without its checks, and its one rule is that
+the values come from records already validated (the reduced system of a
+report, a window candidate, a hull).  Data derived from a system, such as
+its vanishing orders, is computed on first use and cached on the instance
+by `_cached`; it is not a field, so equality, hashing and repr see only
+the scale and the digits.  The vanishing orders are decided one at a time,
 as callers ask, once per digit set per process, by a memo of the digits
 alone that systems with equal digits share (see `cyclotomic`).
 """
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 
 from .cyclotomic import OrderTest, _order_memo
@@ -75,6 +78,15 @@ class _Record:
 
     __dataclass_fields__ = _DataclassFields()
 
+    @classmethod
+    def _of(cls, *values):
+        """The record of these field values, in `__match_args__` order, built
+        without `__init__` and so unchecked: only for values derived from
+        records already validated."""
+        record = object.__new__(cls)
+        record.__dict__.update(zip(cls.__match_args__, values))
+        return record
+
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)
 
@@ -93,6 +105,21 @@ class _Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _cached:
+    """A lazy attribute: computed on first read and stored in the instance's
+    `__dict__`, where later reads find it before this non-data descriptor.
+    Unlike `functools.cached_property` on Python 3.11, it takes no lock."""
+
+    def __init__(self, compute):
+        self.compute, self.name, self.__doc__ = compute, compute.__name__, compute.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.compute(instance)
+        return value
 
 
 def _int_items(values, rule: str, least: int | None = None) -> tuple:
@@ -135,7 +162,7 @@ class ScaleDigitSystem(_Record):
     def size(self) -> int:
         return len(self.digits)
 
-    @functools.cached_property
+    @_cached
     def _order_test(self) -> OrderTest:
         return _order_memo(self.digits)
 
@@ -147,7 +174,7 @@ class ScaleDigitSystem(_Record):
         time it is asked, and at most once per digit set per process."""
         return b > 1 and self.scale % b == 0 and self._order_test(b)
 
-    @functools.cached_property
+    @_cached
     def vanishing_orders(self) -> frozenset[int]:
         """Every b with `is_vanishing_order(b)`, over the same reach as a
         single question; each order is tested once per digit set per

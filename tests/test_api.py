@@ -163,6 +163,26 @@ def test_order_tests_are_built_only_where_a_memo_is_kept():
     assert reads == []
 
 
+def test_records_are_built_unchecked_only_from_validated_values():
+    # `_Record._of` skips `__init__` and its checks, so it is called only
+    # where the values derive from records already validated: the window
+    # candidates, the report's reduced system and the hull
+    callers = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "_of":
+                callers.append(where)
+            visit(child, where)
+
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path.stem)
+    assert sorted(callers) == ["compat._window_candidates", "decide._hull", "decide.report_measure_spectrality"]
+
+
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # the value types are plain classes, so no CLI process pays to import `dataclasses` and its `inspect`
     code = "import sys; before = set(sys.modules); import cantorspec.cli; print(sorted(set(sys.modules) - before))"

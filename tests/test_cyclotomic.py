@@ -556,6 +556,26 @@ def test_the_reach_looks_at_the_differences_only_for_an_n_that_g_does_not_cover(
         assert max(x.bit_length() for x in lcms) <= n.bit_length() + sizes.bit_length(), n
 
 
+def test_a_repeated_reach_makes_no_second_pass():
+    # g covers no multiple of 10009, so reach(2 * 10009) walks the distinct
+    # differences; the memo keeps that n with its reach, and asking it again
+    # walks them no more, while a new n that g does not cover still does
+    passes = []
+
+    class CountingDiffs(tuple):
+        def __iter__(self):
+            passes.append(len(self))
+            return super().__iter__()
+
+    test = cyclotomic_module.OrderTest((*range(1999), 10007))
+    assert test.reach(2 * 10009) == 2
+    g, test.diffs = test.g, CountingDiffs(test.diffs)
+    assert [test.reach(2 * 10009) for _ in range(3)] == [2, 2, 2]
+    assert passes == [] and test.g == g
+    assert test.reach(3 * 10009) == 3 and passes == [3997]
+    assert test.reach(3 * 10009) == 3 and passes == [3997]
+
+
 def test_the_batch_factorises_only_what_no_question_has_split(monkeypatch):
     # single questions and the batch share one path: the primes found before
     # are divided out, and `factorize` sees only the rest

@@ -2,6 +2,7 @@ import importlib
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +10,7 @@ from cantorspec import (
     BudgetExceededError,
     ConsistencyError,
     PreconditionError,
+    RationalInterval,
     STATUS_SPECTRAL,
     STATUS_UNIT_INTERVAL,
     STATUS_UNKNOWN,
@@ -626,6 +628,7 @@ def test_report_matches_eager_report():
                     system = ScaleDigitSystem(scale, digits)
                     report = report_measure_spectrality(system)
                     assert report == eager_report(system), system
+                    assert decide_module._canonical(system.digits) == canonicalize_digits(system.digits), system
                     statuses.add(report.status)
     assert statuses == {STATUS_SPECTRAL, STATUS_UNIT_INTERVAL, STATUS_UNKNOWN}
 
@@ -643,11 +646,27 @@ def test_every_window_candidate_is_spectral():
                         continue
                     system = ScaleDigitSystem(scale, (0, *rest))
                     for cand in compat_module._window_candidates(system):
+                        assert cand == SpectrumCandidate(cand.elements), (system, cand)
                         bounds = attractor_bounds(scale, cand.elements)
                         assert -1 < bounds.lo <= bounds.hi < 1, (system, cand)
                         assert decide_spectrum(system, cand).spectral, (system, cand)
                         decided += 1
     assert decided > 2000
+
+
+def test_the_unchecked_hull_matches_attractor_bounds():
+    # the hull the report and the cycle search build unchecked, from the
+    # least and greatest elements, against the public enclosure; a Fraction
+    # is fixed by its reduced numerator and denominator, which compare faster
+    def exactly(hull):
+        assert type(hull) is RationalInterval and type(hull.lo) is type(hull.hi) is Fraction
+        return hull.lo.numerator, hull.lo.denominator, hull.hi.numerator, hull.hi.denominator
+
+    pairs = [(a, b) for a in range(-60, 61) for b in range(a, 61)]
+    for modulus in range(2, 41):
+        for scale in (modulus, -modulus):
+            hulls = [exactly(decide_module._hull(scale, a, b)) for a, b in pairs]
+            assert hulls == [exactly(attractor_bounds(scale, pair)) for pair in pairs], scale
 
 
 def test_report_refuses_a_window_candidate_with_a_cycle(monkeypatch):
@@ -666,16 +685,17 @@ def test_report_refuses_a_window_candidate_with_a_cycle(monkeypatch):
 def test_report_builds_and_certifies_only_what_it_decides(monkeypatch):
     built = []
     certified = []
+    build = SpectrumCandidate._of
 
     def counting_candidate(elements):
         built.append(elements)
-        return SpectrumCandidate(elements)
+        return build(elements)
 
     def counting_certificate(system, candidate):
         certified.append(candidate)
         return is_compatible(system, candidate)
 
-    monkeypatch.setattr(compat_module, "SpectrumCandidate", counting_candidate)
+    monkeypatch.setattr(SpectrumCandidate, "_of", counting_candidate)
     monkeypatch.setattr(decide_module, "is_compatible", counting_certificate)
     system = ScaleDigitSystem(72, (0, 1, 24, 25, 48, 49))  # 4232 window candidates
     report = report_measure_spectrality(system)
