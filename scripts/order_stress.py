@@ -22,7 +22,8 @@ budget, the cycle search on a non-spectral pair with |S| = |N|, whose
 cylinders cover a hull of 6.7 * 10^4 integers, and on two pairs with
 |S| < |N|, whose cylinders and residue filter leave little of their hulls:
 |N| = 100 with a hull of 10^6 integers and |N| = 8, |S| = 4 with one of
-10^5) and the many-prime
+10^5, and the same |N| = 8 pair with S's nonzero elements clustered 4
+apart in a hull of 10^8 integers, whose cylinders overlap) and the many-prime
 orders: a batch and single questions with hundreds of digits at a
 primorial, and a pair of digits at the product of the first 20 primes.
 The last two cases record the cost of questions past lcm(1..|D|), one
@@ -185,6 +186,9 @@ CASES = {
     "decide-wide-100": lambda: cli("spectrum", "decide", "--n", "100", "--digits", "0,1", "--s", "0,100000050"),
     "decide-lifted-8-1e5": lambda: cli(
         "spectrum", "decide", "--n", "8", "--digits", "0,1,4,5", "--s", "0,1,4,700005"
+    ),
+    "decide-clustered-8-1e8": lambda: cli(
+        "spectrum", "decide", "--n", "8", "--digits", "0,1,4,5", "--s", "0,700000001,700000004,700000005"
     ),
     "compat-primorial-20": lambda: cli(
         "compat", "check", "--n", str(PRIMORIAL_20), "--digits", f"0,{PRIMORIAL_20 // 2}", "--s", "0,1"

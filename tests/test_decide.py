@@ -372,10 +372,11 @@ def attractor_integers(scale, elements):
     return {eta for eta, c in count.items() if c}
 
 
-def lifted_window_pairs(scale, max_digit, sizes, lifts):
+def lifted_window_pairs(scale, max_digit, sizes, lifts, common=False):
     """Each system (scale, D) with 0 in D, gcd(D) = 1 and D in [0, max_digit],
     with each window candidate's nonzero elements moved by every choice of
-    multiples of |N| from `lifts` (residues, hence compatibility, kept)."""
+    multiples of |N| from `lifts` (residues, hence compatibility, kept).
+    With `common`, they all move by one multiple, so they cluster."""
     m = abs(scale)
     for size in sizes:
         for rest in itertools.combinations(range(1, max_digit + 1), size - 1):
@@ -384,7 +385,8 @@ def lifted_window_pairs(scale, max_digit, sizes, lifts):
             system = ScaleDigitSystem(scale, (0, *rest))
             for window in search_candidate_s(system):
                 nonzero = [s for s in window.elements if s]
-                for shifts in itertools.product(lifts, repeat=len(nonzero)):
+                repeat = len(nonzero)
+                for shifts in [(k,) * repeat for k in lifts] if common else itertools.product(lifts, repeat=repeat):
                     elements = {0, *(s + k * m for s, k in zip(nonzero, shifts))}
                     if len(elements) == window.size:
                         yield system, SpectrumCandidate(tuple(elements))
@@ -446,6 +448,18 @@ def test_cycle_search_budget_is_read_at_call_time(monkeypatch):
     assert str(excinfo.value) == message
 
 
+def test_the_budget_counts_overlapping_cylinders_in_full():
+    # S's nonzero elements lie 4 apart in a hull of 10^10 integers: the level's
+    # 4^11 cylinders of 2 integers overlap, and the budget counts every
+    # integer of each, though the search would scan the joined ones once
+    system = ScaleDigitSystem(8, (0, 1, 4, 5))
+    candidate = SpectrumCandidate((0, 70000000001, 70000000004, 70000000005))
+    message = "|S|^depth * grid = 4^11 * 2 = 8388608 exceeds the enumeration budget 1000000"
+    with pytest.raises(BudgetExceededError) as excinfo:
+        decide_spectrum(system, candidate)
+    assert str(excinfo.value) == message
+
+
 def test_large_hull_fixed_point_witness():
     # 4j + 2 -> (4j + 2 + 12j + 6)/4 = 4j + 2, the only integer whose walk
     # never dies, at the top of a hull of 4j + 3 integers
@@ -497,13 +511,18 @@ WIDE_RATIO_PAIRS = [  # |S| far below |N|: the cylinders of each level leave mos
 def test_cycle_points_are_the_attractor_integers(monkeypatch):
     # all of K's integers, 0 included, not only the smallest nonzero one;
     # and the integers enumerated (counted by a spy on the module's `range`,
-    # which its level loop's few also pass through) stay below c + 2 times
-    # the estimate that the budget check sees, c the cost of a cylinder
+    # which also reads the level loop's count L) are the distinct integers
+    # of the level-L cylinders, each once however much the cylinders
+    # overlap, and below c + 2 times the estimate that the budget check
+    # sees, c the cost of a cylinder
     work = {}
 
     def counted_range(*args):
         r = range(*args)
-        work["integers"] += len(r)
+        if len(args) == 1:
+            work["levels"] = args[0]
+        else:
+            work["integers"] += len(r)
         return r
 
     def budget(size, depth, grid=1):
@@ -514,17 +533,30 @@ def test_cycle_points_are_the_attractor_integers(monkeypatch):
     monkeypatch.setattr(decide_module, "_check_slice_budget", budget)
     pairs = [(ScaleDigitSystem(scale, (0, 1, 2, 3)), SpectrumCandidate(elements)) for scale, elements in TILE_PAIRS]
     pairs += [(ScaleDigitSystem(scale, digits), SpectrumCandidate(elements)) for scale, digits, elements in WIDE_RATIO_PAIRS]
-    for scale in [n for k in range(3, 10) for n in (k, -k)] + [10, 12, -12]:
+    scales = [n for k in range(3, 10) for n in (k, -k)] + [10, 12, -12]
+    for scale in scales:
         pairs += lifted_window_pairs(scale, 7, (2, 3, 4), (-2, 0, 3))
-    cycling = 0
-    for system, candidate in pairs:
+    # S's nonzero elements far closer together than the hull is wide: the
+    # cylinders of a level overlap, most of them several deep
+    clustered = [p for scale in scales for p in lifted_window_pairs(scale, 7, (2, 3, 4), (-60, 60), common=True)]
+    cycling = overlapping = 0
+    for system, candidate in pairs + clustered:
         work["integers"] = 0
-        bounds = attractor_bounds(system.scale, candidate.elements)
+        scale = system.scale
+        bounds = attractor_bounds(scale, candidate.elements)
         points = decide_module._cycle_points(system, candidate, bounds)
-        assert points == sorted(attractor_integers(system.scale, candidate.elements)), (system, candidate)
+        assert points == sorted(attractor_integers(scale, candidate.elements)), (system, candidate)
+        slots, covered = 0, set()
+        levels = work["levels"]
+        for lam in compat_module.lambda_enumerate(scale, candidate, levels) if levels else (0,):
+            ends = sorted(((bounds.lo + lam) / scale**levels, (bounds.hi + lam) / scale**levels))
+            slots += math.floor(ends[1]) - math.ceil(ends[0]) + 1
+            covered.update(range(math.ceil(ends[0]), math.floor(ends[1]) + 1))
+        assert work["integers"] == len(covered), (system, candidate, work)
         assert work["integers"] < (decide_module._CYLINDER_COST + 2) * work["estimate"], (system, candidate, work)
         cycling += points != [0]
-    assert len(pairs) > 10_000 and cycling > 3_000
+        overlapping += slots > len(covered)
+    assert len(pairs) > 10_000 and cycling > 3_000 and len(clustered) > 900 and overlapping > len(clustered) / 2
 
 
 @pytest.mark.parametrize("scale", [4, -4])

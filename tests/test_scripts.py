@@ -62,7 +62,8 @@ def test_order_stress_times_the_cases_it_is_given():
     proc = run_script(
         "order_stress.py", "compat-primorial-20", "order-test-2000-at-4000", "construct-shared-prime-1e14",
         "report-2e8", "search-dense-2e8", "check-13-at-768", "construct-complement-2^22", "decide-tile-6e4",
-        "search-dense-1e5", "complement-1000-at-1e7", "decide-wide-100", "decide-lifted-8-1e5", "t1-sweep-2^2000",
+        "search-dense-1e5", "complement-1000-at-1e7", "decide-wide-100", "decide-lifted-8-1e5",
+        "decide-clustered-8-1e8", "t1-sweep-2^2000",
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     rows = [row.split(",") for row in proc.stdout.splitlines()]
@@ -80,6 +81,7 @@ def test_order_stress_times_the_cases_it_is_given():
         ("complement-1000-at-1e7", "2:da39a3ee5e6b"),  # L = 10^7 past the budget: exit 2, no stdout
         ("decide-wide-100", "0:fd7a9d7cfcb1"),  # |S| = 2 of |N| = 100, a hull of 10^6 integers: spectral
         ("decide-lifted-8-1e5", "0:aa011ba1739f"),  # |S| = 4 of |N| = 8, a hull of 10^5 integers: spectral
+        ("decide-clustered-8-1e8", "0:47afd025ed2c"),  # the same with S clustered, a hull of 10^8: spectral
         ("t1-sweep-2^2000", "memo keeps 1"),  # (T1) asks only the order 2, the reach of every 2^k
     ]
     assert all(float(row[1]) >= 0 for row in rows[1:])
