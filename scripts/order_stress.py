@@ -23,7 +23,9 @@ cylinders cover a hull of 6.7 * 10^4 integers, and on two pairs with
 |S| < |N|, whose cylinders and residue filter leave little of their hulls:
 |N| = 100 with a hull of 10^6 integers and |N| = 8, |S| = 4 with one of
 10^5, and the same |N| = 8 pair with S's nonzero elements clustered 4
-apart in a hull of 10^8 integers, whose cylinders overlap) and the many-prime
+apart in a hull of 10^8 integers, whose cylinders overlap, |N| = 4 with
+|S| = 2 over a hull of 6.7 * 10^6 integers, and Laba-Wang's window of
+|S| = 32 at |N| = 64, lifted to a hull of 10^6 integers) and the many-prime
 orders: a batch and single questions with hundreds of digits at a
 primorial, and a pair of digits at the product of the first 20 primes.
 The last two cases record the cost of questions past lcm(1..|D|), one
@@ -82,6 +84,14 @@ def wide_digits(count: int, seed: int) -> list[int]:
     reaches every divisor of the 12-prime primorial (phi of it is about
     1.1 * 10^12)."""
     return [0, *random.Random(seed).sample(range(1, 4 * 10**12), count - 1)]
+
+
+def laba_wang_lift(size: int, scale: int, reach: int, seed: int) -> str:
+    """Laba-Wang's window (|N|/|S|) * {0, ..., |S| - 1}, compatible with
+    D = {0, ..., |S| - 1}, with each nonzero element moved by a seeded
+    multiple of |N| up to `reach`, over a hull of about 2 * reach integers."""
+    rng, m = random.Random(seed), abs(scale)
+    return ",".join(["0", *(str(s + m * rng.randint(-reach, reach)) for s in range(m // size, m, m // size))])
 
 
 def cli(*argv: str):
@@ -189,6 +199,11 @@ CASES = {
     ),
     "decide-clustered-8-1e8": lambda: cli(
         "spectrum", "decide", "--n", "8", "--digits", "0,1,4,5", "--s", "0,700000001,700000004,700000005"
+    ),
+    "decide-hull-4-2e7": lambda: cli("spectrum", "decide", "--n", "4", "--digits", "0,1", "--s", "0,20000002"),
+    "decide-laba-wang-64-1e6": lambda: cli(
+        "spectrum", "decide", "--n", "64", "--digits", ",".join(map(str, range(32))),
+        "--s", laba_wang_lift(32, 64, 5 * 10**5, 64),
     ),
     "compat-primorial-20": lambda: cli(
         "compat", "check", "--n", str(PRIMORIAL_20), "--digits", f"0,{PRIMORIAL_20 // 2}", "--s", "0,1"

@@ -7,16 +7,17 @@ cycle of nonzero integers.  Let K be the attractor of the maps
 x -> (x+s)/N.  The successor map sends the finite set of K's integers onto
 itself (eta in K is (y + s)/N with y = N*eta - s in K), so K's nonzero
 integers are exactly the points of these cycles.  `_cycle_points` finds K's
-integers, 0 included, in one walk over the integers of K's level-L cylinders
-(H + lam)/N^L, H the exact rational hull of K (`attractor_bounds`) and
-lam = s_0 + s_1 N + ... + s_{L-1} N^(L-1), refined breadth-first while that
-lowers the cost of the cylinders and their integers together: a constant
-times |H|^(log|S|/log|N|) integers instead of all of H's, each scanned once,
-since overlapping cylinders are joined first.  When |S| < |N| it keeps only
-those whose residue mod |N|^k admits k steps, k <= 3, a share (|S|/|N|)^k of
-them.  The verdict is spectral when 0 is K's only integer, and both outcomes
-carry machine-checkable evidence.  A spectral verdict reports the integer
-range of H (dilated by the regression hook `range_factor`) as `searched`: no
+integers, 0 included, in one walk over the survivors of a search that meets
+in the middle.  From above it takes K's level-L cylinders (H + lam)/N^L, H
+the exact rational hull of K (`attractor_bounds`) and lam = s_0 + s_1 N +
+... + s_{L-1} N^(L-1), overlapping ones joined so that each integer counts
+once; from below it keeps those whose residue mod |N|^k admits k steps, a
+share of about (|S|/|N|)^k, stepping from one such residue to the next.
+L + k is at most two more than the level that the budget reads, where a
+further split stops shrinking the cylinders' integers.  The verdict is
+spectral when 0 is K's only integer, and both outcomes carry
+machine-checkable evidence.  A spectral verdict reports the integer range
+of H (dilated by the regression hook `range_factor`) as `searched`: no
 integer in it lies on a nonzero cycle or leads into one.  A negative verdict
 carries the witness cycle through K's smallest nonzero integer in
 (|eta|, eta) order, starting there.
@@ -25,6 +26,7 @@ carries the witness cycle through K's smallest nonzero integer in
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 
 from .compat import CompatibilityCertificate, _window_candidates, is_compatible
@@ -159,13 +161,6 @@ def decide_spectrum(
     return SpectrumVerdict(False, tuple(witness), (lo, hi), bounds)
 
 
-# Measured on the cycles workload, overlapping cylinders joined: a cylinder
-# costs the search as much as 4 integers (2, 3, 6 and 8 read within 7 % of it,
-# none faster in 9 of 10 alternated pairs), and a residue table pays for
-# itself while it holds at most an eighth as many residues as the integers.
-_CYLINDER_COST, _TABLE_SHARE = 4, 8
-
-
 def _cycle_points(system: ScaleDigitSystem, candidate: SpectrumCandidate, bounds: RationalInterval) -> list[int]:
     """K's integers, sorted, 0 among them: the points of the successor map's cycles.
     `bounds` is K's hull; the pair meets `decide_spectrum`'s preconditions."""
@@ -174,41 +169,51 @@ def _cycle_points(system: ScaleDigitSystem, candidate: SpectrumCandidate, bounds
     # A cycle point is the image of another cycle point, which lies in the
     # hull H = [low, low + span]/den, under L of the maps, so it lies in a
     # cylinder (H + lam)/N^L = sign * [u, u + span]/q with u = low + lam*den
-    # and q = den*|N|^L.  With w = span/q and c = _CYLINDER_COST, splitting a
-    # cylinder into the |S| of the next level, w/|N| wide, pays while
-    # |S|*(c + 1 + w/|N|) < c + 1 + w.  That cost falls, then rises with L,
-    # so the split stops at its minimum, at or before the level where c = 0
-    # stops.  The budget sees that level's |S|^L cylinders of floor(w) + 1
-    # integers, shared ones once per cylinder; fewer than c + 2 times as many
-    # are scanned here, each once: `_merged_ranges` joins overlapping cylinders.
+    # and q = den*|N|^L.  Splitting a cylinder w = span/q wide into the |S|
+    # of the next level shrinks its integers while |S|*(|N| + w) < |N|*(1 + w);
+    # that holds up to a level `depth`, whose |S|^depth cylinders of
+    # floor(w) + 1 integers the budget sees, shared ones once per cylinder.
     den = math.lcm(bounds.lo.denominator, bounds.hi.denominator)
     low = bounds.lo.numerator * (den // bounds.lo.denominator)
     span = bounds.hi.numerator * (den // bounds.hi.denominator) - low
-    size, c = candidate.size, _CYLINDER_COST
-    levels, q = 0, den
-    while size * ((c + 1) * q * m + span) < ((c + 1) * q + span) * m:
-        levels, q = levels + 1, q * m
-    depth, p = levels, q
-    while span * (m - size) > p * m * (size - 1):
-        depth, p = depth + 1, p * m
-    _check_slice_budget(size, depth, span // p + 1)
+    size, depth, q = candidate.size, 0, den
+    while span * (m - size) > q * m * (size - 1):
+        depth, q = depth + 1, q * m
+    _check_slice_budget(size, depth, span // q + 1)
+
+    # The search meets in the middle: of depth + 2 steps in all, L come from
+    # above as cylinder levels and k = L or L + 1 from below as residues mod
+    # |N|^k; none when depth = 0, as when |S| = |N|.  A level of cylinders
+    # narrower than 4 integers costs more to build, sort and join than it
+    # drops, so L stops above it and the step goes to k.  Timed (L, k) on 160
+    # cycles items: this split ran within 9 % of the best pair per item, and
+    # _cycle_points x1.26-1.33 the former cost-model split over 920 items.
+    levels = (depth + 2) // 2 if depth else 0
+    while levels and span < 4 * den * m**levels:
+        levels -= 1
     numerators, power = [low], 1
     for _ in range(levels):
         shifts = [s * den * power for s in elems]
         numerators = [u + t for u in numerators for t in shifts]
         power *= scale
+    q = den * abs(power)
     if power < 0:  # -[u, u + span] = [-u - span, -u]
         numerators = [-u - span for u in numerators]
+    numerators.sort()
+    ranges = list(_merged_ranges(numerators, span, q))  # overlapping cylinders joined: each integer once
 
     # A cycle point takes any number of steps, so its residue mod |N|^k is
     # one of (N*t - s) mod |N|^k, s in S and t such a residue mod |N|^(k-1):
-    # |S|^k of |N|^k, fewer when |S| < |N|; k <= 3.  0 goes: the maps fix it.
-    table, mod = {0}, 1
-    while size < m and mod < m**3 and _TABLE_SHARE * size * len(table) <= len(numerators) * (span // q + 1):
+    # |S|^k of |N|^k.  0 goes: the maps fix it.  A table step pays while its
+    # entries stay fewer than the survivors it leaves, about while |N|^k
+    # stays within the integers it filters; twice them read fastest, and
+    # without that stop lifts with |S| = 16 and 32 ran up to 16 times slower.
+    # The survivors are read off the sorted table, one residue to the next.
+    table, mod, top = {0}, 1, m ** (depth + 2 - levels) if depth else 1
+    integers = sum(map(len, ranges))
+    while mod < top and mod * m <= 2 * integers:
         table, mod = {(scale * t - s) % (mod * m) for t in table for s in elems}, mod * m
-    numerators.sort()
-    ranges = _merged_ranges(numerators, span, q)
-    survivors = {y for r in ranges for y in r if y % mod in table} if mod > 1 else {y for r in ranges for y in r}
+    survivors = set(_admitted(ranges, sorted(table), mod)) if mod > 1 else {y for r in ranges for y in r}
     survivors.discard(0)
 
     # One pass walks the successor map over the survivors and removes each
@@ -238,6 +243,21 @@ def _merged_ranges(numerators: list[int], span: int, q: int):
             first = u
         last = u
     yield range(-(-first // q), (last + span) // q + 1)
+
+
+def _admitted(ranges, residues: list[int], mod: int):
+    """The integers of the disjoint `ranges` whose residue mod `mod` is in the sorted
+    `residues`, each once: bisect to a range's first, then step residue to residue."""
+    count = len(residues)
+    for r in ranges:
+        base, i = r.start - r.start % mod, bisect_left(residues, r.start % mod)
+        while True:
+            if i == count:
+                base, i = base + mod, 0
+            if (y := base + residues[i]) >= r.stop:
+                break
+            yield y
+            i += 1
 
 
 def verify_witness(system: ScaleDigitSystem, candidate: SpectrumCandidate, witness) -> bool:

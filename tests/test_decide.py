@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -460,6 +461,89 @@ def test_the_budget_counts_overlapping_cylinders_in_full():
     assert str(excinfo.value) == message
 
 
+def cost_model_budget_level(scale, size, bounds):
+    """The level and integers per cylinder that the budget read before the
+    search met in the middle: first the level where a cylinder worth 4
+    integers stopped paying, then on from there while a split still shrank
+    the integers."""
+    m, cost = abs(scale), 4
+    den = math.lcm(bounds.lo.denominator, bounds.hi.denominator)
+    low = bounds.lo.numerator * (den // bounds.lo.denominator)
+    span = bounds.hi.numerator * (den // bounds.hi.denominator) - low
+    level, q = 0, den
+    while size * ((cost + 1) * q * m + span) < ((cost + 1) * q + span) * m:
+        level, q = level + 1, q * m
+    while span * (m - size) > q * m * (size - 1):
+        level, q = level + 1, q * m
+    return level, span // q + 1
+
+
+class BudgetRead(Exception):
+    """Raised by a budget spy to stop the search once it has read the budget."""
+
+
+def test_the_budget_is_read_at_the_level_the_cost_model_read_it(monkeypatch):
+    # the budget's level is now found from level 0 alone; it is the level
+    # the former two loops reached, so no refusal point moves
+    def budget(size, depth, grid=1):
+        raise BudgetRead(size, depth, grid)
+
+    monkeypatch.setattr(decide_module, "_check_slice_budget", budget)
+    rng = random.Random(42)
+    scales = [n for k in range(3, 10) for n in (k, -k)] + [10, 12, -12]
+    pairs = [p for scale in scales for p in lifted_window_pairs(scale, 7, (2, 3, 4), (-2, 0, 3))]
+    pairs += [p for scale in scales for p in lifted_window_pairs(scale, 7, (2, 3, 4), (-60, 60), common=True)]
+    pairs += [(ScaleDigitSystem(scale, (0, 1, 2, 3)), SpectrumCandidate(elements)) for scale, elements in TILE_PAIRS]
+    pairs += [(ScaleDigitSystem(scale, digits), SpectrumCandidate(elements)) for scale, digits, elements in WIDE_RATIO_PAIRS]
+    pairs += [
+        (ScaleDigitSystem(scale, (0, 1)), SpectrumCandidate((0, 2 * p + 2))) for scale in (4, -4) for p in (10**7, 5**20)
+    ]
+    pairs += [(ScaleDigitSystem(8, (0, 1, 4, 5)), SpectrumCandidate((0, 70000000001, 70000000004, 70000000005)))]
+    pairs += list(laba_wang_lifts(rng, (10**3, 10**6, 10**12)))
+    large = 0
+    for system, candidate in pairs:
+        bounds = attractor_bounds(system.scale, candidate.elements)
+        with pytest.raises(BudgetRead) as read:
+            decide_module._cycle_points(system, candidate, bounds)
+        level, grid = cost_model_budget_level(system.scale, candidate.size, bounds)
+        assert read.value.args == (candidate.size, level, grid), (system, candidate)
+        large += bounds.hi - bounds.lo > 10**4
+    assert len(pairs) > 11_000 and large > 30
+
+
+def laba_wang_lifts(rng, reaches):
+    """|S| = 16 of N = +-32 and |S| = 32 of N = +-64 with D = {0, ..., |S| - 1}:
+    Laba-Wang's window S = (|N|/|S|)*{0, ..., |S| - 1}, compatible, with each
+    nonzero element moved by a seeded multiple of |N| up to each reach, so
+    that the hull holds up to about twice the reach in integers."""
+    for scale, size in ((-32, 16), (32, 16), (64, 32), (-64, 32)):
+        m, system = abs(scale), ScaleDigitSystem(scale, tuple(range(size)))
+        for reach in reaches:
+            for _ in range(3):
+                elements = {0, *(s + m * rng.randint(-reach, reach) for s in range(m // size, m, m // size))}
+                if len(elements) == size:
+                    yield system, SpectrumCandidate(tuple(elements))
+
+
+def test_laba_wang_lifts_match_reference(monkeypatch):
+    # |S| = |N|/2 with |S| = 16 and 32: the table of the full split would
+    # hold up to |S|^k residues, more than the integers it filters at small
+    # hulls, so the search stops it early there; the verdicts match the
+    # reference either way
+    work = spy_on_the_search(monkeypatch)
+    trimmed = full = spectral = 0
+    for system, candidate in laba_wang_lifts(random.Random(7), (15, 100, 3000)):
+        work.clear()
+        verdict = decide_spectrum(system, candidate)
+        assert verdict == reference_decide(system, candidate), (system, candidate)
+        depth = work["depth"]
+        steps = depth + 2 - (depth + 2) // 2 if depth else 0
+        trimmed += work["mod"] < system.modulus**steps
+        full += 1 < work["mod"] == system.modulus**steps
+        spectral += verdict.spectral
+    assert trimmed > 10 and full > 3 and 10 < spectral < 30
+
+
 def test_large_hull_fixed_point_witness():
     # 4j + 2 -> (4j + 2 + 12j + 6)/4 = 4j + 2, the only integer whose walk
     # never dies, at the top of a hull of 4j + 3 integers
@@ -508,29 +592,84 @@ WIDE_RATIO_PAIRS = [  # |S| far below |N|: the cylinders of each level leave mos
 ]
 
 
-def test_cycle_points_are_the_attractor_integers(monkeypatch):
-    # all of K's integers, 0 included, not only the smallest nonzero one;
-    # and the integers enumerated (counted by a spy on the module's `range`,
-    # which also reads the level loop's count L) are the distinct integers
-    # of the level-L cylinders, each once however much the cylinders
-    # overlap, and below c + 2 times the estimate that the budget check
-    # sees, c the cost of a cylinder
-    work = {}
+def takes_steps(scale, candidate, eta, k):
+    """Whether eta takes k successive steps of the successor map (0 steps to 0)."""
+    for _ in range(k):
+        step = successor(scale, candidate, eta) if eta else (0, 0)
+        if step is None:
+            return False
+        eta = step[0]
+    return True
 
-    def counted_range(*args):
-        r = range(*args)
-        if len(args) == 1:
-            work["levels"] = args[0]
-        else:
-            work["integers"] += len(r)
-        return r
+
+def residues_taking_steps(scale, candidate, k):
+    """The residues mod |N|^k of the integers that take k steps, found
+    breadth-first from the successor map alone: a residue mod |N|^j that
+    takes j steps lifts one mod |N|^(j-1) that takes j - 1."""
+    m, found = abs(scale), {0}
+    for j in range(1, k + 1):
+        found = {y for t in found for y in range(t, m**j, m ** (j - 1)) if takes_steps(scale, candidate, y, j)}
+    return found
+
+
+def cylinder_integers(scale, candidate, bounds, levels):
+    """The integers of the level-`levels` cylinders (H + lam)/N^levels, each
+    once, and the count of integer slots, one per cylinder holding it."""
+    slots, covered = 0, set()
+    for lam in compat_module.lambda_enumerate(scale, candidate, levels) if levels else (0,):
+        ends = sorted(((bounds.lo + lam) / scale**levels, (bounds.hi + lam) / scale**levels))
+        slots += math.floor(ends[1]) - math.ceil(ends[0]) + 1
+        covered.update(range(math.ceil(ends[0]), math.floor(ends[1]) + 1))
+    return covered, slots
+
+
+def spy_on_the_search(monkeypatch):
+    """Record what `_cycle_points` hands its helpers: the budget's arguments,
+    the sorted cylinder numerators with span and q, the joined ranges, and
+    the residue table, its modulus and every survivor `_admitted` yields."""
+    work = {}
+    merged_ranges, admitted = decide_module._merged_ranges, decide_module._admitted
 
     def budget(size, depth, grid=1):
-        work["estimate"] = size**depth * grid
+        work.update(size=size, depth=depth, estimate=size**depth * grid)
         systems_module._check_slice_budget(size, depth, grid)
 
-    monkeypatch.setattr(decide_module, "range", counted_range, raising=False)
+    def merged(numerators, span, q):
+        work.update(cylinders=len(numerators), q=q, ranges=list(merged_ranges(numerators, span, q)), mod=1)
+        work["survivors"] = [y for r in work["ranges"] for y in r]  # the k = 0 path takes them all
+        return iter(work["ranges"])
+
+    def admitting(ranges, residues, mod):
+        work.update(residues=list(residues), mod=mod, survivors=list(admitted(ranges, residues, mod)))
+        return iter(work["survivors"])
+
     monkeypatch.setattr(decide_module, "_check_slice_budget", budget)
+    monkeypatch.setattr(decide_module, "_merged_ranges", merged)
+    monkeypatch.setattr(decide_module, "_admitted", admitting)
+    return work
+
+
+def split_of(work, system, bounds):
+    """The (L, k) the search took: q = den * |N|^L and the table's modulus |N|^k."""
+    m, den = system.modulus, math.lcm(bounds.lo.denominator, bounds.hi.denominator)
+    levels = steps = 0
+    while den * m**levels < work["q"]:
+        levels += 1
+    while m**steps < work["mod"]:
+        steps += 1
+    assert (den * m**levels, m**steps) == (work["q"], work["mod"])
+    return levels, steps
+
+
+def test_cycle_points_are_the_attractor_integers(monkeypatch):
+    # all of K's integers, 0 included, not only the smallest nonzero one; and
+    # the survivors, read by spies on the search's helpers, are exactly the
+    # nonzero integers of the level-L cylinders whose residue mod |N|^k lies
+    # in the table of an independent k-step search, each yielded once; the
+    # cylinders, the residues and the survivors together stay within 3 times
+    # the estimate that the budget check sees (2.5 times at most here, on
+    # estimates of 2; within 1.02 times on estimates of 20 and more)
+    work = spy_on_the_search(monkeypatch)
     pairs = [(ScaleDigitSystem(scale, (0, 1, 2, 3)), SpectrumCandidate(elements)) for scale, elements in TILE_PAIRS]
     pairs += [(ScaleDigitSystem(scale, digits), SpectrumCandidate(elements)) for scale, digits, elements in WIDE_RATIO_PAIRS]
     scales = [n for k in range(3, 10) for n in (k, -k)] + [10, 12, -12]
@@ -539,24 +678,35 @@ def test_cycle_points_are_the_attractor_integers(monkeypatch):
     # S's nonzero elements far closer together than the hull is wide: the
     # cylinders of a level overlap, most of them several deep
     clustered = [p for scale in scales for p in lifted_window_pairs(scale, 7, (2, 3, 4), (-60, 60), common=True)]
-    cycling = overlapping = 0
+    cycling = overlapping = filtered = 0
+    tables = {}
     for system, candidate in pairs + clustered:
-        work["integers"] = 0
+        work.clear()
         scale = system.scale
         bounds = attractor_bounds(scale, candidate.elements)
         points = decide_module._cycle_points(system, candidate, bounds)
         assert points == sorted(attractor_integers(scale, candidate.elements)), (system, candidate)
-        slots, covered = 0, set()
-        levels = work["levels"]
-        for lam in compat_module.lambda_enumerate(scale, candidate, levels) if levels else (0,):
-            ends = sorted(((bounds.lo + lam) / scale**levels, (bounds.hi + lam) / scale**levels))
-            slots += math.floor(ends[1]) - math.ceil(ends[0]) + 1
-            covered.update(range(math.ceil(ends[0]), math.floor(ends[1]) + 1))
-        assert work["integers"] == len(covered), (system, candidate, work)
-        assert work["integers"] < (decide_module._CYLINDER_COST + 2) * work["estimate"], (system, candidate, work)
+        levels, steps = split_of(work, system, bounds)
+        key = (scale, candidate.elements, steps)
+        if key not in tables:
+            tables[key] = residues_taking_steps(scale, candidate, steps)
+        table = tables[key]
+        if steps:
+            assert work["residues"] == sorted(table), (system, candidate)
+        ranges = work["ranges"]
+        assert all(a.stop <= b.start for a, b in zip(ranges, ranges[1:])), (system, candidate, ranges)
+        covered, slots = cylinder_integers(scale, candidate, bounds, levels)
+        assert {y for r in ranges for y in r} == covered, (system, candidate)
+        survivors = work["survivors"]
+        assert len(survivors) == len(set(survivors)), (system, candidate)
+        assert set(survivors) - {0} == {y for y in covered if y and y % work["mod"] in table}, (system, candidate)
+        cost = work["cylinders"] + (len(table) if steps else 0) + len(survivors)
+        assert cost <= 3 * work["estimate"], (system, candidate, work)
         cycling += points != [0]
         overlapping += slots > len(covered)
+        filtered += steps > 0
     assert len(pairs) > 10_000 and cycling > 3_000 and len(clustered) > 900 and overlapping > len(clustered) / 2
+    assert filtered > 800
 
 
 @pytest.mark.parametrize("scale", [4, -4])
@@ -580,32 +730,27 @@ def test_the_cycle_search_holds_only_its_survivors(scale):
 
 
 @pytest.mark.parametrize("scale", [4, -4])
-def test_the_cycle_search_keeps_only_integers_that_take_three_steps(scale):
-    # |S| < |N|: test_large_hull_spectral's pair.  The search stops at the
-    # 2^10 cylinders (H + lam)/N^10, which hold 6.5 * 10^3 integers, and
-    # keeps the eighth of them whose residue mod 4^3 takes three steps; it
-    # holds those and the cylinders' numerators, nothing the size of the rest
+def test_the_cycle_search_keeps_only_integers_that_take_seven_steps(scale, monkeypatch):
+    # |S| < |N|: test_large_hull_spectral's pair, whose budget level is 11.
+    # The search takes 13 steps: the 2^6 cylinders (H + lam)/N^6, which hold
+    # 10^5 integers, and a table mod 4^7 that keeps the 2^-7 of them whose
+    # residue takes seven steps; it holds those, the table and the cylinders'
+    # numerators and ranges, nothing the size of the rest
     system = ScaleDigitSystem(scale, (0, 1))
     candidate = SpectrumCandidate((0, 2 * 10**7 + 2))
     bounds = attractor_bounds(scale, candidate.elements)
-    covered = set()
-    for lam in compat_module.lambda_enumerate(scale, candidate, 10):
-        ends = sorted(((bounds.lo + lam) / scale**10, (bounds.hi + lam) / scale**10))
-        covered.update(range(math.ceil(ends[0]), math.floor(ends[1]) + 1))
-
-    def takes_three_steps(eta):
-        for _ in range(3):
-            step = successor(scale, candidate, eta) if eta else (0, 0)
-            if step is None:
-                return False
-            eta = step[0]
-        return True
-
-    kept = sum(1 for eta in covered if eta and takes_three_steps(eta))
-    assert len(covered) > 6_000 and kept < len(covered) / 7
+    covered, _ = cylinder_integers(scale, candidate, bounds, 6)
+    table = residues_taking_steps(scale, candidate, 7)
+    kept = sum(1 for eta in covered if eta and eta % 4**7 in table)
+    assert len(table) == 2**7 and len(covered) > 10**5 and kept < len(covered) / 100
+    work = spy_on_the_search(monkeypatch)
     assert decide_spectrum(system, candidate).spectral  # the system's memos are built outside the trace
+    assert split_of(work, system, bounds) == (6, 7) and work["depth"] == 11 and len(set(work["survivors"]) - {0}) == kept
+    monkeypatch.undo()
     peaks = []
-    for build in (lambda: ({y for y in range(10**6, 10**6 + kept)}, [10**13 + i for i in range(2**10)]),
+    cylinders = [10**13 + i for i in range(2**6)]
+    for build in (lambda: ({y for y in range(10**6, 10**6 + kept)}, {y + 10**6 for y in table},
+                           cylinders[:], [range(u, u + 10**6) for u in cylinders]),
                   lambda: decide_spectrum(system, candidate)):
         tracemalloc.start()
         try:

@@ -63,7 +63,7 @@ def test_order_stress_times_the_cases_it_is_given():
         "order_stress.py", "compat-primorial-20", "order-test-2000-at-4000", "construct-shared-prime-1e14",
         "report-2e8", "search-dense-2e8", "check-13-at-768", "construct-complement-2^22", "decide-tile-6e4",
         "search-dense-1e5", "complement-1000-at-1e7", "decide-wide-100", "decide-lifted-8-1e5",
-        "decide-clustered-8-1e8", "t1-sweep-2^2000",
+        "decide-clustered-8-1e8", "decide-hull-4-2e7", "decide-laba-wang-64-1e6", "t1-sweep-2^2000",
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     rows = [row.split(",") for row in proc.stdout.splitlines()]
@@ -82,6 +82,8 @@ def test_order_stress_times_the_cases_it_is_given():
         ("decide-wide-100", "0:fd7a9d7cfcb1"),  # |S| = 2 of |N| = 100, a hull of 10^6 integers: spectral
         ("decide-lifted-8-1e5", "0:aa011ba1739f"),  # |S| = 4 of |N| = 8, a hull of 10^5 integers: spectral
         ("decide-clustered-8-1e8", "0:47afd025ed2c"),  # the same with S clustered, a hull of 10^8: spectral
+        ("decide-hull-4-2e7", "0:9d7492423815"),  # |S| = 2 of |N| = 4, a hull of 6.7 * 10^6 integers: spectral
+        ("decide-laba-wang-64-1e6", "0:bf9107ec693a"),  # |S| = 32 of |N| = 64, a hull of 10^6 integers: spectral
         ("t1-sweep-2^2000", "memo keeps 1"),  # (T1) asks only the order 2, the reach of every 2^k
     ]
     assert all(float(row[1]) >= 0 for row in rows[1:])
