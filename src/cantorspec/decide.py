@@ -188,7 +188,8 @@ def _cycle_points(system: ScaleDigitSystem, candidate: SpectrumCandidate, bounds
     # drops, so L stops above it and the step goes to k.  Timed (L, k) on 160
     # cycles items: this split ran within 9 % of the best pair per item, and
     # _cycle_points x1.26-1.33 the former cost-model split over 920 items.
-    levels = (depth + 2) // 2 if depth else 0
+    steps = depth + 2 if depth else 0
+    levels = steps // 2
     while levels and span < 4 * den * m**levels:
         levels -= 1
     numerators, power = [low], 1
@@ -204,14 +205,13 @@ def _cycle_points(system: ScaleDigitSystem, candidate: SpectrumCandidate, bounds
 
     # A cycle point takes any number of steps, so its residue mod |N|^k is
     # one of (N*t - s) mod |N|^k, s in S and t such a residue mod |N|^(k-1):
-    # |S|^k of |N|^k.  0 goes: the maps fix it.  A table step pays while its
-    # entries stay fewer than the survivors it leaves, about while |N|^k
-    # stays within the integers it filters; twice them read fastest, and
-    # without that stop lifts with |S| = 16 and 32 ran up to 16 times slower.
-    # The survivors are read off the sorted table, one residue to the next.
-    table, mod, top = {0}, 1, m ** (depth + 2 - levels) if depth else 1
-    integers = sum(map(len, ranges))
-    while mod < top and mod * m <= 2 * integers:
+    # |S|^k of |N|^k.  0 goes: the maps fix it.  Step k + 1 builds |S|^(k+1)
+    # entries to thin the I*(|S|/|N|)^k survivors of step k, I the integers it
+    # filters: it pays about while |S|*|N|^k <= I.  Without that stop lifts
+    # with |S| = 16 and 32 ran up to 16 times slower.  `_admitted` reads the survivors.
+    table, mod, top = {0}, 1, m ** (steps - levels)
+    integers = sum(r.stop - r.start for r in ranges) if top > 1 else 0  # not len(): past sys.maxsize
+    while mod < top and size * mod <= integers:
         table, mod = {(scale * t - s) % (mod * m) for t in table for s in elems}, mod * m
     survivors = set(_admitted(ranges, sorted(table), mod)) if mod > 1 else {y for r in ranges for y in r}
     survivors.discard(0)

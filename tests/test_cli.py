@@ -36,6 +36,15 @@ def test_spectrum_decide_spectral(capsys):
     assert payload["searched_integers"] == [0, 0]
 
 
+def test_spectrum_decide_deep_large_scale(capsys):
+    # budget level 19 at N = 1000: the search's cylinders hold about
+    # 1.5 * 10^24 integers each, more than len() counts
+    s = str(15 * 10**56 + 500)
+    payload = run_json(capsys, "spectrum", "decide", "--n", "1000", "--digits", "0,1", "--s", f"0,{s}")
+    assert payload["verdict"] == "spectral"
+    assert payload["searched_integers"] == [0, int(s) // 999]
+
+
 def test_witness_round_trip(capsys):
     payload = run_json(capsys, "spectrum", "decide", "--n", "4", "--digits", "0,1", "--s", "0,6")
     witness = json.dumps(payload["witness"])

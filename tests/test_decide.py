@@ -636,7 +636,6 @@ def spy_on_the_search(monkeypatch):
 
     def merged(numerators, span, q):
         work.update(cylinders=len(numerators), q=q, ranges=list(merged_ranges(numerators, span, q)), mod=1)
-        work["survivors"] = [y for r in work["ranges"] for y in r]  # the k = 0 path takes them all
         return iter(work["ranges"])
 
     def admitting(ranges, residues, mod):
@@ -647,6 +646,11 @@ def spy_on_the_search(monkeypatch):
     monkeypatch.setattr(decide_module, "_merged_ranges", merged)
     monkeypatch.setattr(decide_module, "_admitted", admitting)
     return work
+
+
+def survivors_of(work):
+    """Every survivor `_admitted` yielded, or all the ranges' integers on the k = 0 path."""
+    return work["survivors"] if work["mod"] > 1 else [y for r in work["ranges"] for y in r]
 
 
 def split_of(work, system, bounds):
@@ -697,7 +701,7 @@ def test_cycle_points_are_the_attractor_integers(monkeypatch):
         assert all(a.stop <= b.start for a, b in zip(ranges, ranges[1:])), (system, candidate, ranges)
         covered, slots = cylinder_integers(scale, candidate, bounds, levels)
         assert {y for r in ranges for y in r} == covered, (system, candidate)
-        survivors = work["survivors"]
+        survivors = survivors_of(work)
         assert len(survivors) == len(set(survivors)), (system, candidate)
         assert set(survivors) - {0} == {y for y in covered if y and y % work["mod"] in table}, (system, candidate)
         cost = work["cylinders"] + (len(table) if steps else 0) + len(survivors)
@@ -707,6 +711,51 @@ def test_cycle_points_are_the_attractor_integers(monkeypatch):
         filtered += steps > 0
     assert len(pairs) > 10_000 and cycling > 3_000 and len(clustered) > 900 and overlapping > len(clustered) / 2
     assert filtered > 800
+
+
+FIXED_POINT_128 = 64 + 128 * 3**64  # eta = (eta + 127 eta)/128
+FIXED_POINT_M1000 = 500 + 1000 * 7**52  # eta = (eta - 1001 eta)/(-1000)
+DEEP_PAIRS = [  # |N| >= 128 at budget levels 8-19: level-L cylinders up to 1.5 * 10^24 integers wide
+    (1000, (0, 1), (0, 15 * 10**56 + 500)),
+    (128, (0, 1), (0, 127 * FIXED_POINT_128)),
+    (-1000, (0, 1), (-1001 * FIXED_POINT_M1000, 0)),
+    (256, (0, 1), (0, 128 + 256 * 5**54)),
+    (-128, (0, 1), (0, 64 + 128 * 10**38)),
+    (-128, (0, 1, 2, 3), (0, 32 + 128 * 10**17, 64 - 128 * 10**16, 96 + 128 * 3 * 10**17)),
+    (1000, (0, 1, 2, 3), (0, 250 - 1000 * 10**25, 500 + 1000 * 10**26, 750 + 1000 * 7 * 10**25)),
+    (1000, (0, 1), (0, 500 + 1000 * 10**25)),  # a table mod 1000^3 would leave 4 times the estimate
+    (-1000, (0, 1), (0, 500 - 1000 * 10**25)),
+]
+
+
+def test_deep_pairs_of_large_scales_stay_within_the_estimate(monkeypatch):
+    # the split takes about half of depth + 2 steps as cylinder levels, so a
+    # deep budget level leaves cylinders far wider than the level the budget
+    # reads: the search counts their integers without len(), filters them by
+    # residues of up to |N|^10, and its cylinders, residues and survivors
+    # stay within the estimate; each survivor takes k steps, and each
+    # witness is the known fixed point and checks out
+    work = spy_on_the_search(monkeypatch)
+    deep = wide = 0
+    for scale, digits, elements in DEEP_PAIRS:
+        work.clear()
+        system, candidate = ScaleDigitSystem(scale, digits), SpectrumCandidate(elements)
+        verdict = decide_spectrum(system, candidate)
+        if verdict.witness is not None:
+            assert verify_witness(system, candidate, verdict.witness), (system, candidate)
+        fixed = [eta for eta in (FIXED_POINT_128, FIXED_POINT_M1000) if eta * (scale - 1) in elements]
+        assert verdict.witness == (((fixed[0], fixed[0] * (scale - 1)),) if fixed else None), (system, candidate)
+        bounds = attractor_bounds(scale, elements)
+        levels, steps = split_of(work, system, bounds)
+        survivors = survivors_of(work)
+        assert steps > 0 and len(survivors) == len(set(survivors)), (system, candidate, levels, steps)
+        assert all(any(y in r for r in work["ranges"]) and takes_steps(scale, candidate, y, steps) for y in survivors)
+        assert len(work["residues"]) <= candidate.size**steps
+        cost = work["cylinders"] + len(work["residues"]) + len(survivors)
+        assert cost <= work["estimate"], (system, candidate, work["depth"], levels, steps, cost)
+        deep += work["depth"] >= 15
+        wide += max(r.stop - r.start for r in work["ranges"]) > 2**63  # past len()'s reach
+    assert deep == 5 and wide == 2
 
 
 @pytest.mark.parametrize("scale", [4, -4])
