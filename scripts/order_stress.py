@@ -11,9 +11,11 @@ by name.
 
 The cases are the recorded cliffs (wide digits at a large prime scale, a
 prime shared by the scale and a digit difference, which the construction
-and the pair power never ask about, a large prime in both orders that one
-check asks, 2,000 digits, the complement of {0, 13} at 192, 384 and 768,
-which a backtracking search took seconds to find or refused, a complement
+and the pair power never ask about, the power 1.6 * 10^7 of the point
+masses at N = 3, whose N^k of 2.5 * 10^7 bits is refused before it is
+formed, a large prime in both orders that one check asks, 2,000 digits,
+the complement of {0, 13} at 192, 384 and 768, which a backtracking
+search took seconds to find or refused, a complement
 of 2^21 elements refused before it is built, the complement of 1,000
 digits at L = 10^7, refused before its counting check walks L sums, the
 window search at |N| = 2 * 10^8, answered at g = 2 and refused at g = |N|,
@@ -61,6 +63,7 @@ import sys
 import time
 
 from cantorspec import (
+    BudgetExceededError,
     ScaleDigitSystem,
     SpectrumCandidate,
     cyclotomic,
@@ -68,6 +71,7 @@ from cantorspec import (
     is_compatible,
     is_complementing,
     order_vanishes,
+    pair_power,
     report_measure_spectrality,
 )
 from cantorspec.cli import main as cli_main
@@ -100,6 +104,16 @@ def cli(*argv: str):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = cli_main(list(argv))
     return f"{code}:{hashlib.sha1(out.getvalue().encode()).hexdigest()[:12]}"
+
+
+def single_point_power(scale: int, k: int) -> str:
+    """The power-k pair of the point masses D = S = {0} at N: the sizes of
+    D_k and S_k, or "refused" where N^k would pass the budget's bits."""
+    try:
+        digits_k, elements_k = pair_power(ScaleDigitSystem(scale, (0,)), SpectrumCandidate((0,)), k)
+    except BudgetExceededError:
+        return "refused"
+    return f"{len(digits_k)} and {len(elements_k)} points"
 
 
 def orders(found) -> str:
@@ -185,6 +199,7 @@ CASES = {
         "compat", "power", "--n", "200000000000062", "--digits", "0,100000000000031",
         "--s", "0,100000000000031", "--k", "1",
     ),
+    "power-single-point-3-1.6e7": lambda: single_point_power(3, 16 * 10**6),
     "report-2e8": lambda: cli("spectrum", "report", "--n", "200000000", "--digits", "0,1"),
     "search-dense-2e8": lambda: cli(
         "compat", "search", "--n", "200000000", "--digits", "0,1,100000000,100000001"

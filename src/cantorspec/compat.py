@@ -209,6 +209,25 @@ def reduce_s(scale: int, candidate: SpectrumCandidate) -> SpectrumCandidate:
     return SpectrumCandidate(tuple(r if r <= m - 2 else r - m for r in residues))
 
 
+def _slice(scale: int, elements: tuple[int, ...], depth: int) -> list[int]:
+    """sum_{j<depth} s_j * N^j, one entry per digit string (s_0, ..., s_{depth-1})
+    of `elements`, unchecked and unsorted: [0] at depth 0."""
+    if len(elements) == 1:  # the one point s * (1 + N + ... + N^(depth-1)); no power at s = 0
+        s = elements[0]
+        return [s and s * (scale**depth - 1) // (scale - 1)]
+    values = list(elements) if depth else [0]  # depth 1: S itself
+    for _ in range(depth - 1):  # Horner: the digit added last is s_0; N*v is formed once per v
+        values = [w + s for v in values for w in [scale * v] for s in elements]
+    return values
+
+
+def _check_power_bits(scale: int, depth: int) -> None:
+    """Refuse N^depth, which a slice's points and a pair power's scale reach,
+    past LAMBDA_BUDGET bits, before it is formed."""
+    if (bits := depth * math.log2(abs(scale))) > systems.LAMBDA_BUDGET:
+        raise BudgetExceededError(f"N^{depth} has about {bits:.0f} bits, over the budget {systems.LAMBDA_BUDGET} bits")
+
+
 def lambda_enumerate(
     scale: int,
     candidate: SpectrumCandidate,
@@ -219,19 +238,16 @@ def lambda_enumerate(
     Returns { sum_{j=0}^{depth-1} s_j * N^j : s_j in S }.  Slices use
     exactly `depth` digit positions including trailing zeros, so with
     0 in S they are nested as depth grows and exhaust the full spectrum
-    in the limit.
+    in the limit.  Past the budget of |S|^depth points, or of bits in
+    N^depth unless S = {0}, BudgetExceededError is raised before the slice
+    is built.
     """
-    if abs(systems._int_items((scale,), "scale must be an integer with |N| >= 2")[0]) < 2:
-        raise PreconditionError(f"scale must be an integer with |N| >= 2, got {scale!r}")
+    systems._check_scale(scale)
     systems._int_items((depth,), "depth must be a positive integer", least=1)
     _check_slice_budget(candidate.size, depth)
-    if candidate.size == 1:  # the one point s * (1 + N + ... + N^(depth-1)); no power at s = 0
-        s = candidate.elements[0]
-        return (s and s * (scale**depth - 1) // (scale - 1),)
-    values = {0}
-    for _ in range(depth):  # Horner: the digit added last is s_0
-        values = {s + scale * v for v in values for s in candidate.elements}
-    return tuple(sorted(values))
+    if candidate.elements != (0,):
+        _check_power_bits(scale, depth)
+    return tuple(sorted(set(_slice(scale, candidate.elements, depth))))
 
 
 def pair_power(
@@ -245,22 +261,19 @@ def pair_power(
     its budget, returned sorted; the powered pair is re-certified
     compatible against the scale N^k before returning.  That re-check
     tests every pair of S_k, so more than LAMBDA_BUDGET pairs raise
-    BudgetExceededError before either slice is built.
+    BudgetExceededError before either slice is built, and so does an N^k
+    of more than LAMBDA_BUDGET bits.
     """
     systems._int_items((k,), "power must be a positive integer", least=1)
     if is_compatible(system, candidate) is None:
         raise PreconditionError("pair powers are defined for compatible pairs only")
     size = system.size  # both slices have size^k points: compatible sets differ mod N
     _check_slice_budget(size, k)
-    pairs = math.comb(size**k, 2)
-    if pairs > systems.LAMBDA_BUDGET:
-        raise BudgetExceededError(
-            f"the re-check of the power-{k} pair tests C({size}^{k}, 2) = {pairs} pairs, "
-            f"over the budget {systems.LAMBDA_BUDGET}"
-        )
-    digits_k = lambda_enumerate(system.scale, SpectrumCandidate(system.digits), k)
-    elements_k = lambda_enumerate(system.scale, candidate, k)
-    powered = ScaleDigitSystem(system.scale**k, digits_k)
-    if is_compatible(powered, SpectrumCandidate(elements_k)) is None:
+    if (pairs := math.comb(size**k, 2)) > systems.LAMBDA_BUDGET:
+        raise BudgetExceededError(f"the re-check of the power-{k} pair tests C({size}^{k}, 2) = {pairs} pairs, "
+                                  f"over the budget {systems.LAMBDA_BUDGET}")
+    _check_power_bits(system.scale, k)
+    digits_k, elements_k = (tuple(sorted(_slice(system.scale, x, k))) for x in (system.digits, candidate.elements))
+    if is_compatible(ScaleDigitSystem(system.scale**k, digits_k), SpectrumCandidate(elements_k)) is None:
         raise ConsistencyError("powered pair failed its exact compatibility re-check")
     return digits_k, elements_k

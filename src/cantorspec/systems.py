@@ -133,6 +133,12 @@ def _int_items(values, rule: str, least: int | None = None) -> tuple:
     return items
 
 
+def _check_scale(scale) -> None:
+    """Refuse a scale that is not an integer (a bool is not) with |N| >= 2."""
+    if not isinstance(scale, int) or isinstance(scale, bool) or abs(scale) < 2:
+        raise PreconditionError(f"scale must be an integer with |N| >= 2, got {scale!r}")
+
+
 def _as_int_tuple(values, what: str) -> tuple[int, ...]:
     items = _int_items(values, f"{what} must consist of integers")
     if not items:

@@ -444,6 +444,7 @@ def test_digit_limit_exits_two_before_the_slice_is_built(capsys, monkeypatch, ar
         raise AssertionError("a slice was built past the digit estimate")
 
     monkeypatch.setattr(compat, "lambda_enumerate", refuse)
+    monkeypatch.setattr(compat, "_slice", refuse)  # the power builds its slices without lambda_enumerate
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""

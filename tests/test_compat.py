@@ -515,6 +515,55 @@ def test_pair_power_preconditions():
     assert pair_power(ScaleDigitSystem(4, (0,)), SpectrumCandidate((5,)), 60)[0] == (0,)
 
 
+def test_pair_power_checks_its_budget_once(monkeypatch):
+    # the power builds both slices itself after its own checks, so one call
+    # reads the slice budget once, not once more per slice, and its slices
+    # are those of lambda_enumerate
+    calls = []
+    check = compat._check_slice_budget
+
+    def counting(*args):
+        calls.append(args)
+        check(*args)
+
+    monkeypatch.setattr(compat, "_check_slice_budget", counting)
+    for scale, digits, candidate in CERTIFIED_PAIRS:
+        system, cand = ScaleDigitSystem(scale, digits), SpectrumCandidate(candidate)
+        for k in (1, 2, 3):
+            calls.clear()
+            digits_k, elements_k = pair_power(system, cand, k)
+            assert calls == [(len(digits), k)], (scale, digits, candidate, k)
+            assert digits_k == compat.lambda_enumerate(scale, SpectrumCandidate(digits), k)
+            assert elements_k == compat.lambda_enumerate(scale, cand, k)
+
+
+@pytest.mark.parametrize("scale", [3, -3])
+def test_single_point_powers_are_refused_past_the_bit_budget(scale):
+    # N^k for the point masses {0} was formed with no estimate: 5.5 s at
+    # N = 3, k = 1.6 * 10^7.  Past LAMBDA_BUDGET bits it is refused first,
+    # and so is a one-point slice with s != 0; the slice of {0} needs no power
+    k = 16 * 10**6
+    with pytest.raises(BudgetExceededError, match=r"N\^16000000 has about 25359400 bits, over the budget 1000000"):
+        pair_power(ScaleDigitSystem(scale, (0,)), SpectrumCandidate((0,)), k)
+    with pytest.raises(BudgetExceededError, match="25359400 bits"):
+        pair_power(ScaleDigitSystem(scale, (1,)), SpectrumCandidate((5,)), k)
+    with pytest.raises(BudgetExceededError, match="25359400 bits"):
+        compat.lambda_enumerate(scale, SpectrumCandidate((5,)), k)
+    assert compat.lambda_enumerate(scale, SpectrumCandidate((0,)), k) == (0,)
+
+
+def test_the_bit_budget_admits_powers_up_to_it(monkeypatch):
+    # 2^100 has 101 bits: the estimate k * log2|N| = 100 stays within a
+    # budget of 100 and 101 does not
+    monkeypatch.setattr(compat.systems, "LAMBDA_BUDGET", 100)
+    assert compat.lambda_enumerate(2, SpectrumCandidate((1,)), 100) == (2**100 - 1,)
+    assert pair_power(ScaleDigitSystem(-2, (0,)), SpectrumCandidate((3,)), 100) == ((0,), (-(2**100 - 1),))
+    with pytest.raises(BudgetExceededError, match=r"N\^101 has about 101 bits"):
+        compat.lambda_enumerate(2, SpectrumCandidate((1,)), 101)
+    with pytest.raises(BudgetExceededError, match=r"N\^101 has about 101 bits"):
+        pair_power(ScaleDigitSystem(-2, (0,)), SpectrumCandidate((3,)), 101)
+
+
 @given(
     shift_d=st.integers(-3, 3),
     shift_s=st.integers(-7, 7),

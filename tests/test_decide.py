@@ -713,6 +713,26 @@ def test_cycle_points_are_the_attractor_integers(monkeypatch):
     assert filtered > 800
 
 
+def test_the_residues_taking_k_steps_are_minus_the_slice():
+    # the search's residue table reads -Lambda_k mod |N|^k: an integer that
+    # takes k steps is N^k * eta' - lam with lam in Lambda_k.  Checked against
+    # the breadth-first search of the successor map up to k = 6, deeper than
+    # the tables the cycle-search tests reach, on seeded lifted window pairs
+    # (|N| = 5 and 7 have no window of 2-4 elements)
+    rng = random.Random(43)
+    checked = 0
+    for scale in [n for k in (3, 4, 6, 8, 9) for n in (k, -k)]:
+        for size in (2, 3, 4):
+            pairs = list(lifted_window_pairs(scale, 7, (size,), (-2, 0, 3)))
+            for system, candidate in rng.sample(pairs, min(2, len(pairs))):
+                m = system.modulus
+                for k in range(1, 7):
+                    table = sorted(-lam % m**k for lam in compat_module.lambda_enumerate(scale, candidate, k))
+                    assert table == sorted(residues_taking_steps(scale, candidate, k)), (scale, candidate.elements, k)
+                checked += 1
+    assert checked == 32  # two of each size: 3 at |N| = 3 and 9, 2 and 4 at 4 and 8, 2 and 3 at 6
+
+
 FIXED_POINT_128 = 64 + 128 * 3**64  # eta = (eta + 127 eta)/128
 FIXED_POINT_M1000 = 500 + 1000 * 7**52  # eta = (eta - 1001 eta)/(-1000)
 DEEP_PAIRS = [  # |N| >= 128 at budget levels 8-19: level-L cylinders up to 1.5 * 10^24 integers wide
