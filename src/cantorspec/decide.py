@@ -6,9 +6,10 @@ eta -> (eta + s)/N (the unique s in S making the division exact) admits a
 cycle of nonzero integers.  Let K be the attractor of the maps
 x -> (x+s)/N.  The successor map sends the finite set of K's integers onto
 itself (eta in K is (y + s)/N with y = N*eta - s in K), so K's nonzero
-integers are exactly the points of these cycles.  `_cycle_points` finds K's
-integers, 0 included, in one walk over the survivors of a search that meets
-in the middle, both of whose halves are slices Lambda_k = {s_0 + s_1 N +
+integers are exactly the points of these cycles.  `_cycles` returns them as
+pairs (eta, s), each cycle in successor order, from one walk over the
+survivors of a search that meets in the middle and works in the integers
+of K's hull, both of whose halves are slices Lambda_k = {s_0 + s_1 N +
 ... + s_{k-1} N^(k-1)} of the candidate spectrum (`compat._slice`).  From
 above it takes K's level-L cylinders (H + Lambda_L)/N^L, H the exact
 rational hull of K (`attractor_bounds`), overlapping ones joined so that
@@ -17,12 +18,12 @@ admits k steps, the residues -Lambda_k mod |N|^k, a share of about
 (|S|/|N|)^k, stepping from one such residue to the next.
 L + k is at most two more than the level that the budget reads, where a
 further split stops shrinking the cylinders' integers.  The verdict is
-spectral when 0 is K's only integer, and both outcomes carry
-machine-checkable evidence.  A spectral verdict reports the integer range
-of H (dilated by the regression hook `range_factor`) as `searched`: no
-integer in it lies on a nonzero cycle or leads into one.  A negative verdict
-carries the witness cycle through K's smallest nonzero integer in
-(|eta|, eta) order, starting there.
+spectral when there is no cycle, 0 being K's only integer, and both
+outcomes carry machine-checkable evidence.  A spectral verdict reports the
+integer range of H (dilated by the regression hook `range_factor`) as
+`searched`: no integer in it lies on a nonzero cycle or leads into one.  A
+negative verdict carries the first cycle as its witness: the one through
+K's smallest nonzero integer in (|eta|, eta) order, starting there.
 """
 
 from __future__ import annotations
@@ -86,18 +87,21 @@ def attractor_bounds(scale: int, elements) -> RationalInterval:
     if not elems:
         raise PreconditionError("element set must be nonempty")
     _check_scale(scale)
-    return _hull(scale, min(elems), max(elems))
+    return _interval(*_hull(scale, min(elems), max(elems)))
 
 
-def _hull(scale: int, a: int, b: int) -> RationalInterval:
+def _hull(scale: int, a: int, b: int) -> tuple[int, int, int]:
     """`attractor_bounds` of elements with least a and greatest b, for a
-    scale with |N| >= 2: lo <= hi holds, so the interval is built unchecked."""
+    scale with |N| >= 2, as integers (den, low, high): the hull is
+    [low, high]/den with den > 0 and low <= high, not reduced."""
     if scale > 0:
-        lo, hi = Fraction(a, scale - 1), Fraction(b, scale - 1)
-    else:
-        den = scale * scale - 1
-        lo, hi = Fraction(a + scale * b, den), Fraction(b + scale * a, den)
-    return RationalInterval._of(lo, hi)
+        return scale - 1, a, b
+    return scale * scale - 1, a + scale * b, b + scale * a
+
+
+def _interval(den: int, low: int, high: int) -> RationalInterval:
+    """The interval [low, high]/den of `_hull`'s integers, built unchecked."""
+    return RationalInterval._of(Fraction(low, den), Fraction(high, den))
 
 
 class SpectrumVerdict(_Record):
@@ -107,10 +111,12 @@ class SpectrumVerdict(_Record):
     `bounds`, dilated by the search's `range_factor`.  A spectral verdict
     certifies that no integer of that range lies on a cycle of nonzero
     integers or leads into one, though the search visits only the integers
-    of the attractor's cylinders.  Negative verdicts carry the witness
-    cycle as pairs (eta_j, s_j) with eta_{j+1} = (eta_j + s_j)/N
-    cyclically: the cycle through the attractor's smallest nonzero integer
-    in (|eta|, eta) order, starting there, a function of N and S alone.
+    of the attractor's cylinders.  The search returns the attractor's
+    cycles of nonzero integers as pairs (eta_j, s_j) with eta_{j+1} =
+    (eta_j + s_j)/N cyclically, and a negative verdict carries the first
+    of them as its witness: the cycle through the attractor's smallest
+    nonzero integer in (|eta|, eta) order, starting there, a function of N
+    and S alone.
     """
 
     __match_args__ = ("spectral", "witness", "searched", "bounds")
@@ -146,26 +152,22 @@ def decide_spectrum(
         raise PreconditionError("cycle criterion requires 0 in S")
     if is_compatible(system, candidate) is None:
         raise PreconditionError("cycle criterion applies to compatible pairs only")
-    scale, m = system.scale, system.modulus
-    bounds = _hull(scale, candidate.elements[0], candidate.elements[-1])
+    den, low, high = _hull(system.scale, candidate.elements[0], candidate.elements[-1])
+    bounds = _interval(den, low, high)
     searched = bounds if range_factor == 1 and type(range_factor) is int else bounds.scaled(range_factor)
     lo, hi = math.ceil(searched.lo), math.floor(searched.hi)
-    points = _cycle_points(system, candidate, bounds)
-    if points == [0]:
-        return SpectrumVerdict(True, None, (lo, hi), bounds)
-
-    # The witness goes round once from K's smallest nonzero integer in (|eta|, eta) order.
-    steps = {-s % m: s for s in candidate.elements}  # eta steps by the s with eta + s = 0 (mod N)
-    first = min((e for e in points if e), key=lambda e: (abs(e), e))
-    witness = [(first, steps[first % m])]
-    while (eta := sum(witness[-1]) // scale) != first:  # eta_(j+1) = (eta_j + s_j)/N
-        witness.append((eta, steps[eta % m]))
-    return SpectrumVerdict(False, tuple(witness), (lo, hi), bounds)
+    cycles = _cycles(system, candidate, den, low, high)
+    return SpectrumVerdict(not cycles, cycles[0] if cycles else None, (lo, hi), bounds)
 
 
-def _cycle_points(system: ScaleDigitSystem, candidate: SpectrumCandidate, bounds: RationalInterval) -> list[int]:
-    """K's integers, sorted, 0 among them: the points of the successor map's cycles.
-    `bounds` is K's hull; the pair meets `decide_spectrum`'s preconditions."""
+def _cycles(
+    system: ScaleDigitSystem, candidate: SpectrumCandidate, den: int, low: int, high: int
+) -> list[tuple[tuple[int, int], ...]]:
+    """The successor map's cycles of nonzero integers, whose points are K's
+    nonzero integers: each a tuple of pairs (eta, s) in successor order from
+    its least point in (|eta|, eta) order, the cycles sorted by that point.
+    [low, high]/den is K's hull (`_hull`); the pair meets `decide_spectrum`'s
+    preconditions."""
     scale, m, elems = system.scale, system.modulus, candidate.elements
 
     # A cycle point is the image of another cycle point, which lies in the
@@ -175,10 +177,7 @@ def _cycle_points(system: ScaleDigitSystem, candidate: SpectrumCandidate, bounds
     # of the next level shrinks its integers while |S|*(|N| + w) < |N|*(1 + w);
     # that holds up to a level `depth`, whose |S|^depth cylinders of
     # floor(w) + 1 integers the budget sees, shared ones once per cylinder.
-    den = math.lcm(bounds.lo.denominator, bounds.hi.denominator)
-    low = bounds.lo.numerator * (den // bounds.lo.denominator)
-    span = bounds.hi.numerator * (den // bounds.hi.denominator) - low
-    size, depth, q = candidate.size, 0, den
+    span, size, depth, q = high - low, candidate.size, 0, den
     while span * (m - size) > q * m * (size - 1):
         depth, q = depth + 1, q * m
     _check_slice_budget(size, depth, span // q + 1)
@@ -189,7 +188,7 @@ def _cycle_points(system: ScaleDigitSystem, candidate: SpectrumCandidate, bounds
     # narrower than 4 integers costs more to build, sort and join than it
     # drops, so L stops above it and the step goes to k.  Timed (L, k) on 160
     # cycles items: this split ran within 9 % of the best pair per item, and
-    # _cycle_points x1.26-1.33 the former cost-model split over 920 items.
+    # the search x1.26-1.33 the former cost-model split over 920 items.
     steps = depth + 2 if depth else 0
     levels = steps // 2
     while levels and span < 4 * den * m**levels:
@@ -224,15 +223,17 @@ def _cycle_points(system: ScaleDigitSystem, candidate: SpectrumCandidate, bounds
     # itself: the walk's tail from there is the cycle.  One scan of the walk
     # checks that, so the pass stays linear in the survivors.
     steps = {-s % m: s for s in elems}  # eta steps by the s with eta + s = 0 (mod N)
-    points = [0]
+    cycles = []
     while survivors:
         path = [eta := survivors.pop()]
         while (eta := (eta + steps.get(eta % m, -eta)) // scale) in survivors:
             survivors.remove(eta)
             path.append(eta)
         if eta in path:
-            points += path[path.index(eta) :]
-    return sorted(points)
+            cycle = path[path.index(eta) :]
+            first = cycle.index(min(cycle, key=lambda e: (abs(e), e)))
+            cycles.append(tuple((e, steps[e % m]) for e in cycle[first:] + cycle[:first]))
+    return sorted(cycles, key=lambda c: (abs(c[0][0]), c[0][0]))
 
 
 def _merged_ranges(numerators: list[int], span: int, q: int):
@@ -338,8 +339,9 @@ def report_measure_spectrality(system: ScaleDigitSystem) -> SpectralityReport:
     cand = next(_window_candidates(reduced), None)
     if cand is None:
         return SpectralityReport(STATUS_UNKNOWN, scale, canon)
-    bounds = _hull(scale, cand.elements[0], cand.elements[-1])
-    if bounds.lo.numerator <= -bounds.lo.denominator or bounds.hi.numerator >= bounds.hi.denominator:
+    den, low, high = _hull(scale, cand.elements[0], cand.elements[-1])
+    bounds = _interval(den, low, high)
+    if low <= -den or high >= den:
         raise ConsistencyError(f"window candidate {cand.elements} has a hull {bounds} outside (-1, 1)")
     verdict = SpectrumVerdict(True, None, (0, 0), bounds)
     return SpectralityReport(STATUS_SPECTRAL, scale, canon, cand, is_compatible(reduced, cand), verdict)

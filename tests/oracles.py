@@ -2,9 +2,10 @@
 test, exact integer-polynomial algebra, the float digit symbol, the former
 batch of a system's vanishing orders, the zero residues of a system, the
 two former factorisers, the radical and divisor list of an integer, the
-former prime-power sets of a tiling, and two former completeness sums:
-one with its sixth-order closed tail, and one that closes every slice
-point with the tail series.
+former prime-power sets of a tiling, two former completeness sums (one
+with its sixth-order closed tail, and one that closes every slice point
+with the tail series), and the closed-form spectrality of a measure with
+at most three digits.
 
 No verdict path of the library builds a polynomial: every vanishing
 question goes through `cantorspec.cyclotomic.order_vanishes`.  The algebra
@@ -429,6 +430,32 @@ def prime_power_sets(digits, modulus: int) -> tuple[tuple[int, ...], tuple[int, 
         groups.append(powers)
     groups += [()] * (2 - len(groups))
     return groups[0], groups[1]
+
+
+def small_digit_spectral(scale: int, digits) -> bool:
+    """Whether the measure of (N, D) with |D| <= 3 is spectral, in closed
+    form, after D is reduced so that 0 is in D and gcd(D) = 1.
+
+    - |D| = 1: the point mass, spectral.
+    - |D| = 2: D = {0, 1} and D(z) = 1 + z, whose only roots of unity have
+      order 2; spectral exactly when N is even, with S = {0, N/2}.  At
+      |N| = 2 that is Lebesgue measure on a unit interval.
+    - |D| = 3: D = {0, a, b} with gcd(a, b) = 1.  A root zeta of modulus 1
+      makes 1, zeta^a and zeta^b an equilateral triangle, so zeta^a and
+      zeta^b have order 3 and the order of zeta divides 3*gcd(a, b) = 3;
+      such a root exists exactly when D is a complete residue system mod 3.
+      Spectral exactly when it is and 3 divides N, with S = {0, N/3, 2N/3}.
+    """
+    low = min(digits)
+    factor = math.gcd(*(d - low for d in digits)) or 1
+    reduced = sorted((d - low) // factor for d in digits)
+    if len(reduced) == 1:
+        return True
+    if len(reduced) == 2:
+        return scale % 2 == 0
+    if len(reduced) == 3:
+        return sorted(d % 3 for d in reduced) == [0, 1, 2] and scale % 3 == 0
+    raise ValueError(f"the closed form covers at most three digits, got {len(reduced)}")
 
 
 def closed_tail_q_eval(system, candidate, xi, policy) -> tuple[float, float]:

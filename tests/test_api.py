@@ -180,7 +180,7 @@ def test_records_are_built_unchecked_only_from_validated_values():
 
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         visit(ast.parse(path.read_text(), str(path)), path.stem)
-    assert sorted(callers) == ["compat._window_candidates", "decide._hull", "decide.report_measure_spectrality"]
+    assert sorted(callers) == ["compat._window_candidates", "decide._interval", "decide.report_measure_spectrality"]
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():

@@ -30,6 +30,7 @@ from cantorspec import (
     search_candidate_s,
     verify_witness,
 )
+from oracles import small_digit_spectral
 
 compat_module = importlib.import_module("cantorspec.compat")
 decide_module = importlib.import_module("cantorspec.decide")
@@ -504,7 +505,7 @@ def test_the_budget_is_read_at_the_level_the_cost_model_read_it(monkeypatch):
     for system, candidate in pairs:
         bounds = attractor_bounds(system.scale, candidate.elements)
         with pytest.raises(BudgetRead) as read:
-            decide_module._cycle_points(system, candidate, bounds)
+            cycles_of(system, candidate)
         level, grid = cost_model_budget_level(system.scale, candidate.size, bounds)
         assert read.value.args == (candidate.size, level, grid), (system, candidate)
         large += bounds.hi - bounds.lo > 10**4
@@ -623,8 +624,28 @@ def cylinder_integers(scale, candidate, bounds, levels):
     return covered, slots
 
 
+def cycles_of(system, candidate):
+    """`_cycles` on the pair, given the integers of its hull."""
+    hull = decide_module._hull(system.scale, candidate.elements[0], candidate.elements[-1])
+    return decide_module._cycles(system, candidate, *hull)
+
+
+def cycle_search_pairs():
+    """The tile, wide-ratio and exhaustive lifted window pairs, and apart from
+    them the clustered ones: S's nonzero elements far closer together than the
+    hull is wide, so that the cylinders of a level overlap, most of them
+    several deep."""
+    pairs = [(ScaleDigitSystem(scale, (0, 1, 2, 3)), SpectrumCandidate(elements)) for scale, elements in TILE_PAIRS]
+    pairs += [(ScaleDigitSystem(scale, digits), SpectrumCandidate(elements)) for scale, digits, elements in WIDE_RATIO_PAIRS]
+    scales = [n for k in range(3, 10) for n in (k, -k)] + [10, 12, -12]
+    for scale in scales:
+        pairs += lifted_window_pairs(scale, 7, (2, 3, 4), (-2, 0, 3))
+    clustered = [p for scale in scales for p in lifted_window_pairs(scale, 7, (2, 3, 4), (-60, 60), common=True)]
+    return pairs, clustered
+
+
 def spy_on_the_search(monkeypatch):
-    """Record what `_cycle_points` hands its helpers: the budget's arguments,
+    """Record what `_cycles` hands its helpers: the budget's arguments,
     the sorted cylinder numerators with span and q, the joined ranges, and
     the residue table, its modulus and every survivor `_admitted` yields."""
     work = {}
@@ -653,9 +674,9 @@ def survivors_of(work):
     return work["survivors"] if work["mod"] > 1 else [y for r in work["ranges"] for y in r]
 
 
-def split_of(work, system, bounds):
-    """The (L, k) the search took: q = den * |N|^L and the table's modulus |N|^k."""
-    m, den = system.modulus, math.lcm(bounds.lo.denominator, bounds.hi.denominator)
+def split_of(work, system, candidate):
+    """The (L, k) the search took: q = den * |N|^L, den the hull's from `_hull`, and the table's modulus |N|^k."""
+    m, (den, _, _) = system.modulus, decide_module._hull(system.scale, candidate.elements[0], candidate.elements[-1])
     levels = steps = 0
     while den * m**levels < work["q"]:
         levels += 1
@@ -674,23 +695,16 @@ def test_cycle_points_are_the_attractor_integers(monkeypatch):
     # the estimate that the budget check sees (2.5 times at most here, on
     # estimates of 2; within 1.02 times on estimates of 20 and more)
     work = spy_on_the_search(monkeypatch)
-    pairs = [(ScaleDigitSystem(scale, (0, 1, 2, 3)), SpectrumCandidate(elements)) for scale, elements in TILE_PAIRS]
-    pairs += [(ScaleDigitSystem(scale, digits), SpectrumCandidate(elements)) for scale, digits, elements in WIDE_RATIO_PAIRS]
-    scales = [n for k in range(3, 10) for n in (k, -k)] + [10, 12, -12]
-    for scale in scales:
-        pairs += lifted_window_pairs(scale, 7, (2, 3, 4), (-2, 0, 3))
-    # S's nonzero elements far closer together than the hull is wide: the
-    # cylinders of a level overlap, most of them several deep
-    clustered = [p for scale in scales for p in lifted_window_pairs(scale, 7, (2, 3, 4), (-60, 60), common=True)]
+    pairs, clustered = cycle_search_pairs()
     cycling = overlapping = filtered = 0
     tables = {}
     for system, candidate in pairs + clustered:
         work.clear()
         scale = system.scale
         bounds = attractor_bounds(scale, candidate.elements)
-        points = decide_module._cycle_points(system, candidate, bounds)
+        points = sorted([0, *(eta for cycle in cycles_of(system, candidate) for eta, _ in cycle)])
         assert points == sorted(attractor_integers(scale, candidate.elements)), (system, candidate)
-        levels, steps = split_of(work, system, bounds)
+        levels, steps = split_of(work, system, candidate)
         key = (scale, candidate.elements, steps)
         if key not in tables:
             tables[key] = residues_taking_steps(scale, candidate, steps)
@@ -711,6 +725,28 @@ def test_cycle_points_are_the_attractor_integers(monkeypatch):
         filtered += steps > 0
     assert len(pairs) > 10_000 and cycling > 3_000 and len(clustered) > 900 and overlapping > len(clustered) / 2
     assert filtered > 800
+
+
+def test_the_cycles_are_witnesses_from_their_least_points_in_order():
+    # every cycle the search returns checks out as a witness on its own,
+    # starts at its least point in (|eta|, eta) order, and the cycles come
+    # sorted by that point; with 0 their points are K's integers
+    pairs, clustered = cycle_search_pairs()
+    cycles_seen = multiple = 0
+    for system, candidate in pairs + clustered:
+        cycles = cycles_of(system, candidate)
+        firsts = []
+        for cycle in cycles:
+            assert verify_witness(system, candidate, cycle), (system, candidate, cycle)
+            etas = [eta for eta, _ in cycle]
+            assert etas[0] == min(etas, key=lambda e: (abs(e), e)), (system, candidate, cycle)
+            firsts.append((abs(etas[0]), etas[0]))
+        assert firsts == sorted(firsts), (system, candidate)
+        points = [0, *(eta for cycle in cycles for eta, _ in cycle)]
+        assert sorted(points) == sorted(attractor_integers(system.scale, candidate.elements)), (system, candidate)
+        cycles_seen += len(cycles)
+        multiple += len(cycles) > 1
+    assert cycles_seen > 3_000 and multiple > 100
 
 
 def test_the_residues_taking_k_steps_are_minus_the_slice():
@@ -765,8 +801,7 @@ def test_deep_pairs_of_large_scales_stay_within_the_estimate(monkeypatch):
             assert verify_witness(system, candidate, verdict.witness), (system, candidate)
         fixed = [eta for eta in (FIXED_POINT_128, FIXED_POINT_M1000) if eta * (scale - 1) in elements]
         assert verdict.witness == (((fixed[0], fixed[0] * (scale - 1)),) if fixed else None), (system, candidate)
-        bounds = attractor_bounds(scale, elements)
-        levels, steps = split_of(work, system, bounds)
+        levels, steps = split_of(work, system, candidate)
         survivors = survivors_of(work)
         assert steps > 0 and len(survivors) == len(set(survivors)), (system, candidate, levels, steps)
         assert all(any(y in r for r in work["ranges"]) and takes_steps(scale, candidate, y, steps) for y in survivors)
@@ -814,7 +849,7 @@ def test_the_cycle_search_keeps_only_integers_that_take_seven_steps(scale, monke
     assert len(table) == 2**7 and len(covered) > 10**5 and kept < len(covered) / 100
     work = spy_on_the_search(monkeypatch)
     assert decide_spectrum(system, candidate).spectral  # the system's memos are built outside the trace
-    assert split_of(work, system, bounds) == (6, 7) and work["depth"] == 11 and len(set(work["survivors"]) - {0}) == kept
+    assert split_of(work, system, candidate) == (6, 7) and work["depth"] == 11 and len(set(work["survivors"]) - {0}) == kept
     monkeypatch.undo()
     peaks = []
     cylinders = [10**13 + i for i in range(2**6)]
@@ -900,6 +935,26 @@ def test_every_window_candidate_is_spectral():
     assert decided > 2000
 
 
+def test_the_report_follows_the_closed_form_for_up_to_three_digits():
+    # every measure with at most three digits is spectral or not as the
+    # closed form says: the report certifies each spectral one (|N| = 2 with
+    # two digits as the unit interval) and finds no pair for the rest
+    statuses = {}
+    for modulus in range(2, 25):
+        for scale in (modulus, -modulus):
+            for size in (0, 1, 2):
+                for rest in itertools.combinations(range(1, 21), size):
+                    digits = (0, *rest)
+                    if modulus == 2 and size == 1:
+                        expected = STATUS_UNIT_INTERVAL
+                    else:
+                        expected = STATUS_SPECTRAL if small_digit_spectral(scale, digits) else STATUS_UNKNOWN
+                    status = report_measure_spectrality(ScaleDigitSystem(scale, digits)).status
+                    assert status == expected, (scale, digits)
+                    statuses[status] = statuses.get(status, 0) + 1
+    assert sum(statuses.values()) == 9_706 and len(statuses) == 3, statuses
+
+
 def test_the_unchecked_hull_matches_attractor_bounds():
     # the hull the report and the cycle search build unchecked, from the
     # least and greatest elements, against the public enclosure; a Fraction
@@ -911,7 +966,7 @@ def test_the_unchecked_hull_matches_attractor_bounds():
     pairs = [(a, b) for a in range(-60, 61) for b in range(a, 61)]
     for modulus in range(2, 41):
         for scale in (modulus, -modulus):
-            hulls = [exactly(decide_module._hull(scale, a, b)) for a, b in pairs]
+            hulls = [exactly(decide_module._interval(*decide_module._hull(scale, a, b))) for a, b in pairs]
             assert hulls == [exactly(attractor_bounds(scale, pair)) for pair in pairs], scale
 
 

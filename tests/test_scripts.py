@@ -110,3 +110,13 @@ def test_kernel_stress_times_the_cases_it_is_given():
     assert all(float(row[1]) >= 0 for row in rows[1:])
     unknown = run_script("kernel_stress.py", "no-such-case")
     assert unknown.returncode == 2 and "no-such-case" in unknown.stderr
+
+
+def test_src_lines_counts_every_module_of_the_package():
+    proc = run_script("src_lines.py")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    rows = [row.split() for row in proc.stdout.splitlines()]
+    modules = {name: int(count) for name, count in rows[:-1]}
+    assert sorted(modules) == sorted(path.name for path in (ROOT / "src" / "cantorspec").glob("*.py"))
+    assert all(count > 0 for count in modules.values())
+    assert rows[-1] == ["total", str(sum(modules.values()))]
