@@ -5,8 +5,7 @@ A code line is a non-blank line that holds something other than a comment
 and lies outside every docstring: `tokenize` finds the lines that hold a
 token other than a comment, and `ast` finds the docstrings of the module,
 its classes and its functions.  Prints one "module lines" row per module,
-then "total lines".  The package defaults to this checkout's
-src/cantorspec; pass another package directory to count that one.
+then "total lines", for this checkout's src/cantorspec.
 
 Example:
     python scripts/src_lines.py
@@ -38,15 +37,9 @@ def code_lines(source: str) -> int:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("package", nargs="?", type=pathlib.Path, default=PACKAGE)
-    args = parser.parse_args()
-    modules = sorted(args.package.glob("*.py"))
-    if not modules:
-        print(f"no Python modules in {args.package}", file=sys.stderr)
-        return 1
+    argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter).parse_args()
     total = 0
-    for path in modules:
+    for path in sorted(PACKAGE.glob("*.py")):
         count = code_lines(path.read_text())
         total += count
         print(f"{path.name} {count}")

@@ -166,9 +166,9 @@ def _difference_weights(system) -> tuple[tuple[int, float], ...]:
 
 
 def _phases(weights, frac: float):
-    """(k, w, q, r) per digit difference (per digit in `mu_hat`, w unused),
-    k*frac = q + r exactly for an integer q and a float r in [0, 1]:
-    frac = num/den in integers, and (q, r*den) = divmod(k*num, den)."""
+    """(k, w, q, r) per digit difference, k*frac = q + r exactly for an
+    integer q and a float r in [0, 1]: frac = num/den in integers, and
+    (q, r*den) = divmod(k*num, den)."""
     num, den = frac.as_integer_ratio()
     return [(k, w, q, r / den) for k, w in weights for q, r in [divmod(k * num, den)]]
 
@@ -219,7 +219,8 @@ def mu_hat(system: ScaleDigitSystem, xi, policy: TruncationPolicy = DEFAULT_POLI
     base = system.modulus
     j_stop, tail_bound = _truncation(lipschitz, base, x, math.log1p(policy.product_epsilon))
     cutoff = policy.product_epsilon / 4.0
-    splits = _phases([(d, None) for d in system.digits], frac)
+    num, den = frac.as_integer_ratio()
+    splits = [(d, q, r / den) for d in system.digits for q, r in [divmod(d * num, den)]]
     value = complex(1.0)
     power = 1
     turn = -_TWO_PI
@@ -228,7 +229,7 @@ def mu_hat(system: ScaleDigitSystem, xi, policy: TruncationPolicy = DEFAULT_POLI
         if system.scale < 0:
             turn = -turn
         acc = 0j
-        for d, _, q, r in splits:
+        for d, q, r in splits:
             a = (d * whole + q) % power
             if 2 * a > power:  # centre the integer part: a phase near 1 would lose digits
                 a -= power

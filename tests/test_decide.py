@@ -687,8 +687,10 @@ def split_of(work, system, candidate):
 
 
 def test_cycle_points_are_the_attractor_integers(monkeypatch):
-    # all of K's integers, 0 included, not only the smallest nonzero one; and
-    # the survivors, read by spies on the search's helpers, are exactly the
+    # all of K's integers, 0 included, not only the smallest nonzero one; each
+    # cycle checks out as a witness on its own, starts at its least point in
+    # (|eta|, eta) order, and the cycles come sorted by that point; and the
+    # survivors, read by spies on the search's helpers, are exactly the
     # nonzero integers of the level-L cylinders whose residue mod |N|^k lies
     # in the table of an independent k-step search, each yielded once; the
     # cylinders, the residues and the survivors together stay within 3 times
@@ -696,13 +698,21 @@ def test_cycle_points_are_the_attractor_integers(monkeypatch):
     # estimates of 2; within 1.02 times on estimates of 20 and more)
     work = spy_on_the_search(monkeypatch)
     pairs, clustered = cycle_search_pairs()
-    cycling = overlapping = filtered = 0
+    cycling = overlapping = filtered = cycles_seen = multiple = 0
     tables = {}
     for system, candidate in pairs + clustered:
         work.clear()
         scale = system.scale
         bounds = attractor_bounds(scale, candidate.elements)
-        points = sorted([0, *(eta for cycle in cycles_of(system, candidate) for eta, _ in cycle)])
+        cycles = cycles_of(system, candidate)
+        firsts = []
+        for cycle in cycles:
+            assert verify_witness(system, candidate, cycle), (system, candidate, cycle)
+            etas = [eta for eta, _ in cycle]
+            assert etas[0] == min(etas, key=lambda e: (abs(e), e)), (system, candidate, cycle)
+            firsts.append((abs(etas[0]), etas[0]))
+        assert firsts == sorted(firsts), (system, candidate)
+        points = sorted([0, *(eta for cycle in cycles for eta, _ in cycle)])
         assert points == sorted(attractor_integers(scale, candidate.elements)), (system, candidate)
         levels, steps = split_of(work, system, candidate)
         key = (scale, candidate.elements, steps)
@@ -723,30 +733,10 @@ def test_cycle_points_are_the_attractor_integers(monkeypatch):
         cycling += points != [0]
         overlapping += slots > len(covered)
         filtered += steps > 0
-    assert len(pairs) > 10_000 and cycling > 3_000 and len(clustered) > 900 and overlapping > len(clustered) / 2
-    assert filtered > 800
-
-
-def test_the_cycles_are_witnesses_from_their_least_points_in_order():
-    # every cycle the search returns checks out as a witness on its own,
-    # starts at its least point in (|eta|, eta) order, and the cycles come
-    # sorted by that point; with 0 their points are K's integers
-    pairs, clustered = cycle_search_pairs()
-    cycles_seen = multiple = 0
-    for system, candidate in pairs + clustered:
-        cycles = cycles_of(system, candidate)
-        firsts = []
-        for cycle in cycles:
-            assert verify_witness(system, candidate, cycle), (system, candidate, cycle)
-            etas = [eta for eta, _ in cycle]
-            assert etas[0] == min(etas, key=lambda e: (abs(e), e)), (system, candidate, cycle)
-            firsts.append((abs(etas[0]), etas[0]))
-        assert firsts == sorted(firsts), (system, candidate)
-        points = [0, *(eta for cycle in cycles for eta, _ in cycle)]
-        assert sorted(points) == sorted(attractor_integers(system.scale, candidate.elements)), (system, candidate)
         cycles_seen += len(cycles)
         multiple += len(cycles) > 1
-    assert cycles_seen > 3_000 and multiple > 100
+    assert len(pairs) > 10_000 and cycling > 3_000 and len(clustered) > 900 and overlapping > len(clustered) / 2
+    assert filtered > 800 and cycles_seen > 3_000 and multiple > 100
 
 
 def test_the_residues_taking_k_steps_are_minus_the_slice():
