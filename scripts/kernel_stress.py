@@ -22,7 +22,10 @@ congruent mod N (its slice points coincide, 4 + 0 = 0 + 4), two
 transfer recursions (one with s = 4^20 + 2, whose inner points (xi + s)/N
 have an integer part past 2^53), and a sweep of 24 grid points over [0, 1) on one pair
 (6, {0,1,2}, S = {0,2,4} at depth 7), which builds the pair's closure once
-and answers with the sum of the 24 Q values.  `wide-2000`, the `far-*`
+and answers with the sum of the 24 Q values, and 100 points over [0, 1)
+on the same pair, each from fresh records equal in value, so that all but
+the first find the closure by the memo's key (the sum of the 100 values
+again).  `wide-2000`, the `far-*`
 cases and `collision-4` get no P_1 to P_4, only the tail series P_0, so
 every slice point takes factors past the slice until P_0 closes it (the
 leaf rows); every other case closes its prefixes with P_1 to P_4 (the
@@ -63,6 +66,16 @@ def sweep(scale, digits, elements, depth, grid):
     return f"{total:.12g}"
 
 
+def warm_points(scale, digits, elements, depth, count):
+    total = math.fsum(
+        q_eval_with_bound(
+            ScaleDigitSystem(scale, digits), SpectrumCandidate(elements), i / count, TruncationPolicy(depth=depth)
+        )[0]
+        for i in range(count)
+    )
+    return f"{total:.12g}"
+
+
 def transfer(scale, digits, elements, depth):
     residual = transfer_residual(ScaleDigitSystem(scale, digits), SpectrumCandidate(elements), XI, depth)
     return "below-1e-14" if residual < 1e-14 else f"residual-{residual:.1e}"
@@ -84,6 +97,7 @@ CASES = {
     "transfer-6": lambda: transfer(6, (0, 1, 2), (0, 2, 4), 5),
     "transfer-far-4-20": lambda: transfer(4, (0, 1), (0, 4**20 + 2), 2),
     "sweep-6-24": lambda: sweep(6, (0, 1, 2), (0, 2, 4), 7, 24),
+    "warm-points-6": lambda: warm_points(6, (0, 1, 2), (0, 2, 4), 7, 100),
 }
 
 
@@ -96,7 +110,7 @@ def main(names: list[str]) -> int:
     for name in names or CASES:
         best = float("inf")
         for _ in range(REPEATS):
-            kernel._slice_closure.cache_clear()
+            kernel._closure_memo.cache_clear()
             start = time.perf_counter()
             answer = CASES[name]()
             best = min(best, time.perf_counter() - start)

@@ -27,7 +27,11 @@ cylinders cover a hull of 6.7 * 10^4 integers, and on two pairs with
 10^5, and the same |N| = 8 pair with S's nonzero elements clustered 4
 apart in a hull of 10^8 integers, whose cylinders overlap, |N| = 4 with
 |S| = 2 over a hull of 6.7 * 10^6 integers, and Laba-Wang's window of
-|S| = 32 at |N| = 64, lifted to a hull of 10^6 integers) and the many-prime
+|S| = 32 at |N| = 64, lifted to a hull of 10^6 integers), 500 cycle
+searches on small hulls (the compatible window pairs of the benchmark's
+cycles workload, each lifted to a seeded hull of 30-100 integers, where
+the search's fixed costs weigh most, answered with the number of
+spectral verdicts) and the many-prime
 orders: a batch and single questions with hundreds of digits at a
 primorial, and a pair of digits at the product of the first 20 primes.
 The last two cases record the cost of questions past lcm(1..|D|), one
@@ -67,6 +71,7 @@ from cantorspec import (
     ScaleDigitSystem,
     SpectrumCandidate,
     cyclotomic,
+    decide_spectrum,
     find_modulus_l,
     is_compatible,
     is_complementing,
@@ -81,6 +86,13 @@ PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67
 PRIMORIAL_8, PRIMORIAL_12, PRIMORIAL_20 = (math.prod(PRIMES[:k]) for k in (8, 12, 20))
 PAST_LCM_300 = [b for b in range(2, 1001) if math.lcm(*range(1, 301)) % b]
 SWEPT = (0, 1, 3, 7)  # the digit set swept over 10^5 scales
+WINDOW_PAIRS = (  # the compatible window pairs of the benchmark's cycles workload
+    (4, (0, 1), ((-2, 0), (0, 2))),
+    (-4, (0, 1), ((-2, 0), (0, 2))),
+    (6, (0, 1, 2), ((-4, -2, 0), (-4, 0, 4), (-2, 0, 2), (0, 2, 4))),
+    (8, (0, 1, 4, 5), ((-5, -1, 0, 4), (-4, -3, 0, 1), (-4, 0, 1, 5), (-3, 0, 1, 4), (0, 1, 4, 5))),
+    (9, (0, 1, 2), ((-6, -3, 0), (-6, 0, 6), (-3, 0, 3), (0, 3, 6))),
+)
 
 
 def wide_digits(count: int, seed: int) -> list[int]:
@@ -96,6 +108,20 @@ def laba_wang_lift(size: int, scale: int, reach: int, seed: int) -> str:
     multiple of |N| up to `reach`, over a hull of about 2 * reach integers."""
     rng, m = random.Random(seed), abs(scale)
     return ",".join(["0", *(str(s + m * rng.randint(-reach, reach)) for s in range(m // size, m, m // size))])
+
+
+def small_hulls(count: int) -> str:
+    """`count` decisions on WINDOW_PAIRS, each nonzero element moved away
+    from 0 by a multiple of |N| (its residue kept, so the pair stays
+    compatible) until the hull holds a seeded 30-100 integers."""
+    rng, spectral = random.Random(45), 0
+    for i in range(count):
+        scale, digits, windows = WINDOW_PAIRS[i % len(WINDOW_PAIRS)]
+        window, m = rng.choice(windows), abs(scale)
+        share = rng.randint(30, 100) * (m - 1) // (1 if 0 in (window[0], window[-1]) else 2)
+        elements = [s + (1 if s > 0 else -1) * m * max(0, (share - abs(s)) // m) if s else 0 for s in window]
+        spectral += decide_spectrum(ScaleDigitSystem(scale, digits), SpectrumCandidate(elements)).spectral
+    return f"{spectral} spectral"
 
 
 def cli(*argv: str):
@@ -220,6 +246,7 @@ CASES = {
         "spectrum", "decide", "--n", "64", "--digits", ",".join(map(str, range(32))),
         "--s", laba_wang_lift(32, 64, 5 * 10**5, 64),
     ),
+    "decide-small-hulls": lambda: small_hulls(500),
     "compat-primorial-20": lambda: cli(
         "compat", "check", "--n", str(PRIMORIAL_20), "--digits", f"0,{PRIMORIAL_20 // 2}", "--s", "0,1"
     ),

@@ -152,12 +152,11 @@ def decide_spectrum(
         raise PreconditionError("cycle criterion requires 0 in S")
     if is_compatible(system, candidate) is None:
         raise PreconditionError("cycle criterion applies to compatible pairs only")
+    _int_items((range_factor,), "scale factor must be a positive integer", least=1)
     den, low, high = _hull(system.scale, candidate.elements[0], candidate.elements[-1])
-    bounds = _interval(den, low, high)
-    searched = bounds if range_factor == 1 and type(range_factor) is int else bounds.scaled(range_factor)
-    lo, hi = math.ceil(searched.lo), math.floor(searched.hi)
     cycles = _cycles(system, candidate, den, low, high)
-    return SpectrumVerdict(not cycles, cycles[0] if cycles else None, (lo, hi), bounds)
+    searched = -(-range_factor * low // den), range_factor * high // den  # [low, high]/den dilated, den > 0
+    return SpectrumVerdict(not cycles, cycles[0] if cycles else None, searched, _interval(den, low, high))
 
 
 def _cycles(
@@ -196,7 +195,7 @@ def _cycles(
     # u = low + den*lam, or -u - span where N^L < 0: -[u, u + span] = [-u - span, -u]; level 0 is H
     step, shift = (-den, -low - span) if scale < 0 and levels % 2 else (den, low)
     numerators = sorted([shift + step * lam for lam in _slice(scale, elems, levels)]) if levels else [low]
-    ranges = list(_merged_ranges(numerators, span, den * m**levels))  # overlapping cylinders joined: each integer once
+    ranges, integers = _merged_ranges(numerators, span, den * m**levels)  # overlapping cylinders joined
 
     # A cycle point takes any number of steps: it is N^k*eta' - lam for a
     # cycle point eta' and lam in the slice Lambda_k, so its residue mod
@@ -209,10 +208,9 @@ def _cycles(
     # the slice's order: a set of small ints iterates about in order, so a
     # large table sorts in about 4/5 of the time.
     k, mod, top = 0, 1, m ** (steps - levels)
-    integers = sum(r.stop - r.start for r in ranges) if top > 1 else 0  # not len(): past sys.maxsize
     while mod < top and size * mod <= integers:
         k, mod = k + 1, mod * m
-    survivors = (set(_admitted(ranges, sorted({-lam % mod for lam in _slice(scale, elems, k)}), mod)) if k
+    survivors = (_admitted(ranges, sorted({-lam % mod for lam in _slice(scale, elems, k)}), mod) if k
                  else {y for r in ranges for y in r})
     survivors.discard(0)
 
@@ -236,21 +234,28 @@ def _cycles(
     return sorted(cycles, key=lambda c: (abs(c[0][0]), c[0][0]))
 
 
-def _merged_ranges(numerators: list[int], span: int, q: int):
-    """The integers of the cylinders [u, u + span]/q, u in the sorted `numerators`, a range per overlapping run."""
+def _merged_ranges(numerators: list[int], span: int, q: int) -> tuple[list[range], int]:
+    """The integers of the cylinders [u, u + span]/q, u in the sorted `numerators`: a range per
+    overlapping run, each integer in one, and their count, summed as stop - start since a
+    range may pass sys.maxsize, where len() raises."""
+    ranges, integers = [], 0
     first = last = numerators[0]
     for u in numerators:
         if u - last > span:
-            yield range(-(-first // q), (last + span) // q + 1)
+            start, stop = -(-first // q), (last + span) // q + 1
+            ranges.append(range(start, stop))
+            integers += stop - start
             first = u
         last = u
-    yield range(-(-first // q), (last + span) // q + 1)
+    start, stop = -(-first // q), (last + span) // q + 1
+    ranges.append(range(start, stop))
+    return ranges, integers + stop - start
 
 
-def _admitted(ranges, residues: list[int], mod: int):
+def _admitted(ranges, residues: list[int], mod: int) -> set[int]:
     """The integers of the disjoint `ranges` whose residue mod `mod` is in the sorted
-    `residues`, each once: bisect to a range's first, then step residue to residue."""
-    count = len(residues)
+    `residues`: bisect to a range's first, then step residue to residue."""
+    survivors, count = set(), len(residues)
     for r in ranges:
         base, i = r.start - r.start % mod, bisect_left(residues, r.start % mod)
         while True:
@@ -258,8 +263,9 @@ def _admitted(ranges, residues: list[int], mod: int):
                 base, i = base + mod, 0
             if (y := base + residues[i]) >= r.stop:
                 break
-            yield y
+            survivors.add(y)
             i += 1
+    return survivors
 
 
 def verify_witness(system: ScaleDigitSystem, candidate: SpectrumCandidate, witness) -> bool:

@@ -43,7 +43,7 @@ series, the shift exactly) on the v of P_0's domain whose preimages
 up to 4 (`_SLICE_POLYS`).  The error goes along pointwise (P_(k-1)'s at
 the preimages times M_s <= M_s(0) + L|v|, plus what truncating drops) to
 remainder * v^(2M) + offset + slope * |v|, offset 0 where M_s(0) = 0 for
-every s but 0.  Once per pair (N, D, S), memoised by value,
+every s but 0.  Once per pair (N, D, S), keyed by the pair's integers,
 `_slice_closure` takes the pair's weights and tail series, finds the
 domains and then builds each M_s once: 2|S| series products
 whatever the size of s.  It holds only tuples, so no caller can change
@@ -261,7 +261,7 @@ def q_eval_with_bound(
     Only the digits' differences enter, so a translate of D gives the same
     answer.  Refused are a non-finite xi, a slice past the budget, a digit
     spread from `SPREAD_LIMIT` on and a point whose own sum passes the float
-    range.  Each pair's slice closure is built once, memoised by value.
+    range.  Each pair's slice closure is built once, keyed by the pair's integers.
     """
     _check_slice_budget(candidate.size, policy.depth)
     closure = _slice_closure(system, candidate)
@@ -301,13 +301,21 @@ def _tail_series(system, weights):
     return scale, coeffs, remainder, switch
 
 
-@functools.lru_cache(maxsize=64)  # by value: equal records share an entry
 def _slice_closure(system, candidate):
     """(weights, scale, polys), all tuples: the pair's difference weights
     and tail scale for `_completeness_sum`, and polys = (P_0, ..., P_k) for
-    a k <= 4, P_k = (coeffs, lo, hi, remainder, offset, slope).  M_s(0) is `_symbol_sq`, 0 at the exact zeros
-    where the points' products are, and M_s^(n)(0) = sum_k w_k/2 rate_k^n
-    cos^(n)(phase_k)."""
+    a k <= 4, P_k = (coeffs, lo, hi, remainder, offset, slope), from
+    `_closure_memo` of the pair's integers."""
+    return _closure_memo(system.scale, system.digits, candidate.elements)
+
+
+@functools.lru_cache(maxsize=64)  # ints, not records: a warm key neither hashes nor compares a record
+def _closure_memo(scale, digits, elements):
+    """`_slice_closure` of N = scale, D = digits and S = elements, its records
+    rebuilt unchecked from the values of validated ones.  M_s(0) is
+    `_symbol_sq`, 0 at the exact zeros where the points' products are, and
+    M_s^(n)(0) = sum_k w_k/2 rate_k^n cos^(n)(phase_k)."""
+    system, candidate = ScaleDigitSystem._of(scale, digits), SpectrumCandidate._of(elements)
     spread = system.digits[-1] - system.digits[0]
     if spread >= SPREAD_LIMIT:
         raise PreconditionError(

@@ -17,5 +17,5 @@ settings.load_profile("default")
 def fresh_process_caches():
     """Start each test with no memoised slice closure and no order memo, so
     that a test which counts closure builds or class sums sees only its own."""
-    kernel._slice_closure.cache_clear()
+    kernel._closure_memo.cache_clear()
     cyclotomic._order_memo.cache_clear()

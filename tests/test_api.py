@@ -166,7 +166,8 @@ def test_order_tests_are_built_only_where_a_memo_is_kept():
 def test_records_are_built_unchecked_only_from_validated_values():
     # `_Record._of` skips `__init__` and its checks, so it is called only
     # where the values derive from records already validated: the window
-    # candidates, the report's reduced system and the hull
+    # candidates, the report's reduced system, the hull and the slice
+    # closure's pair, rebuilt from the integers it is keyed by
     callers = []
 
     def visit(node, where):
@@ -180,7 +181,10 @@ def test_records_are_built_unchecked_only_from_validated_values():
 
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         visit(ast.parse(path.read_text(), str(path)), path.stem)
-    assert sorted(callers) == ["compat._window_candidates", "decide._interval", "decide.report_measure_spectrality"]
+    assert sorted(callers) == [
+        "compat._window_candidates", "decide._interval", "decide.report_measure_spectrality",
+        "kernel._closure_memo", "kernel._closure_memo",  # the system and the candidate
+    ]
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():

@@ -427,7 +427,7 @@ def test_qgrid_work_estimate_exits_two_before_the_first_point(capsys, monkeypatc
 def test_qgrid_builds_one_slice_closure_per_command(capsys):
     payload = run_json(capsys, "measure", "qgrid", "--n", "4", "--digits", "0,1", "--s", "0,2", "--grid", "12")
     assert len(payload["grid"]) == 12
-    info = kernel._slice_closure.cache_info()
+    info = kernel._closure_memo.cache_info()
     assert (info.misses, info.hits) == (1, 11)  # built once, shared by the 12 points
 
 

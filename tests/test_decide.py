@@ -645,9 +645,10 @@ def cycle_search_pairs():
 
 
 def spy_on_the_search(monkeypatch):
-    """Record what `_cycles` hands its helpers: the budget's arguments,
-    the sorted cylinder numerators with span and q, the joined ranges, and
-    the residue table, its modulus and every survivor `_admitted` yields."""
+    """Record what `_cycles` hands its helpers and gets back: the budget's
+    arguments, the sorted cylinder numerators with span and q, the joined
+    ranges and their integer count, and the residue table, its modulus and
+    a copy of the survivors `_admitted` builds, before the walk takes them."""
     work = {}
     merged_ranges, admitted = decide_module._merged_ranges, decide_module._admitted
 
@@ -656,12 +657,14 @@ def spy_on_the_search(monkeypatch):
         systems_module._check_slice_budget(size, depth, grid)
 
     def merged(numerators, span, q):
-        work.update(cylinders=len(numerators), q=q, ranges=list(merged_ranges(numerators, span, q)), mod=1)
-        return iter(work["ranges"])
+        ranges, integers = merged_ranges(numerators, span, q)
+        work.update(cylinders=len(numerators), q=q, ranges=list(ranges), integers=integers, mod=1)
+        return ranges, integers
 
     def admitting(ranges, residues, mod):
-        work.update(residues=list(residues), mod=mod, survivors=list(admitted(ranges, residues, mod)))
-        return iter(work["survivors"])
+        survivors = admitted(ranges, residues, mod)
+        work.update(residues=list(residues), mod=mod, survivors=set(survivors))
+        return survivors
 
     monkeypatch.setattr(decide_module, "_check_slice_budget", budget)
     monkeypatch.setattr(decide_module, "_merged_ranges", merged)
@@ -670,7 +673,7 @@ def spy_on_the_search(monkeypatch):
 
 
 def survivors_of(work):
-    """Every survivor `_admitted` yielded, or all the ranges' integers on the k = 0 path."""
+    """Every survivor `_admitted` built, or all the ranges' integers on the k = 0 path."""
     return work["survivors"] if work["mod"] > 1 else [y for r in work["ranges"] for y in r]
 
 
@@ -692,10 +695,11 @@ def test_cycle_points_are_the_attractor_integers(monkeypatch):
     # (|eta|, eta) order, and the cycles come sorted by that point; and the
     # survivors, read by spies on the search's helpers, are exactly the
     # nonzero integers of the level-L cylinders whose residue mod |N|^k lies
-    # in the table of an independent k-step search, each yielded once; the
-    # cylinders, the residues and the survivors together stay within 3 times
-    # the estimate that the budget check sees (2.5 times at most here, on
-    # estimates of 2; within 1.02 times on estimates of 20 and more)
+    # in the table of an independent k-step search, and the joined ranges
+    # count each integer of the cylinders once; the cylinders, the residues
+    # and the survivors together stay within 3 times the estimate that the
+    # budget check sees (2.5 times at most here, on estimates of 2; within
+    # 1.02 times on estimates of 20 and more)
     work = spy_on_the_search(monkeypatch)
     pairs, clustered = cycle_search_pairs()
     cycling = overlapping = filtered = cycles_seen = multiple = 0
@@ -726,7 +730,7 @@ def test_cycle_points_are_the_attractor_integers(monkeypatch):
         covered, slots = cylinder_integers(scale, candidate, bounds, levels)
         assert {y for r in ranges for y in r} == covered, (system, candidate)
         survivors = survivors_of(work)
-        assert len(survivors) == len(set(survivors)), (system, candidate)
+        assert len(survivors) == len(set(survivors)) and work["integers"] == len(covered), (system, candidate)
         assert set(survivors) - {0} == {y for y in covered if y and y % work["mod"] in table}, (system, candidate)
         cost = work["cylinders"] + (len(table) if steps else 0) + len(survivors)
         assert cost <= 3 * work["estimate"], (system, candidate, work)
@@ -794,6 +798,7 @@ def test_deep_pairs_of_large_scales_stay_within_the_estimate(monkeypatch):
         levels, steps = split_of(work, system, candidate)
         survivors = survivors_of(work)
         assert steps > 0 and len(survivors) == len(set(survivors)), (system, candidate, levels, steps)
+        assert work["integers"] == sum(r.stop - r.start for r in work["ranges"]), (system, candidate)
         assert all(any(y in r for r in work["ranges"]) and takes_steps(scale, candidate, y, steps) for y in survivors)
         assert len(work["residues"]) <= candidate.size**steps
         cost = work["cylinders"] + len(work["residues"]) + len(survivors)

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from cantorspec import kernel
 from cantorspec.cli import main
 from cantorspec.kernel import SPREAD_LIMIT, TAIL_SWITCH_REMAINDER, TAIL_TERMS, _difference_weights, _symbol_sq
+from cantorspec.systems import _Record
 from cantorspec import (
     BudgetExceededError,
     PreconditionError,
@@ -384,7 +385,7 @@ def test_transfer_residual_tracks_epsilon(monkeypatch):
 
 def test_transfer_residual_builds_one_closure():
     transfer_residual(ScaleDigitSystem(6, (0, 1, 2)), SpectrumCandidate((0, 2, 4)), 0.3, 6)
-    assert kernel._slice_closure.cache_info().misses == 1  # the depth + 1 side's, shared by the |S| others
+    assert kernel._closure_memo.cache_info().misses == 1  # the depth + 1 side's, shared by the |S| others
 
 
 @pytest.mark.parametrize("k", [5, 20, 27, 40, 200])
@@ -446,7 +447,32 @@ def test_slice_closure_is_built_once_per_pair_value(monkeypatch):
         q_eval_with_bound(system, candidate, i / 12, TruncationPolicy(depth=5))
     transfer_residual(ScaleDigitSystem(6, (0, 1, 2)), SpectrumCandidate((0, 2, 4)), 0.3, 4)
     assert built == [ScaleDigitSystem(6, (0, 1, 2))]
-    assert kernel._slice_closure.cache_info().misses == 1
+    assert kernel._closure_memo.cache_info().misses == 1
+
+
+def test_warm_calls_neither_hash_nor_compare_a_record(monkeypatch):
+    # the memo is keyed by the pair's integers: once the closure is built,
+    # Q points with fresh records equal in value, digits given in any order,
+    # and a transfer recursion build no record's values and call no record's
+    # hash or equality (a memo keyed by the records built a record's values
+    # 6 times per Q point and 30 times per recursion at |S| = 3)
+    policy = TruncationPolicy(depth=5)
+    q_eval_with_bound(ScaleDigitSystem(6, (0, 1, 2)), SpectrumCandidate((0, 2, 4)), 0.1, policy)
+    calls = []
+
+    def spy(name, method):
+        def counted(self, *args):
+            calls.append(name)
+            return method(self, *args)
+        return counted
+
+    for name in ("_values", "__hash__", "__eq__"):
+        monkeypatch.setattr(_Record, name, spy(name, getattr(_Record, name)))
+    for i, digits in enumerate([(0, 1, 2), (2, 1, 0), (1, 0, 2)]):
+        q_eval_with_bound(ScaleDigitSystem(6, digits), SpectrumCandidate((4, 0, 2)), i / 3, policy)
+    transfer_residual(ScaleDigitSystem(6, (2, 1, 0)), SpectrumCandidate((0, 2, 4)), 0.3, 4)
+    assert calls == []
+    assert kernel._closure_memo.cache_info()[:2] == (3 + 5, 1)  # hits, misses: the recursion looks up |S| + 2 times
 
 
 @pytest.mark.parametrize("scale,digits,elements,depth", QGRID_PAIRS + STRESS_PAIRS)
@@ -461,13 +487,13 @@ def test_memoised_closure_answers_bit_for_bit_as_a_cold_one(scale, digits, eleme
     points = [(xi, d) for xi in (0.0, 0.3, 0.77, -1.25) for d in sorted({1, 2, depth})]
     cold = []
     for xi, d in points:
-        kernel._slice_closure.cache_clear()
+        kernel._closure_memo.cache_clear()
         cold.append(q(xi, d))
     assert [q(xi, d) for xi, d in points] == cold
-    assert kernel._slice_closure.cache_info()[:2] == (len(points), 1)  # hits, misses: every warm call hit
+    assert kernel._closure_memo.cache_info()[:2] == (len(points), 1)  # hits, misses: every warm call hit
     if len(elements) == len(digits):
         system, candidate = ScaleDigitSystem(scale, digits), SpectrumCandidate(elements)
-        kernel._slice_closure.cache_clear()
+        kernel._closure_memo.cache_clear()
         cold = bits(transfer_residual(system, candidate, 0.3, min(depth, 4)))
         assert bits(transfer_residual(system, candidate, 0.3, min(depth, 4))) == cold
 
@@ -477,10 +503,10 @@ def test_pairs_that_differ_never_share_a_closure():
     # equal to the closure its pair builds alone
     pairs = [(4, (0, 1), (0, 2)), (-4, (0, 1), (0, 2)), (4, (0, 3), (0, 2)), (4, (0, 1), (0, 6))]
     closures = [kernel._slice_closure(ScaleDigitSystem(n, d), SpectrumCandidate(s)) for n, d, s in pairs]
-    info = kernel._slice_closure.cache_info()
+    info = kernel._closure_memo.cache_info()
     assert (info.hits, info.misses, info.currsize) == (0, 4, 4)
     for (n, d, s), closure in zip(pairs, closures):
-        kernel._slice_closure.cache_clear()
+        kernel._closure_memo.cache_clear()
         assert kernel._slice_closure(ScaleDigitSystem(n, d), SpectrumCandidate(s)) == closure
 
 
@@ -505,7 +531,7 @@ def test_spread_refusal_is_raised_on_every_call():
     for _ in range(2):
         with pytest.raises(PreconditionError, match="refuses the digit spread"):
             q_eval_with_bound(system, candidate, 0.25, TruncationPolicy(depth=3))
-    assert kernel._slice_closure.cache_info().currsize == 0
+    assert kernel._closure_memo.cache_info().currsize == 0
 
 
 def test_kernel_rejects_non_finite_arguments():

@@ -63,7 +63,8 @@ def test_order_stress_times_the_cases_it_is_given():
         "order_stress.py", "compat-primorial-20", "order-test-2000-at-4000", "construct-shared-prime-1e14",
         "power-single-point-3-1.6e7", "report-2e8", "search-dense-2e8", "check-13-at-768", "construct-complement-2^22", "decide-tile-6e4",
         "search-dense-1e5", "complement-1000-at-1e7", "decide-wide-100", "decide-lifted-8-1e5",
-        "decide-clustered-8-1e8", "decide-hull-4-2e7", "decide-laba-wang-64-1e6", "t1-sweep-2^2000",
+        "decide-clustered-8-1e8", "decide-hull-4-2e7", "decide-laba-wang-64-1e6", "decide-small-hulls",
+        "t1-sweep-2^2000",
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     rows = [row.split(",") for row in proc.stdout.splitlines()]
@@ -85,6 +86,7 @@ def test_order_stress_times_the_cases_it_is_given():
         ("decide-clustered-8-1e8", "0:47afd025ed2c"),  # the same with S clustered, a hull of 10^8: spectral
         ("decide-hull-4-2e7", "0:9d7492423815"),  # |S| = 2 of |N| = 4, a hull of 6.7 * 10^6 integers: spectral
         ("decide-laba-wang-64-1e6", "0:bf9107ec693a"),  # |S| = 32 of |N| = 64, a hull of 10^6 integers: spectral
+        ("decide-small-hulls", "266 spectral"),  # 500 window pairs lifted to hulls of 30-100 integers
         ("t1-sweep-2^2000", "memo keeps 1"),  # (T1) asks only the order 2, the reach of every 2^k
     ]
     assert all(float(row[1]) >= 0 for row in rows[1:])
@@ -94,7 +96,7 @@ def test_order_stress_times_the_cases_it_is_given():
 
 def test_kernel_stress_times_the_cases_it_is_given():
     proc = run_script("kernel_stress.py", "qgrid-8", "asym-5", "far-4-20", "far-3-600", "collision-4", "sweep-6-24",
-                      "transfer-far-4-20")
+                      "warm-points-6", "transfer-far-4-20")
     assert (proc.returncode, proc.stderr) == (0, "")
     rows = [row.split(",") for row in proc.stdout.splitlines()]
     assert rows[0] == ["case", "seconds", "answer"]
@@ -105,6 +107,7 @@ def test_kernel_stress_times_the_cases_it_is_given():
         ("far-3-600", "0.736839729322"),  # (2, {0,1}), S = {0, 3^600}: P_0 alone, the leaf rows
         ("collision-4", "19.1261987806"),  # S = {0,1,4}: 4 + 0 = 0 + 4, slice points merged
         ("sweep-6-24", "23.9977946849"),  # sum of Q at xi = i/24 for (6, {0,1,2}), S = {0,2,4}, depth 7
+        ("warm-points-6", "99.9903234783"),  # the same at xi = i/100, fresh records for each point
         ("transfer-far-4-20", "below-1e-14"),  # inner points (0.3 + 4^20 + 2)/4 formed exactly
     ]
     assert all(float(row[1]) >= 0 for row in rows[1:])
