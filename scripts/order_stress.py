@@ -46,11 +46,15 @@ last; the (T1) sweep of the smallest tiling modulus of {0, 1} at the
 2,000 scales 2^k, answered with the number of answers its memo keeps,
 which asks only the powers of 2 inside the reach 2 of each; and one more
 1,000-digit wide set than the memo cache holds, each with its
-differences built, answered with the MB the cache retains.  The last
+differences built, answered with the MB the cache retains.  The next
 reports the same 1,000 wide digits at |N| = 2 * (10^12 + 39) and then at
 -N, answered with the status and the milliseconds of the second report
 alone: the reach of |N| is short of |N|, and the second report must not
-walk the differences again.
+walk the differences again.  The last builds the tiling construction's S
+for a mixed-radix tile of 432 digits at N = 2^8 * 3^6 and then decides it,
+answered with the verdict, |S| and L: the decision's compatibility
+precondition must not walk again the 93,096 pairs of S that the
+construction certified.
 Every case starts with no memo, so that its time does not depend on the
 cases run before it.
 
@@ -70,6 +74,7 @@ from cantorspec import (
     BudgetExceededError,
     ScaleDigitSystem,
     SpectrumCandidate,
+    construct_spectrum_set,
     cyclotomic,
     decide_spectrum,
     find_modulus_l,
@@ -194,6 +199,25 @@ def wide_memos_retained() -> str:
     return f"{len(kept)} memos {sum(map(memo_bytes, kept)) / 1e6:.0f} MB"
 
 
+def mixed_radix(primes, gaps) -> tuple[int, ...]:
+    """The tile of every sum a_i * c_i, 0 <= a_i < p_i, over the steps
+    c_1 = 1 and c_{i+1} = c_i * p_i * g_i."""
+    digits, step = [0], 1
+    for i, p in enumerate(primes):
+        if i:
+            step *= primes[i - 1] * gaps[i - 1]
+        digits = [d + a * step for d in digits for a in range(p)]
+    return tuple(sorted(digits))
+
+
+def construct_decide(scale: int, digits) -> str:
+    """The tiling construction of (N, D), then the verdict on its S."""
+    system = ScaleDigitSystem(scale, digits)
+    construction = construct_spectrum_set(system)
+    verdict = decide_spectrum(system, SpectrumCandidate(construction.result_s))
+    return f"spectral {verdict.spectral} |S| = {len(construction.result_s)} L = {construction.modulus_l}"
+
+
 def report_twice() -> str:
     """The report of 1,000 wide digits at N = 2 * (10^12 + 39), then at -N,
     answered with the second report's status and milliseconds."""
@@ -273,6 +297,9 @@ CASES = {
     "t1-sweep-2^2000": t1_sweep,
     "wide-memos-past-the-cache": wide_memos_retained,
     "report-twice-1000-wide": report_twice,
+    "construct-decide-wide": lambda: construct_decide(
+        2**8 * 3**6, mixed_radix((2, 3, 2, 3, 2, 3, 2), (1, 2, 1, 1, 3, 1))
+    ),
 }
 
 

@@ -78,14 +78,31 @@ def is_compatible(
     difference must be one of the system's vanishing orders.  Only these
     orders are decided, each once, however many differences share it.  A
     repeated residue has order 1, which never vanishes.
+
+    The system keeps its last answer in one slot, derived data like its
+    vanishing orders: S's elements with the certificate's entries, or with
+    None.  Asked about the same elements again, as `decide_spectrum` asks
+    after `construct_spectrum_set`, it rebuilds the certificate from them
+    and walks no pair.  The slot holds ints and tuples, never the
+    certificate, which points back at the system: that cycle would keep
+    both alive until the cyclic collector runs.
     """
-    if candidate.size != system.size:
+    elems = candidate.elements
+    if len(elems) != len(system.digits):
         raise PreconditionError(
             f"compatible pairs require |S| = |D|, got |S| = {candidate.size}, |D| = {system.size}"
         )
+    known = system.__dict__.get("_certified")
+    if known is None or known[0] != elems:
+        known = system.__dict__["_certified"] = elems, _zero_differences(system, elems)
+    return None if known[1] is None else CompatibilityCertificate(system, candidate, known[1])
+
+
+def _zero_differences(system: ScaleDigitSystem, elems: tuple[int, ...]) -> tuple[tuple[int, int, int], ...] | None:
+    """The certificate's entries (s1, s2, m) for the sorted, distinct `elems`,
+    or None at the first difference whose order does not vanish."""
     m = system.modulus
     vanishing: set[int] = set()
-    elems = candidate.elements
     entries = []
     for i in range(len(elems)):
         for j in range(i + 1, len(elems)):
@@ -95,7 +112,7 @@ def is_compatible(
                     return None
                 vanishing.add(b)
             entries.append((elems[i], elems[j], b))
-    return CompatibilityCertificate(system, candidate, tuple(entries))
+    return tuple(entries)
 
 
 def _zero_pattern(orders: dict[int, list[int]], m: int) -> int:

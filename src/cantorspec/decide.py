@@ -137,9 +137,11 @@ def decide_spectrum(
 
     Preconditions (each reported separately): 0 in D; gcd(D) = 1 (the
     degenerate point mass D = {0} is admitted); 0 in S; and (D/N, S)
-    compatible.  `range_factor` only dilates the reported `searched`
-    range, a regression hook: the verdict and the witness do not depend on
-    it.
+    compatible, which the system's certificate slot answers without a
+    second pass over S's pairs when the same elements were certified last,
+    as after `construct_spectrum_set` (see `is_compatible`).
+    `range_factor` only dilates the reported `searched` range, a
+    regression hook: the verdict and the witness do not depend on it.
     """
     digits = system.digits
     if 0 not in digits:

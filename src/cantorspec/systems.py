@@ -17,7 +17,11 @@ its vanishing orders, is computed on first use and cached on the instance
 by `_cached`; it is not a field, so equality, hashing and repr see only
 the scale and the digits.  The vanishing orders are decided one at a time,
 as callers ask, once per digit set per process, by a memo of the digits
-alone that systems with equal digits share (see `cyclotomic`).
+alone that systems with equal digits share (see `cyclotomic`).  So is a
+system's certificate slot, which `compat.is_compatible` keeps in the same
+`__dict__`: the last candidate's elements with its certificate's entries,
+or with None, ints and tuples only, so that no record points back at the
+system from it.
 """
 
 from __future__ import annotations

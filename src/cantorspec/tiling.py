@@ -217,9 +217,12 @@ def construct_spectrum_set(system: ScaleDigitSystem) -> TilingConstruction:
     they name, builds the complement at the smallest tiling modulus L from
     the same powers, and forms S = N*E as the integer sums of a_j * (N // p^k_j),
     one digit coefficient 0 <= a_j < p per power; E = S/N is derived from
-    it, one `Fraction` per element in the order of S/N.  Exact
-    compatibility of (D/N, S) is verified before returning; with the
-    certificate in hand, the measure is spectral.
+    it, one `Fraction` per element in the order of S/N.  The sums are
+    checked distinct once, or ConsistencyError, and S is built from them
+    unchecked.  Exact compatibility of (D/N, S) is verified before
+    returning, and the system keeps the certificate's entries, so that
+    deciding S next walks no pair again; with the certificate in hand,
+    the measure is spectral.
     """
     found = _tiling_modulus(system)
     if found is None:
@@ -237,18 +240,11 @@ def construct_spectrum_set(system: ScaleDigitSystem) -> TilingConstruction:
         raise ConsistencyError(
             f"fractional set has {len(set(elements))} points, expected |D| = {system.size}"
         )
-    candidate = SpectrumCandidate(tuple(elements))
+    candidate = SpectrumCandidate._of(tuple(sorted(elements)))  # integer sums, distinct as just checked
     certificate = is_compatible(system, candidate)
     if certificate is None:
         raise ConsistencyError("constructed spectrum failed the exact compatibility check")
     # s/N ascends with s for N > 0 and descends for N < 0
     ordered = candidate.elements[::-1] if system.scale < 0 else candidate.elements
-    return TilingConstruction(
-        modulus_l=modulus_l,
-        complement_e0=complement,
-        p_powers=p_powers,
-        q_powers=q_powers,
-        fractional_e=tuple(Fraction(s, system.scale) for s in ordered),
-        result_s=candidate.elements,
-        certificate=certificate,
-    )
+    fractional = tuple(Fraction(s, system.scale) for s in ordered)
+    return TilingConstruction(modulus_l, complement, p_powers, q_powers, fractional, candidate.elements, certificate)

@@ -166,8 +166,9 @@ def test_order_tests_are_built_only_where_a_memo_is_kept():
 def test_records_are_built_unchecked_only_from_validated_values():
     # `_Record._of` skips `__init__` and its checks, so it is called only
     # where the values derive from records already validated: the window
-    # candidates, the report's reduced system, the hull and the slice
-    # closure's pair, rebuilt from the integers it is keyed by
+    # candidates, the report's reduced system, the hull, the slice
+    # closure's pair, rebuilt from the integers it is keyed by, and the
+    # construction's candidate, from sums checked distinct
     callers = []
 
     def visit(node, where):
@@ -184,6 +185,7 @@ def test_records_are_built_unchecked_only_from_validated_values():
     assert sorted(callers) == [
         "compat._window_candidates", "decide._interval", "decide.report_measure_spectrality",
         "kernel._closure_memo", "kernel._closure_memo",  # the system and the candidate
+        "tiling.construct_spectrum_set",
     ]
 
 

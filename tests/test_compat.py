@@ -1,6 +1,11 @@
+import copy
+import dataclasses
+import gc
 import itertools
 import math
+import pickle
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +17,8 @@ from cantorspec import (
     ScaleDigitSystem,
     SpectrumCandidate,
     compat,
+    construct_spectrum_set,
+    decide_spectrum,
     is_compatible,
     pair_power,
     reduce_s,
@@ -383,6 +390,112 @@ def test_is_compatible_asks_each_distinct_order_once(monkeypatch):
     assert is_compatible(other, SpectrumCandidate(tuple(range(0, 30, 5)))) is not None
     assert other.vanishing_orders == frozenset({2, 3, 6})
     assert sorted(summed) == [2, 3, 5, 6, 10]
+
+
+def spy_pair_walks(monkeypatch):
+    """Record the elements of each walk over a candidate's pairs."""
+    walks, walk = [], compat._zero_differences
+
+    def walking(system, elems):
+        walks.append(elems)
+        return walk(system, elems)
+
+    monkeypatch.setattr(compat, "_zero_differences", walking)
+    return walks
+
+
+def test_construct_then_decide_walks_the_pairs_once(monkeypatch):
+    walks = spy_pair_walks(monkeypatch)
+    system = ScaleDigitSystem(-48, (0, 1, 2, 3, 8, 9, 10, 11))
+    construction = construct_spectrum_set(system)
+    verdict = decide_spectrum(system, SpectrumCandidate(construction.result_s))
+    assert verdict.spectral and walks == [construction.result_s]
+    # the report's certificate of a window candidate, then its decision
+    report = report_measure_spectrality(ScaleDigitSystem(6, (0, 1, 2)))
+    decide_spectrum(report.certificate.system, report.candidate)
+    assert walks[1:] == [report.candidate.elements]
+
+
+def test_the_certificate_slot_walks_again_only_for_new_elements_or_systems(monkeypatch):
+    walks = spy_pair_walks(monkeypatch)
+    system = ScaleDigitSystem(6, (0, 1, 2))
+    first, other, apart = SpectrumCandidate((0, 2, 4)), SpectrumCandidate((-2, 0, 2)), SpectrumCandidate((0, 1, 2))
+    cert = is_compatible(system, first)
+    twin = SpectrumCandidate((0, 2, 4))
+    again = is_compatible(system, twin)
+    assert again == cert and again.system is system and again.candidate is twin and len(walks) == 1
+    assert is_compatible(system, other) is not None and len(walks) == 2
+    assert is_compatible(system, first) == cert and len(walks) == 3  # `other` took the slot
+    assert is_compatible(ScaleDigitSystem(6, (0, 1, 2)), first) == cert and len(walks) == 4  # equal, not the same
+    assert is_compatible(system, apart) is None and is_compatible(system, apart) is None and len(walks) == 5
+    assert walks == [first.elements, other.elements, first.elements, first.elements, apart.elements]
+    with pytest.raises(PreconditionError, match="compatible pairs only"):
+        decide_spectrum(system, apart)  # the slot's None answers
+    # the size check comes before the slot, filled or not, in both calls
+    for filled in (first, apart):
+        is_compatible(system, filled)
+        with pytest.raises(PreconditionError, match=r"\|S\| = 2, \|D\| = 3"):
+            is_compatible(system, SpectrumCandidate((0, 2)))
+        with pytest.raises(PreconditionError, match=r"\|S\| = 4, \|D\| = 3"):
+            decide_spectrum(system, SpectrumCandidate((0, 2, 4, 6)))
+    assert len(walks) == 7
+
+
+def test_the_certificate_slot_leaves_value_semantics_alone():
+    system, candidate = ScaleDigitSystem(6, (0, 1, 2)), SpectrumCandidate((0, 2, 4))
+    cert = is_compatible(system, candidate)
+    fresh = ScaleDigitSystem(6, (0, 1, 2))
+    assert system == fresh and hash(system) == hash(fresh) and repr(system) == repr(fresh)
+    assert dataclasses.asdict(system) == {"scale": 6, "digits": (0, 1, 2)}
+    assert dataclasses.replace(system) == system
+    assert dataclasses.replace(system, digits=(0, 1, 3)) == ScaleDigitSystem(6, (0, 1, 3))
+    assert is_compatible(dataclasses.replace(system, digits=(0, 1, 3)), candidate) is None
+    for clone in (pickle.loads(pickle.dumps(system)), copy.copy(system), copy.deepcopy(system)):
+        assert clone == system and hash(clone) == hash(system) and repr(clone) == repr(system)
+        assert is_compatible(clone, candidate) == cert and is_compatible(clone, candidate).system is clone
+    for record in (cert, pickle.loads(pickle.dumps(cert)), copy.deepcopy(cert)):
+        assert record == is_compatible(fresh, candidate) and repr(record) == repr(is_compatible(fresh, candidate))
+
+
+def test_a_construction_and_its_verdict_leave_no_reference_cycle():
+    # the slot holds ints and tuples, never the certificate that points back
+    # at the system, so dropping the results frees the system on the spot
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        system = ScaleDigitSystem(12, (0, 1, 2, 3, 4, 5))
+        construction = construct_spectrum_set(system)
+        verdict = decide_spectrum(system, SpectrumCandidate(construction.result_s))
+        alive = weakref.ref(system)
+        del construction, verdict, system
+        assert alive() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_one_system_answers_every_candidate_as_a_fresh_one_does():
+    # each system of the exhaustive search is asked its window candidates and
+    # a few other sets, one after another and each twice, and then the whole
+    # sequence again, so a stale slot would answer for the wrong elements
+    rng, answers = random.Random(46), {True: 0, False: 0}
+    digit_sets = [digits for size in range(1, 9) for digits in itertools.combinations(range(8), size)]
+    for modulus in range(3, 17):
+        for scale in (modulus, -modulus):
+            for digits in digit_sets:
+                system = ScaleDigitSystem(scale, digits)
+                size, window = len(digits), range(2 - modulus, modulus - 1)
+                sequence = search_candidate_s(system)
+                if size <= len(window):
+                    sequence += [SpectrumCandidate(rng.sample(window, size)) for _ in range(3)]
+                if size > 1:
+                    sequence.append(SpectrumCandidate(range(size)))
+                for candidate in sequence + sequence:
+                    expected = is_compatible(ScaleDigitSystem(scale, digits), candidate)
+                    assert is_compatible(system, candidate) == expected, (scale, digits, candidate)
+                    assert is_compatible(system, candidate) == expected, (scale, digits, candidate)
+                    answers[expected is not None] += 1
+    assert answers[True] > 9_000 and answers[False] > 9_000
 
 
 def test_search_rejects_degenerate_window():
