@@ -50,11 +50,14 @@ differences built, answered with the MB the cache retains.  The next
 reports the same 1,000 wide digits at |N| = 2 * (10^12 + 39) and then at
 -N, answered with the status and the milliseconds of the second report
 alone: the reach of |N| is short of |N|, and the second report must not
-walk the differences again.  The last builds the tiling construction's S
+walk the differences again.  The next builds the tiling construction's S
 for a mixed-radix tile of 432 digits at N = 2^8 * 3^6 and then decides it,
 answered with the verdict, |S| and L: the decision's compatibility
 precondition must not walk again the 93,096 pairs of S that the
-construction certified.
+construction certified.  The last constructs and decides 500 seeded
+mixed-radix tiles of 2-9 digits at |N| from 24 to 8,640, the construct
+workload's sizes, answered with the number of spectral verdicts: most of
+their hulls lie inside (-1, 1), where the decision runs no cycle search.
 Every case starts with no memo, so that its time does not depend on the
 cases run before it.
 
@@ -210,12 +213,37 @@ def mixed_radix(primes, gaps) -> tuple[int, ...]:
     return tuple(sorted(digits))
 
 
-def construct_decide(scale: int, digits) -> str:
-    """The tiling construction of (N, D), then the verdict on its S."""
+def construct_and_decide(scale: int, digits):
+    """The tiling construction of (N, D), and then the verdict on its S."""
     system = ScaleDigitSystem(scale, digits)
     construction = construct_spectrum_set(system)
-    verdict = decide_spectrum(system, SpectrumCandidate(construction.result_s))
+    return construction, decide_spectrum(system, SpectrumCandidate(construction.result_s))
+
+
+def construct_decide(scale: int, digits) -> str:
+    construction, verdict = construct_and_decide(scale, digits)
     return f"spectral {verdict.spectral} |S| = {len(construction.result_s)} L = {construction.modulus_l}"
+
+
+def construct_decides(count: int) -> str:
+    """`count` seeded tiles of `mixed_radix` of 2-9 digits, each at a seeded
+    divisor 24 <= |N| <= 8640 of 8640 that its period L divides, constructed
+    and decided, answered with the number of spectral verdicts."""
+    rng, spectral = random.Random(47), 0
+    moduli = [m for m in range(24, 8641) if 8640 % m == 0]
+    radices = ((2,), (3,), (2, 2), (2, 3), (3, 2), (2, 2, 2), (3, 3))
+    for _ in range(count):
+        m = rng.choice(moduli)
+        fitting = [primes for primes in radices if m % math.prod(primes) == 0]
+        while True:  # gaps of 1 give L = |D|, which divides |N|
+            primes = rng.choice(fitting)
+            gaps = [rng.choice((1, p)) for p in primes[1:]]
+            steps = [math.prod(p * g for p, g in zip(primes[:i], gaps)) for i in range(len(primes))]
+            # L is the lcm of p * (the power of p in its step) over the tile's primes
+            if m % math.lcm(*(p * math.gcd(c, p ** (2 * len(primes))) for p, c in zip(primes, steps))) == 0:
+                break
+        spectral += construct_and_decide(m * rng.choice((1, -1)), mixed_radix(primes, gaps))[1].spectral
+    return f"{spectral} spectral"
 
 
 def report_twice() -> str:
@@ -300,6 +328,7 @@ CASES = {
     "construct-decide-wide": lambda: construct_decide(
         2**8 * 3**6, mixed_radix((2, 3, 2, 3, 2, 3, 2), (1, 2, 1, 1, 3, 1))
     ),
+    "construct-decide-500": lambda: construct_decides(500),
 }
 
 

@@ -81,21 +81,29 @@ def is_compatible(
 
     The system keeps its last answer in one slot, derived data like its
     vanishing orders: S's elements with the certificate's entries, or with
-    None.  Asked about the same elements again, as `decide_spectrum` asks
-    after `construct_spectrum_set`, it rebuilds the certificate from them
-    and walks no pair.  The slot holds ints and tuples, never the
+    None.  Asked about the same elements again, it rebuilds the
+    certificate from them and walks no pair; `decide_spectrum`, which asks
+    after `construct_spectrum_set`, reads the entries alone and builds no
+    certificate.  The slot holds ints and tuples, never the
     certificate, which points back at the system: that cycle would keep
     both alive until the cyclic collector runs.
     """
-    elems = candidate.elements
+    entries = _certify(system, candidate.elements)
+    return None if entries is None else CompatibilityCertificate(system, candidate, entries)
+
+
+def _certify(system: ScaleDigitSystem, elems: tuple[int, ...]) -> tuple[tuple[int, int, int], ...] | None:
+    """`is_compatible`'s certificate entries for S's elements, or None, read
+    from the system's slot or walked into it; for callers that want only
+    the answer, such as `decide_spectrum`, no certificate is built."""
     if len(elems) != len(system.digits):
         raise PreconditionError(
-            f"compatible pairs require |S| = |D|, got |S| = {candidate.size}, |D| = {system.size}"
+            f"compatible pairs require |S| = |D|, got |S| = {len(elems)}, |D| = {len(system.digits)}"
         )
     known = system.__dict__.get("_certified")
     if known is None or known[0] != elems:
         known = system.__dict__["_certified"] = elems, _zero_differences(system, elems)
-    return None if known[1] is None else CompatibilityCertificate(system, candidate, known[1])
+    return known[1]
 
 
 def _zero_differences(system: ScaleDigitSystem, elems: tuple[int, ...]) -> tuple[tuple[int, int, int], ...] | None:

@@ -6,16 +6,20 @@ eta -> (eta + s)/N (the unique s in S making the division exact) admits a
 cycle of nonzero integers.  Let K be the attractor of the maps
 x -> (x+s)/N.  The successor map sends the finite set of K's integers onto
 itself (eta in K is (y + s)/N with y = N*eta - s in K), so K's nonzero
-integers are exactly the points of these cycles.  `_cycles` returns them as
-pairs (eta, s), each cycle in successor order, from one walk over the
-survivors of a search that meets in the middle and works in the integers
-of K's hull, both of whose halves are slices Lambda_k = {s_0 + s_1 N +
-... + s_{k-1} N^(k-1)} of the candidate spectrum (`compat._slice`).  From
-above it takes K's level-L cylinders (H + Lambda_L)/N^L, H the exact
-rational hull of K (`attractor_bounds`), overlapping ones joined so that
-each integer counts once; from below it keeps those whose residue mod |N|^k
-admits k steps, the residues -Lambda_k mod |N|^k, a share of about
-(|S|/|N|)^k, stepping from one such residue to the next.
+integers are exactly the points of these cycles.  K lies in its exact
+rational hull H (`attractor_bounds`), which holds 0 since 0 is in S.  When
+H lies strictly inside (-1, 1), as it does for every candidate of
+Laba-Wang's window [2-|N|, |N|-2], 0 is K's only integer and the pair is
+decided spectral from H alone: no search runs and no budget is read.
+Otherwise `_cycles` returns the cycles as pairs (eta, s), each in successor
+order, from one walk over the survivors of a search that meets in the
+middle and works in the integers of H, both of whose halves are slices
+Lambda_k = {s_0 + s_1 N + ... + s_{k-1} N^(k-1)} of the candidate spectrum
+(`compat._slice`).  From above it takes K's level-L cylinders
+(H + Lambda_L)/N^L, overlapping ones joined so that each integer counts
+once; from below it keeps those whose residue mod |N|^k admits k steps,
+the residues -Lambda_k mod |N|^k, a share of about (|S|/|N|)^k, stepping
+from one such residue to the next.
 L + k is at most two more than the level that the budget reads, where a
 further split stops shrinking the cylinders' integers.  The verdict is
 spectral when there is no cycle, 0 being K's only integer, and both
@@ -32,7 +36,7 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 
-from .compat import CompatibilityCertificate, _slice, _window_candidates, is_compatible
+from .compat import CompatibilityCertificate, _certify, _slice, _window_candidates, is_compatible
 from .systems import (
     ConsistencyError,
     PreconditionError,
@@ -105,13 +109,15 @@ def _interval(den: int, low: int, high: int) -> RationalInterval:
 
 
 class SpectrumVerdict(_Record):
-    """Outcome of the cycle search.
+    """Outcome of the cycle criterion.
 
     `searched` is the inclusive integer range of the attractor's hull
     `bounds`, dilated by the search's `range_factor`.  A spectral verdict
     certifies that no integer of that range lies on a cycle of nonzero
     integers or leads into one, though the search visits only the integers
-    of the attractor's cylinders.  The search returns the attractor's
+    of the attractor's cylinders, and none at all when `bounds` lies
+    strictly inside (-1, 1): then 0 is the attractor's only integer and
+    the verdict is read off the hull.  The search returns the attractor's
     cycles of nonzero integers as pairs (eta_j, s_j) with eta_{j+1} =
     (eta_j + s_j)/N cyclically, and a negative verdict carries the first
     of them as its witness: the cycle through the attractor's smallest
@@ -139,9 +145,13 @@ def decide_spectrum(
     degenerate point mass D = {0} is admitted); 0 in S; and (D/N, S)
     compatible, which the system's certificate slot answers without a
     second pass over S's pairs when the same elements were certified last,
-    as after `construct_spectrum_set` (see `is_compatible`).
-    `range_factor` only dilates the reported `searched` range, a
-    regression hook: the verdict and the witness do not depend on it.
+    as after `construct_spectrum_set` (see `is_compatible`); the answer is
+    read as the certificate's entries, and no certificate is built.
+    A pair whose attractor's hull lies strictly inside (-1, 1), as every
+    window candidate's does, is decided spectral from the hull: it runs no
+    cycle search and so reaches no budget.  `range_factor` only dilates the
+    reported `searched` range, a regression hook: the verdict and the
+    witness do not depend on it.
     """
     digits = system.digits
     if 0 not in digits:
@@ -152,11 +162,26 @@ def decide_spectrum(
         )
     if 0 not in candidate.elements:
         raise PreconditionError("cycle criterion requires 0 in S")
-    if is_compatible(system, candidate) is None:
+    if _certify(system, candidate.elements) is None:
         raise PreconditionError("cycle criterion applies to compatible pairs only")
     _int_items((range_factor,), "scale factor must be a positive integer", least=1)
     den, low, high = _hull(system.scale, candidate.elements[0], candidate.elements[-1])
-    cycles = _cycles(system, candidate, den, low, high)
+    if (verdict := _window_verdict(den, low, high, range_factor)) is None:
+        verdict = _verdict(_cycles(system, candidate, den, low, high), den, low, high, range_factor)
+    return verdict
+
+
+def _window_verdict(den: int, low: int, high: int, range_factor: int) -> SpectrumVerdict | None:
+    """The spectral verdict of a pair whose hull [low, high]/den (`_hull`) lies
+    strictly inside (-1, 1), as Laba-Wang's window pairs' hulls do: it holds
+    no nonzero integer, so no cycle, and no search is run.  None otherwise."""
+    return _verdict([], den, low, high, range_factor) if -den < low and high < den else None
+
+
+def _verdict(cycles: list, den: int, low: int, high: int, range_factor: int) -> SpectrumVerdict:
+    """The verdict on the hull [low, high]/den from the `_cycles` of K's
+    nonzero integers: spectral when there is none, else with the first as
+    its witness."""
     searched = -(-range_factor * low // den), range_factor * high // den  # [low, high]/den dilated, den > 0
     return SpectrumVerdict(not cycles, cycles[0] if cycles else None, searched, _interval(den, low, high))
 
@@ -335,10 +360,11 @@ def report_measure_spectrality(system: ScaleDigitSystem) -> SpectralityReport:
     first window candidate is spectral by Laba-Wang's window condition: its
     attractor's hull lies strictly inside (-1, 1) for either sign of N, so
     it holds no nonzero integer, let alone a cycle.  The verdict is read off
-    the hull, checked exactly on the integer numerators of its endpoints:
-    ConsistencyError if it leaves (-1, 1).  At |N| = 2 the window is {0},
-    so only the point mass {0} has one.  The reduced system is the given
-    one when its digits are canonical already.
+    the hull by `decide_spectrum`'s own rule for such hulls, checked
+    exactly on the integer numerators of its endpoints: ConsistencyError
+    if it leaves (-1, 1).  At |N| = 2 the window is {0}, so only the point
+    mass {0} has one.  The reduced system is the given one when its digits
+    are canonical already.
     """
     scale, canon = system.scale, _canonical(system.digits)
     if system.modulus == 2 and canon.reduced_digits == (0, 1):
@@ -348,8 +374,8 @@ def report_measure_spectrality(system: ScaleDigitSystem) -> SpectralityReport:
     if cand is None:
         return SpectralityReport(STATUS_UNKNOWN, scale, canon)
     den, low, high = _hull(scale, cand.elements[0], cand.elements[-1])
-    bounds = _interval(den, low, high)
-    if low <= -den or high >= den:
+    verdict = _window_verdict(den, low, high, 1)
+    if verdict is None:
+        bounds = _interval(den, low, high)
         raise ConsistencyError(f"window candidate {cand.elements} has a hull {bounds} outside (-1, 1)")
-    verdict = SpectrumVerdict(True, None, (0, 0), bounds)
     return SpectralityReport(STATUS_SPECTRAL, scale, canon, cand, is_compatible(reduced, cand), verdict)

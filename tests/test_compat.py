@@ -404,16 +404,30 @@ def spy_pair_walks(monkeypatch):
     return walks
 
 
+def spy_certificates(monkeypatch):
+    """Record the candidate of each certificate built."""
+    built, init = [], compat.CompatibilityCertificate.__init__
+
+    def building(self, system, candidate, zero_differences):
+        built.append(candidate)
+        init(self, system, candidate, zero_differences)
+
+    monkeypatch.setattr(compat.CompatibilityCertificate, "__init__", building)
+    return built
+
+
 def test_construct_then_decide_walks_the_pairs_once(monkeypatch):
-    walks = spy_pair_walks(monkeypatch)
+    walks, built = spy_pair_walks(monkeypatch), spy_certificates(monkeypatch)
     system = ScaleDigitSystem(-48, (0, 1, 2, 3, 8, 9, 10, 11))
     construction = construct_spectrum_set(system)
+    assert built == [SpectrumCandidate(construction.result_s)]  # the construction's own certificate
     verdict = decide_spectrum(system, SpectrumCandidate(construction.result_s))
     assert verdict.spectral and walks == [construction.result_s]
+    assert len(built) == 1  # the decision reads the slot's answer and builds no certificate
     # the report's certificate of a window candidate, then its decision
     report = report_measure_spectrality(ScaleDigitSystem(6, (0, 1, 2)))
     decide_spectrum(report.certificate.system, report.candidate)
-    assert walks[1:] == [report.candidate.elements]
+    assert walks[1:] == [report.candidate.elements] and built[1:] == [report.candidate]
 
 
 def test_the_certificate_slot_walks_again_only_for_new_elements_or_systems(monkeypatch):
@@ -439,6 +453,37 @@ def test_the_certificate_slot_walks_again_only_for_new_elements_or_systems(monke
         with pytest.raises(PreconditionError, match=r"\|S\| = 4, \|D\| = 3"):
             decide_spectrum(system, SpectrumCandidate((0, 2, 4, 6)))
     assert len(walks) == 7
+
+
+# decide_spectrum's refusals in the order it checks them: each case breaks
+# its own precondition and every later one that it can, so a refusal moved
+# after a later check would answer with the later text
+DECIDE_REFUSALS = [
+    ((6, (1, 2, 3)), (1, 2), 0, "cycle criterion requires 0 in D; canonicalize the digits first"),
+    ((6, (0, 2, 4)), (1, 2), 0, "cycle criterion requires gcd(D) = 1, got gcd = 2"),
+    ((6, (0, 1, 2)), (1, 2), 0, "cycle criterion requires 0 in S"),
+    ((6, (0, 1, 2)), (0, 1), 0, "compatible pairs require |S| = |D|, got |S| = 2, |D| = 3"),
+    ((6, (0, 1, 2)), (0, 1, 2), 0, "cycle criterion applies to compatible pairs only"),
+    ((6, (0, 1, 2)), (0, 2, 4), 0, "scale factor must be a positive integer, got 0"),
+    ((-6, (0, 1, 2)), (-2, 0, 2), True, "scale factor must be a positive integer, got True"),
+]
+
+
+@pytest.mark.parametrize("fill", ["empty", "the pair", "another pair"])
+@pytest.mark.parametrize("system_args,elements,range_factor,text", DECIDE_REFUSALS)
+def test_decide_keeps_its_refusals_and_builds_no_certificate(monkeypatch, system_args, elements, range_factor,
+                                                              text, fill):
+    system, candidate = ScaleDigitSystem(*system_args), SpectrumCandidate(elements)
+    if fill == "the pair" and len(elements) == system.size:
+        is_compatible(system, candidate)
+    elif fill == "another pair":
+        is_compatible(system, SpectrumCandidate(range(0, 2 * system.size, 2)))
+    built = spy_certificates(monkeypatch)
+    with pytest.raises(PreconditionError) as refusal:
+        decide_spectrum(system, candidate, range_factor)
+    assert str(refusal.value) == text and built == []
+    if text.startswith("scale factor"):  # a compatible pair: at range_factor 1 it is decided, still with none
+        assert decide_spectrum(system, candidate).spectral and built == []
 
 
 def test_the_certificate_slot_leaves_value_semantics_alone():

@@ -22,6 +22,7 @@ from cantorspec import (
     TruncationPolicy,
     attractor_bounds,
     canonicalize_digits,
+    construct_spectrum_set,
     decide_spectrum,
     is_compatible,
     q_eval_with_bound,
@@ -928,6 +929,55 @@ def test_every_window_candidate_is_spectral():
                         assert decide_spectrum(system, cand).spectral, (system, cand)
                         decided += 1
     assert decided > 2000
+
+
+def test_the_search_runs_only_where_the_hull_holds_a_nonzero_integer(monkeypatch):
+    # a hull strictly inside (-1, 1) holds no nonzero integer, so the pair is
+    # decided spectral from the hull and never searched, as every window
+    # candidate is; any other hull holds -1 or 1, since 0 lies in it, and is
+    # searched: tiling constructions come in both kinds, lifted pairs too
+    searched, search = [], decide_module._cycles
+
+    def searching(system, candidate, *hull):
+        searched.append((system, candidate))
+        return search(system, candidate, *hull)
+
+    monkeypatch.setattr(decide_module, "_cycles", searching)
+    windows, constructions, lifted = [], [], []
+    for modulus in range(2, 17):
+        for scale in (modulus, -modulus):
+            for size in range(4):
+                for rest in itertools.combinations(range(1, 13), size):
+                    if math.gcd(*rest) <= 1:  # gcd() = 0: the point mass D = {0}
+                        system = ScaleDigitSystem(scale, (0, *rest))
+                        windows += [(system, cand) for cand in compat_module._window_candidates(system)]
+    digit_sets = [digits for size in (1, 2, 3, 4, 6) for digits in itertools.combinations(range(-2, 8), size)]
+    for modulus in (4, 6, 8, 9, 12, 16, 18, 24, 72):
+        for scale in (modulus, -modulus):
+            for digits in digit_sets:
+                if 0 in digits and (math.gcd(*digits) == 1 or digits == (0,)):
+                    system = ScaleDigitSystem(scale, digits)
+                    try:
+                        constructions.append((system, SpectrumCandidate(construct_spectrum_set(system).result_s)))
+                    except PreconditionError:
+                        continue
+    for scale in [n for k in range(3, 10) for n in (k, -k)] + [10, 12, -12]:
+        lifted += lifted_window_pairs(scale, 7, (2, 3, 4), (-2, 0, 3))
+    holding = {}
+    for name, pairs in [("windows", windows), ("constructions", constructions), ("lifted", lifted)]:
+        holding[name] = [0, 0]
+        for system, candidate in pairs:
+            bounds = attractor_bounds(system.scale, candidate.elements)
+            holds = bounds.lo <= -1 or bounds.hi >= 1
+            holding[name][holds] += 1
+            for range_factor in (1, 2, 3):
+                searched.clear()
+                verdict = decide_spectrum(system, candidate, range_factor)
+                assert searched == [(system, candidate)] * holds, (system, candidate, range_factor)
+                assert verdict == reference_decide(system, candidate, range_factor), (system, candidate, range_factor)
+    assert holding["windows"][0] > 2000 and holding["windows"][1] == 0
+    assert holding["constructions"][0] > 400 and holding["constructions"][1] > 90
+    assert holding["lifted"][0] > 400 and holding["lifted"][1] > 9000
 
 
 def test_the_report_follows_the_closed_form_for_up_to_three_digits():

@@ -64,7 +64,7 @@ def test_order_stress_times_the_cases_it_is_given():
         "power-single-point-3-1.6e7", "report-2e8", "search-dense-2e8", "check-13-at-768", "construct-complement-2^22", "decide-tile-6e4",
         "search-dense-1e5", "complement-1000-at-1e7", "decide-wide-100", "decide-lifted-8-1e5",
         "decide-clustered-8-1e8", "decide-hull-4-2e7", "decide-laba-wang-64-1e6", "decide-small-hulls",
-        "t1-sweep-2^2000", "construct-decide-wide",
+        "t1-sweep-2^2000", "construct-decide-wide", "construct-decide-500",
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     rows = [row.split(",") for row in proc.stdout.splitlines()]
@@ -89,6 +89,7 @@ def test_order_stress_times_the_cases_it_is_given():
         ("decide-small-hulls", "266 spectral"),  # 500 window pairs lifted to hulls of 30-100 integers
         ("t1-sweep-2^2000", "memo keeps 1"),  # (T1) asks only the order 2, the reach of every 2^k
         ("construct-decide-wide", "spectral True |S| = 432 L = 2592"),  # 432 digits at N = 2^8 * 3^6
+        ("construct-decide-500", "500 spectral"),  # 500 seeded tiles of 2-9 digits at 24 <= |N| <= 8640
     ]
     assert all(float(row[1]) >= 0 for row in rows[1:])
     unknown = run_script("order_stress.py", "no-such-case")
