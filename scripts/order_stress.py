@@ -12,8 +12,11 @@ by name.
 The cases are the recorded cliffs (wide digits at a large prime scale, a
 prime shared by the scale and a digit difference, which the construction
 and the pair power never ask about, the power 1.6 * 10^7 of the point
-masses at N = 3, whose N^k of 2.5 * 10^7 bits is refused before it is
-formed, a large prime in both orders that one check asks, 2,000 digits,
+masses at N = 3, answered without forming its N^k of 2.5 * 10^7 bits, the
+power 8 of {0, 1} and {0, N/2} at N = 10^400, answered from its two slices
+with no re-check of the 32,640 pairs of S_8, the depth-13 slice of {0, 1}
+at N = 10^239, refused by the 64-bit words of its points before it is
+built, a large prime in both orders that one check asks, 2,000 digits,
 the complement of {0, 13} at 192, 384 and 768, which a backtracking
 search took seconds to find or refused, a complement
 of 2^21 elements refused before it is built, the complement of 1,000
@@ -74,7 +77,6 @@ import sys
 import time
 
 from cantorspec import (
-    BudgetExceededError,
     ScaleDigitSystem,
     SpectrumCandidate,
     construct_spectrum_set,
@@ -141,12 +143,9 @@ def cli(*argv: str):
 
 
 def single_point_power(scale: int, k: int) -> str:
-    """The power-k pair of the point masses D = S = {0} at N: the sizes of
-    D_k and S_k, or "refused" where N^k would pass the budget's bits."""
-    try:
-        digits_k, elements_k = pair_power(ScaleDigitSystem(scale, (0,)), SpectrumCandidate((0,)), k)
-    except BudgetExceededError:
-        return "refused"
+    """The power-k pair of the point masses D = S = {0} at N, which forms no
+    power of N: the sizes of D_k and S_k."""
+    digits_k, elements_k = pair_power(ScaleDigitSystem(scale, (0,)), SpectrumCandidate((0,)), k)
     return f"{len(digits_k)} and {len(elements_k)} points"
 
 
@@ -278,6 +277,10 @@ CASES = {
         "--s", "0,100000000000031", "--k", "1",
     ),
     "power-single-point-3-1.6e7": lambda: single_point_power(3, 16 * 10**6),
+    "power-2-at-1e400-k8": lambda: cli(
+        "compat", "power", "--n", str(10**400), "--digits", "0,1", "--s", f"0,{5 * 10**399}", "--k", "8"
+    ),
+    "lambda-2-at-1e239-depth-13": lambda: cli("measure", "lambda", "--n", str(10**239), "--s", "0,1", "--depth", "13"),
     "report-2e8": lambda: cli("spectrum", "report", "--n", "200000000", "--digits", "0,1"),
     "search-dense-2e8": lambda: cli(
         "compat", "search", "--n", "200000000", "--digits", "0,1,100000000,100000001"

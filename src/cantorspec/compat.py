@@ -35,7 +35,6 @@ from collections.abc import Iterator
 from . import systems
 from .systems import (
     BudgetExceededError,
-    ConsistencyError,
     PreconditionError,
     ScaleDigitSystem,
     SpectrumCandidate,
@@ -246,11 +245,20 @@ def _slice(scale: int, elements: tuple[int, ...], depth: int) -> list[int]:
     return values
 
 
-def _check_power_bits(scale: int, depth: int) -> None:
-    """Refuse N^depth, which a slice's points and a pair power's scale reach,
-    past LAMBDA_BUDGET bits, before it is formed."""
+def _check_slice(scale: int, size: int, largest: int, depth: int) -> None:
+    """Refuse, before it is built, a depth-slice of `size` elements whose
+    largest absolute value is `largest`: past the slice budget, its
+    |S|^depth points; unless every element is 0, an N^depth of more than
+    LAMBDA_BUDGET bits; and past the slice budget, the points times the
+    64-bit words of the largest point it can hold,
+    1 + (bits of `largest` + (depth - 1) * bits of |N|) // 64.  The points
+    alone go first, so a slice refused by them keeps their message."""
+    _check_slice_budget(size, depth)
+    if not largest:
+        return
     if (bits := depth * math.log2(abs(scale))) > systems.LAMBDA_BUDGET:
         raise BudgetExceededError(f"N^{depth} has about {bits:.0f} bits, over the budget {systems.LAMBDA_BUDGET} bits")
+    _check_slice_budget(size, depth, 1 + (largest.bit_length() + (depth - 1) * abs(scale).bit_length()) // 64)
 
 
 def lambda_enumerate(
@@ -263,16 +271,15 @@ def lambda_enumerate(
     Returns { sum_{j=0}^{depth-1} s_j * N^j : s_j in S }.  Slices use
     exactly `depth` digit positions including trailing zeros, so with
     0 in S they are nested as depth grows and exhaust the full spectrum
-    in the limit.  Past the budget of |S|^depth points, or of bits in
-    N^depth unless S = {0}, BudgetExceededError is raised before the slice
-    is built.
+    in the limit.  Past the budget of |S|^depth points, each counted as
+    the 64-bit words of the largest it can be, or of bits in N^depth unless
+    S = {0}, BudgetExceededError is raised before the slice is built.
     """
     systems._check_scale(scale)
     systems._int_items((depth,), "depth must be a positive integer", least=1)
-    _check_slice_budget(candidate.size, depth)
-    if candidate.elements != (0,):
-        _check_power_bits(scale, depth)
-    return tuple(sorted(set(_slice(scale, candidate.elements, depth))))
+    elements = candidate.elements
+    _check_slice(scale, len(elements), max(-elements[0], elements[-1]), depth)
+    return tuple(sorted(set(_slice(scale, elements, depth))))
 
 
 def pair_power(
@@ -282,23 +289,17 @@ def pair_power(
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The k-fold pair (D_k, S_k) with X_k = X + N*X + ... + N^(k-1)*X.
 
-    Both Minkowski sums are the depth-k slices of `lambda_enumerate`, under
-    its budget, returned sorted; the powered pair is re-certified
-    compatible against the scale N^k before returning.  That re-check
-    tests every pair of S_k, so more than LAMBDA_BUDGET pairs raise
-    BudgetExceededError before either slice is built, and so does an N^k
-    of more than LAMBDA_BUDGET bits.
+    Both Minkowski sums are the depth-k slices of `lambda_enumerate`,
+    returned sorted, under its guard read once for the larger of the two.
+    (N^k, D_k, S_k) is compatible because (N, D, S) is, so it is not
+    re-checked: for y != y' in S_k, first differing at digit j, the sum over
+    D_k of e(x(y - y')/N^k) has the factor sum_d e(d(s_j - s'_j)/N), which
+    is 0.  A compatible pair is distinct mod N in D and in S alike, so
+    neither slice repeats a point.
     """
     systems._int_items((k,), "power must be a positive integer", least=1)
-    if is_compatible(system, candidate) is None:
+    if _certify(system, candidate.elements) is None:
         raise PreconditionError("pair powers are defined for compatible pairs only")
-    size = system.size  # both slices have size^k points: compatible sets differ mod N
-    _check_slice_budget(size, k)
-    if (pairs := math.comb(size**k, 2)) > systems.LAMBDA_BUDGET:
-        raise BudgetExceededError(f"the re-check of the power-{k} pair tests C({size}^{k}, 2) = {pairs} pairs, "
-                                  f"over the budget {systems.LAMBDA_BUDGET}")
-    _check_power_bits(system.scale, k)
-    digits_k, elements_k = (tuple(sorted(_slice(system.scale, x, k))) for x in (system.digits, candidate.elements))
-    if is_compatible(ScaleDigitSystem(system.scale**k, digits_k), SpectrumCandidate(elements_k)) is None:
-        raise ConsistencyError("powered pair failed its exact compatibility re-check")
-    return digits_k, elements_k
+    digits, elements = system.digits, candidate.elements
+    _check_slice(system.scale, system.size, max(map(abs, digits + elements)), k)
+    return tuple(sorted(_slice(system.scale, digits, k))), tuple(sorted(_slice(system.scale, elements, k)))

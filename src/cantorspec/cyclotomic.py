@@ -137,7 +137,7 @@ def factorize(n: int) -> dict[int, int]:
     return factors
 
 
-# A construct round of the benchmark meets at most 12 distinct digit sets,
+# A construct round of the benchmark meets at most 13 distinct digit sets,
 # and a memo of 1000 wide digits keeps about 20 MB once its differences are
 # built: 16 memos hold a round's sets, where 64 could keep about 1.3 GB.
 @functools.lru_cache(maxsize=16)

@@ -39,14 +39,16 @@ class BudgetExceededError(RuntimeError):
     """An enumeration would exceed its configured size budget."""
 
 
-#: Hard ceiling on the points a spectrum slice (or a pair power's Minkowski
-#: sum, or the cycle search's cylinders) may enumerate, read at call time.
+#: Hard ceiling, read at call time, on the work of an exact enumeration:
+#: for a spectrum slice or a pair power's Minkowski sum, its points times
+#: the 64-bit words of its largest, and the bits of N^depth; for the cycle
+#: search, the integers its cylinders hold.
 LAMBDA_BUDGET = 1_000_000
 
 
 def _check_slice_budget(size: int, depth: int, grid: int = 1) -> None:
     """Refuse |S|^depth slice points (or cycle-search cylinders), times `grid`
-    Q points (or integers per cylinder), past the budget.
+    Q points (or words per point, or integers per cylinder), past the budget.
 
     With |S| >= 2 the power passes the budget once depth reaches the
     budget's bit length, so a huge depth is refused without building it.
@@ -231,8 +233,3 @@ class RationalInterval(_Record):
         self.__dict__.update(lo=Fraction(lo), hi=Fraction(hi))
         if self.lo > self.hi:
             raise PreconditionError(f"interval endpoints out of order: {self.lo} > {self.hi}")
-
-    def scaled(self, factor: int) -> "RationalInterval":
-        """The interval dilated about 0 by a positive integer factor."""
-        _int_items((factor,), "scale factor must be a positive integer", least=1)
-        return RationalInterval(self.lo * factor, self.hi * factor)

@@ -238,7 +238,7 @@ def test_precondition_violation_exits_two(capsys):
         ["measure", "lambda", "--n", "4", "--s", "5", "--depth", "8000"],  # past the str() digit limit
         ["measure", "lambda", "--n", "4", "--s", "5", "--depth", "40000"],
         ["compat", "power", "--n", "4", "--digits", "0", "--s", "5", "--k", "40000"],
-        ["compat", "power", "--n", "4", "--digits", "0,1", "--s", "0,2", "--k", "12"],
+        ["compat", "power", "--n", "4", "--digits", "0,1", "--s", "0,2", "--k", "20"],
         ["measure", "fourier", "--n", "4", "--digits", "0,1", "--xi", "nan"],
         ["measure", "fourier", "--n", "4", "--digits", "0,1", "--xi", "inf"],
         ["measure", "fourier", "--n", "4", "--digits", "0,1", "--xi", "1e300"],
@@ -452,6 +452,34 @@ def test_digit_limit_exits_two_before_the_slice_is_built(capsys, monkeypatch, ar
         f"precondition violated: an output integer has more than {sys.get_int_max_str_digits()} "
         "decimal digits, the interpreter's limit for printing it\n"
     )
+
+
+def test_big_integer_powers_answer_without_a_re_check(capsys):
+    # the re-check of every pair of S_8 at N^8 took 7.6 s; the slices alone
+    # take milliseconds
+    n = 10**400
+    payload = run_json(capsys, "compat", "power", "--n", str(n), "--digits", "0,1", "--s", f"0,{n // 2}", "--k", "8")
+    digits_k, elements_k = compat.pair_power(
+        systems.ScaleDigitSystem(n, (0, 1)), systems.SpectrumCandidate((0, n // 2)), 8
+    )
+    assert (payload["digits_k"], payload["s_k"]) == (list(digits_k), list(elements_k))
+    assert len(payload["s_k"]) == 256 and payload["scale_power"] == n**8
+
+
+def test_big_integer_slices_exit_two_before_they_are_built(capsys, monkeypatch):
+    # 2^12 points of up to 137 words each stay within the budget; 2^13 of up to 149 do not
+    n = str(10**239)
+    payload = run_json(capsys, "measure", "lambda", "--n", n, "--s", "0,1", "--depth", "12")
+    assert len(payload["elements"]) == 2**12
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a slice was built past the slice budget")
+
+    monkeypatch.setattr(compat, "_slice", refuse)
+    code, out, err = run(capsys, "measure", "lambda", "--n", n, "--s", "0,1", "--depth", "13")
+    assert (code, out) == (2, "")
+    assert err == ("precondition violated: |S|^depth * grid = 2^13 * 149 = 1220608 "
+                   "exceeds the enumeration budget 1000000\n")
 
 
 def test_digit_estimate_leaves_printable_slices_alone(capsys):

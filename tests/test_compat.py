@@ -603,12 +603,43 @@ def test_pair_power_identity_and_examples():
 
 
 def test_pair_power_certified_at_powered_scale():
-    for scale, digits, candidate in CERTIFIED_PAIRS[:6]:
-        system = ScaleDigitSystem(scale, digits)
+    # the power is not re-checked at run time: here the first six certified
+    # pairs and every window candidate of every D in [0, 5] at 3 <= |N| <= 12
+    # are, at k = 2 and 3, certified at N^k, and the halves of each power
+    # are lambda_enumerate's slices
+    pairs = [(ScaleDigitSystem(n, digits), SpectrumCandidate(cand)) for n, digits, cand in CERTIFIED_PAIRS[:6]]
+    for size in range(1, 7):
+        for digits in itertools.combinations(range(6), size):
+            for scale in (*range(3, 13), *range(-12, -2)):
+                system = ScaleDigitSystem(scale, digits)
+                pairs += [(system, candidate) for candidate in search_candidate_s(system)]
+    assert len(pairs) == 6 + 1048
+    for system, candidate in pairs:
         for k in (2, 3):
-            digits_k, elements_k = pair_power(system, SpectrumCandidate(candidate), k)
-            powered = ScaleDigitSystem(scale**k, digits_k)
-            assert is_compatible(powered, SpectrumCandidate(elements_k)) is not None
+            digits_k, elements_k = pair_power(system, candidate, k)
+            powered = ScaleDigitSystem(system.scale**k, digits_k)
+            assert is_compatible(powered, SpectrumCandidate(elements_k)) is not None, (system, candidate, k)
+            assert digits_k == compat.lambda_enumerate(system.scale, SpectrumCandidate(system.digits), k)
+            assert elements_k == compat.lambda_enumerate(system.scale, candidate, k)
+
+
+def test_pair_power_checks_only_its_input_pair(monkeypatch):
+    # the power walks the pairs of S alone and draws no order memo of D_k,
+    # which in a full cache would evict one that the process was using
+    walked = []
+    zero_differences = compat._zero_differences
+
+    def spying(system, elems):
+        walked.append((system, elems))
+        return zero_differences(system, elems)
+
+    monkeypatch.setattr(compat, "_zero_differences", spying)
+    system, candidate = ScaleDigitSystem(4, (0, 1)), SpectrumCandidate((0, 2))
+    cyclotomic._order_memo(system.digits)
+    assert cyclotomic._order_memo.cache_info().currsize == 1
+    assert len(pair_power(system, candidate, 5)[1]) == 32
+    assert walked == [(system, (0, 2))]
+    assert cyclotomic._order_memo.cache_info().currsize == 1
 
 
 def test_pair_power_factorizes_only_the_orders_it_asks(monkeypatch):
@@ -627,16 +658,16 @@ def test_pair_power_factorizes_only_the_orders_it_asks(monkeypatch):
     # a one-element pair has no difference, so no order is asked
     assert calls == []
     # each memo trial-divides each prime once, and never its scale or g.
-    # The base pair asks 2 for both powers; S_2 = {0, 2, 8, 10} at 16 asks
-    # 8, then 2, whose prime 8 already gave, and S_3 at 64 asks 32, 8, 2
+    # The base pair asks 2, once for both powers; the powered pairs are not
+    # re-checked, so their orders 8 and 32 are never asked
     calls.clear()
     system, candidate = ScaleDigitSystem(4, (0, 1)), SpectrumCandidate((0, 2))
     for k in (2, 3):
         pair_power(system, candidate, k)
-    assert calls == [2, 8, 32]
-    # new systems with the same digits draw the same memos, which have found every prime
+    assert calls == [2]
+    # a new system with the same digits draws the same memo, which has found the prime
     pair_power(ScaleDigitSystem(4, (0, 1)), candidate, 3)
-    assert calls == [2, 8, 32]
+    assert calls == [2]
 
 
 def test_orders_sharing_a_large_prime_trial_divide_it_once(monkeypatch):
@@ -661,36 +692,36 @@ def test_orders_sharing_a_large_prime_trial_divide_it_once(monkeypatch):
 def test_pair_power_preconditions():
     with pytest.raises(PreconditionError):
         pair_power(ScaleDigitSystem(3, (0, 2)), SpectrumCandidate((0, 1)), 2)
-    with pytest.raises(BudgetExceededError):
-        pair_power(ScaleDigitSystem(4, (0, 1)), SpectrumCandidate((0, 2)), 20)  # 2^20 > 10^6
-    # the re-check tests C(2^k, 2) pairs: 523,776 at k = 10, 2,096,128 at k = 11
-    assert len(pair_power(ScaleDigitSystem(4, (0, 1)), SpectrumCandidate((0, 2)), 10)[1]) == 1024
-    with pytest.raises(BudgetExceededError, match="2096128 pairs"):
-        pair_power(ScaleDigitSystem(4, (0, 1)), SpectrumCandidate((0, 2)), 11)
+    # no pair of the power is re-checked, so only the slices' points bound it:
+    # 2^19 one-word points pass, 2^20 > 10^6 do not
+    assert len(pair_power(ScaleDigitSystem(4, (0, 1)), SpectrumCandidate((0, 2)), 11)[1]) == 2048
+    assert len(pair_power(ScaleDigitSystem(4, (0, 1)), SpectrumCandidate((0, 2)), 19)[0]) == 2**19
+    with pytest.raises(BudgetExceededError, match=r"\|S\|\^depth = 2\^20 exceeds the enumeration budget 1000000"):
+        pair_power(ScaleDigitSystem(4, (0, 1)), SpectrumCandidate((0, 2)), 20)
     with pytest.raises(BudgetExceededError):
         pair_power(ScaleDigitSystem(4, (0, 1)), SpectrumCandidate((0, 2)), 10**9)
-    # one-element pairs have no pairs to re-check
     assert pair_power(ScaleDigitSystem(4, (0,)), SpectrumCandidate((5,)), 60)[0] == (0,)
 
 
 def test_pair_power_checks_its_budget_once(monkeypatch):
     # the power builds both slices itself after its own checks, so one call
-    # reads the slice budget once, not once more per slice, and its slices
-    # are those of lambda_enumerate
+    # reads the slice guard once, for the larger slice, not once more per
+    # slice, and its slices are those of lambda_enumerate
     calls = []
-    check = compat._check_slice_budget
+    check = compat._check_slice
 
     def counting(*args):
         calls.append(args)
         check(*args)
 
-    monkeypatch.setattr(compat, "_check_slice_budget", counting)
+    monkeypatch.setattr(compat, "_check_slice", counting)
     for scale, digits, candidate in CERTIFIED_PAIRS:
         system, cand = ScaleDigitSystem(scale, digits), SpectrumCandidate(candidate)
+        largest = max(map(abs, digits + candidate))
         for k in (1, 2, 3):
             calls.clear()
             digits_k, elements_k = pair_power(system, cand, k)
-            assert calls == [(len(digits), k)], (scale, digits, candidate, k)
+            assert calls == [(scale, len(digits), largest, k)], (scale, digits, candidate, k)
             assert digits_k == compat.lambda_enumerate(scale, SpectrumCandidate(digits), k)
             assert elements_k == compat.lambda_enumerate(scale, cand, k)
 
@@ -698,13 +729,14 @@ def test_pair_power_checks_its_budget_once(monkeypatch):
 @pytest.mark.parametrize("scale", [3, -3])
 def test_single_point_powers_are_refused_past_the_bit_budget(scale):
     # N^k for the point masses {0} was formed with no estimate: 5.5 s at
-    # N = 3, k = 1.6 * 10^7.  Past LAMBDA_BUDGET bits it is refused first,
-    # and so is a one-point slice with s != 0; the slice of {0} needs no power
+    # N = 3, k = 1.6 * 10^7.  A one-point slice with s != 0 is refused past
+    # LAMBDA_BUDGET bits before N^k is formed; the slices of {0} need no power
     k = 16 * 10**6
+    assert pair_power(ScaleDigitSystem(scale, (0,)), SpectrumCandidate((0,)), k) == ((0,), (0,))
     with pytest.raises(BudgetExceededError, match=r"N\^16000000 has about 25359400 bits, over the budget 1000000"):
-        pair_power(ScaleDigitSystem(scale, (0,)), SpectrumCandidate((0,)), k)
-    with pytest.raises(BudgetExceededError, match="25359400 bits"):
         pair_power(ScaleDigitSystem(scale, (1,)), SpectrumCandidate((5,)), k)
+    with pytest.raises(BudgetExceededError, match=r"N\^16000000 has about 25359400 bits"):
+        pair_power(ScaleDigitSystem(scale, (0,)), SpectrumCandidate((5,)), k)
     with pytest.raises(BudgetExceededError, match="25359400 bits"):
         compat.lambda_enumerate(scale, SpectrumCandidate((5,)), k)
     assert compat.lambda_enumerate(scale, SpectrumCandidate((0,)), k) == (0,)
@@ -720,6 +752,24 @@ def test_the_bit_budget_admits_powers_up_to_it(monkeypatch):
         compat.lambda_enumerate(2, SpectrumCandidate((1,)), 101)
     with pytest.raises(BudgetExceededError, match=r"N\^101 has about 101 bits"):
         pair_power(ScaleDigitSystem(-2, (0,)), SpectrumCandidate((3,)), 101)
+
+
+def test_big_integer_slices_are_bounded_by_their_words():
+    # a point of the depth-13 slice of {0, 1} at N = 10^239, of 794 bits,
+    # may take 1 + (1 + 12 * 794) // 64 = 149 words: 2^13 * 149 points
+    # and words pass the budget, while depth 12 holds 2^12 * 137
+    scale, candidate = 10**239, SpectrumCandidate((0, 1))
+    assert len(compat.lambda_enumerate(scale, candidate, 12)) == 2**12
+    with pytest.raises(BudgetExceededError, match=r"2\^13 \* 149 = 1220608 exceeds the enumeration budget 1000000"):
+        compat.lambda_enumerate(scale, candidate, 13)
+    # at N = 10^400, of 1329 bits, with S = {0, N/2}: k = 11 takes 2^11 * 229,
+    # k = 12 would take 2^12 * 250
+    system, candidate = ScaleDigitSystem(10**400, (0, 1)), SpectrumCandidate((0, 5 * 10**399))
+    digits_k, elements_k = pair_power(system, candidate, 11)
+    assert digits_k[-1] == (10**4400 - 1) // (10**400 - 1) and elements_k[-1] == 5 * 10**399 * digits_k[-1]
+    assert len(digits_k) == len(elements_k) == 2**11
+    with pytest.raises(BudgetExceededError, match=r"2\^12 \* 250 = 1024000 exceeds"):
+        pair_power(system, candidate, 12)
 
 
 @given(

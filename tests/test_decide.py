@@ -329,9 +329,8 @@ def successor(scale, candidate, eta):
 
 def reference_decide(system, candidate, range_factor=1):
     bounds = attractor_bounds(system.scale, candidate.elements)
-    searched = bounds.scaled(range_factor) if range_factor != 1 else bounds
-    lo = math.ceil(searched.lo)
-    hi = math.floor(searched.hi)
+    lo = math.ceil(bounds.lo * range_factor)
+    hi = math.floor(bounds.hi * range_factor)
     on_cycle, settled = set(), set()
     for start in range(lo, hi + 1):
         # a walk ends at 0 (also standing for "no step"), outside the range,

@@ -61,7 +61,8 @@ def test_scan_two_digit_spectra_splits_the_compatible_candidates():
 def test_order_stress_times_the_cases_it_is_given():
     proc = run_script(
         "order_stress.py", "compat-primorial-20", "order-test-2000-at-4000", "construct-shared-prime-1e14",
-        "power-single-point-3-1.6e7", "report-2e8", "search-dense-2e8", "check-13-at-768", "construct-complement-2^22", "decide-tile-6e4",
+        "power-single-point-3-1.6e7", "power-2-at-1e400-k8", "lambda-2-at-1e239-depth-13", "report-2e8",
+        "search-dense-2e8", "check-13-at-768", "construct-complement-2^22", "decide-tile-6e4",
         "search-dense-1e5", "complement-1000-at-1e7", "decide-wide-100", "decide-lifted-8-1e5",
         "decide-clustered-8-1e8", "decide-hull-4-2e7", "decide-laba-wang-64-1e6", "decide-small-hulls",
         "t1-sweep-2^2000", "construct-decide-wide", "construct-decide-500",
@@ -73,7 +74,9 @@ def test_order_stress_times_the_cases_it_is_given():
         ("compat-primorial-20", "0:6391ce57cb8f"),  # exit 0, and the SHA-1 of its JSON
         ("order-test-2000-at-4000", "19 orders"),  # the b > 1 dividing 2000: D(z) = (z^2000 - 1)/(z - 1)
         ("construct-shared-prime-1e14", "0:7075404577b7"),  # S = {0, q}, asking only the order 2
-        ("power-single-point-3-1.6e7", "refused"),  # 3^(1.6 * 10^7) past the budget's bits, not formed
+        ("power-single-point-3-1.6e7", "1 and 1 points"),  # the slices of {0}: no power 3^(1.6 * 10^7) formed
+        ("power-2-at-1e400-k8", "0:c2afe1e48662"),  # 256 points in each slice, no pair of S_8 re-checked
+        ("lambda-2-at-1e239-depth-13", "2:da39a3ee5e6b"),  # 2^13 points of up to 149 words: exit 2, no stdout
         ("report-2e8", "0:0e0bd5ab2245"),  # g = 2: S = {-10^8, 0}
         ("search-dense-2e8", "2:da39a3ee5e6b"),  # g = |N| past the pattern budget: exit 2, no stdout
         ("check-13-at-768", "0:15f37c373737"),  # {0, 13} tiles Z_768: the product complement

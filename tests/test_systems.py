@@ -76,12 +76,8 @@ def test_rational_interval():
     assert (math.ceil(interval.lo), math.floor(interval.hi)) == (0, 2)
     assert interval.lo <= Fraction(1, 2) <= interval.hi
     assert not interval.lo <= 3 <= interval.hi
-    doubled = interval.scaled(2)
-    assert (doubled.lo, doubled.hi) == (Fraction(-4, 3), Fraction(14, 3))
     with pytest.raises(PreconditionError):
         RationalInterval(Fraction(1), Fraction(0))
-    with pytest.raises(PreconditionError):
-        interval.scaled(0)
 
 
 def count_calls(monkeypatch, module, name):
@@ -295,15 +291,13 @@ def test_record_validation_messages(build, message):
         (lambda: attractor_bounds(4.0, (0, 1)), "scale must be an integer with |N| >= 2, got 4.0"),
         (lambda: attractor_bounds(4, (0, 1.5)), "element set must consist of integers, got 1.5"),
         (lambda: attractor_bounds(4, (0, True)), "element set must consist of integers, got True"),
-        # equal to 1, yet not the integer 1; named apart from `scaled`'s row of the same message
+        # equal to 1, yet not the integer 1
         pytest.param(lambda: decide_spectrum(ScaleDigitSystem(4, (0, 1)), SpectrumCandidate((0, 2)), True),
                      "scale factor must be a positive integer, got True", id="decide-range-factor-True"),
         pytest.param(lambda: decide_spectrum(ScaleDigitSystem(4, (0, 1)), SpectrumCandidate((0, 2)), 1.0),
                      "scale factor must be a positive integer, got 1.0", id="decide-range-factor-1.0"),
         (lambda: pair_power(ScaleDigitSystem(4, (0, 1)), SpectrumCandidate((0, 2)), True),
          "power must be a positive integer, got True"),
-        (lambda: RationalInterval(0, 1).scaled(True), "scale factor must be a positive integer, got True"),
-        (lambda: RationalInterval(0, 1).scaled(1.5), "scale factor must be a positive integer, got 1.5"),
     ],
 )
 def test_public_functions_refuse_non_integers(call, message):

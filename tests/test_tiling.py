@@ -521,16 +521,16 @@ def test_one_lambda_budget_bounds_slices_pair_powers_and_complement_searches(mon
     # attribute refuses each, and each passes at the default budget
     system, candidate = ScaleDigitSystem(4, (0, 1)), SpectrumCandidate((0, 2))
     slice_of_1024 = lambda: lambda_enumerate(4, candidate, 10)
-    power_of_2016_pairs = lambda: pair_power(system, candidate, 6)  # 64 points each
+    power_of_1024_points = lambda: pair_power(system, candidate, 10)  # 1024 one-word points each
     search_of_many = lambda: tiling._search_complement((0, 13), 48)
     complement_of_1002 = lambda: is_complementing((0, 1), 1002)
-    for run in (slice_of_1024, power_of_2016_pairs, search_of_many, complement_of_1002):
+    for run in (slice_of_1024, power_of_1024_points, search_of_many, complement_of_1002):
         run()
     monkeypatch.setattr(systems, "LAMBDA_BUDGET", 1000)
     with pytest.raises(BudgetExceededError, match="enumeration budget 1000"):
         slice_of_1024()
-    with pytest.raises(BudgetExceededError, match=r"C\(2\^6, 2\) = 2016 pairs, over the budget 1000"):
-        power_of_2016_pairs()
+    with pytest.raises(BudgetExceededError, match=r"\|S\|\^depth = 2\^10 exceeds the enumeration budget 1000"):
+        power_of_1024_points()
     with pytest.raises(BudgetExceededError, match="budget of 1000 placed translates"):
         search_of_many()
     with pytest.raises(BudgetExceededError, match=r"counting L = 1002 sums, over the budget 1000"):
