@@ -22,6 +22,8 @@ search took seconds to find or refused, a complement
 of 2^21 elements refused before it is built, the complement of 1,000
 digits at L = 10^7, refused before its counting check walks L sums, the
 window search at |N| = 2 * 10^8, answered at g = 2 and refused at g = |N|,
+the report and the decision of {0, 1} at N = -2 * 10^2199, whose attractor
+bounds over N^2 - 1 pass the interpreter's digit limit and exit 2,
 the dense window search at |N| = 10^5, refused by its clique walk's work
 budget, the cycle search on a non-spectral pair with |S| = |N|, whose
 cylinders cover a hull of 6.7 * 10^4 integers, and on two pairs with
@@ -282,6 +284,10 @@ CASES = {
     ),
     "lambda-2-at-1e239-depth-13": lambda: cli("measure", "lambda", "--n", str(10**239), "--s", "0,1", "--depth", "13"),
     "report-2e8": lambda: cli("spectrum", "report", "--n", "200000000", "--digits", "0,1"),
+    "report-negative-2e2199": lambda: cli("spectrum", "report", f"--n={-2 * 10**2199}", "--digits", "0,1"),
+    "decide-negative-2e2199": lambda: cli(
+        "spectrum", "decide", f"--n={-2 * 10**2199}", "--digits", "0,1", "--s", f"0,{10**2199}"
+    ),
     "search-dense-2e8": lambda: cli(
         "compat", "search", "--n", "200000000", "--digits", "0,1,100000000,100000001"
     ),

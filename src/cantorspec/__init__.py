@@ -9,7 +9,6 @@ the measure's Fourier transform.
 """
 
 from .compat import (
-    SEARCH_BUDGET,
     CompatibilityCertificate,
     is_compatible,
     lambda_enumerate,
@@ -39,7 +38,6 @@ from .kernel import (
 )
 from .systems import (
     DEFAULT_POLICY,
-    LAMBDA_BUDGET,
     BudgetExceededError,
     ConsistencyError,
     PreconditionError,
@@ -63,10 +61,8 @@ __all__ = [
     "CompatibilityCertificate",
     "ConsistencyError",
     "DEFAULT_POLICY",
-    "LAMBDA_BUDGET",
     "PreconditionError",
     "RationalInterval",
-    "SEARCH_BUDGET",
     "STATUS_SPECTRAL",
     "STATUS_UNIT_INTERVAL",
     "STATUS_UNKNOWN",

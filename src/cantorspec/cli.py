@@ -13,6 +13,7 @@ import json
 import math
 import re
 import sys
+from fractions import Fraction
 
 from . import compat, decide, kernel, tiling
 from .systems import (
@@ -166,6 +167,14 @@ def _refuse_past_digit_limit(base: int, exponent: int) -> None:
         raise PreconditionError(_digit_limit_message())
 
 
+def _json_default(value) -> str:
+    """json's `default`: a payload's Fraction as str(fraction); any other
+    type is refused as json refuses it."""
+    if isinstance(value, Fraction):
+        return str(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _system(args) -> ScaleDigitSystem:
     return ScaleDigitSystem(args.n, tuple(args.digits))
 
@@ -194,7 +203,7 @@ def _verdict_payload(verdict: decide.SpectrumVerdict):
         "verdict": "spectral" if verdict.spectral else "not-spectral",
         "witness": None if verdict.witness is None else [list(pair) for pair in verdict.witness],
         "searched_integers": list(verdict.searched),
-        "attractor_bounds": [str(verdict.bounds.lo), str(verdict.bounds.hi)],
+        "attractor_bounds": [verdict.bounds.lo, verdict.bounds.hi],
     }
 
 
@@ -281,7 +290,7 @@ def _run_measure(args):
     policy = _policy(args)
     if args.grid < 1:
         raise PreconditionError(f"grid must have at least one point, got {args.grid}")
-    _check_slice_budget(candidate.size, policy.depth, args.grid)  # before the first point
+    _check_slice_budget(candidate.size, policy.depth, args.grid, "grid")  # before the first point
     xis = [i / args.grid for i in range(args.grid)]
     rows = [(xi, *kernel.q_eval_with_bound(system, candidate, xi, policy)) for xi in xis]
     if args.format == "csv":
@@ -305,7 +314,7 @@ def _run_tiling(args):
         "complement": list(construction.complement_e0),
         "p_powers": list(construction.p_powers),
         "q_powers": list(construction.q_powers),
-        "fractional_e": [str(frac) for frac in construction.fractional_e],
+        "fractional_e": list(construction.fractional_e),
         "s": list(construction.result_s),
         "method": METHOD_TILING,
     }
@@ -332,8 +341,8 @@ def main(argv=None) -> int:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     try:
-        text = result if isinstance(result, str) else json.dumps(result, sort_keys=True)
-    except ValueError:  # str() refuses an int past the interpreter's digit limit
+        text = result if isinstance(result, str) else json.dumps(result, sort_keys=True, default=_json_default)
+    except ValueError:  # str() refuses an int past the interpreter's digit limit, a Fraction's too
         print(f"precondition violated: {_digit_limit_message()}", file=sys.stderr)
         return EXIT_PRECONDITION
     print(text)

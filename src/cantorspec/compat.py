@@ -218,9 +218,9 @@ def reduce_s(scale: int, candidate: SpectrumCandidate) -> SpectrumCandidate:
     preserves compatibility, so the reduced set is compatible exactly when
     the input is.
     """
-    systems._int_items((scale,), "scale must be an integer")
+    systems._check_scale(scale)
     m = abs(scale)
-    if m < 3:
+    if m == 2:
         raise PreconditionError("reduction needs |N| >= 3; the window is degenerate for |N| = 2")
     elems = candidate.elements
     if 0 not in elems:
@@ -247,18 +247,17 @@ def _slice(scale: int, elements: tuple[int, ...], depth: int) -> list[int]:
 
 def _check_slice(scale: int, size: int, largest: int, depth: int) -> None:
     """Refuse, before it is built, a depth-slice of `size` elements whose
-    largest absolute value is `largest`: past the slice budget, its
-    |S|^depth points; unless every element is 0, an N^depth of more than
-    LAMBDA_BUDGET bits; and past the slice budget, the points times the
-    64-bit words of the largest point it can hold,
-    1 + (bits of `largest` + (depth - 1) * bits of |N|) // 64.  The points
-    alone go first, so a slice refused by them keeps their message."""
-    _check_slice_budget(size, depth)
+    largest absolute value is `largest`: an N^depth of more than
+    LAMBDA_BUDGET bits, then, past the slice budget, its |S|^depth points
+    times the 64-bit words of the largest point it can hold,
+    1 + (bits of `largest` + (depth - 1) * bits of |N|) // 64.  Elements
+    that are all 0 make the one point 0, which passes."""
     if not largest:
         return
     if (bits := depth * math.log2(abs(scale))) > systems.LAMBDA_BUDGET:
         raise BudgetExceededError(f"N^{depth} has about {bits:.0f} bits, over the budget {systems.LAMBDA_BUDGET} bits")
-    _check_slice_budget(size, depth, 1 + (largest.bit_length() + (depth - 1) * abs(scale).bit_length()) // 64)
+    words = 1 + (largest.bit_length() + (depth - 1) * abs(scale).bit_length()) // 64
+    _check_slice_budget(size, depth, words, "words per point")
 
 
 def lambda_enumerate(
@@ -271,9 +270,9 @@ def lambda_enumerate(
     Returns { sum_{j=0}^{depth-1} s_j * N^j : s_j in S }.  Slices use
     exactly `depth` digit positions including trailing zeros, so with
     0 in S they are nested as depth grows and exhaust the full spectrum
-    in the limit.  Past the budget of |S|^depth points, each counted as
-    the 64-bit words of the largest it can be, or of bits in N^depth unless
-    S = {0}, BudgetExceededError is raised before the slice is built.
+    in the limit.  Unless S = {0}, BudgetExceededError is raised before
+    the slice is built past the budget of bits in N^depth, or of |S|^depth
+    points, each counted as the 64-bit words of the largest it can be.
     """
     systems._check_scale(scale)
     systems._int_items((depth,), "depth must be a positive integer", least=1)

@@ -151,9 +151,9 @@ class OrderTest:
     remembered once per digit set per process: systems and
     `is_complementing` draw it from `_order_memo`.  It keeps only facts of
     the digits: g grows by true reaches alone, never by the scales asked.
-    One slot, `last`, keeps the last n that g did not cover with its reach,
-    so that asking it again, as a second report at -N does, makes no
-    second pass over the differences.
+    One slot, `last`, keeps the last n that g did not cover, whose reach g
+    has taken in, so that asking it again, as a second report at -N does,
+    makes no second pass over the differences.
 
     A single question and `all_orders` alike refuse an order b with no
     exact test when reach(b) != b or phi(b) > max - min.  `all_orders(n)`
@@ -171,7 +171,7 @@ class OrderTest:
         self.span = max(exps) - min(exps)
         self.g = self.sizes = math.lcm(*range(1, len(exps) + 1))
         self.diffs: tuple[int, ...] = ()  # the distinct differences, built when an n first needs them
-        self.last = (1, 1)  # (n, reach(n)) for the last n that g did not cover
+        self.last = 1  # the last n that g did not cover
         self.sums = {1: len(exps) ** 2}  # d -> F(d); F(1) = |D|^2 needs no sum
         self.known: dict[int, bool] = {}  # every answer given so far
         self.found: list[int] = []  # the primes factorised so far, ascending
@@ -182,12 +182,12 @@ class OrderTest:
         one gcd per distinct difference, with no lcm of them formed, as
         gcd(n, lcm d) = lcm gcd(n, d) prime by prime, and g takes the reach
         in.  So g divides Mann's lcm for all of D, whatever the n asked.  The
-        last such n is kept with its reach, which gcd(n, g) then gives, so
-        asking it again makes no second pass."""
-        if self.g % n and n != self.last[0]:
+        last such n is kept, and gcd(n, g) then gives its reach, so asking
+        it again makes no second pass."""
+        if self.g % n and n != self.last:
             diffs = self.diffs = self.diffs or tuple({e - f for e in self.exps for f in self.exps if e > f})
-            self.last = (n, math.gcd(n, self.sizes * math.lcm(*(math.gcd(n, d) for d in diffs))))
-            self.g = math.lcm(self.g, self.last[1])
+            self.last = n
+            self.g = math.lcm(self.g, math.gcd(n, self.sizes * math.lcm(*(math.gcd(n, d) for d in diffs))))
         return math.gcd(n, self.g)
 
     def __call__(self, b: int) -> bool:

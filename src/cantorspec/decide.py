@@ -164,7 +164,7 @@ def decide_spectrum(
         raise PreconditionError("cycle criterion requires 0 in S")
     if _certify(system, candidate.elements) is None:
         raise PreconditionError("cycle criterion applies to compatible pairs only")
-    _int_items((range_factor,), "scale factor must be a positive integer", least=1)
+    _int_items((range_factor,), "range_factor must be a positive integer", least=1)
     den, low, high = _hull(system.scale, candidate.elements[0], candidate.elements[-1])
     if (verdict := _window_verdict(den, low, high, range_factor)) is None:
         verdict = _verdict(_cycles(system, candidate, den, low, high), den, low, high, range_factor)
@@ -206,7 +206,7 @@ def _cycles(
     span, size, depth, q = high - low, candidate.size, 0, den
     while span * (m - size) > q * m * (size - 1):
         depth, q = depth + 1, q * m
-    _check_slice_budget(size, depth, span // q + 1)
+    _check_slice_budget(size, depth, span // q + 1, "integers per cylinder")
 
     # The search meets in the middle: of depth + 2 steps in all, L come from
     # above as cylinder levels and k = L or L + 1 from below as residues mod

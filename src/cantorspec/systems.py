@@ -40,24 +40,26 @@ class BudgetExceededError(RuntimeError):
 
 
 #: Hard ceiling, read at call time, on the work of an exact enumeration:
-#: for a spectrum slice or a pair power's Minkowski sum, its points times
-#: the 64-bit words of its largest, and the bits of N^depth; for the cycle
-#: search, the integers its cylinders hold.
+#: |S|^depth times what each of its points or cylinders costs (Q points of
+#: a grid, 64-bit words of a slice's largest point, integers of a cycle
+#: search's cylinder), and the bits of N^depth.  Tiling reads it too, as the
+#: most sums of a complement's counting check and translates it may place.
 LAMBDA_BUDGET = 1_000_000
 
 
-def _check_slice_budget(size: int, depth: int, grid: int = 1) -> None:
-    """Refuse |S|^depth slice points (or cycle-search cylinders), times `grid`
-    Q points (or words per point, or integers per cylinder), past the budget.
+def _check_slice_budget(size: int, depth: int, factor: int = 1, unit: str = "") -> None:
+    """Refuse |S|^depth slice points or cycle-search cylinders, times
+    `factor` of `unit` each (the grid, words per point, integers per
+    cylinder), past the budget; the message names the unit.
 
     With |S| >= 2 the power passes the budget once depth reaches the
     budget's bit length, so a huge depth is refused without building it.
     """
-    work = None if size > 1 and depth >= LAMBDA_BUDGET.bit_length() else size**depth * grid
+    work = None if size > 1 and depth >= LAMBDA_BUDGET.bit_length() else size**depth * factor
     if work is None or work > LAMBDA_BUDGET:
         what = f"|S|^depth = {size}^{depth}"
-        if grid != 1:
-            what = f"|S|^depth * grid = {size}^{depth} * {grid}" + ("" if work is None else f" = {work}")
+        if factor != 1:
+            what = f"|S|^depth * {unit} = {size}^{depth} * {factor}" + ("" if work is None else f" = {work}")
         raise BudgetExceededError(f"{what} exceeds the enumeration budget {LAMBDA_BUDGET}")
 
 
@@ -160,9 +162,7 @@ class ScaleDigitSystem(_Record):
     __match_args__ = ("scale", "digits")
 
     def __init__(self, scale: int, digits: tuple[int, ...]):
-        _int_items((scale,), "scale must be an integer")
-        if abs(scale) < 2:
-            raise PreconditionError(f"scale must satisfy |N| >= 2, got {scale}")
+        _check_scale(scale)
         self.__dict__.update(scale=scale, digits=_as_int_tuple(digits, "digit set"))
 
     @property

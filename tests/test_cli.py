@@ -224,6 +224,37 @@ def test_malformed_input_exits_one(capsys):
         assert err != ""
 
 
+DIGIT_LIMIT = (f"precondition violated: an output integer has more than {sys.get_int_max_str_digits()} "
+               "decimal digits, the interpreter's limit for printing it\n")
+
+
+@pytest.mark.parametrize(
+    "argv,code,err",
+    [
+        (["compat", "check", "--n", "4", "--digits", "0,x", "--s", "0,2"], 1,
+         "error: argument --digits: expected a comma-separated integer list, got '0,x'\n"),
+        (["compat", "check", "--n", "4", "--digits", ",", "--s", "0,2"], 1,
+         "error: argument --digits: integer list must be nonempty\n"),
+        (["spectrum", "verify", "--n", "4", "--digits", "0,1", "--s", "0,6", "--witness", "{}"], 1,
+         "error: argument --witness: witness must be a JSON list of [eta, s] pairs\n"),
+        (["measure", "qgrid", "--n", "4", "--digits", "0,1", "--s", "0,2", "--grid", "0"], 2,
+         "precondition violated: grid must have at least one point, got 0\n"),
+        # main's one json.dumps meets the digit limit: no estimate in a runner refuses these
+        (["measure", "lambda", "--n", "4", "--s", f"0,{9 * 10**4298}", "--depth", "3"], 2, DIGIT_LIMIT),
+        (["compat", "power", "--n", "10", "--digits", "0,1", "--s", f"0,{5 * 10**4298 + 5}", "--k", "3"], 2,
+         DIGIT_LIMIT),
+        # the attractor bounds' denominator N^2 - 1 has 4399 digits: the
+        # payload keeps the Fractions, and the same json.dumps turns them into text
+        (["spectrum", "report", f"--n={-2 * 10**2199}", "--digits", "0,1"], 2, DIGIT_LIMIT),
+        (["spectrum", "decide", f"--n={-2 * 10**2199}", "--digits", "0,1", "--s", f"0,{10**2199}"], 2, DIGIT_LIMIT),
+    ],
+    ids=["digits-not-integer", "digits-empty", "witness-not-list", "qgrid-no-points", "lambda-past-digits",
+         "power-past-digits", "report-bounds-past-digits", "decide-bounds-past-digits"],
+)
+def test_each_refusal_names_its_cause_and_exit_code(capsys, argv, code, err):
+    assert run(capsys, *argv) == (code, "", err)
+
+
 def test_precondition_violation_exits_two(capsys):
     for argv in [
         ["compat", "check", "--n", "4", "--digits", "0,1", "--s", "0"],
@@ -478,7 +509,7 @@ def test_big_integer_slices_exit_two_before_they_are_built(capsys, monkeypatch):
     monkeypatch.setattr(compat, "_slice", refuse)
     code, out, err = run(capsys, "measure", "lambda", "--n", n, "--s", "0,1", "--depth", "13")
     assert (code, out) == (2, "")
-    assert err == ("precondition violated: |S|^depth * grid = 2^13 * 149 = 1220608 "
+    assert err == ("precondition violated: |S|^depth * words per point = 2^13 * 149 = 1220608 "
                    "exceeds the enumeration budget 1000000\n")
 
 

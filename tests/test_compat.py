@@ -464,8 +464,8 @@ DECIDE_REFUSALS = [
     ((6, (0, 1, 2)), (1, 2), 0, "cycle criterion requires 0 in S"),
     ((6, (0, 1, 2)), (0, 1), 0, "compatible pairs require |S| = |D|, got |S| = 2, |D| = 3"),
     ((6, (0, 1, 2)), (0, 1, 2), 0, "cycle criterion applies to compatible pairs only"),
-    ((6, (0, 1, 2)), (0, 2, 4), 0, "scale factor must be a positive integer, got 0"),
-    ((-6, (0, 1, 2)), (-2, 0, 2), True, "scale factor must be a positive integer, got True"),
+    ((6, (0, 1, 2)), (0, 2, 4), 0, "range_factor must be a positive integer, got 0"),
+    ((-6, (0, 1, 2)), (-2, 0, 2), True, "range_factor must be a positive integer, got True"),
 ]
 
 

@@ -444,7 +444,7 @@ def test_cycle_search_budget_is_read_at_call_time(monkeypatch):
     monkeypatch.setattr(systems_module, "LAMBDA_BUDGET", 4096)
     assert decide_spectrum(system, candidate).spectral
     monkeypatch.setattr(systems_module, "LAMBDA_BUDGET", 4095)
-    message = "|S|^depth * grid = 2^11 * 2 = 4096 exceeds the enumeration budget 4095"
+    message = "|S|^depth * integers per cylinder = 2^11 * 2 = 4096 exceeds the enumeration budget 4095"
     with pytest.raises(BudgetExceededError) as excinfo:
         decide_spectrum(system, candidate)
     assert str(excinfo.value) == message
@@ -456,7 +456,7 @@ def test_the_budget_counts_overlapping_cylinders_in_full():
     # integer of each, though the search would scan the joined ones once
     system = ScaleDigitSystem(8, (0, 1, 4, 5))
     candidate = SpectrumCandidate((0, 70000000001, 70000000004, 70000000005))
-    message = "|S|^depth * grid = 4^11 * 2 = 8388608 exceeds the enumeration budget 1000000"
+    message = "|S|^depth * integers per cylinder = 4^11 * 2 = 8388608 exceeds the enumeration budget 1000000"
     with pytest.raises(BudgetExceededError) as excinfo:
         decide_spectrum(system, candidate)
     assert str(excinfo.value) == message
@@ -486,7 +486,7 @@ class BudgetRead(Exception):
 def test_the_budget_is_read_at_the_level_the_cost_model_read_it(monkeypatch):
     # the budget's level is now found from level 0 alone; it is the level
     # the former two loops reached, so no refusal point moves
-    def budget(size, depth, grid=1):
+    def budget(size, depth, grid=1, unit=""):
         raise BudgetRead(size, depth, grid)
 
     monkeypatch.setattr(decide_module, "_check_slice_budget", budget)
@@ -652,9 +652,9 @@ def spy_on_the_search(monkeypatch):
     work = {}
     merged_ranges, admitted = decide_module._merged_ranges, decide_module._admitted
 
-    def budget(size, depth, grid=1):
+    def budget(size, depth, grid=1, unit=""):
         work.update(size=size, depth=depth, estimate=size**depth * grid)
-        systems_module._check_slice_budget(size, depth, grid)
+        systems_module._check_slice_budget(size, depth, grid, unit)
 
     def merged(numerators, span, q):
         ranges, integers = merged_ranges(numerators, span, q)

@@ -253,13 +253,13 @@ def test_lambda_budget_enforced():
 
 
 def test_slice_budget_refuses_a_huge_depth_without_building_it():
-    # 3**(10**9) would take hours to build; the refusal must not build it
-    for call in (
-        lambda: lambda_enumerate(4, SpectrumCandidate((0, 1, 2)), 10**9),
-        lambda: q_eval_with_bound(JP_SYSTEM, JP_CANDIDATE, 0.3, TruncationPolicy(depth=10**9)),
-    ):
-        with pytest.raises(BudgetExceededError, match=r"\^1000000000 exceeds"):
-            call()
+    # 3**(10**9) would take hours to build; the refusal must not build it.
+    # The slice's N^depth passes its bit budget first, the Q points their count
+    with pytest.raises(BudgetExceededError) as excinfo:
+        lambda_enumerate(4, SpectrumCandidate((0, 1, 2)), 10**9)
+    assert str(excinfo.value) == "N^1000000000 has about 2000000000 bits, over the budget 1000000 bits"
+    with pytest.raises(BudgetExceededError, match=r"\^1000000000 exceeds"):
+        q_eval_with_bound(JP_SYSTEM, JP_CANDIDATE, 0.3, TruncationPolicy(depth=10**9))
     # |S| = 1 has one slice point at any depth
     assert lambda_enumerate(4, SpectrumCandidate((0,)), 10**4) == (0,)
 

@@ -62,6 +62,7 @@ def test_order_stress_times_the_cases_it_is_given():
     proc = run_script(
         "order_stress.py", "compat-primorial-20", "order-test-2000-at-4000", "construct-shared-prime-1e14",
         "power-single-point-3-1.6e7", "power-2-at-1e400-k8", "lambda-2-at-1e239-depth-13", "report-2e8",
+        "report-negative-2e2199", "decide-negative-2e2199",
         "search-dense-2e8", "check-13-at-768", "construct-complement-2^22", "decide-tile-6e4",
         "search-dense-1e5", "complement-1000-at-1e7", "decide-wide-100", "decide-lifted-8-1e5",
         "decide-clustered-8-1e8", "decide-hull-4-2e7", "decide-laba-wang-64-1e6", "decide-small-hulls",
@@ -78,6 +79,8 @@ def test_order_stress_times_the_cases_it_is_given():
         ("power-2-at-1e400-k8", "0:c2afe1e48662"),  # 256 points in each slice, no pair of S_8 re-checked
         ("lambda-2-at-1e239-depth-13", "2:da39a3ee5e6b"),  # 2^13 points of up to 149 words: exit 2, no stdout
         ("report-2e8", "0:0e0bd5ab2245"),  # g = 2: S = {-10^8, 0}
+        ("report-negative-2e2199", "2:da39a3ee5e6b"),  # bounds over N^2 - 1, 4399 digits: exit 2, no stdout
+        ("decide-negative-2e2199", "2:da39a3ee5e6b"),  # the same hull, decided from it: exit 2, no stdout
         ("search-dense-2e8", "2:da39a3ee5e6b"),  # g = |N| past the pattern budget: exit 2, no stdout
         ("check-13-at-768", "0:15f37c373737"),  # {0, 13} tiles Z_768: the product complement
         ("construct-complement-2^22", "2:da39a3ee5e6b"),  # L = 2^22 past the budget: exit 2, no stdout

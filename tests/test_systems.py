@@ -251,9 +251,9 @@ def test_record_copies_keep_cached_orders_and_defaults_hold():
 @pytest.mark.parametrize(
     "build,message",
     [
-        (lambda: ScaleDigitSystem(1.5, (0,)), "scale must be an integer, got 1.5"),
-        (lambda: ScaleDigitSystem(True, (0,)), "scale must be an integer, got True"),
-        (lambda: ScaleDigitSystem(-1, ()), "scale must satisfy |N| >= 2, got -1"),
+        (lambda: ScaleDigitSystem(1.5, (0,)), "scale must be an integer with |N| >= 2, got 1.5"),
+        (lambda: ScaleDigitSystem(True, (0,)), "scale must be an integer with |N| >= 2, got True"),
+        (lambda: ScaleDigitSystem(-1, ()), "scale must be an integer with |N| >= 2, got -1"),
         (lambda: ScaleDigitSystem(4, ()), "digit set must be nonempty"),
         (lambda: ScaleDigitSystem(4, (0, 0, 1)), "digit set must be pairwise distinct, got [0, 0, 1]"),
         (lambda: ScaleDigitSystem(4, (0, 1.5)), "digit set must consist of integers, got 1.5"),
@@ -277,7 +277,7 @@ def test_record_validation_messages(build, message):
         (lambda: order_vanishes((0, True), 2), "exponents must consist of integers, got True"),
         (lambda: is_complementing((0, 1.5), 4), "digit set must consist of integers, got 1.5"),
         (lambda: is_complementing((0, True), 2), "digit set must consist of integers, got True"),
-        (lambda: reduce_s(4.0, SpectrumCandidate((0, 2))), "scale must be an integer, got 4.0"),
+        (lambda: reduce_s(4.0, SpectrumCandidate((0, 2))), "scale must be an integer with |N| >= 2, got 4.0"),
         # a bool is not an integer where one number is asked either
         (lambda: is_complementing((0,), True), "modulus must be a positive integer, got True"),
         (lambda: order_vanishes((0, 1), True), "root order must be a positive integer, got True"),
@@ -291,11 +291,14 @@ def test_record_validation_messages(build, message):
         (lambda: attractor_bounds(4.0, (0, 1)), "scale must be an integer with |N| >= 2, got 4.0"),
         (lambda: attractor_bounds(4, (0, 1.5)), "element set must consist of integers, got 1.5"),
         (lambda: attractor_bounds(4, (0, True)), "element set must consist of integers, got True"),
+        # nor is an empty set taken where a nonempty one is asked
+        (lambda: attractor_bounds(4, ()), "element set must be nonempty"),
+        (lambda: is_complementing((), 4), "digit set must be nonempty"),
         # equal to 1, yet not the integer 1
         pytest.param(lambda: decide_spectrum(ScaleDigitSystem(4, (0, 1)), SpectrumCandidate((0, 2)), True),
-                     "scale factor must be a positive integer, got True", id="decide-range-factor-True"),
+                     "range_factor must be a positive integer, got True", id="decide-range-factor-True"),
         pytest.param(lambda: decide_spectrum(ScaleDigitSystem(4, (0, 1)), SpectrumCandidate((0, 2)), 1.0),
-                     "scale factor must be a positive integer, got 1.0", id="decide-range-factor-1.0"),
+                     "range_factor must be a positive integer, got 1.0", id="decide-range-factor-1.0"),
         (lambda: pair_power(ScaleDigitSystem(4, (0, 1)), SpectrumCandidate((0, 2)), True),
          "power must be a positive integer, got True"),
     ],
