@@ -482,7 +482,7 @@ def test_decide_keeps_its_refusals_and_builds_no_certificate(monkeypatch, system
     with pytest.raises(PreconditionError) as refusal:
         decide_spectrum(system, candidate, range_factor)
     assert str(refusal.value) == text and built == []
-    if text.startswith("scale factor"):  # a compatible pair: at range_factor 1 it is decided, still with none
+    if text.startswith("range_factor"):  # a compatible pair: at range_factor 1 it is decided, still with none
         assert decide_spectrum(system, candidate).spectral and built == []
 
 
