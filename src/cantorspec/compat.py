@@ -175,10 +175,9 @@ def search_candidate_s(system: ScaleDigitSystem) -> list[SpectrumCandidate]:
     below 0 and meets the 0 inserted into the other set.  More than
     SEARCH_BUDGET candidates raise BudgetExceededError, and so do a
     period g of the zeros past about 1.07e8, before its pattern is built,
-    and a walk that touches more than 2^30 bytes of it.
+    and a walk that touches more than 2^30 bytes of it.  At |N| = 2 the
+    window is {0}, so only |D| = 1 has a candidate, (0,).
     """
-    if system.modulus < 3:
-        raise PreconditionError("the window [2-|N|, |N|-2] is degenerate for |N| = 2")
     found = list(itertools.islice(_window_candidates(system), SEARCH_BUDGET + 1))
     if len(found) > SEARCH_BUDGET:
         raise BudgetExceededError(
@@ -189,8 +188,7 @@ def search_candidate_s(system: ScaleDigitSystem) -> list[SpectrumCandidate]:
 
 def _window_candidates(system: ScaleDigitSystem) -> Iterator[SpectrumCandidate]:
     """The candidates of `search_candidate_s` in the same order, one at a
-    time, for |N| >= 2; at |N| = 2 the window is {0}, so only |D| = 1
-    yields one, (0,)."""
+    time."""
     m, g = system.modulus, system._order_test.reach(system.modulus)
     size = g + g // 4
     if size > _PATTERN_BUDGET:

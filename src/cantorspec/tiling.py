@@ -198,16 +198,21 @@ def find_modulus_l(system: ScaleDigitSystem) -> int | None:
 class TilingConstruction(_Record):
     """Full record of the tiling-to-spectrum construction."""
 
-    __match_args__ = ("modulus_l", "complement_e0", "p_powers", "q_powers", "fractional_e", "result_s", "certificate")
+    __match_args__ = ("modulus_l", "complement_e0", "p_powers", "q_powers", "result_s", "certificate")
 
     def __init__(
         self, modulus_l: int, complement_e0: tuple[int, ...], p_powers: tuple[int, ...], q_powers: tuple[int, ...],
-        fractional_e: tuple[Fraction, ...], result_s: tuple[int, ...], certificate: CompatibilityCertificate,
+        result_s: tuple[int, ...], certificate: CompatibilityCertificate,
     ):
         self.__dict__.update(
             modulus_l=modulus_l, complement_e0=complement_e0, p_powers=p_powers, q_powers=q_powers,
-            fractional_e=fractional_e, result_s=result_s, certificate=certificate,
+            result_s=result_s, certificate=certificate,
         )
+
+    @property
+    def fractional_e(self) -> tuple[Fraction, ...]:
+        """E = S/N, ascending, computed from S and the certificate's N on each read."""
+        return tuple(sorted(Fraction(s, self.certificate.system.scale) for s in self.result_s))
 
 
 def construct_spectrum_set(system: ScaleDigitSystem) -> TilingConstruction:
@@ -216,13 +221,13 @@ def construct_spectrum_set(system: ScaleDigitSystem) -> TilingConstruction:
     Refuses a non-tile by (T1) and (T2), asking the system only the orders
     they name, builds the complement at the smallest tiling modulus L from
     the same powers, and forms S = N*E as the integer sums of a_j * (N // p^k_j),
-    one digit coefficient 0 <= a_j < p per power; E = S/N is derived from
-    it, one `Fraction` per element in the order of S/N.  The sums are
-    checked distinct once, or ConsistencyError, and S is built from them
-    unchecked.  Exact compatibility of (D/N, S) is verified before
-    returning, and the system keeps the certificate's entries, so that
-    deciding S next walks no pair again; with the certificate in hand,
-    the measure is spectral.
+    one digit coefficient 0 <= a_j < p per power.  The record keeps S
+    alone: its `fractional_e`, E = S/N, is computed from S when it is
+    read.  The sums are checked distinct once, or ConsistencyError, and S
+    is built from them unchecked.  Exact compatibility of (D/N, S) is
+    verified before returning, and the system keeps the certificate's
+    entries, so that deciding S next walks no pair again; with the
+    certificate in hand, the measure is spectral.
     """
     found = _tiling_modulus(system)
     if found is None:
@@ -244,7 +249,4 @@ def construct_spectrum_set(system: ScaleDigitSystem) -> TilingConstruction:
     certificate = is_compatible(system, candidate)
     if certificate is None:
         raise ConsistencyError("constructed spectrum failed the exact compatibility check")
-    # s/N ascends with s for N > 0 and descends for N < 0
-    ordered = candidate.elements[::-1] if system.scale < 0 else candidate.elements
-    fractional = tuple(Fraction(s, system.scale) for s in ordered)
-    return TilingConstruction(modulus_l, complement, p_powers, q_powers, fractional, candidate.elements, certificate)
+    return TilingConstruction(modulus_l, complement, p_powers, q_powers, candidate.elements, certificate)

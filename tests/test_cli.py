@@ -3,11 +3,12 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
 from cantorspec import compat, cyclotomic, kernel, systems
-from cantorspec.cli import METHOD_COMPAT, main
+from cantorspec.cli import METHOD_COMPAT, _json_default, main
 
 
 def run(capsys, *argv):
@@ -255,10 +256,21 @@ def test_each_refusal_names_its_cause_and_exit_code(capsys, argv, code, err):
     assert run(capsys, *argv) == (code, "", err)
 
 
+def test_json_default_prints_fractions_and_refuses_other_types():
+    assert json.dumps({"e": [Fraction(7, 6)]}, default=_json_default) == '{"e": ["7/6"]}'
+    with pytest.raises(TypeError, match="^Object of type object is not JSON serializable$"):
+        _json_default(object())
+
+
+@pytest.mark.parametrize("scale", ["2", "-2"])
+def test_search_at_n_two_finds_no_candidate(capsys, scale):
+    assert run(capsys, "compat", "search", f"--n={scale}", "--digits", "0,1") == (
+        0, '{"candidates": [], "method": "exhaustive clique search in the reduction window"}\n', "")
+
+
 def test_precondition_violation_exits_two(capsys):
     for argv in [
         ["compat", "check", "--n", "4", "--digits", "0,1", "--s", "0"],
-        ["compat", "search", "--n", "2", "--digits", "0,1"],
         ["spectrum", "decide", "--n", "4", "--digits", "1,2", "--s", "0,2"],
         ["spectrum", "decide", "--n", "4", "--digits", "0,1", "--s", "0,1"],
         ["spectrum", "decide", "--n", "1", "--digits", "0,1", "--s", "0,2"],

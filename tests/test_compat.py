@@ -543,9 +543,12 @@ def test_one_system_answers_every_candidate_as_a_fresh_one_does():
     assert answers[True] > 9_000 and answers[False] > 9_000
 
 
-def test_search_rejects_degenerate_window():
-    with pytest.raises(PreconditionError):
-        search_candidate_s(ScaleDigitSystem(2, (0, 1)))
+def test_search_answers_the_degenerate_window():
+    # at |N| = 2 the window is {0}: the point mass has (0,), larger digit sets nothing
+    for scale in (2, -2):
+        for digits, expected in [((0,), [(0,)]), ((5,), [(0,)]), ((0, 1), []), ((0, 3), []), ((0, 1, 2), [])]:
+            found = search_candidate_s(ScaleDigitSystem(scale, digits))
+            assert [candidate.elements for candidate in found] == expected, (scale, digits)
 
 
 def test_reduce_examples():

@@ -141,6 +141,18 @@ def test_mu_hat_unit_interval_closed_form():
     assert abs(abs(mu_hat(system, 0.5, TIGHT).value) - 2 / math.pi) < 1e-9
 
 
+def test_mu_hat_steps_past_a_short_logarithm_estimate():
+    # the logarithm puts J at 42, where pi * |xi| / 2^42 still passes
+    # log1p(epsilon): the count is raised to 43, the least that bounds the tail
+    system, xi = ScaleDigitSystem(2, (0, 1)), 1.3999416843798322
+    target = math.log1p(TruncationPolicy().product_epsilon)
+    assert math.ceil(math.log(math.pi * xi / target) / math.log(2)) == 42
+    assert math.pi * xi / 2**42 > target >= math.pi * xi / 2**43
+    prod = mu_hat(system, xi)
+    assert prod.factors == 43
+    assert abs(prod.value - unit_interval_transform(xi)) <= prod.error_bound + 1e-15
+
+
 def test_mu_hat_error_bound_is_honest():
     rng = random.Random(7)
     loose = TruncationPolicy(depth=4, product_epsilon=1e-5)

@@ -131,3 +131,16 @@ def test_src_lines_counts_every_module_of_the_package():
     assert sorted(modules) == sorted(path.name for path in (ROOT / "src" / "cantorspec").glob("*.py"))
     assert all(count > 0 for count in modules.values())
     assert rows[-1] == ["total", str(sum(modules.values()))]
+
+
+def test_paired_inprocess_times_a_checkout_against_itself():
+    proc = run_script("paired_inprocess.py", "--parent", str(ROOT / "src"), "construct", "--passes", "2")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    rows = [row.split(",") for row in proc.stdout.splitlines()]
+    assert rows[0] == ["workload", "passes", "parent_us", "change_us", "ratio", "change_faster"]
+    assert len(rows) == 2 and rows[1][:2] == ["construct", "2"]
+    parent_us, change_us, ratio = map(float, rows[1][2:5])
+    assert parent_us > 0 and change_us > 0 and ratio > 0
+    assert int(rows[1][5]) in (0, 1, 2)
+    refused = run_script("paired_inprocess.py", "--parent", str(ROOT / "src"), "cli-tour")
+    assert refused.returncode == 2 and "cli-tour" in refused.stderr

@@ -165,12 +165,13 @@ def test_construction_reads_prime_powers_from_the_vanishing_orders(monkeypatch, 
     # cannot read back answers the reference left in the shared one
     system = ScaleDigitSystem(scale, digits)
     system.__dict__["_order_test"] = OrderTest(system.digits)
-    reference = reference_construct_spectrum_set(system)
+    reference, fractional = reference_construct_spectrum_set(system)
     expected = (reference.p_powers, reference.q_powers), system.vanishing_orders
     summed = record_class_sums(monkeypatch)
     fresh = ScaleDigitSystem(scale, digits)
     construction = construct_spectrum_set(fresh)
     assert (construction.p_powers, construction.q_powers) == expected[0]
+    assert construction.fractional_e == fractional
     assert len(summed) == len(set(summed))  # the digits' memo sums each divisor once
     # the batch sums the rest of the reach and nothing twice, so every
     # divisor summed lies in the reach: the b > 1 dividing g with phi(b) <= s
@@ -312,6 +313,17 @@ def test_fractional_e_is_the_sorted_quotients(scale, digits):
     expected = tuple(sorted(Fraction(s, scale) for s in construction.result_s))
     assert construction.fractional_e == expected
     assert repr(construction.fractional_e) == repr(expected)
+
+
+@pytest.mark.parametrize("scale,digits", [(24, (0, 3, 12, 15)), (-24, (0, 3, 12, 15)), (-8640, (0, 1, 2, 6, 7, 8))])
+def test_construction_builds_no_fraction(monkeypatch, scale, digits):
+    def refuse(*args):
+        raise AssertionError("the construction built a Fraction")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tiling, "Fraction", refuse)
+        construction = construct_spectrum_set(ScaleDigitSystem(scale, digits))
+    assert construction.fractional_e == tuple(sorted(Fraction(s, scale) for s in construction.result_s))
 
 
 def record_class_sums(monkeypatch):
@@ -566,7 +578,8 @@ def test_complement_search_frames_stay_small():
 def reference_construct_spectrum_set(system):
     """The former construction, kept as the reference: L through a radical
     filter over every divisor of |N|, E as sums of Fractions a/p^k, and
-    S = N*E checked to have stayed in the integers."""
+    S = N*E checked to have stayed in the integers.  Returns the record
+    and E, sorted, which the record computes from S."""
     found = None
     for div in divisors(system.modulus):
         if radical(div) == radical(system.size):
@@ -597,15 +610,15 @@ def reference_construct_spectrum_set(system):
         assert scaled.denominator == 1, frac
         elements.append(int(scaled))
     candidate = SpectrumCandidate(tuple(elements))
-    return tiling.TilingConstruction(
+    construction = tiling.TilingConstruction(
         modulus_l=modulus_l,
         complement_e0=complement,
         p_powers=groups[0],
         q_powers=groups[1],
-        fractional_e=tuple(fractional),
         result_s=candidate.elements,
         certificate=is_compatible(system, candidate),
     )
+    return construction, tuple(fractional)
 
 
 def outcome(construct, system):
@@ -634,12 +647,14 @@ def test_integer_construction_matches_fraction_reference():
                 system = ScaleDigitSystem(scale, digits)
                 expected = outcome(reference_construct_spectrum_set, system)
                 got = outcome(construct_spectrum_set, system)
-                if isinstance(expected, tuple):
+                if not isinstance(expected[0], tiling.TilingConstruction):
                     assert got == expected, system
                     continue
+                reference, fractional = expected
                 # the complement need not be the search's first one: checked by its cover
                 assert isinstance(got, tiling.TilingConstruction), (system, got)
-                assert without_complement(got) == without_complement(expected), system
+                assert without_complement(got) == without_complement(reference), system
+                assert got.fractional_e == fractional, system
                 assert_exact_cover(digits, got.complement_e0, got.modulus_l)
                 assert len(got.complement_e0) == got.modulus_l // len(digits)
                 built += 1
