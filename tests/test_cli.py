@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -543,27 +544,69 @@ def test_byte_identical_output(capsys):
     assert first == second
 
 
-def test_module_entrypoint_subprocess():
-    # The child runs from the checkout's src/, as tests/conftest.py does for
-    # this process, so the test needs no installed package.
+def run_module(*argv, code=None):
+    """`python -m cantorspec argv...` as a child process, or `python -c code`.
+
+    The child runs from the checkout's src/, as tests/conftest.py does for
+    this process, so the test needs no installed package."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     paths = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    proc = subprocess.run(
-        [sys.executable, "-m", "cantorspec", "measure", "lambda", "--n", "4", "--s", "0,2", "--depth", "2"],
-        capture_output=True,
-        text=True,
-        env=env,
+    command = ["-m", "cantorspec", *argv] if code is None else ["-c", code]
+    proc = subprocess.run([sys.executable, *command], capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+# The README tour, then one usage error (exit 1) and one refused precondition (exit 2)
+ENTRY_ARGVS = [
+    ("spectrum", "decide", "--n", "4", "--digits", "0,1", "--s", "0,6"),
+    ("spectrum", "verify", "--n", "4", "--digits", "0,1", "--s", "0,6", "--witness", "[[2,6]]"),
+    ("compat", "search", "--n", "6", "--digits", "0,1,2"),
+    ("spectrum", "report", "--n", "4", "--digits", "0,1"),
+    ("tiling", "construct", "--n", "6", "--digits", "0,1,2,3,4,5"),
+    ("measure", "qgrid", "--n", "4", "--digits", "0,1", "--s", "0,2", "--format", "csv"),
+    ("compat", "check", "--n", "2", "--digits", "0,0", "--s", "0"),
+    ("tiling", "construct", "--n", "30", "--digits", ",".join(map(str, range(30)))),
+]
+
+
+def test_module_entrypoint_subprocess(capsys):
+    codes = []
+    for argv in ENTRY_ARGVS:
+        child = run_module(*argv)
+        assert child == run(capsys, *argv), argv
+        codes.append(child[0])
+    assert codes == [0] * 6 + [1, 2]
+    code, out, err = run_module("measure", "lambda", "--n", "4", "--s", "0,2", "--depth", "2")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["elements"] == [0, 2, 8, 10]
+
+
+def test_the_entry_point_freezes_the_import_heap_and_main_does_not(capsys):
+    # The child runs the package as __main__, as `python -m cantorspec`
+    # does, with main replaced by a probe that reports the collector's state.
+    probe = (
+        "import gc, runpy\n"
+        "import cantorspec.cli\n"
+        "before = gc.get_freeze_count()\n"
+        "def probe(argv=None):\n"
+        "    print(before, gc.isenabled(), gc.get_freeze_count() > 0)\n"
+        "    return 3\n"
+        "cantorspec.cli.main = probe\n"
+        "runpy.run_module('cantorspec', run_name='__main__')\n"
     )
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["elements"] == [0, 2, 8, 10]
-    proc = subprocess.run(
-        [sys.executable, "-m", "cantorspec", "compat", "check", "--n", "2", "--digits", "0,0", "--s", "0"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 1
+    assert run_module(code=probe) == (3, "0 True True\n", "")
+    frozen = gc.get_freeze_count()
+    assert run(capsys, *ENTRY_ARGVS[0])[0] == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_the_console_script_is_the_entry_point():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "pyproject.toml")
+    with open(pyproject, "rb") as handle:
+        scripts = tomllib.load(handle)["project"]["scripts"]
+    assert scripts == {"cantorspec": "cantorspec.__main__:entry"}
 
 
 def test_negative_integers_in_list_flags(capsys):
